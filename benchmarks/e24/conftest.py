@@ -1,0 +1,9 @@
+"""Make ``repro`` and the E24 modules importable under ``pytest benchmarks/e24``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
