@@ -15,8 +15,8 @@ disorder) and demonstrates its payoff.
   - ``tracing``  — full per-element span recording.
 
   Claim: the disabled path costs **< 3%** over the pre-PR control.
-  Instrumented paths are honestly slower (they route through the
-  mirrored ``Observability.feed``) — recorded, not hidden.
+  Instrumented paths are honestly slower (``Observability.feed`` wraps
+  every element's step) — recorded, not hidden.
 
 * **E18b — emission latency vs out-of-order rate.**  With metrics
   enabled, sweep the disorder rate and render the
@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-from repro.core.engine import OutOfOrderEngine, ValidationPolicy
+from repro.core.engine import OutOfOrderEngine
 from repro.core.errors import EngineStateError
-from repro.core.event import admission_error, is_event, malformed_reason
+from repro.core.event import Event
 from repro.metrics import render_histogram, render_table
 from repro.obs import MetricsRegistry, Tracer
 from repro.streams import RandomDelayModel
@@ -59,30 +60,19 @@ REPEATS = 5
 
 
 class _PrePRControl(OutOfOrderEngine):
-    """The engine exactly as shipped before this PR: no ``_obs`` guard.
+    """The engine without the ``_obs`` guard.
 
-    ``feed`` below is the previous ``Engine.feed`` body verbatim minus
-    the two observability lines, so the a/b comparison isolates the one
-    attribute check the disabled path adds.
+    ``feed`` below is ``Engine.feed`` — the one-element driver of the
+    step loop — verbatim minus the two observability lines, so the a/b
+    comparison isolates the one attribute check the disabled path adds.
     """
 
     def feed(self, element):
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
-        if malformed_reason(element) is not None:
-            if self.validation is ValidationPolicy.QUARANTINE:
-                self.stats.events_quarantined += 1
-                return []
-            raise admission_error(element)
-        if is_event(element):
-            self._arrival += 1
-            self.stats.events_in += 1
-            emitted = self._process_event(element)
-        else:
-            self.stats.punctuations_in += 1
-            emitted = self._on_punctuation(element)
-        self.stats.note_state_size(self.state_size())
-        return emitted
+        if isinstance(element, Event):
+            return self._run((element,))
+        return self._feed_punctuation(element)
 
 
 def _arrival(events: int = EVENTS, rate: float = RATE):
@@ -191,6 +181,7 @@ def run_experiment(quick: bool = False) -> str:
     payload = {
         "experiment": "e18",
         "quick": quick,
+        "cpu_count": os.cpu_count(),
         "events": events,
         "disorder_rate": RATE,
         "k": MAX_DELAY,

@@ -11,7 +11,7 @@ Edge resolution, in decreasing precision:
 
 * ``self.m(...)`` from a method of class C — resolves through C's MRO
   *and* through analyzed subclasses of C (a base-class hot path calls
-  overridden hooks: ``Engine.feed`` → ``OutOfOrderEngine._process_event``).
+  overridden hooks: ``Engine.feed`` → ``OutOfOrderEngine._run``).
 * ``self.attr.m(...)`` — when ``attr``'s class is known (constructor
   assignment in ``__init__``), resolve ``m`` in that class's MRO and
   subclasses.

@@ -263,15 +263,19 @@ class Project:
         """True for classes speaking the engine protocol.
 
         Either the resolved ancestry reaches a class named ``Engine``,
-        or the class (or an ancestor) defines ``_process_event`` — the
-        subclass hook that only engines implement.  Wrappers that
-        merely *drive* an engine (recovery runner, query registry,
-        output adapter) define neither and are out of scope.
+        or the class (or an ancestor) defines the step loop ``_run`` or
+        its per-event hook ``_process_event`` — what only engines
+        implement.  Wrappers that merely *drive* an engine (recovery
+        runner, query registry, output adapter) define none of these
+        and are out of scope.
         """
         for klass in self.mro(cls):
-            if klass.name == "Engine" or "_process_event" in klass.methods:
+            if klass.name == "Engine" or _ENGINE_HOOKS & klass.methods.keys():
                 return True
         return "Engine" in _transitive_base_names(self, cls)
+
+
+_ENGINE_HOOKS = frozenset({"_run", "_process_event"})
 
 
 def _transitive_base_names(project: Project, cls: ClassInfo) -> Set[str]:

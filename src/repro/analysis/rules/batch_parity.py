@@ -1,26 +1,23 @@
-"""R004 — batch/snapshot parity.
+"""R004 — engine protocol surface.
 
-PR 1 added a batched hot path (``feed_batch``) and PR 2 made every
-engine checkpointable (``snapshot``/``restore``).  Both are *protocol*
-surfaces: the partitioned fan-out batches per partition, and the
-recovery runner checkpoints whatever engine it wraps.  An engine
-lacking any of the three either crashes those drivers or — worse —
-silently falls off the fast/recoverable path.
-
-The columnar feed path (``feed_colbatch``, PR 10) joined the protocol
-for the same reason: the pipelined fan-out ships ``EventBatch``
-payloads to whatever sub-engine class a partition holds, so an engine
-outside the ``feed_colbatch`` surface silently loses the columnar
-fast path (the ``Engine`` base provides the reference implementation;
-defining ``feed`` while dodging the base class is the hazard).
+The feeding surfaces (``feed``, ``feed_batch``, ``feed_colbatch``) and
+the checkpoint pair (``snapshot``/``restore``) are *protocol*: the
+partitioned fan-out batches per partition, the pipelined fan-out ships
+``EventBatch`` payloads to whatever sub-engine class a partition holds,
+and the recovery runner checkpoints whatever engine it wraps.  The
+``Engine`` base provides all of them — the three feeding surfaces as
+thin drivers of the engine's one step loop — so an engine that derives
+from it cannot lack any.  Defining ``feed`` while dodging the base
+class is the hazard: such an engine crashes those drivers at the first
+batch, columnar payload or checkpoint.
 
 The rule fires on every engine-protocol class (one that derives from
-``Engine`` or defines ``_process_event``) that defines a concrete
-``feed`` but does not define *or inherit* a concrete ``feed_batch``,
-``feed_colbatch``, ``snapshot``, or ``restore``.  Non-engine wrappers
-that happen to have a ``feed`` method (drivers, adapters, registries)
-are out of scope by design: they forward to an engine rather than
-implement the protocol.
+``Engine`` or defines ``_run`` / ``_process_event``) that defines a
+concrete ``feed`` but does not define *or inherit* a concrete
+``feed_batch``, ``feed_colbatch``, ``snapshot``, or ``restore``.
+Non-engine wrappers that happen to have a ``feed`` method (drivers,
+adapters, registries) are out of scope by design: they forward to an
+engine rather than implement the protocol.
 """
 
 from __future__ import annotations

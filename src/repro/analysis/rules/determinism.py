@@ -10,9 +10,9 @@ seeding, so two runs over identical input can emit identical matches
 in different orders and fail verification.
 
 The rule walks functions reachable from output-producing roots
-(``feed``/``feed_batch``/``feed_many``/``close``/``run``/``_flush``/
-``_process_event``/``_on_punctuation``/``_deliver``/``_emit`` methods
-of any analyzed class) and flags ``for``-loops and comprehensions whose
+(``feed``/``feed_batch``/``feed_colbatch``/``feed_many``/``close``/
+``run``/``_flush``/``_run``/``_process_event``/``_on_punctuation``/
+``_deliver``/``_emit`` methods of any analyzed class) and flags ``for``-loops and comprehensions whose
 iterable is set-typed: a set literal/constructor/comprehension, a
 ``self`` attribute declared or annotated as ``set``/``frozenset``
 (including via a local alias), or a set-producing binary operation.
@@ -38,11 +38,13 @@ _ROOT_METHODS = frozenset(
     {
         "feed",
         "feed_batch",
+        "feed_colbatch",
         "feed_many",
         "close",
         "run",
         "flush",
         "_flush",
+        "_run",
         "_process_event",
         "_on_punctuation",
         "_deliver",

@@ -1,7 +1,8 @@
 """R002 — hot-path purity.
 
-``feed``/``feed_batch`` are the per-event hot paths and, through the
-recovery layer, the *replay* paths: after a crash the WAL re-feeds the
+``feed``/``feed_batch``/``feed_colbatch`` and the step loop ``_run``
+they drive are the per-event hot paths and, through the recovery layer,
+the *replay* paths: after a crash the WAL re-feeds the
 same events and the delivery log is diffed against what the engine
 emits.  Anything environment-dependent on that path — wall-clock
 reads, unseeded randomness, console or file I/O — makes replay diverge
@@ -9,7 +10,7 @@ from the original run and breaks both exactly-once delivery and the
 benchmark's reproducibility.
 
 The rule walks the call graph reachable from every engine-protocol
-class's ``feed``/``feed_batch`` (see
+class's feeding surfaces and step loop (see
 :mod:`repro.analysis.callgraph`) and reports calls matching the
 forbidden vocabulary below.  Deliberate I/O components (the spilling
 reorder buffer trades purity for bounded memory by design) opt out
@@ -102,8 +103,8 @@ def _violation(dotted: str) -> bool:
 class HotPathPurity(Rule):
     rule_id = "R002"
     summary = (
-        "code reachable from feed/feed_batch must not read the clock or "
-        "RNG, perform I/O, or print"
+        "code reachable from feed/feed_batch/feed_colbatch must not read "
+        "the clock or RNG, perform I/O, or print"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -112,7 +113,7 @@ class HotPathPurity(Rule):
             for cls in module.classes.values():
                 if not project.is_engine_class(cls):
                     continue
-                for name in ("feed", "feed_batch"):
+                for name in ("feed", "feed_batch", "feed_colbatch", "_run"):
                     fn = cls.methods.get(name)
                     if fn is not None and not fn.is_stub:
                         roots.append(fn)

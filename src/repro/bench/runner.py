@@ -182,10 +182,10 @@ def run_cell(
     aggressive strategy) are judged on their net output.
 
     *batch_size* selects the feeding discipline: ``None`` hands the
-    whole trace to ``feed_many`` (the batched fast path), a positive
-    value feeds chunks of that size through ``feed_batch``, and ``0``
-    forces the per-event ``feed`` loop — the reference discipline the
-    batch speedups in experiment E16 are measured against.
+    whole trace to ``feed_many`` (one batch), a positive value feeds
+    chunks of that size through ``feed_batch``, and ``0`` forces one
+    ``feed`` call per element — the discipline the batch speedups in
+    experiment E16 are measured against.
 
     *metrics* attaches a fresh observability registry to the engine
     before feeding; the cell then carries histogram-derived latency

@@ -124,16 +124,9 @@ class AggressiveEngine(OutOfOrderEngine):
 
     # -- revocation on late negatives ---------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        is_negative = event.etype in self.pattern.negated_types
-        emitted = super()._process_event(event)
-        if is_negative and self._exposed:
-            self._revoke_invalidated(event)
-        return emitted
-
     def _post_event(self, event: Event) -> None:
-        # Batch-path mirror of the _process_event extension above: the
-        # revocation scan must run even for late-dropped negatives.
+        # Runs for late-dropped negatives too: a negative the store no
+        # longer admits can still invalidate an exposed match.
         if event.etype in self.pattern.negated_types and self._exposed:
             self._revoke_invalidated(event)
 

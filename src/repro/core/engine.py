@@ -44,7 +44,6 @@ from repro.core.event import (
     Punctuation,
     StreamElement,
     admission_error,
-    is_event,
     malformed_reason,
 )
 from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
@@ -99,7 +98,12 @@ class EmissionRecord(NamedTuple):
 class Engine:
     """Common engine surface shared by every strategy in this library.
 
-    Subclasses implement :meth:`_process_event` and may extend
+    Each engine has exactly one step loop, :meth:`_run`; the public
+    ``feed`` / ``feed_batch`` / ``feed_colbatch`` are thin drivers of it
+    and are not overridden.  The out-of-order, in-order and reordering
+    engines implement :meth:`_run` as one fused loop; the delegating
+    families (partitioned, parallel, pipelined) inherit the plain loop
+    below and implement :meth:`_process_event`.  All may extend
     :meth:`_on_punctuation` / :meth:`_flush`.  The shared surface keeps
     the bench harness strategy-agnostic.
     """
@@ -114,7 +118,7 @@ class Engine:
         self._closed = False
         # Observability bundle (repro.obs.hooks.Observability), attached
         # via enable_observability().  None by default: the disabled hot
-        # path pays exactly one attribute check per element.
+        # path pays exactly one attribute check per call.
         self._obs = None
 
     # -- public API ------------------------------------------------------------
@@ -125,57 +129,96 @@ class Engine:
             raise EngineStateError(f"{type(self).__name__} is closed")
         if self._obs is not None:
             return self._obs.feed(self, element)
-        if malformed_reason(element) is not None:
-            if self.validation is ValidationPolicy.QUARANTINE:
-                self.stats.events_quarantined += 1
-                return []
-            raise admission_error(element)
-        if is_event(element):
-            self._arrival += 1
-            self.stats.events_in += 1
-            emitted = self._process_event(element)
-        else:
-            self.stats.punctuations_in += 1
-            emitted = self._on_punctuation(element)
-        self.stats.note_state_size(self.state_size())
-        return emitted
+        if isinstance(element, Event):
+            return self._run((element,))
+        return self._feed_punctuation(element)
 
     def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Process a batch of elements; returns matches emitted during it.
 
-        Semantically identical to ``for x in elements: feed(x)`` —
-        emissions, counters and state trajectories match element for
-        element (the property suite pins this).  Engines with a batched
-        fast path override this to amortise per-element dispatch; the
-        base implementation is the reference loop.
+        Identical to ``for x in elements: feed(x)`` — emissions,
+        counters, state trajectory, even exceptions (the batch property
+        suite and the golden trajectories pin this) — because both run
+        the same loop; a batch merely pays the loop's set-up once.
         """
-        emitted: List[Match] = []
-        for element in elements:
-            emitted.extend(self.feed(element))
-        return emitted
+        return self._drive(elements, None)
 
     def feed_many(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Feed every element; returns all matches emitted during the run."""
         return self.feed_batch(elements)
 
     def feed_colbatch(self, batch, marks: Optional[List[int]] = None) -> List[Match]:
-        """Process a columnar :class:`~repro.core.colbatch.EventBatch`.
+        """Process a columnar :class:`~repro.core.colbatch.EventBatch` (or view).
 
-        Semantically identical to ``feed_batch(batch.to_events())``.
-        When *marks* is given (a caller-owned list), the cumulative
-        emission count is appended after every row — ``len(batch)``
-        entries — so callers can attribute each emitted match to the
-        row whose processing produced it (the pipelined engine's
-        epoch-ordered merge rebuilds the serial interleave from these).
-        The reference implementation materialises rows and feeds them;
-        engines with a columnar fast path override it.
+        Identical to ``feed_batch(batch.to_events())``.  When *marks* is
+        given (a caller-owned list), the cumulative emission count is
+        appended after every row — ``len(batch)`` entries — so callers
+        can attribute each emitted match to the row whose processing
+        produced it (the pipelined engine's epoch-ordered merge rebuilds
+        the serial interleave from these).
         """
-        if marks is None:
-            return self.feed_batch(batch.to_events())
+        return self._drive(batch.to_events(), marks)
+
+    def _drive(
+        self, elements: Iterable[StreamElement], marks: Optional[List[int]]
+    ) -> List[Match]:
+        if self._closed:
+            raise EngineStateError(f"{type(self).__name__} is closed")
+        obs = self._obs
+        if obs is None:
+            return self._run(elements, marks)
+        # Observability classifies per-element stat deltas, so it wraps
+        # one-element calls of the same loop.
         emitted: List[Match] = []
-        for event in batch.to_events():
-            emitted.extend(self.feed(event))
-            marks.append(len(emitted))
+        for element in elements:
+            emitted.extend(obs.feed(self, element))
+            if marks is not None:
+                marks.append(len(emitted))
+        return emitted
+
+    def _run(
+        self,
+        elements: Iterable[StreamElement],
+        marks: Optional[List[int]] = None,
+    ) -> List[Match]:
+        """The step loop: screen, count and process each element in turn.
+
+        Appends the cumulative emission count to *marks* (when given)
+        once per element, including quarantined ones.  This plain form
+        hands each event to :meth:`_process_event`.
+        """
+        emitted: List[Match] = []
+        stats = self.stats
+        for element in elements:
+            if not isinstance(element, Event):
+                emitted.extend(self._feed_punctuation(element))
+            elif malformed_reason(element) is None:
+                self._arrival += 1
+                stats.events_in += 1
+                emitted.extend(self._process_event(element))
+                stats.note_state_size(self.state_size())
+            elif self.validation is ValidationPolicy.QUARANTINE:
+                stats.events_quarantined += 1
+            else:
+                raise admission_error(element)
+            if marks is not None:
+                marks.append(len(emitted))
+        return emitted
+
+    def _feed_punctuation(self, element: StreamElement) -> List[Match]:
+        """Screen, count and apply one non-event element.
+
+        ``feed`` calls this directly: a lone punctuation should not pay
+        for a fused loop's set-up.
+        """
+        if malformed_reason(element) is not None:
+            if self.validation is ValidationPolicy.QUARANTINE:
+                self.stats.events_quarantined += 1
+                return []
+            raise admission_error(element)
+        self.stats.punctuations_in += 1
+        emitted = self._on_punctuation(element)
+        self.stats.note_state_size(self.state_size())
         return emitted
 
     def close(self) -> List[Match]:
@@ -219,8 +262,9 @@ class Engine:
         *tracer* is a :class:`repro.obs.Tracer` (or None for metrics
         only); *metrics* is a :class:`repro.obs.MetricsRegistry` (or
         None for tracing only).  Returns the attached bundle.  Feeding
-        then routes through the instrumented mirror path — observably
-        identical results and counters, at instrumented cost.
+        then goes through the bundle one element at a time, around the
+        same step loop — observably identical results and counters, at
+        instrumented cost.
         """
         from repro.obs.hooks import Observability
 
@@ -314,6 +358,7 @@ class Engine:
     # -- subclass hooks ----------------------------------------------------------
 
     def _process_event(self, event: Event) -> List[Match]:
+        """Per-event work of the families that inherit the plain :meth:`_run`."""
         raise NotImplementedError
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
@@ -503,8 +548,8 @@ class OutOfOrderEngine(Engine):
 
     # -- load shedding ------------------------------------------------------------
 
-    def _shed_overflow(self) -> None:
-        """Drop stored elements until the configured state bound holds.
+    def _shed_overflow(self) -> int:
+        """Shed stored elements down to the configured bound; returns the count.
 
         Runs after each processed element when a :class:`ShedPolicy` is
         configured.  Purely a function of retained state and the policy,
@@ -517,7 +562,7 @@ class OutOfOrderEngine(Engine):
         stored = self.stacks.size() + self.negatives.size() + self.kleene_store.size()
         excess = stored - policy.max_state
         if excess <= 0:
-            return
+            return 0
         shed = 0
         # Victim preview is tracing-only: the uninstrumented path never
         # materialises these lists.
@@ -580,68 +625,9 @@ class OutOfOrderEngine(Engine):
         self.stats.events_shed += shed
         if collect and casualties:
             self._obs.note_shed(self, casualties)
+        return shed
 
     # -- processing ----------------------------------------------------------------
-
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
-        if self._controller is not None:
-            # Before lateness triage: the estimator must see the delays
-            # the current bound drops, or K could never grow out of an
-            # under-provisioned start.
-            self._controller.observe(event)
-        if self.clock.is_late(event):
-            if self.late_policy is LatePolicy.RAISE:
-                raise DisorderBoundViolation(event, self.clock.now, self.clock.k or 0)
-            if self.late_policy is LatePolicy.DROP:
-                self.stats.late_dropped += 1
-                return emitted
-            # LatePolicy.PROCESS falls through: best effort.
-            self.stats.late_dropped += 1
-
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-
-        if not self.scanner.relevant(event):
-            self.stats.events_ignored += 1
-        else:
-            side_stored = False
-            if self.negatives.relevant(event.etype):
-                self.negatives.insert(event)
-                side_stored = True
-            if self.kleene_store.relevant(event.etype):
-                self.kleene_store.insert(event)
-                side_stored = True
-            if side_stored:
-                self.stats.events_admitted += 1
-            steps = self.scanner.admissible_steps(event)
-            if steps:
-                if not side_stored:
-                    self.stats.events_admitted += 1
-                instance = Instance(event, self._arrival)
-                for step_index in steps:
-                    self.stacks[step_index].insert(instance)
-                    if self.scanner.construction_feasible(
-                        self.stacks, step_index, event, self.stats
-                    ):
-                        for match in self.constructor.construct(
-                            self.stacks, step_index, instance, self.stats
-                        ):
-                            self._route(match, emitted)
-            elif not side_stored:
-                self.stats.events_ignored += 1
-
-        self._release_ripe(emitted)
-        if self.purge_policy.due():
-            if self._obs is not None:
-                self._obs.note_purge(self)
-            self.purger.run(
-                self.clock.horizon(), self.stacks, self.negatives,
-                self.stats, kleene=self.kleene_store,
-            )
-        if self.shed is not None:
-            self._shed_overflow()
-        return emitted
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
@@ -684,15 +670,14 @@ class OutOfOrderEngine(Engine):
         if self._obs is not None:
             self._obs.note_refreeze(self, decision)
 
-    # -- batched fast path ---------------------------------------------------------
+    # -- the step loop --------------------------------------------------------------
 
     def _post_event(self, event: Event) -> None:
-        """Batch-path hook mirroring per-event subclass extensions.
+        """Subclass hook: extra per-event work after the step.
 
-        Subclasses that extend :meth:`_process_event` with extra
-        per-event work that must run even for late-dropped events (the
-        aggressive engine's revocation scan) override this so
-        :meth:`feed_batch` stays identical to per-event feeding.
+        Runs for every admitted-or-dropped event, late-dropped ones
+        included (the aggressive engine's revocation scan needs those).
+        The loop pays the call only when a subclass overrides it.
         """
 
     def _ripe_possible(self) -> bool:
@@ -704,41 +689,32 @@ class OutOfOrderEngine(Engine):
         """
         return bool(self.pending._heap)
 
-    def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Batched hot path: one tight loop instead of a feed() per element.
+    def _run(
+        self,
+        elements: Iterable[StreamElement],
+        marks: Optional[List[int]] = None,
+    ) -> List[Match]:
+        """The engine's one step loop (steps 1-6 of the module docstring).
 
-        Observable behaviour — emissions, every counter, the state
-        trajectory, even exceptions — is identical to feeding the
-        elements one at a time (pinned by the batch property suite).
-        The amortisations are purely mechanical:
+        Every feeding surface runs this body, so a batch and the same
+        elements fed one at a time are identical by construction; what a
+        batch saves is the set-up below, paid once per call:
 
         * attribute lookups, clock arithmetic and purge scheduling are
-          hoisted out of the per-element path;
+          hoisted into locals (never cached on the engine: ``restore``
+          rebinds collaborators);
         * admission uses the scanner's pre-resolved per-type dispatch
-          table instead of re-deriving step lists per arrival;
+          table;
         * purge scans that provably cannot drop anything (horizon
           unmoved, no insert at or below a purge threshold) are elided,
           keeping only their schedule bookkeeping;
-        * the per-element state-size high-water mark is tracked
-          incrementally instead of re-summing every store.
+        * the state-size high-water mark is tracked incrementally
+          instead of re-summing every store.
 
-        The stream clock is advanced exactly as in per-event feeding, so
-        lateness decisions and seal timing are unchanged — batching
-        never trades correctness or K-semantics for speed.
+        Shedding, the adaptive-K controller and purge tracing are
+        optional steps of this loop, each behind one hoisted
+        ``is not None`` test.
         """
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
-        if self.shed is not None or self._obs is not None or self._controller is not None:
-            # Shedding re-checks the state bound after every element,
-            # observability classifies per-element stat deltas, and a
-            # controller consumes every arrival as a delay observation —
-            # bookkeeping the fused loop does not model.  Take the
-            # reference loop (same precedent as the spill-backed
-            # reorder buffer); overload survival / introspection, not
-            # throughput, is what those configurations optimise for.
-            # Speculation, by contrast, stays on the fast path: it hooks
-            # _route/_decide, which the fused loop calls unmodified.
-            return Engine.feed_batch(self, elements)
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
@@ -746,11 +722,13 @@ class OutOfOrderEngine(Engine):
         scanner = self.scanner
         stacks = self.stacks
         stack_list = stacks.stacks
+        # Aliased: purge_through / drop_oldest cut these lists in place.
         stack_keys = [stack._keys for stack in stack_list]
         negatives = self.negatives
         kleene = self.kleene_store
         pending_heap = self.pending._heap
         purge_policy = self.purge_policy
+        purge = self.purger.run
         probe = scanner.optimize
         construct = self.constructor.construct
         route = self._route
@@ -758,6 +736,8 @@ class OutOfOrderEngine(Engine):
         relevant_types = pattern.relevant_types
         has_negatives = bool(pattern.negated_types)
         has_kleene = bool(pattern.kleene_types)
+        purge_negatives = negatives if has_negatives else None
+        purge_kleene = kleene if has_kleene else None
         neg_relevant = negatives.relevant
         kleene_relevant = kleene.relevant
         neg_insert = negatives.insert
@@ -765,7 +745,7 @@ class OutOfOrderEngine(Engine):
         window = pattern.within
         length = pattern.length
         final_step = length - 1
-        step_range = list(range(length))
+        step_range = range(length)
         late_policy = self.late_policy
         drop_late = late_policy is LatePolicy.DROP
         raise_late = late_policy is LatePolicy.RAISE
@@ -776,6 +756,12 @@ class OutOfOrderEngine(Engine):
         since_last = purge_policy._since_last
         quarantine = self.validation is ValidationPolicy.QUARANTINE
         quarantined = 0
+        # Optional steps.
+        controller = self._controller
+        shed_overflow = self._shed_overflow if self.shed is not None else None
+        obs = self._obs
+        note_purge = obs.note_purge if obs is not None and obs.tracing else None
+        mark = marks.append if marks is not None else None
         # Subclass hooks: pay the per-event call only when overridden.
         post_event = (
             self._post_event
@@ -791,24 +777,35 @@ class OutOfOrderEngine(Engine):
         observations = 0
         horizon = clock.horizon()
         # Incremental state-size tracking for the peak high-water mark.
-        store_size = stacks.size() + negatives.size() + kleene.size()
+        store_size = sum(map(len, stack_keys))
+        if has_negatives:
+            store_size += negatives.size()
+        if has_kleene:
+            store_size += kleene.size()
         peak = stats.peak_state_size
         # Flow counters, accumulated locally and flushed on exit.
         events_in = events_admitted = events_ignored = 0
         late_dropped = out_of_order = 0
-        purge_runs = instances_purged = side_purged = skipped_by_probe = 0
+        elided_purges = skipped_by_probe = 0
         # Purge elision: a due purge is skipped (bookkeeping only) when
         # the horizon has not advanced past the last scanned one and no
         # insert landed at or below a purge threshold since.
         purged_at = -2
         dirty = True
+        # marks get one cumulative count per element, appended when the
+        # next element starts (or the loop ends) so that the `continue`
+        # exits below need no bookkeeping of their own.
+        pending_mark = False
         try:
             for element in elements:
+                if mark is not None:
+                    if pending_mark:
+                        mark(len(emitted))
+                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
-                    # Inlined admission screen (mirrors malformed_reason;
-                    # feed() applies the same check per element).
+                    # Inlined admission screen (mirrors malformed_reason).
                     if (
                         type(ts) is not int
                         or ts < 0
@@ -821,6 +818,11 @@ class OutOfOrderEngine(Engine):
                         raise admission_error(element)
                     self._arrival += 1
                     events_in += 1
+                    if controller is not None:
+                        # Before lateness triage: the estimator must see
+                        # the delays the current bound drops, or K could
+                        # never grow out of an under-provisioned start.
+                        controller.observe(element)
                     was_late = ts <= horizon
                     if was_late:
                         if raise_late:
@@ -830,7 +832,9 @@ class OutOfOrderEngine(Engine):
                             if post_event is not None:
                                 post_event(element)
                             continue
-                        # LatePolicy.PROCESS: best effort, falls through.
+                        # LatePolicy.PROCESS: best effort, falls through;
+                        # results involving already-purged state are
+                        # silently incomplete.
                     observations += 1
                     if ts > max_ts:
                         max_ts = ts
@@ -923,27 +927,17 @@ class OutOfOrderEngine(Engine):
                         due = False
                     if due and horizon >= 0:
                         if dirty or horizon > purged_at:
-                            # Inlined purge (mirrors Purger.run), with an
-                            # O(1) per-stack pre-check before each cut.
-                            nonfinal_cut = horizon - window
-                            for j in step_range:
-                                cut = horizon + 1 if j == final_step else nonfinal_cut
-                                keys = stack_keys[j]
-                                if keys and keys[0][0] <= cut:
-                                    dropped = stack_list[j].purge_through(cut)
-                                    instances_purged += dropped
-                                    store_size -= dropped
-                            if has_negatives:
-                                dropped = negatives.purge_through(nonfinal_cut)
-                                side_purged += dropped
-                                store_size -= dropped
-                            if has_kleene:
-                                dropped = kleene.purge_through(nonfinal_cut)
-                                side_purged += dropped
-                                store_size -= dropped
+                            if note_purge is not None:
+                                note_purge(self)
+                            store_size -= purge(
+                                horizon, stacks, purge_negatives, stats, purge_kleene
+                            )
                             purged_at = horizon
                             dirty = False
-                        purge_runs += 1
+                        else:
+                            elided_purges += 1
+                    if shed_overflow is not None:
+                        store_size -= shed_overflow()
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
@@ -955,13 +949,18 @@ class OutOfOrderEngine(Engine):
                             quarantined += 1
                             continue
                         raise admission_error(element)
-                    # Punctuations are rare: run the exact per-element
-                    # path, then resynchronise the hoisted locals.
+                    # Punctuations are rare: hand the callee the state it
+                    # reads (the controller's re-freeze consults the live
+                    # flow counters), then resynchronise the hoisted locals.
                     stats.punctuations_in += 1
+                    stats.events_in += events_in
+                    stats.late_dropped += late_dropped
+                    events_in = late_dropped = 0
                     clock._observations += observations
                     observations = 0
                     purge_policy._since_last = since_last
                     emitted.extend(self._on_punctuation(element))
+                    k = clock.k
                     max_ts = clock._max_ts
                     horizon = clock.horizon()
                     since_last = purge_policy._since_last
@@ -971,6 +970,8 @@ class OutOfOrderEngine(Engine):
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
+            if mark is not None and pending_mark:
+                mark(len(emitted))
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last
@@ -981,267 +982,7 @@ class OutOfOrderEngine(Engine):
             stats.events_ignored += events_ignored
             stats.late_dropped += late_dropped
             stats.out_of_order_events += out_of_order
-            stats.purge_runs += purge_runs
-            stats.instances_purged += instances_purged
-            stats.negatives_purged += side_purged
-            stats.construction_skipped_by_probe += skipped_by_probe
-        return emitted
-
-    def feed_colbatch(self, batch, marks: Optional[List[int]] = None) -> List[Match]:
-        """Columnar fast path: evaluate admission against flat arrays.
-
-        Observable behaviour is identical to
-        ``feed_batch(batch.to_events())`` — emissions, counters, state
-        trajectory, exceptions (pinned by the colbatch property suite).
-        On top of :meth:`feed_batch`'s amortisations this path reads
-        timestamps and type codes straight from the batch's columns,
-        evaluates local admission predicates through their columnar
-        compilations (``indexplan.compile_admission``), and only
-        materialises an :class:`Event` object for rows that actually
-        enter engine state (stack/side-store inserts), raise, or need
-        an interpreted predicate — on selective patterns the bulk of a
-        disordered stream never becomes objects at all.
-        """
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
-        from repro.core.colbatch import EventBatch
-
-        if (
-            type(batch) is not EventBatch
-            or self.shed is not None
-            or self._obs is not None
-            or self._controller is not None
-            or type(self)._post_event is not OutOfOrderEngine._post_event
-            or type(self)._ripe_possible is not OutOfOrderEngine._ripe_possible
-        ):
-            # Views and subclass hooks take the reference row loop;
-            # instrumented/shedding/adaptive configurations fall back
-            # exactly as feed_batch does.
-            return Engine.feed_colbatch(self, batch, marks)
-        from repro.core.indexplan import admission_table
-
-        # Memoised per scanner (a pure function of its dispatch), so
-        # the compiled closures are built once per engine yet never
-        # become engine state a snapshot could lose.
-        col_dispatch = admission_table(self.scanner)
-        emitted: List[Match] = []
-        stats = self.stats
-        clock = self.clock
-        pattern = self.pattern
-        stacks = self.stacks
-        stack_list = stacks.stacks
-        stack_keys = [stack._keys for stack in stack_list]
-        negatives = self.negatives
-        kleene = self.kleene_store
-        pending_heap = self.pending._heap
-        purge_policy = self.purge_policy
-        probe = self.scanner.optimize
-        construct = self.constructor.construct
-        route = self._route
-        relevant_types = pattern.relevant_types
-        has_negatives = bool(pattern.negated_types)
-        has_kleene = bool(pattern.kleene_types)
-        neg_insert = negatives.insert
-        kleene_insert = kleene.insert
-        window = pattern.within
-        length = pattern.length
-        final_step = length - 1
-        step_range = list(range(length))
-        drop_late = self.late_policy is LatePolicy.DROP
-        raise_late = self.late_policy is LatePolicy.RAISE
-        purge_mode = purge_policy.mode
-        purge_eager = purge_mode is PurgeMode.EAGER
-        purge_lazy = purge_mode is PurgeMode.LAZY
-        purge_interval = purge_policy.interval
-        since_last = purge_policy._since_last
-        quarantine = self.validation is ValidationPolicy.QUARANTINE
-        quarantined = 0
-        k = clock.k
-        max_ts = clock._max_ts
-        observations = 0
-        horizon = clock.horizon()
-        store_size = stacks.size() + negatives.size() + kleene.size()
-        peak = stats.peak_state_size
-        events_in = events_admitted = events_ignored = 0
-        late_dropped = out_of_order = 0
-        purge_runs = instances_purged = side_purged = skipped_by_probe = 0
-        purged_at = -2
-        dirty = True
-        # Per-batch, per-type precomputation: classification is a list
-        # probe by type code inside the row loop.
-        table = batch.type_table
-        type_ok = [isinstance(t, str) and bool(t) for t in table]
-        entries_by_code = [
-            col_dispatch.get(t) if t in relevant_types else None for t in table
-        ]
-        relevant_by_code = [t in relevant_types for t in table]
-        neg_by_code = [has_negatives and negatives.relevant(t) for t in table]
-        kleene_by_code = [has_kleene and kleene.relevant(t) for t in table]
-        ts_col = batch.ts
-        code_col = batch.codes
-        materialize = batch.event
-        mark = marks.append if marks is not None else None
-        try:
-            for i in range(batch.length):
-                ts = ts_col[i]
-                code = code_col[i]
-                if type(ts) is not int or ts < 0 or not type_ok[code]:
-                    if quarantine:
-                        quarantined += 1
-                        if mark is not None:
-                            mark(len(emitted))
-                        continue
-                    raise admission_error(materialize(i))
-                self._arrival += 1
-                events_in += 1
-                was_late = ts <= horizon
-                if was_late:
-                    if raise_late:
-                        raise DisorderBoundViolation(materialize(i), max_ts, k or 0)
-                    late_dropped += 1
-                    if drop_late:
-                        if mark is not None:
-                            mark(len(emitted))
-                        continue
-                    # LatePolicy.PROCESS: best effort, falls through.
-                observations += 1
-                if ts > max_ts:
-                    max_ts = ts
-                    clock._max_ts = ts
-                    if k is not None:
-                        advanced = ts - k - 1
-                        if advanced > horizon:
-                            horizon = advanced
-                elif ts < max_ts:
-                    out_of_order += 1
-
-                if not relevant_by_code[code]:
-                    events_ignored += 1
-                else:
-                    event = None
-                    side_stored = False
-                    if neg_by_code[code]:
-                        event = materialize(i)
-                        neg_insert(event)
-                        side_stored = True
-                        store_size += 1
-                    if kleene_by_code[code]:
-                        if event is None:
-                            event = materialize(i)
-                        kleene_insert(event)
-                        side_stored = True
-                        store_size += 1
-                    admitted = False
-                    entries = entries_by_code[code]
-                    if entries:
-                        instance = None
-                        for step_index, var, checks in entries:
-                            ok = True
-                            for col_fn, predicate in checks:
-                                if col_fn is not None:
-                                    if not col_fn(batch, i):
-                                        ok = False
-                                        break
-                                else:
-                                    if event is None:
-                                        event = materialize(i)
-                                    if not predicate.evaluate({var: event}):
-                                        ok = False
-                                        break
-                            if not ok:
-                                continue
-                            if instance is None:
-                                if event is None:
-                                    event = materialize(i)
-                                instance = Instance(event, self._arrival)
-                            admitted = True
-                            stack_list[step_index].insert(instance)
-                            store_size += 1
-                            if was_late or (
-                                step_index == final_step and ts <= horizon + 1
-                            ):
-                                dirty = True
-                            ok = True
-                            if probe:
-                                for j in step_range:
-                                    if j == step_index:
-                                        continue
-                                    if j < step_index:
-                                        lo = ts - window
-                                        hi = ts - 1
-                                    else:
-                                        lo = ts + 1
-                                        hi = ts + window
-                                    keys = stack_keys[j]
-                                    index = bisect_left(keys, (lo, -1))
-                                    if index >= len(keys) or keys[index][0] > hi:
-                                        ok = False
-                                        skipped_by_probe += 1
-                                        break
-                            if ok:
-                                for match in construct(
-                                    stacks, step_index, instance, stats
-                                ):
-                                    route(match, emitted)
-                    if was_late and side_stored:
-                        dirty = True
-                    if admitted or side_stored:
-                        events_admitted += 1
-                    else:
-                        events_ignored += 1
-
-                if pending_heap:
-                    self._release_ripe(emitted)
-                if purge_eager:
-                    due = True
-                elif purge_lazy:
-                    since_last += 1
-                    if since_last >= purge_interval:
-                        since_last = 0
-                        due = True
-                    else:
-                        due = False
-                else:
-                    due = False
-                if due and horizon >= 0:
-                    if dirty or horizon > purged_at:
-                        nonfinal_cut = horizon - window
-                        for j in step_range:
-                            cut = horizon + 1 if j == final_step else nonfinal_cut
-                            keys = stack_keys[j]
-                            if keys and keys[0][0] <= cut:
-                                dropped = stack_list[j].purge_through(cut)
-                                instances_purged += dropped
-                                store_size -= dropped
-                        if has_negatives:
-                            dropped = negatives.purge_through(nonfinal_cut)
-                            side_purged += dropped
-                            store_size -= dropped
-                        if has_kleene:
-                            dropped = kleene.purge_through(nonfinal_cut)
-                            side_purged += dropped
-                            store_size -= dropped
-                        purged_at = horizon
-                        dirty = False
-                    purge_runs += 1
-                size_now = store_size + len(pending_heap)
-                if size_now > peak:
-                    peak = size_now
-                if mark is not None:
-                    mark(len(emitted))
-        finally:
-            clock._observations += observations
-            purge_policy._since_last = since_last
-            stats.peak_state_size = peak
-            stats.events_quarantined += quarantined
-            stats.events_in += events_in
-            stats.events_admitted += events_admitted
-            stats.events_ignored += events_ignored
-            stats.late_dropped += late_dropped
-            stats.out_of_order_events += out_of_order
-            stats.purge_runs += purge_runs
-            stats.instances_purged += instances_purged
-            stats.negatives_purged += side_purged
+            stats.purge_runs += elided_purges
             stats.construction_skipped_by_probe += skipped_by_probe
         return emitted
 

@@ -40,7 +40,6 @@ range scan), so exotic attribute values never change results.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.event import Event
@@ -87,114 +86,6 @@ def compile_term(term: Term) -> Callable[[Bindings], Any]:
 
         return read_attr
     return term.evaluate
-
-
-def compile_term_columnar(term: Term, var: str):
-    """A closure reading *term* straight from an :class:`EventBatch` row.
-
-    Returns ``fn(batch, i) -> value`` for terms a single-variable
-    admission predicate can reference — constants and attributes of
-    *var* (the row's own event) — or ``None`` for anything else (the
-    caller falls back to interpreted evaluation on a materialised
-    event).  Semantics mirror :func:`compile_term` exactly: ``ts`` is
-    special-cased, and a missing attribute re-enters the event's public
-    accessor for its descriptive ``KeyError``.
-    """
-    if isinstance(term, Const):
-        value = term.value
-        return lambda batch, i: value
-    if isinstance(term, Attr) and term.var == var:
-        name = term.name
-        if name == "ts":
-            return lambda batch, i: batch.ts[i]
-
-        def read_column(batch, i):
-            column = batch.columns.get(name)
-            if column is not None and column[1][i]:
-                return column[0][i]
-            return batch.event(i)[name]  # re-enter for the descriptive error
-
-        return read_column
-    return None
-
-
-def compile_predicate_columnar(predicate: Predicate, var: str):
-    """Columnar form of one single-variable admission predicate.
-
-    ``fn(batch, i) -> bool`` evaluating against the batch's columns
-    without materialising the row, or ``None`` when the predicate shape
-    is not columnar-compilable (``FnPredicate``, boolean combinators) —
-    mirroring :func:`compile_predicate`, only bare comparisons are
-    specialised, with the same ``TypeError`` → ``False`` contract.
-    """
-    if isinstance(predicate, Comparison):
-        left = compile_term_columnar(predicate.left, var)
-        right = compile_term_columnar(predicate.right, var)
-        if left is None or right is None:
-            return None
-        fn = predicate._fn
-
-        def run(batch, i) -> bool:
-            try:
-                return bool(fn(left(batch, i), right(batch, i)))
-            except TypeError:
-                # Heterogeneous attribute types never match.
-                return False
-
-        return run
-    return None
-
-
-#: One admission check in evaluation order: the columnar closure when
-#: the predicate compiled, else ``None`` paired with the interpreted
-#: predicate (evaluated on the lazily materialised event).
-AdmissionCheck = Tuple[Optional[Callable[[Any, int], bool]], Predicate]
-
-
-def compile_admission(
-    dispatch: Dict[str, Tuple[Tuple[int, str, Tuple[Predicate, ...]], ...]],
-) -> Dict[str, Tuple[Tuple[int, str, Tuple[AdmissionCheck, ...]], ...]]:
-    """Columnar mirror of ``SequenceScanner.dispatch()``.
-
-    Per event type, per admissible step: the step index, its variable,
-    and the local predicates as :data:`AdmissionCheck` pairs **in their
-    original order** — order is observable (short-circuiting decides
-    which predicate raises on a missing attribute), so columnar and
-    interpreted checks interleave rather than being re-grouped.
-    """
-    table: Dict[str, Tuple[Tuple[int, str, Tuple[AdmissionCheck, ...]], ...]] = {}
-    for etype, entries in dispatch.items():
-        table[etype] = tuple(
-            (
-                step_index,
-                var,
-                tuple(
-                    (compile_predicate_columnar(p, var), p) for p in predicates
-                ),
-            )
-            for step_index, var, predicates in entries
-        )
-    return table
-
-
-#: Per-scanner memo of :func:`compile_admission`.  The compiled table
-#: is a pure function of the scanner's immutable dispatch, so it lives
-#: beside the scanner rather than as engine state: engines carry no
-#: derived unpicklable attribute, and a snapshot/restore round trip
-#: has nothing here to lose or invalidate.
-_ADMISSION_TABLES: "weakref.WeakKeyDictionary[Any, Any]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def admission_table(
-    scanner: Any,
-) -> Dict[str, Tuple[Tuple[int, str, Tuple[AdmissionCheck, ...]], ...]]:
-    """The memoised :func:`compile_admission` table for *scanner*."""
-    table = _ADMISSION_TABLES.get(scanner)
-    if table is None:
-        table = _ADMISSION_TABLES[scanner] = compile_admission(scanner.dispatch())
-    return table
 
 
 def compile_predicate(predicate: Predicate) -> Callable[[Bindings], bool]:

@@ -43,7 +43,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core import snapshot as snapshots
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, ValidationPolicy
-from repro.core.errors import EngineStateError
 from repro.core.event import (
     Event,
     Punctuation,
@@ -53,7 +52,7 @@ from repro.core.event import (
 )
 from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
 from repro.core.pattern import Match, Pattern
-from repro.core.purge import PurgeMode, PurgePolicy, Purger
+from repro.core.purge import PurgeMode, PurgePolicy
 from repro.core.stacks import NegativeStore
 
 
@@ -90,7 +89,6 @@ class InOrderEngine(Engine):
         self.negatives = NegativeStore(pattern.negated_types)
         self.kleene_store = NegativeStore(pattern.kleene_types)
         self.pending = PendingMatches()
-        self.purger = Purger(pattern.within, pattern.length)
         # Predicate pushdown for the RIP descent (SASE evaluates
         # predicates during construction, not on complete combos): a
         # predicate becomes checkable at the *earliest* positive step it
@@ -101,19 +99,20 @@ class InOrderEngine(Engine):
         for predicate in pattern.positive_predicates:
             earliest = min(position[v] for v in predicate.variables())
             self._desc_staged[earliest].append(predicate)
-        # Per-step local predicates (single-variable), resolved once so
-        # admission does not re-filter the staged lists per event.
-        self._local: List[List] = []
-        for step in pattern.positive_steps:
-            staged = pattern.staged.get(step.var, [])
-            self._local.append([p for p in staged if p.variables() == {step.var}])
-        # Event type → ((step_index, var, local predicates), …), so the
-        # batched path admits with a single dict probe.
-        self._admission: Dict[str, Tuple] = {}
-        for etype, steps in pattern.steps_of_type.items():
-            self._admission[etype] = tuple(
-                (index, self._vars[index], tuple(self._local[index])) for index in steps
+        # Event type → ((step_index, var, local predicates), …): the
+        # single-variable predicates are resolved per step once, so the
+        # loop admits with a single dict probe.
+        local = [
+            tuple(
+                p for p in pattern.staged.get(step.var, [])
+                if p.variables() == {step.var}
             )
+            for step in pattern.positive_steps
+        ]
+        self._admission: Dict[str, Tuple] = {
+            etype: tuple((index, self._vars[index], local[index]) for index in steps)
+            for etype, steps in pattern.steps_of_type.items()
+        }
 
     # -- state ---------------------------------------------------------------
 
@@ -164,41 +163,6 @@ class InOrderEngine(Engine):
 
     # -- processing -------------------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-
-        if event.etype not in self.pattern.relevant_types:
-            self.stats.events_ignored += 1
-        else:
-            admitted = False
-            if self.negatives.relevant(event.etype):
-                self.negatives.insert(event)
-                admitted = True
-            if self.kleene_store.relevant(event.etype):
-                self.kleene_store.insert(event)
-                admitted = True
-            for step_index in self.pattern.steps_of_type.get(event.etype, ()):
-                if not self._local_ok(step_index, event):
-                    continue
-                admitted = True
-                rip = len(self.stacks[step_index - 1]) if step_index > 0 else 0
-                instance = _RipInstance(event, self._arrival, rip)
-                self.stacks[step_index].append(instance)
-                if step_index == self.pattern.length - 1:
-                    for match in self._construct(instance):
-                        self._route(match, emitted)
-            if admitted:
-                self.stats.events_admitted += 1
-            else:
-                self.stats.events_ignored += 1
-
-        self._release_ripe(emitted)
-        if self.purge_policy.due():
-            self._purge()
-        return emitted
-
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
@@ -213,26 +177,23 @@ class InOrderEngine(Engine):
             self._decide(match, emitted)
         return emitted
 
-    # -- batched fast path -------------------------------------------------------
+    # -- the step loop ------------------------------------------------------------
 
-    def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Batched hot path; observably identical to feeding one at a time.
+    def _run(
+        self,
+        elements: Iterable[StreamElement],
+        marks: Optional[List[int]] = None,
+    ) -> List[Match]:
+        """The engine's one step loop; every feeding surface runs it.
 
-        Same playbook as :meth:`OutOfOrderEngine.feed_batch`: hoist
-        attribute lookups and clock/purge arithmetic into locals, admit
-        via the pre-resolved per-type table, accumulate flow counters
-        locally (flushed in ``finally``), and elide purge scans that are
+        Same playbook as :meth:`OutOfOrderEngine._run`: hoist attribute
+        lookups and clock/purge arithmetic into locals, admit via the
+        pre-resolved per-type table, accumulate flow counters locally
+        (flushed in ``finally``), and elide purge scans that are
         provably no-ops (horizon unmoved and no insert landed at or
         below a purge threshold since the last scan — elided runs still
-        count in ``stats.purge_runs``, exactly as the per-event path
-        counts its no-op scans).
+        count in ``stats.purge_runs``).
         """
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
-        if self._obs is not None:
-            # Observability classifies per-element stat deltas the fused
-            # loop does not model; take the reference loop.
-            return Engine.feed_batch(self, elements)
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
@@ -276,8 +237,16 @@ class InOrderEngine(Engine):
         # and whether any insert since could sit at/below a threshold.
         purged_at = -2
         dirty = True
+        # One cumulative count per element, appended when the next one
+        # starts (or the loop ends): `continue` exits need no bookkeeping.
+        mark = marks.append if marks is not None else None
+        pending_mark = False
         try:
             for element in elements:
+                if mark is not None:
+                    if pending_mark:
+                        mark(len(emitted))
+                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
@@ -380,8 +349,8 @@ class InOrderEngine(Engine):
                             quarantined += 1
                             continue
                         raise admission_error(element)
-                    # Punctuations take the per-element path; sync the
-                    # hoisted locals across the call.
+                    # Punctuations are rare: sync the hoisted locals
+                    # across the call.
                     stats.punctuations_in += 1
                     clock._observations += observations
                     observations = 0
@@ -397,6 +366,8 @@ class InOrderEngine(Engine):
                     size_now = stacked + side_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
+            if mark is not None and pending_mark:
+                mark(len(emitted))
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last
@@ -464,18 +435,6 @@ class InOrderEngine(Engine):
     def _staged_ok(self, step: int, bindings: dict) -> bool:
         """Predicates whose earliest mentioned step is *step* (pushdown)."""
         for predicate in self._desc_staged[step]:
-            self.stats.predicate_evaluations += 1
-            if not predicate.evaluate(bindings):
-                return False
-        return True
-
-    def _local_ok(self, step_index: int, event: Event) -> bool:
-        local = self._local[step_index]
-        if not local:
-            return True
-        step = self.pattern.positive_steps[step_index]
-        bindings = {step.var: event}
-        for predicate in local:
             self.stats.predicate_evaluations += 1
             if not predicate.evaluate(bindings):
                 return False

@@ -131,8 +131,9 @@ def _pipeline_worker(wid, inbox, outbox, pattern, k, purge_mode, purge_interval,
     ``("batch", EventBatch)``
         Mixed-partition columnar batch; meta columns ``seq`` (global
         element sequence) and ``rank`` (partition rank) attribute every
-        row.  Rows are bucketed by rank and fed through the columnar
-        fast path; emissions go out tagged ``(seq, rank, j)``.
+        row.  Rows are bucketed by rank and fed to their partition's
+        engine with ``feed_colbatch``; emissions go out tagged
+        ``(seq, rank, j)``.
     ``("punct", epoch, seq, ts)``
         Epoch marker: feed ``Punctuation(ts)`` to every partition in
         rank order (the serial broadcast order), ack the epoch.

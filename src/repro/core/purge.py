@@ -147,31 +147,28 @@ class Purger:
         """
         if horizon < 0:
             return 0
-        dropped = 0
+        # Kleene elements share the negatives' retention proof: any
+        # unsealed bracket that could collect them lies above
+        # horizon - W, and sealing runs before purging.
+        side_cut = horizon - self.window
         final = self.pattern_length - 1
+        dropped = 0
         for index, stack in enumerate(stacks):
-            if index == final:
-                dropped += stack.purge_through(horizon + 1)
-            else:
-                dropped += stack.purge_through(horizon - self.window)
+            cut = horizon + 1 if index == final else side_cut
+            # O(1) pre-check: most scans find nothing below the cut.
+            keys = stack._keys
+            if keys and keys[0][0] <= cut:
+                dropped += stack.purge_through(cut)
+        side_dropped = 0
+        if negatives is not None:
+            side_dropped = negatives.purge_through(side_cut)
+        if kleene is not None:
+            side_dropped += kleene.purge_through(side_cut)
         if stats is not None:
             stats.instances_purged += dropped
-        if negatives is not None:
-            neg_dropped = negatives.purge_through(horizon - self.window)
-            dropped += neg_dropped
-            if stats is not None:
-                stats.negatives_purged += neg_dropped
-        if kleene is not None:
-            # Kleene elements share the negatives' retention proof: any
-            # unsealed bracket that could collect them lies above
-            # horizon - W, and sealing runs before purging.
-            kleene_dropped = kleene.purge_through(horizon - self.window)
-            dropped += kleene_dropped
-            if stats is not None:
-                stats.negatives_purged += kleene_dropped
-        if stats is not None:
+            stats.negatives_purged += side_dropped
             stats.purge_runs += 1
-        return dropped
+        return dropped + side_dropped
 
     def peek(
         self,

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # runtime import stays lazy; see __init__
 
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, ValidationPolicy
-from repro.core.errors import ConfigurationError, EngineStateError
+from repro.core.errors import ConfigurationError
 from repro.core.event import (
     Event,
     Punctuation,
@@ -198,59 +198,35 @@ class ReorderingEngine(Engine):
 
     # -- processing -------------------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        if self.clock.is_late(event):
-            # The promise is broken; releasing it now would feed the inner
-            # engine out of order and void its correctness, so drop.
-            self.stats.late_dropped += 1
-            return []
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-        if self._spill is not None:
-            self._spill.push(event)
-            # Disk-bound shedding happens inside the spill tier; mirror
-            # its cumulative casualty count into the engine's stats.
-            self.stats.events_shed = self._spill.shed_events
-        else:
-            heapq.heappush(self._buffer, (event.ts, event.eid, event))
-        if self.buffer_size() > self.buffer_peak:
-            self.buffer_peak = self.buffer_size()
-        if self._obs is not None:
-            self._obs.note_buffered(self, event)
-        return self._drain()
-
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
-        emitted = self._drain()
+        emitted = self._drain(self.clock.horizon())
         emitted.extend(self._relay(self.inner.feed(punctuation)))
         return emitted
 
-    def feed_batch(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Batched hot path; observably identical to feeding one at a time.
+    def _run(
+        self,
+        elements: Iterable[StreamElement],
+        marks: Optional[List[int]] = None,
+    ) -> List[Match]:
+        """The engine's one step loop; every feeding surface runs it.
 
-        The buffer bookkeeping is hoisted into locals and each element's
-        drain is handed to the inner engine as one
-        :meth:`InOrderEngine.feed_batch` call (the drain happens after
-        this element advanced the clock, so every released event shares
-        the same emission clock — exactly as the per-event path).  The
-        spill-backed configuration keeps the reference loop; its cost is
-        dominated by segment I/O, not call dispatch.
+        Buffer bookkeeping is hoisted into locals and each element's
+        drain is handed to the inner engine as one batch (the drain
+        happens after this element advanced the clock, so every released
+        event shares the same emission clock).  The spill tier and the
+        buffer-residency trace hooks are optional steps, each behind one
+        hoisted ``is not None`` test.
         """
-        if self._spill is not None or self._obs is not None:
-            # Segment I/O (spill) or per-element classification (obs)
-            # dominates; take the reference loop.
-            return Engine.feed_batch(self, elements)
-        if self._closed:
-            raise EngineStateError(f"{type(self).__name__} is closed")
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
         buffer = self._buffer
+        spill = self._spill
         heappush = heapq.heappush
-        heappop = heapq.heappop
-        inner_feed_batch = self.inner.feed_batch
+        drain = self._drain
         inner_state_size = self.inner.state_size
-        relay = self._relay
+        note_buffered = self._obs.note_buffered if self._obs is not None else None
         k = self.k
         quarantine = self.validation is ValidationPolicy.QUARANTINE
         quarantined = 0
@@ -262,8 +238,16 @@ class ReorderingEngine(Engine):
         events_in = 0
         late_dropped = 0
         out_of_order = 0
+        # One cumulative count per element, appended when the next one
+        # starts (or the loop ends): `continue` exits need no bookkeeping.
+        mark = marks.append if marks is not None else None
+        pending_mark = False
         try:
             for element in elements:
+                if mark is not None:
+                    if pending_mark:
+                        mark(len(emitted))
+                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
@@ -283,9 +267,9 @@ class ReorderingEngine(Engine):
                     self._arrival += 1
                     events_in += 1
                     if ts <= horizon:
-                        # Promise broken: releasing now would feed the
-                        # inner engine out of order, so drop (see
-                        # _process_event).
+                        # The promise is broken; releasing it now would
+                        # feed the inner engine out of order and void its
+                        # correctness, so drop.
                         late_dropped += 1
                         continue
                     observations += 1
@@ -297,14 +281,21 @@ class ReorderingEngine(Engine):
                             horizon = advanced
                     elif ts < max_ts:
                         out_of_order += 1
-                    heappush(buffer, (ts, element.eid, element))
-                    if len(buffer) > buffer_peak:
-                        buffer_peak = len(buffer)
-                    if buffer and buffer[0][0] <= horizon:
-                        released = []
-                        while buffer and buffer[0][0] <= horizon:
-                            released.append(heappop(buffer)[2])
-                        emitted.extend(relay(inner_feed_batch(released)))
+                    if spill is not None:
+                        spill.push(element)
+                        # Disk-bound shedding happens inside the spill
+                        # tier; mirror its cumulative casualty count.
+                        stats.events_shed = spill.shed_events
+                        held = len(spill)
+                    else:
+                        heappush(buffer, (ts, element.eid, element))
+                        held = len(buffer)
+                    if held > buffer_peak:
+                        buffer_peak = held
+                    if note_buffered is not None:
+                        note_buffered(self, element)
+                    if spill is not None or buffer[0][0] <= horizon:
+                        emitted.extend(drain(horizon))
                 else:
                     if malformed_reason(element) is not None:
                         if quarantine:
@@ -319,9 +310,12 @@ class ReorderingEngine(Engine):
                     max_ts = clock._max_ts
                     horizon = clock.horizon()
                     buffer_peak = self.buffer_peak
-                size_now = len(buffer) + inner_state_size()
+                held = len(spill) if spill is not None else len(buffer)
+                size_now = held + inner_state_size()
                 if size_now > peak:
                     peak = size_now
+            if mark is not None and pending_mark:
+                mark(len(emitted))
         finally:
             clock._observations += observations
             self.buffer_peak = buffer_peak
@@ -332,22 +326,21 @@ class ReorderingEngine(Engine):
             stats.out_of_order_events += out_of_order
         return emitted
 
-    def _drain(self) -> List[Match]:
-        """Release every sealed buffered event to the inner engine, in ts order."""
-        horizon = self.clock.horizon()
-        emitted: List[Match] = []
+    def _drain(self, horizon: int) -> List[Match]:
+        """Release every buffered event sealed at *horizon*, in ts order."""
         if self._spill is not None:
-            for event in self._spill.release(horizon):
-                if self._obs is not None:
-                    self._obs.note_released(self, event)
-                emitted.extend(self._relay(self.inner.feed(event)))
-            return emitted
-        while self._buffer and self._buffer[0][0] <= horizon:
-            __, __, event = heapq.heappop(self._buffer)
-            if self._obs is not None:
+            released = self._spill.release(horizon)
+        else:
+            buffer = self._buffer
+            released = []
+            while buffer and buffer[0][0] <= horizon:
+                released.append(heapq.heappop(buffer)[2])
+        if not released:
+            return released
+        if self._obs is not None:
+            for event in released:
                 self._obs.note_released(self, event)
-            emitted.extend(self._relay(self.inner.feed(event)))
-        return emitted
+        return self._relay(self.inner.feed_batch(released))
 
     # Inner-engine work counters folded into the outer stats at close,
     # so cost accounting (construction work, purge activity) is visible

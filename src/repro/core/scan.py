@@ -60,8 +60,8 @@ class SequenceScanner:
             self._local.append([p for p in staged if p.variables() == {step.var}])
         # Pre-resolved dispatch: event type → ((step_index, var, local
         # predicates), …) so admission is a single dict probe with the
-        # predicate lists already bound per step.  The batched engine
-        # paths iterate this directly instead of re-deriving it per
+        # predicate lists already bound per step.  The engine's step
+        # loop iterates this directly instead of re-deriving it per
         # arrival.
         self._dispatch: Dict[str, Tuple[Tuple[int, str, Tuple[Predicate, ...]], ...]] = {}
         for etype, steps in pattern.steps_of_type.items():
@@ -105,14 +105,6 @@ class SequenceScanner:
             if all(p.evaluate(bindings) for p in predicates):
                 admitted.append(index)
         return admitted
-
-    def _local_ok(self, step_index: int, event: Event) -> bool:
-        predicates = self._local[step_index]
-        if not predicates:
-            return True
-        var = self.pattern.positive_steps[step_index].var
-        bindings = {var: event}
-        return all(p.evaluate(bindings) for p in predicates)
 
     # -- feasibility probes ----------------------------------------------------
 

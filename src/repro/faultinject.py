@@ -111,8 +111,9 @@ class FaultInjector:
     crash_on_purge:
         When set to *n*, the *n*-th purge run of an armed engine
         (:meth:`arm`) raises :class:`CrashError` mid-mutation.  Fires
-        once.  Purge crash points require the per-event feed path; the
-        fused batch loops inline purging and bypass the hook.
+        once, on whichever feeding surface reaches it: every surface
+        runs the engine's one step loop, which purges through the
+        armed hook (elided no-op scans do not count as runs).
     corrupt_at:
         0-based event indices :meth:`wrap` replaces with a malformed
         forgery of the event at that position.

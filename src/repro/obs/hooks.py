@@ -1,16 +1,17 @@
 """The engine-side observability bundle.
 
 :class:`Observability` is what ``Engine.enable_observability()``
-attaches.  It owns the tracer and the metric handles and implements the
-instrumented mirror of ``Engine.feed``: when ``engine._obs`` is set,
-``feed`` delegates here, and this module classifies what happened to
-each element (from counter deltas — the engine's processing code runs
-unmodified), records lifecycle spans, and updates the registry.
+attaches.  It owns the tracer and the metric handles and wraps the
+engine's step loop one element at a time: when ``engine._obs`` is set,
+every feeding surface delegates here per element, and this module
+classifies what happened to it (from counter deltas around a
+one-element call of the same loop the uninstrumented path runs),
+records lifecycle spans, and updates the registry.
 
 Cost contract, pinned by experiment E18:
 
 * **disabled** (the default) — ``Engine.feed`` pays one attribute
-  check; the fused ``feed_batch`` loops pay one check per *batch*;
+  check; ``feed_batch`` / ``feed_colbatch`` pay one check per *batch*;
 * **metrics only** — a handful of counter/histogram updates per
   element, no allocation beyond the histogram's int bumps;
 * **tracing** — span allocation per element plus the fine-grained
@@ -255,7 +256,7 @@ class Observability:
     # -- the instrumented feed path ---------------------------------------------
 
     def feed(self, engine: Any, element: Any) -> List[Any]:
-        """Instrumented mirror of ``Engine.feed``.
+        """Instrumented form of ``Engine.feed``.
 
         Must stay observably identical to the plain path: same
         admission screening, same counter updates, same state-size
@@ -304,8 +305,6 @@ class Observability:
     def _feed_event(
         self, engine: Any, event: Event, stats: Any, tracer: Any, tracing: bool
     ) -> List[Any]:
-        engine._arrival += 1
-        stats.events_in += 1
         before_partials = stats.partial_combinations
         before_predicates = stats.predicate_evaluations
         before_triggers = stats.construction_triggers
@@ -316,7 +315,9 @@ class Observability:
         before_ignored = stats.events_ignored
         before_shed = stats.events_shed
         before_purged = stats.instances_purged + stats.negatives_purged
-        emitted = engine._process_event(event)
+        # One-element call of the engine's own step loop: instrumented
+        # and plain runs execute the same code.
+        emitted = engine._run((event,))
         arrival = engine._arrival
         if tracing:
             if stats.late_dropped > before_late:

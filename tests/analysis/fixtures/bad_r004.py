@@ -5,8 +5,8 @@ class HalfEngine:
     def __init__(self, pattern):
         self.pattern = pattern
 
-    def _process_event(self, event):
+    def _run(self, elements, marks=None):
         return []
 
-    def feed(self, element):  # line 11: all three findings anchor here
-        return self._process_event(element)
+    def feed(self, element):  # line 11: all four findings anchor here
+        return self._run((element,))

@@ -3,14 +3,59 @@
 import pytest
 
 from repro import (
+    AggressiveEngine,
     ConfigurationError,
     EngineStateError,
     Event,
+    EventBatch,
+    InOrderEngine,
     OutOfOrderEngine,
+    ParallelPartitionedEngine,
+    PartitionedEngine,
+    PipelinedPartitionedEngine,
     PurgePolicy,
+    ReorderingEngine,
+    ShedPolicy,
+    parse,
     seq,
 )
+from repro.obs import MetricsRegistry
 from helpers import make_events
+
+KEYED = parse("PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 10", name="keyed")
+
+#: family -> variant -> factory.  Every configuration that used to leave
+#: the fused loop (shed, obs, spill) or never had one (partitioned
+#: families) once answered ``[]`` to an empty batch after close().
+CLOSED_CASES = {
+    "ooo": {
+        "plain": lambda: OutOfOrderEngine(KEYED, k=3),
+        "shed": lambda: OutOfOrderEngine(KEYED, k=3, shed=ShedPolicy.drop_oldest(4)),
+    },
+    "aggressive": {
+        "plain": lambda: AggressiveEngine(KEYED, k=3),
+        "shed": lambda: AggressiveEngine(KEYED, k=3, shed=ShedPolicy.drop_oldest(4)),
+    },
+    "inorder": {"plain": lambda: InOrderEngine(KEYED)},
+    "reorder": {
+        "plain": lambda: ReorderingEngine(KEYED, k=3),
+        "spill": lambda: ReorderingEngine(KEYED, k=3, memory_limit=2),
+    },
+    "partitioned": {"plain": lambda: PartitionedEngine(KEYED, k=3)},
+    "parallel": {"plain": lambda: ParallelPartitionedEngine(KEYED, k=3, workers=2)},
+    "pipeline": {
+        "plain": lambda: PipelinedPartitionedEngine(
+            KEYED, k=3, workers=2, backend="thread"
+        )
+    },
+}
+
+
+def _closed_cases():
+    for family, variants in CLOSED_CASES.items():
+        for variant, factory in variants.items():
+            yield pytest.param(factory, False, id=f"{family}-{variant}")
+        yield pytest.param(variants["plain"], True, id=f"{family}-obs")
 
 
 class TestLifecycle:
@@ -19,6 +64,20 @@ class TestLifecycle:
         engine.close()
         with pytest.raises(EngineStateError):
             engine.feed(Event("A", 1))
+
+    @pytest.mark.parametrize("factory, observed", list(_closed_cases()))
+    def test_closed_engine_refuses_even_empty_input(self, factory, observed):
+        engine = factory()
+        if observed:
+            engine.enable_observability(metrics=MetricsRegistry())
+        engine.feed(Event("A", 1, {"x": 1}))
+        engine.close()
+        with pytest.raises(EngineStateError):
+            engine.feed(Event("A", 2, {"x": 1}))
+        with pytest.raises(EngineStateError):
+            engine.feed_batch([])
+        with pytest.raises(EngineStateError):
+            engine.feed_colbatch(EventBatch.from_events([]))
 
     def test_double_close_is_noop(self, plain_seq2):
         engine = OutOfOrderEngine(plain_seq2, k=0)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import trajectories  # sibling module: pytest puts this directory on sys.path
 from repro import (
     AggressiveEngine,
     OfflineOracle,
@@ -107,3 +108,29 @@ class TestGoldenResults:
         engine = ParallelPartitionedEngine(query, k=expected["k"], workers=2)
         engine.run(list(arrival))
         assert engine.result_set() == _expected_keys(expected, name)
+
+
+# -- golden trajectories (lossy / adaptive configurations) ---------------------------
+
+_TRAJECTORIES = json.loads((GOLDEN / "trajectories.json").read_text())["trajectories"]
+
+
+def test_trajectory_file_covers_every_configuration():
+    assert set(trajectories.configs()) == set(_TRAJECTORIES)
+
+
+@pytest.mark.parametrize("driver", list(trajectories.DRIVERS))
+@pytest.mark.parametrize("name", list(trajectories.configs()))
+def test_trajectory_is_reproduced_by_every_driver(name, driver):
+    """The frozen per-event record holds for all four call shapes.
+
+    Compared as canonical JSON text, i.e. byte for byte: emitted keys in
+    order, (seq, clock) pairs, every counter, state size, clock triple,
+    revocations, the speculation log, controller decisions, and — for
+    the raising configurations — the error type and the state at the
+    raise.
+    """
+    live = trajectories.record(name, driver)
+    assert json.dumps(live, sort_keys=True) == json.dumps(
+        _TRAJECTORIES[name], sort_keys=True
+    )

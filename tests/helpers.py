@@ -6,10 +6,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import List, Optional
 
-from repro import Event, OfflineOracle, OutOfOrderEngine, Pattern
+from repro import (
+    AggressiveEngine,
+    Event,
+    OfflineOracle,
+    OutOfOrderEngine,
+    Pattern,
+    ReorderingEngine,
+)
 
 
 def make_events(spec: str, attr: str = "x") -> List[Event]:
@@ -59,3 +67,56 @@ def bounded_shuffle(events: List[Event], k: int, seed: int = 0) -> List[Event]:
     keyed = [(e.ts + rng.randint(0, k), i, e) for i, e in enumerate(events)]
     keyed.sort()
     return [e for __, __, e in keyed]
+
+
+def _match_key(match):
+    return json.loads(json.dumps(match.key()))
+
+
+def observe_engine(engine, history=True):
+    """JSON-ready record of everything externally observable about *engine*.
+
+    Shared by the golden trajectories and the batch property suite;
+    *history* adds the full emission, speculation and revocation logs.
+    """
+    out = {
+        "matches": len(engine.results),
+        "stats": engine.stats.as_dict(),
+        "state_size": engine.state_size(),
+        "clock": [engine.clock.now, engine.clock.horizon(), engine.clock.observations],
+        "k": engine.clock.k,
+        "arrival_index": engine.arrival_index,
+    }
+    if isinstance(engine, ReorderingEngine):
+        out["inner_stats"] = engine.inner.stats.as_dict()
+        out["buffer_peak"] = engine.buffer_peak
+        out["buffer_size"] = engine.buffer_size()
+    if not history:
+        return out
+    out["keys"] = [_match_key(m) for m in engine.results]
+    out["emissions"] = [[r.emitted_seq, r.emitted_clock] for r in engine.emissions]
+    if isinstance(engine, AggressiveEngine):
+        out["revocations"] = [
+            [_match_key(r.match), r.caused_by.eid] for r in engine.revocations
+        ]
+    log = getattr(engine, "speculation", None)
+    if log is not None:
+        out["speculation"] = {
+            "emissions": [
+                [r.seq, r.epoch, _match_key(r.match), r.emitted_arrival, r.emitted_clock]
+                for r in log.emissions
+            ],
+            "retractions": [
+                [
+                    r.seq, r.ref_seq, r.epoch, _match_key(r.match), r.cause,
+                    r.retracted_arrival, r.retracted_clock,
+                ]
+                for r in log.retractions
+            ],
+            "epoch": log.epoch,
+            "enabled": log.enabled,
+        }
+    controller = getattr(engine, "_controller", None)
+    if controller is not None:
+        out["controller"] = [list(decision) for decision in controller.history]
+    return out

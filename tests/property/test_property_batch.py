@@ -1,13 +1,19 @@
-"""Property-based tests: batched and parallel paths are observably serial.
+"""Property-based tests: every driver of the step loop is observably serial.
 
-``feed_batch`` is a pure performance lever — the contract (pinned here
-across random traces, disorder permutations, purge policies, batch
-sizes, and punctuations) is that an engine fed in batches is
-*indistinguishable* from the same engine fed one element at a time:
-same matches in the same emission order, same counters, same residual
-state, same clock.  Likewise ``ParallelPartitionedEngine`` must produce
-the serial ``PartitionedEngine``'s results for every worker count, and
-be byte-identical at ``workers=1``.
+``feed``, ``feed_batch`` and ``feed_colbatch`` drive one loop per
+engine, and a batch is a pure performance lever — the contract (pinned
+here across random traces, disorder permutations, purge / late /
+validation / shed policies, speculation, the adaptive-K controller,
+observability, batch sizes, and punctuations) is that an engine fed in
+batches or columns is *indistinguishable* from the same engine fed one
+element at a time: same matches in the same emission order, same
+counters, same residual state, same clock, same exception at the same
+element.  What the suite really exercises is the loop's
+resynchronisation of its hoisted locals across call boundaries: every
+batch boundary, punctuation, shed pass and re-freeze is one.  Likewise
+``ParallelPartitionedEngine`` must produce the serial
+``PartitionedEngine``'s results for every worker count, and be
+byte-identical at ``workers=1``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,16 +23,24 @@ from repro import (
     Attr,
     Eq,
     Event,
+    EventBatch,
     InOrderEngine,
+    LatePolicy,
     OutOfOrderEngine,
     ParallelPartitionedEngine,
     PartitionedEngine,
     Punctuation,
     PurgePolicy,
     ReorderingEngine,
+    ReproError,
+    ShedPolicy,
+    ValidationPolicy,
     seq,
 )
-from helpers import bounded_shuffle
+from repro.faultinject import CORRUPT_SHAPES, corrupt_event
+from repro.obs import MetricsRegistry, Tracer
+from repro.streams.controller import AdaptiveKController
+from helpers import bounded_shuffle, observe_engine
 
 PATTERNS = [
     seq("A a", "B b", within=10, name="p2"),
@@ -80,61 +94,192 @@ def _purge(kind, interval):
     return PurgePolicy.none()
 
 
-def _snapshot(engine):
-    """Everything externally observable about an engine after feeding."""
-    return {
-        "keys": [m.key() for m in engine.results],
-        "emissions": [(r.emitted_seq, r.emitted_clock) for r in engine.emissions],
-        "stats": engine.stats.as_dict(),
-        "state": engine.state_size(),
-        "clock": (engine.clock.now, engine.clock.horizon(), engine.clock.observations),
-    }
+def _forge(arrival, positions):
+    """Replace the events at *positions* (modulo length) by malformed forgeries."""
+    out = list(arrival)
+    for n, position in enumerate(positions):
+        if out:
+            index = position % len(out)
+            if isinstance(out[index], Event):
+                out[index] = corrupt_event(
+                    out[index], CORRUPT_SHAPES[n % len(CORRUPT_SHAPES)]
+                )
+    return out
+
+
+def _shed(kind, bound):
+    if kind == "oldest":
+        return ShedPolicy.drop_oldest(bound)
+    if kind == "by_type":
+        return ShedPolicy.drop_by_type(bound, ("B", "A"))
+    return None
+
+
+def _controller():
+    return AdaptiveKController(
+        quality_target=0.8, window=16, initial_k=2, min_epoch_events=4
+    )
+
+
+def _observed(engine, obs):
+    """Attach the drawn instrumentation: none, metrics, or metrics + tracing."""
+    if obs == "metrics":
+        engine.enable_observability(metrics=MetricsRegistry())
+    elif obs == "tracing":
+        engine.enable_observability(tracer=Tracer(), metrics=MetricsRegistry())
+    return engine
 
 
 def _feed_serial(engine, elements):
-    for element in elements:
-        engine.feed(element)
+    """One ``feed`` per element; returns (matches per element, error type)."""
+    counts = []
+    try:
+        for element in elements:
+            counts.append(len(engine.feed(element)))
+    except ReproError as error:
+        return counts, type(error)
+    return counts, None
 
 
 def _feed_batched(engine, elements, batch_size):
-    for lo in range(0, len(elements), batch_size):
-        engine.feed_batch(elements[lo : lo + batch_size])
+    """``feed_batch`` per slice; returns (matches per call, error type)."""
+    counts = []
+    try:
+        for lo in range(0, len(elements), batch_size):
+            counts.append(len(engine.feed_batch(elements[lo : lo + batch_size])))
+    except ReproError as error:
+        return counts, type(error)
+    return counts, None
 
 
-def _assert_batch_equals_serial(make_engine, elements, batch_size):
+def _feed_columnar(engine, elements, batch_size):
+    """``feed_colbatch`` with marks per run of events (punctuations travel
+    out of band); returns (matches per element, error type) rebuilt from
+    the marks, so the marks contract is compared against serial feeding."""
+    counts = []
+    run = []
+
+    def flush():
+        while run:
+            rows = run[:batch_size]
+            del run[:batch_size]
+            marks = []
+            try:
+                emitted = engine.feed_colbatch(EventBatch.from_events(rows), marks)
+            finally:
+                counts.extend(b - a for a, b in zip([0] + marks, marks))
+            assert len(marks) == len(rows) and marks[-1] == len(emitted)
+
+    try:
+        for element in elements:
+            if isinstance(element, Event):
+                run.append(element)
+            else:
+                flush()
+                counts.append(len(engine.feed(element)))
+        flush()
+    except ReproError as error:
+        return counts, type(error)
+    return counts, None
+
+
+def _assert_batch_equals_serial(make_engine, elements, batch_size, make_candidate=None):
+    """Every driver against per-event ``feed`` on a plain engine.
+
+    *make_candidate* builds the batch- and column-fed engines when they
+    differ from the reference (observability attached): instrumented
+    batches must equal uninstrumented per-event feeding.
+    """
+    make_candidate = make_candidate or make_engine
     serial = make_engine()
-    _feed_serial(serial, elements)
-    batched = make_engine()
-    _feed_batched(batched, elements, batch_size)
-    assert _snapshot(batched) == _snapshot(serial)
-    # ... and closing both yields the same final result set.
-    serial.close()
-    batched.close()
-    assert _snapshot(batched) == _snapshot(serial)
+    per_element, error = _feed_serial(serial, elements)
+    expected = observe_engine(serial)
+
+    batched = make_candidate()
+    per_call, batched_error = _feed_batched(batched, elements, batch_size)
+    assert batched_error is error
+    assert observe_engine(batched) == expected
+    if error is None:
+        assert per_call == [
+            sum(per_element[lo : lo + batch_size])
+            for lo in range(0, len(elements), batch_size)
+        ]
+
+    columnar = make_candidate()
+    per_row, columnar_error = _feed_columnar(columnar, elements, batch_size)
+    assert columnar_error is error
+    assert observe_engine(columnar) == expected
+    # marks[i] - marks[i-1] is what row i emits when fed alone.
+    assert per_row == per_element
+
+    if error is None:
+        # ... and closing all three yields the same final result set.
+        serial.close()
+        expected = observe_engine(serial)
+        for engine in (batched, columnar):
+            engine.close()
+            assert observe_engine(engine) == expected
+    elif isinstance(serial, ReorderingEngine) and serial._spill is not None:
+        for engine in (serial, batched, columnar):
+            engine._spill.close()
+
+
+#: Dimensions shared by the out-of-order families.  ``tighten`` lowers
+#: the engine's K below the shuffle's bound so the late policies fire;
+#: ``forged`` positions become malformed rows.
+OOO_DIMENSIONS = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    batch_size=st.sampled_from(BATCH_SIZES),
+    purge_kind=st.sampled_from(["eager", "lazy", "none"]),
+    interval=st.integers(min_value=1, max_value=32),
+    late_policy=st.sampled_from(list(LatePolicy)),
+    tighten=st.sampled_from([0, 0, 3, 8]),
+    validation=st.sampled_from(list(ValidationPolicy)),
+    forged=st.lists(st.integers(min_value=0, max_value=200), max_size=3),
+    shed_kind=st.sampled_from([None, None, "oldest", "by_type"]),
+    shed_bound=st.integers(min_value=1, max_value=12),
+    obs=st.sampled_from([None, None, "metrics", "tracing"]),
+)
 
 
 @given(
     trace=trace_strategy(),
     pattern_index=st.integers(min_value=0, max_value=len(PATTERNS)),
     k=st.integers(min_value=0, max_value=25),
-    seed=st.integers(min_value=0, max_value=10_000),
-    batch_size=st.sampled_from(BATCH_SIZES),
-    purge_kind=st.sampled_from(["eager", "lazy", "none"]),
-    interval=st.integers(min_value=1, max_value=32),
     punctuate=st.booleans(),
+    optimize_scan=st.booleans(),
+    speculative=st.booleans(),
+    adaptive=st.booleans(),
+    **OOO_DIMENSIONS,
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_ooo_feed_batch_is_observably_serial(
-    trace, pattern_index, k, seed, batch_size, purge_kind, interval, punctuate
+    trace, pattern_index, k, punctuate, optimize_scan, speculative, adaptive,
+    seed, batch_size, purge_kind, interval, late_policy, tighten, validation,
+    forged, shed_kind, shed_bound, obs,
 ):
     pattern = (PATTERNS + [PART_PATTERN])[pattern_index]
     arrival = bounded_shuffle(trace, k=k, seed=seed)
-    if punctuate:
+    if punctuate or adaptive:  # a controller acts at punctuations only
         arrival = _with_punctuations(arrival)
+    arrival = _forge(arrival, forged)
+
+    def make():
+        engine = OutOfOrderEngine(
+            pattern,
+            k=max(0, k - tighten),
+            purge=_purge(purge_kind, interval),
+            late_policy=late_policy,
+            optimize_scan=optimize_scan,
+            shed=_shed(shed_kind, shed_bound),
+            speculative=speculative,
+            controller=_controller() if adaptive else None,
+        )
+        engine.validation = validation
+        return engine
+
     _assert_batch_equals_serial(
-        lambda: OutOfOrderEngine(pattern, k=k, purge=_purge(purge_kind, interval)),
-        arrival,
-        batch_size,
+        make, arrival, batch_size, make_candidate=lambda: _observed(make(), obs)
     )
 
 
@@ -142,21 +287,30 @@ def test_ooo_feed_batch_is_observably_serial(
     trace=trace_strategy(max_len=40),
     pattern_index=st.integers(min_value=0, max_value=len(PATTERNS) - 1),
     k=st.integers(min_value=0, max_value=20),
-    seed=st.integers(min_value=0, max_value=10_000),
-    batch_size=st.sampled_from(BATCH_SIZES),
-    purge_kind=st.sampled_from(["eager", "lazy", "none"]),
-    interval=st.integers(min_value=1, max_value=32),
+    **OOO_DIMENSIONS,
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_aggressive_feed_batch_is_observably_serial(
-    trace, pattern_index, k, seed, batch_size, purge_kind, interval
+    trace, pattern_index, k,
+    seed, batch_size, purge_kind, interval, late_policy, tighten, validation,
+    forged, shed_kind, shed_bound, obs,
 ):
     pattern = PATTERNS[pattern_index]
-    arrival = bounded_shuffle(trace, k=k, seed=seed)
+    arrival = _forge(bounded_shuffle(trace, k=k, seed=seed), forged)
+
+    def make():
+        engine = AggressiveEngine(
+            pattern,
+            k=max(0, k - tighten),
+            purge=_purge(purge_kind, interval),
+            late_policy=late_policy,
+            shed=_shed(shed_kind, shed_bound),
+        )
+        engine.validation = validation
+        return engine
+
     _assert_batch_equals_serial(
-        lambda: AggressiveEngine(pattern, k=k, purge=_purge(purge_kind, interval)),
-        arrival,
-        batch_size,
+        make, arrival, batch_size, make_candidate=lambda: _observed(make(), obs)
     )
 
 
@@ -167,20 +321,31 @@ def test_aggressive_feed_batch_is_observably_serial(
     purge_kind=st.sampled_from(["eager", "lazy", "none"]),
     interval=st.integers(min_value=1, max_value=32),
     punctuate=st.booleans(),
+    ordered=st.booleans(),
+    validation=st.sampled_from(list(ValidationPolicy)),
+    forged=st.lists(st.integers(min_value=0, max_value=200), max_size=3),
+    obs=st.sampled_from([None, None, "metrics", "tracing"]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_inorder_feed_batch_is_observably_serial(
-    trace, pattern_index, batch_size, purge_kind, interval, punctuate
+    trace, pattern_index, batch_size, purge_kind, interval, punctuate, ordered,
+    validation, forged, obs,
 ):
-    # The SASE baseline promises correctness only on ordered arrival.
+    # The SASE baseline promises correctness only on ordered arrival, but
+    # its drivers must agree on disordered input too.
     pattern = PATTERNS[pattern_index]
-    arrival = sorted(trace, key=lambda e: e.ts)
+    arrival = sorted(trace, key=lambda e: e.ts) if ordered else list(trace)
     if punctuate:
         arrival = _with_punctuations(arrival)
+    arrival = _forge(arrival, forged)
+
+    def make():
+        engine = InOrderEngine(pattern, purge=_purge(purge_kind, interval))
+        engine.validation = validation
+        return engine
+
     _assert_batch_equals_serial(
-        lambda: InOrderEngine(pattern, purge=_purge(purge_kind, interval)),
-        arrival,
-        batch_size,
+        make, arrival, batch_size, make_candidate=lambda: _observed(make(), obs)
     )
 
 
@@ -191,30 +356,33 @@ def test_inorder_feed_batch_is_observably_serial(
     seed=st.integers(min_value=0, max_value=10_000),
     batch_size=st.sampled_from(BATCH_SIZES),
     punctuate=st.booleans(),
+    tighten=st.sampled_from([0, 0, 3, 8]),
+    memory_limit=st.sampled_from([None, None, 1, 4]),
+    validation=st.sampled_from(list(ValidationPolicy)),
+    forged=st.lists(st.integers(min_value=0, max_value=200), max_size=3),
+    obs=st.sampled_from([None, None, "metrics", "tracing"]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_reorder_feed_batch_is_observably_serial(
-    trace, pattern_index, k, seed, batch_size, punctuate
+    trace, pattern_index, k, seed, batch_size, punctuate, tighten, memory_limit,
+    validation, forged, obs,
 ):
     pattern = PATTERNS[pattern_index]
     arrival = bounded_shuffle(trace, k=k, seed=seed)
     if punctuate:
         arrival = _with_punctuations(arrival)
+    arrival = _forge(arrival, forged)
 
-    def snapshot_with_inner(engine):
-        snap = _snapshot(engine)
-        snap["inner_stats"] = engine.inner.stats.as_dict()
-        snap["buffer_peak"] = engine.buffer_peak
-        return snap
+    def make():
+        engine = ReorderingEngine(
+            pattern, k=max(0, k - tighten), memory_limit=memory_limit
+        )
+        engine.validation = validation
+        return engine
 
-    serial = ReorderingEngine(pattern, k=k)
-    _feed_serial(serial, arrival)
-    batched = ReorderingEngine(pattern, k=k)
-    _feed_batched(batched, arrival, batch_size)
-    assert snapshot_with_inner(batched) == snapshot_with_inner(serial)
-    serial.close()
-    batched.close()
-    assert snapshot_with_inner(batched) == snapshot_with_inner(serial)
+    _assert_batch_equals_serial(
+        make, arrival, batch_size, make_candidate=lambda: _observed(make(), obs)
+    )
 
 
 @given(
@@ -250,4 +418,4 @@ def test_parallel_serial_fallback_equals_partitioned_engine(trace, k, seed):
     serial.run(list(arrival))
     fallback = ParallelPartitionedEngine(PART_PATTERN, k=k, workers=1)
     fallback.run(list(arrival))
-    assert _snapshot(fallback) == _snapshot(serial)
+    assert observe_engine(fallback) == observe_engine(serial)
