@@ -15,7 +15,9 @@ added on top of the reproduction.  Two sweeps on the E2 workload
   way through the trace, then time a cold recovery (restore last
   checkpoint + replay the WAL suffix).  The disorder bound K scales the
   engine's retained state (larger K -> later purge horizon), so the
-  sweep exposes how recovery cost tracks checkpoint size.
+  sweep exposes how recovery cost tracks checkpoint size.  The runner
+  takes delivered matches from the engine, so ``ckpt bytes`` is live
+  state; match counts are read from the runner (``delivered_count``).
 
 Writes ``BENCH_e17.json`` at the repo root (machine-readable results
 for trend tracking) next to the rendered table in
@@ -25,6 +27,9 @@ for trend tracking) next to the rendered table in
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -90,7 +95,7 @@ def _resilient_cell(query, arrival, interval):
             runner.run(arrival)
             best = min(best, time.perf_counter() - start)
             checkpoint_bytes = (Path(directory) / CHECKPOINT_NAME).stat().st_size
-    return best, len(engine.results), runner.checkpoints_written, checkpoint_bytes
+    return best, runner.delivered_count, runner.checkpoints_written, checkpoint_bytes
 
 
 def _recovery_cell(query, arrival, k, interval):
@@ -120,8 +125,18 @@ def _recovery_cell(query, arrival, k, interval):
             "checkpoint_bytes": checkpoint_bytes,
             "recovery_seconds": recovery_seconds,
             "replayed_elements": replayed,
-            "matches": len(recovered.engine.results),
+            "matches": recovered.delivered_count,
         }
+
+
+def _commit() -> str:
+    try:
+        return subprocess.check_output(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).parent, text=True, stderr=subprocess.DEVNULL,
+        ).strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def run_experiment(events: int = EVENTS, intervals=None, k_values=None) -> str:
@@ -181,6 +196,9 @@ def run_experiment(events: int = EVENTS, intervals=None, k_values=None) -> str:
 
     payload = {
         "experiment": "e17",
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": _commit(),
         "events": events,
         "baseline_seconds": base_seconds,
         "baseline_matches": base_matches,
@@ -217,8 +235,9 @@ def test_e17_kernel(benchmark):
     def kernel():
         with tempfile.TemporaryDirectory(prefix="repro-e17-") as directory:
             engine = make_engine("ooo", query, k=MAX_DELAY)
-            ResilientRunner(engine, directory, checkpoint_every=1000).run(arrival)
-            return len(engine.results)
+            return len(
+                ResilientRunner(engine, directory, checkpoint_every=1000).run(arrival)
+            )
 
     benchmark(kernel)
 

@@ -40,7 +40,7 @@ from repro.core.errors import ReproError
 from repro.core.oracle import OfflineOracle
 from repro.core.parser import parse
 from repro.core.purge import PurgePolicy
-from repro.core.recovery import ResilientRunner
+from repro.core.recovery import ResilientRunner, delivered_keys
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import FaultInjector
 from repro.ingest.backoff import BackoffPolicy, run_resilient
@@ -355,6 +355,7 @@ def _command_run(args: argparse.Namespace) -> int:
         metrics_writer = MetricsJsonWriter(metrics_sink)
 
     resilient = args.checkpoint_every is not None or args.crash_at is not None
+    latency_scope = "events"
     if resilient:
         if args.checkpoint_dir is None:
             raise ReproError("--checkpoint-every/--crash-at require --checkpoint-dir")
@@ -382,11 +383,16 @@ def _command_run(args: argparse.Namespace) -> int:
             on_crash=note_crash,
         )
         engine = runner.engine
+        # The runner took every match it delivered: report deliveries
+        # (all incarnations), not what the engine still remembers.
+        matches, emissions = runner.matches, runner.emissions
+        match_count = runner.delivered_count
         if crashes:
             print(
                 f"recovered {crashes} time(s): replayed "
                 f"{runner.replayed_elements} logged elements"
             )
+            latency_scope = "events, since recovery"
     else:
         engine = build_engine()
         if metrics_writer is not None and args.metrics_every > 0:
@@ -402,6 +408,8 @@ def _command_run(args: argparse.Namespace) -> int:
             for lo in range(0, len(elements), args.batch_size):
                 engine.feed_batch(elements[lo : lo + args.batch_size])
         engine.close()
+        matches, emissions = engine.results, engine.emissions
+        match_count = len(matches)
 
     if metrics_writer is not None:
         _export_metrics(
@@ -411,18 +419,18 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.core.event import Event
 
     events_only = [e for e in elements if isinstance(e, Event)]
-    latency = summarize_arrival_latency(engine.emissions, events_only)
+    latency = summarize_arrival_latency(emissions, events_only)
     rows = [
         ["events", len(events_only)],
-        ["matches", len(engine.results)],
+        ["matches", match_count],
         ["late dropped", engine.stats.late_dropped],
         ["quarantined", engine.stats.events_quarantined],
         ["shed", engine.stats.events_shed],
         ["index hits", engine.stats.index_hits],
         ["index misses", engine.stats.index_misses],
         ["peak state", engine.stats.peak_state_size],
-        ["mean latency (events)", round(latency.mean, 2)],
-        ["p99 latency (events)", round(latency.p99, 2)],
+        [f"mean latency ({latency_scope})", round(latency.mean, 2)],
+        [f"p99 latency ({latency_scope})", round(latency.p99, 2)],
     ]
     if args.speculative:
         from repro.bench.runner import speculation_counts
@@ -439,17 +447,22 @@ def _command_run(args: argparse.Namespace) -> int:
         rows.append(["checkpoints written", runner.checkpoints_written])
     if args.verify:
         truth = OfflineOracle(pattern).evaluate_set(events_only)
-        produced = (
-            engine.net_result_set()
-            if hasattr(engine, "net_result_set")
-            else engine.result_set()
-        )
+        if resilient:
+            # Exactly-once delivery across crashes: the delivery log,
+            # net of what the aggressive engine later revoked.
+            produced = delivered_keys(args.checkpoint_dir) - {
+                r.match.key() for r in getattr(engine, "revocations", ())
+            }
+        elif hasattr(engine, "net_result_set"):
+            produced = engine.net_result_set()
+        else:
+            produced = engine.result_set()
         report = compare_keys(truth, produced, shed=engine.stats.events_shed)
         rows.append(["oracle matches", len(truth)])
         rows.append(["recall", round(report.recall, 4)])
         rows.append(["precision", round(report.precision, 4)])
     print(render_table(f"{args.engine} on {args.trace}", ["metric", "value"], rows))
-    for match in engine.results[: args.show_matches]:
+    for match in matches[: args.show_matches]:
         print(f"  {match!r}")
     if args.verify and not report.exact:
         return 1

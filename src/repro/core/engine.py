@@ -111,6 +111,8 @@ class Engine:
     def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
         self.stats = EngineStats()
+        #: Matches emitted and not yet taken (see :meth:`take_emissions`);
+        #: the whole run's output for a caller that never takes.
         self.results: List[Match] = []
         self.emissions: List[EmissionRecord] = []
         self.validation = ValidationPolicy.RAISE
@@ -250,6 +252,21 @@ class Engine:
         """Identity set of emitted matches, for oracle comparison."""
         return {m.key() for m in self.results}
 
+    def take_emissions(self) -> List[EmissionRecord]:
+        """Hand over the emission records accumulated since the last take.
+
+        Matches are output, not state: ``feed`` returns them, and a
+        receiver that has passed them on (a delivery log, a wrapping
+        engine, a sink) takes them so the engine forgets them —
+        :attr:`results` and :attr:`emissions` become empty and the next
+        :meth:`snapshot` covers live state only.  ``stats.matches_emitted``
+        and the arrival index keep counting across takes.
+        """
+        taken = self.emissions
+        self.results = []
+        self.emissions = []
+        return taken
+
     def state_size(self) -> int:
         """Total retained state in instances/events (memory experiments)."""
         raise NotImplementedError
@@ -280,6 +297,11 @@ class Engine:
 
     def snapshot(self) -> bytes:
         """Serialise the engine's full deterministic state.
+
+        That is live state (stacks, stores, pending matches, clocks,
+        counters) plus whatever emissions have not been taken: output a
+        receiver took (:meth:`take_emissions`) belongs to the receiver's
+        log, so a checkpoint costs what is live, not the run's history.
 
         A fresh engine constructed with the *same configuration* (same
         pattern, K, policies) and then :meth:`restore`\\ d from the blob
@@ -317,7 +339,7 @@ class Engine:
         )
 
     def _base_state(self) -> dict:
-        """State every engine shares: flow counters and the emission history."""
+        """State every engine shares: flow counters and untaken emissions."""
         state = {
             "arrival": self._arrival,
             "closed": self._closed,

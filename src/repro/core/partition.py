@@ -309,8 +309,7 @@ class PartitionedEngine(Engine):
                 self.stats.events_ignored += 1
             else:
                 sub = self._sub_engine(value)
-                for match in sub.feed(event):
-                    self._surface(match, emitted)
+                self._surface_from(sub, sub.feed(event), emitted)
                 self.stats.events_admitted += 1
         else:
             self.stats.events_ignored += 1
@@ -325,8 +324,7 @@ class PartitionedEngine(Engine):
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
         for engine in self._partitions.values():
-            for match in engine.feed(punctuation):
-                self._surface(match, emitted)
+            self._surface_from(engine, engine.feed(punctuation), emitted)
         self._last_broadcast = max(self._last_broadcast, punctuation.ts)
         return emitted
 
@@ -337,19 +335,26 @@ class PartitionedEngine(Engine):
         self._last_broadcast = horizon
         punctuation = Punctuation(horizon)
         for engine in self._partitions.values():
-            for match in engine.feed(punctuation):
-                self._surface(match, emitted)
+            self._surface_from(engine, engine.feed(punctuation), emitted)
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []
         for engine in self._partitions.values():
-            for match in engine.close():
-                self._surface(match, emitted)
+            self._surface_from(engine, engine.close(), emitted)
         return emitted
 
     def _surface(self, match: Match, emitted: List[Match]) -> None:
         self._emit(match, self.clock.now)
         emitted.append(match)
+
+    def _surface_from(
+        self, sub: OutOfOrderEngine, matches: List[Match], emitted: List[Match]
+    ) -> None:
+        """Surface what *sub* just handed over; as its receiver, take it."""
+        if matches:
+            sub.take_emissions()
+            for match in matches:
+                self._surface(match, emitted)
 
     # -- diagnostics ---------------------------------------------------------------
 

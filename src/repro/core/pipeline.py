@@ -196,6 +196,7 @@ def _pipeline_worker(wid, inbox, outbox, pattern, k, purge_mode, purge_interval,
                     part = batch.select(rows)
                     marks: List[int] = []
                     emissions = sub.feed_colbatch(part, marks=marks)
+                    sub.take_emissions()  # tagged below; the router keeps them
                     start = 0
                     for offset, mark in enumerate(marks):
                         seq = seqs[rows[offset]]
@@ -213,6 +214,7 @@ def _pipeline_worker(wid, inbox, outbox, pattern, k, purge_mode, purge_interval,
                 tagged = []
                 for rank in sorted(subs):
                     emissions = subs[rank].feed(punctuation)
+                    subs[rank].take_emissions()
                     for j, match in enumerate(emissions):
                         tagged.append((seq, rank, j, snapshots.encode_match(match)))
                 last_broadcast = max(last_broadcast, ts)

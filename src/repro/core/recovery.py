@@ -7,13 +7,17 @@ stream-processing fault-tolerance recipe:
   flushed) to ``wal.jsonl`` *before* the engine sees it.  A crash can
   therefore lose at most the element whose append was interrupted — and
   that element never reached the engine, so re-feeding it is safe.
-* **Checkpoints** — every *checkpoint_every* elements the engine's full
+* **Checkpoints** — every *checkpoint_every* elements the engine's live
   deterministic state (:meth:`Engine.snapshot`) is written to
   ``checkpoint.bin`` with an atomic ``os.replace``, together with the
   WAL sequence number and the count of matches delivered so far.
 * **Delivery log** — every match handed downstream is recorded in
   ``delivered.jsonl`` as a compact identity record
-  ``(seq, start_ts, end_ts, key)``.
+  ``(seq, start_ts, end_ts, key)``.  The runner *takes* each match from
+  the engine once it is logged (:meth:`Engine.take_emissions`), so the
+  log — not the checkpoint — is where history lives
+  (:func:`delivered_keys` reads it back), and a checkpoint costs what is
+  live however long the run.
 
 Recovery composes the three: restore the last checkpoint, replay the
 WAL suffix, and *suppress* the first ``delivered_total - delivered_at_
@@ -41,11 +45,14 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from collections import deque
 from json.encoder import encode_basestring_ascii as _escape_json
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Set, TextIO, Tuple, Union,
+)
 
-from repro.core.engine import Engine
+from repro.core.engine import EmissionRecord, Engine
 from repro.core.errors import ConfigurationError, RecoveryError
 from repro.core.event import Event, Punctuation, StreamElement
 from repro.core.pattern import Match
@@ -133,6 +140,13 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _hashable(value: Any) -> Any:
+    """Lists -> tuples, recursively: undoes :func:`_jsonable` on a match key."""
+    if isinstance(value, list):
+        return tuple(_hashable(item) for item in value)
+    return value
+
+
 def clear_state(directory: Union[str, Path]) -> None:
     """Delete any recovery state in *directory* (start a run from scratch)."""
     directory = Path(directory)
@@ -196,6 +210,17 @@ def read_wal_elements(directory: Union[str, Path]) -> List[StreamElement]:
     ]
 
 
+def delivered_keys(directory: Union[str, Path]) -> Set[Tuple]:
+    """Identity set of every match delivered from *directory*, ever.
+
+    Parsed from ``delivered.jsonl`` (torn tail repaired as recovery
+    repairs it), across all incarnations — comparable with
+    :meth:`Engine.result_set` and the oracle's ``evaluate_set``.
+    """
+    log = _read_jsonl(Path(directory) / DELIVERED_NAME, DELIVERED_NAME)
+    return {_hashable(record["key"]) for record in log}
+
+
 class ResilientRunner:
     """Checkpointed, write-ahead-logged driver around any engine.
 
@@ -238,7 +263,7 @@ class ResilientRunner:
         self._delivered_path = self.directory / DELIVERED_NAME
         self._seq = 0  # input elements durably logged AND processed
         self._delivered = 0  # matches delivered downstream (log length)
-        self._suppress: List[Dict[str, Any]] = []
+        self._suppress: Deque[Dict[str, Any]] = deque()
         self._engine_closed = False
         self._wal_handle: Optional[TextIO] = None
         self._wal_dirty = False
@@ -246,6 +271,8 @@ class ResilientRunner:
         #: matches delivered by THIS incarnation (replayed-but-suppressed
         #: re-emissions excluded — those were delivered by a predecessor).
         self.matches: List[Match] = []
+        #: their emission records, taken from the engine on delivery.
+        self.emissions: List[EmissionRecord] = []
         self.recovered = False
         self.replayed_elements = 0
         self.checkpoints_written = 0
@@ -260,7 +287,7 @@ class ResilientRunner:
         # Runner-level metrics live in the engine's registry (when one is
         # attached), so they checkpoint/restore with the engine state.
         # Registered before _recover so restore finds live handles.
-        self._c_wal = self._c_checkpoints = None
+        self._c_wal = self._c_checkpoints = self._g_checkpoint_bytes = None
         self._c_recoveries = self._c_replayed = None
         obs = getattr(engine, "observability", None)
         if obs is not None and obs.registry is not None:
@@ -270,6 +297,9 @@ class ResilientRunner:
             )
             self._c_checkpoints = registry.counter(
                 "repro_runner_checkpoints_total", "checkpoints written"
+            )
+            self._g_checkpoint_bytes = registry.gauge(
+                "repro_runner_checkpoint_bytes", "size of the last checkpoint written"
             )
             self._c_recoveries = registry.counter(
                 "repro_runner_recoveries_total", "crash recoveries performed"
@@ -311,6 +341,10 @@ class ResilientRunner:
         if self._checkpoint_path.exists():
             data = self._load_checkpoint()
             self.engine.restore(data["snapshot"])
+            # A checkpoint written by a runner that did not take its
+            # deliveries carries them as engine state; everything emitted
+            # before a checkpoint was delivered before it, so drop them.
+            self.engine.take_emissions()
             checkpoint_seq = data["seq"]
             checkpoint_delivered = data["delivered"]
             self._engine_closed = data["closed"]
@@ -321,7 +355,7 @@ class ResilientRunner:
                 f"checkpoint claims {checkpoint_delivered} were delivered"
             )
         self._delivered = checkpoint_delivered
-        self._suppress = delivered_log[checkpoint_delivered:]
+        self._suppress = deque(delivered_log[checkpoint_delivered:])
         wal = _read_jsonl(self._wal_path, WAL_NAME)
         elements = [record for record in wal if record["kind"] != "close"]
         saw_close = any(record["kind"] == "close" for record in wal)
@@ -373,6 +407,7 @@ class ResilientRunner:
 
     def feed(self, element: StreamElement) -> List[Match]:
         """Durably log *element*, feed the engine, deliver new matches."""
+        self._refuse_if_closed()  # before logging: the WAL ends at its sentinel
         self._wal_write_line(_element_wal_line(element))
         return self._apply(element, logged=False)
 
@@ -394,9 +429,12 @@ class ResilientRunner:
         delivered.extend(self.close())
         return delivered
 
-    def _apply(self, element: StreamElement, logged: bool) -> List[Match]:
+    def _refuse_if_closed(self) -> None:
         if self._engine_closed:
             raise RecoveryError("runner is closed; recovery found a close sentinel")
+
+    def _apply(self, element: StreamElement, logged: bool) -> List[Match]:
+        self._refuse_if_closed()
         self._seq += 1
         if self.fault is not None:
             # Fires after the element is durable, before the engine sees
@@ -432,11 +470,17 @@ class ResilientRunner:
         }
 
     def _deliver(self, matches: List[Match]) -> List[Match]:
+        """Log and hand over *matches*, then take them from the engine.
+
+        Once a match is in the delivery log (or verified against it) it
+        is the log's, so the engine forgets it and the next checkpoint
+        covers live state only.
+        """
         delivered: List[Match] = []
         for match in matches:
             record = self._match_record(match, self._delivered)
             if self._suppress:
-                expected = self._suppress.pop(0)
+                expected = self._suppress.popleft()
                 if record != expected:
                     raise RecoveryError(
                         f"replay re-emitted {record} where the delivery "
@@ -449,6 +493,11 @@ class ResilientRunner:
             self._delivered += 1
             self.matches.append(match)
             delivered.append(match)
+        if matches:
+            # Suppressed re-emissions come first, so the delivered ones
+            # are the tail of what the engine just recorded.
+            taken = self.engine.take_emissions()
+            self.emissions.extend(taken[len(taken) - len(delivered):])
         return delivered
 
     # -- durable writes ---------------------------------------------------------------
@@ -522,6 +571,8 @@ class ResilientRunner:
         self.checkpoints_written += 1
         if self._c_checkpoints is not None:
             self._c_checkpoints.inc()
+        if self._g_checkpoint_bytes is not None:
+            self._g_checkpoint_bytes.set(len(payload))
 
     # -- diagnostics ------------------------------------------------------------------
 

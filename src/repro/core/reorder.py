@@ -384,7 +384,13 @@ class ReorderingEngine(Engine):
         return emitted
 
     def _relay(self, matches: List[Match]) -> List[Match]:
-        """Surface inner-engine emissions through this engine's bookkeeping."""
+        """Surface inner-engine emissions through this engine's bookkeeping.
+
+        This engine is the inner one's receiver, so it takes what it was
+        handed: the inner engine keeps (and snapshots) no second copy.
+        """
+        if matches:
+            self.inner.take_emissions()
         for match in matches:
             self._emit(match, self.clock.now)
         return matches

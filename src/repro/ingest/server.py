@@ -190,7 +190,9 @@ class _DirectRunner:
     def feed(self, element: Any) -> List[Any]:
         self._seq += 1
         out = self.engine.feed(element)
-        self.matches.extend(out)
+        if out:
+            self.matches.extend(out)
+            self.engine.take_emissions()  # handed on: not engine state
         return out
 
     def sync(self) -> None:
@@ -202,6 +204,7 @@ class _DirectRunner:
         self._closed = True
         out = self.engine.close()
         self.matches.extend(out)
+        self.engine.take_emissions()
         return out
 
     @property

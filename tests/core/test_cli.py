@@ -145,6 +145,30 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Match[" not in out
 
+    @pytest.mark.parametrize("engine", ["ooo", "aggressive", "reorder"])
+    def test_resilient_run_reports_deliveries_across_a_crash(
+        self, trace_file, tmp_path, capsys, engine
+    ):
+        """The runner takes what it delivers, so the report reads the
+        delivery log: same match count and oracle verdict as a plain run."""
+        base = ["run", "--query", QUERY, "--trace", str(trace_file),
+                "--engine", engine, "--k", "20", "--verify", "--show-matches", "1"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        code = main(base + ["--checkpoint-every", "100", "--crash-at", "400",
+                            "--checkpoint-dir", str(tmp_path / "ckpt")])
+        crashed = capsys.readouterr().out
+        assert code == 0
+
+        def row(out, label):
+            return next(l.split()[-1] for l in out.splitlines() if label in l)
+
+        assert int(row(plain, " matches ")) > 0
+        for label in (" matches ", "oracle matches", "recall", "precision"):
+            assert row(crashed, label) == row(plain, label)
+        assert "latency (events, since recovery)" in crashed
+        assert "Match[" in crashed
+
     def test_bad_purge_policy_reports_error(self, trace_file, capsys):
         code = main(
             ["run", "--query", QUERY, "--trace", str(trace_file),

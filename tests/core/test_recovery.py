@@ -262,3 +262,19 @@ class TestLogRepairAndErrors:
         again = ResilientRunner(make_engine(), tmp_path, checkpoint_every=20)
         with pytest.raises(RecoveryError):
             again.feed(Event("A", 10_000, {"x": 0}))
+
+    def test_refused_feed_leaves_the_wal_untouched(self, tmp_path):
+        """A feed after close used to be logged before it was refused: the
+        WAL then held an element past its close sentinel and every later
+        incarnation died replaying it."""
+        stream = trace(30)
+        ResilientRunner(make_engine(), tmp_path, checkpoint_every=20).run(stream)
+        wal = (tmp_path / WAL_NAME).read_bytes()
+        again = ResilientRunner(make_engine(), tmp_path, checkpoint_every=20)
+        with pytest.raises(RecoveryError):
+            again.feed(stream[0])
+        again._close_handles()
+        assert (tmp_path / WAL_NAME).read_bytes() == wal
+        third = ResilientRunner(make_engine(), tmp_path, checkpoint_every=20)
+        assert third.recovered and third.replayed_elements == 0
+        assert third.run(stream) == []

@@ -104,7 +104,7 @@ def test_retry_call_does_not_catch_other_exceptions():
 def test_run_resilient_supervises_crashes(tmp_path, ab_pattern):
     from repro import OutOfOrderEngine
     from repro.core.oracle import OfflineOracle
-    from repro.core.recovery import ResilientRunner
+    from repro.core.recovery import ResilientRunner, delivered_keys
     from repro.faultinject import FaultInjector
     from helpers import make_events
 
@@ -124,5 +124,5 @@ def test_run_resilient_supervises_crashes(tmp_path, ab_pattern):
     )
     assert crashes == 2
     truth = OfflineOracle(ab_pattern).evaluate_set(events)
-    assert {m.key() for m in runner.engine.results} <= truth
+    assert delivered_keys(tmp_path) == truth
     assert runner.delivered_count == len(truth)

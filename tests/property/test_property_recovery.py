@@ -33,7 +33,7 @@ from repro import (
     ResilientRunner,
     seq,
 )
-from repro.core.recovery import DELIVERED_NAME
+from repro.core.recovery import DELIVERED_NAME, delivered_keys
 from helpers import bounded_shuffle
 
 SEED = int(os.environ.get("REPRO_RECOVERY_SEED", "0"))
@@ -157,4 +157,9 @@ def test_aggressive_net_results_survive_crashes(tmp_path):
     fault = FaultInjector(crash_at=crash_at)
     runner, restarts = run_to_completion("aggressive", tmp_path, stream, 20, fault)
     assert restarts == 2
-    assert runner.engine.net_result_set() == bare.net_result_set()
+    # The runner took every match it delivered, so the net set is read
+    # where history lives: the delivery log, minus the engine's revoked
+    # keys (that history still rides the checkpoint — ROADMAP 3(a)).
+    revoked = {r.match.key() for r in runner.engine.revocations}
+    assert revoked == {r.match.key() for r in bare.revocations}
+    assert delivered_keys(tmp_path) - revoked == bare.net_result_set()
