@@ -152,18 +152,17 @@ class AdmissionController:
         state = self._sources.get(source)
         if state is None:
             state = self._sources[source] = SourceAdmission(self.window)
-        reason = self.schema.check_frame(etype, attrs)
+        reason, idem = self.schema.screen(etype, attrs)
         if reason is not None:
             state.quarantined += 1
             return Admission(AdmissionOutcome.QUARANTINED, reason, None, None)
-        idem = self.schema.idempotency_id(etype, attrs)
         if idem in state.window or idem in self._recovered:
             state.duplicates += 1
             return Admission(AdmissionOutcome.DUPLICATE, None, None, idem)
         state.window.add(idem)
         state.admitted += 1
         return Admission(
-            AdmissionOutcome.ADMITTED, None, self.schema.build_event(etype, attrs), idem
+            AdmissionOutcome.ADMITTED, None, self.schema.event_for(etype, attrs, idem), idem
         )
 
     # -- recovery -----------------------------------------------------------------------

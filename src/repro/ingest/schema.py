@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoding
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -42,6 +43,7 @@ _FIELD_TYPES: Dict[str, tuple] = {
     "float": (int, float),
     "any": (object,),
 }
+_ABSENT = object()
 
 
 class FieldSpec:
@@ -59,15 +61,6 @@ class FieldSpec:
         self.name = name
         self.ftype = ftype
         self.required = bool(required)
-
-    def check(self, value: Any) -> Optional[str]:
-        """Why *value* violates this spec, or None when it conforms."""
-        if self.ftype == "any":
-            return None
-        allowed = _FIELD_TYPES[self.ftype]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            return f"field {self.name!r} must be {self.ftype}, got {value!r}"
-        return None
 
     def to_dict(self) -> dict:
         return {"name": self.name, "type": self.ftype, "required": self.required}
@@ -96,23 +89,61 @@ class EventSchema:
                 )
             self.fields[spec.name] = spec
 
-    def check(self, attrs: Mapping[str, Any]) -> Optional[str]:
-        """Why *attrs* violates this event schema, or None."""
-        for name, spec in self.fields.items():
-            if name not in attrs:
-                if spec.required:
-                    return f"event {self.etype!r} is missing required field {name!r}"
-                continue
-            reason = spec.check(attrs[name])
-            if reason is not None:
-                return f"event {self.etype!r}: {reason}"
-        return None
-
     def to_dict(self) -> dict:
         return {
             "etype": self.etype,
             "fields": [self.fields[name].to_dict() for name in self.fields],
         }
+
+
+class _EventPlan:
+    """One event type's admission plan, compiled once per schema.
+
+    What :meth:`StreamSchema.screen` would otherwise look up or encode
+    again per frame: the declared fields as ``(name, allowed types or
+    None for any, required, type name)``, the other keys that must be
+    present (each with its quarantine reason), and the constant pieces
+    of the idempotency material.
+    """
+
+    __slots__ = ("fields", "present", "t_event", "id_field", "head", "parts")
+
+    def __init__(self, schema: "StreamSchema", event: EventSchema):
+        self.fields = tuple(
+            (spec.name, None if spec.ftype == "any" else _FIELD_TYPES[spec.ftype],
+             spec.required, spec.ftype)
+            for spec in event.fields.values()
+        )
+        must = [(schema.partition_key, "partition key"),
+                (schema.idempotency_field, "idempotency")]
+        must += [(key, "idempotency derivation") for key in schema.idempotency_fields]
+        self.present = tuple(
+            (key, f"missing {what} field {key!r}") for key, what in must if key is not None
+        )
+        self.t_event = schema.t_event
+        self.id_field = schema.idempotency_field
+        self.head = (
+            f"[{json.dumps(schema.name)}, {json.dumps(event.etype)}, "
+            if self.id_field is None else f"{schema.name}:{event.etype}:"
+        )
+        self.parts = tuple(
+            (field, f", [{json.dumps(field)}, ")
+            for field in schema.idempotency_fields or sorted(event.fields)
+        )
+
+    def idem(self, attrs: Mapping[str, Any]) -> str:
+        """The frame's idempotency id: the explicit field, or SHA-1 over
+        exactly the bytes of ``json.dumps([stream, etype, t_event value,
+        [field, repr(value)], ...])`` (WALs and restarts dedupe on them),
+        joined from the pre-encoded pieces."""
+        if self.id_field is not None:
+            return f"{self.head}{attrs[self.id_field]!r}"
+        ts = attrs.get(self.t_event)
+        chunks = [self.head, repr(ts) if type(ts) is int else json.dumps(ts)]
+        for field, lead in self.parts:
+            chunks += (lead, _quote(repr(attrs.get(field))), "]")
+        chunks.append("]")
+        return hashlib.sha1("".join(chunks).encode("ascii")).hexdigest()
 
 
 class StreamSchema:
@@ -152,6 +183,7 @@ class StreamSchema:
         "source_slack",
         "idempotency_field",
         "idempotency_fields",
+        "_plans",
     )
 
     def __init__(
@@ -200,62 +232,65 @@ class StreamSchema:
         self.source_slack = source_slack
         self.idempotency_field = idempotency_field
         self.idempotency_fields = tuple(idempotency_fields)
+        self._plans = {
+            etype: _EventPlan(self, schema) for etype, schema in self.events.items()
+        }
 
-    # -- validation -------------------------------------------------------------------
+    # -- the one admission pass ---------------------------------------------------------
 
-    def check_frame(self, etype: Any, attrs: Any) -> Optional[str]:
-        """Why the frame must be quarantined, or None when admissible.
+    def screen(self, etype: Any, attrs: Any) -> Tuple[Optional[str], Optional[str]]:
+        """Screen a frame once: ``(reason, None)`` or ``(None, idempotency id)``.
 
-        The checks subsume engine-side admission
+        The only implementation of validation order, reason strings and
+        id derivation; the three methods below are views of it.  The
+        checks subsume engine-side admission
         (:func:`repro.core.event.malformed_reason`): any frame passing
         here builds an :class:`~repro.core.event.Event` that the engine
         admits, so gateway-side quarantine accounting matches what
         ``ValidationPolicy.QUARANTINE`` would have counted.
         """
         if not isinstance(etype, str) or not etype:
-            return f"event type must be a non-empty string, got {etype!r}"
+            return f"event type must be a non-empty string, got {etype!r}", None
         if not isinstance(attrs, dict):
-            return f"attrs must be an object, got {type(attrs).__name__}"
-        event_schema = self.events.get(etype)
-        if event_schema is None:
+            return f"attrs must be an object, got {type(attrs).__name__}", None
+        plan = self._plans.get(etype)
+        if plan is None:
             return (
                 f"event type {etype!r} is not declared by stream {self.name!r}; "
                 f"declared: {sorted(self.events)}"
-            )
-        reason = event_schema.check(attrs)
-        if reason is not None:
-            return reason
+            ), None
+        for name, allowed, required, ftype in plan.fields:
+            value = attrs.get(name, _ABSENT)
+            if value is _ABSENT:
+                if required:
+                    return f"event {etype!r} is missing required field {name!r}", None
+            elif allowed is not None and (
+                isinstance(value, bool) or not isinstance(value, allowed)
+            ):
+                return (
+                    f"event {etype!r}: field {name!r} must be {ftype}, got {value!r}"
+                ), None
         ts = attrs.get(self.t_event)
         if ts is None:
-            return f"missing t_event field {self.t_event!r}"
+            return f"missing t_event field {self.t_event!r}", None
         if type(ts) is not int:
-            return f"t_event field {self.t_event!r} must be an int, got {ts!r}"
+            return f"t_event field {self.t_event!r} must be an int, got {ts!r}", None
         if ts < 0:
-            return f"t_event field {self.t_event!r} must be >= 0, got {ts}"
-        if self.partition_key is not None and self.partition_key not in attrs:
-            return f"missing partition key field {self.partition_key!r}"
-        if self.idempotency_field is not None and self.idempotency_field not in attrs:
-            return f"missing idempotency field {self.idempotency_field!r}"
-        for field in self.idempotency_fields:
-            if field not in attrs:
-                return f"missing idempotency derivation field {field!r}"
-        return None
+            return f"t_event field {self.t_event!r} must be >= 0, got {ts}", None
+        for key, reason in plan.present:
+            if key not in attrs:
+                return reason, None
+        return None, plan.idem(attrs)
+
+    def check_frame(self, etype: Any, attrs: Any) -> Optional[str]:
+        """Why the frame must be quarantined, or None when admissible."""
+        return self.screen(etype, attrs)[0]
 
     # -- identity derivation ------------------------------------------------------------
 
     def idempotency_id(self, etype: str, attrs: Mapping[str, Any]) -> str:
         """Deterministic redelivery identity of a validated frame."""
-        if self.idempotency_field is not None:
-            return f"{self.name}:{etype}:{attrs[self.idempotency_field]!r}"
-        fields = self.idempotency_fields or tuple(
-            sorted(self.events[etype].fields)
-        )
-        material = json.dumps(
-            [self.name, etype, attrs.get(self.t_event)]
-            + [[field, repr(attrs.get(field))] for field in fields],
-            sort_keys=True,
-        )
-        return hashlib.sha1(material.encode("utf-8")).hexdigest()
+        return self._plans[etype].idem(attrs)
 
     def derive_eid(self, idem_id: str) -> int:
         """Stable positive event id from an idempotency id.
@@ -267,10 +302,13 @@ class StreamSchema:
         digest = hashlib.sha1(idem_id.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
+    def event_for(self, etype: str, attrs: Mapping[str, Any], idem_id: str) -> Event:
+        """The engine-side event for a screened frame whose id is *idem_id*."""
+        return Event(etype, attrs[self.t_event], attrs, eid=self.derive_eid(idem_id))
+
     def build_event(self, etype: str, attrs: Mapping[str, Any]) -> Event:
         """The engine-side event for a validated frame."""
-        idem = self.idempotency_id(etype, attrs)
-        return Event(etype, attrs[self.t_event], attrs, eid=self.derive_eid(idem))
+        return self.event_for(etype, attrs, self.idempotency_id(etype, attrs))
 
     def partition_of(self, attrs: Mapping[str, Any]) -> Optional[Any]:
         """The frame's partition key value (None when not declared)."""

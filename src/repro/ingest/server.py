@@ -11,18 +11,19 @@ rest of the package provides into the exactly-once admission story:
   frames are counted as duplicates and dropped; after a crash the
   per-source windows are rebuilt from the runner's WAL so redeliveries
   racing the restart are still caught;
-* **group-commit acks** — every batch of frames read off a socket is
-  admitted, fed, and made durable (:meth:`ResilientRunner.sync`) before
-  a single ack is written back.  An acked frame is on disk; an unacked
-  frame will be resent by the client and deduped.  Exactly-once,
-  relative to acks, with one WAL flush per batch instead of per frame;
+* **group-commit acks** — every batch of frames read off a socket (a
+  *cohort*) is admitted, fed, punctuated and made durable
+  (:meth:`IngestGateway.sync_acks`) before a single ack is written
+  back.  An acked frame is on disk; an unacked frame will be resent and
+  deduped.  Exactly-once, relative to acks, with one WAL flush and at
+  most one punctuation per cohort instead of per frame;
 * **per-source watermarks** (:mod:`repro.ingest.liveness`) — each
   source's occurrence times advance its own watermark; the min-merge
-  becomes engine punctuation.  A source silent past the liveness
-  timeout is *degraded*: fenced out of the merge so its silence stalls
-  nothing, journalled, traced, and counted.  On reconnect its watermark
-  floor is the already-emitted mark, so recovery never drags
-  punctuation backward;
+  becomes engine punctuation at each group commit.  A source silent
+  past the liveness timeout is *degraded*: fenced out of the merge so
+  its silence stalls nothing, journalled, traced, and counted.  On
+  reconnect its watermark floor is the already-emitted mark, so
+  recovery never drags punctuation backward;
 * **backpressure** — admission consults the engine's
   :class:`~repro.core.shedding.ShedPolicy` occupancy
   (:meth:`~repro.core.shedding.ShedPolicy.pressure`): in the soft band
@@ -72,6 +73,9 @@ from repro.obs.httpserv import Route, TelemetryServer
 from repro.obs.span import SPAN_FIELD, SourceLagPanel, SpanTracker, span_origin
 
 PROTOCOL_VERSION = 1
+#: Longest frame a connection may send before its newline; bounds the
+#: per-connection line buffer against a source that never ends a line.
+MAX_FRAME_BYTES = 1 << 20
 JOURNAL_NAME = "gateway.jsonl"
 FLIGHT_NAME = "flight.jsonl"
 
@@ -427,6 +431,10 @@ class IngestGateway:
                 watermark=emitted,
                 sources=sorted(self._known_sources),
             )
+        # A source mark moved and sync_acks owes the cohort a punctuation.
+        # Gateway-transient, not checkpoint state: a restart rebuilds the
+        # emitted mark from the WAL, where nothing is owed.
+        self._advance_due = False
         self.busy_total = 0
         self.throttled_total = 0
         self.crashed = False
@@ -524,11 +532,11 @@ class IngestGateway:
         """Decide and apply one event frame; returns the ack payload.
 
         The full admission ladder: backpressure refusal → schema
-        quarantine → duplicate drop → feed + watermark advance.  Raises
+        quarantine → duplicate drop → feed + source-mark advance.  Raises
         :class:`~repro.faultinject.CrashError` when an injected crash
-        point fires (the caller owns crash semantics).  The frame is NOT
-        durable until :meth:`sync_acks` — transports must sync before
-        acking admitted frames.
+        point fires (the caller owns crash semantics).  The frame is
+        neither durable NOR punctuated until :meth:`sync_acks` —
+        transports must sync before acking admitted frames.
 
         *span* is the client-minted span context from the wire frame
         (``{"t0": <monotonic seconds>}``); it only feeds latency
@@ -597,11 +605,11 @@ class IngestGateway:
         transition = self.liveness.observe(source, event.ts, now)
         if transition is not None:
             self._note_transition(transition)
+        self._advance_due = True
         t_admit = self._clock() if spans is not None else 0.0
         matches_before = len(self.runner.matches) if spans is not None else 0
         try:
             self.runner.feed(event)
-            self._advance_watermark()
         except CrashError:
             self._note_crash()
             raise
@@ -629,7 +637,7 @@ class IngestGateway:
     def assert_watermark(
         self, source: str, ts: int, now: Optional[float] = None
     ) -> Dict[str, Any]:
-        """An idle source asserted its progress; advance punctuation."""
+        """An idle source asserted its progress; :meth:`sync_acks` punctuates."""
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
         if now is None:
@@ -639,16 +647,37 @@ class IngestGateway:
         if transition is not None:
             self._note_transition(transition)
         self.liveness.assert_watermark(source, ts, now)
-        try:
-            self._advance_watermark()
-        except CrashError:
-            self._note_crash()
-            raise
+        self._advance_due = True
         return {"status": "ok", "watermark": self.liveness.merged_watermark()}
 
-    def sync_acks(self) -> None:
-        """Group commit: make every fed frame durable before acking it."""
+    def sync_acks(self) -> float:
+        """Group commit: punctuate the cohort once, then make it durable.
+
+        The cohort (every frame and ``watermark`` op since the last
+        call) is the unit of punctuation: one min-merge of the source
+        marks, at most one punctuation through ``runner.feed`` — in the
+        WAL ahead of the flush — then the flush.  A later punctuation
+        subsumes the earlier ones, so sources that honour their slack
+        get the same matches; engine state is purged per cohort.
+
+        Returns the clock between punctuation and flush (0.0 with
+        attribution off); passed to ``seal_cohort`` as the sync start it
+        books the punctuation's engine time to ``hold``, not ``sync``.
+        """
+        spans = self._spans
+        matches_before = len(self.runner.matches) if spans is not None else 0
+        if self._advance_due:
+            try:
+                self._advance_watermark()
+            except CrashError:
+                self._note_crash()
+                raise
+        t_flush = 0.0
+        if spans is not None:
+            t_flush = self._clock()
+            self._note_emitted_since(matches_before, t_flush)
         self.runner.sync()
+        return t_flush
 
     def connect_source(self, source: str, now: Optional[float] = None) -> None:
         """Register a (re)connecting source with liveness."""
@@ -690,8 +719,9 @@ class IngestGateway:
         return transitions
 
     def _advance_watermark(self) -> None:
-        # Fed AFTER the event that moved it: the mark trails t_event by
-        # slack + 1, so the punctuation never contradicts its trigger.
+        # Fed AFTER the events that moved it: a mark trails t_event by
+        # slack + 1, so the punctuation never contradicts its triggers.
+        self._advance_due = False
         punctuation = self.liveness.watermarks.advance()
         if punctuation is not None:
             self.runner.feed(punctuation)
@@ -1128,6 +1158,7 @@ class IngestGateway:
                 replies: List[Dict[str, Any]] = []
                 fed = False
                 goodbye = False
+                fatal: Optional[str] = None  # why the connection must close
                 for raw in lines:
                     raw = raw.strip()
                     if not raw:
@@ -1135,18 +1166,14 @@ class IngestGateway:
                     try:
                         frame = json.loads(raw)
                     except ValueError:
-                        replies.append(
-                            {"op": "error", "reason": "frame is not valid JSON"}
-                        )
-                        goodbye = True
+                        frame = None
+                    if not isinstance(frame, dict):
+                        fatal = "frame is not a JSON object"
                         break
                     op = frame.get("op")
                     if source is None:
                         if op != "hello":
-                            replies.append(
-                                {"op": "error", "reason": "first frame must be hello"}
-                            )
-                            goodbye = True
+                            fatal = "first frame must be hello"
                             break
                         reply, source = self._handle_hello(frame)
                         replies.append(reply)
@@ -1166,7 +1193,12 @@ class IngestGateway:
                         fed = fed or ack["status"] == "admitted"
                         replies.append(ack)
                     elif op == "watermark":
-                        ack = self.assert_watermark(source, int(frame.get("ts", 0)))
+                        try:
+                            ts = int(frame.get("ts", 0))
+                        except (TypeError, ValueError):
+                            fatal = "watermark ts must be an int"
+                            break
+                        ack = self.assert_watermark(source, ts)
                         ack["op"] = "ack"
                         ack["n"] = frame.get("n")
                         fed = True
@@ -1181,11 +1213,19 @@ class IngestGateway:
                         replies.append(
                             {"op": "error", "reason": f"unknown op {op!r}"}
                         )
-                t_sync_start = self._clock() if spans is not None else 0.0
+                if fatal is None and len(buffer) > MAX_FRAME_BYTES:
+                    fatal = f"frame exceeds {MAX_FRAME_BYTES} bytes"
+                if fatal is not None:
+                    # What the cohort fed before it is still committed
+                    # and acked below; then the connection closes.
+                    replies.append({"op": "error", "reason": fatal})
+                    goodbye = True
                 if fed:
-                    # The group commit: nothing above is acked until the
-                    # WAL tail holding it is flushed.
-                    self.sync_acks()
+                    # The group commit: nothing above is punctuated or
+                    # acked until the WAL tail holding it is flushed.
+                    t_sync_start = self.sync_acks()
+                else:
+                    t_sync_start = self._clock() if spans is not None else 0.0
                 t_sync_end = self._clock() if spans is not None else 0.0
                 if replies:
                     writer.write(

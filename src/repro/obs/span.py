@@ -37,9 +37,9 @@ STAGE_TRANSIT = "transit"
 STAGE_QUEUE = "queue"
 #: The admission ladder: backpressure check, schema, dedupe window.
 STAGE_ADMIT = "admit"
-#: Runner feed: WAL append + engine feed + watermark advance.
+#: Runner feed: WAL append + engine feed of the frame's event.
 STAGE_FEED = "feed"
-#: Frame fed -> batch group-commit start (waiting for batchmates to feed).
+#: Frame fed -> WAL flush start: batchmates feeding, then the cohort's punctuation.
 STAGE_HOLD = "hold"
 #: The WAL flush barrier (group commit).
 STAGE_SYNC = "sync"

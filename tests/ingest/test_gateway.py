@@ -113,8 +113,11 @@ def test_quarantine_parity_with_engine_side_validation(tmp_path):
 def test_watermarks_merge_into_punctuation(tmp_path):
     gateway = make_gateway(tmp_path, slack=0)
     gateway.admit_frame("s1", "A", {"ts": 10, "x": 1}, now=0.0)
-    punct_after_first = gateway.engine.stats.punctuations_in
-    assert punct_after_first >= 1  # the merge fed the engine a seal
+    # A frame is not punctuated until its cohort commits...
+    assert gateway.engine.stats.punctuations_in == 0
+    gateway.sync_acks()
+    assert gateway.engine.stats.punctuations_in == 1  # ...then the merge seals
+    assert gateway.liveness.watermarks.emitted == 9
     # A late joiner is floored at the emitted mark: no regression...
     gateway.admit_frame("s2", "A", {"ts": 4, "x": 2}, now=0.0)
     assert gateway.liveness.merged_watermark() == 9
@@ -122,9 +125,16 @@ def test_watermarks_merge_into_punctuation(tmp_path):
     # (still at 9) holds the mark back while s2 runs ahead.
     gateway.admit_frame("s2", "B", {"ts": 30, "x": 2}, now=0.1)
     assert gateway.liveness.merged_watermark() == 9
+    gateway.sync_acks()
+    assert gateway.engine.stats.punctuations_in == 1  # nothing advanced
+    # One cohort, two frames, one punctuation: the later mark subsumes
+    # the earlier one.
+    gateway.admit_frame("s1", "B", {"ts": 15, "x": 1}, now=0.2)
     gateway.admit_frame("s1", "B", {"ts": 20, "x": 1}, now=0.2)
     assert gateway.liveness.merged_watermark() == 19
-    assert gateway.engine.stats.punctuations_in > punct_after_first
+    gateway.sync_acks()
+    assert gateway.engine.stats.punctuations_in == 2
+    assert gateway.liveness.watermarks.emitted == 19
 
 
 def test_degraded_source_unstalls_punctuation(tmp_path):
@@ -215,6 +225,7 @@ def test_busy_frames_can_be_retried_after_drain(tmp_path):
     # A watermark assertion is not an event: it bypasses admission, so a
     # saturated gateway can still make seal progress and drain state...
     gateway.assert_watermark("s1", refused + 30, now=50.0)
+    gateway.sync_acks()  # the transport commits a watermark op's cohort too
     assert gateway.pressure() < 0.9
     retry = gateway.admit_frame("s1", "A", {"ts": refused, "x": refused}, now=51.0)
     # ...and the retried frame is admitted (not a duplicate: it was never fed).

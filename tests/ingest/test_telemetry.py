@@ -89,6 +89,7 @@ def test_lag_panel_tracks_sources(tmp_path):
     # emitted mark, by design).
     gateway.admit_frame("slow", "A", {"ts": 10, "x": 2}, now=0.0)
     gateway.admit_frame("fast", "A", {"ts": 50, "x": 1}, now=0.1)
+    gateway.sync_acks()  # the panel follows the merged mark: once per cohort
     samples = parse_prometheus(render_prometheus(gateway.registry))
     assert samples['repro_source_watermark{source="fast"}'] > samples[
         'repro_source_watermark{source="slow"}'

@@ -6,12 +6,15 @@ drives it with the blocking client over TCP on the loopback interface.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro import OutOfOrderEngine, parse
+from repro.core.recovery import read_wal_elements
 from repro.faultinject import FaultInjector
 from repro.ingest import (
     ClientFaultPlan,
@@ -21,6 +24,7 @@ from repro.ingest import (
     send_events,
     serve_in_thread,
 )
+from repro.ingest.server import MAX_FRAME_BYTES
 
 from ingest_helpers import make_schema
 
@@ -263,3 +267,70 @@ def test_recovered_gateway_reports_replay_in_hello(tmp_path):
     # log keeps the restart from delivering any of them again.
     assert second.results() == []
     assert {m.key() for m in gateway.results()} == inprocess_result_keys(frames)
+
+
+# -- hostile frames ---------------------------------------------------------------------
+
+
+def _raw_exchange(port: int, payload: bytes):
+    """Send hello + *payload* on a raw socket; every reply line until the
+    server closes (or resets) the connection."""
+    hello = {"op": "hello", "source": "s1", "stream": "orders", "proto": 1}
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        try:
+            sock.sendall(json.dumps(hello).encode("utf-8") + b"\n" + payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server hung up mid-write: that is the point
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # closed with our bytes unread; replies sent before it still arrive
+    return [json.loads(line) for line in received.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"[1,2]", b"5", b"null", b'{"op":"watermark","n":9,"ts":"abc"}',
+     b'{"op":"watermark","n":9,"ts":null}', b"{not json"],
+)
+def test_malformed_frame_is_an_error_reply_not_a_dead_handler(tmp_path, bad):
+    """Well-formed JSON that is not a frame used to raise out of the
+    connection handler: EOF for the client, and the cohort's earlier
+    frames neither synced nor acked."""
+    gateway = build_gateway(tmp_path)
+    handle = serve_in_thread(gateway)
+    good = [
+        {"op": "event", "n": n, "etype": etype, "attrs": {"ts": n + 1, "x": 7}}
+        for n, etype in enumerate("AB")
+    ]
+    payload = b"".join(json.dumps(frame).encode("utf-8") + b"\n" for frame in good)
+    try:
+        replies = _raw_exchange(handle.port, payload + bad + b"\n")
+        assert [reply["op"] for reply in replies] == ["hello_ok", "ack", "ack", "error"]
+        assert [reply.get("status") for reply in replies[1:3]] == ["admitted"] * 2
+        assert replies[-1]["reason"]
+        # Acked means durable: the cohort was group-committed before the close.
+        assert len(read_wal_elements(tmp_path)) >= 2
+        # The handler survived: the gateway still serves the next connection.
+        report = send_events("127.0.0.1", handle.port, "s2", "orders", frames_for(2))
+        assert report.admitted == 4
+    finally:
+        handle.stop(seal=True)
+
+
+def test_newline_free_source_is_cut_off_at_the_frame_cap(tmp_path):
+    gateway = build_gateway(tmp_path)
+    handle = serve_in_thread(gateway)
+    good = {"op": "event", "n": 0, "etype": "A", "attrs": {"ts": 1, "x": 7}}
+    payload = json.dumps(good).encode("utf-8") + b"\n" + b"x" * (2 * MAX_FRAME_BYTES)
+    try:
+        replies = _raw_exchange(handle.port, payload)
+        assert [reply["op"] for reply in replies] == ["hello_ok", "ack", "error"]
+        assert replies[1]["status"] == "admitted"
+        assert str(MAX_FRAME_BYTES) in replies[-1]["reason"]
+        report = send_events("127.0.0.1", handle.port, "s2", "orders", frames_for(2))
+        assert report.admitted == 4
+    finally:
+        handle.stop(seal=True)
