@@ -41,7 +41,6 @@ EXPERIMENTS = [
     ("e20", "bench_e20_speculative"),
     ("e21", "bench_e21_ingest_soak"),
     ("e22", "bench_e22_latency_attribution"),
-    ("e23", "bench_e23_pipeline_scaling"),
 ]
 
 

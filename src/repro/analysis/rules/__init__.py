@@ -37,7 +37,6 @@ def all_rules() -> List[Rule]:
     from repro.analysis.rules.snapshot_completeness import SnapshotCompleteness
     from repro.analysis.rules.hot_path_purity import HotPathPurity
     from repro.analysis.rules.determinism import Determinism
-    from repro.analysis.rules.batch_parity import BatchParity
     from repro.analysis.rules.purge_safety import PurgeSafety
     from repro.analysis.rules.await_atomicity import AwaitAtomicity
     from repro.analysis.rules.blocking_async import BlockingInCoroutine
@@ -48,7 +47,6 @@ def all_rules() -> List[Rule]:
         SnapshotCompleteness(),
         HotPathPurity(),
         Determinism(),
-        BatchParity(),
         PurgeSafety(),
         AwaitAtomicity(),
         BlockingInCoroutine(),

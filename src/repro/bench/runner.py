@@ -26,17 +26,13 @@ from repro.core.inorder import InOrderEngine
 from repro.core.oracle import OfflineOracle
 from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
 from repro.core.pattern import Pattern
-from repro.core.pipeline import PipelinedPartitionedEngine
 from repro.core.purge import PurgePolicy
 from repro.core.reorder import ReorderingEngine
 from repro.core.shedding import ShedPolicy
 from repro.metrics.latency import summarize_arrival_latency, summarize_occurrence_latency
 from repro.metrics.quality import QualityReport, compare_keys
 
-ENGINE_NAMES = (
-    "ooo", "inorder", "reorder", "aggressive", "partitioned", "parallel",
-    "pipeline",
-)
+ENGINE_NAMES = ("ooo", "inorder", "reorder", "aggressive", "partitioned", "parallel")
 
 
 def make_engine(
@@ -62,25 +58,27 @@ def make_engine(
     ``partitioned`` per-key sub-engines, serial routing
     ``parallel``    partitioned with a close-time worker pool (*workers*,
                     *backend*; the PR-1 barrier design)
-    ``pipeline``    partitioned over long-lived workers with columnar
-                    batches and epoch-ordered streaming output
-                    (*workers*, *backend*)
 
-    *backend* ``None`` resolves to each family's native default:
-    ``thread`` for ``parallel`` (its pool maps once at close, where
-    pickling dominates), ``process`` for ``pipeline`` (long-lived
-    workers amortise start-up and escape the GIL).
+    *workers* / *backend* configure the ``parallel`` family only
+    (*backend* ``None`` is its ``thread`` default: the pool maps once at
+    close, where pickling dominates); every other family runs in the
+    caller's thread and rejects them rather than ignore them.
 
     *speculative* / *controller* (the optimistic side-stream and the
     adaptive-K policy) apply to the ``ooo`` and ``partitioned`` families
-    (``parallel``/``pipeline`` only at ``workers=1``); other strategies
-    reject them —
+    (``parallel`` only at ``workers=1``); other strategies reject them —
     the aggressive engine already has its own optimistic protocol, and
     the reorder/inorder baselines have no pending matches to speculate
     on.
     """
+    if name not in ENGINE_NAMES:
+        raise ConfigurationError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
+    if name != "parallel" and (workers != 1 or backend is not None):
+        raise ConfigurationError(
+            f"workers/backend configure the parallel engine, not {name!r}"
+        )
     if speculative or controller is not None:
-        if name not in ("ooo", "partitioned", "parallel", "pipeline"):
+        if name not in ("ooo", "partitioned", "parallel"):
             raise ConfigurationError(
                 "speculative/adaptive modes are supported by the ooo and "
                 f"partitioned engine families, not {name!r}"
@@ -127,31 +125,17 @@ def make_engine(
             speculative=speculative,
             controller=controller,
         )
-    if name == "pipeline":
-        return PipelinedPartitionedEngine(
-            pattern,
-            k=k,
-            purge=purge,
-            key=key,
-            index=index,
-            workers=workers,
-            backend=backend or "process",
-            speculative=speculative,
-            controller=controller,
-        )
-    if name == "parallel":
-        return ParallelPartitionedEngine(
-            pattern,
-            k=k,
-            purge=purge,
-            key=key,
-            index=index,
-            workers=workers,
-            backend=backend or "thread",
-            speculative=speculative,
-            controller=controller,
-        )
-    raise ConfigurationError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
+    return ParallelPartitionedEngine(
+        pattern,
+        k=k,
+        purge=purge,
+        key=key,
+        index=index,
+        workers=workers,
+        backend=backend or "thread",
+        speculative=speculative,
+        controller=controller,
+    )
 
 
 def speculation_counts(engine: Engine) -> tuple:

@@ -34,7 +34,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.bench import make_engine
+from repro.bench import ENGINE_NAMES, make_engine
 from repro.core.engine import ValidationPolicy
 from repro.core.errors import ReproError
 from repro.core.oracle import OfflineOracle
@@ -74,10 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default="ooo",
-        choices=[
-            "ooo", "inorder", "reorder", "aggressive", "partitioned",
-            "parallel", "pipeline",
-        ],
+        choices=ENGINE_NAMES,
     )
     run.add_argument("--k", type=int, default=None, help="disorder bound K")
     run.add_argument(
@@ -89,13 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers", type=int, default=1,
-        help="worker count for --engine parallel/pipeline (1 = serial fallback)",
+        help="worker count for --engine parallel (1 = serial fallback)",
     )
     run.add_argument(
-        "--backend", default=None, choices=["thread", "process", "pipeline"],
-        help="worker backend for --engine parallel/pipeline (default: thread "
-             "for parallel, process for pipeline); `--backend pipeline` is "
-             "shorthand for `--engine pipeline` with process workers",
+        "--backend", default=None, choices=["thread", "process"],
+        help="worker backend for --engine parallel (default: thread)",
     )
     run.add_argument(
         "--no-index", action="store_true",
@@ -309,11 +304,6 @@ def _parse_disorder(text: str):
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.backend == "pipeline":
-        # Shorthand: `--backend pipeline` selects the pipelined engine
-        # with its native process workers.
-        args.engine = "pipeline"
-        args.backend = None
     pattern = parse(args.query)
     elements = load_trace(args.trace)
     purge = _parse_purge(args.purge)

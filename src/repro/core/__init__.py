@@ -29,13 +29,12 @@ from repro.core.inorder import InOrderEngine
 from repro.core.oracle import OfflineOracle, oracle_matches
 from repro.core.ordered_output import OrderedOutputAdapter
 from repro.core.parser import parse
-from repro.core.colbatch import BatchBuilder, EventBatch, EventBatchView
+from repro.core.colbatch import EventBatch
 from repro.core.partition import (
     ParallelPartitionedEngine,
     PartitionedEngine,
     detect_partition_key,
 )
-from repro.core.pipeline import PipelinedPartitionedEngine
 from repro.core.pattern import KleeneBracket, Match, NegationBracket, Pattern, Step, seq
 from repro.core.plan import MultiQueryPlan, QueryPlan
 from repro.core.predicates import (
@@ -96,12 +95,9 @@ __all__ = [
     "OrderedOutputAdapter",
     "OutOfOrderEngine",
     "ParseError",
-    "BatchBuilder",
     "EventBatch",
-    "EventBatchView",
     "ParallelPartitionedEngine",
     "PartitionedEngine",
-    "PipelinedPartitionedEngine",
     "Pattern",
     "Predicate",
     "Punctuation",

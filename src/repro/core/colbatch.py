@@ -1,19 +1,12 @@
-"""Columnar (struct-of-arrays) event batches.
+"""Columnar (struct-of-arrays) event batches: a lossless codec.
 
 An :class:`EventBatch` stores N events as parallel columns — one
 ``ts`` array, one ``eid`` array, one type-code array over a small
 type table, and one value column per attribute name with a presence
-mask — instead of N :class:`~repro.core.event.Event` objects.  Two
-consumers motivate the layout:
-
-* **Cross-process transfer** (``repro.core.pipeline``): pickling a
-  batch serialises a handful of flat arrays and lists instead of N
-  constructor-rebuild tuples, so shipping events to worker processes
-  costs a fraction of per-event pickling.
-* **Vectorised predicate evaluation** (``repro.core.indexplan``):
-  admission predicates compiled against columns read attribute values
-  straight out of the arrays, materialising an ``Event`` only for rows
-  that are actually admitted into engine state.
+mask — instead of N :class:`~repro.core.event.Event` objects.  Encoding
+a batch serialises a handful of flat arrays and lists instead of N
+constructor-rebuild tuples, which makes it the compact serialised form
+of an event list; ``Engine.feed_colbatch`` accepts one directly.
 
 The representation is **lossless**: ``to_events(from_events(evs))``
 reproduces the original events — identity (``eid``), duplicate
@@ -23,25 +16,19 @@ values all survive the round trip.  Timestamps and eids use compact
 and fall back to plain lists otherwise (forged events with ``bool`` or
 big-int timestamps keep their exact values; the engines' admission
 screens still reject them downstream exactly as they would per-event).
-
-Batches also carry optional **meta columns** (``meta`` dict) — per-row
-sidecar data such as the pipeline router's global sequence numbers and
-partition ranks.  Meta columns ride through :meth:`select`, the codec
-and pickling, but are *not* part of the event model: ``to_events``
-ignores them.
 """
 
 from __future__ import annotations
 
 import pickle
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.core.errors import StreamError
 from repro.core.event import Event
 
 #: Bump when the serialised column layout changes incompatibly.
-BATCH_FORMAT = 1
+BATCH_FORMAT = 2
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -60,87 +47,18 @@ def _pack_ints(values: list):
     """
     for value in values:
         if type(value) is not int or not (_INT64_MIN <= value <= _INT64_MAX):
-            return list(values)
+            return values
     return array("q", values)
-
-
-class BatchBuilder:
-    """Incremental column-wise accumulator for one :class:`EventBatch`.
-
-    The pipeline router appends admitted events (plus per-row meta
-    values) as they arrive and calls :meth:`build` at flush boundaries;
-    ``from_events`` is a one-shot wrapper around the same path.
-    """
-
-    __slots__ = ("_n", "_ts", "_eids", "_codes", "_types", "_type_index",
-                 "_columns", "_meta_names", "_meta")
-
-    def __init__(self, meta_names: Sequence[str] = ()):
-        self._n = 0
-        self._ts: List[int] = []
-        self._eids: List[int] = []
-        self._codes: List[int] = []
-        self._types: List[str] = []
-        self._type_index: Dict[str, int] = {}
-        self._columns: Dict[str, AttrColumn] = {}
-        self._meta_names = tuple(meta_names)
-        self._meta: Dict[str, list] = {name: [] for name in self._meta_names}
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, event: Event, meta_values: Sequence[Any] = ()) -> None:
-        """Append one event row (and its meta values, positionally)."""
-        if len(meta_values) != len(self._meta_names):
-            raise StreamError(
-                f"batch builder expects {len(self._meta_names)} meta values "
-                f"({self._meta_names}), got {len(meta_values)}"
-            )
-        row = self._n
-        etype = event.etype
-        code = self._type_index.get(etype)
-        if code is None:
-            code = self._type_index[etype] = len(self._types)
-            self._types.append(etype)
-        self._ts.append(event.ts)
-        self._eids.append(event.eid)
-        self._codes.append(code)
-        for name, value in event._attrs.items():
-            column = self._columns.get(name)
-            if column is None:
-                column = self._columns[name] = ([None] * row, bytearray(row))
-            column[0].append(value)
-            column[1].append(1)
-        for name, column in self._columns.items():
-            if len(column[1]) <= row:
-                column[0].append(None)
-                column[1].append(0)
-        for name, value in zip(self._meta_names, meta_values):
-            self._meta[name].append(value)
-        self._n = row + 1
-
-    def build(self) -> "EventBatch":
-        """Freeze the accumulated rows into an :class:`EventBatch`."""
-        meta = {name: _pack_ints(values) for name, values in self._meta.items()}
-        return EventBatch(
-            self._n,
-            _pack_ints(self._ts),
-            _pack_ints(self._eids),
-            _pack_ints(self._codes),
-            tuple(self._types),
-            dict(self._columns),
-            meta,
-        )
 
 
 class EventBatch:
     """N events as parallel columns; see the module docstring.
 
-    Construct through :meth:`from_events` or :class:`BatchBuilder` —
-    the raw constructor trusts its arguments.
+    Construct through :meth:`from_events` or :meth:`from_bytes` — the
+    raw constructor trusts its arguments.
     """
 
-    __slots__ = ("length", "ts", "eids", "codes", "type_table", "columns", "meta")
+    __slots__ = ("length", "ts", "eids", "codes", "type_table", "columns")
 
     def __init__(
         self,
@@ -150,7 +68,6 @@ class EventBatch:
         codes,
         type_table: Tuple[str, ...],
         columns: Dict[str, AttrColumn],
-        meta: Optional[Dict[str, Any]] = None,
     ):
         self.length = length
         self.ts = ts
@@ -158,92 +75,65 @@ class EventBatch:
         self.codes = codes
         self.type_table = type_table
         self.columns = columns
-        self.meta = meta or {}
 
-    # -- construction ------------------------------------------------------------
+    def __len__(self) -> int:
+        return self.length
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventBatch":
         """Columnarise *events* (losslessly; order preserved)."""
-        builder = BatchBuilder()
+        ts: List[int] = []
+        eids: List[int] = []
+        codes: List[int] = []
+        types: List[str] = []
+        type_index: Dict[str, int] = {}
+        columns: Dict[str, AttrColumn] = {}
+        row = 0
         for event in events:
             if not isinstance(event, Event):
                 raise StreamError(
                     f"EventBatch holds events only, got {type(event).__name__} "
                     "(punctuations travel out of band)"
                 )
-            builder.append(event)
-        return builder.build()
-
-    # -- row access --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.length
-
-    def etype_at(self, i: int) -> str:
-        return self.type_table[self.codes[i]]
-
-    def attr_at(self, name: str, i: int) -> Tuple[bool, Any]:
-        """``(present, value)`` for attribute *name* at row *i*."""
-        column = self.columns.get(name)
-        if column is None or not column[1][i]:
-            return False, None
-        return True, column[0][i]
-
-    def event(self, i: int) -> Event:
-        """Materialise row *i* as an :class:`Event` (original identity)."""
-        attrs = {}
-        for name, (values, present) in self.columns.items():
-            if present[i]:
-                attrs[name] = values[i]
-        return _rebuild_event(
-            self.type_table[self.codes[i]], self.ts[i], attrs, self.eids[i]
+            etype = event.etype
+            code = type_index.get(etype)
+            if code is None:
+                code = type_index[etype] = len(types)
+                types.append(etype)
+            ts.append(event.ts)
+            eids.append(event.eid)
+            codes.append(code)
+            for name, value in event._attrs.items():
+                column = columns.get(name)
+                if column is None:
+                    column = columns[name] = ([None] * row, bytearray(row))
+                column[0].append(value)
+                column[1].append(1)
+            for column in columns.values():
+                if len(column[1]) <= row:
+                    column[0].append(None)
+                    column[1].append(0)
+            row += 1
+        return cls(
+            row, _pack_ints(ts), _pack_ints(eids), _pack_ints(codes),
+            tuple(types), columns,
         )
 
     def to_events(self) -> List[Event]:
-        """Materialise every row, in order."""
-        return [self.event(i) for i in range(self.length)]
-
-    # -- slicing / selection -----------------------------------------------------
-
-    def view(self, start: int, stop: int) -> "EventBatchView":
-        """Zero-copy window ``[start, stop)`` over this batch's columns."""
-        start = max(0, min(start, self.length))
-        stop = max(start, min(stop, self.length))
-        return EventBatchView(self, start, stop)
-
-    def select(self, rows: Sequence[int]) -> "EventBatch":
-        """Gather *rows* (in the given order) into a new compact batch.
-
-        Used by pipeline workers to split a mixed-partition batch into
-        per-partition sub-batches; meta columns are gathered too.
-        """
-        ts = [self.ts[i] for i in rows]
-        eids = [self.eids[i] for i in rows]
-        table: List[str] = []
-        index: Dict[str, int] = {}
-        codes: List[int] = []
-        for i in rows:
-            etype = self.type_table[self.codes[i]]
-            code = index.get(etype)
-            if code is None:
-                code = index[etype] = len(table)
-                table.append(etype)
-            codes.append(code)
-        columns: Dict[str, AttrColumn] = {}
-        for name, (values, present) in self.columns.items():
-            columns[name] = (
-                [values[i] for i in rows],
-                bytearray(present[i] for i in rows),
-            )
-        meta = {
-            name: _pack_ints([column[i] for i in rows])
-            for name, column in self.meta.items()
-        }
-        return EventBatch(
-            len(rows), _pack_ints(ts), _pack_ints(eids), _pack_ints(codes),
-            tuple(table), columns, meta,
-        )
+        """Materialise every row, in order, with its original identity."""
+        table, codes, ts, eids = self.type_table, self.codes, self.ts, self.eids
+        columns = [
+            (name, values, present)
+            for name, (values, present) in self.columns.items()
+        ]
+        events = []
+        for i in range(self.length):
+            attrs = {}
+            for name, values, present in columns:
+                if present[i]:
+                    attrs[name] = values[i]
+            events.append(_rebuild_event(table[codes[i]], ts[i], attrs, eids[i]))
+        return events
 
     # -- codec ---------------------------------------------------------------------
 
@@ -259,12 +149,11 @@ class EventBatch:
                 (name, values, bytes(present))
                 for name, (values, present) in self.columns.items()
             ],
-            dict(self.meta),
         )
 
     @classmethod
     def _from_state(cls, state: tuple) -> "EventBatch":
-        fmt, length, ts, eids, codes, table, columns, meta = state
+        fmt, length, ts, eids, codes, table, columns = state
         if fmt != BATCH_FORMAT:
             raise StreamError(
                 f"event-batch format {fmt!r} is not supported "
@@ -273,26 +162,25 @@ class EventBatch:
         return cls(
             length, ts, eids, codes, tuple(table),
             {name: (values, bytearray(present)) for name, values, present in columns},
-            meta,
         )
 
     def __reduce__(self):
-        # Queue transfer pickles batches; route through the compact
-        # state tuple so the wire cost is the codec's, not per-slot.
+        # Pickle through the compact state tuple so the cost is the
+        # codec's, not per-slot.
         return (EventBatch._from_state, (self._state(),))
 
     def to_bytes(self) -> bytes:
-        """Compact byte encoding (the cross-process wire format)."""
+        """Compact byte encoding."""
         return pickle.dumps(self._state(), protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EventBatch":
-        """Inverse of :meth:`to_bytes`."""
+        """Inverse of :meth:`to_bytes`; anything else is a :class:`StreamError`."""
         try:
             state = pickle.loads(blob)
         except Exception as exc:
             raise StreamError(f"event-batch blob is not readable: {exc}") from exc
-        if not isinstance(state, tuple) or len(state) != 8:
+        if not isinstance(state, tuple) or len(state) != 7:
             raise StreamError("event-batch blob has an unexpected shape")
         return cls._from_state(state)
 
@@ -301,44 +189,6 @@ class EventBatch:
             f"EventBatch(n={self.length}, types={len(self.type_table)}, "
             f"attrs={sorted(self.columns)})"
         )
-
-
-class EventBatchView:
-    """A zero-copy ``[start, stop)`` window over an :class:`EventBatch`.
-
-    Shares the parent's column storage — no rows are copied.  Row
-    indices are view-relative.  :meth:`materialize` produces a compact
-    standalone batch when one is needed (e.g. for the wire).
-    """
-
-    __slots__ = ("base", "start", "stop")
-
-    def __init__(self, base: EventBatch, start: int, stop: int):
-        self.base = base
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def etype_at(self, i: int) -> str:
-        return self.base.etype_at(self.start + i)
-
-    def attr_at(self, name: str, i: int) -> Tuple[bool, Any]:
-        return self.base.attr_at(name, self.start + i)
-
-    def event(self, i: int) -> Event:
-        return self.base.event(self.start + i)
-
-    def to_events(self) -> List[Event]:
-        return [self.base.event(i) for i in range(self.start, self.stop)]
-
-    def materialize(self) -> EventBatch:
-        """A standalone compact batch holding this window's rows."""
-        return self.base.select(range(self.start, self.stop))
-
-    def __repr__(self) -> str:
-        return f"EventBatchView([{self.start}:{self.stop}] of {self.base!r})"
 
 
 def _rebuild_event(etype: str, ts: int, attrs: Dict[str, Any], eid: int) -> Event:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core import snapshot as snapshots
 from repro.core.clock import StreamClock
@@ -59,6 +59,9 @@ from repro.core.speculate import (
 )
 from repro.core.stacks import Instance, NegativeStore, StackSet
 from repro.core.stats import EngineStats
+
+if TYPE_CHECKING:
+    from repro.core.colbatch import EventBatch
 
 
 class LatePolicy(enum.Enum):
@@ -102,7 +105,7 @@ class Engine:
     ``feed`` / ``feed_batch`` / ``feed_colbatch`` are thin drivers of it
     and are not overridden.  The out-of-order, in-order and reordering
     engines implement :meth:`_run` as one fused loop; the delegating
-    families (partitioned, parallel, pipelined) inherit the plain loop
+    families (partitioned, parallel) inherit the plain loop
     below and implement :meth:`_process_event`.  All may extend
     :meth:`_on_punctuation` / :meth:`_flush`.  The shared surface keeps
     the bench harness strategy-agnostic.
@@ -143,51 +146,36 @@ class Engine:
         suite and the golden trajectories pin this) — because both run
         the same loop; a batch merely pays the loop's set-up once.
         """
-        return self._drive(elements, None)
+        return self._drive(elements)
 
     def feed_many(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Feed every element; returns all matches emitted during the run."""
         return self.feed_batch(elements)
 
-    def feed_colbatch(self, batch, marks: Optional[List[int]] = None) -> List[Match]:
-        """Process a columnar :class:`~repro.core.colbatch.EventBatch` (or view).
+    def feed_colbatch(self, batch: EventBatch) -> List[Match]:
+        """Process a columnar :class:`~repro.core.colbatch.EventBatch`.
 
-        Identical to ``feed_batch(batch.to_events())``.  When *marks* is
-        given (a caller-owned list), the cumulative emission count is
-        appended after every row — ``len(batch)`` entries — so callers
-        can attribute each emitted match to the row whose processing
-        produced it (the pipelined engine's epoch-ordered merge rebuilds
-        the serial interleave from these).
+        Identical to ``feed_batch(batch.to_events())``.
         """
-        return self._drive(batch.to_events(), marks)
+        return self._drive(batch.to_events())
 
-    def _drive(
-        self, elements: Iterable[StreamElement], marks: Optional[List[int]]
-    ) -> List[Match]:
+    def _drive(self, elements: Iterable[StreamElement]) -> List[Match]:
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
         obs = self._obs
         if obs is None:
-            return self._run(elements, marks)
+            return self._run(elements)
         # Observability classifies per-element stat deltas, so it wraps
         # one-element calls of the same loop.
         emitted: List[Match] = []
         for element in elements:
             emitted.extend(obs.feed(self, element))
-            if marks is not None:
-                marks.append(len(emitted))
         return emitted
 
-    def _run(
-        self,
-        elements: Iterable[StreamElement],
-        marks: Optional[List[int]] = None,
-    ) -> List[Match]:
+    def _run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The step loop: screen, count and process each element in turn.
 
-        Appends the cumulative emission count to *marks* (when given)
-        once per element, including quarantined ones.  This plain form
-        hands each event to :meth:`_process_event`.
+        This plain form hands each event to :meth:`_process_event`.
         """
         emitted: List[Match] = []
         stats = self.stats
@@ -203,8 +191,6 @@ class Engine:
                 stats.events_quarantined += 1
             else:
                 raise admission_error(element)
-            if marks is not None:
-                marks.append(len(emitted))
         return emitted
 
     def _feed_punctuation(self, element: StreamElement) -> List[Match]:
@@ -711,11 +697,7 @@ class OutOfOrderEngine(Engine):
         """
         return bool(self.pending._heap)
 
-    def _run(
-        self,
-        elements: Iterable[StreamElement],
-        marks: Optional[List[int]] = None,
-    ) -> List[Match]:
+    def _run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one step loop (steps 1-6 of the module docstring).
 
         Every feeding surface runs this body, so a batch and the same
@@ -783,7 +765,6 @@ class OutOfOrderEngine(Engine):
         shed_overflow = self._shed_overflow if self.shed is not None else None
         obs = self._obs
         note_purge = obs.note_purge if obs is not None and obs.tracing else None
-        mark = marks.append if marks is not None else None
         # Subclass hooks: pay the per-event call only when overridden.
         post_event = (
             self._post_event
@@ -814,16 +795,8 @@ class OutOfOrderEngine(Engine):
         # insert landed at or below a purge threshold since.
         purged_at = -2
         dirty = True
-        # marks get one cumulative count per element, appended when the
-        # next element starts (or the loop ends) so that the `continue`
-        # exits below need no bookkeeping of their own.
-        pending_mark = False
         try:
             for element in elements:
-                if mark is not None:
-                    if pending_mark:
-                        mark(len(emitted))
-                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
@@ -903,8 +876,10 @@ class OutOfOrderEngine(Engine):
                                     step_index == final_step and ts <= horizon + 1
                                 ):
                                     dirty = True
-                                # Inlined feasibility probe (mirrors
-                                # SequenceScanner.construction_feasible).
+                                # Feasibility probe (repro.core.scan, point
+                                # 3): a match needs every earlier stack to
+                                # hold an instance in [ts - window, ts) and
+                                # every later one in (ts, ts + window].
                                 ok = True
                                 if probe:
                                     for j in step_range:
@@ -992,8 +967,6 @@ class OutOfOrderEngine(Engine):
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
-            if mark is not None and pending_mark:
-                mark(len(emitted))
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last

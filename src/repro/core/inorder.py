@@ -179,11 +179,7 @@ class InOrderEngine(Engine):
 
     # -- the step loop ------------------------------------------------------------
 
-    def _run(
-        self,
-        elements: Iterable[StreamElement],
-        marks: Optional[List[int]] = None,
-    ) -> List[Match]:
+    def _run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one step loop; every feeding surface runs it.
 
         Same playbook as :meth:`OutOfOrderEngine._run`: hoist attribute
@@ -237,16 +233,8 @@ class InOrderEngine(Engine):
         # and whether any insert since could sit at/below a threshold.
         purged_at = -2
         dirty = True
-        # One cumulative count per element, appended when the next one
-        # starts (or the loop ends): `continue` exits need no bookkeeping.
-        mark = marks.append if marks is not None else None
-        pending_mark = False
         try:
             for element in elements:
-                if mark is not None:
-                    if pending_mark:
-                        mark(len(emitted))
-                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
@@ -366,8 +354,6 @@ class InOrderEngine(Engine):
                     size_now = stacked + side_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
-            if mark is not None and pending_mark:
-                mark(len(emitted))
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last

@@ -40,8 +40,8 @@ from repro.core.stats import EngineStats
 def require_picklable_pattern(pattern: Pattern, backend: str) -> None:
     """Fail fast — and descriptively — on process-backend pickling hazards.
 
-    A process pool (and a pipeline worker under the ``spawn`` start
-    method) must pickle the pattern; ``FnPredicate`` lambdas can't be.
+    A process pool must pickle the pattern; ``FnPredicate`` lambdas
+    can't be.
     Checking at construction, unconditionally for process backends,
     turns a platform-dependent mid-run ``PicklingError`` deep inside the
     pool machinery into an immediate :class:`ConfigurationError` that

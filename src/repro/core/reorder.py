@@ -204,11 +204,7 @@ class ReorderingEngine(Engine):
         emitted.extend(self._relay(self.inner.feed(punctuation)))
         return emitted
 
-    def _run(
-        self,
-        elements: Iterable[StreamElement],
-        marks: Optional[List[int]] = None,
-    ) -> List[Match]:
+    def _run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one step loop; every feeding surface runs it.
 
         Buffer bookkeeping is hoisted into locals and each element's
@@ -238,16 +234,8 @@ class ReorderingEngine(Engine):
         events_in = 0
         late_dropped = 0
         out_of_order = 0
-        # One cumulative count per element, appended when the next one
-        # starts (or the loop ends): `continue` exits need no bookkeeping.
-        mark = marks.append if marks is not None else None
-        pending_mark = False
         try:
             for element in elements:
-                if mark is not None:
-                    if pending_mark:
-                        mark(len(emitted))
-                    pending_mark = True
                 if isinstance(element, Event):
                     ts = element.ts
                     etype = element.etype
@@ -314,8 +302,6 @@ class ReorderingEngine(Engine):
                 size_now = held + inner_state_size()
                 if size_now > peak:
                     peak = size_now
-            if mark is not None and pending_mark:
-                mark(len(emitted))
         finally:
             clock._observations += observations
             self.buffer_peak = buffer_peak

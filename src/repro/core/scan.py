@@ -26,17 +26,18 @@ performs the exact checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.event import Event
 from repro.core.pattern import Pattern
 from repro.core.predicates import Predicate
-from repro.core.stacks import StackSet
-from repro.core.stats import EngineStats
 
 
 class SequenceScanner:
-    """Admission and feasibility logic bound to one pattern.
+    """Admission table and probe switch bound to one pattern.
+
+    The engine's step loop applies both: it walks :meth:`dispatch` to
+    admit an arrival and runs the feasibility probe when ``optimize``
+    is set.
 
     Parameters
     ----------
@@ -74,10 +75,6 @@ class SequenceScanner:
                 for index in steps
             )
 
-    def relevant(self, event: Event) -> bool:
-        """Does this event type play any role in the pattern?"""
-        return event.etype in self.pattern.relevant_types
-
     def dispatch(self) -> Dict[str, Tuple[Tuple[int, str, Tuple[Predicate, ...]], ...]]:
         """Pre-resolved per-type admission table (read-only).
 
@@ -85,63 +82,3 @@ class SequenceScanner:
         predicates)`` triples, one per positive step of that type.
         """
         return self._dispatch
-
-    def admissible_steps(self, event: Event) -> List[int]:
-        """Positive step indices the event is admitted to.
-
-        A type may occur at several steps (e.g. ``SEQ(A x, A y)``); the
-        event is admitted independently per step, subject to that
-        step's local predicates.
-        """
-        entries = self._dispatch.get(event.etype)
-        if not entries:
-            return []
-        admitted = []
-        for index, var, predicates in entries:
-            if not predicates:
-                admitted.append(index)
-                continue
-            bindings = {var: event}
-            if all(p.evaluate(bindings) for p in predicates):
-                admitted.append(index)
-        return admitted
-
-    # -- feasibility probes ----------------------------------------------------
-
-    def construction_feasible(
-        self,
-        stacks: StackSet,
-        step_index: int,
-        event: Event,
-        stats: Optional[EngineStats] = None,
-    ) -> bool:
-        """Cheap necessary condition for the arrival to complete any match.
-
-        Checks, per earlier step, that some instance is strictly older
-        than the trigger (and within the window below it) and, per
-        later step, that some instance is strictly younger (and within
-        the window above it).  O(length) via stack min/max timestamps.
-        """
-        if not self.optimize:
-            return True
-        pattern = self.pattern
-        window = pattern.within
-        feasible = True
-        # Earlier steps: members of any match containing the trigger sit in
-        # [event.ts - window, event.ts) — strictly older, and within the
-        # window because the match's last event is no older than the trigger.
-        for j in range(step_index):
-            if not stacks[j].has_in_range(event.ts - window, event.ts - 1):
-                feasible = False
-                break
-        if feasible:
-            # Later steps: members sit in (event.ts, event.ts + window] —
-            # strictly younger, within the window above the first event
-            # (conservatively anchored at the trigger).
-            for j in range(step_index + 1, pattern.length):
-                if not stacks[j].has_in_range(event.ts + 1, event.ts + window):
-                    feasible = False
-                    break
-        if not feasible and stats is not None:
-            stats.construction_skipped_by_probe += 1
-        return feasible

@@ -20,7 +20,6 @@ from repro.streams.kslack import (
 )
 from repro.streams.merge import OrderedMerge, interleave_by_arrival, merge_ordered_streams
 from repro.streams.punctuation import (
-    EpochLedger,
     HeartbeatPunctuator,
     PeriodicPunctuator,
     strip_punctuation,
@@ -42,7 +41,6 @@ __all__ = [
     "ControllerDecision",
     "DelayModel",
     "DisorderStats",
-    "EpochLedger",
     "EventSource",
     "FixedK",
     "HeartbeatPunctuator",

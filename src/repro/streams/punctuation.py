@@ -228,84 +228,6 @@ class SourceWatermarks:
         )
 
 
-class EpochLedger:
-    """Bookkeeping for punctuation-sealed epochs.
-
-    The pipelined engine treats each punctuation broadcast as sealing
-    one *epoch*: everything admitted since the previous broadcast.  The
-    ledger records those seals — a monotone epoch counter plus a
-    bounded tail of ``(epoch, asserted_ts)`` pairs — so diagnostics can
-    answer "which timestamp sealed epoch *e*" and "how far behind is
-    the merger" without the engine threading timestamps everywhere.
-
-    Pure bookkeeping: no clock, no I/O.  :meth:`seal` enforces the
-    monotonicity punctuation semantics already guarantee (asserted
-    timestamps never regress across broadcasts).
-    """
-
-    __slots__ = ("capacity", "_count", "_last_ts", "_recent")
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._count = 0
-        self._last_ts = -1
-        self._recent: List[tuple] = []
-
-    def seal(self, ts: int) -> int:
-        """Record a seal at asserted time *ts*; returns the epoch sealed."""
-        if ts < self._last_ts:
-            raise ConfigurationError(
-                f"epoch seal regressed: {ts} after {self._last_ts}"
-            )
-        epoch = self._count
-        self._count += 1
-        self._last_ts = ts
-        self._recent.append((epoch, ts))
-        if len(self._recent) > self.capacity:
-            del self._recent[: len(self._recent) - self.capacity]
-        return epoch
-
-    @property
-    def count(self) -> int:
-        """Epochs sealed so far (the next seal gets this number)."""
-        return self._count
-
-    @property
-    def last_ts(self) -> int:
-        """Asserted timestamp of the most recent seal (-1 before any)."""
-        return self._last_ts
-
-    def recent(self) -> List[tuple]:
-        """The tail of ``(epoch, asserted_ts)`` seals, oldest first."""
-        return list(self._recent)
-
-    def ts_of(self, epoch: int) -> Optional[int]:
-        """Asserted timestamp of *epoch*, if still in the tail."""
-        for sealed, ts in reversed(self._recent):
-            if sealed == epoch:
-                return ts
-            if sealed < epoch:
-                break
-        return None
-
-    def snapshot_state(self) -> dict:
-        return {
-            "count": self._count,
-            "last_ts": self._last_ts,
-            "recent": [list(pair) for pair in self._recent],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._count = state["count"]
-        self._last_ts = state["last_ts"]
-        self._recent = [tuple(pair) for pair in state["recent"]]
-
-    def __repr__(self) -> str:
-        return f"EpochLedger(count={self._count}, last_ts={self._last_ts})"
-
-
 def strip_punctuation(elements: Iterable[StreamElement]) -> List[Event]:
     """Remove punctuations, keeping events in place (test helper)."""
     return [element for element in elements if isinstance(element, Event)]

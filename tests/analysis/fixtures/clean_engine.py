@@ -19,13 +19,8 @@ class CleanEngine:
             out.extend(self.feed(element))
         return out
 
-    def feed_colbatch(self, batch, marks=None):
-        out = []
-        for element in batch.to_events():
-            out.extend(self.feed(element))
-            if marks is not None:
-                marks.append(len(out))
-        return out
+    def feed_colbatch(self, batch):
+        return self.feed_batch(batch.to_events())
 
     def snapshot(self):
         return {"buffer": list(self._buffer)}

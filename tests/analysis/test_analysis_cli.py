@@ -17,10 +17,10 @@ def test_clean_path_exits_zero(capsys):
 
 
 def test_findings_exit_one_text(capsys):
-    assert main([str(FIXTURES / "bad_r004.py")]) == 1
+    assert main([str(FIXTURES / "bad_r003.py")]) == 1
     out = capsys.readouterr().out
-    assert "R004" in out
-    assert "HalfEngine" in out
+    assert "R003" in out
+    assert "NondetEngine" in out
 
 
 def test_json_format_is_machine_readable(capsys):
@@ -37,7 +37,7 @@ def test_json_format_is_machine_readable(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("R001", "R002", "R003", "R004", "R005"):
+    for rule_id in ("R001", "R002", "R003", "R005", "R006"):
         assert rule_id in out
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import run_analysis
 from repro.analysis.rules import all_rules
 from repro.analysis.rules.await_atomicity import AwaitAtomicity
-from repro.analysis.rules.batch_parity import BatchParity
 from repro.analysis.rules.blocking_async import BlockingInCoroutine
 from repro.analysis.rules.determinism import Determinism
 from repro.analysis.rules.hot_path_purity import HotPathPurity
@@ -37,7 +36,6 @@ def test_rule_catalogue_is_complete():
         "R001",
         "R002",
         "R003",
-        "R004",
         "R005",
         "R006",
         "R007",
@@ -69,17 +67,6 @@ def test_r003_flags_set_iteration_on_output_path():
     findings = analyze("bad_r003.py", Determinism())
     assert [(f.rule, f.line) for f in findings] == [("R003", 14)]
     assert "sorted" in findings[0].message
-
-
-def test_r004_flags_missing_protocol_methods():
-    findings = analyze("bad_r004.py", BatchParity())
-    assert sorted(f.symbol for f in findings) == [
-        "HalfEngine.feed_batch",
-        "HalfEngine.feed_colbatch",
-        "HalfEngine.restore",
-        "HalfEngine.snapshot",
-    ]
-    assert {(f.rule, f.line) for f in findings} == {("R004", 11)}
 
 
 def test_r005_flags_mutation_while_iterating():
@@ -151,14 +138,13 @@ def test_full_run_over_fixture_dir_counts_every_rule():
         "R001",
         "R002",
         "R003",
-        "R004",
         "R005",
         "R006",
         "R007",
         "R008",
         "R009",
     }
-    assert report.checked_files == 11
+    assert report.checked_files == 10
 
 
 def test_r001_catches_field_dropped_from_real_engine(tmp_path):

@@ -169,6 +169,46 @@ class TestRun:
         assert "latency (events, since recovery)" in crashed
         assert "Match[" in crashed
 
+    @pytest.mark.parametrize("engine", ["ooo", "reorder", "partitioned"])
+    def test_workers_off_the_parallel_engine_report_error(
+        self, trace_file, capsys, engine
+    ):
+        code = main(
+            ["run", "--query", QUERY, "--trace", str(trace_file),
+             "--engine", engine, "--k", "20", "--workers", "4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(engine) in err
+
+    def test_checkpoint_of_the_removed_engine_is_refused_untouched(
+        self, trace_file, tmp_path, capsys
+    ):
+        import pickle
+
+        from repro.core.recovery import CHECKPOINT_NAME
+
+        directory = tmp_path / "ckpt"
+        run = ["run", "--query", QUERY, "--trace", str(trace_file),
+               "--engine", "partitioned", "--k", "20",
+               "--checkpoint-every", "100", "--checkpoint-dir", str(directory)]
+        assert main(run) == 0
+        # Forge what the deleted pipelined engine wrote: same state shape,
+        # its own class name in the snapshot header.
+        from test_snapshot import REMOVED_ENGINE as removed
+        checkpoint = pickle.loads((directory / CHECKPOINT_NAME).read_bytes())
+        header = pickle.loads(checkpoint["snapshot"])
+        header["engine"] = removed
+        checkpoint["snapshot"] = pickle.dumps(header)
+        (directory / CHECKPOINT_NAME).write_bytes(pickle.dumps(checkpoint))
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        capsys.readouterr()
+
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert repr(removed) in err and "into PartitionedEngine" in err
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
     def test_bad_purge_policy_reports_error(self, trace_file, capsys):
         code = main(
             ["run", "--query", QUERY, "--trace", str(trace_file),

@@ -12,7 +12,7 @@ from repro import (
     StreamError,
     parse,
 )
-from repro.core.colbatch import BATCH_FORMAT, BatchBuilder, EventBatchView
+from repro.core.colbatch import BATCH_FORMAT
 
 
 def _rows(batch):
@@ -53,11 +53,11 @@ def test_round_trip_missing_and_heterogeneous_attrs():
     ]
     batch = EventBatch.from_events(events)
     assert _rows(batch) == _expect(events)
-    assert batch.attr_at("x", 1) == (False, None)  # absent
-    assert batch.attr_at("x", 2) == (False, None)  # absent on this row too
-    assert batch.attr_at("x", 3) == (True, "not-an-int")
+    decoded = batch.to_events()
+    assert "x" not in decoded[1] and "x" not in decoded[2]  # absent
+    assert decoded[3]["x"] == "not-an-int"
     # the last row carries an explicit None — present, not absent:
-    assert batch.attr_at("x", 4) == (True, None)
+    assert "x" in decoded[4] and decoded[4]["x"] is None
 
 
 def test_round_trip_unhashable_attr_values():
@@ -113,47 +113,12 @@ def test_from_bytes_rejects_garbage():
 
     with pytest.raises(StreamError, match="unexpected shape"):
         EventBatch.from_bytes(pickle.dumps(("short",)))
+    with pytest.raises(StreamError, match="unexpected shape"):
+        # a format-1 blob (it carried an eighth, meta-column field)
+        EventBatch.from_bytes(pickle.dumps((1, 0, [], [], [], (), [], {})))
     bad_format = EventBatch.from_events([Event("A", 1)])._state()
     with pytest.raises(StreamError, match="format"):
         EventBatch._from_state((BATCH_FORMAT + 1,) + bad_format[1:])
-
-
-# -- views, selection, meta -------------------------------------------------------
-
-
-def test_view_is_zero_copy_and_clamped():
-    events = [Event("A", i, {"x": i}) for i in range(10)]
-    batch = EventBatch.from_events(events)
-    view = batch.view(3, 7)
-    assert isinstance(view, EventBatchView)
-    assert len(view) == 4
-    assert view.to_events() == events[3:7]
-    assert view.base is batch  # shared storage, no copy
-    assert len(batch.view(-5, 99)) == 10
-    assert len(batch.view(8, 3)) == 0
-    compact = view.materialize()
-    assert compact.to_events() == events[3:7]
-
-
-def test_select_gathers_rows_and_meta():
-    builder = BatchBuilder(meta_names=("seq",))
-    events = [Event("A", i, {"x": i % 3}) for i in range(6)]
-    for i, event in enumerate(events):
-        builder.append(event, (100 + i,))
-    batch = builder.build()
-    picked = batch.select([4, 1, 1])
-    assert picked.to_events() == [events[4], events[1], events[1]]
-    assert list(picked.meta["seq"]) == [104, 101, 101]
-    # meta rides the codec but is not part of the event model
-    decoded = EventBatch.from_bytes(picked.to_bytes())
-    assert list(decoded.meta["seq"]) == [104, 101, 101]
-    assert decoded.to_events() == picked.to_events()
-
-
-def test_builder_meta_arity_checked():
-    builder = BatchBuilder(meta_names=("seq", "rank"))
-    with pytest.raises(StreamError, match="2 meta values"):
-        builder.append(Event("A", 1), (7,))
 
 
 # -- fused feed path parity -------------------------------------------------------
@@ -187,17 +152,6 @@ def test_feed_colbatch_matches_feed_batch():
     a, out_a, b, out_b = _run_pair(pattern, _trace(), k=8)
     assert [m.key() for m in out_a] == [m.key() for m in out_b]
     assert a.stats.as_dict() == b.stats.as_dict()
-
-
-def test_feed_colbatch_marks_are_cumulative_per_row():
-    pattern = parse(QUERY)
-    events = _trace(seed=9, n=120)
-    engine = OutOfOrderEngine(pattern, k=8)
-    marks = []
-    emitted = engine.feed_colbatch(EventBatch.from_events(events), marks=marks)
-    assert len(marks) == len(events)
-    assert marks == sorted(marks)  # cumulative counts never regress
-    assert marks[-1] == len(emitted)
 
 
 def test_feed_colbatch_fn_predicate_falls_back_identically():

@@ -1,7 +1,13 @@
 """Engine lifecycle: feed/close discipline, emission records, config."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import (
     AggressiveEngine,
     ConfigurationError,
@@ -12,7 +18,6 @@ from repro import (
     OutOfOrderEngine,
     ParallelPartitionedEngine,
     PartitionedEngine,
-    PipelinedPartitionedEngine,
     PurgePolicy,
     ReorderingEngine,
     ShedPolicy,
@@ -43,11 +48,6 @@ CLOSED_CASES = {
     },
     "partitioned": {"plain": lambda: PartitionedEngine(KEYED, k=3)},
     "parallel": {"plain": lambda: ParallelPartitionedEngine(KEYED, k=3, workers=2)},
-    "pipeline": {
-        "plain": lambda: PipelinedPartitionedEngine(
-            KEYED, k=3, workers=2, backend="thread"
-        )
-    },
 }
 
 
@@ -56,6 +56,22 @@ def _closed_cases():
         for variant, factory in variants.items():
             yield pytest.param(factory, False, id=f"{family}-{variant}")
         yield pytest.param(variants["plain"], True, id=f"{family}-obs")
+
+
+def test_import_loads_no_worker_machinery():
+    """``import repro`` is serial: the one parallel engine imports its
+    pool inside ``_map``, at the close that needs it."""
+    code = (
+        "import sys, repro; "
+        "print(sorted({'queue', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestLifecycle:

@@ -1,11 +1,9 @@
-"""Unit tests for sequence scan (repro.core.scan)."""
+"""Unit tests for sequence scan (repro.core.scan): the admission table."""
 
 import pytest
 
 from repro import Event, Pattern, Step, Gt, Attr, Const, seq
 from repro.core.scan import SequenceScanner
-from repro.core.stacks import Instance, StackSet
-from repro.core.stats import EngineStats
 
 
 @pytest.fixture
@@ -13,38 +11,22 @@ def pattern():
     return seq("A a", "B b", "C c", within=10)
 
 
-@pytest.fixture
-def stacks(pattern):
-    return StackSet(pattern.length)
-
-
-class TestRelevance:
-    def test_positive_types_relevant(self, pattern):
-        scanner = SequenceScanner(pattern)
-        assert scanner.relevant(Event("A", 1))
-        assert scanner.relevant(Event("C", 1))
-
-    def test_negated_types_relevant(self):
-        scanner = SequenceScanner(seq("A a", "!B b", "C c", within=10))
-        assert scanner.relevant(Event("B", 1))
-
-    def test_noise_irrelevant(self, pattern):
-        scanner = SequenceScanner(pattern)
-        assert not scanner.relevant(Event("ZZZ", 1))
+def steps_of(scanner, etype):
+    return [index for index, _, _ in scanner.dispatch().get(etype, ())]
 
 
 class TestAdmission:
     def test_admitted_to_matching_step(self, pattern):
         scanner = SequenceScanner(pattern)
-        assert scanner.admissible_steps(Event("B", 1)) == [1]
+        assert steps_of(scanner, "B") == [1]
 
     def test_type_at_multiple_steps(self):
         scanner = SequenceScanner(seq("A first", "A second", within=10))
-        assert scanner.admissible_steps(Event("A", 1)) == [0, 1]
+        assert steps_of(scanner, "A") == [0, 1]
 
     def test_unknown_type_not_admitted(self, pattern):
         scanner = SequenceScanner(pattern)
-        assert scanner.admissible_steps(Event("Z", 1)) == []
+        assert "Z" not in scanner.dispatch()
 
     def test_local_predicate_filters_admission(self):
         pattern = Pattern(
@@ -52,9 +34,10 @@ class TestAdmission:
             where=[Gt(Attr("a", "x"), Const(5))],
             within=10,
         )
-        scanner = SequenceScanner(pattern)
-        assert scanner.admissible_steps(Event("A", 1, {"x": 9})) == [0]
-        assert scanner.admissible_steps(Event("A", 1, {"x": 3})) == []
+        ((index, var, (local,)),) = SequenceScanner(pattern).dispatch()["A"]
+        assert (index, var) == (0, "a")
+        assert local.evaluate({"a": Event("A", 1, {"x": 9})})
+        assert not local.evaluate({"a": Event("A", 1, {"x": 3})})
 
     def test_cross_variable_predicate_does_not_block_admission(self):
         pattern = Pattern(
@@ -62,66 +45,4 @@ class TestAdmission:
             where=[Gt(Attr("b", "x"), Attr("a", "x"))],
             within=10,
         )
-        scanner = SequenceScanner(pattern)
-        assert scanner.admissible_steps(Event("B", 1, {"x": 0})) == [1]
-
-
-class TestFeasibilityProbe:
-    def _fill(self, stacks, step, timestamps):
-        for arrival, ts in enumerate(timestamps):
-            stacks[step].insert(Instance(Event("X", ts), arrival))
-
-    def test_final_step_feasible_when_earlier_stacks_populated(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        self._fill(stacks, 1, [3])
-        assert scanner.construction_feasible(stacks, 2, Event("C", 5))
-
-    def test_infeasible_when_earlier_stack_empty(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        stats = EngineStats()
-        assert not scanner.construction_feasible(stacks, 2, Event("C", 5), stats)
-        assert stats.construction_skipped_by_probe == 1
-
-    def test_infeasible_when_earlier_events_not_older(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        self._fill(stacks, 1, [7])  # younger than the trigger at ts=5
-        assert not scanner.construction_feasible(stacks, 2, Event("C", 5))
-
-    def test_infeasible_when_earlier_events_outside_window(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        self._fill(stacks, 1, [3])
-        # Window is 10: an earlier event at ts=1 is outside [40, 50).
-        assert not scanner.construction_feasible(stacks, 2, Event("C", 50))
-
-    def test_midstep_trigger_needs_later_stack_content(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        # Trigger at step 1 (B): stack C empty -> infeasible (classic
-        # in-order situation where construction waits for the final step).
-        assert not scanner.construction_feasible(stacks, 1, Event("B", 3))
-
-    def test_midstep_trigger_feasible_when_suffix_arrived(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        self._fill(stacks, 2, [6])
-        assert scanner.construction_feasible(stacks, 1, Event("B", 3))
-
-    def test_later_events_must_be_within_window(self, pattern, stacks):
-        scanner = SequenceScanner(pattern)
-        self._fill(stacks, 0, [1])
-        self._fill(stacks, 2, [90])
-        assert not scanner.construction_feasible(stacks, 1, Event("B", 3))
-
-    def test_unoptimised_scanner_always_feasible(self, pattern, stacks):
-        scanner = SequenceScanner(pattern, optimize=False)
-        assert scanner.construction_feasible(stacks, 2, Event("C", 5))
-
-    def test_single_step_pattern_always_feasible(self):
-        pattern = seq("A a", within=10)
-        scanner = SequenceScanner(pattern)
-        stacks = StackSet(1)
-        assert scanner.construction_feasible(stacks, 0, Event("A", 1))
+        assert SequenceScanner(pattern).dispatch()["B"] == ((1, "b", ()),)

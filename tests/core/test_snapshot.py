@@ -44,6 +44,9 @@ PATTERN = seq(
 
 ENGINE_KINDS = ["ooo", "inorder", "aggressive", "reorder", "partitioned", "parallel"]
 
+#: Class name in the header of checkpoints written by the deleted engine.
+REMOVED_ENGINE = "Pipelined" + PartitionedEngine.__name__
+
 
 def build(kind, pattern=PATTERN, **overrides):
     if kind == "ooo":
@@ -190,6 +193,17 @@ class TestBlobSafety:
         blob = donor.snapshot()
         with pytest.raises(SnapshotError):
             build("aggressive").restore(blob)
+
+    def test_checkpoint_of_the_removed_engine_refused_by_name(self):
+        """A blob written by the deleted pipelined engine must not load
+        into the engine it sharded over; the refusal names both."""
+        engine = build("partitioned")
+        payload = pickle.loads(engine.snapshot())
+        payload["engine"] = REMOVED_ENGINE
+        with pytest.raises(SnapshotError) as refusal:
+            engine.restore(pickle.dumps(payload))
+        assert f"{REMOVED_ENGINE!r}" in str(refusal.value)
+        assert "into PartitionedEngine" in str(refusal.value)
 
     def test_format_version_checked(self):
         engine = build("ooo")

@@ -49,7 +49,6 @@ FAMILIES = {
     "reorder-spill": {},
     "partitioned": {"key": "x"},
     "parallel": {"key": "x"},
-    "pipeline": {"key": "x"},
     "aggressive": {},
     "ooo-speculative": {"speculative": True},
 }

@@ -169,6 +169,31 @@ class TestBenchRunnerHarness:
         with pytest.raises(ConfigurationError):
             make_engine("reorder", workload.query, k=None)
 
+    def test_removed_engine_name_rejected_with_the_surviving_names(self, workload):
+        """E24's launcher reports a removed family from this error instead
+        of crashing: a ReproError that lists what can still be built."""
+        from repro import ConfigurationError, ReproError
+        from repro.bench import ENGINE_NAMES
+
+        with pytest.raises(ConfigurationError) as refusal:
+            make_engine("pipeline", workload.query, k=30, workers=2)
+        assert isinstance(refusal.value, ReproError)
+        assert "unknown engine 'pipeline'" in str(refusal.value)
+        assert str(ENGINE_NAMES) in str(refusal.value)
+
+    @pytest.mark.parametrize(
+        "name", ["ooo", "inorder", "reorder", "aggressive", "partitioned"]
+    )
+    @pytest.mark.parametrize("extra", [{"workers": 4}, {"backend": "process"}])
+    def test_workers_and_backend_rejected_off_the_parallel_engine(
+        self, workload, name, extra
+    ):
+        from repro import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=f"not '{name}'"):
+            make_engine(name, workload.query, k=30, **extra)
+        assert make_engine("parallel", workload.query, k=30, **extra)
+
 
 class TestTraceReplayRegression:
     def test_recorded_pipeline_is_replayable(self, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from repro import ConfigurationError, Event, Punctuation
 from repro.streams import (
-    EpochLedger,
     HeartbeatPunctuator,
     PeriodicPunctuator,
     RandomDelayModel,
@@ -98,43 +97,3 @@ class TestEngineIntegration:
         bad = [Event("A", 5), Punctuation(5), Event("A", 5)]
         assert validate_punctuation(good)
         assert not validate_punctuation(bad)
-
-
-class TestEpochLedger:
-    def test_seals_number_epochs_densely(self):
-        ledger = EpochLedger()
-        assert [ledger.seal(ts) for ts in (3, 3, 9)] == [0, 1, 2]
-        assert ledger.count == 3
-        assert ledger.last_ts == 9
-        assert ledger.recent() == [(0, 3), (1, 3), (2, 9)]
-        assert ledger.ts_of(1) == 3
-        assert ledger.ts_of(99) is None
-
-    def test_rejects_regressing_seal(self):
-        ledger = EpochLedger()
-        ledger.seal(10)
-        with pytest.raises(ConfigurationError, match="regressed"):
-            ledger.seal(9)
-
-    def test_tail_is_bounded(self):
-        ledger = EpochLedger(capacity=4)
-        for ts in range(10):
-            ledger.seal(ts)
-        assert ledger.count == 10
-        assert ledger.recent() == [(6, 6), (7, 7), (8, 8), (9, 9)]
-        assert ledger.ts_of(2) is None  # rolled off the tail
-
-    def test_snapshot_round_trip(self):
-        ledger = EpochLedger(capacity=8)
-        for ts in (1, 4, 4, 7):
-            ledger.seal(ts)
-        restored = EpochLedger(capacity=8)
-        restored.restore_state(ledger.snapshot_state())
-        assert restored.count == ledger.count
-        assert restored.recent() == ledger.recent()
-        restored.seal(7)  # monotone continuation works after restore
-        assert restored.count == 5
-
-    def test_capacity_validated(self):
-        with pytest.raises(ConfigurationError):
-            EpochLedger(capacity=0)
