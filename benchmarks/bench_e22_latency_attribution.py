@@ -14,7 +14,7 @@ the crash flight recorder.  Three cells:
   live: ``/metrics`` is scraped mid-stream (a scrape must never block
   or corrupt admission), and after the soak every sealed cohort is
   audited for the attribution identity — the ack-path stage latencies
-  (queue/admit/feed/hold/sync/ack) must sum to the measured end-to-end
+  (queue/admit/hold/feed/sync/ack) must sum to the measured end-to-end
   ack latency within 5%.  Zero violating cohorts is the claim.
 * **crash** — a fault-injected gateway dies mid-ingest; the flight
   recorder must leave a parseable ``flight.jsonl`` behind and
@@ -242,6 +242,7 @@ def _crash_cell(pairs: int):
         for i, (etype, attrs) in enumerate(frames):
             try:
                 gateway.admit_frame("src0", etype, attrs, now=float(i))
+                gateway.sync_acks()  # crash points fire at the commit
             except CrashError:
                 crashed = True
                 break

@@ -3,14 +3,16 @@
 :class:`ResilientRunner` wraps any engine with the standard
 stream-processing fault-tolerance recipe:
 
-* **Write-ahead log** — every input element is appended (JSON-lines,
-  flushed) to ``wal.jsonl`` *before* the engine sees it.  A crash can
-  therefore lose at most the element whose append was interrupted — and
-  that element never reached the engine, so re-feeding it is safe.
-* **Checkpoints** — every *checkpoint_every* elements the engine's live
-  deterministic state (:meth:`Engine.snapshot`) is written to
-  ``checkpoint.bin`` with an atomic ``os.replace``, together with the
-  WAL sequence number and the count of matches delivered so far.
+* **Write-ahead log** — every :meth:`ResilientRunner.feed` call appends
+  its elements (one or a cohort; JSON-lines, one buffered write) to
+  ``wal.jsonl`` *before* the engine sees any of them.  A crash can
+  therefore lose at most the call whose append was interrupted — and
+  none of it reached the engine, so re-feeding it is safe.
+* **Checkpoints** — whenever a call carries the element count across a
+  multiple of *checkpoint_every*, the engine's live deterministic state
+  (:meth:`Engine.snapshot`) is written to ``checkpoint.bin`` with an
+  atomic ``os.replace``, together with the WAL sequence number and the
+  count of matches delivered so far.
 * **Delivery log** — every match handed downstream is recorded in
   ``delivered.jsonl`` as a compact identity record
   ``(seq, start_ts, end_ts, key)``.  The runner *takes* each match from
@@ -56,6 +58,7 @@ from repro.core.engine import EmissionRecord, Engine
 from repro.core.errors import ConfigurationError, RecoveryError
 from repro.core.event import Event, Punctuation, StreamElement
 from repro.core.pattern import Match
+from repro.faultinject import CrashError
 
 CHECKPOINT_FORMAT = 1
 
@@ -234,12 +237,22 @@ class ResilientRunner:
         Where ``wal.jsonl`` / ``checkpoint.bin`` / ``delivered.jsonl``
         live.  If they already exist, construction performs recovery.
     checkpoint_every:
-        Checkpoint interval in input elements (>= 1).
+        Checkpoint interval in input elements (>= 1), tested once per
+        :meth:`feed` call: a checkpoint lands on the first call boundary
+        at or past each multiple, so recovery replays at most
+        *checkpoint_every* elements plus one cohort.
     fault:
         Optional :class:`repro.faultinject.FaultInjector`; its crash
-        points fire after an element is durably logged and before the
-        engine processes it.  Shared across incarnations, its one-shot
-        crash points let tests script multi-crash schedules.
+        points fire after a call's elements are durably logged and
+        before the engine processes any of them.  Shared across
+        incarnations, its one-shot crash points let tests script
+        multi-crash schedules.
+
+    An element the engine refuses (anything it raises but a
+    :class:`~repro.faultinject.CrashError`) is taken back out of the WAL
+    with the rest of its call, and the runner then refuses further work
+    with :class:`~repro.core.errors.RecoveryError`: a fresh runner on
+    the same directory recovers to the state before that call.
     """
 
     def __init__(
@@ -265,6 +278,7 @@ class ResilientRunner:
         self._delivered = 0  # matches delivered downstream (log length)
         self._suppress: Deque[Dict[str, Any]] = deque()
         self._engine_closed = False
+        self._failed: Optional[str] = None  # why this runner refuses work
         self._wal_handle: Optional[TextIO] = None
         self._wal_dirty = False
         self._delivered_handle: Optional[TextIO] = None
@@ -369,11 +383,14 @@ class ResilientRunner:
         # the baseline this recovery adds to.
         if self._c_recoveries is not None:
             self._c_recoveries.inc()
-        for record in elements[checkpoint_seq:]:
-            self._apply(decode_element(record), logged=True)
-            self.replayed_elements += 1
-            if self._c_replayed is not None:
-                self._c_replayed.inc()
+        # The WAL tail is one cohort: replay is feed minus the logging.
+        tail = [decode_element(record) for record in elements[checkpoint_seq:]]
+        self.replayed_elements = len(tail)
+        if self._c_replayed is not None:
+            self._c_replayed.inc(len(tail))
+        if tail:
+            self._refuse_if_closed()  # a closed checkpoint has no tail
+            self._apply(tail, 0)
         if saw_close and not self._engine_closed:
             self._replay_close()
         if self._suppress:
@@ -405,11 +422,30 @@ class ResilientRunner:
 
     # -- feeding --------------------------------------------------------------------
 
-    def feed(self, element: StreamElement) -> List[Match]:
-        """Durably log *element*, feed the engine, deliver new matches."""
+    def feed(
+        self, elements: Union[StreamElement, List[StreamElement]]
+    ) -> List[Match]:
+        """Durably log a cohort, feed the engine once, deliver its matches.
+
+        *elements* is one element or a ``list`` of them; a lone element
+        is the one-element cohort, and there is one path for any length:
+        every WAL line in one buffered write, one ``engine.feed_batch``,
+        one delivery-log append (WAL flushed first), one checkpoint test.
+        The bytes on disk are those of feeding the same elements one by
+        one; only where checkpoints land depends on the cuts.  Returns
+        the cohort's delivered matches in emission order.
+
+        The list form keeps the name ``feed`` because this method is
+        where wrappers of the public surface (the E24 launcher's match
+        tap) collect what the runner delivers.
+        """
+        cohort = elements if isinstance(elements, list) else [elements]
         self._refuse_if_closed()  # before logging: the WAL ends at its sentinel
-        self._wal_write_line(_element_wal_line(element))
-        return self._apply(element, logged=False)
+        if not cohort:
+            return []
+        text = "".join([_element_wal_line(element) + "\n" for element in cohort])
+        self._wal_write(text, len(cohort))
+        return self._apply(cohort, len(text))
 
     def run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Feed every element not already covered by the WAL, then close.
@@ -430,28 +466,59 @@ class ResilientRunner:
         return delivered
 
     def _refuse_if_closed(self) -> None:
+        if self._failed is not None:
+            raise RecoveryError(self._failed)
         if self._engine_closed:
             raise RecoveryError("runner is closed; recovery found a close sentinel")
 
-    def _apply(self, element: StreamElement, logged: bool) -> List[Match]:
-        self._refuse_if_closed()
-        self._seq += 1
+    def _apply(self, cohort: List[StreamElement], wal_bytes: int) -> List[Match]:
+        """Run a logged cohort; *wal_bytes* is what this call appended for it."""
+        before = self._seq
+        self._seq += len(cohort)
         if self.fault is not None:
-            # Fires after the element is durable, before the engine sees
-            # it — the worst moment: state and log maximally disagree.
+            # Fires after the whole cohort is durable, before the engine
+            # sees any of it — the worst moment: state and log maximally
+            # disagree.
             self._flush_wal()
-            self.fault.on_logged(self._seq - 1)
-        matches = self.engine.feed(element)
+            for index in range(before, self._seq):
+                self.fault.on_logged(index)
+        try:
+            matches = self.engine.feed_batch(cohort)
+        except CrashError:
+            raise  # a simulated process death: the WAL keeps the cohort
+        except Exception as exc:
+            self._unlog(wal_bytes, before, exc)
+            raise
         delivered = self._deliver(matches)
-        if self._seq % self.checkpoint_every == 0:
+        if self._seq // self.checkpoint_every > before // self.checkpoint_every:
             self.checkpoint()
         return delivered
 
+    def _unlog(self, wal_bytes: int, seq: int, exc: Exception) -> None:
+        """The engine refused the call: take it back out of the WAL.
+
+        Nothing of a refused call may stay logged — replay would raise
+        the same error from every later recovery.  WAL lines are ASCII,
+        so the call's share of the file is its character count.  The
+        engine may have consumed part of the cohort, so this runner is
+        unusable; a fresh one recovers to the state before the call.
+        """
+        self._close_handles()
+        os.truncate(self._wal_path, self._wal_path.stat().st_size - wal_bytes)
+        self._seq = seq
+        self._failed = (
+            f"the engine refused an element ({type(exc).__name__}: {exc}); the "
+            "call was taken back out of the WAL, so this runner's engine is "
+            "ahead of the log — rebuild from the directory"
+        )
+
     def close(self) -> List[Match]:
         """Flush the engine, deliver final matches, write a final checkpoint."""
+        if self._failed is not None:
+            raise RecoveryError(self._failed)
         if self._engine_closed:
             return []
-        self._wal_append({"kind": "close"})
+        self._wal_write('{"kind": "close"}\n', 1)
         matches = self.engine.close()
         self._engine_closed = True
         delivered = self._deliver(matches)
@@ -477,8 +544,10 @@ class ResilientRunner:
         covers live state only.
         """
         delivered: List[Match] = []
+        lines: List[str] = []
         for match in matches:
             record = self._match_record(match, self._delivered)
+            self._delivered += 1
             if self._suppress:
                 expected = self._suppress.popleft()
                 if record != expected:
@@ -487,12 +556,20 @@ class ResilientRunner:
                         f"log recorded {expected} — logs and engine "
                         "determinism disagree"
                     )
-                self._delivered += 1
                 continue
-            self._delivered_append(record)
-            self._delivered += 1
-            self.matches.append(match)
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
             delivered.append(match)
+        if lines:
+            # WAL first: a delivery record must never be durable while
+            # the element that triggered it is not.
+            self._flush_wal()
+            if self._delivered_handle is None:
+                self._delivered_handle = self._delivered_path.open(
+                    "a", encoding="utf-8"
+                )
+            self._delivered_handle.write("".join(lines))
+            self._delivered_handle.flush()
+            self.matches.extend(delivered)
         if matches:
             # Suppressed re-emissions come first, so the delivered ones
             # are the tail of what the engine just recorded.
@@ -502,22 +579,19 @@ class ResilientRunner:
 
     # -- durable writes ---------------------------------------------------------------
 
-    def _wal_append(self, record: Dict[str, Any]) -> None:
+    def _wal_write(self, text: str, records: int) -> None:
         # Buffered: the flush is deferred until something downstream
-        # depends on this record being on disk — a delivery-log append
+        # depends on these records being on disk — a delivery-log append
         # (the WAL-never-behind-deliveries invariant recovery checks), a
         # checkpoint, or close.  A crash can lose at most the buffered
         # tail, and those elements are simply re-fed from the input —
         # they produced no durable delivery by construction.
-        self._wal_write_line(json.dumps(record, sort_keys=True))
-
-    def _wal_write_line(self, line: str) -> None:
         if self._wal_handle is None:
             self._wal_handle = self._wal_path.open("a", encoding="utf-8")
-        self._wal_handle.write(line + "\n")
+        self._wal_handle.write(text)
         self._wal_dirty = True
         if self._c_wal is not None:
-            self._c_wal.inc()
+            self._c_wal.inc(records)
 
     def _flush_wal(self) -> None:
         if self._wal_dirty and self._wal_handle is not None:
@@ -527,7 +601,7 @@ class ResilientRunner:
     def sync(self) -> None:
         """Make the buffered WAL tail durable now.
 
-        The deferred-flush contract (see :meth:`_wal_append`) assumes
+        The deferred-flush contract (see :meth:`_wal_write`) assumes
         un-flushed elements can simply be re-fed from the input.  An
         ingestion gateway breaks that assumption the moment it *acks* a
         frame — an acked element will never be resent — so it must sync
@@ -541,15 +615,6 @@ class ResilientRunner:
         started = clock()
         self._flush_wal()
         report(clock() - started)
-
-    def _delivered_append(self, record: Dict[str, Any]) -> None:
-        # WAL first: a delivery record must never be durable while the
-        # element that triggered it is not.
-        self._flush_wal()
-        if self._delivered_handle is None:
-            self._delivered_handle = self._delivered_path.open("a", encoding="utf-8")
-        self._delivered_handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._delivered_handle.flush()
 
     def checkpoint(self) -> None:
         """Atomically persist the engine snapshot + log positions."""

@@ -12,11 +12,13 @@ rest of the package provides into the exactly-once admission story:
   per-source windows are rebuilt from the runner's WAL so redeliveries
   racing the restart are still caught;
 * **group-commit acks** — every batch of frames read off a socket (a
-  *cohort*) is admitted, fed, punctuated and made durable
-  (:meth:`IngestGateway.sync_acks`) before a single ack is written
-  back.  An acked frame is on disk; an unacked frame will be resent and
-  deduped.  Exactly-once, relative to acks, with one WAL flush and at
-  most one punctuation per cohort instead of per frame;
+  *cohort*) is admitted frame by frame, then logged, fed, punctuated
+  and made durable as one unit (:meth:`IngestGateway.sync_acks`) before
+  a single ack is written back.  An acked frame is on disk; an unacked
+  frame will be resent and deduped.  Exactly-once, relative to acks,
+  with one ``runner.feed`` per cohort — one WAL write, one engine batch,
+  at most one punctuation, one delivery-log append, one flush — instead
+  of one per frame;
 * **per-source watermarks** (:mod:`repro.ingest.liveness`) — each
   source's occurrence times advance its own watermark; the min-merge
   becomes engine punctuation at each group commit.  A source silent
@@ -45,7 +47,9 @@ Determinism: all liveness decisions take injected ``now`` values; only
 the asyncio timer task and the connection handlers read the wall clock.
 Tests drive :meth:`IngestGateway.admit_frame` / :meth:`IngestGateway.
 tick` directly with scripted clocks and never open a socket unless the
-transport itself is under test.
+transport itself is under test; a direct driver commits with
+:meth:`IngestGateway.sync_acks` (``tick``, ``disconnect_source``,
+``seal`` and ``results`` commit what is pending first).
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.event import Event, Punctuation
 from repro.core.recovery import ResilientRunner, read_wal_elements
@@ -103,7 +108,9 @@ class GatewayConfig:
     retry_after:
         Seconds the ``busy`` refusal tells clients to wait.
     checkpoint_every:
-        Runner checkpoint interval in WAL elements.
+        Runner checkpoint interval in WAL elements; tested once per
+        group commit, so a checkpoint lands on the first cohort boundary
+        at or past each multiple.
     telemetry_port:
         When not None, an HTTP telemetry sidecar
         (:class:`~repro.obs.httpserv.TelemetryServer`) listens on this
@@ -191,9 +198,11 @@ class _DirectRunner:
         self._seq = 0
         self._closed = False
 
-    def feed(self, element: Any) -> List[Any]:
-        self._seq += 1
-        out = self.engine.feed(element)
+    def feed(self, elements: Any) -> List[Any]:
+        """One element or a ``list`` of them, as :meth:`ResilientRunner.feed`."""
+        cohort = elements if isinstance(elements, list) else [elements]
+        self._seq += len(cohort)
+        out = self.engine.feed_batch(cohort)
         if out:
             self.matches.extend(out)
             self.engine.take_emissions()  # handed on: not engine state
@@ -369,6 +378,12 @@ class IngestGateway:
         self.schema = config.schema
         self._clock = clock
         engine = make_engine()
+        if getattr(engine, "late_policy", None) is LatePolicy.RAISE:
+            raise ConfigurationError(
+                "the gateway cannot front an engine with LatePolicy.RAISE: one "
+                "late frame would fail its whole cohort and the client's resend "
+                "would fail it again — use DROP or PROCESS"
+            )
         if tracer is not None or metrics is not None:
             engine.enable_observability(tracer=tracer, metrics=metrics)
         self.tracer = tracer
@@ -435,6 +450,10 @@ class IngestGateway:
         # Gateway-transient, not checkpoint state: a restart rebuilds the
         # emitted mark from the WAL, where nothing is owed.
         self._advance_due = False
+        # Events admitted since the last commit, in admission order; one
+        # ``runner.feed`` takes them all.  Gateway-transient like the flag
+        # above: none of them has been acked, so a restart owes nothing.
+        self._pending: List[Any] = []
         self.busy_total = 0
         self.throttled_total = 0
         self.crashed = False
@@ -503,7 +522,8 @@ class IngestGateway:
         return self.runner.engine
 
     def results(self) -> List[Any]:
-        """Matches delivered by this incarnation."""
+        """Matches delivered by this incarnation (commits what is pending)."""
+        self._commit()
         return list(self.runner.matches)
 
     @property
@@ -515,11 +535,15 @@ class IngestGateway:
     # -- admission core (transport-independent) ----------------------------------------
 
     def pressure(self) -> float:
-        """Shed-policy occupancy in [0, 1+); 0.0 without a shed policy."""
+        """Shed-policy occupancy in [0, 1+); 0.0 without a shed policy.
+
+        State only grows at a commit, so the pending cohort counts as
+        state already: conservative by at most the frames not yet fed.
+        """
         shed = getattr(self.engine, "shed", None)
         if shed is None:
             return 0.0
-        return shed.pressure(self.engine.state_size())
+        return shed.pressure(self.engine.state_size() + len(self._pending))
 
     def admit_frame(
         self,
@@ -529,14 +553,14 @@ class IngestGateway:
         now: Optional[float] = None,
         span: Any = None,
     ) -> Dict[str, Any]:
-        """Decide and apply one event frame; returns the ack payload.
+        """Decide one event frame; returns the ack payload.
 
         The full admission ladder: backpressure refusal → schema
-        quarantine → duplicate drop → feed + source-mark advance.  Raises
-        :class:`~repro.faultinject.CrashError` when an injected crash
-        point fires (the caller owns crash semantics).  The frame is
-        neither durable NOR punctuated until :meth:`sync_acks` —
-        transports must sync before acking admitted frames.
+        quarantine → duplicate drop → source-mark advance + a place in
+        the pending cohort.  ``admitted`` means *decided*: the event is
+        neither logged, fed NOR punctuated until :meth:`sync_acks`
+        commits its cohort — transports must sync before acking, and an
+        injected crash surfaces from the committing call, not from here.
 
         *span* is the client-minted span context from the wire frame
         (``{"t0": <monotonic seconds>}``); it only feeds latency
@@ -557,9 +581,8 @@ class IngestGateway:
             if self._flight is not None:
                 self._flight.note(now, "busy", source, int(pressure * 10000))
             if spans is not None:
-                t_admit = self._clock()
                 spans.note_frame(
-                    source, "busy", t_start, t_admit, t_admit, span_origin(span)
+                    source, "busy", t_start, self._clock(), span_origin(span)
                 )
             return {
                 "status": "busy",
@@ -580,9 +603,8 @@ class IngestGateway:
                     now, "quarantine", source, detail=str(admission.reason)[:60]
                 )
             if spans is not None:
-                t_admit = self._clock()
                 spans.note_frame(
-                    source, "quarantined", t_start, t_admit, t_admit,
+                    source, "quarantined", t_start, self._clock(),
                     span_origin(span),
                 )
             return {"status": "quarantined", "reason": admission.reason}
@@ -595,9 +617,8 @@ class IngestGateway:
             if self._flight is not None:
                 self._flight.note(now, "dup", source)
             if spans is not None:
-                t_admit = self._clock()
                 spans.note_frame(
-                    source, "duplicate", t_start, t_admit, t_admit,
+                    source, "duplicate", t_start, self._clock(),
                     span_origin(span),
                 )
             return {"status": "duplicate"}
@@ -606,24 +627,16 @@ class IngestGateway:
         if transition is not None:
             self._note_transition(transition)
         self._advance_due = True
-        t_admit = self._clock() if spans is not None else 0.0
-        matches_before = len(self.runner.matches) if spans is not None else 0
-        try:
-            self.runner.feed(event)
-        except CrashError:
-            self._note_crash()
-            raise
+        self._pending.append(event)
         if self._c_admitted is not None:
             self._c_admitted.inc()
         if self._flight is not None:
             self._flight.note(now, "admit", source, value=event.ts)
         if spans is not None:
-            t_feed = self._clock()
             spans.note_frame(
-                source, "admitted", t_start, t_admit, t_feed,
+                source, "admitted", t_start, self._clock(),
                 span_origin(span), event.eid,
             )
-            self._note_emitted_since(matches_before, t_feed)
         ack: Dict[str, Any] = {"status": "admitted"}
         if pressure >= self.config.soft_pressure:
             # Soft band: admit, but ask the client to slow down
@@ -650,34 +663,28 @@ class IngestGateway:
         self._advance_due = True
         return {"status": "ok", "watermark": self.liveness.merged_watermark()}
 
-    def sync_acks(self) -> float:
-        """Group commit: punctuate the cohort once, then make it durable.
+    def sync_acks(self) -> Tuple[float, float]:
+        """Group commit: feed the cohort in one call, then make it durable.
 
         The cohort (every frame and ``watermark`` op since the last
-        call) is the unit of punctuation: one min-merge of the source
-        marks, at most one punctuation through ``runner.feed`` — in the
-        WAL ahead of the flush — then the flush.  A later punctuation
-        subsumes the earlier ones, so sources that honour their slack
-        get the same matches; engine state is purged per cohort.
+        commit) is the unit of work all the way down: one min-merge of
+        the source marks, one ``runner.feed`` — one WAL write of the
+        admitted events followed by at most one punctuation, one engine
+        batch, one delivery-log append, one checkpoint test — then the
+        flush.  A later punctuation subsumes the earlier ones, so
+        sources that honour their slack get the same matches; engine
+        state is purged per cohort.  An injected crash surfaces here.
 
-        Returns the clock between punctuation and flush (0.0 with
-        attribution off); passed to ``seal_cohort`` as the sync start it
-        books the punctuation's engine time to ``hold``, not ``sync``.
+        Returns the clock before and after the cohort's feed (zeros with
+        attribution off): the ``feed`` stage boundaries ``seal_cohort``
+        needs, the second being where ``sync`` starts.
         """
         spans = self._spans
-        matches_before = len(self.runner.matches) if spans is not None else 0
-        if self._advance_due:
-            try:
-                self._advance_watermark()
-            except CrashError:
-                self._note_crash()
-                raise
-        t_flush = 0.0
-        if spans is not None:
-            t_flush = self._clock()
-            self._note_emitted_since(matches_before, t_flush)
+        t_feed = self._clock() if spans is not None else 0.0
+        self._commit()
+        t_flush = self._clock() if spans is not None else 0.0
         self.runner.sync()
-        return t_flush
+        return t_feed, t_flush
 
     def connect_source(self, source: str, now: Optional[float] = None) -> None:
         """Register a (re)connecting source with liveness."""
@@ -690,41 +697,60 @@ class IngestGateway:
 
     def disconnect_source(self, source: str, now: Optional[float] = None) -> None:
         """Note a departing source; the liveness timeout fences it later."""
+        self._commit()
         if now is None:
             now = self._clock()
         transition = self.liveness.disconnect(source, now)
         if transition is not None:
             self._note_transition(transition)
-            try:
-                self._advance_watermark()
-            except CrashError:
-                self._note_crash()
-                raise
+            self._advance_due = True
+            self._commit()
 
     def tick(self, now: Optional[float] = None) -> List[Transition]:
         """One liveness sweep: degrade silent sources, advance the merge."""
         if self.crashed or self.closed:
             return []
+        self._commit()
         if now is None:
             now = self._clock()
         transitions = self.liveness.tick(now)
         for transition in transitions:
             self._note_transition(transition)
         if transitions:
+            self._advance_due = True
+            self._commit()
+        return transitions
+
+    def _commit(self) -> None:
+        """Hand the pending cohort to the runner: the one ``runner.feed``.
+
+        Called by :meth:`sync_acks`, and first thing by every other call
+        that reads or closes the engine, so a direct driver never sees
+        one that is behind what the gateway has admitted.
+        """
+        cohort, self._pending = self._pending, []
+        advance = self._advance_due
+        punctuation = None
+        if advance:
+            # Fed AFTER the events that moved it: a mark trails t_event by
+            # slack + 1, so the punctuation never contradicts its triggers.
+            self._advance_due = False
+            punctuation = self.liveness.watermarks.advance()
+            if punctuation is not None:
+                cohort.append(punctuation)
+        if cohort:
+            matches_before = len(self.runner.matches)
             try:
-                self._advance_watermark()
+                self.runner.feed(cohort)
             except CrashError:
                 self._note_crash()
                 raise
-        return transitions
+            self._note_emitted_since(matches_before)
+        if advance:
+            self._note_watermark(punctuation is not None)
 
-    def _advance_watermark(self) -> None:
-        # Fed AFTER the events that moved it: a mark trails t_event by
-        # slack + 1, so the punctuation never contradicts its triggers.
-        self._advance_due = False
-        punctuation = self.liveness.watermarks.advance()
-        if punctuation is not None:
-            self.runner.feed(punctuation)
+    def _note_watermark(self, punctuated: bool) -> None:
+        """Gauges, lag panel and flight record after a watermark advance."""
         if (
             self._g_watermark is None
             and self._lag_panel is None
@@ -740,7 +766,7 @@ class IngestGateway:
             self._lag_panel.update(
                 self.liveness.source_marks(), self.liveness.fenced_map(), merged
             )
-        if self._flight is not None and punctuation is not None:
+        if self._flight is not None and punctuated:
             now = self._clock()
             self._flight.note(now, "watermark", value=merged)
             self._note_engine_pressure(now)
@@ -838,8 +864,8 @@ class IngestGateway:
                 self._clock(), "sync", value=int(seconds * 1_000_000)
             )
 
-    def _note_emitted_since(self, matches_before: int, t_emit: float) -> None:
-        """Close emit-path spans for matches delivered by the last feed."""
+    def _note_emitted_since(self, matches_before: int) -> None:
+        """Close emit-path spans for matches delivered by the last commit."""
         spans = self._spans
         if spans is None:
             return
@@ -853,7 +879,7 @@ class IngestGateway:
                 if eid is not None:
                     eids.append(eid)
         if eids:
-            spans.note_emitted(eids, t_emit)
+            spans.note_emitted(eids, self._clock())
 
     def _dump_flight(self, reason: str) -> None:
         if self._flight is None or self._flight_writer is None:
@@ -924,7 +950,12 @@ class IngestGateway:
     # -- stats / sealing ---------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Operator-facing counters, JSON-ready (the ``stats`` op body)."""
+        """Operator-facing counters, JSON-ready (the ``stats`` op body).
+
+        Admission counters are up to the frame; ``state_size``, ``seq``
+        and ``matches`` report committed state — the pending cohort is
+        not in them until :meth:`sync_acks`.
+        """
         return {
             "stream": self.schema.name,
             "admitted": self.admission.admitted,
@@ -955,9 +986,13 @@ class IngestGateway:
         }
 
     def seal(self) -> List[Any]:
-        """Close the engine through the runner; returns final matches."""
+        """Commit what is pending, then close the engine through the runner.
+
+        Returns the matches the close itself released.
+        """
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
+        self._commit()
         self.closed = True
         matches = self.runner.close()
         self._journal("seal", matches=len(self.runner.matches))
@@ -1221,11 +1256,13 @@ class IngestGateway:
                     replies.append({"op": "error", "reason": fatal})
                     goodbye = True
                 if fed:
-                    # The group commit: nothing above is punctuated or
-                    # acked until the WAL tail holding it is flushed.
-                    t_sync_start = self.sync_acks()
+                    # The group commit: nothing above is logged, fed,
+                    # punctuated or acked until this returns.
+                    t_feed, t_sync_start = self.sync_acks()
                 else:
-                    t_sync_start = self._clock() if spans is not None else 0.0
+                    t_feed = t_sync_start = (
+                        self._clock() if spans is not None else 0.0
+                    )
                 t_sync_end = self._clock() if spans is not None else 0.0
                 if replies:
                     writer.write(
@@ -1236,7 +1273,9 @@ class IngestGateway:
                     )
                     await writer.drain()
                 if spans is not None:
-                    spans.seal_cohort(t_sync_start, t_sync_end, self._clock())
+                    spans.seal_cohort(
+                        t_feed, t_sync_start, t_sync_end, self._clock()
+                    )
                 if goodbye:
                     break
         except CrashError:

@@ -2,18 +2,20 @@
 
 :class:`Observability` is what ``Engine.enable_observability()``
 attaches.  It owns the tracer and the metric handles and wraps the
-engine's step loop one element at a time: when ``engine._obs`` is set,
-every feeding surface delegates here per element, and this module
-classifies what happened to it (from counter deltas around a
-one-element call of the same loop the uninstrumented path runs),
-records lifecycle spans, and updates the registry.
+engine's step loop: when ``engine._obs`` is set, every feeding surface
+delegates here.  With a tracer this module classifies what happened to
+each element (from counter deltas around a one-element call of the same
+loop the uninstrumented path runs) and records lifecycle spans; with
+metrics alone a batch stays one call of the loop, observed between its
+elements (:meth:`Observability.feed_batch`).
 
 Cost contract, pinned by experiment E18:
 
 * **disabled** (the default) — ``Engine.feed`` pays one attribute
   check; ``feed_batch`` / ``feed_colbatch`` pay one check per *batch*;
 * **metrics only** — a handful of counter/histogram updates per
-  element, no allocation beyond the histogram's int bumps;
+  element, no allocation beyond the histogram's int bumps; a batch
+  pays the loop's set-up once, like a plain one;
 * **tracing** — span allocation per element plus the fine-grained
   hooks (purge/shed peeks, predicate re-evaluation for rejections).
 
@@ -31,7 +33,7 @@ every family.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.event import (
     Event,
@@ -288,6 +290,60 @@ class Observability:
             emitted = self._feed_event(engine, element, stats, tracer, tracing)
         else:
             emitted = self._feed_punctuation(engine, element, stats, tracer, tracing)
+        self._note_state(engine, stats)
+        return emitted
+
+    def feed_batch(self, engine: Any, elements: Iterable[Any]) -> List[Any]:
+        """Instrumented form of ``Engine.feed_batch``.
+
+        Tracing classifies each element from counters the step loop
+        only flushes when it returns, so it feeds one element per call.
+        Metrics alone read nothing but live state — work ticks,
+        emissions, state size — so the batch stays ONE call of the loop,
+        handed a generator that observes each element as the loop comes
+        back for the next; the flow counters are summed once the loop
+        has flushed them.  Registry contents are identical either way.
+        """
+        if self.tracing or self.c_events is None:
+            emitted: List[Any] = []
+            for element in elements:
+                emitted.extend(self.feed(engine, element))
+            return emitted
+        stats = engine.stats
+        before_late = stats.late_dropped
+        before_shed = stats.events_shed
+        before_purged = stats.instances_purged + stats.negatives_purged
+        before_quarantined = stats.events_quarantined
+        try:
+            return engine._run(self._stepped(engine, elements, stats))
+        finally:
+            self._note_flow_deltas(
+                engine, [], stats, before_late, before_shed, before_purged
+            )
+            self.c_quarantined.inc(stats.events_quarantined - before_quarantined)
+
+    def _stepped(self, engine: Any, elements: Iterable[Any], stats: Any) -> Iterator[Any]:
+        """Yield *elements* to the step loop, observing each one after it ran."""
+        for element in elements:
+            if malformed_reason(element) is not None:
+                yield element  # the loop quarantines it, or raises
+                continue
+            emissions = engine.emissions
+            emitted_before = len(emissions)
+            if is_event(element):
+                work = self._work_marks(stats)
+                yield element
+                self._note_work(stats, *work)
+            else:
+                yield element
+                self.c_punctuations.inc()
+            if len(emissions) > emitted_before:
+                self._note_matches(
+                    engine, [record.match for record in emissions[emitted_before:]]
+                )
+            self._note_state(engine, stats)
+
+    def _note_state(self, engine: Any, stats: Any) -> None:
         size = engine.state_size()
         stats.note_state_size(size)
         if self.g_state is not None:
@@ -300,16 +356,36 @@ class Observability:
                 spill = engine._spill
                 self.g_spill_disk.set(spill.disk_size())
                 self.c_spilled.inc(spill.spilled_events - self.c_spilled.value)
-        return emitted
+
+    @staticmethod
+    def _work_marks(stats: Any) -> Tuple[int, int, int]:
+        return (
+            stats.partial_combinations
+            + stats.predicate_evaluations
+            + stats.construction_triggers,
+            stats.index_hits,
+            stats.index_misses,
+        )
+
+    def _note_work(self, stats: Any, ticks: int, hits: int, misses: int) -> None:
+        """One event's algorithmic work since :meth:`_work_marks`."""
+        self.c_events.inc()
+        self.h_ticks.observe(
+            stats.partial_combinations
+            + stats.predicate_evaluations
+            + stats.construction_triggers
+            - ticks
+        )
+        if self.c_index_hits is not None:
+            if stats.index_hits > hits:
+                self.c_index_hits.inc(stats.index_hits - hits)
+            if stats.index_misses > misses:
+                self.c_index_misses.inc(stats.index_misses - misses)
 
     def _feed_event(
         self, engine: Any, event: Event, stats: Any, tracer: Any, tracing: bool
     ) -> List[Any]:
-        before_partials = stats.partial_combinations
-        before_predicates = stats.predicate_evaluations
-        before_triggers = stats.construction_triggers
-        before_index_hits = stats.index_hits
-        before_index_misses = stats.index_misses
+        work = self._work_marks(stats)
         before_late = stats.late_dropped
         before_admitted = stats.events_admitted
         before_ignored = stats.events_ignored
@@ -347,19 +423,7 @@ class Observability:
                 )
             self._record_matches(engine, emitted, tracer, arrival, stages.MATCH_EMITTED)
         if self.c_events is not None:
-            self.c_events.inc()
-            self.h_ticks.observe(
-                (stats.partial_combinations - before_partials)
-                + (stats.predicate_evaluations - before_predicates)
-                + (stats.construction_triggers - before_triggers)
-            )
-            if self.c_index_hits is not None:
-                if stats.index_hits > before_index_hits:
-                    self.c_index_hits.inc(stats.index_hits - before_index_hits)
-                if stats.index_misses > before_index_misses:
-                    self.c_index_misses.inc(
-                        stats.index_misses - before_index_misses
-                    )
+            self._note_work(stats, *work)
             self._note_flow_deltas(
                 engine, emitted, stats, before_late, before_shed, before_purged
             )
@@ -405,13 +469,16 @@ class Observability:
         if purged_now > before_purged:
             self.c_purged.inc(purged_now - before_purged)
         if emitted:
-            self.c_matches.inc(len(emitted))
-            clock = getattr(engine, "clock", None)
-            if clock is not None:
-                now = clock.now
-                for match in emitted:
-                    latency = now - match.end_ts
-                    self.h_latency.observe(latency if latency > 0 else 0)
+            self._note_matches(engine, emitted)
+
+    def _note_matches(self, engine: Any, emitted: List[Any]) -> None:
+        self.c_matches.inc(len(emitted))
+        clock = getattr(engine, "clock", None)
+        if clock is not None:
+            now = clock.now
+            for match in emitted:
+                latency = now - match.end_ts
+                self.h_latency.observe(latency if latency > 0 else 0)
 
     # -- classification helpers --------------------------------------------------
 

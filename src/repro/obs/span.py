@@ -12,7 +12,7 @@ The accounting identity the E22 benchmark checks is **by construction**:
 the ack-path stages partition the interval ``[t_receipt, t_ack]`` with
 telescoping boundaries, so for every frame
 
-    queue + admit + feed + hold + sync + ack == e2e  (exactly)
+    queue + admit + hold + feed + sync + ack == e2e  (exactly)
 
 where ``e2e = t_ack - t_receipt`` is the measured end-to-end ack latency
 of the frame's batch.  ``transit`` (client send → gateway receipt) is
@@ -37,10 +37,11 @@ STAGE_TRANSIT = "transit"
 STAGE_QUEUE = "queue"
 #: The admission ladder: backpressure check, schema, dedupe window.
 STAGE_ADMIT = "admit"
-#: Runner feed: WAL append + engine feed of the frame's event.
-STAGE_FEED = "feed"
-#: Frame fed -> WAL flush start: batchmates feeding, then the cohort's punctuation.
+#: Frame admitted -> its cohort's feed starts: batchmates being admitted.
 STAGE_HOLD = "hold"
+#: The cohort's one runner feed: WAL append + engine batch + its punctuation
+#: (one interval per cohort, attributed in full to each of its frames).
+STAGE_FEED = "feed"
 #: The WAL flush barrier (group commit).
 STAGE_SYNC = "sync"
 #: Sync done -> ack bytes handed to the transport.
@@ -48,7 +49,7 @@ STAGE_ACK = "ack"
 
 #: Ack-path stages, in causal order; their sums telescope to e2e.
 ACK_STAGES: Tuple[str, ...] = (
-    STAGE_QUEUE, STAGE_ADMIT, STAGE_FEED, STAGE_HOLD, STAGE_SYNC, STAGE_ACK,
+    STAGE_QUEUE, STAGE_ADMIT, STAGE_HOLD, STAGE_FEED, STAGE_SYNC, STAGE_ACK,
 )
 STAGES: Tuple[str, ...] = (STAGE_TRANSIT,) + ACK_STAGES
 
@@ -73,7 +74,7 @@ def span_origin(frame_span: Any) -> Optional[float]:
 class _Frame:
     """One frame's boundary times inside an open cohort."""
 
-    __slots__ = ("source", "status", "t_start", "t_admit", "t_feed", "t_sent", "eid")
+    __slots__ = ("source", "status", "t_start", "t_admit", "t_sent", "eid")
 
     def __init__(
         self,
@@ -81,7 +82,6 @@ class _Frame:
         status: str,
         t_start: float,
         t_admit: float,
-        t_feed: float,
         t_sent: Optional[float],
         eid: Optional[int],
     ):
@@ -89,7 +89,6 @@ class _Frame:
         self.status = status
         self.t_start = t_start
         self.t_admit = t_admit
-        self.t_feed = t_feed
         self.t_sent = t_sent
         self.eid = eid
 
@@ -98,7 +97,7 @@ class SpanTracker:
     """Stage-latency attribution over one gateway's frame cohorts.
 
     A *cohort* is one socket batch: every frame read off a connection in
-    one chunk, admitted and fed together, made durable by one group
+    one chunk, admitted one by one, fed and made durable by one group
     commit, and acked together.  The transport opens a cohort at batch
     receipt, the gateway notes each frame's boundaries as it runs the
     admission ladder, and the transport seals the cohort once the acks
@@ -107,9 +106,9 @@ class SpanTracker:
     benchmark audits for the sum-to-e2e identity.
 
     The emit path is tracked separately: admitted events park their
-    ``(t_sent, t_feed)`` in a bounded map until a delivered match names
-    them, yielding ``repro_emit_hold_seconds`` (feed → emission, i.e.
-    reorder-buffer/watermark residence in wall time) and
+    ``(t_sent, t_admit)`` in a bounded map until a delivered match names
+    them, yielding ``repro_emit_hold_seconds`` (admission → emission,
+    i.e. cohort wait plus reorder-buffer/watermark residence) and
     ``repro_emit_e2e_seconds`` (client send → emission).
     """
 
@@ -144,7 +143,7 @@ class SpanTracker:
         )
         self._emit_hold = registry.histogram(
             "repro_emit_hold_seconds",
-            "engine feed to match delivery, per matched event",
+            "admission to match delivery, per matched event",
             SECONDS_BUCKETS,
         )
         self._emit_e2e = registry.histogram(
@@ -154,7 +153,7 @@ class SpanTracker:
         )
         self._open: Optional[List[_Frame]] = None
         self._t_receipt = 0.0
-        #: eid -> (t_sent, t_feed); insertion-ordered, bounded FIFO.
+        #: eid -> (t_sent, t_admit); insertion-ordered, bounded FIFO.
         self._inflight: Dict[int, Tuple[Optional[float], float]] = {}
         #: Bounded ring of per-cohort attribution records.
         self.cohorts: Deque[Dict[str, Any]] = deque(maxlen=cohort_limit)
@@ -173,32 +172,34 @@ class SpanTracker:
         status: str,
         t_start: float,
         t_admit: float,
-        t_feed: float,
         t_sent: Optional[float] = None,
         eid: Optional[int] = None,
     ) -> None:
         """One frame crossed the admission ladder inside the open cohort.
 
-        ``t_start``/``t_admit``/``t_feed`` bound the admit and feed
-        stages; non-admitted frames pass ``t_feed == t_admit`` (their
-        feed stage is zero).  Without an open cohort (tests driving
-        ``admit_frame`` directly) the frame is attributed as its own
-        single-frame cohort opened at ``t_start``.
+        ``t_start``/``t_admit`` bound the admit stage, whatever the
+        outcome; every frame then waits for its cohort's commit.
+        Without an open cohort (tests driving ``admit_frame`` directly)
+        the frame is attributed as its own single-frame cohort opened at
+        ``t_start``.
         """
         if self._open is None:
             self.open_cohort(t_start)
-        self._open.append(
-            _Frame(source, status, t_start, t_admit, t_feed, t_sent, eid)
-        )
+        self._open.append(_Frame(source, status, t_start, t_admit, t_sent, eid))
         if eid is not None:
             if len(self._inflight) >= self.inflight_limit:
                 self._inflight.pop(next(iter(self._inflight)))
-            self._inflight[eid] = (t_sent, t_feed)
+            self._inflight[eid] = (t_sent, t_admit)
 
     def seal_cohort(
-        self, t_sync_start: float, t_sync_end: float, t_ack: float
+        self, t_feed: float, t_sync_start: float, t_sync_end: float, t_ack: float
     ) -> Optional[Dict[str, Any]]:
-        """The cohort's group commit and ack write finished; attribute it."""
+        """The cohort's group commit and ack write finished; attribute it.
+
+        ``t_feed``/``t_sync_start`` bound the cohort's one runner feed
+        (equal when the cohort admitted nothing), ``t_sync_start``/
+        ``t_sync_end`` the WAL flush.
+        """
         frames, self._open = self._open, None
         if not frames:
             return None
@@ -210,8 +211,8 @@ class SpanTracker:
             parts = (
                 (STAGE_QUEUE, frame.t_start - t_receipt),
                 (STAGE_ADMIT, frame.t_admit - frame.t_start),
-                (STAGE_FEED, frame.t_feed - frame.t_admit),
-                (STAGE_HOLD, t_sync_start - frame.t_feed),
+                (STAGE_HOLD, t_feed - frame.t_admit),
+                (STAGE_FEED, t_sync_start - t_feed),
                 (STAGE_SYNC, t_sync_end - t_sync_start),
                 (STAGE_ACK, t_ack - t_sync_end),
             )
@@ -249,8 +250,8 @@ class SpanTracker:
             entry = self._inflight.pop(eid, None)
             if entry is None:
                 continue
-            t_sent, t_feed = entry
-            self._emit_hold.observe(max(0.0, t_emit - t_feed))
+            t_sent, t_admit = entry
+            self._emit_hold.observe(max(0.0, t_emit - t_admit))
             if t_sent is not None:
                 self._emit_e2e.observe(max(0.0, t_emit - t_sent))
 

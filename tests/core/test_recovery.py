@@ -15,9 +15,11 @@ from repro import (
     Attr,
     ConfigurationError,
     CrashError,
+    DisorderBoundViolation,
     Eq,
     Event,
     FaultInjector,
+    LatePolicy,
     OutOfOrderEngine,
     Punctuation,
     RecoveryError,
@@ -278,3 +280,61 @@ class TestLogRepairAndErrors:
         third = ResilientRunner(make_engine(), tmp_path, checkpoint_every=20)
         assert third.recovered and third.replayed_elements == 0
         assert third.run(stream) == []
+
+
+class TestRefusedElements:
+    """An element the engine refuses must not stay in the WAL: replaying
+    it would raise the same error from every later recovery."""
+
+    @staticmethod
+    def strict_engine():
+        return OutOfOrderEngine(PATTERN, k=2, late_policy=LatePolicy.RAISE)
+
+    @staticmethod
+    def snapshot(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_refused_element_does_not_brick_the_directory(self, tmp_path):
+        runner = ResilientRunner(self.strict_engine(), tmp_path)
+        runner.feed(Event("A", 10, {"x": 0}))
+        runner.feed(Event("A", 50, {"x": 0}))
+        with pytest.raises(DisorderBoundViolation):
+            runner.feed(Event("B", 11, {"x": 0}))
+        # Its engine is ahead of the log now: the runner says so, by name.
+        assert runner.seq == 2
+        with pytest.raises(RecoveryError, match="DisorderBoundViolation"):
+            runner.feed(Event("B", 55, {"x": 0}))
+        with pytest.raises(RecoveryError, match="rebuild from the directory"):
+            runner.close()
+
+        again = ResilientRunner(self.strict_engine(), tmp_path)
+        assert again.recovered and again.seq == 2
+        assert again.replayed_elements == 2
+        again.feed(Event("B", 55, {"x": 0}))
+        again.close()
+        assert again.seq == 3 and len(again.matches) == 1  # A@50 .. B@55
+
+    def test_cohort_refused_part_way_leaves_no_trace(self, tmp_path):
+        runner = ResilientRunner(self.strict_engine(), tmp_path, checkpoint_every=2)
+        delivered = runner.feed(
+            [Event("A", 10, {"x": 0}), Event("B", 12, {"x": 1}), Event("A", 13, {"x": 1})]
+        )
+        assert len(delivered) == 0 and runner.checkpoints_written == 1
+        runner.sync()
+        before = self.snapshot(tmp_path)
+        cohort = [
+            Event("B", 14, {"x": 1}),  # A@13 .. B@14 would be delivered...
+            Event("A", 50, {"x": 0}),
+            Event("A", 51, {"x": 0}),
+            Event("B", 11, {"x": 0}),  # ...but this one is refused
+            Event("B", 60, {"x": 0}),
+        ]
+        with pytest.raises(DisorderBoundViolation):
+            runner.feed(cohort)
+        assert self.snapshot(tmp_path) == before
+
+        again = ResilientRunner(self.strict_engine(), tmp_path, checkpoint_every=2)
+        assert again.seq == 3 and again.delivered_count == 0
+        again.feed([e for e in cohort if e.ts != 11])
+        again.close()
+        assert again.seq == 7 and again.delivered_count == 3

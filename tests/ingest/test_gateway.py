@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro import Event, OfflineOracle, OutOfOrderEngine, parse
-from repro.core.engine import ValidationPolicy
-from repro.core.errors import ReproError
+from repro.core.engine import LatePolicy, ValidationPolicy
+from repro.core.errors import ConfigurationError, ReproError
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
@@ -158,6 +158,7 @@ def test_recovered_source_cannot_drag_punctuation_backward(tmp_path):
     ack = gateway.admit_frame("slow", "A", {"ts": 6, "x": 3}, now=7.0)
     assert ack["status"] == "admitted"
     assert gateway.liveness.merged_watermark() >= mark_before
+    gateway.sync_acks()  # the engine sees the frame when its cohort commits
     assert gateway.engine.stats.late_dropped == 1
     assert gateway.liveness.recovered_total == 1
 
@@ -232,6 +233,22 @@ def test_busy_frames_can_be_retried_after_drain(tmp_path):
     assert retry["status"] == "admitted"
 
 
+def test_backpressure_sees_the_pending_cohort(tmp_path):
+    """State only grows at a commit; the ladder must not go blind until then."""
+    shed = ShedPolicy.drop_oldest(10)
+    gateway = make_gateway(tmp_path, shed=shed, soft_pressure=0.3, hard_pressure=0.8)
+    statuses, pressures = [], []
+    for t in range(10):  # one cohort: no sync_acks in between
+        ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
+        statuses.append("throttle" if "throttle" in ack else ack["status"])
+        pressures.append(gateway.pressure())
+    assert gateway.engine.state_size() == 0  # nothing was fed yet
+    assert statuses == ["admitted"] * 3 + ["throttle"] * 5 + ["busy"] * 2
+    assert pressures == sorted(pressures) and pressures[-1] >= 0.8
+    gateway.sync_acks()
+    assert gateway.engine.state_size() == 8 and gateway.pressure() >= 0.8
+
+
 def test_no_shed_policy_means_no_backpressure(tmp_path):
     gateway = make_gateway(tmp_path)
     assert gateway.pressure() == 0.0
@@ -245,8 +262,11 @@ def test_crash_is_surfaced_and_recovery_dedupes(tmp_path):
     first = make_gateway(tmp_path, fault=fault)
     first.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
     first.sync_acks()
+    # Admission only decides; the crash point fires where the cohort is
+    # logged and fed — the committing call.
+    assert first.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)["status"] == "admitted"
     with pytest.raises(CrashError):
-        first.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
+        first.sync_acks()
     assert first.crashed
     with pytest.raises(ReproError):
         first.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.2)
@@ -259,6 +279,18 @@ def test_crash_is_surfaced_and_recovery_dedupes(tmp_path):
     assert second.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=1.1)["status"] == "duplicate"
     second.seal()
     assert len(second.runner.matches) == 1
+
+
+def test_raise_late_policy_is_rejected(tmp_path):
+    """One late frame would fail its cohort, and the resend would again."""
+    pattern = parse(QUERY)
+    with pytest.raises(ConfigurationError, match="LatePolicy.RAISE"):
+        IngestGateway(
+            lambda: OutOfOrderEngine(pattern, k=4, late_policy=LatePolicy.RAISE),
+            GatewayConfig(make_schema(slack=2)),
+            directory=tmp_path,
+        )
+    assert list(tmp_path.iterdir()) == []  # refused before anything was opened
 
 
 def test_fault_without_directory_is_rejected():

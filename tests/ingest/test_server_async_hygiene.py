@@ -85,8 +85,9 @@ def test_crash_record_is_durable_before_crash_propagates(tmp_path):
     gateway = make_gateway(tmp_path, fault=FaultInjector(crash_at=[1]))
     gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
     gateway.sync_acks()
+    gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
     with pytest.raises(CrashError):
-        gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
+        gateway.sync_acks()  # the crash point fires at the commit
     records = [
         json.loads(line)
         for line in (tmp_path / "gateway.jsonl").read_text().splitlines()

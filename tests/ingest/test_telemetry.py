@@ -61,7 +61,7 @@ def test_admit_frame_attributes_every_outcome(tmp_path):
 
     spans = gateway._spans
     # Direct drives (no transport cohort) seal lazily; force the seals.
-    record = spans.seal_cohort(1.0, 1.0, 1.0)
+    record = spans.seal_cohort(1.0, 1.0, 1.0, 1.0)
     assert record is not None
     state = gateway.registry.snapshot_state()["histograms"]
     for stage in ACK_STAGES:
@@ -75,6 +75,12 @@ def test_emit_path_spans_close_on_match(tmp_path):
     # Push the watermark far enough that the SEQ match seals and emits.
     for ts in (30, 60):
         gateway.assert_watermark("s1", ts, now=0.2)
+    # Nothing is fed, so nothing is emitted, before the cohort commits...
+    assert gateway.runner.matches == []
+    state = gateway.registry.snapshot_state()["histograms"]
+    assert state["repro_emit_hold_seconds"]["count"] == 0
+    gateway.sync_acks()
+    # ...and the commit closes the emit spans of both matched events at once.
     assert len(gateway.runner.matches) == 1
     state = gateway.registry.snapshot_state()["histograms"]
     assert state["repro_emit_hold_seconds"]["count"] == 2
@@ -178,8 +184,9 @@ def test_crash_dumps_flight_and_explain_reads_it(tmp_path, capsys):
     gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
     gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
     gateway.sync_acks()
+    gateway.admit_frame("s1", "A", {"ts": 5, "x": 8}, now=0.2)
     with pytest.raises(CrashError):
-        gateway.admit_frame("s1", "A", {"ts": 5, "x": 8}, now=0.2)
+        gateway.sync_acks()  # the crash point fires at the commit
 
     path = tmp_path / "flight.jsonl"
     assert path.exists()

@@ -231,6 +231,56 @@ def test_metrics_without_tracer_keeps_tracing_off(abc_pattern, random_trace):
     assert latency.count == len(engine.results)
 
 
+@pytest.mark.parametrize(
+    "family", ["ooo", "inorder", "reorder", "aggressive", "partitioned", "shedding"]
+)
+def test_metrics_only_batches_fill_the_registry_like_single_feeds(
+    family, neg_pattern, random_trace
+):
+    """With metrics alone a batch is one call of the step loop, observed
+    between its elements: every counter, gauge and histogram bucket must
+    equal what feeding the same elements one by one records."""
+    from repro.core.partition import PartitionedEngine
+
+    arrival = bounded_shuffle(random_trace, k=8, seed=5)
+    if family == "inorder":
+        arrival = sorted(arrival, key=lambda e: (e.ts, e.eid))
+    else:
+        arrival.insert(120, Punctuation(min(e.ts for e in arrival[120:]) - 1))
+        arrival.insert(200, Event("A", 2, {"x": 1}))  # late: dropped
+    arrival.insert(50, forge_event("A", -5, attrs={"x": 1}))  # quarantined
+    builders = {
+        "ooo": lambda: OutOfOrderEngine(neg_pattern, k=8),
+        "inorder": lambda: InOrderEngine(neg_pattern),
+        "reorder": lambda: ReorderingEngine(neg_pattern, k=8),
+        "aggressive": lambda: AggressiveEngine(neg_pattern, k=8),
+        "partitioned": lambda: PartitionedEngine(neg_pattern, k=8, key="x"),
+        "shedding": lambda: OutOfOrderEngine(
+            neg_pattern, k=8, shed=ShedPolicy.drop_oldest(10)
+        ),
+    }
+
+    def run(cuts):
+        engine = builders[family]()
+        engine.validation = ValidationPolicy.QUARANTINE
+        registry = MetricsRegistry()
+        engine.enable_observability(metrics=registry)
+        emitted, at = [], 0
+        for end in cuts:
+            if end - at == 1:
+                emitted.extend(engine.feed(arrival[at]))
+            else:
+                emitted.extend(engine.feed_batch(arrival[at:end]))
+            at = end
+        emitted.extend(engine.close())
+        return [m.key() for m in emitted], engine.stats.as_dict(), registry.snapshot_state()
+
+    single = run(range(1, len(arrival) + 1))
+    assert single[2]["counters"]["repro_quarantined_total"]["value"] == 1
+    for cuts in ([len(arrival)], [1, 2, 40, 51, 52, 121, 150, 201, 260, len(arrival)]):
+        assert run(cuts) == single
+
+
 def test_state_size_metrics_track_peak(abc_pattern, random_trace):
     engine = OutOfOrderEngine(abc_pattern, k=8)
     registry = MetricsRegistry()

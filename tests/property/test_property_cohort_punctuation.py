@@ -1,7 +1,8 @@
-"""The cohort is the unit of punctuation: cutting must not change results.
+"""The cohort is the unit of work: cutting must not change results.
 
-The gateway feeds the merged watermark once per group commit
-(:meth:`IngestGateway.sync_acks`), not once per frame.  For sources
+The gateway feeds the engine once per group commit
+(:meth:`IngestGateway.sync_acks`) — the cohort's admitted events and
+then the merged watermark — not once per frame.  For sources
 that honour their ``source_slack`` that is invisible in the output: a
 later punctuation subsumes every earlier one and no event in between
 was late against it.  Randomised here over multi-source streams — in
@@ -9,12 +10,13 @@ order and disordered, over a negation query — cut into random cohorts:
 
 * the delivered match multiset equals the offline oracle's and equals
   the run whose every cohort is one frame (the per-frame cadence);
-* on the frame path ``admit_frame`` logs exactly the event, and each
-  ``sync_acks`` logs at most one punctuation; WAL punctuations are
+* ``admit_frame`` logs nothing, and each ``sync_acks`` hands the
+  runner the cohort's admitted events followed by at most one
+  punctuation in exactly one ``runner.feed`` call; WAL punctuations are
   strictly increasing;
-* a crash between a cohort's last event and its punctuation (logged,
-  never applied, nothing acked) recovers exactly-once when the cohort
-  is resent.
+* a crash at a cohort's punctuation (the whole cohort logged, none of
+  it applied, nothing acked) recovers exactly-once when the cohort is
+  resent.
 
 Scenarios are seeded from ``REPRO_OBS_SEED`` like the parity suite.
 """
@@ -28,7 +30,7 @@ from collections import Counter
 import pytest
 
 from repro import CrashError, FaultInjector, OfflineOracle, OutOfOrderEngine, parse
-from repro.core.event import Punctuation
+from repro.core.event import Event, Punctuation
 from repro.core.recovery import DELIVERED_NAME, delivered_keys, read_wal_elements
 from repro.ingest import EventSchema, FieldSpec, GatewayConfig, IngestGateway, StreamSchema
 
@@ -91,17 +93,34 @@ def _drive(gateway: IngestGateway, cohorts) -> int:
     """Commit *cohorts* in turn; the index of the one whose punctuation
     crashed, or ``len(cohorts)``.  Checks what each call may log."""
     runner = gateway.runner
+    handed = []  # what each runner.feed call was given
+    inner = runner.feed
+
+    def feed(elements):
+        handed.append(list(elements))
+        return inner(elements)
+
+    runner.feed = feed
     for index, cohort in enumerate(cohorts):
-        for source, etype, attrs in cohort:
-            before = runner.seq
-            ack = gateway.admit_frame(source, etype, attrs, now=0.0)
-            assert runner.seq - before == (ack["status"] == "admitted")
         before = runner.seq
+        admitted = 0
+        for source, etype, attrs in cohort:
+            ack = gateway.admit_frame(source, etype, attrs, now=0.0)
+            admitted += ack["status"] == "admitted"
+        assert runner.seq == before and not handed  # admission logs nothing
         try:
             gateway.sync_acks()
         except CrashError:
             return index
-        assert runner.seq - before in (0, 1)
+        logged = runner.seq - before
+        assert logged - admitted in (0, 1)
+        # One runner.feed per commit: the events, then the punctuation.
+        assert len(handed) == (1 if logged else 0)
+        for elements in handed:
+            assert len(elements) == logged
+            assert all(type(e) is Event for e in elements[:admitted])
+            assert all(type(e) is Punctuation for e in elements[admitted:])
+        handed.clear()
     return len(cohorts)
 
 
