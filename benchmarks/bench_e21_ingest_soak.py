@@ -46,6 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro import OfflineOracle, OutOfOrderEngine, parse
+from repro.core.recovery import delivered_keys
 from repro.faultinject import FaultInjector
 from repro.ingest import (
     ClientFaultPlan,
@@ -172,7 +173,7 @@ def _soak_cell(name, sources, pairs, fault_plans=None):
             value for report in reports.values() for value in report.latencies
         )
         p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
-        achieved = {match.key() for match in gateway.results()}
+        achieved = delivered_keys(directory)
         report = compare_keys(_truth_keys(schema, pattern, sources, pairs), achieved)
         return {
             "cell": name,
@@ -229,9 +230,7 @@ def _crash_cell(pairs):
         restarted["handle"].stop(seal=True)
         second = restarted["gateway"]
 
-        delivered = {m.key() for m in first.results()} | {
-            m.key() for m in second.results()
-        }
+        delivered = delivered_keys(directory)  # both incarnations' log
         quality = compare_keys(_truth_keys(schema, pattern, 1, pairs), delivered)
         return {
             "cell": "crash",

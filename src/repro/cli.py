@@ -521,7 +521,7 @@ def _print_gateway_journal(directory: str) -> int:
         elif kind == "crash":
             print(f"  CRASH at seq {record.get('seq')}")
         elif kind == "recover":
-            line = f"  recovered: {record.get('frames')} frames replayed from the WAL"
+            line = f"  recovered: {record.get('frames')} frames already in the WAL"
             if record.get("sources"):
                 line += (
                     f"; watermark resumed at {record.get('watermark')} holding "
@@ -688,7 +688,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 "/metrics /healthz /sources"
             )
         if gateway.recovered_frames:
-            print(f"recovered: {gateway.recovered_frames} frames replayed from the WAL")
+            print(f"recovered: {gateway.recovered_frames} frames already in the WAL")
         try:
             while not gateway.crashed and not gateway.terminated:
                 await asyncio.sleep(0.25)

@@ -196,6 +196,9 @@ class PartitionedEngine(Engine):
         self.clock = StreamClock(k)
         self.punctuate_every = punctuate_every
         self._partitions: Dict[Any, OutOfOrderEngine] = {}
+        # Sum of the sub-engines' state_size(), read per element: an event
+        # moves one sub-engine's share; re-summed where every one moves.
+        self._state_total = 0  # repro: ignore[R001] -- derived total, re-summed on restore
         self._since_punctuation = 0
         self._last_broadcast = -1
 
@@ -217,7 +220,15 @@ class PartitionedEngine(Engine):
         return engine
 
     def state_size(self) -> int:
-        return sum(engine.state_size() for engine in self._partitions.values())
+        return self._state_total
+
+    def _each_partition(self, step, emitted: List[Match]) -> None:
+        """Run *step* on every sub-engine, surface its matches, re-sum."""
+        total = 0
+        for engine in self._partitions.values():
+            self._surface_from(engine, step(engine), emitted)
+            total += engine.state_size()
+        self._state_total = total
 
     # -- checkpoint / restore ------------------------------------------------------
 
@@ -270,6 +281,7 @@ class PartitionedEngine(Engine):
             sub = self._blank_sub_engine()
             sub._restore_state(sub_state)
             self._partitions[value] = sub
+        self._state_total = sum(sub.state_size() for sub in self._partitions.values())
 
     def _blank_sub_engine(self) -> OutOfOrderEngine:
         """A sub-engine as :meth:`_sub_engine` builds it, minus the catch-up
@@ -309,7 +321,9 @@ class PartitionedEngine(Engine):
                 self.stats.events_ignored += 1
             else:
                 sub = self._sub_engine(value)
+                before = sub.state_size()
                 self._surface_from(sub, sub.feed(event), emitted)
+                self._state_total += sub.state_size() - before
                 self.stats.events_admitted += 1
         else:
             self.stats.events_ignored += 1
@@ -323,8 +337,7 @@ class PartitionedEngine(Engine):
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
         self.clock.observe_punctuation(punctuation)
         emitted: List[Match] = []
-        for engine in self._partitions.values():
-            self._surface_from(engine, engine.feed(punctuation), emitted)
+        self._each_partition(lambda sub: sub.feed(punctuation), emitted)
         self._last_broadcast = max(self._last_broadcast, punctuation.ts)
         return emitted
 
@@ -334,13 +347,11 @@ class PartitionedEngine(Engine):
             return
         self._last_broadcast = horizon
         punctuation = Punctuation(horizon)
-        for engine in self._partitions.values():
-            self._surface_from(engine, engine.feed(punctuation), emitted)
+        self._each_partition(lambda sub: sub.feed(punctuation), emitted)
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []
-        for engine in self._partitions.values():
-            self._surface_from(engine, engine.close(), emitted)
+        self._each_partition(lambda sub: sub.close(), emitted)
         return emitted
 
     def _surface(self, match: Match, emitted: List[Match]) -> None:

@@ -51,7 +51,8 @@ from collections import deque
 from json.encoder import encode_basestring_ascii as _escape_json
 from pathlib import Path
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, List, Optional, Set, TextIO, Tuple, Union,
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, TextIO, Tuple,
+    Union,
 )
 
 from repro.core.engine import EmissionRecord, Engine
@@ -160,8 +161,8 @@ def clear_state(directory: Union[str, Path]) -> None:
             pass
 
 
-def _read_jsonl(path: Path, label: str) -> List[Dict[str, Any]]:
-    """Parse a JSON-lines log, repairing a torn final line.
+def _iter_jsonl(path: Path, label: str) -> Iterator[Dict[str, Any]]:
+    """Stream a JSON-lines log line by line, repairing a torn final line.
 
     A crash can interrupt an append mid-line.  A final fragment without
     a trailing newline is the expected signature of that: if it still
@@ -172,45 +173,47 @@ def _read_jsonl(path: Path, label: str) -> List[Dict[str, Any]]:
     corruption and raises :class:`RecoveryError`.
     """
     if not path.exists():
-        return []
-    raw = path.read_bytes()
-    if not raw:
-        return []
-    complete, sep, fragment = raw.rpartition(b"\n")
-    records = []
-    for index, line in enumerate(complete.split(b"\n")):
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            raise RecoveryError(f"{label} corrupt at line {index + 1}: {line[:80]!r}")
+        return
+    complete = 0  # bytes of newline-terminated lines so far
+    fragment = b""
+    with path.open("rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
+                fragment = line
+                break
+            complete += len(line)
+            line = line[:-1]
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise RecoveryError(f"{label} corrupt at line {number}: {line[:80]!r}")
+            yield record
     if fragment:
         try:
-            records.append(json.loads(fragment))
+            record = json.loads(fragment)
         except ValueError:
-            with path.open("r+b") as handle:
-                handle.truncate(len(complete) + len(sep))
+            os.truncate(path, complete)
         else:
             with path.open("ab") as handle:
                 handle.write(b"\n")
-    return records
+            yield record
+
+
+def iter_wal_records(directory: Union[str, Path]) -> Iterator[Dict[str, Any]]:
+    """*directory*'s WAL records, close sentinel included, streamed in order."""
+    return _iter_jsonl(Path(directory) / WAL_NAME, WAL_NAME)
 
 
 def read_wal_elements(directory: Union[str, Path]) -> List[StreamElement]:
     """The stream elements durably logged in *directory*'s WAL, in order.
 
-    The ingestion gateway rebuilds its idempotent-admission window from
-    this after a crash: every WAL event re-derives its idempotency id
-    through the stream schema, so redeliveries racing the restart are
-    deduplicated even though the in-memory window died with the old
-    process.  Close sentinels are skipped; torn final lines are
-    repaired exactly as recovery itself repairs them.
+    The whole log as one list (tests, benchmarks), close sentinels
+    skipped; torn final lines are repaired as recovery repairs them.
     """
-    wal = _read_jsonl(Path(directory) / WAL_NAME, WAL_NAME)
-    return [
-        decode_element(record) for record in wal if record["kind"] != "close"
-    ]
+    wal = iter_wal_records(directory)
+    return [decode_element(record) for record in wal if record["kind"] != "close"]
 
 
 def delivered_keys(directory: Union[str, Path]) -> Set[Tuple]:
@@ -220,7 +223,7 @@ def delivered_keys(directory: Union[str, Path]) -> Set[Tuple]:
     repairs it), across all incarnations — comparable with
     :meth:`Engine.result_set` and the oracle's ``evaluate_set``.
     """
-    log = _read_jsonl(Path(directory) / DELIVERED_NAME, DELIVERED_NAME)
+    log = _iter_jsonl(Path(directory) / DELIVERED_NAME, DELIVERED_NAME)
     return {_hashable(record["key"]) for record in log}
 
 
@@ -282,7 +285,7 @@ class ResilientRunner:
         self._wal_handle: Optional[TextIO] = None
         self._wal_dirty = False
         self._delivered_handle: Optional[TextIO] = None
-        #: matches delivered by THIS incarnation (replayed-but-suppressed
+        #: matches delivered by THIS incarnation since the last take (suppressed
         #: re-emissions excluded — those were delivered by a predecessor).
         self.matches: List[Match] = []
         #: their emission records, taken from the engine on delivery.
@@ -362,20 +365,32 @@ class ResilientRunner:
             checkpoint_seq = data["seq"]
             checkpoint_delivered = data["delivered"]
             self._engine_closed = data["closed"]
-        delivered_log = _read_jsonl(self._delivered_path, DELIVERED_NAME)
-        if len(delivered_log) < checkpoint_delivered:
+        # Streamed: recovery keeps counts and the records past the checkpoint.
+        delivered_total = 0
+        for record in _iter_jsonl(self._delivered_path, DELIVERED_NAME):
+            if delivered_total >= checkpoint_delivered:
+                self._suppress.append(record)
+            delivered_total += 1
+        if delivered_total < checkpoint_delivered:
             raise RecoveryError(
-                f"delivery log has {len(delivered_log)} records but the "
+                f"delivery log has {delivered_total} records but the "
                 f"checkpoint claims {checkpoint_delivered} were delivered"
             )
         self._delivered = checkpoint_delivered
-        self._suppress = deque(delivered_log[checkpoint_delivered:])
-        wal = _read_jsonl(self._wal_path, WAL_NAME)
-        elements = [record for record in wal if record["kind"] != "close"]
-        saw_close = any(record["kind"] == "close" for record in wal)
-        if len(elements) < checkpoint_seq:
+        logged = 0
+        saw_close = False
+        # The WAL tail is one cohort: replay is feed minus the logging.
+        tail: List[StreamElement] = []
+        for record in iter_wal_records(self.directory):
+            if record["kind"] == "close":
+                saw_close = True
+                continue
+            if logged >= checkpoint_seq:
+                tail.append(decode_element(record))
+            logged += 1
+        if logged < checkpoint_seq:
             raise RecoveryError(
-                f"WAL has {len(elements)} elements but the checkpoint "
+                f"WAL has {logged} elements but the checkpoint "
                 f"claims {checkpoint_seq} were logged"
             )
         self._seq = checkpoint_seq
@@ -383,8 +398,6 @@ class ResilientRunner:
         # the baseline this recovery adds to.
         if self._c_recoveries is not None:
             self._c_recoveries.inc()
-        # The WAL tail is one cohort: replay is feed minus the logging.
-        tail = [decode_element(record) for record in elements[checkpoint_seq:]]
         self.replayed_elements = len(tail)
         if self._c_replayed is not None:
             self._c_replayed.inc(len(tail))
@@ -576,6 +589,16 @@ class ResilientRunner:
             taken = self.engine.take_emissions()
             self.emissions.extend(taken[len(taken) - len(delivered):])
         return delivered
+
+    def take_emissions(self) -> List[EmissionRecord]:
+        """The runner-side :meth:`Engine.take_emissions`: the records of what
+        was delivered since the last take; :attr:`matches` / :attr:`emissions`
+        start over.  A runner nobody takes from keeps its incarnation's lists.
+        """
+        taken = self.emissions
+        self.matches = []
+        self.emissions = []
+        return taken
 
     # -- durable writes ---------------------------------------------------------------
 

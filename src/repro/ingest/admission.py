@@ -16,7 +16,7 @@ cover the two failure shapes:
 * :meth:`AdmissionController.snapshot_state` /
   :meth:`~AdmissionController.restore_state` — checkpointable state,
   complete under analyzer rule R001;
-* :meth:`AdmissionController.preload` — rebuild from the WAL the
+* :meth:`AdmissionController.preload_events` — rebuild from the WAL the
   gateway's :class:`~repro.core.recovery.ResilientRunner` already
   keeps, for recovery paths that have the log but not a checkpoint of
   this controller.
@@ -167,27 +167,21 @@ class AdmissionController:
 
     # -- recovery -----------------------------------------------------------------------
 
-    def preload(self, idem_ids: Iterable[str]) -> int:
-        """Seed the recovery window with ids replayed from a WAL.
+    def preload_events(self, events: Iterable[Event]) -> int:
+        """Seed the recovery window from replayed WAL events.
 
         Called once after a crash, before any source reconnects: the
         WAL's events re-derive their ids through the schema, and any
         post-restart redelivery of one of them is a duplicate even
         though the per-source windows restarted empty.  Returns the
-        number of ids loaded (the window keeps the most recent ones).
+        number of events loaded (the window keeps the most recent ones,
+        so the last ``window`` events of a log load what all of it would).
         """
         count = 0
-        for idem in idem_ids:
-            self._recovered.add(idem)
+        for event in events:
+            self._recovered.add(self.schema.idempotency_id(event.etype, event._attrs))
             count += 1
         return count
-
-    def preload_events(self, events: Iterable[Event]) -> int:
-        """Seed the recovery window from replayed WAL events."""
-        return self.preload(
-            self.schema.idempotency_id(event.etype, event._attrs)
-            for event in events
-        )
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -48,8 +48,11 @@ the asyncio timer task and the connection handlers read the wall clock.
 Tests drive :meth:`IngestGateway.admit_frame` / :meth:`IngestGateway.
 tick` directly with scripted clocks and never open a socket unless the
 transport itself is under test; a direct driver commits with
-:meth:`IngestGateway.sync_acks` (``tick``, ``disconnect_source``,
-``seal`` and ``results`` commit what is pending first).
+:meth:`IngestGateway.sync_acks` (``tick``, ``disconnect_source`` and
+``seal`` commit what is pending first).  Matches are output, not
+state: the gateway takes each from its runner as it is delivered and
+keeps a count; a consumer reads ``delivered.jsonl`` (:func:`~repro.core.
+recovery.delivered_keys`) or what ``runner.feed`` / ``seal`` return.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ import queue
 import signal
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.event import Event, Punctuation
-from repro.core.recovery import ResilientRunner, read_wal_elements
+from repro.core.recovery import ResilientRunner, decode_element, iter_wal_records
 from repro.faultinject import CrashError
 from repro.ingest.admission import AdmissionController, AdmissionOutcome
 from repro.ingest.liveness import LivenessTracker, SourceStatus, Transition
@@ -98,9 +101,8 @@ class GatewayConfig:
     dedupe_window:
         Per-source idempotency window capacity.
     liveness_timeout:
-        Seconds of silence before a live source is degraded.
-    tick_interval:
-        Liveness timer period; defaults to a quarter of the timeout.
+        Seconds of silence before a live source is degraded; the
+        liveness timer sweeps every quarter of it.
     soft_pressure / hard_pressure:
         Shed-policy occupancy fractions bounding the backpressure
         ladder: above *soft*, acks carry a ``throttle`` hint; at or
@@ -124,7 +126,6 @@ class GatewayConfig:
         "port",
         "dedupe_window",
         "liveness_timeout",
-        "tick_interval",
         "soft_pressure",
         "hard_pressure",
         "retry_after",
@@ -139,7 +140,6 @@ class GatewayConfig:
         port: int = 0,
         dedupe_window: int = 4096,
         liveness_timeout: float = 2.0,
-        tick_interval: Optional[float] = None,
         soft_pressure: float = 0.7,
         hard_pressure: float = 0.95,
         retry_after: float = 0.05,
@@ -164,15 +164,6 @@ class GatewayConfig:
         self.port = port
         self.dedupe_window = dedupe_window
         self.liveness_timeout = float(liveness_timeout)
-        self.tick_interval = (
-            float(tick_interval)
-            if tick_interval is not None
-            else self.liveness_timeout / 4.0
-        )
-        if self.tick_interval <= 0:
-            raise ConfigurationError(
-                f"tick_interval must be > 0, got {tick_interval!r}"
-            )
         self.soft_pressure = float(soft_pressure)
         self.hard_pressure = float(hard_pressure)
         self.retry_after = float(retry_after)
@@ -184,41 +175,31 @@ class _DirectRunner:
     """In-memory stand-in for :class:`ResilientRunner` (durability off).
 
     Keeps the gateway's feeding surface uniform — ``feed`` / ``sync`` /
-    ``close`` / ``matches`` / ``seq`` — when no directory is given, at
-    the cost of losing everything on a crash (which is exactly what an
-    undurable deployment asked for).
+    ``close`` / ``take_emissions`` / ``seq`` — when no directory is
+    given, at the cost of losing everything on a crash (which is exactly
+    what an undurable deployment asked for).
     """
 
-    __slots__ = ("engine", "matches", "recovered", "_seq", "_closed")
+    __slots__ = ("engine", "_seq")
 
     def __init__(self, engine: Any):
         self.engine = engine
-        self.matches: List[Any] = []
-        self.recovered = False
         self._seq = 0
-        self._closed = False
 
     def feed(self, elements: Any) -> List[Any]:
         """One element or a ``list`` of them, as :meth:`ResilientRunner.feed`."""
         cohort = elements if isinstance(elements, list) else [elements]
         self._seq += len(cohort)
-        out = self.engine.feed_batch(cohort)
-        if out:
-            self.matches.extend(out)
-            self.engine.take_emissions()  # handed on: not engine state
-        return out
+        return self.engine.feed_batch(cohort)
 
     def sync(self) -> None:
         pass
 
     def close(self) -> List[Any]:
-        if self._closed:
-            return []
-        self._closed = True
-        out = self.engine.close()
-        self.matches.extend(out)
-        self.engine.take_emissions()
-        return out
+        return self.engine.close()  # idempotent: a closed engine returns []
+
+    def take_emissions(self) -> List[Any]:
+        return self.engine.take_emissions()
 
     @property
     def seq(self) -> int:
@@ -413,17 +394,22 @@ class IngestGateway:
         self.liveness = LivenessTracker(
             config.liveness_timeout, slack=self.schema.source_slack
         )
+        # Matches delivered by this incarnation: a count, never the
+        # matches — what recovery delivered is in the delivery log.
+        self._matches = len(self.runner.take_emissions())
         self.recovered_frames = 0
         self._known_sources: Set[str] = set()
         if self.directory is not None and self.runner.recovered:
-            events = []
+            # Every WAL event counts; only a window's worth is kept and hashed.
+            recent: deque = deque(maxlen=max(config.dedupe_window, 1))
             emitted = -1
-            for element in read_wal_elements(self.directory):
-                if isinstance(element, Event):
-                    events.append(element)
-                elif isinstance(element, Punctuation) and element.ts > emitted:
-                    emitted = element.ts
-            self.recovered_frames = self.admission.preload_events(events)
+            for record in iter_wal_records(self.directory):
+                if record["kind"] == "event":
+                    recent.append(record)
+                    self.recovered_frames += 1
+                elif record["kind"] == "punct" and record["ts"] > emitted:
+                    emitted = record["ts"]
+            self.admission.preload_events(map(decode_element, recent))
             # Restore watermark progress, not just dedupe state.  The
             # emitted mark resumes at the highest punctuation the WAL fed
             # downstream (post-restart punctuation stays monotone with
@@ -520,11 +506,6 @@ class IngestGateway:
     @property
     def engine(self) -> Any:
         return self.runner.engine
-
-    def results(self) -> List[Any]:
-        """Matches delivered by this incarnation (commits what is pending)."""
-        self._commit()
-        return list(self.runner.matches)
 
     @property
     def port(self) -> int:
@@ -739,13 +720,12 @@ class IngestGateway:
             if punctuation is not None:
                 cohort.append(punctuation)
         if cohort:
-            matches_before = len(self.runner.matches)
             try:
-                self.runner.feed(cohort)
+                matches = self.runner.feed(cohort)
             except CrashError:
                 self._note_crash()
                 raise
-            self._note_emitted_since(matches_before)
+            self._note_delivered(matches)
         if advance:
             self._note_watermark(punctuation is not None)
 
@@ -864,22 +844,14 @@ class IngestGateway:
                 self._clock(), "sync", value=int(seconds * 1_000_000)
             )
 
-    def _note_emitted_since(self, matches_before: int) -> None:
-        """Close emit-path spans for matches delivered by the last commit."""
-        spans = self._spans
-        if spans is None:
-            return
-        matches = self.runner.matches
-        if len(matches) <= matches_before:
-            return
-        eids: List[int] = []
-        for match in matches[matches_before:]:
-            for event in getattr(match, "events", ()):
-                eid = getattr(event, "eid", None)
-                if eid is not None:
-                    eids.append(eid)
-        if eids:
-            spans.note_emitted(eids, self._clock())
+    def _note_delivered(self, matches: List[Any]) -> None:
+        """Count what the runner returned and handed on, take it, close spans."""
+        if matches:
+            self._matches += len(matches)
+            self.runner.take_emissions()
+            if self._spans is not None:
+                eids = [event.eid for match in matches for event in match.events]
+                self._spans.note_emitted(eids, self._clock())
 
     def _dump_flight(self, reason: str) -> None:
         if self._flight is None or self._flight_writer is None:
@@ -922,11 +894,13 @@ class IngestGateway:
             self._journal_writer.flush()
 
     def _remember_source(self, source: str) -> None:
-        """Journal a source's first sighting so a restart re-registers it."""
+        """Journal a source's first sighting so a restart re-registers it:
+        the one record recovery depends on, so it is flushed before returning."""
         if source in self._known_sources:
             return
         self._known_sources.add(source)
         self._journal("source", source=source)
+        self.flush_journal()
 
     def _read_journal_sources(self) -> List[str]:
         """Distinct journalled source ids, in first-sighting order."""
@@ -934,17 +908,15 @@ class IngestGateway:
         if not path.exists():
             return []
         sources: List[str] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn trailing write: repaired semantics, skip
-            if record.get("kind") == "source" and record.get("source"):
-                if record["source"] not in sources:
-                    sources.append(record["source"])
+        with path.open(encoding="utf-8") as journal:
+            for line in journal:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue  # blank, or a torn trailing write: skip
+                if record.get("kind") == "source" and record.get("source"):
+                    if record["source"] not in sources:
+                        sources.append(record["source"])
         return sources
 
     # -- stats / sealing ---------------------------------------------------------------
@@ -982,7 +954,7 @@ class IngestGateway:
             "recovered_total": self.liveness.recovered_total,
             "state_size": self.engine.state_size(),
             "seq": self.runner.seq,
-            "matches": len(self.runner.matches),
+            "matches": self._matches,
         }
 
     def seal(self) -> List[Any]:
@@ -995,11 +967,10 @@ class IngestGateway:
         self._commit()
         self.closed = True
         matches = self.runner.close()
-        self._journal("seal", matches=len(self.runner.matches))
+        self._note_delivered(matches)
+        self._journal("seal", matches=self._matches)
         if self._flight is not None:
-            self._flight.note(
-                self._clock(), "seal", value=len(self.runner.matches)
-            )
+            self._flight.note(self._clock(), "seal", value=self._matches)
         self.flush_journal()
         return matches
 
@@ -1148,7 +1119,7 @@ class IngestGateway:
 
     async def _tick_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.tick_interval)
+            await asyncio.sleep(self.config.liveness_timeout / 4.0)
             try:
                 self.tick(self._clock())
             except CrashError:

@@ -150,6 +150,42 @@ class TestPartitionMechanics:
             emitted.extend(engine.feed(Event("A", ts, {"x": 2})))
         assert len(emitted) == 1
 
+    @pytest.mark.parametrize("negated", [False, True], ids=["seq", "neg"])
+    def test_running_state_total_equals_resum_after_every_element(
+        self, keyed_pattern, keyed_trace, negated
+    ):
+        """``state_size()`` is a running total, adjusted by the one
+        sub-engine an event is routed to and re-summed at broadcasts,
+        flush and restore — it must read what summing every sub-engine
+        reads, at every step."""
+        pattern = keyed_pattern
+        if negated:
+            pattern = parse(
+                "PATTERN SEQ(A a, !B b, C c) WHERE a.x == c.x AND b.x == a.x WITHIN 30"
+            )
+
+        def resum(engine):
+            return sum(sub.state_size() for sub in engine._partitions.values())
+
+        arrival = bounded_shuffle(keyed_trace, k=15, seed=5)
+        for at in range(150, len(arrival), 150):
+            mark = min(e.ts for e in arrival[at:] if isinstance(e, Event)) - 1
+            arrival.insert(at, Punctuation(mark))
+        engine = PartitionedEngine(pattern, k=15, punctuate_every=7)
+        peak = 0
+        for index, element in enumerate(arrival):
+            engine.feed(element)
+            assert engine.state_size() == resum(engine), index
+            peak = max(peak, engine.state_size())
+            if index == len(arrival) // 2:
+                restored = PartitionedEngine(pattern, k=15, punctuate_every=7)
+                restored.restore(engine.snapshot())
+                assert restored.state_size() == resum(restored) == engine.state_size()
+                engine = restored
+        assert peak > 0 and engine.stats.peak_state_size == peak
+        engine.close()
+        assert engine.state_size() == resum(engine)
+
     def test_external_punctuation_forwarded(self, keyed_pattern):
         engine = PartitionedEngine(keyed_pattern, k=None)
         engine.feed_many(make_events("A1:1 A2:2"))

@@ -284,6 +284,49 @@ class TestFamilySpecificState:
         clone.restore(engine.snapshot())
         assert list(clone._partitions) == list(engine._partitions)
 
+    def test_punctuated_horizon_survives(self):
+        """The punctuation floor is clock state the K bound cannot
+        re-derive: an event under it is late after a restore too."""
+        engine = OutOfOrderEngine(PATTERN, k=K)
+        engine.feed(Event("A", 50, {"x": 0}))
+        engine.feed(Punctuation(100))
+        clone = OutOfOrderEngine(PATTERN, k=K)
+        clone.restore(engine.snapshot())
+        assert clone.clock.horizon() == engine.clock.horizon() == 100
+        # 100 - K - 1 < 95 <= 100: late by the punctuation alone.
+        for target in (engine, clone):
+            target.feed(Event("A", 95, {"x": 0}))
+        assert clone.stats.late_dropped == engine.stats.late_dropped == 1
+
+    def test_observation_count_survives(self):
+        engine = OutOfOrderEngine(PATTERN, k=K)
+        stream = stream_for("ooo")
+        for element in stream:
+            engine.feed(element)
+        clone = OutOfOrderEngine(PATTERN, k=K)
+        clone.restore(engine.snapshot())
+        events = sum(isinstance(element, Event) for element in stream)
+        assert clone.clock.observations == engine.clock.observations == events
+
+    def test_purge_schedule_resumes_mid_interval(self):
+        """Not just equal snapshots: the restored schedule's next purge
+        lands on the element the original's would."""
+
+        def elements_until_due(policy):
+            count = 1
+            while not policy.due():
+                count += 1
+            return count
+
+        engine = OutOfOrderEngine(PATTERN, k=K, purge=PurgePolicy.lazy(7))
+        for ts in range(1, 11):
+            engine.feed(Event("A", ts, {"x": 0}))
+        clone = OutOfOrderEngine(PATTERN, k=K, purge=PurgePolicy.lazy(7))
+        clone.restore(engine.snapshot())
+        remaining = elements_until_due(engine.purge_policy)
+        assert remaining < 7  # the snapshot was taken mid-interval
+        assert elements_until_due(clone.purge_policy) == remaining
+
     def test_purge_schedule_survives(self):
         engine = OutOfOrderEngine(PATTERN, k=K, purge=PurgePolicy.lazy(7))
         for element in stream_for("ooo"):

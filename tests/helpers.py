@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import random
-from typing import List, Optional
+from pathlib import Path
+from typing import Any, List, Optional
 
 from repro import (
     AggressiveEngine,
@@ -18,6 +19,7 @@ from repro import (
     Pattern,
     ReorderingEngine,
 )
+from repro.core.recovery import DELIVERED_NAME, _hashable
 
 
 def make_events(spec: str, attr: str = "x") -> List[Event]:
@@ -120,3 +122,38 @@ def observe_engine(engine, history=True):
     if controller is not None:
         out["controller"] = [list(decision) for decision in controller.history]
     return out
+
+
+class MatchTap:
+    """A test-owned receiver between a gateway and its runner.
+
+    The gateway keeps no match it has handed on; an in-process consumer
+    collects what ``runner.feed`` / ``close`` return, as the E24
+    launcher's tap does.  ``tap.matches`` is every match delivered
+    through the gateway since the tap was installed, in delivery order.
+    """
+
+    def __init__(self, gateway: Any):
+        self.matches: List[Any] = []
+        self._runner = gateway.runner
+        gateway.runner = self
+
+    def feed(self, elements: Any) -> List[Any]:
+        out = self._runner.feed(elements)
+        self.matches.extend(out)
+        return out
+
+    def close(self) -> List[Any]:
+        out = self._runner.close()
+        self.matches.extend(out)
+        return out
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._runner, name)
+
+
+def delivery_log(directory: Any) -> List[Any]:
+    """Match keys in ``delivered.jsonl`` order — a list, so a match
+    delivered twice shows (``delivered_keys`` is the set)."""
+    lines = (Path(directory) / DELIVERED_NAME).read_text(encoding="utf-8")
+    return [_hashable(json.loads(line)["key"]) for line in lines.splitlines()]

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro import Event, OfflineOracle, OutOfOrderEngine, parse
 from repro.core.engine import LatePolicy, ValidationPolicy
 from repro.core.errors import ConfigurationError, ReproError
+from repro.core.recovery import delivered_keys
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
+from repro.ingest.server import _JournalWriter
 from repro.metrics import compare_keys
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as stages
 
+from helpers import MatchTap
 from ingest_helpers import make_schema
 
 
@@ -49,7 +53,8 @@ def test_admit_feed_and_match(tmp_path):
     assert gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)["status"] == "admitted"
     gateway.sync_acks()
     gateway.seal()
-    assert len(gateway.results()) == 1
+    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
+    assert not hasattr(gateway, "results")  # delivered matches are read from the log
 
 
 def test_duplicates_are_counted_not_refed(tmp_path):
@@ -60,7 +65,8 @@ def test_duplicates_are_counted_not_refed(tmp_path):
     gateway.seal()
     assert gateway.admission.admitted == 2
     assert gateway.admission.duplicates == 2
-    assert len(gateway.results()) == 1  # the duplicate A never double-matched
+    # The duplicate A never double-matched.
+    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
 
 
 def test_quarantine_parity_with_engine_side_validation(tmp_path):
@@ -99,7 +105,7 @@ def test_quarantine_parity_with_engine_side_validation(tmp_path):
     ]
     gateway_report = compare_keys(
         OfflineOracle(pattern).evaluate_set(schema_good),
-        {m.key() for m in gateway.results()},
+        delivered_keys(tmp_path),
         quarantined=gateway.admission.quarantined,
     )
     assert gateway_report.quarantined == engine_report.quarantined
@@ -278,7 +284,65 @@ def test_crash_is_surfaced_and_recovery_dedupes(tmp_path):
     assert second.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=1.0)["status"] == "duplicate"
     assert second.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=1.1)["status"] == "duplicate"
     second.seal()
-    assert len(second.runner.matches) == 1
+    # Delivered by the restart's replay: counted, logged, and not kept.
+    assert second.stats()["matches"] == len(delivered_keys(tmp_path)) == 1
+    assert second.runner.matches == []
+
+
+def test_source_record_is_durable_before_the_first_ack(tmp_path, monkeypatch):
+    """The ``source`` first-sighting record is the one journal line a
+    restart depends on.  The writer thread here writes nothing until
+    somebody flushes — a journal line merely *queued* when the process
+    dies is a line lost — so the record must have been flushed by the
+    time the source's first frame could be acked."""
+    gate = threading.Event()
+    drain, flush = _JournalWriter._drain, _JournalWriter.flush
+
+    def gated_drain(self):
+        gate.wait(10.0)
+        drain(self)
+
+    def flush_opens_the_gate(self):
+        gate.set()
+        flush(self)
+
+    monkeypatch.setattr(_JournalWriter, "_drain", gated_drain)
+    monkeypatch.setattr(_JournalWriter, "flush", flush_opens_the_gate)
+    first = make_gateway(tmp_path)
+    first.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+    first.sync_acks()  # the ack goes out after this; then SIGKILL
+    journal = tmp_path / "gateway.jsonl"
+    on_disk = journal.read_text(encoding="utf-8") if journal.exists() else ""
+    assert {"kind": "source", "source": "s1"} in map(json.loads, on_disk.splitlines())
+
+    second = make_gateway(tmp_path)
+    assert second.recovered_frames == 1
+    assert second.liveness.status_of("s1") is not None  # re-registered, holds the merge
+    for gateway in (first, second):
+        gateway.seal()
+
+
+def test_a_gateway_keeps_no_match_it_has_delivered(tmp_path):
+    """Matches are output, not state — at the runner and the gateway too."""
+    durable, memory = make_gateway(tmp_path), make_gateway(None)
+    assert not hasattr(memory.runner, "matches")
+    tap = MatchTap(memory)
+    for cohort in range(40):
+        for gateway in (durable, memory):
+            ts = 2 * cohort
+            gateway.admit_frame("s1", "A", {"ts": ts, "x": cohort % 3}, now=0.0)
+            gateway.admit_frame("s1", "B", {"ts": ts + 1, "x": cohort % 3}, now=0.0)
+            gateway.sync_acks()
+        assert durable.runner.matches == durable.runner.emissions == []
+        for gateway in (durable, memory):
+            assert gateway.engine.results == gateway.engine.emissions == []
+    for gateway in (durable, memory):
+        gateway.seal()
+        assert gateway.engine.results == gateway.engine.emissions == []
+    assert durable.runner.matches == durable.runner.emissions == []
+    delivered = delivered_keys(tmp_path)
+    assert durable.stats()["matches"] == memory.stats()["matches"] == len(delivered) > 30
+    assert {match.key() for match in tap.matches} == delivered
 
 
 def test_raise_late_policy_is_rejected(tmp_path):

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import OutOfOrderEngine, parse
-from repro.core.recovery import read_wal_elements
+from repro.core.recovery import delivered_keys, read_wal_elements
 from repro.faultinject import FaultInjector
 from repro.ingest import (
     ClientFaultPlan,
@@ -26,6 +26,7 @@ from repro.ingest import (
 )
 from repro.ingest.server import MAX_FRAME_BYTES
 
+from helpers import MatchTap, delivery_log
 from ingest_helpers import make_schema
 
 
@@ -58,11 +59,13 @@ def frames_for(pairs: int):
 def inprocess_result_keys(frames, source="s1"):
     """The uninterrupted baseline: same frames, no sockets, no faults."""
     gateway = build_gateway()
+    tap = MatchTap(gateway)  # a memory gateway has no delivery log to read
     for index, (etype, attrs) in enumerate(frames):
         ack = gateway.admit_frame(source, etype, attrs, now=float(index))
         assert ack["status"] == "admitted"
     gateway.seal()
-    return {match.key() for match in gateway.results()}
+    assert gateway.stats()["matches"] == len(tap.matches)
+    return {match.key() for match in tap.matches}
 
 
 # -- clean path -------------------------------------------------------------------------
@@ -78,7 +81,7 @@ def test_socket_roundtrip_equals_inprocess_run(tmp_path):
         handle.stop(seal=True)
     assert report.admitted == len(frames)
     assert report.duplicates == report.quarantined == 0
-    assert {m.key() for m in gateway.results()} == inprocess_result_keys(frames)
+    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
 
 
 def test_two_sources_interleaved_lockstep(tmp_path):
@@ -105,7 +108,7 @@ def test_two_sources_interleaved_lockstep(tmp_path):
     assert gateway.admission.source_counts("s2").admitted == len(frames)
     # Dedupe is per-source: identical payloads from s1 and s2 both land.
     baseline = inprocess_result_keys(frames)
-    assert {m.key() for m in gateway.results()} == baseline
+    assert delivered_keys(tmp_path) == baseline
 
 
 def test_quarantined_frame_is_acked_not_fatal(tmp_path):
@@ -122,7 +125,7 @@ def test_quarantined_frame_is_acked_not_fatal(tmp_path):
         handle.stop(seal=True)
     assert report.admitted == 2 and report.quarantined == 1
     assert gateway.admission.quarantined == 1
-    assert len(gateway.results()) == 1
+    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
 
 
 def test_wrong_stream_is_refused_at_hello(tmp_path):
@@ -163,7 +166,7 @@ def test_lost_ack_and_duplicate_send_are_absorbed(tmp_path):
     # Server-side: every distinct frame admitted once, extras deduped.
     assert gateway.admission.admitted == len(frames)
     assert gateway.admission.duplicates >= 2
-    assert {m.key() for m in gateway.results()} == inprocess_result_keys(frames)
+    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
 
 
 def test_torn_before_send_is_a_clean_resend(tmp_path):
@@ -180,7 +183,7 @@ def test_torn_before_send_is_a_clean_resend(tmp_path):
     assert report.reconnects >= 1
     assert report.admitted + report.duplicates == len(frames)
     assert gateway.admission.admitted == len(frames)
-    assert {m.key() for m in gateway.results()} == inprocess_result_keys(frames)
+    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
 
 
 # -- crash-anywhere ---------------------------------------------------------------------
@@ -231,14 +234,15 @@ def test_crash_anywhere_is_exactly_once(tmp_path, crash_at):
     # Server accounting: WAL replay + post-recovery admissions cover each
     # distinct frame exactly once (duplicates were absorbed, not fed).
     assert recovered.recovered_frames + recovered.admission.admitted == len(frames)
-    # Delivery accounting: results() is per-incarnation (the delivery log
-    # suppresses replayed matches a predecessor already delivered), so the
-    # exactly-once statement is about the union: across both incarnations
-    # every match of the uninterrupted run is delivered once, none twice.
-    before = {m.key() for m in crashed.results()}
-    after = {m.key() for m in recovered.results()}
-    assert before & after == set()
-    assert before | after == inprocess_result_keys(frames)
+    # Delivery accounting: the delivery log is the one record across
+    # incarnations (it suppresses replayed matches a predecessor already
+    # delivered), so the exactly-once statement is about it: every match
+    # of the uninterrupted run is in it once, none twice, and the two
+    # incarnations' counts add up to it.
+    delivered = delivery_log(tmp_path)
+    assert len(delivered) == len(set(delivered))
+    assert set(delivered) == inprocess_result_keys(frames)
+    assert crashed.stats()["matches"] + recovered.stats()["matches"] == len(delivered)
 
 
 def test_recovered_gateway_reports_replay_in_hello(tmp_path):
@@ -265,8 +269,10 @@ def test_recovered_gateway_reports_replay_in_hello(tmp_path):
     assert report.duplicates == len(frames) and report.admitted == 0
     # The first incarnation already delivered every match; the delivery
     # log keeps the restart from delivering any of them again.
-    assert second.results() == []
-    assert {m.key() for m in gateway.results()} == inprocess_result_keys(frames)
+    assert second.stats()["matches"] == 0
+    delivered = delivery_log(tmp_path)
+    assert gateway.stats()["matches"] == len(delivered) == len(set(delivered))
+    assert set(delivered) == inprocess_result_keys(frames)
 
 
 # -- hostile frames ---------------------------------------------------------------------

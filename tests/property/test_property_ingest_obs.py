@@ -26,6 +26,8 @@ from repro.obs import MetricsRegistry
 from repro.obs.flight import FlightRecorder
 from repro.obs.span import mint_span
 
+from helpers import delivery_log
+
 SEED = int(os.environ.get("REPRO_OBS_SEED", "0"))
 SCENARIOS = 5
 QUERY = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 20"
@@ -130,11 +132,11 @@ def test_observability_never_changes_behaviour(tmp_path, scenario):
     assert plain_replies == observed_replies, f"seed {SEED} scenario {scenario}"
 
     assert plain.stats() == observed.stats()
-    assert plain.seal() is not None
-    observed.seal()
-    assert [m.key() for m in plain.runner.matches] == [
-        m.key() for m in observed.runner.matches
-    ]
+    assert [m.key() for m in plain.seal()] == [m.key() for m in observed.seal()]
+    # Every delivery, in order — and neither gateway kept any of them.
+    assert delivery_log(tmp_path / "plain") == delivery_log(tmp_path / "observed")
+    assert plain.stats()["matches"] == observed.stats()["matches"]
+    assert plain.runner.matches == observed.runner.matches == []
 
 
 @pytest.mark.parametrize("scenario", range(SCENARIOS))
@@ -157,7 +159,7 @@ def test_parity_holds_across_crash_and_restart(tmp_path, scenario):
         second.seal()
         halves[name] = (
             before, after, second.recovered_frames, second.stats(),
-            [m.key() for m in second.runner.matches],
+            delivery_log(directory),
         )
 
     assert halves["plain"] == halves["observed"], (

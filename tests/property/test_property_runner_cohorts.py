@@ -114,13 +114,23 @@ def scenarios(kind, name):
         yield case, rng, stream, cuts, interval
 
 
+def assert_running_total(engine, context=""):
+    """A partitioned engine's running state total is what a re-sum gives."""
+    if isinstance(engine, PartitionedEngine):
+        assert engine.state_size() == sum(
+            sub.state_size() for sub in engine._partitions.values()
+        ), context
+
+
 def feed_cohorts(runner, stream, cuts):
     """Feed *stream* from ``runner.seq`` on, cut at *cuts*; returns the
     matches the calls returned, in order."""
     returned, at = [], runner.seq
+    assert_running_total(runner.engine)  # as recovery left it
     for end in cuts:
         if end > at:
             returned.extend(runner.feed(stream[at:end]))
+            assert_running_total(runner.engine)
             at = end
     return returned
 
@@ -155,7 +165,9 @@ def test_cohorts_are_invisible_on_disk(kind, name, tmp_path):
         one_by_one = []
         for element in stream:
             one_by_one.extend(single.feed(element))
+            assert_running_total(single.engine, context)
         one_by_one.extend(single.close())
+        assert_running_total(single.engine, context)
 
         cohorted = ResilientRunner(
             build(kind, pattern), tmp_path / f"cohort{case}", checkpoint_every=interval
