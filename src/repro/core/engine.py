@@ -769,6 +769,18 @@ class OutOfOrderEngine(Engine):
         )
         plain_ripe = type(self)._ripe_possible is OutOfOrderEngine._ripe_possible
         ripe_possible = self._ripe_possible
+        # A bracketless pattern's match has nothing to seal (its seal point,
+        # -1, is never above the horizon): unless something watches or
+        # overrides the routing calls, it goes straight to ``_emit``.
+        emit = self._emit
+        own = type(self)
+        unrouted = (
+            not pattern.negations and not pattern.kleene
+            and self.speculation is None and obs is None
+            and own._route is OutOfOrderEngine._route
+            and own._decide is OutOfOrderEngine._decide
+            and own._emit is Engine._emit
+        )
         # Clock state, mirrored locally; writes go through so emission
         # bookkeeping (clock.now at _decide time) stays exact.
         k = clock.k
@@ -897,7 +909,11 @@ class OutOfOrderEngine(Engine):
                                     for match in construct(
                                         stacks, step_index, instance, stats
                                     ):
-                                        route(match, emitted)
+                                        if unrouted:
+                                            emit(match, max_ts)
+                                            emitted.append(match)
+                                        else:
+                                            route(match, emitted)
                         if was_late and side_stored:
                             dirty = True
                         if admitted or side_stored:

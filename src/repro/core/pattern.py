@@ -457,7 +457,7 @@ class Match:
             )
         self._key = (
             pattern.name,
-            tuple(e.eid for e in self.events),
+            tuple([e.eid for e in self.events]),
             collection_key,
         )
         # arrival sequence number at which the engine emitted the match;

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
@@ -148,22 +148,41 @@ class AdmissionController:
     # -- the decision -------------------------------------------------------------------
 
     def admit(self, source: str, etype: Any, attrs: Any) -> Admission:
-        """Decide one frame from *source*; never raises on bad frames."""
+        """Decide one frame from *source*: a one-pair :meth:`admit_cohort`."""
+        return self.admit_cohort(source, ((etype, attrs),))[0]
+
+    def admit_cohort(
+        self, source: str, pairs: Iterable[Tuple[Any, Any]]
+    ) -> List[Admission]:
+        """Decide ``(etype, attrs)`` *pairs* from *source*, in order.
+
+        The one admission body; never raises on bad frames.  The source's
+        state is looked up once; a pair repeated inside the cohort is a
+        duplicate of its first occurrence.
+        """
         state = self._sources.get(source)
         if state is None:
             state = self._sources[source] = SourceAdmission(self.window)
-        reason, idem = self.schema.screen(etype, attrs)
-        if reason is not None:
-            state.quarantined += 1
-            return Admission(AdmissionOutcome.QUARANTINED, reason, None, None)
-        if idem in state.window or idem in self._recovered:
-            state.duplicates += 1
-            return Admission(AdmissionOutcome.DUPLICATE, None, None, idem)
-        state.window.add(idem)
-        state.admitted += 1
-        return Admission(
-            AdmissionOutcome.ADMITTED, None, self.schema.event_for(etype, attrs, idem), idem
-        )
+        window = state.window
+        # The two id sets: ``add`` mutates them in place, nothing rebinds them here.
+        seen, recovered = window._ids, self._recovered._ids
+        screen, event_for = self.schema.screen, self.schema.event_for
+        admitted, duplicate, quarantined = AdmissionOutcome  # definition order
+        decided: List[Admission] = []
+        for etype, attrs in pairs:
+            reason, idem = screen(etype, attrs)
+            if reason is not None:
+                state.quarantined += 1
+                decided.append(Admission(quarantined, reason, None, None))
+            elif idem in seen or idem in recovered:
+                state.duplicates += 1
+                decided.append(Admission(duplicate, None, None, idem))
+            else:
+                window.add(idem)
+                state.admitted += 1
+                event = event_for(etype, attrs, idem)
+                decided.append(Admission(admitted, None, event, idem))
+        return decided
 
     # -- recovery -----------------------------------------------------------------------
 

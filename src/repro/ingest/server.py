@@ -12,9 +12,10 @@ rest of the package provides into the exactly-once admission story:
   per-source windows are rebuilt from the runner's WAL so redeliveries
   racing the restart are still caught;
 * **group-commit acks** — every batch of frames read off a socket (a
-  *cohort*) is admitted frame by frame, then logged, fed, punctuated
-  and made durable as one unit (:meth:`IngestGateway.sync_acks`) before
-  a single ack is written back.  An acked frame is on disk; an unacked
+  *cohort*) is decoded at once, admitted a run of event frames at a time
+  (:meth:`IngestGateway.admit_cohort`), then logged, fed, punctuated and
+  made durable as one unit (:meth:`IngestGateway.sync_acks`) before a
+  single ack is written back.  An acked frame is on disk; an unacked
   frame will be resent and deduped.  Exactly-once, relative to acks,
   with one ``runner.feed`` per cohort — one WAL write, one engine batch,
   at most one punctuation, one delivery-log append, one flush — instead
@@ -59,11 +60,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import operator
 import queue
+import re
 import signal
 import threading
 import time
 from collections import deque
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -71,7 +75,7 @@ from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.recovery import ResilientRunner, decode_element, iter_wal_records
 from repro.faultinject import CrashError
-from repro.ingest.admission import AdmissionController, AdmissionOutcome
+from repro.ingest.admission import AdmissionController
 from repro.ingest.liveness import LivenessTracker, SourceStatus, Transition
 from repro.ingest.schema import StreamSchema
 from repro.obs import trace as stages
@@ -86,6 +90,52 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
 JOURNAL_NAME = "gateway.jsonl"
 FLIGHT_NAME = "flight.jsonl"
+
+#: Two objects with only a comma between them inside one line.
+_TWO_OBJECTS = re.compile(rb"\}[ \t\r]*,[ \t\r]*\{")
+_frame_op = operator.methodcaller("get", "op")
+
+
+def decode_lines(lines: List[bytes]) -> Tuple[List[Dict[str, Any]], Optional[str]]:
+    """One read's complete lines as ``(frames, why the next line is fatal)``.
+
+    One ``json.loads`` over the lines joined as an array, kept only when
+    it is the line-by-line decode: as many values as lines, all objects,
+    and no line holding ``…},{…`` — then none of the array's top-level
+    commas is inside a line, so each join is one and each line is one
+    value.  Anything else is redone line by line: blank lines skipped,
+    frames up to the first line that is not one JSON object.
+    """
+    body = b",\n".join(lines)
+    if _TWO_OBJECTS.search(body) is None:
+        try:
+            frames = json.loads(b"[" + body + b"]")
+        except (ValueError, RecursionError):
+            frames = ()
+        if len(frames) == len(lines) and set(map(type, frames)) == {dict}:
+            return frames, None
+    frames = []
+    for raw in lines:
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            frame = json.loads(raw)
+        except (ValueError, RecursionError):  # nested too deep reads as malformed
+            frame = None
+        if not isinstance(frame, dict):
+            return frames, "frame is not a JSON object"
+        frames.append(frame)
+    return frames, None
+
+
+def encode_reply(reply: Dict[str, Any]) -> bytes:
+    """One reply line, byte for byte ``json.dumps(reply, sort_keys=True)``;
+    the plain admitted ack, nearly every line written, comes from a template."""
+    n = reply.get("n")
+    if type(n) is int and reply == {"n": n, "op": "ack", "status": "admitted"}:
+        return b'{"n": %d, "op": "ack", "status": "admitted"}\n' % n
+    return json.dumps(reply, sort_keys=True).encode("utf-8") + b"\n"
 
 
 class GatewayConfig:
@@ -536,6 +586,20 @@ class IngestGateway:
     ) -> Dict[str, Any]:
         """Decide one event frame; returns the ack payload.
 
+        A one-frame :meth:`admit_cohort`.  *span* is the client-minted
+        span context from the wire frame (``{"t0": <monotonic
+        seconds>}``); it only feeds latency attribution and never
+        changes the decision.
+        """
+        frame = {"etype": etype, "attrs": attrs, SPAN_FIELD: span}
+        return self.admit_cohort(source, [frame], now)[0]
+
+    def admit_cohort(
+        self, source: str, frames: List[Dict[str, Any]], now: Optional[float] = None
+    ) -> List[Dict[str, Any]]:
+        """Decide a run of ``event`` frames from *source*; returns their ack
+        payloads in frame order.
+
         The full admission ladder: backpressure refusal → schema
         quarantine → duplicate drop → source-mark advance + a place in
         the pending cohort.  ``admitted`` means *decided*: the event is
@@ -543,90 +607,104 @@ class IngestGateway:
         commits its cohort — transports must sync before acking, and an
         injected crash surfaces from the committing call, not from here.
 
-        *span* is the client-minted span context from the wire frame
-        (``{"t0": <monotonic seconds>}``); it only feeds latency
-        attribution and never changes the decision.
+        What the run shares is done once — crashed test, clock read,
+        journalled source, engine state size (state only grows at a
+        commit, so a frame's pressure is that size plus the pending
+        cohort), the liveness stamp by the first frame not refused, the
+        source mark's move to the newest ``ts``, counters — and per frame
+        only screen → dedupe → ``Event`` → ack.  Pressure and span
+        boundaries are per frame: with a shed policy or attribution on,
+        frames are decided one at a time.
         """
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
         if now is None:
             now = self._clock()
-        spans = self._spans
-        t_start = self._clock() if spans is not None else 0.0
         self._remember_source(source)
-        pressure = self.pressure()
-        if pressure >= self.config.hard_pressure:
-            self.busy_total += 1
-            if self._c_busy is not None:
-                self._c_busy.inc()
-            if self._flight is not None:
-                self._flight.note(now, "busy", source, int(pressure * 10000))
+        config, clock, spans, flight = self.config, self._clock, self._spans, self._flight
+        hard, soft = config.hard_pressure, config.soft_pressure
+        pending = self._pending
+        shed = getattr(self.engine, "shed", None)
+        size = self.engine.state_size() if shed is not None else 0
+        step = max(len(frames), 1) if shed is None and spans is None else 1
+        acks: List[Dict[str, Any]] = []
+        pressure = t_start = 0.0
+        first = newest = -1  # ts (screened >= 0) of the stamping frame / the newest admitted
+        stamped = False
+        admitted = duplicates = quarantined = busy = 0
+        for at in range(0, len(frames), step):
+            chunk = frames[at:at + step]
             if spans is not None:
-                spans.note_frame(
-                    source, "busy", t_start, self._clock(), span_origin(span)
-                )
-            return {
-                "status": "busy",
-                "retry_after": self.config.retry_after,
-                "pressure": round(pressure, 4),
-            }
-        admission = self.admission.admit(source, etype, attrs)
-        if admission.outcome is AdmissionOutcome.QUARANTINED:
-            if self._c_quarantined is not None:
-                self._c_quarantined.inc()
-            # Stamp activity: a source sending garbage is alive, and its
-            # malformed frames must not read as silence to liveness.
-            transition = self.liveness.connect(source, now)
-            if transition is not None:
-                self._note_transition(transition)
-            if self._flight is not None:
-                self._flight.note(
-                    now, "quarantine", source, detail=str(admission.reason)[:60]
-                )
-            if spans is not None:
-                spans.note_frame(
-                    source, "quarantined", t_start, self._clock(),
-                    span_origin(span),
-                )
-            return {"status": "quarantined", "reason": admission.reason}
-        if admission.outcome is AdmissionOutcome.DUPLICATE:
-            if self._c_duplicates is not None:
-                self._c_duplicates.inc()
-            transition = self.liveness.connect(source, now)
-            if transition is not None:
-                self._note_transition(transition)
-            if self._flight is not None:
-                self._flight.note(now, "dup", source)
-            if spans is not None:
-                spans.note_frame(
-                    source, "duplicate", t_start, self._clock(),
-                    span_origin(span),
-                )
-            return {"status": "duplicate"}
-        event = admission.event
-        transition = self.liveness.observe(source, event.ts, now)
-        if transition is not None:
-            self._note_transition(transition)
-        self._advance_due = True
-        self._pending.append(event)
-        if self._c_admitted is not None:
-            self._c_admitted.inc()
-        if self._flight is not None:
-            self._flight.note(now, "admit", source, value=event.ts)
-        if spans is not None:
-            spans.note_frame(
-                source, "admitted", t_start, self._clock(),
-                span_origin(span), event.eid,
+                t_start = clock()
+            if shed is not None:
+                pressure = shed.pressure(size + len(pending))
+            if pressure >= hard:
+                busy += 1
+                if flight is not None:
+                    flight.note(now, "busy", source, int(pressure * 10000))
+                if spans is not None:
+                    origin = span_origin(chunk[0].get(SPAN_FIELD))
+                    spans.note_frame(source, "busy", t_start, clock(), origin)
+                acks.append({"status": "busy", "retry_after": config.retry_after,
+                             "pressure": round(pressure, 4)})
+                continue
+            decided = self.admission.admit_cohort(
+                source, [(frame.get("etype"), frame.get("attrs")) for frame in chunk]
             )
-        ack: Dict[str, Any] = {"status": "admitted"}
-        if pressure >= self.config.soft_pressure:
-            # Soft band: admit, but ask the client to slow down
-            # proportionally to how deep into the band we are.
-            band = self.config.hard_pressure - self.config.soft_pressure
-            depth = (pressure - self.config.soft_pressure) / band if band else 1.0
-            ack["throttle"] = round(self.config.retry_after * min(1.0, depth), 6)
-            self.throttled_total += 1
-        return ack
+            for frame, (_, reason, event, _) in zip(chunk, decided):
+                if not stamped:
+                    # Activity whatever the outcome: a source sending
+                    # garbage or resends is alive, not silent.
+                    stamped = True
+                    if event is None:
+                        transition = self.liveness.connect(source, now)
+                    else:
+                        first = event.ts
+                        transition = self.liveness.observe(source, first, now)
+                    if transition is not None:
+                        self._note_transition(transition)
+                if event is not None:
+                    if event.ts > newest:
+                        newest = event.ts
+                    pending.append(event)
+                    admitted += 1
+                    if flight is not None:
+                        flight.note(now, "admit", source, value=event.ts)
+                    ack: Dict[str, Any] = {"status": "admitted"}
+                    if pressure >= soft:
+                        # Soft band: admit, but ask the client to slow down
+                        # proportionally to how deep into the band we are.
+                        depth = (pressure - soft) / (hard - soft) if hard > soft else 1.0
+                        ack["throttle"] = round(config.retry_after * min(1.0, depth), 6)
+                        self.throttled_total += 1
+                elif reason is not None:
+                    quarantined += 1
+                    if flight is not None:
+                        flight.note(now, "quarantine", source, detail=str(reason)[:60])
+                    ack = {"status": "quarantined", "reason": reason}
+                else:
+                    duplicates += 1
+                    if flight is not None:
+                        flight.note(now, "dup", source)
+                    ack = {"status": "duplicate"}
+                if spans is not None:
+                    spans.note_frame(
+                        source, ack["status"], t_start, clock(),
+                        span_origin(frame.get(SPAN_FIELD)),
+                        None if event is None else event.eid,
+                    )
+                acks.append(ack)
+        if admitted:
+            self._advance_due = True
+            if newest != first:
+                self.liveness.observe(source, newest, now)
+        self.busy_total += busy
+        if self._c_admitted is not None:  # the four counters come together
+            self._c_admitted.inc(admitted)
+            self._c_duplicates.inc(duplicates)
+            self._c_quarantined.inc(quarantined)
+            self._c_busy.inc(busy)
+        return acks
 
     def assert_watermark(
         self, source: str, ts: int, now: Optional[float] = None
@@ -1161,64 +1239,55 @@ class IngestGateway:
                 buffer += chunk
                 lines = buffer.split(b"\n")
                 buffer = lines.pop()
+                frames, undecodable = decode_lines(lines)
                 replies: List[Dict[str, Any]] = []
-                fed = False
                 goodbye = False
                 fatal: Optional[str] = None  # why the connection must close
-                for raw in lines:
-                    raw = raw.strip()
-                    if not raw:
+                # A run of event frames is one admit_cohort; any other op
+                # ends the run first, so replies stay in frame order.
+                for op, run in groupby(frames, _frame_op):
+                    if op == "event" and source is not None:
+                        events = list(run)
+                        acks = self.admit_cohort(source, events)
+                        for frame, ack in zip(events, acks):
+                            ack["op"] = "ack"
+                            ack["n"] = frame.get("n")
+                        replies += acks
                         continue
-                    try:
-                        frame = json.loads(raw)
-                    except ValueError:
-                        frame = None
-                    if not isinstance(frame, dict):
-                        fatal = "frame is not a JSON object"
-                        break
-                    op = frame.get("op")
-                    if source is None:
-                        if op != "hello":
-                            fatal = "first frame must be hello"
-                            break
-                        reply, source = self._handle_hello(frame)
-                        replies.append(reply)
+                    for frame in run:
                         if source is None:
+                            if op != "hello":
+                                fatal = "first frame must be hello"
+                                break
+                            reply, source = self._handle_hello(frame)
+                            replies.append(reply)
+                            if source is None:
+                                goodbye = True
+                                break
+                        elif op == "watermark":
+                            try:
+                                ts = int(frame.get("ts", 0))
+                            except (TypeError, ValueError, OverflowError):
+                                fatal = "watermark ts must be an int"
+                                break
+                            ack = self.assert_watermark(source, ts)
+                            ack["op"] = "ack"
+                            ack["n"] = frame.get("n")
+                            replies.append(ack)
+                        elif op == "stats":
+                            replies.append({"op": "stats_ok", "stats": self.stats()})
+                        elif op == "bye":
+                            replies.append({"op": "bye_ok"})
                             goodbye = True
                             break
-                        continue
-                    if op == "event":
-                        ack = self.admit_frame(
-                            source,
-                            frame.get("etype"),
-                            frame.get("attrs"),
-                            span=frame.get(SPAN_FIELD),
-                        )
-                        ack["op"] = "ack"
-                        ack["n"] = frame.get("n")
-                        fed = fed or ack["status"] == "admitted"
-                        replies.append(ack)
-                    elif op == "watermark":
-                        try:
-                            ts = int(frame.get("ts", 0))
-                        except (TypeError, ValueError):
-                            fatal = "watermark ts must be an int"
-                            break
-                        ack = self.assert_watermark(source, ts)
-                        ack["op"] = "ack"
-                        ack["n"] = frame.get("n")
-                        fed = True
-                        replies.append(ack)
-                    elif op == "stats":
-                        replies.append({"op": "stats_ok", "stats": self.stats()})
-                    elif op == "bye":
-                        replies.append({"op": "bye_ok"})
-                        goodbye = True
+                        else:
+                            replies.append(
+                                {"op": "error", "reason": f"unknown op {op!r}"}
+                            )
+                    if goodbye or fatal is not None:
                         break
-                    else:
-                        replies.append(
-                            {"op": "error", "reason": f"unknown op {op!r}"}
-                        )
+                else:  # every decoded frame handled: now the line that was not one
+                    fatal = undecodable
                 if fatal is None and len(buffer) > MAX_FRAME_BYTES:
                     fatal = f"frame exceeds {MAX_FRAME_BYTES} bytes"
                 if fatal is not None:
@@ -1226,8 +1295,9 @@ class IngestGateway:
                     # and acked below; then the connection closes.
                     replies.append({"op": "error", "reason": fatal})
                     goodbye = True
-                if fed:
-                    # The group commit: nothing above is logged, fed,
+                if self._advance_due:
+                    # The group commit, owed by any admitted frame or
+                    # watermark op above: nothing is logged, fed,
                     # punctuated or acked until this returns.
                     t_feed, t_sync_start = self.sync_acks()
                 else:
@@ -1236,12 +1306,7 @@ class IngestGateway:
                     )
                 t_sync_end = self._clock() if spans is not None else 0.0
                 if replies:
-                    writer.write(
-                        b"".join(
-                            json.dumps(reply, sort_keys=True).encode("utf-8") + b"\n"
-                            for reply in replies
-                        )
-                    )
+                    writer.write(b"".join(map(encode_reply, replies)))
                     await writer.drain()
                 if spans is not None:
                     spans.seal_cohort(

@@ -340,3 +340,87 @@ def test_newline_free_source_is_cut_off_at_the_frame_cap(tmp_path):
         assert report.admitted == 4
     finally:
         handle.stop(seal=True)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(b"[" * 50000, id="nested-past-the-recursion-limit"),
+        pytest.param(b'{"op":"watermark","n":9,"ts":1e400}', id="watermark-1e400"),
+        pytest.param(b'{"op":"watermark","n":9,"ts":Infinity}', id="watermark-Infinity"),
+    ],
+)
+def test_decoder_and_int_overflows_are_error_replies_too(tmp_path, bad):
+    """``RecursionError`` and ``OverflowError`` are not ``ValueError``: both
+    used to escape the handler — no ``error`` reply, and the read's earlier
+    frame committed only by the disconnect and never acked."""
+    gateway = build_gateway(tmp_path)
+    handle = serve_in_thread(gateway)
+    good = {"op": "event", "n": 0, "etype": "A", "attrs": {"ts": 1, "x": 7}}
+    payload = json.dumps(good).encode("utf-8") + b"\n" + bad + b"\n"
+    try:
+        replies = _raw_exchange(handle.port, payload)
+        assert [reply["op"] for reply in replies] == ["hello_ok", "ack", "error"]
+        assert replies[1]["status"] == "admitted"
+        expected = "watermark ts must be an int" if b"watermark" in bad else "JSON object"
+        assert expected in replies[-1]["reason"]
+    finally:
+        handle.stop(seal=True)
+
+
+#: What the parent of the cohort-shaped transport (7cc2871) wrote for the
+#: read below, recorded from it byte for byte.
+_MIXED_READ_REPLIES = (
+    b'{"n": 0, "op": "ack", "status": "admitted"}\n'
+    b'{"n": 1, "op": "ack", "status": "admitted"}\n'
+    b'{"n": 2, "op": "ack", "status": "ok", "watermark": 2}\n'
+    b'{"n": 3, "op": "ack", "status": "admitted"}\n'
+    b'{"op": "stats_ok", "stats": {"admitted": 3, "busy": 0, "degraded_total": 0, '
+    b'"duplicates": 0, "matches": 0, "quarantined": 0, "recovered_frames": 0, '
+    b'"recovered_total": 0, "seq": 0, "sources": {"s1": {"admitted": 3, '
+    b'"duplicates": 0, "quarantined": 0, "status": "live"}}, "state_size": 0, '
+    b'"stream": "orders", "throttled": 0, "watermark": 2}}\n'
+    b'{"op": "error", "reason": "frame is not a JSON object"}\n'
+)
+
+
+def test_mixed_ops_in_one_read_are_answered_in_frame_order(tmp_path):
+    """event, event, watermark, event, stats, <malformed>, event in one
+    ``sendall``: runs of events are admitted as cohorts, yet every reply
+    is where — and what — the frame-by-frame transport wrote."""
+    gateway = build_gateway(tmp_path)
+    handle = serve_in_thread(gateway)
+    lines = [
+        {"op": "event", "n": 0, "etype": "A", "attrs": {"ts": 1, "x": 7}},
+        {"op": "event", "n": 1, "etype": "B", "attrs": {"ts": 2, "x": 7}},
+        {"op": "watermark", "n": 2, "ts": 2},
+        {"op": "event", "n": 3, "etype": "A", "attrs": {"ts": 5, "x": 7}},
+        {"op": "stats"},
+        None,  # the malformed line
+        {"op": "event", "n": 6, "etype": "B", "attrs": {"ts": 6, "x": 7}},
+    ]
+    payload = b"".join(
+        (b"{not json" if line is None else json.dumps(line).encode("utf-8")) + b"\n"
+        for line in lines
+    )
+    hello = {"op": "hello", "source": "s1", "stream": "orders", "proto": 1}
+    received = b""
+    try:
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10.0) as sock:
+            sock.sendall(json.dumps(hello).encode("utf-8") + b"\n")
+            assert json.loads(sock.recv(65536))["op"] == "hello_ok"
+            sock.sendall(payload)  # one segment on loopback: one read, one cohort
+            while chunk := sock.recv(65536):
+                received += chunk
+    finally:
+        handle.stop(seal=True)
+    replies = [json.loads(line) for line in received.splitlines()]
+    assert [reply["op"] for reply in replies] == [
+        "ack", "ack", "ack", "ack", "stats_ok", "error"
+    ]
+    assert [reply.get("n") for reply in replies[:4]] == [0, 1, 2, 3]
+    # stats counts the admissions before it; the frame after the malformed
+    # line is neither admitted nor acked.
+    assert replies[4]["stats"]["admitted"] == 3
+    assert gateway.admission.admitted == 3
+    assert received == _MIXED_READ_REPLIES
