@@ -1,18 +1,24 @@
-"""E11 — Aggressive vs conservative: the revocation trade-off.
+"""E11 — Optimistic vs conservative emission: the retraction trade-off.
 
 Reconstructs the extension study (the paper's future-work direction,
-fully developed in the authors' ICDE 2009 follow-up): optimistic
-emission buys zero latency at the price of compensation traffic that
-grows with disorder.
+fully developed in the authors' ICDE 2009 follow-up) on the library's
+one optimistic mode, ``OutOfOrderEngine(..., speculative=True)``: every
+match is emitted into a speculative stream the moment its positive
+events line up, and a retraction follows at the seal when a late
+negative refutes it.  The sealed stream is the conservative engine's.
 
-Expected shape: revocations rise with the disorder rate; conservative
-latency is flat (~K-determined); both remain exactly correct *net*;
-the operator's choice is a latency-vs-churn dial, not a correctness one.
+Expected shape: retractions rise with the disorder rate; sealed latency
+is flat (~K-determined) while speculative latency is zero; the sealed
+output and the speculative stream net of retractions are both exactly
+correct — the operator's choice is a latency-vs-churn dial, not a
+correctness one.  Compensation lag (arrivals from a speculative
+emission to its retraction) is printed, not asserted: it is set by the
+seal, so it tracks K rather than the disorder rate.
 """
 
 import pytest
 
-from repro import AggressiveEngine, OutOfOrderEngine
+from repro import OutOfOrderEngine
 from repro.bench import oracle_truth
 from repro.metrics import render_table, summarize_arrival_latency
 from repro.streams import RandomDelayModel
@@ -39,6 +45,12 @@ def _workload(rate: float):
     )
 
 
+def compensation_lags(log):
+    """Arrivals between each withdrawn speculative emission and its retraction."""
+    emitted_at = {record.seq: record.emitted_seq for record in log.emissions}
+    return [r.retracted_arrival - emitted_at[r.ref_seq] for r in log.retractions]
+
+
 def run_experiment() -> str:
     rows = []
     for rate in RATES:
@@ -46,34 +58,32 @@ def run_experiment() -> str:
         ordered, arrival = workload.generate()
         truth = oracle_truth(workload.query, ordered)
 
-        conservative = OutOfOrderEngine(workload.query, k=K)
-        conservative.run(list(arrival))
-        aggressive = AggressiveEngine(workload.query, k=K)
-        aggressive.run(list(arrival))
+        engine = OutOfOrderEngine(workload.query, k=K, speculative=True)
+        engine.run(list(arrival))
+        log = engine.speculation
 
-        cons_latency = summarize_arrival_latency(conservative.emissions, arrival)
-        aggr_latency = summarize_arrival_latency(aggressive.emissions, arrival)
-        churn = (
-            len(aggressive.revocations) / len(aggressive.results)
-            if aggressive.results
-            else 0.0
-        )
+        sealed = summarize_arrival_latency(engine.emissions, arrival)
+        speculative = summarize_arrival_latency(log.emissions, arrival)
+        lags = compensation_lags(log)
         rows.append(
             [
                 rate,
-                round(cons_latency.mean, 1),
-                round(aggr_latency.mean, 1),
-                len(aggressive.revocations),
-                round(churn, 4),
-                conservative.result_set() == truth,
-                aggressive.net_result_set() == truth,
+                round(sealed.mean, 1),
+                round(speculative.mean, 1),
+                len(log.retractions),
+                round(log.retraction_rate(), 4),
+                round(sum(lags) / len(lags), 1) if lags else 0.0,
+                engine.result_set() == truth,
+                log.net_keys() == truth,
             ]
         )
     text = render_table(
-        f"E11 — aggressive vs conservative (negation query, n={EVENTS}, K={K})",
-        ["rate", "cons_latency", "aggr_latency", "revocations", "churn", "cons_exact", "aggr_exact"],
+        f"E11 — speculative vs sealed emission (negation query, n={EVENTS}, K={K})",
+        ["rate", "sealed_latency", "spec_latency", "retractions", "churn",
+         "comp_lag", "sealed_exact", "net_exact"],
         rows,
-        note="churn = revocations per emitted match; both strategies exact",
+        note="churn = retractions per speculative emission; comp_lag = mean "
+        "arrivals from speculative emission to its retraction (at the seal)",
     )
     return write_result("e11_aggressive", text)
 
@@ -86,25 +96,25 @@ def test_e11_report(benchmark):
         for line in text.splitlines()
         if line.strip() and line.strip()[0].isdigit()
     ]
-    revocations = [int(r[3].replace(",", "")) for r in rows]
-    assert revocations[0] == 0  # no disorder, no compensation
-    assert max(revocations[1:]) > 0  # disorder produces compensation traffic
-    assert all(r[5] == "yes" and r[6] == "yes" for r in rows)
-    aggr_latency = [float(r[2]) for r in rows]
-    cons_latency = [float(r[1]) for r in rows]
-    assert all(a <= c for a, c in zip(aggr_latency, cons_latency))
+    retractions = [int(r[3].replace(",", "")) for r in rows]
+    assert retractions[0] == 0  # no disorder, no compensation
+    assert max(retractions[1:]) > 0  # disorder produces compensation traffic
+    assert all(r[6] == "yes" and r[7] == "yes" for r in rows)
+    sealed_latency = [float(r[1]) for r in rows]
+    spec_latency = [float(r[2]) for r in rows]
+    assert all(s == 0.0 for s in spec_latency)
+    assert all(s <= c for s, c in zip(spec_latency, sealed_latency))
 
 
-@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("strategy", ["conservative", "speculative"])
 def test_e11_kernel(benchmark, strategy):
     workload = _workload(0.2)
     __, arrival = workload.generate()
 
     def kernel():
-        if strategy == "conservative":
-            engine = OutOfOrderEngine(workload.query, k=K)
-        else:
-            engine = AggressiveEngine(workload.query, k=K)
+        engine = OutOfOrderEngine(
+            workload.query, k=K, speculative=strategy == "speculative"
+        )
         engine.feed_many(arrival)
         engine.close()
         return len(engine.results)

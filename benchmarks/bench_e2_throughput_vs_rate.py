@@ -8,22 +8,23 @@ in-order baseline (its disorder machinery idles); its cost degrades
 gracefully with rate (sorted-splice insertions + extra construction
 triggers); buffer-and-sort pays a constant heap overhead at every rate.
 Counters (partial combinations explored) are reported alongside wall
-time as the hardware-free proxy.
+time as the hardware-free proxy.  The optimistic row is the out-of-order
+engine with speculative emission on.
 """
 
 import pytest
 
-from repro.bench import make_engine, run_cell
+from repro.bench import run_cell
 from repro.metrics import render_series
 from repro.streams import RandomDelayModel
 from repro.workloads import SyntheticWorkload
 
-from common import write_result
+from common import SPECULATIVE, build_engine, write_result
 
 RATES = [0.0, 0.1, 0.2, 0.3, 0.5]
 MAX_DELAY = 40
 EVENTS = 6000
-ENGINES = ["inorder", "ooo", "reorder", "aggressive"]
+ENGINES = ["inorder", "ooo", "reorder", SPECULATIVE]
 
 
 def _arrival(rate: float):
@@ -46,7 +47,7 @@ def run_experiment() -> str:
     for rate in RATES:
         query, arrival = _arrival(rate)
         for name in ENGINES:
-            cell = run_cell(make_engine(name, query, k=MAX_DELAY), arrival)
+            cell = run_cell(build_engine(name, query, MAX_DELAY), arrival)
             throughput[name].append(int(cell["events_per_sec"]))
             partials[name].append(cell["partial_combinations"])
     text = render_series(
@@ -79,7 +80,7 @@ def test_e2_kernel(benchmark, engine_name, rate):
     query, arrival = _arrival(rate)
 
     def kernel():
-        engine = make_engine(engine_name, query, k=MAX_DELAY)
+        engine = build_engine(engine_name, query, MAX_DELAY)
         engine.feed_many(arrival)
         engine.close()
         return len(engine.results)

@@ -9,8 +9,8 @@ as a function of the promised disorder bound?
   instant they complete (latency 0 regardless of K) and holds only
   negation-guarded results, whose wait also scales with K but applies
   to far fewer results;
-* the aggressive extension removes even that wait, paying in
-  revocations (measured in E11).
+* speculative emission removes even that wait on its optimistic
+  stream, paying in retractions at the seal (measured in E11).
 
 Latency is measured in *events read between evidence-complete and
 emission* (arrival latency), the host-independent definition.
@@ -18,12 +18,11 @@ emission* (arrival latency), the host-independent definition.
 
 import pytest
 
-from repro.bench import make_engine
 from repro.metrics import render_series, summarize_arrival_latency
 from repro.streams import RandomDelayModel
 from repro.workloads import SyntheticWorkload
 
-from common import write_result
+from common import SPECULATIVE, build_engine, consumer_view, write_result
 
 KS = [10, 20, 40, 80, 160]
 TRUE_DELAY = 10  # actual disorder never exceeds this
@@ -44,10 +43,11 @@ def _workload(negated: bool):
 
 
 def _latency(engine_name: str, workload, arrival, k: int) -> float:
-    engine = make_engine(engine_name, workload.query, k=k)
+    engine = build_engine(engine_name, workload.query, k)
     engine.feed_many(arrival)
     engine.close()
-    return summarize_arrival_latency(engine.emissions, arrival).mean
+    records, __ = consumer_view(engine)
+    return summarize_arrival_latency(records, arrival).mean
 
 
 def run_experiment() -> str:
@@ -56,8 +56,8 @@ def run_experiment() -> str:
     negated = _workload(True)
     __, arrival_neg = negated.generate()
 
-    series_pos = {"ooo": [], "reorder": [], "aggressive": []}
-    series_neg = {"ooo": [], "reorder": [], "aggressive": []}
+    series_pos = {"ooo": [], "reorder": [], SPECULATIVE: []}
+    series_neg = {"ooo": [], "reorder": [], SPECULATIVE: []}
     for k in KS:
         for name in series_pos:
             series_pos[name].append(round(_latency(name, positive, arrival_pos, k), 2))
@@ -74,7 +74,7 @@ def run_experiment() -> str:
         "K",
         KS,
         series_neg,
-        note="conservative negation waits ~K; aggressive emits at 0 and compensates",
+        note="conservative negation waits ~K; speculative emits at 0, retracts at the seal",
     )
     return write_result("e3_latency_vs_k", text)
 
@@ -92,9 +92,8 @@ def test_e3_report(benchmark):
     assert all(float(row[1]) == 0.0 for row in pos_rows)
     reorder_latencies = [float(row[2]) for row in pos_rows]
     assert reorder_latencies[-1] > reorder_latencies[0] * 3
-    # aggressive emits everything immediately on both patterns.
-    neg_rows = rows[len(KS) :]
-    assert all(float(row[3]) == 0.0 for row in neg_rows)
+    # speculation emits everything immediately on both patterns.
+    assert all(float(row[3]) == 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("engine_name", ["ooo", "reorder"])
@@ -103,7 +102,7 @@ def test_e3_kernel(benchmark, engine_name):
     __, arrival = workload.generate()
 
     def kernel():
-        engine = make_engine(engine_name, workload.query, k=80)
+        engine = build_engine(engine_name, workload.query, 80)
         engine.feed_many(arrival)
         engine.close()
         return len(engine.results)

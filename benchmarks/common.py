@@ -22,7 +22,32 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.bench import make_engine
+
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: The optimistic row of an engine comparison: ``ooo`` with speculative
+#: emission, the library's one optimistic mode.
+SPECULATIVE = "speculative"
+
+
+def build_engine(name: str, query, k):
+    """``make_engine(name, query, k=k)``, plus the :data:`SPECULATIVE` row."""
+    if name == SPECULATIVE:
+        return make_engine("ooo", query, k=k, speculative=True)
+    return make_engine(name, query, k=k)
+
+
+def consumer_view(engine):
+    """(emission records, net result keys) a consumer of *engine* acts on.
+
+    A speculative engine's consumer reads the speculative stream and
+    applies its retractions; every other engine's reads sealed output.
+    """
+    log = getattr(engine, "speculation", None)
+    if log is None:
+        return engine.emissions, engine.result_set()
+    return log.emissions, log.net_keys()
 
 
 def write_result(name: str, text: str) -> str:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Real-time intrusion detection with conservative vs aggressive alerting.
+"""Real-time intrusion detection with sealed vs speculative alerting.
 
 Run:  python examples/intrusion_detection.py
 
@@ -13,12 +13,13 @@ order.  Two signatures run concurrently:
   record can retroactively clear a suspect.
 
 The conservative engine (the paper's choice) holds each exfiltration
-alert until no audit record can still arrive; the aggressive extension
-alerts immediately and issues a revocation if a late audit clears the
-host — the operator chooses the trade-off.
+alert until no audit record can still arrive; with speculative emission
+on, the same engine also alerts immediately on a side stream and issues
+a retraction at the seal if a late audit cleared the host — the operator
+chooses which stream to act on.
 """
 
-from repro import AggressiveEngine, MultiQueryPlan, OutOfOrderEngine, QueryPlan
+from repro import MultiQueryPlan, OutOfOrderEngine, QueryPlan
 from repro.core.oracle import OfflineOracle
 from repro.metrics import print_table, summarize_arrival_latency
 from repro.streams import RandomDelayModel
@@ -68,45 +69,48 @@ def main() -> None:
         ],
     )
 
-    # 4. Conservative vs aggressive on the negation signature.
+    # 4. Sealed vs speculative alerting on the negation signature: one
+    #    engine, two streams; the consumer takes the speculative one.
     truth = OfflineOracle(exfil).evaluate_set(trace.events)
-    conservative = OutOfOrderEngine(exfil, k=k)
-    conservative.run(list(arrival))
-    aggressive = AggressiveEngine(exfil, k=k)
-    aggressive.run(list(arrival))
+    engine = OutOfOrderEngine(exfil, k=k, speculative=True)
+    engine.run(list(arrival))
+    alerts, retractions = engine.take_speculation()
+    withdrawn = {r.ref_seq for r in retractions}
+    net = {a.match.key() for a in alerts if a.seq not in withdrawn}
 
-    conservative_latency = summarize_arrival_latency(conservative.emissions, arrival)
-    aggressive_latency = summarize_arrival_latency(aggressive.emissions, arrival)
+    sealed_latency = summarize_arrival_latency(engine.emissions, arrival)
+    alert_latency = summarize_arrival_latency(alerts, arrival)
     print_table(
-        "Exfiltration alerting: conservative vs aggressive",
-        ["strategy", "alerts", "revoked", "net == truth", "mean alert latency", "p99"],
+        "Exfiltration alerting: sealed vs speculative",
+        ["stream", "alerts", "retracted", "net == truth", "mean alert latency", "p99"],
         [
             [
-                "conservative (hold until sealed)",
-                len(conservative.results),
+                "sealed (hold until sealed)",
+                len(engine.results),
                 0,
-                conservative.result_set() == truth,
-                f"{conservative_latency.mean:.1f}",
-                f"{conservative_latency.p99:.0f}",
+                engine.result_set() == truth,
+                f"{sealed_latency.mean:.1f}",
+                f"{sealed_latency.p99:.0f}",
             ],
             [
-                "aggressive (alert + revoke)",
-                len(aggressive.results),
-                len(aggressive.revocations),
-                aggressive.net_result_set() == truth,
-                f"{aggressive_latency.mean:.1f}",
-                f"{aggressive_latency.p99:.0f}",
+                "speculative (alert + retract)",
+                len(alerts),
+                len(retractions),
+                net == truth,
+                f"{alert_latency.mean:.1f}",
+                f"{alert_latency.p99:.0f}",
             ],
         ],
         note="latency in events between evidence complete and alert raised",
     )
-    if aggressive.revocations:
-        example = aggressive.revocations[0]
+    if retractions:
+        example = retractions[0]
+        raised = next(a.emitted_seq for a in alerts if a.seq == example.ref_seq)
         print(
-            f"example revocation: alert on src={example.match.events[0]['src']} "
-            f"withdrawn after late {example.caused_by.etype}@{example.caused_by.ts}"
+            f"example retraction: alert on src={example.match.events[0]['src']} "
+            f"withdrawn at its seal ({example.cause}), "
+            f"{example.retracted_arrival - raised} events after it was raised"
         )
-
 
 if __name__ == "__main__":
     main()

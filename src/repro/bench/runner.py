@@ -4,8 +4,8 @@ Each experiment in ``benchmarks/`` is a sweep over one knob, comparing
 a fixed set of engine configurations on identical traces.  This module
 centralises the two pieces every experiment needs:
 
-* :func:`make_engine` — a name → engine factory covering all four
-  strategies, so experiments select engines by string and stay
+* :func:`make_engine` — a name → engine factory covering every
+  strategy, so experiments select engines by string and stay
   declarative;
 * :func:`run_cell` — feed one arrival trace through one engine and
   collect every measurement (wall time, counters, quality vs. oracle,
@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.aggressive import AggressiveEngine
 from repro.core.engine import Engine, OutOfOrderEngine
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
@@ -32,7 +31,7 @@ from repro.core.shedding import ShedPolicy
 from repro.metrics.latency import summarize_arrival_latency, summarize_occurrence_latency
 from repro.metrics.quality import QualityReport, compare_keys
 
-ENGINE_NAMES = ("ooo", "inorder", "reorder", "aggressive", "partitioned", "parallel")
+ENGINE_NAMES = ("ooo", "inorder", "reorder", "partitioned", "parallel")
 
 
 def make_engine(
@@ -54,7 +53,6 @@ def make_engine(
     ``ooo``         the paper's native out-of-order engine
     ``inorder``     SASE-style baseline assuming ordered arrival
     ``reorder``     K-slack buffer-and-sort in front of the baseline
-    ``aggressive``  optimistic emit + revocations (extension)
     ``partitioned`` per-key sub-engines, serial routing
     ``parallel``    partitioned with a close-time worker pool (*workers*,
                     *backend*; the PR-1 barrier design)
@@ -67,7 +65,6 @@ def make_engine(
     *speculative* / *controller* (the optimistic side-stream and the
     adaptive-K policy) apply to the ``ooo`` and ``partitioned`` families
     (``parallel`` only at ``workers=1``); other strategies reject them —
-    the aggressive engine already has its own optimistic protocol, and
     the reorder/inorder baselines have no pending matches to speculate
     on.
     """
@@ -95,9 +92,9 @@ def make_engine(
             speculative=speculative,
             controller=controller,
         )
-    if shed is not None and name != "aggressive":
+    if shed is not None:
         raise ConfigurationError(
-            f"load shedding is supported by the ooo/aggressive engines, not {name!r}"
+            f"load shedding is supported by the ooo engine, not {name!r}"
         )
     if name == "inorder":
         return InOrderEngine(pattern, purge=purge)
@@ -105,16 +102,6 @@ def make_engine(
         if k is None:
             raise ConfigurationError("reorder engine needs a concrete K")
         return ReorderingEngine(pattern, k=k, purge=purge)
-    if name == "aggressive":
-        return AggressiveEngine(
-            pattern,
-            k=k,
-            purge=purge,
-            optimize_scan=optimize,
-            optimize_construction=optimize,
-            index=index,
-            shed=shed,
-        )
     if name == "partitioned":
         return PartitionedEngine(
             pattern,
@@ -162,8 +149,7 @@ def run_cell(
     """One (engine, trace) measurement cell.
 
     When *truth_keys* (oracle identity set) is provided, quality
-    metrics are included; engines with a ``net_result_set`` (the
-    aggressive strategy) are judged on their net output.
+    metrics are included.
 
     *batch_size* selects the feeding discipline: ``None`` hands the
     whole trace to ``feed_many`` (one batch), a positive value feeds
@@ -195,11 +181,6 @@ def run_cell(
     engine.close()
     seconds = time.perf_counter() - start
 
-    produced = (
-        engine.net_result_set()
-        if hasattr(engine, "net_result_set")
-        else engine.result_set()
-    )
     cell: Dict[str, Any] = {
         "engine": type(engine).__name__,
         "events": len(arrival),
@@ -216,7 +197,6 @@ def run_cell(
         "index_misses": engine.stats.index_misses,
         "purged": engine.stats.instances_purged,
         "late_dropped": engine.stats.late_dropped,
-        "revocations": engine.stats.revocations,
         "shed": engine.stats.events_shed,
         "quarantined": engine.stats.events_quarantined,
     }
@@ -238,7 +218,7 @@ def run_cell(
         cell["metrics"] = registry.snapshot_state()
     if truth_keys is not None:
         report: QualityReport = compare_keys(
-            truth_keys, produced, shed=engine.stats.events_shed
+            truth_keys, engine.result_set(), shed=engine.stats.events_shed
         )
         cell["recall"] = report.recall
         cell["precision"] = report.precision

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--max-state", type=int, default=None, metavar="N",
         help="shed oldest stored events when engine state exceeds N "
-             "(ooo/aggressive engines; degrades recall, bounds memory)",
+             "(ooo engine; degrades recall, bounds memory)",
     )
     run.add_argument(
         "--speculative", action="store_true",
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--trace", default=None, help="JSON-lines trace file")
     explain.add_argument(
         "--engine", default="ooo",
-        choices=["ooo", "inorder", "reorder", "aggressive"],
+        choices=["ooo", "inorder", "reorder"],
         help="engine family to replay under (families sharing one tracer)",
     )
     explain.add_argument("--k", type=int, default=None, help="disorder bound K")
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--query", required=True, help="query text in the PATTERN language")
     serve.add_argument(
         "--engine", default="ooo",
-        choices=["ooo", "inorder", "reorder", "aggressive", "partitioned"],
+        choices=["ooo", "inorder", "reorder", "partitioned"],
     )
     serve.add_argument("--k", type=int, default=None, help="disorder bound K")
     serve.add_argument(
@@ -438,13 +438,8 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.verify:
         truth = OfflineOracle(pattern).evaluate_set(events_only)
         if resilient:
-            # Exactly-once delivery across crashes: the delivery log,
-            # net of what the aggressive engine later revoked.
-            produced = delivered_keys(args.checkpoint_dir) - {
-                r.match.key() for r in getattr(engine, "revocations", ())
-            }
-        elif hasattr(engine, "net_result_set"):
-            produced = engine.net_result_set()
+            # Exactly-once delivery across crashes: the delivery log.
+            produced = delivered_keys(args.checkpoint_dir)
         else:
             produced = engine.result_set()
         report = compare_keys(truth, produced, shed=engine.stats.events_shed)

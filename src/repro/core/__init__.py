@@ -4,7 +4,6 @@ The stable public surface of ``repro.core`` is re-exported here; see
 ``repro`` (the top-level package) for the library-wide API.
 """
 
-from repro.core.aggressive import AggressiveEngine, Revocation
 from repro.core.clock import StreamClock
 from repro.core.engine import (
     EmissionRecord,
@@ -62,7 +61,6 @@ from repro.core.stats import EngineStats
 from repro.core.transformation import CompositeEventFactory
 
 __all__ = [
-    "AggressiveEngine",
     "And",
     "Attr",
     "Comparison",
@@ -110,7 +108,6 @@ __all__ = [
     "ReorderingEngine",
     "ReproError",
     "ResilientRunner",
-    "Revocation",
     "ShedMode",
     "ShedPolicy",
     "SnapshotError",

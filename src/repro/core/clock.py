@@ -14,7 +14,7 @@ sealed.  Punctuations can push the horizon further than the K promise
 alone (e.g. a source that knows it is fully flushed).
 
 This module keeps the clock logic in one place so every engine
-(in-order, out-of-order, reordering, aggressive) shares identical
+(in-order, out-of-order, reordering, partitioned) shares identical
 horizon arithmetic — a prerequisite for the benchmarks to compare like
 with like.
 """

@@ -55,7 +55,9 @@ from repro.core.shedding import ShedMode, ShedPolicy
 from repro.core.speculate import (
     RETRACT_EMPTY_KLEENE,
     RETRACT_NEGATION,
+    Retraction,
     SpeculationLog,
+    SpeculativeEmission,
 )
 from repro.core.stacks import Instance, NegativeStore, StackSet
 from repro.core.stats import EngineStats
@@ -414,7 +416,8 @@ class OutOfOrderEngine(Engine):
         record is issued if the seal-time decision later disagrees.  The
         sealed output (``results`` / ``emissions``) is byte-identical
         to a non-speculative run — the speculative stream is strictly
-        additive.
+        additive.  This is the library's one optimistic mode; its
+        receiver takes the records with :meth:`take_speculation`.
     controller:
         Optional quality-driven bound policy
         (:class:`~repro.streams.controller.AdaptiveKController`): fed
@@ -489,6 +492,20 @@ class OutOfOrderEngine(Engine):
             + self.kleene_store.size()
             + len(self.pending)
         )
+
+    def take_speculation(self) -> Tuple[List[SpeculativeEmission], List[Retraction]]:
+        """Hand over the speculative records issued since the last take.
+
+        The speculative stream is output, like matches (see
+        :meth:`take_emissions`): returns ``(emissions, retractions)`` and
+        clears both from :attr:`speculation`, so the next :meth:`snapshot`
+        carries the untaken records plus the ones still awaiting their
+        seal.  A take changes no counter, epoch, seal decision or sealed
+        output.  ``([], [])`` when the engine is not speculative.
+        """
+        if self.speculation is None:
+            return [], []
+        return self.speculation.take()
 
     # -- checkpoint / restore -----------------------------------------------------
 
@@ -676,23 +693,6 @@ class OutOfOrderEngine(Engine):
 
     # -- the step loop --------------------------------------------------------------
 
-    def _post_event(self, event: Event) -> None:
-        """Subclass hook: extra per-event work after the step.
-
-        Runs for every admitted-or-dropped event, late-dropped ones
-        included (the aggressive engine's revocation scan needs those).
-        The loop pays the call only when a subclass overrides it.
-        """
-
-    def _ripe_possible(self) -> bool:
-        """True when :meth:`_release_ripe` could do any work right now.
-
-        Skipping the release call while nothing is pending is safe:
-        ``stats.matches_pending`` is maintained at every transition, so
-        an empty buffer implies the counter already reads zero.
-        """
-        return bool(self.pending._heap)
-
     def _run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """The engine's one step loop (steps 1-6 of the module docstring).
 
@@ -761,25 +761,13 @@ class OutOfOrderEngine(Engine):
         shed_overflow = self._shed_overflow if self.shed is not None else None
         obs = self._obs
         note_purge = obs.note_purge if obs is not None and obs.tracing else None
-        # Subclass hooks: pay the per-event call only when overridden.
-        post_event = (
-            self._post_event
-            if type(self)._post_event is not OutOfOrderEngine._post_event
-            else None
-        )
-        plain_ripe = type(self)._ripe_possible is OutOfOrderEngine._ripe_possible
-        ripe_possible = self._ripe_possible
         # A bracketless pattern's match has nothing to seal (its seal point,
-        # -1, is never above the horizon): unless something watches or
-        # overrides the routing calls, it goes straight to ``_emit``.
+        # -1, is never above the horizon): unless something watches the
+        # routing calls, it goes straight to ``_emit``.
         emit = self._emit
-        own = type(self)
         unrouted = (
             not pattern.negations and not pattern.kleene
             and self.speculation is None and obs is None
-            and own._route is OutOfOrderEngine._route
-            and own._decide is OutOfOrderEngine._decide
-            and own._emit is Engine._emit
         )
         # Clock state, mirrored locally; writes go through so emission
         # bookkeeping (clock.now at _decide time) stays exact.
@@ -832,8 +820,6 @@ class OutOfOrderEngine(Engine):
                             raise DisorderBoundViolation(element, max_ts, k or 0)
                         late_dropped += 1
                         if drop_late:
-                            if post_event is not None:
-                                post_event(element)
                             continue
                         # LatePolicy.PROCESS: best effort, falls through;
                         # results involving already-purged state are
@@ -921,7 +907,9 @@ class OutOfOrderEngine(Engine):
                         else:
                             events_ignored += 1
 
-                    if pending_heap or (not plain_ripe and ripe_possible()):
+                    # Skipping the release while nothing is pending is safe:
+                    # ``stats.matches_pending`` is kept at every transition.
+                    if pending_heap:
                         self._release_ripe(emitted)
                     if purge_eager:
                         due = True
@@ -950,8 +938,6 @@ class OutOfOrderEngine(Engine):
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
-                    if post_event is not None:
-                        post_event(element)
                 else:
                     if malformed_reason(element) is not None:
                         if quarantine:

@@ -3,8 +3,8 @@
 A match for a pattern with negated steps cannot be emitted the moment
 its positive events line up: a *negative* event that would invalidate
 it may still be in flight.  The conservative strategy (the one the
-paper adopts; the optimistic alternative lives in
-``repro.core.aggressive``) holds each candidate match until its
+paper adopts; the optimistic side stream lives in
+``repro.core.speculate``) holds each candidate match until its
 negation intervals are **sealed** — until the safe horizon guarantees
 no event that could fall inside them will ever arrive — then checks the
 negative store once and either releases or cancels the match.

@@ -34,10 +34,9 @@ class OrderedOutputAdapter:
     """Wrap an engine; deliver its matches in end-timestamp order.
 
     Works with any engine exposing a ``clock`` with ``horizon()`` —
-    ``OutOfOrderEngine``, ``PartitionedEngine``, ``ReorderingEngine``,
-    ``AggressiveEngine`` (note: for the aggressive strategy the
-    ordering guarantee applies to emissions; revocations still arrive
-    whenever the invalidating event does).
+    ``OutOfOrderEngine``, ``PartitionedEngine``, ``ReorderingEngine``
+    (the ordering guarantee covers the sealed stream; a speculative
+    engine's side stream is not reordered).
 
     >>> adapter = OrderedOutputAdapter(OutOfOrderEngine(q, k=10))  # doctest: +SKIP
     >>> ordered = adapter.run(arrival)                             # doctest: +SKIP

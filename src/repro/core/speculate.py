@@ -26,6 +26,12 @@ speculative stream converges it to exactly the sealed result set
 (:meth:`SpeculationLog.net_keys`), which is the consumer contract: a
 downstream system may act on speculative matches immediately provided
 it can compensate when a retraction with the same ``ref_seq`` arrives.
+Compensation comes at the seal, not when the refuting event arrives:
+the seal-time decision is the only place a record is reconciled, so a
+negative the K policy drops as late never compensates, and the net
+stream is exactly the sealed one.  This is the library's one optimistic
+mode; the engine hands the stream over with
+``OutOfOrderEngine.take_speculation()``, as it hands over matches.
 
 Sequence ids are shared between emissions and retractions so the
 speculative stream is totally ordered; epochs advance at punctuation
@@ -54,7 +60,7 @@ class SpeculativeEmission(NamedTuple):
     seq: int  #: position in the totally ordered speculative stream
     epoch: int  #: re-freeze epoch at emission time
     match: Match
-    emitted_arrival: int  #: engine arrival index at emission
+    emitted_seq: int  #: engine arrival index at emission
     emitted_clock: int  #: stream clock (max occurrence ts) at emission
 
 
@@ -92,14 +98,20 @@ def positive_key(match: Match) -> Tuple[int, ...]:
 
 
 class SpeculationLog:
-    """The engine-owned speculative stream: emissions, retractions, epoch.
+    """The engine-owned speculative stream: untaken records, open records, epoch.
 
-    The log is deterministic state: it snapshots and restores with the
-    engine, and two runs of the same input produce byte-identical
-    speculative streams.  ``enabled`` gates *new* speculation (the
-    controller's optimistic/pessimistic choice per epoch); sealing and
-    retraction of already-open records proceed regardless, so toggling
-    the mode mid-run never strands an open record.
+    The stream is output, not history: ``emissions`` and ``retractions``
+    hold the records issued since the receiver's last :meth:`take`
+    (the whole run for a receiver that never takes), and the only
+    records the log keeps past a take are the *open* ones — emitted
+    ahead of a seal decision that has not happened yet.  The log is
+    deterministic state: it snapshots and restores with the engine, and
+    two runs of the same input produce byte-identical speculative
+    streams, however the receiver cuts its takes.  ``enabled`` gates
+    *new* speculation (the controller's optimistic/pessimistic choice
+    per epoch); sealing and retraction of already-open records proceed
+    regardless, so toggling the mode mid-run never strands an open
+    record.
     """
 
     __slots__ = ("emissions", "retractions", "epoch", "enabled", "_next_seq", "_open")
@@ -110,24 +122,26 @@ class SpeculationLog:
         self.epoch = 0
         self.enabled = True
         self._next_seq = 0
-        #: positive key -> index into ``emissions`` for records whose
-        #: seal-time decision has not happened yet.
-        self._open: Dict[Tuple[int, ...], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.emissions)
+        #: positive key -> the emission record whose seal-time decision
+        #: has not happened yet (taken or not).
+        self._open: Dict[Tuple[int, ...], SpeculativeEmission] = {}
 
     @property
     def open_count(self) -> int:
         """Speculative emissions still awaiting their seal decision."""
         return len(self._open)
 
+    def take(self) -> Tuple[List[SpeculativeEmission], List[Retraction]]:
+        """Hand over the records issued since the last take and forget them."""
+        taken = (self.emissions, self.retractions)
+        self.emissions = []
+        self.retractions = []
+        return taken
+
     def speculate(self, match: Match, arrival: int, clock: int) -> SpeculativeEmission:
         """Record an optimistic emission for a not-yet-sealed match."""
-        record = SpeculativeEmission(self._next_seq, self.epoch, match, arrival, clock)
-        self._next_seq += 1
-        self.emissions.append(record)
-        self._open[positive_key(match)] = len(self.emissions) - 1
+        record = self._append(match, arrival, clock)
+        self._open[positive_key(match)] = record
         return record
 
     def is_open(self, match: Match) -> bool:
@@ -144,28 +158,13 @@ class SpeculationLog:
         case the sealed emission itself joins the speculative stream
         (zero speculative lead, but the stream stays convergent).
         """
-        index = self._open.pop(positive_key(match), None)
-        if index is None:
-            return SealOutcome(self.speculate_sealed(match, arrival, clock), None, True)
-        record = self.emissions[index]
+        record = self._open.pop(positive_key(match), None)
+        if record is None:
+            return SealOutcome(self._append(match, arrival, clock), None, True)
         if record.match.key() == match.key():
             return SealOutcome(record, None, False)
-        retraction = Retraction(
-            self._next_seq, record.seq, self.epoch, record.match,
-            RETRACT_REVISED, arrival, clock,
-        )
-        self._next_seq += 1
-        self.retractions.append(retraction)
-        return SealOutcome(self.speculate_sealed(match, arrival, clock), retraction, True)
-
-    def speculate_sealed(
-        self, match: Match, arrival: int, clock: int
-    ) -> SpeculativeEmission:
-        """Append an emission record that is sealed on arrival (not open)."""
-        record = SpeculativeEmission(self._next_seq, self.epoch, match, arrival, clock)
-        self._next_seq += 1
-        self.emissions.append(record)
-        return record
+        retraction = self._withdraw(record, RETRACT_REVISED, arrival, clock)
+        return SealOutcome(self._append(match, arrival, clock), retraction, True)
 
     def retract(
         self, match: Match, cause: str, arrival: int, clock: int
@@ -175,10 +174,20 @@ class SpeculationLog:
         Returns the retraction record, or None when the cancelled match
         was never speculated (nothing downstream needs compensating).
         """
-        index = self._open.pop(positive_key(match), None)
-        if index is None:
+        record = self._open.pop(positive_key(match), None)
+        if record is None:
             return None
-        record = self.emissions[index]
+        return self._withdraw(record, cause, arrival, clock)
+
+    def _append(self, match: Match, arrival: int, clock: int) -> SpeculativeEmission:
+        record = SpeculativeEmission(self._next_seq, self.epoch, match, arrival, clock)
+        self._next_seq += 1
+        self.emissions.append(record)
+        return record
+
+    def _withdraw(
+        self, record: SpeculativeEmission, cause: str, arrival: int, clock: int
+    ) -> Retraction:
         retraction = Retraction(
             self._next_seq, record.seq, self.epoch, record.match,
             cause, arrival, clock,
@@ -190,10 +199,11 @@ class SpeculationLog:
     # -- consumer/verification surface -------------------------------------------
 
     def net_keys(self) -> Set[Tuple]:
-        """Speculative-stream identities after applying every retraction.
+        """Untaken speculative identities after applying the untaken retractions.
 
-        After ``close()`` this equals the sealed ``result_set()`` — the
-        convergence contract the property suite pins.
+        For a receiver that never takes, after ``close()`` this equals
+        the sealed ``result_set()`` — the convergence contract the
+        property suite pins.
         """
         withdrawn = {r.ref_seq for r in self.retractions}
         return {
@@ -203,7 +213,7 @@ class SpeculationLog:
         }
 
     def retraction_rate(self) -> float:
-        """Fraction of speculative emissions later withdrawn."""
+        """Fraction of the untaken speculative emissions later withdrawn."""
         if not self.emissions:
             return 0.0
         return len(self.retractions) / len(self.emissions)
@@ -211,39 +221,45 @@ class SpeculationLog:
     # -- checkpointing -------------------------------------------------------------
 
     def snapshot_state(self, encode) -> dict:
+        def emission(r: SpeculativeEmission) -> tuple:
+            return (r.seq, r.epoch, encode(r.match), r.emitted_seq, r.emitted_clock)
+
         return {
             "epoch": self.epoch,
             "enabled": self.enabled,
             "next_seq": self._next_seq,
-            "emissions": [
-                (r.seq, r.epoch, encode(r.match), r.emitted_arrival, r.emitted_clock)
-                for r in self.emissions
-            ],
+            "emissions": [emission(r) for r in self.emissions],
             "retractions": [
                 (r.seq, r.ref_seq, r.epoch, encode(r.match), r.cause,
                  r.retracted_arrival, r.retracted_clock)
                 for r in self.retractions
             ],
-            # Open records are a subset of emissions; indices suffice.
-            "open": sorted(self._open.values()),
+            # Open records may already be taken, so they travel whole.
+            "open": [emission(r) for r in self._open.values()],
         }
 
     def restore_state(self, state: dict, decode) -> None:
+        def emission(fields: tuple) -> SpeculativeEmission:
+            seq, epoch, match, arrival, clock = fields
+            return SpeculativeEmission(seq, epoch, decode(match), arrival, clock)
+
         self.epoch = state["epoch"]
         self.enabled = state["enabled"]
         self._next_seq = state["next_seq"]
-        self.emissions = [
-            SpeculativeEmission(seq, epoch, decode(match), arrival, clock)
-            for seq, epoch, match, arrival, clock in state["emissions"]
-        ]
+        self.emissions = [emission(fields) for fields in state["emissions"]]
         self.retractions = [
             Retraction(seq, ref, epoch, decode(match), cause, arrival, clock)
             for seq, ref, epoch, match, cause, arrival, clock in state["retractions"]
         ]
-        self._open = {
-            positive_key(self.emissions[index].match): index
-            for index in state["open"]
-        }
+        self._open = {}
+        for fields in state["open"]:
+            # An int indexes ``emissions``: a snapshot written before the
+            # log could be taken, when every record was still in it.
+            if isinstance(fields, int):
+                record = self.emissions[fields]
+            else:
+                record = emission(fields)
+            self._open[positive_key(record.match)] = record
 
     def __repr__(self) -> str:
         return (

@@ -40,7 +40,6 @@ class EngineStats:
         "instances_purged",
         "negatives_purged",
         "peak_state_size",
-        "revocations",
         "speculative_emitted",
         "retractions_issued",
         "events_quarantined",

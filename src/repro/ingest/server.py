@@ -851,19 +851,15 @@ class IngestGateway:
                     detail="" if oldest is None else str(oldest),
                 )
         stats = getattr(engine, "stats", None)
-        shed = getattr(stats, "events_shed", 0) if stats is not None else 0
+        shed = getattr(stats, "events_shed", 0)
         if shed > self._last_shed:
             flight.note(now, "shed", value=shed)
             self._last_shed = shed
-        speculation = getattr(engine, "speculation", None)
-        if speculation is None:
-            inner = getattr(engine, "inner", None)
-            speculation = getattr(inner, "speculation", None)
-        if speculation is not None:
-            retractions = len(speculation.retractions)
-            if retractions > self._last_retractions:
-                flight.note(now, "retraction", value=retractions)
-                self._last_retractions = retractions
+        # The counter, not the log: a receiver's take shrinks the log.
+        retractions = getattr(stats, "retractions_issued", 0)
+        if retractions > self._last_retractions:
+            flight.note(now, "retraction", value=retractions)
+            self._last_retractions = retractions
 
     def _note_transition(self, transition: Transition) -> None:
         stage = (

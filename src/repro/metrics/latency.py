@@ -13,7 +13,10 @@ emitted match we measure two complementary delays:
   axis, which is what an application's freshness SLA speaks about.
 
 Both are derived after a run from the engine's emission log and the
-arrival trace (no instrumentation inside the hot loop).
+arrival trace (no instrumentation inside the hot loop).  Any record
+with ``match`` / ``emitted_seq`` / ``emitted_clock`` fields is
+accepted: the sealed stream's :class:`EmissionRecord` and the
+speculative stream's ``SpeculativeEmission`` alike.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from repro.obs.trace import (
     MATCH_CANCELLED,
     MATCH_EMITTED,
     MATCH_PENDING,
-    MATCH_REVOKED,
     PREDICATE_REJECTED,
     PROCESSED,
     PUNCTUATION,
@@ -98,7 +97,6 @@ __all__ = [
     "MATCH_CANCELLED",
     "MATCH_EMITTED",
     "MATCH_PENDING",
-    "MATCH_REVOKED",
     "MetricsJsonWriter",
     "MetricsRegistry",
     "NullTracer",

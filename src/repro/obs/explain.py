@@ -100,7 +100,7 @@ def diagnose(tracer: Tracer, eid: int) -> str:
             return "unknown (trace ring overflowed)"
         return "never arrived in the trace"
     for span in reversed(spans):
-        if span.stage in (stages.MATCH_EMITTED, stages.MATCH_REVOKED):
+        if span.stage == stages.MATCH_EMITTED:
             return f"participated in a match ({span.stage})"
         if span.stage == stages.MATCH_RETRACTED:
             # The speculative match this event contributed to was
@@ -175,18 +175,10 @@ def emitted_matches(
 def missing_matches(
     pattern: Pattern, elements: Sequence[Any], engine: Any
 ) -> Tuple[List[Match], int]:
-    """Oracle-only matches (engine missed them) plus the oracle total.
-
-    Uses the engine's *net* result set when it exposes one (aggressive
-    engines subtract revocations), mirroring ``run --verify``.
-    """
+    """Oracle-only matches (engine missed them) plus the oracle total."""
     events = [e for e in elements if isinstance(e, Event)]
     truth = OfflineOracle(pattern).evaluate(events)
-    produced = (
-        engine.net_result_set()
-        if hasattr(engine, "net_result_set")
-        else engine.result_set()
-    )
+    produced = engine.result_set()
     missing = [match for match in truth if match.key() not in produced]
     return _stable_match_order(missing), len(truth)
 

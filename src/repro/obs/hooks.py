@@ -636,14 +636,6 @@ class Observability:
                 stages.MATCH_CANCELLED, extra=cause,
             )
 
-    def note_revoked(self, engine: Any, match: Any, negative: Event) -> None:
-        if self.tracing:
-            self._record_matches(
-                engine, [match], self.tracer, engine._arrival,
-                stages.MATCH_REVOKED,
-                extra=f"late negative {negative.etype}@{negative.ts}#{negative.eid}",
-            )
-
     def note_speculated(self, engine: Any, record: Any) -> None:
         """A match entered the speculative stream (ahead of or at its seal)."""
         if self.tracing:

@@ -43,7 +43,6 @@ PREDICATE_REJECTED = "predicate_rejected"  #: a step's local predicate said no
 MATCH_EMITTED = "match_emitted"  #: contributed to an emitted match
 MATCH_PENDING = "match_pending"  #: contributed to a match parked for negation sealing
 MATCH_CANCELLED = "match_cancelled"  #: contributed to a match cancelled at seal time
-MATCH_REVOKED = "match_revoked"  #: an optimistic emission retracted by a late negative
 MATCH_SPECULATED = "match_speculated"  #: emitted into the speculative stream ahead of its seal
 MATCH_RETRACTED = "match_retracted"  #: a speculative emission withdrawn by a retraction record
 PURGED = "purged"  #: evicted as provably useless at the safe horizon
@@ -56,7 +55,7 @@ SOURCE_RECOVERED = "source_recovered"  #: a degraded/disconnected source resumed
 STAGES = (
     ADMITTED, IGNORED, QUARANTINED, LATE_DROPPED, PROCESSED, BUFFERED,
     RELEASED, PREDICATE_REJECTED, MATCH_EMITTED, MATCH_PENDING,
-    MATCH_CANCELLED, MATCH_REVOKED, MATCH_SPECULATED, MATCH_RETRACTED,
+    MATCH_CANCELLED, MATCH_SPECULATED, MATCH_RETRACTED,
     PURGED, SHED, PUNCTUATION, REFROZEN, SOURCE_DEGRADED, SOURCE_RECOVERED,
 )
 

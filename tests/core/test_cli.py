@@ -79,11 +79,14 @@ class TestRun:
         )
         assert code == 1  # recall < 1 -> non-zero exit
 
-    @pytest.mark.parametrize("engine", ["reorder", "aggressive", "partitioned"])
+    @pytest.mark.parametrize(
+        "engine",
+        ["reorder", pytest.param("ooo --speculative", id="speculative"), "partitioned"],
+    )
     def test_all_engines_runnable(self, trace_file, engine):
         code = main(
             ["run", "--query", QUERY, "--trace", str(trace_file),
-             "--engine", engine, "--k", "20", "--verify"]
+             "--engine", *engine.split(), "--k", "20", "--verify"]
         )
         assert code == 0
 
@@ -145,14 +148,18 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Match[" not in out
 
-    @pytest.mark.parametrize("engine", ["ooo", "aggressive", "reorder"])
+    @pytest.mark.parametrize(
+        "engine",
+        ["ooo", pytest.param("ooo --speculative", id="speculative"), "reorder"],
+    )
     def test_resilient_run_reports_deliveries_across_a_crash(
         self, trace_file, tmp_path, capsys, engine
     ):
         """The runner takes what it delivers, so the report reads the
         delivery log: same match count and oracle verdict as a plain run."""
         base = ["run", "--query", QUERY, "--trace", str(trace_file),
-                "--engine", engine, "--k", "20", "--verify", "--show-matches", "1"]
+                "--engine", *engine.split(), "--k", "20", "--verify",
+                "--show-matches", "1"]
         assert main(base) == 0
         plain = capsys.readouterr().out
         code = main(base + ["--checkpoint-every", "100", "--crash-at", "400",

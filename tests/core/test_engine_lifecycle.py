@@ -9,7 +9,6 @@ import pytest
 
 import repro
 from repro import (
-    AggressiveEngine,
     ConfigurationError,
     EngineStateError,
     Event,
@@ -37,9 +36,11 @@ CLOSED_CASES = {
         "plain": lambda: OutOfOrderEngine(KEYED, k=3),
         "shed": lambda: OutOfOrderEngine(KEYED, k=3, shed=ShedPolicy.drop_oldest(4)),
     },
-    "aggressive": {
-        "plain": lambda: AggressiveEngine(KEYED, k=3),
-        "shed": lambda: AggressiveEngine(KEYED, k=3, shed=ShedPolicy.drop_oldest(4)),
+    "speculative": {
+        "plain": lambda: OutOfOrderEngine(KEYED, k=3, speculative=True),
+        "shed": lambda: OutOfOrderEngine(
+            KEYED, k=3, shed=ShedPolicy.drop_oldest(4), speculative=True
+        ),
     },
     "inorder": {"plain": lambda: InOrderEngine(KEYED)},
     "reorder": {

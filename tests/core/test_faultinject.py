@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro import (
-    AggressiveEngine,
     CrashError,
     Event,
     FaultInjector,
@@ -100,10 +99,10 @@ class TestArm:
             for ts in range(1, 40):
                 engine.feed(Event("A", ts, {"x": ts % 3}))
 
-    def test_aggressive_engine_armable(self):
-        # AggressiveEngine subclasses OutOfOrderEngine: same purger hook.
+    def test_speculative_engine_armable(self):
+        # Speculation is a side stream of OutOfOrderEngine: same purger hook.
         fault = FaultInjector(crash_on_purge=2)
-        engine = fault.arm(AggressiveEngine(PATTERN, k=3))
+        engine = fault.arm(OutOfOrderEngine(PATTERN, k=3, speculative=True))
         with pytest.raises(CrashError):
             for ts in range(1, 20):
                 engine.feed(Event("A", ts, {}))

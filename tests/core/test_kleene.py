@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    AggressiveEngine,
     Event,
     InOrderEngine,
     OfflineOracle,
@@ -189,15 +188,15 @@ class TestOtherEngines:
         engine.run(arrival)
         assert engine.result_set() == truth
 
-    def test_aggressive_conservative_fallback_is_exact(
-        self, keyed_kleene, random_trace
-    ):
+    def test_speculative_kleene_is_exact(self, keyed_kleene, random_trace):
         arrival = bounded_shuffle(random_trace, k=15, seed=7)
         truth = OfflineOracle(keyed_kleene).evaluate_set(random_trace)
-        engine = AggressiveEngine(keyed_kleene, k=15)
+        engine = OutOfOrderEngine(keyed_kleene, k=15, speculative=True)
         engine.run(arrival)
-        assert engine.net_result_set() == truth
-        assert engine.revocations == []  # kleene path never exposes
+        assert engine.result_set() == truth
+        # Kleene matches speculate too; revised bindings converge net.
+        assert engine.stats.speculative_emitted > 0
+        assert engine.speculation.net_keys() == truth
 
     def test_partitioned_exact_under_disorder(self, keyed_kleene, random_trace):
         arrival = bounded_shuffle(random_trace, k=15, seed=8)

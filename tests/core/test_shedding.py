@@ -11,7 +11,6 @@ casualties and flows into :class:`repro.metrics.quality.QualityReport`
 import pytest
 
 from repro import (
-    AggressiveEngine,
     ConfigurationError,
     Event,
     OfflineOracle,
@@ -134,14 +133,17 @@ class TestDropOldest:
         engine.run([Event("AB"[ts % 2], ts, {}) for ts in range(1, 101)])
         assert engine.stats.events_shed == 0
 
-    def test_aggressive_engine_supports_shedding(self):
-        engine = AggressiveEngine(
+    def test_speculative_engine_supports_shedding(self):
+        engine = OutOfOrderEngine(
             NEG_PATTERN, k=2000, purge=PurgePolicy.none(),
-            shed=ShedPolicy.drop_oldest(25),
+            shed=ShedPolicy.drop_oldest(25), speculative=True,
         )
         for ts in range(1, 301):
             engine.feed(Event("AC"[ts % 2], ts, {}))
         assert engine.stats.events_shed > 0
+        assert engine.stats.speculative_emitted > 0
+        engine.close()
+        assert engine.speculation.net_keys() == engine.result_set()
 
     def test_batch_path_falls_back_to_reference_loop(self):
         events = [Event("AB"[ts % 2], ts, {}) for ts in range(1, 201)]

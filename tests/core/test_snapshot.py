@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro import (
-    AggressiveEngine,
     Attr,
     Eq,
     Event,
@@ -42,7 +41,7 @@ PATTERN = seq(
     name="snap",
 )
 
-ENGINE_KINDS = ["ooo", "inorder", "aggressive", "reorder", "partitioned", "parallel"]
+ENGINE_KINDS = ["ooo", "inorder", "speculative", "reorder", "partitioned", "parallel"]
 
 #: Class name in the header of checkpoints written by the deleted engine.
 REMOVED_ENGINE = "Pipelined" + PartitionedEngine.__name__
@@ -53,8 +52,8 @@ def build(kind, pattern=PATTERN, **overrides):
         return OutOfOrderEngine(pattern, k=overrides.get("k", K))
     if kind == "inorder":
         return InOrderEngine(pattern)
-    if kind == "aggressive":
-        return AggressiveEngine(pattern, k=overrides.get("k", K))
+    if kind == "speculative":
+        return OutOfOrderEngine(pattern, k=overrides.get("k", K), speculative=True)
     if kind == "reorder":
         return ReorderingEngine(pattern, k=overrides.get("k", K))
     if kind == "partitioned":
@@ -192,7 +191,7 @@ class TestBlobSafety:
         donor = build("ooo")
         blob = donor.snapshot()
         with pytest.raises(SnapshotError):
-            build("aggressive").restore(blob)
+            build("reorder").restore(blob)
 
     def test_checkpoint_of_the_removed_engine_refused_by_name(self):
         """A blob written by the deleted pipelined engine must not load
@@ -232,25 +231,37 @@ class TestBlobSafety:
 
 
 class TestFamilySpecificState:
-    def test_aggressive_revocation_state_survives(self):
-        stream = stream_for("aggressive")
-        straight = AggressiveEngine(PATTERN, k=K)
+    def test_speculation_state_survives_a_taking_receiver(self):
+        stream = stream_for("speculative")
+        straight = build("speculative")
         straight.run(stream)
 
         cut = len(stream) // 2
-        first = AggressiveEngine(PATTERN, k=K)
+        first = build("speculative")
         for element in stream[:cut]:
             first.feed(element)
-        second = AggressiveEngine(PATTERN, k=K)
+        while not first.speculation.open_count:  # cut where a record is open
+            first.feed(stream[cut])
+            cut += 1
+        emissions, retractions = first.take_speculation()
+        assert first.speculation.open_count  # open records ride the snapshot
+        second = build("speculative")
         second.restore(first.snapshot())
         for element in stream[cut:]:
             second.feed(element)
         second.close()
+        later_emissions, later_retractions = second.take_speculation()
 
-        assert second.net_result_set() == straight.net_result_set()
-        assert [r.match.key() for r in second.revocations] == [
-            r.match.key() for r in straight.revocations
+        log = straight.speculation
+        assert log.retractions
+        assert [(r.seq, r.match.key()) for r in emissions + later_emissions] == [
+            (r.seq, r.match.key()) for r in log.emissions
         ]
+        withdrawn = retractions + later_retractions
+        assert [(r.seq, r.ref_seq, r.cause) for r in withdrawn] == [
+            (r.seq, r.ref_seq, r.cause) for r in log.retractions
+        ]
+        assert second.result_set() == straight.result_set()
 
     def test_reorder_buffer_contents_survive(self):
         engine = ReorderingEngine(PATTERN, k=50)

@@ -6,6 +6,9 @@ engine are byte-identical to a pessimistic run of the same stream, the
 speculative stream is totally ordered by shared sequence ids, and
 applying every retraction to it converges on exactly the sealed result
 set (``SpeculationLog.net_keys() == engine.result_set()`` after close).
+It is the library's one optimistic mode, so it also carries the
+emit-early-compensate-later behaviours: zero latency, emission despite
+an unsealed bracket, net output equal to the oracle.
 """
 
 import random
@@ -15,6 +18,7 @@ import pytest
 from repro import (
     ConfigurationError,
     Event,
+    OfflineOracle,
     OutOfOrderEngine,
     Punctuation,
     SnapshotError,
@@ -30,7 +34,8 @@ from repro.core.speculate import (
     positive_key,
 )
 from repro.core.pattern import Match
-from helpers import bounded_shuffle
+from repro.metrics import summarize_arrival_latency
+from helpers import bounded_shuffle, make_events
 
 NEG = parse(
     "PATTERN SEQ(A a, !B b, C c) WHERE a.x == c.x AND b.x == a.x WITHIN 20"
@@ -105,6 +110,45 @@ class TestSpeculationLog:
         match = _match(PLAIN, Event("A", 1), Event("B", 2))
         assert log.retract(match, RETRACT_NEGATION, arrival=1, clock=1) is None
         assert log.retractions == []
+
+    def test_take_hands_over_and_keeps_open_records(self):
+        from repro.core import snapshot as snapshots
+
+        log = SpeculationLog()
+        sealed = _match(PLAIN, Event("A", 1), Event("B", 2))
+        still_open = _match(PLAIN, Event("A", 3), Event("B", 4))
+        log.speculate(sealed, arrival=2, clock=2)
+        log.speculate(still_open, arrival=4, clock=4)
+        log.retract(sealed, RETRACT_NEGATION, arrival=5, clock=6)
+        emissions, retractions = log.take()
+        assert [r.seq for r in emissions] == [0, 1]
+        assert [r.ref_seq for r in retractions] == [0]
+        assert log.emissions == [] == log.retractions
+        assert log.take() == ([], [])
+        # A taken record that is still open travels with the snapshot.
+        state = log.snapshot_state(snapshots.encode_match)
+        restored = SpeculationLog()
+        restored.restore_state(
+            state, lambda blob: snapshots.decode_match(PLAIN, blob)
+        )
+        assert restored.emissions == [] and restored.open_count == 1
+        retraction = restored.retract(still_open, RETRACT_NEGATION, arrival=7, clock=9)
+        assert (retraction.seq, retraction.ref_seq) == (3, 1)
+
+    def test_restores_open_indices_of_an_untakeable_log(self):
+        """Snapshots written before takes existed name open records by index."""
+        from repro.core import snapshot as snapshots
+
+        match = _match(PLAIN, Event("A", 1), Event("B", 2))
+        state = {
+            "epoch": 0, "enabled": True, "next_seq": 1,
+            "emissions": [(0, 0, snapshots.encode_match(match), 2, 2)],
+            "retractions": [], "open": [0],
+        }
+        log = SpeculationLog()
+        log.restore_state(state, lambda blob: snapshots.decode_match(PLAIN, blob))
+        assert log.is_open(match) and log.open_count == 1
+        assert log.retract(match, RETRACT_NEGATION, arrival=3, clock=3).ref_seq == 0
 
     def test_causes_are_distinct(self):
         assert len(set(RETRACTION_CAUSES)) == 3
@@ -265,3 +309,138 @@ class TestSpeculativeEngine:
         engine.close()
         assert engine.stats.speculative_emitted == 0
         assert engine.stats.retractions_issued == 0
+
+
+# -- the optimistic mode: emit early, compensate at the seal -------------------------
+
+
+def _spec(pattern, k):
+    return OutOfOrderEngine(pattern, k=k, speculative=True)
+
+
+class TestPositivePatterns:
+    def test_identical_to_conservative_without_negation(
+        self, abc_pattern, random_trace
+    ):
+        arrival = bounded_shuffle(random_trace, k=15, seed=1)
+        speculative = _spec(abc_pattern, 15)
+        speculative.run(arrival)
+        conservative = OutOfOrderEngine(abc_pattern, k=15)
+        conservative.run(arrival)
+        assert speculative.result_set() == conservative.result_set()
+        assert speculative.speculation.net_keys() == conservative.result_set()
+        assert speculative.speculation.retractions == []
+
+    def test_zero_latency_for_positive_matches(self, plain_seq2, random_trace):
+        arrival = bounded_shuffle(random_trace, k=10, seed=2)
+        engine = _spec(plain_seq2, 10)
+        engine.run(arrival)
+        summary = summarize_arrival_latency(engine.speculation.emissions, arrival)
+        assert summary.count == len(engine.results) > 0
+        assert summary.max == 0.0
+
+
+class TestOptimisticNegation:
+    PATTERN = seq("A a", "!B b", "C c", within=10)
+
+    def test_emits_immediately_despite_unsealed_bracket(self):
+        engine = _spec(self.PATTERN, 100)
+        engine.feed(Event("A", 1))
+        assert engine.feed(Event("C", 5)) == []  # the sealed stream holds it
+        [record] = engine.speculation.emissions
+        assert record.emitted_seq == engine.arrival_index == 2
+
+    def test_known_negative_blocks_immediately(self):
+        engine = _spec(self.PATTERN, 100)
+        engine.feed_many(make_events("A1 B3"))
+        engine.feed(Event("C", 5))
+        assert engine.speculation.emissions == []
+        engine.close()
+        assert engine.stats.matches_cancelled == 1
+        assert engine.speculation.retractions == []
+
+    def test_unrelated_negative_does_not_retract(self):
+        engine = _spec(self.PATTERN, 100)
+        engine.feed_many(make_events("A1 C5"))
+        engine.feed(Event("B", 7))  # outside bracket (1, 5)
+        engine.close()
+        assert engine.speculation.retractions == []
+        assert engine.speculation.net_keys() == engine.result_set() != set()
+
+    def test_sealed_match_cannot_be_retracted(self):
+        engine = _spec(self.PATTERN, 2)
+        engine.feed_many(make_events("A1 C5"))
+        engine.feed(Event("Z", 50))  # seals the bracket (k=2)
+        assert len(engine.results) == 1
+        # A very late B is dropped by the K policy; the seal is final.
+        engine.feed(Event("B", 3))
+        engine.close()
+        assert engine.stats.late_dropped == 1
+        assert engine.speculation.retractions == []
+        assert len(engine.speculation.net_keys()) == 1
+
+    def test_double_retraction_impossible(self):
+        engine = _spec(self.PATTERN, 100)
+        engine.feed_many(make_events("A1 C5 B3 B4"))
+        engine.close()
+        [retraction] = engine.speculation.retractions
+        assert retraction.cause == RETRACT_NEGATION
+        assert engine.speculation.net_keys() == set() == engine.result_set()
+
+    def test_take_speculation_hands_over(self):
+        engine = _spec(self.PATTERN, 100)
+        engine.feed_many(make_events("A1 C5 B3"))
+        emissions, retractions = engine.take_speculation()
+        assert len(emissions) == 1 and retractions == []
+        assert engine.take_speculation() == ([], [])
+        engine.close()  # the open record is retracted at its seal
+        __, [retraction] = engine.take_speculation()
+        assert retraction.ref_seq == emissions[0].seq
+        assert engine.stats.speculative_emitted == 1
+        assert engine.stats.retractions_issued == 1
+        assert OutOfOrderEngine(self.PATTERN).take_speculation() == ([], [])
+
+
+class TestNetResultParity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_net_results_match_oracle(self, neg_pattern, random_trace, seed):
+        arrival = bounded_shuffle(random_trace, k=12, seed=seed)
+        truth = OfflineOracle(neg_pattern).evaluate_set(random_trace)
+        engine = _spec(neg_pattern, 12)
+        engine.run(arrival)
+        assert engine.speculation.net_keys() == truth == engine.result_set()
+
+    def test_net_results_leading_trailing_negation(self, random_trace):
+        for pattern in (
+            seq("!B b", "A a", "C c", within=15),
+            seq("A a", "C c", "!B b", within=15),
+        ):
+            arrival = bounded_shuffle(random_trace, k=10, seed=7)
+            truth = OfflineOracle(pattern).evaluate_set(random_trace)
+            engine = _spec(pattern, 10)
+            engine.run(arrival)
+            assert engine.speculation.net_keys() == truth
+
+    def test_retractions_counted_in_stats(self, neg_pattern, random_trace):
+        arrival = bounded_shuffle(random_trace, k=12, seed=3)
+        engine = _spec(neg_pattern, 12)
+        engine.run(arrival)
+        log = engine.speculation
+        assert engine.stats.retractions_issued == len(log.retractions)
+        assert engine.stats.speculative_emitted == len(log.emissions)
+
+
+class TestLatencyAdvantage:
+    def test_speculative_beats_conservative_latency_on_negation(self, random_trace):
+        pattern = seq("A a", "!B b", "C c", within=15)
+        arrival = bounded_shuffle(random_trace, k=10, seed=4)
+
+        speculative = _spec(pattern, 10)
+        speculative.run(arrival)
+        conservative = OutOfOrderEngine(pattern, k=10)
+        conservative.run(arrival)
+
+        fast = summarize_arrival_latency(speculative.speculation.emissions, arrival)
+        slow = summarize_arrival_latency(conservative.emissions, arrival)
+        assert fast.mean <= slow.mean
+        assert fast.mean == 0.0

@@ -5,7 +5,9 @@ the last take and makes the engine forget them.  These tests pin the
 *property* that buys — retained state and checkpoint size follow what is
 live, not how long the run has been — rather than any particular
 history: for every engine family, under the runner, and for a recovery
-directory written by the code that still checkpointed the history.
+directory written by the code that still checkpointed the history.  The
+speculative stream is output too: ``take_speculation`` hands it over the
+same way.
 """
 
 import hashlib
@@ -35,12 +37,6 @@ PATTERN = seq(
     name="take",
 )
 
-HISTORY = pytest.mark.xfail(
-    strict=True,
-    reason="revocation / speculation logs are still whole-run history "
-    "(ROADMAP item 3(a) merges and bounds them)",
-)
-
 #: name -> make_engine keyword arguments, one per family make_engine builds.
 FAMILIES = {
     "ooo": {},
@@ -49,10 +45,8 @@ FAMILIES = {
     "reorder-spill": {},
     "partitioned": {"key": "x"},
     "parallel": {"key": "x"},
-    "aggressive": {},
     "ooo-speculative": {"speculative": True},
 }
-KNOWN_HISTORY = {"aggressive", "ooo-speculative"}
 
 
 def build(family):
@@ -86,14 +80,38 @@ def record_ids(records):
     return [(r.match.key(), r.emitted_seq, r.emitted_clock) for r in records]
 
 
+def speculation_ids(emissions, retractions):
+    return (
+        [(r.seq, r.epoch, r.match.key(), r.emitted_seq, r.emitted_clock)
+         for r in emissions],
+        [(r.seq, r.ref_seq, r.epoch, r.match.key(), r.cause,
+          r.retracted_arrival, r.retracted_clock) for r in retractions],
+    )
+
+
+def speculative(engine):
+    return getattr(engine, "speculation", None) is not None
+
+
 def drive(engine, elements, surface, take):
-    """Feed *elements* through one surface; returns every record taken."""
+    """Feed *elements* through one surface, taking both streams after each call.
+
+    Returns every emission record taken and the concatenated speculative
+    ``(emissions, retractions)`` taken.
+    """
     taken = []
+    speculated, retracted = [], []
 
     def after_call():
         if take:
             taken.extend(engine.take_emissions())
             assert engine.results == [] == engine.emissions
+            if speculative(engine):
+                emissions, retractions = engine.take_speculation()
+                speculated.extend(emissions)
+                retracted.extend(retractions)
+                log = engine.speculation
+                assert log.emissions == [] == log.retractions
 
     if surface == "feed":
         for element in elements:
@@ -109,18 +127,27 @@ def drive(engine, elements, surface, take):
             after_call()
     engine.close()
     after_call()
-    return taken
+    return taken, (speculated, retracted)
 
 
-@pytest.mark.parametrize("surface", ["feed", "feed_batch", "feed_colbatch"])
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_takes_concatenate_to_the_untaken_record(family, surface):
+SURFACES = ["feed", "feed_batch", "feed_colbatch"]
+
+
+def kept_and_taking(family, surface):
+    """One engine never taken from and one taken from after every call."""
     elements = stream(family, N, punctuate=surface != "feed_colbatch")
     kept = build(family)
     drive(kept, elements, surface, take=False)
-    assert kept.emissions, "the stream must produce matches"
     taking = build(family)
-    taken = drive(taking, elements, surface, take=True)
+    taken, speculation = drive(taking, elements, surface, take=True)
+    return kept, taking, taken, speculation
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_takes_concatenate_to_the_untaken_record(family, surface):
+    kept, taking, taken, _ = kept_and_taking(family, surface)
+    assert kept.emissions, "the stream must produce matches"
     assert record_ids(taken) == record_ids(kept.emissions)
     assert [r.match for r in kept.emissions] == kept.results
     # Counters and clocks never notice a take.
@@ -128,21 +155,35 @@ def test_takes_concatenate_to_the_untaken_record(family, surface):
     assert taking.arrival_index == kept.arrival_index
 
 
+@pytest.mark.parametrize("surface", SURFACES)
+def test_speculative_takes_concatenate_to_the_untaken_log(surface):
+    """The optimistic mode's early output is handed over like the sealed output."""
+    kept, taking, _, speculation = kept_and_taking("ooo-speculative", surface)
+    log = kept.speculation
+    assert log.emissions, "the stream must speculate"
+    assert log.retractions, "the stream must exercise retractions"
+    assert speculation_ids(*speculation) == speculation_ids(
+        log.emissions, log.retractions
+    )
+    # Taking never moves the epoch or what the seal decides.
+    assert taking.speculation.epoch == log.epoch
+    emissions, retractions = speculation
+    withdrawn = {r.ref_seq for r in retractions}
+    net = {r.match.key() for r in emissions if r.seq not in withdrawn}
+    assert net == log.net_keys() == kept.result_set()
+
+
 def snapshot_size_after(family, n):
     engine = build(family)
     for element in stream(family, n)[: n - 2 * K]:  # mid-stream: state is live
         engine.feed(element)
         engine.take_emissions()
+        if speculative(engine):
+            engine.take_speculation()
     return len(engine.snapshot())
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        pytest.param(f, marks=HISTORY) if f in KNOWN_HISTORY else f
-        for f in FAMILIES
-    ],
-)
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_snapshot_size_follows_live_state_not_run_length(family):
     short = snapshot_size_after(family, N)
     long = snapshot_size_after(family, 10 * N)

@@ -16,7 +16,6 @@ import pytest
 
 import trajectories  # sibling module: pytest puts this directory on sys.path
 from repro import (
-    AggressiveEngine,
     OfflineOracle,
     OutOfOrderEngine,
     ParallelPartitionedEngine,
@@ -73,12 +72,13 @@ class TestGoldenResults:
         engine.run(list(arrival))
         assert engine.result_set() == _expected_keys(expected, name)
 
-    def test_aggressive_engine_reproduces_committed_results(self, fixture, name):
+    def test_speculative_engine_reproduces_committed_results(self, fixture, name):
         arrival, expected = fixture
         query = parse(expected["queries"][name]["text"], name=name)
-        engine = AggressiveEngine(query, k=expected["k"])
+        engine = OutOfOrderEngine(query, k=expected["k"], speculative=True)
         engine.run(list(arrival))
-        assert engine.net_result_set() == _expected_keys(expected, name)
+        assert engine.result_set() == _expected_keys(expected, name)
+        assert engine.speculation.net_keys() == _expected_keys(expected, name)
 
     def test_partitioned_engine_reproduces_committed_results(self, fixture, name):
         arrival, expected = fixture
@@ -126,7 +126,7 @@ def test_trajectory_is_reproduced_by_every_driver(name, driver):
 
     Compared as canonical JSON text, i.e. byte for byte: emitted keys in
     order, (seq, clock) pairs, every counter, state size, clock triple,
-    revocations, the speculation log, controller decisions, and — for
+    the speculation log, controller decisions, and — for
     the raising configurations — the error type and the state at the
     raise.
     """

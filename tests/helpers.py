@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Any, List, Optional
 
 from repro import (
-    AggressiveEngine,
     Event,
     OfflineOracle,
     OutOfOrderEngine,
@@ -79,7 +78,7 @@ def observe_engine(engine, history=True):
     """JSON-ready record of everything externally observable about *engine*.
 
     Shared by the golden trajectories and the batch property suite;
-    *history* adds the full emission, speculation and revocation logs.
+    *history* adds the full emission and speculation logs.
     """
     out = {
         "matches": len(engine.results),
@@ -97,15 +96,11 @@ def observe_engine(engine, history=True):
         return out
     out["keys"] = [_match_key(m) for m in engine.results]
     out["emissions"] = [[r.emitted_seq, r.emitted_clock] for r in engine.emissions]
-    if isinstance(engine, AggressiveEngine):
-        out["revocations"] = [
-            [_match_key(r.match), r.caused_by.eid] for r in engine.revocations
-        ]
     log = getattr(engine, "speculation", None)
     if log is not None:
         out["speculation"] = {
             "emissions": [
-                [r.seq, r.epoch, _match_key(r.match), r.emitted_arrival, r.emitted_clock]
+                [r.seq, r.epoch, _match_key(r.match), r.emitted_seq, r.emitted_clock]
                 for r in log.emissions
             ],
             "retractions": [

@@ -253,6 +253,42 @@ def test_fence_records_reach_the_flight(tmp_path):
     assert report.verdict != "fenced source"
 
 
+def test_retractions_reach_the_flight_when_a_receiver_takes_them(tmp_path):
+    pattern = parse(
+        "PATTERN SEQ(A a, !B b, A c) WHERE a.x == c.x AND b.x == a.x WITHIN 20"
+    )
+    gateway = IngestGateway(
+        lambda: OutOfOrderEngine(pattern, k=4, speculative=True),
+        GatewayConfig(make_schema(slack=2), liveness_timeout=5.0),
+        directory=tmp_path,
+        flight=FlightRecorder(),
+    )
+    taken = []
+    runner = gateway.runner
+
+    class SpeculationTap:  # a receiver of the speculative stream
+        def feed(self, elements):
+            out = runner.feed(elements)
+            taken.append(gateway.engine.take_speculation())
+            return out
+
+        def __getattr__(self, name):
+            return getattr(runner, name)
+
+    gateway.runner = SpeculationTap()
+    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+    gateway.admit_frame("s1", "A", {"ts": 5, "x": 7}, now=0.1)  # speculated
+    gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.2)  # refutes it
+    gateway.sync_acks()
+    gateway.assert_watermark("s1", 40, now=0.3)  # seals: the retraction
+    gateway.sync_acks()
+    assert sum(len(retractions) for __, retractions in taken) == 1
+    assert gateway.engine.speculation.retractions == []
+    gateway.dump_flight()
+    __, records = load_flight((tmp_path / "flight.jsonl").read_text(encoding="utf-8"))
+    assert [r.value for r in records if r.kind == "retraction"] == [1]
+
+
 def test_explain_flight_missing_dump(tmp_path, capsys):
     code = main(["explain", "--flight", str(tmp_path / "nope.jsonl")])
     assert code == 1

@@ -8,7 +8,6 @@ engine → metrics → quality-vs-oracle.
 import pytest
 
 from repro import (
-    AggressiveEngine,
     CompositeEventFactory,
     InOrderEngine,
     OfflineOracle,
@@ -110,13 +109,16 @@ class TestIntrusionPipeline:
         detected = {m.events[0]["src"] for m in engine.results}
         assert trace.exfiltration_sources <= detected
 
-    def test_aggressive_alerts_faster_with_net_parity(self, setup):
+    def test_speculative_alerts_faster_with_net_parity(self, setup):
         trace, arrival = setup
         query = exfiltration_query(500)
-        aggressive = AggressiveEngine(query, k=60)
-        aggressive.run(arrival)
+        speculative = OutOfOrderEngine(query, k=60, speculative=True)
+        speculative.run(arrival)
         truth = OfflineOracle(query).evaluate_set(trace.events)
-        assert aggressive.net_result_set() == truth
+        assert speculative.speculation.net_keys() == truth == speculative.result_set()
+        fast = summarize_arrival_latency(speculative.speculation.emissions, arrival)
+        sealed = summarize_arrival_latency(speculative.emissions, arrival)
+        assert fast.mean < sealed.mean
 
 
 class TestFailureBurstPipeline:
@@ -155,10 +157,14 @@ class TestBenchRunnerHarness:
         ordered, arrival = workload.generate()
         truth = oracle_truth(workload.query, ordered)
         recalls = {}
-        for name in ("ooo", "inorder", "reorder", "aggressive"):
-            cell = run_cell(make_engine(name, workload.query, k=30), arrival, truth)
-            recalls[name] = cell["recall"]
-        assert recalls["ooo"] == recalls["reorder"] == recalls["aggressive"] == 1.0
+        for name in ("ooo", "inorder", "reorder", "speculative"):
+            engine = (
+                make_engine("ooo", workload.query, k=30, speculative=True)
+                if name == "speculative"
+                else make_engine(name, workload.query, k=30)
+            )
+            recalls[name] = run_cell(engine, arrival, truth)["recall"]
+        assert recalls["ooo"] == recalls["reorder"] == recalls["speculative"] == 1.0
         assert recalls["inorder"] < 1.0
 
     def test_unknown_engine_name_rejected(self, workload):
@@ -182,7 +188,7 @@ class TestBenchRunnerHarness:
         assert str(ENGINE_NAMES) in str(refusal.value)
 
     @pytest.mark.parametrize(
-        "name", ["ooo", "inorder", "reorder", "aggressive", "partitioned"]
+        "name", ["ooo", "inorder", "reorder", "partitioned"]
     )
     @pytest.mark.parametrize("extra", [{"workers": 4}, {"backend": "process"}])
     def test_workers_and_backend_rejected_off_the_parallel_engine(

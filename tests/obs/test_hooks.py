@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 from helpers import bounded_shuffle, make_events
 
-from repro.core.aggressive import AggressiveEngine
 from repro.core.engine import LatePolicy, OutOfOrderEngine, ValidationPolicy
 from repro.core.event import Event, Punctuation
 from repro.core.inorder import InOrderEngine
@@ -54,7 +53,7 @@ def _assert_parity(plain, instrumented):
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize(
     "family",
-    ["ooo", "inorder", "reorder", "aggressive"],
+    ["ooo", "inorder", "reorder", "speculative"],
 )
 def test_instrumentation_changes_nothing(family, batch, abc_pattern, random_trace):
     arrival = bounded_shuffle(random_trace, k=8, seed=3)
@@ -64,7 +63,7 @@ def test_instrumentation_changes_nothing(family, batch, abc_pattern, random_trac
         "ooo": lambda: OutOfOrderEngine(abc_pattern, k=8),
         "inorder": lambda: InOrderEngine(abc_pattern),
         "reorder": lambda: ReorderingEngine(abc_pattern, k=8),
-        "aggressive": lambda: AggressiveEngine(abc_pattern, k=8),
+        "speculative": lambda: OutOfOrderEngine(abc_pattern, k=8, speculative=True),
     }
     plain, instrumented, tracer, registry = _instrumented_pair(
         builders[family], arrival, batch=batch
@@ -203,18 +202,6 @@ def test_negation_pending_and_cancelled_spans(neg_pattern):
     assert counts.get(stages.MATCH_CANCELLED, 0) >= 1
 
 
-def test_revocation_spans(neg_pattern):
-    # Aggressive engine emits optimistically; the late B revokes.
-    engine = AggressiveEngine(neg_pattern, k=5)
-    tracer = Tracer()
-    engine.enable_observability(tracer=tracer)
-    for event in make_events("A1:0 C3:0 B2:0 C30:5"):
-        engine.feed(event)
-    engine.close()
-    if engine.stats.revocations:
-        assert stages.MATCH_REVOKED in tracer.stage_counts()
-
-
 def test_metrics_without_tracer_keeps_tracing_off(abc_pattern, random_trace):
     engine = OutOfOrderEngine(abc_pattern, k=8)
     registry = MetricsRegistry()
@@ -232,7 +219,7 @@ def test_metrics_without_tracer_keeps_tracing_off(abc_pattern, random_trace):
 
 
 @pytest.mark.parametrize(
-    "family", ["ooo", "inorder", "reorder", "aggressive", "partitioned", "shedding"]
+    "family", ["ooo", "inorder", "reorder", "speculative", "partitioned", "shedding"]
 )
 def test_metrics_only_batches_fill_the_registry_like_single_feeds(
     family, neg_pattern, random_trace
@@ -253,7 +240,7 @@ def test_metrics_only_batches_fill_the_registry_like_single_feeds(
         "ooo": lambda: OutOfOrderEngine(neg_pattern, k=8),
         "inorder": lambda: InOrderEngine(neg_pattern),
         "reorder": lambda: ReorderingEngine(neg_pattern, k=8),
-        "aggressive": lambda: AggressiveEngine(neg_pattern, k=8),
+        "speculative": lambda: OutOfOrderEngine(neg_pattern, k=8, speculative=True),
         "partitioned": lambda: PartitionedEngine(neg_pattern, k=8, key="x"),
         "shedding": lambda: OutOfOrderEngine(
             neg_pattern, k=8, shed=ShedPolicy.drop_oldest(10)

@@ -19,7 +19,6 @@ byte-identical at ``workers=1``.
 from hypothesis import given, settings, strategies as st
 
 from repro import (
-    AggressiveEngine,
     Attr,
     Eq,
     Event,
@@ -291,7 +290,7 @@ def test_ooo_feed_batch_is_observably_serial(
     **OOO_DIMENSIONS,
 )
 @settings(max_examples=100, deadline=None)
-def test_aggressive_feed_batch_is_observably_serial(
+def test_speculative_feed_batch_is_observably_serial(
     trace, pattern_index, k,
     seed, batch_size, purge_kind, interval, late_policy, tighten, validation,
     forged, shed_kind, shed_bound, obs,
@@ -300,12 +299,13 @@ def test_aggressive_feed_batch_is_observably_serial(
     arrival = _forge(bounded_shuffle(trace, k=k, seed=seed), forged)
 
     def make():
-        engine = AggressiveEngine(
+        engine = OutOfOrderEngine(
             pattern,
             k=max(0, k - tighten),
             purge=_purge(purge_kind, interval),
             late_policy=late_policy,
             shed=_shed(shed_kind, shed_bound),
+            speculative=True,
         )
         engine.validation = validation
         return engine

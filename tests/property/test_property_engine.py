@@ -12,7 +12,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import (
-    AggressiveEngine,
     Event,
     OfflineOracle,
     OutOfOrderEngine,
@@ -131,17 +130,19 @@ def test_reorder_engine_equals_oracle(trace, k, seed):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=60, deadline=None)
-def test_aggressive_net_results_equal_oracle(trace, k, seed):
+def test_speculative_net_results_equal_oracle(trace, k, seed):
     pattern = PATTERNS[2]
     arrival = bounded_shuffle(trace, k=k, seed=seed)
     truth = OfflineOracle(pattern).evaluate_set(trace)
-    engine = AggressiveEngine(pattern, k=k)
+    engine = OutOfOrderEngine(pattern, k=k, speculative=True)
     engine.run(arrival)
-    assert engine.net_result_set() == truth
-    # Revocations only ever remove matches that were emitted.
-    emitted = engine.result_set()
-    for revocation in engine.revocations:
-        assert revocation.match.key() in emitted
+    log = engine.speculation
+    assert log.net_keys() == truth == engine.result_set()
+    # Retractions only ever withdraw speculative emissions, each once.
+    emitted = {record.seq for record in log.emissions}
+    withdrawn = [retraction.ref_seq for retraction in log.retractions]
+    assert set(withdrawn) <= emitted
+    assert len(withdrawn) == len(set(withdrawn))
 
 
 @given(

@@ -19,13 +19,13 @@ import random
 import pytest
 
 from repro import (
-    AggressiveEngine,
     Attr,
     CrashError,
     Eq,
     Event,
     FaultInjector,
     InOrderEngine,
+    OfflineOracle,
     OutOfOrderEngine,
     PartitionedEngine,
     Punctuation,
@@ -49,7 +49,7 @@ PATTERN = seq(
     name="crashprop",
 )
 
-ENGINE_KINDS = ["ooo", "inorder", "reorder", "aggressive", "partitioned"]
+ENGINE_KINDS = ["ooo", "inorder", "reorder", "speculative", "partitioned"]
 
 
 def build(kind):
@@ -59,8 +59,8 @@ def build(kind):
         return InOrderEngine(PATTERN)
     if kind == "reorder":
         return ReorderingEngine(PATTERN, k=K)
-    if kind == "aggressive":
-        return AggressiveEngine(PATTERN, k=K)
+    if kind == "speculative":
+        return OutOfOrderEngine(PATTERN, k=K, speculative=True)
     if kind == "partitioned":
         return PartitionedEngine(PATTERN, k=K, key="x")
     raise AssertionError(kind)
@@ -145,21 +145,26 @@ class TestCrashAnywhere:
             assert len(records) == len(bare.results), context
 
 
-def test_aggressive_net_results_survive_crashes(tmp_path):
-    """Revoked matches stay revoked across a crash/restore boundary."""
+def test_speculative_results_survive_crashes(tmp_path):
+    """Sealed deliveries and the speculative stream survive crash/restore."""
     rng = random.Random(SEED + 7)
-    stream = make_stream("aggressive", rng)
+    stream = make_stream("speculative", rng)
     crash_at = sorted(rng.sample(range(len(stream)), 2))
 
-    bare = build("aggressive")
+    bare = build("speculative")
     bare.run(stream)
 
     fault = FaultInjector(crash_at=crash_at)
-    runner, restarts = run_to_completion("aggressive", tmp_path, stream, 20, fault)
+    runner, restarts = run_to_completion("speculative", tmp_path, stream, 20, fault)
     assert restarts == 2
-    # The runner took every match it delivered, so the net set is read
-    # where history lives: the delivery log, minus the engine's revoked
-    # keys (that history still rides the checkpoint — ROADMAP 3(a)).
-    revoked = {r.match.key() for r in runner.engine.revocations}
-    assert revoked == {r.match.key() for r in bare.revocations}
-    assert delivered_keys(tmp_path) - revoked == bare.net_result_set()
+    # The delivery log holds sealed matches only: it is the result set.
+    events = [e for e in stream if isinstance(e, Event)]
+    assert delivered_keys(tmp_path) == OfflineOracle(PATTERN).evaluate_set(events)
+    # Nobody took the speculative stream, so it rode every checkpoint.
+    log, reference = runner.engine.speculation, bare.speculation
+    assert [(r.seq, r.match.key()) for r in log.emissions] == [
+        (r.seq, r.match.key()) for r in reference.emissions
+    ]
+    assert [(r.seq, r.ref_seq, r.cause) for r in log.retractions] == [
+        (r.seq, r.ref_seq, r.cause) for r in reference.retractions
+    ]
