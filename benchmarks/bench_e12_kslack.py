@@ -96,9 +96,13 @@ def test_e12_report(benchmark):
     assert float(rows["oracle-max"][2]) == 1.0  # perfect hindsight is exact
     # precision never suffers from a small K — only recall can.
     assert all(float(r[3]) == 1.0 for r in rows.values())
-    p90 = rows["trained-p90"]
-    assert int(p90[1]) <= int(rows["oracle-max"][1])
-    assert float(p90[2]) > 0.8  # tail-dropping costs only a little recall
+    # Quantile K shrinks K and state at a recall cost that grows as the
+    # quantile drops: each is monotone along p90 <= p99 <= oracle-max.
+    ladder = [rows[name] for name in ("trained-p90", "trained-p99", "oracle-max")]
+    for column in (1, 2, 5):  # K, recall, peak_state
+        values = [float(row[column]) for row in ladder]
+        assert values == sorted(values), (column, values)
+    assert float(rows["trained-p99"][2]) >= 0.95  # p99 drops only stragglers
 
 
 def test_e12_kernel(benchmark):

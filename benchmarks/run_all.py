@@ -33,7 +33,6 @@ EXPERIMENTS = [
     ("e12", "bench_e12_kslack"),
     ("e13", "bench_e13_partitioning"),
     ("e14", "bench_e14_kleene"),
-    ("e15", "bench_e15_multiquery"),
     ("e16", "bench_e16_batch_parallel"),
     ("e17", "bench_e17_recovery"),
     ("e18", "bench_e18_observability"),

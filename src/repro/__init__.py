@@ -38,7 +38,6 @@ from repro.core import (
     FnPredicate,
     Ge,
     Gt,
-    HeartbeatDriver,
     InOrderEngine,
     KleeneBracket,
     LatePolicy,
@@ -51,7 +50,6 @@ from repro.core import (
     Not,
     OfflineOracle,
     Or,
-    OrderedOutputAdapter,
     OutOfOrderEngine,
     ParallelPartitionedEngine,
     ParseError,
@@ -63,7 +61,6 @@ from repro.core import (
     PurgePolicy,
     QueryError,
     QueryPlan,
-    QueryRegistry,
     RecoveryError,
     ReorderingEngine,
     ReproError,
@@ -106,7 +103,6 @@ __all__ = [
     "FnPredicate",
     "Ge",
     "Gt",
-    "HeartbeatDriver",
     "InOrderEngine",
     "KleeneBracket",
     "LatePolicy",
@@ -119,7 +115,6 @@ __all__ = [
     "Not",
     "OfflineOracle",
     "Or",
-    "OrderedOutputAdapter",
     "OutOfOrderEngine",
     "EventBatch",
     "ParseError",
@@ -132,7 +127,6 @@ __all__ = [
     "PurgePolicy",
     "QueryError",
     "QueryPlan",
-    "QueryRegistry",
     "RecoveryError",
     "ReorderingEngine",
     "ReproError",

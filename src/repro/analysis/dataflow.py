@@ -41,19 +41,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.model import MUTATOR_METHODS, _root_and_path
+from repro.analysis.model import HEAP_FUNCTIONS, MUTATOR_METHODS, _root_and_path
 
 #: Event kinds.
 READ = "read"
 WRITE = "write"
 MUTATE = "mutate"
 AWAIT = "await"
-
-#: ``heapq`` functions whose first argument is mutated (kept in sync
-#: with the model's vocabulary).
-_HEAP_FUNCTIONS = frozenset(
-    {"heappush", "heappop", "heapify", "heappushpop", "heapreplace"}
-)
 
 #: Receiver-name fragments that make an ``async with`` a lock region.
 _LOCK_HINTS = ("lock", "mutex", "semaphore", "sem_", "cond")
@@ -244,7 +238,7 @@ class _CFGBuilder:
             self._expr(block, arg)
         for kw in node.keywords:
             self._expr(block, kw.value)
-        if isinstance(func, ast.Name) and func.id in _HEAP_FUNCTIONS and node.args:
+        if isinstance(func, ast.Name) and func.id in HEAP_FUNCTIONS and node.args:
             deferred_mutate |= self._receiver_attrs(node.args[0])
         for attr in sorted(deferred_mutate):
             self._emit(block, MUTATE, attr, node.lineno)
@@ -772,7 +766,7 @@ def restore_derivations(fn_node: ast.AST) -> RestoreSummary:
                         stores.append((attr, node.lineno, node))
                     else:
                         handoffs.append((attr, node))
-            elif isinstance(func, ast.Name) and func.id in _HEAP_FUNCTIONS:
+            elif isinstance(func, ast.Name) and func.id in HEAP_FUNCTIONS:
                 if node.args:
                     root, path = _root_and_path(node.args[0])
                     if root == "self" and path:

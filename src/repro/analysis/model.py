@@ -48,8 +48,8 @@ MUTATOR_METHODS = frozenset(
 )
 
 #: ``heapq`` functions whose first argument is mutated.
-_HEAP_FUNCTIONS = frozenset(
-    {"heappush", "heappop", "heapify", "heappushpop", "heapreplace", "merge"}
+HEAP_FUNCTIONS = frozenset(
+    {"heappush", "heappop", "heapify", "heappushpop", "heapreplace"}
 )
 
 #: Methods that serialise state (the "capture" side of the contract).
@@ -60,13 +60,6 @@ SNAPSHOT_METHODS = frozenset(
 #: Methods that rebuild state (the "restore" side of the contract).
 RESTORE_METHODS = frozenset(
     {"restore", "_restore_state", "_restore_base", "restore_state"}
-)
-
-#: Methods excluded when deciding whether an attribute is mutable
-#: engine state: construction builds it, restore legitimately assigns
-#: it, and snapshot methods only read.
-_NON_MUTATING_CONTEXTS = (
-    frozenset({"__init__"}) | RESTORE_METHODS | SNAPSHOT_METHODS
 )
 
 
@@ -460,7 +453,7 @@ class _FunctionScanner(ast.NodeVisitor):
         line = node.lineno
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id in _HEAP_FUNCTIONS and node.args:
+            if func.id in HEAP_FUNCTIONS and node.args:
                 self._mutate_first_arg(node.args[0], line)
             self.info.calls.append(CallSite("name", func.id, line))
             return
@@ -495,7 +488,7 @@ class _FunctionScanner(ast.NodeVisitor):
             return
         # Non-self root: heapq-style module call, alias call, or typed local.
         dotted = ".".join([root] + path)
-        if root == "heapq" and method in _HEAP_FUNCTIONS and node.args:
+        if root == "heapq" and method in HEAP_FUNCTIONS and node.args:
             self._mutate_first_arg(node.args[0], line)
         aliased = self.aliases.get(root)
         if aliased:

@@ -12,9 +12,9 @@ benchmark's reproducibility.
 The rule walks the call graph reachable from every engine-protocol
 class's feeding surfaces and step loop (see
 :mod:`repro.analysis.callgraph`) and reports calls matching the
-forbidden vocabulary below.  Deliberate I/O components (the spilling
-reorder buffer trades purity for bounded memory by design) opt out
-with ``# repro: ignore-file[R002]`` and a justification.
+forbidden vocabulary below.  A deliberate I/O component would opt
+out with ``# repro: ignore-file[R002]`` and a justification; none on
+the engine path does.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _FORBIDDEN_PREFIXES = (
 )
 
 #: Method names that are file I/O regardless of receiver — the
-#: ``pathlib.Path`` verbs this codebase uses for spilling and WALs.
+#: ``pathlib.Path`` verbs this codebase uses for its WALs and logs.
 #: Receiver types for Path objects are rarely statically known, so
 #: these match on the method name alone.
 _FORBIDDEN_METHODS = frozenset(

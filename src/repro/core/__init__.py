@@ -26,7 +26,6 @@ from repro.core.errors import (
 from repro.core.event import Event, Punctuation, StreamElement, is_event, sort_by_occurrence
 from repro.core.inorder import InOrderEngine
 from repro.core.oracle import OfflineOracle, oracle_matches
-from repro.core.ordered_output import OrderedOutputAdapter
 from repro.core.parser import parse
 from repro.core.colbatch import EventBatch
 from repro.core.partition import (
@@ -54,7 +53,6 @@ from repro.core.predicates import (
 )
 from repro.core.purge import PurgeMode, PurgePolicy
 from repro.core.recovery import ResilientRunner, clear_state
-from repro.core.registry import HeartbeatDriver, QueryRegistry
 from repro.core.reorder import ReorderingEngine
 from repro.core.shedding import ShedMode, ShedPolicy
 from repro.core.stats import EngineStats
@@ -77,7 +75,6 @@ __all__ = [
     "FnPredicate",
     "Ge",
     "Gt",
-    "HeartbeatDriver",
     "InOrderEngine",
     "KleeneBracket",
     "LatePolicy",
@@ -90,7 +87,6 @@ __all__ = [
     "Not",
     "OfflineOracle",
     "Or",
-    "OrderedOutputAdapter",
     "OutOfOrderEngine",
     "ParseError",
     "EventBatch",
@@ -102,7 +98,6 @@ __all__ = [
     "PurgeMode",
     "PurgePolicy",
     "QueryError",
-    "QueryRegistry",
     "QueryPlan",
     "RecoveryError",
     "ReorderingEngine",

@@ -10,8 +10,7 @@ as composite events.
 :class:`QueryPlan` wires one engine through those stages and exposes a
 stream-in / composite-events-out surface.  :class:`MultiQueryPlan`
 fans one input stream out to several plans — the usual deployment shape
-(many registered pattern queries over one event bus) and the substrate
-for the multi-query benchmarks.
+(many registered pattern queries over one event bus).
 """
 
 from __future__ import annotations

@@ -24,10 +24,7 @@ latency and buffer memory, not on result quality.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, List, Optional
-
-if TYPE_CHECKING:  # runtime import stays lazy; see __init__
-    from repro.streams.spill import SpillingReorderBuffer
+from typing import Iterable, List, Optional
 
 from repro.core.clock import StreamClock
 from repro.core.engine import Engine, ValidationPolicy
@@ -42,7 +39,6 @@ from repro.core.event import (
 from repro.core.inorder import InOrderEngine
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgePolicy
-from repro.core.stats import EngineStats
 
 
 class ReorderingEngine(Engine):
@@ -57,17 +53,6 @@ class ReorderingEngine(Engine):
         needs a release rule; ``None`` would buffer forever).
     purge:
         Purge policy for the *inner* engine.
-    memory_limit:
-        When set, the reorder buffer holds at most this many events in
-        memory and spills overflow to disk segments
-        (:class:`repro.streams.spill.SpillingReorderBuffer`) — the
-        persistent-storage support for spiky workloads.
-    max_spilled:
-        Optional disk bound for the spill tier (requires
-        *memory_limit*): when spilled segments exceed this many events,
-        the oldest segments are shed — counted in ``stats.events_shed``
-        — so a runaway burst degrades results instead of filling the
-        disk.
     """
 
     def __init__(
@@ -75,29 +60,16 @@ class ReorderingEngine(Engine):
         pattern: Pattern,
         k: int,
         purge: Optional[PurgePolicy] = None,
-        memory_limit: Optional[int] = None,
-        max_spilled: Optional[int] = None,
     ) -> None:
         super().__init__(pattern)
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ConfigurationError(
                 f"ReorderingEngine requires a concrete disorder bound K >= 0, got {k!r}"
             )
-        if max_spilled is not None and memory_limit is None:
-            raise ConfigurationError(
-                "max_spilled bounds the disk spill tier; it requires memory_limit"
-            )
         self.k = k
         self.clock = StreamClock(k)
         self.inner = InOrderEngine(pattern, purge=purge)
         self._buffer: List[tuple] = []  # (ts, eid, event) min-heap
-        self._spill: Optional["SpillingReorderBuffer"] = None
-        if memory_limit is not None:
-            from repro.streams.spill import SpillingReorderBuffer
-
-            self._spill = SpillingReorderBuffer(
-                memory_limit=memory_limit, max_disk_events=max_spilled
-            )
         self.buffer_peak = 0
 
     # -- observability -----------------------------------------------------------
@@ -126,15 +98,7 @@ class ReorderingEngine(Engine):
         return self.buffer_size() + self.inner.state_size()
 
     def buffer_size(self) -> int:
-        """Events currently held back by the reorder buffer (all tiers)."""
-        if self._spill is not None:
-            return len(self._spill)
-        return len(self._buffer)
-
-    def buffer_memory_size(self) -> int:
-        """Events held in *memory* (excludes spilled segments)."""
-        if self._spill is not None:
-            return self._spill.memory_size()
+        """Events currently held back by the reorder buffer."""
         return len(self._buffer)
 
     def oldest_buffered_ts(self) -> Optional[int]:
@@ -142,11 +106,9 @@ class ReorderingEngine(Engine):
 
         The reorder-hold probe for latency attribution: the distance
         between this and the merged watermark is *why* an event is still
-        waiting.  None when nothing is buffered (or when the spill tier
-        owns the buffer — its segments are sorted on disk, and peeking
-        them would do I/O on a hot path).
+        waiting.  None when nothing is buffered.
         """
-        if self._spill is not None or not self._buffer:
+        if not self._buffer:
             return None
         return self._buffer[0][0]
 
@@ -157,12 +119,6 @@ class ReorderingEngine(Engine):
         config.update(
             {
                 "k": self.k,
-                "memory_limit": (
-                    self._spill.memory_limit if self._spill is not None else None
-                ),
-                "max_spilled": (
-                    self._spill.max_disk_events if self._spill is not None else None
-                ),
                 "inner_purge": (
                     self.inner.purge_policy.mode.value,
                     self.inner.purge_policy.interval,
@@ -178,9 +134,6 @@ class ReorderingEngine(Engine):
                 "clock": self.clock.snapshot_state(),
                 "buffer": [entry[2] for entry in self._buffer],
                 "buffer_peak": self.buffer_peak,
-                "spill": (
-                    self._spill.snapshot_state() if self._spill is not None else None
-                ),
                 "inner": self.inner._snapshot_state(),
             }
         )
@@ -192,8 +145,6 @@ class ReorderingEngine(Engine):
         self._buffer = [(e.ts, e.eid, e) for e in state["buffer"]]
         heapq.heapify(self._buffer)
         self.buffer_peak = state["buffer_peak"]
-        if self._spill is not None and state["spill"] is not None:
-            self._spill.restore_state(state["spill"])
         self.inner._restore_state(state["inner"])
 
     # -- processing -------------------------------------------------------------
@@ -210,15 +161,14 @@ class ReorderingEngine(Engine):
         Buffer bookkeeping is hoisted into locals and each element's
         drain is handed to the inner engine as one batch (the drain
         happens after this element advanced the clock, so every released
-        event shares the same emission clock).  The spill tier and the
-        buffer-residency trace hooks are optional steps, each behind one
-        hoisted ``is not None`` test.
+        event shares the same emission clock).  The buffer-residency
+        trace hook is an optional step behind one hoisted ``is not None``
+        test.
         """
         emitted: List[Match] = []
         stats = self.stats
         clock = self.clock
         buffer = self._buffer
-        spill = self._spill
         heappush = heapq.heappush
         drain = self._drain
         inner_state_size = self.inner.state_size
@@ -269,20 +219,13 @@ class ReorderingEngine(Engine):
                             horizon = advanced
                     elif ts < max_ts:
                         out_of_order += 1
-                    if spill is not None:
-                        spill.push(element)
-                        # Disk-bound shedding happens inside the spill
-                        # tier; mirror its cumulative casualty count.
-                        stats.events_shed = spill.shed_events
-                        held = len(spill)
-                    else:
-                        heappush(buffer, (ts, element.eid, element))
-                        held = len(buffer)
+                    heappush(buffer, (ts, element.eid, element))
+                    held = len(buffer)
                     if held > buffer_peak:
                         buffer_peak = held
                     if note_buffered is not None:
                         note_buffered(self, element)
-                    if spill is not None or buffer[0][0] <= horizon:
+                    if buffer[0][0] <= horizon:
                         emitted.extend(drain(horizon))
                 else:
                     if malformed_reason(element) is not None:
@@ -298,8 +241,7 @@ class ReorderingEngine(Engine):
                     max_ts = clock._max_ts
                     horizon = clock.horizon()
                     buffer_peak = self.buffer_peak
-                held = len(spill) if spill is not None else len(buffer)
-                size_now = held + inner_state_size()
+                size_now = len(buffer) + inner_state_size()
                 if size_now > peak:
                     peak = size_now
         finally:
@@ -314,13 +256,10 @@ class ReorderingEngine(Engine):
 
     def _drain(self, horizon: int) -> List[Match]:
         """Release every buffered event sealed at *horizon*, in ts order."""
-        if self._spill is not None:
-            released = self._spill.release(horizon)
-        else:
-            buffer = self._buffer
-            released = []
-            while buffer and buffer[0][0] <= horizon:
-                released.append(heapq.heappop(buffer)[2])
+        buffer = self._buffer
+        released = []
+        while buffer and buffer[0][0] <= horizon:
+            released.append(heapq.heappop(buffer)[2])
         if not released:
             return released
         if self._obs is not None:
@@ -349,12 +288,6 @@ class ReorderingEngine(Engine):
 
     def _flush(self) -> List[Match]:
         emitted: List[Match] = []
-        if self._spill is not None:
-            for event in self._spill.drain():
-                if self._obs is not None:
-                    self._obs.note_released(self, event)
-                emitted.extend(self._relay(self.inner.feed(event)))
-            self._spill.close()
         while self._buffer:
             __, __, event = heapq.heappop(self._buffer)
             if self._obs is not None:
@@ -380,10 +313,3 @@ class ReorderingEngine(Engine):
         for match in matches:
             self._emit(match, self.clock.now)
         return matches
-
-    # -- diagnostics ----------------------------------------------------------------
-
-    @property
-    def inner_stats(self) -> EngineStats:
-        """Counters of the wrapped in-order engine."""
-        return self.inner.stats

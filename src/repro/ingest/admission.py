@@ -143,7 +143,7 @@ class AdmissionController:
         self.schema = schema
         self.window = window
         self._sources: Dict[str, SourceAdmission] = {}
-        self._recovered = DedupeWindow(max(window, 1))
+        self._recovered = DedupeWindow(window)  # rejects a window < 1
 
     # -- the decision -------------------------------------------------------------------
 
@@ -246,7 +246,7 @@ class AdmissionController:
             entry = SourceAdmission(self.window)
             entry.restore_state(sub)
             self._sources[source] = entry
-        self._recovered = DedupeWindow(max(self.window, 1))
+        self._recovered = DedupeWindow(self.window)
         self._recovered.restore_state(state["recovered"])
 
     def __repr__(self) -> str:

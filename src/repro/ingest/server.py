@@ -209,6 +209,12 @@ class GatewayConfig:
             )
         if retry_after <= 0:
             raise ConfigurationError(f"retry_after must be > 0, got {retry_after!r}")
+        if dedupe_window < 1:
+            raise ConfigurationError(f"dedupe_window must be >= 1, got {dedupe_window!r}")
+        if checkpoint_every < 1:
+            raise ConfigurationError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
+            )
         self.schema = schema
         self.host = host
         self.port = port
@@ -451,7 +457,7 @@ class IngestGateway:
         self._known_sources: Set[str] = set()
         if self.directory is not None and self.runner.recovered:
             # Every WAL event counts; only a window's worth is kept and hashed.
-            recent: deque = deque(maxlen=max(config.dedupe_window, 1))
+            recent: deque = deque(maxlen=config.dedupe_window)
             emitted = -1
             for record in iter_wal_records(self.directory):
                 if record["kind"] == "event":

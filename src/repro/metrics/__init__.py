@@ -1,4 +1,4 @@
-"""Measurement toolkit: latency, memory, throughput, quality, reporting."""
+"""Measurement toolkit: latency, quality, reporting."""
 
 from repro.metrics.latency import (
     LatencySummary,
@@ -7,7 +7,6 @@ from repro.metrics.latency import (
     summarize_arrival_latency,
     summarize_occurrence_latency,
 )
-from repro.metrics.memory import StateProbe
 from repro.metrics.quality import QualityReport, compare, compare_keys
 from repro.metrics.reporter import (
     format_cell,
@@ -17,13 +16,10 @@ from repro.metrics.reporter import (
     render_series,
     render_table,
 )
-from repro.metrics.throughput import RunTiming, repeat_timed, timed_run
 
 __all__ = [
     "LatencySummary",
     "QualityReport",
-    "RunTiming",
-    "StateProbe",
     "arrival_latencies",
     "compare",
     "compare_keys",
@@ -34,8 +30,6 @@ __all__ = [
     "render_histogram",
     "render_series",
     "render_table",
-    "repeat_timed",
     "summarize_arrival_latency",
     "summarize_occurrence_latency",
-    "timed_run",
 ]

@@ -6,9 +6,8 @@ oracle's.  Matches compare by identity keys (pattern name + member
 event ids), so set arithmetic is exact — no fuzzy matching.
 
 Reports optionally carry a **shed** count — events the engine dropped
-deliberately under overload (:class:`repro.core.shedding.ShedPolicy` or
-the spill tier's disk bound).  Shedding trades recall for bounded
-state, and a report that says "recall 0.92" without saying "because
+deliberately under overload (:class:`repro.core.shedding.ShedPolicy`).
+Shedding trades recall for bounded state, and a report that says "recall 0.92" without saying "because
 4 000 events were shed" misattributes the loss to a correctness bug.
 """
 

@@ -86,8 +86,6 @@ class Observability:
         "g_buffer",
         "h_residence",
         "c_released",
-        "g_spill_disk",
-        "c_spilled",
         "c_index_hits",
         "c_index_misses",
         "h_index_candidates",
@@ -120,7 +118,6 @@ class Observability:
             self.h_ticks = self.h_latency = self.h_state = None
             self.g_state = self.g_pending = self.g_buffer = None
             self.h_residence = self.c_released = None
-            self.g_spill_disk = self.c_spilled = None
             self.c_index_hits = self.c_index_misses = None
             self.h_index_candidates = None
             self.c_speculative = self.c_retractions = None
@@ -183,18 +180,8 @@ class Observability:
             self.c_released = registry.counter(
                 "repro_reorder_released_total", "events released to the inner engine"
             )
-            if engine._spill is not None:
-                self.g_spill_disk = registry.gauge(
-                    "repro_spill_disk_events", "reorder events spilled to disk segments"
-                )
-                self.c_spilled = registry.counter(
-                    "repro_spilled_total", "lifetime events written to spill segments"
-                )
-            else:
-                self.g_spill_disk = self.c_spilled = None
         else:
             self.g_buffer = self.h_residence = self.c_released = None
-            self.g_spill_disk = self.c_spilled = None
         # Equality-index metrics, registered only when the engine's
         # construction plan actually probes an index.
         constructor = getattr(engine, "constructor", None)
@@ -352,10 +339,6 @@ class Observability:
             self.g_pending.set(stats.matches_pending)
             if self.g_buffer is not None:
                 self.g_buffer.set(engine.buffer_size())
-            if self.g_spill_disk is not None:
-                spill = engine._spill
-                self.g_spill_disk.set(spill.disk_size())
-                self.c_spilled.inc(spill.spilled_events - self.c_spilled.value)
 
     @staticmethod
     def _work_marks(stats: Any) -> Tuple[int, int, int]:

@@ -18,21 +18,14 @@ from repro.streams.kslack import (
     MaxObservedK,
     QuantileK,
 )
-from repro.streams.merge import OrderedMerge, interleave_by_arrival, merge_ordered_streams
+from repro.streams.merge import interleave_by_arrival
 from repro.streams.punctuation import (
-    HeartbeatPunctuator,
     PeriodicPunctuator,
     strip_punctuation,
     validate_punctuation,
 )
-from repro.streams.replay import dump_trace, load_trace, roundtrip_equal
-from repro.streams.spill import SpillingReorderBuffer
-from repro.streams.source import (
-    EventSource,
-    PoissonSource,
-    ScriptedSource,
-    SyntheticSource,
-)
+from repro.streams.replay import dump_trace, load_trace
+from repro.streams.source import EventSource, SyntheticSource
 
 __all__ = [
     "AdaptiveEngineFeeder",
@@ -43,26 +36,19 @@ __all__ = [
     "DisorderStats",
     "EventSource",
     "FixedK",
-    "HeartbeatPunctuator",
     "KEstimator",
     "MaxObservedK",
     "NoDisorder",
-    "OrderedMerge",
     "PeriodicPunctuator",
-    "PoissonSource",
     "QuantileK",
     "RandomDelayModel",
-    "ScriptedSource",
-    "SpillingReorderBuffer",
     "SwapModel",
     "SyntheticSource",
     "dump_trace",
     "interleave_by_arrival",
     "load_trace",
     "measure_disorder",
-    "merge_ordered_streams",
     "required_k",
-    "roundtrip_equal",
     "strip_punctuation",
     "validate_punctuation",
 ]

@@ -1,28 +1,18 @@
 """Stream merging: combining multiple arrival streams into one.
 
-A CEP engine typically consumes the union of many source streams.  Two
-merge disciplines matter here:
-
-* :func:`interleave_by_arrival` — the physical merge: streams arrive
-  over independent paths and the engine sees whatever order the
-  transport produced.  Disorder of the merge can exceed the disorder
-  of every input (a perfectly ordered slow stream still arrives late
-  relative to a fast one) — the reason multi-source deployments need
-  out-of-order processing even with reliable, ordered links.
-* :class:`OrderedMerge` — the streaming sort-merge used when each
-  input is *individually* ordered: it releases the globally smallest
-  timestamp among the input heads.  This is the component a
-  buffer-and-sort architecture would use at ingestion, and it blocks
-  whenever any input is idle — the "output blocking" failure mode the
-  paper describes (quantified via :attr:`OrderedMerge.blocked_pulls`).
+A CEP engine typically consumes the union of many source streams.
+:func:`interleave_by_arrival` is the physical merge: streams arrive
+over independent paths and the engine sees whatever order the
+transport produced.  Disorder of the merge can exceed the disorder of
+every input (a perfectly ordered slow stream still arrives late
+relative to a fast one) — the reason multi-source deployments need
+out-of-order processing even with reliable, ordered links.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
@@ -59,84 +49,3 @@ def interleave_by_arrival(
         if heads[choice] is None:
             live.remove(choice)
     return merged
-
-
-class OrderedMerge:
-    """Streaming sort-merge over individually ordered inputs.
-
-    Pull-based: :meth:`push` adds an event from input *i*;
-    :meth:`ready` yields events that are safe to release (every input
-    has either advanced past them or been closed).  Counts
-    :attr:`blocked_pulls` — releases that had to wait on an idle input.
-    """
-
-    def __init__(self, inputs: int):
-        if inputs < 1:
-            raise ConfigurationError(f"inputs must be >= 1, got {inputs}")
-        self.inputs = inputs
-        self._heads: List[List[Event]] = [[] for _ in range(inputs)]
-        self._closed = [False] * inputs
-        self._last_ts = [-1] * inputs
-        self._counter = itertools.count()
-        self.blocked_pulls = 0
-
-    def push(self, input_index: int, event: Event) -> List[Event]:
-        """Add *event* from input *input_index*; returns releasable events."""
-        if not 0 <= input_index < self.inputs:
-            raise ConfigurationError(f"no such input {input_index}")
-        if self._closed[input_index]:
-            raise ConfigurationError(f"input {input_index} is closed")
-        if event.ts < self._last_ts[input_index]:
-            raise ConfigurationError(
-                f"input {input_index} is not ordered: {event!r} after ts="
-                f"{self._last_ts[input_index]}"
-            )
-        self._last_ts[input_index] = event.ts
-        self._heads[input_index].append(event)
-        return self._release()
-
-    def close_input(self, input_index: int) -> List[Event]:
-        """Mark input exhausted; may unblock buffered events."""
-        self._closed[input_index] = True
-        return self._release()
-
-    def _frontier(self) -> Optional[int]:
-        """Min over open inputs of the last seen ts (None = all closed)."""
-        frontier: Optional[int] = None
-        for index in range(self.inputs):
-            if self._closed[index]:
-                continue
-            bound = self._last_ts[index]
-            if frontier is None or bound < frontier:
-                frontier = bound
-        return frontier
-
-    def _release(self) -> List[Event]:
-        frontier = self._frontier()
-        released: List[Event] = []
-        heap = []
-        for index, buffered in enumerate(self._heads):
-            for event in buffered:
-                heap.append((event.ts, event.eid, index, event))
-        heap.sort()
-        keep: List[List[Event]] = [[] for _ in range(self.inputs)]
-        for ts, __, index, event in heap:
-            if frontier is None or ts <= frontier:
-                released.append(event)
-            else:
-                keep[index].append(event)
-                self.blocked_pulls += 1
-        self._heads = keep
-        return released
-
-    def pending(self) -> int:
-        """Events buffered awaiting slower inputs."""
-        return sum(len(buffered) for buffered in self._heads)
-
-
-def merge_ordered_streams(streams: Sequence[Iterable[Event]]) -> List[Event]:
-    """Offline k-way merge of ordered streams into one ordered list."""
-    decorated = []
-    for stream in streams:
-        decorated.append(((e.ts, e.eid, e) for e in stream))
-    return [entry[2] for entry in heapq.merge(*decorated)]

@@ -2,18 +2,16 @@
 
 A punctuation ``<= t`` tells the engine no event with occurrence time
 at or below *t* remains in flight, letting it purge and seal negation
-beyond what the K promise alone allows.  Two injectors cover the usual
-deployment shapes:
+beyond what the K promise alone allows.
 
 * :class:`PeriodicPunctuator` — a source that knows its own send buffer
   is flushed emits a punctuation every *period* events, lagging the
   max emitted timestamp by a *slack* it guarantees locally;
-* :class:`HeartbeatPunctuator` — wall-clock-style heartbeats on the
-  occurrence-time axis: whenever the stream's max timestamp advances by
-  at least *interval*, assert ``<= max_ts - slack``.
+* :class:`SourceWatermarks` — a multi-source ingestion point merges
+  per-source marks into one conservative assertion.
 
-Both are conservative: they never assert beyond what the configured
-slack justifies, and the injected stream's event content is unchanged.
+Neither asserts beyond what the configured slack justifies, and the
+injected stream's event content is unchanged.
 """
 
 from __future__ import annotations
@@ -57,34 +55,6 @@ class PeriodicPunctuator:
                 if asserted > last_asserted and asserted >= 0:
                     last_asserted = asserted
                     yield Punctuation(asserted)
-
-
-class HeartbeatPunctuator:
-    """Punctuate whenever occurrence time advances by *interval*."""
-
-    def __init__(self, interval: int, slack: int = 0):
-        if interval < 1:
-            raise ConfigurationError(f"interval must be >= 1, got {interval}")
-        if slack < 0:
-            raise ConfigurationError(f"slack must be >= 0, got {slack}")
-        self.interval = interval
-        self.slack = slack
-
-    def apply(self, events: Iterable[Event]) -> Iterator[StreamElement]:
-        max_ts = -1
-        next_beat = self.interval
-        last_asserted = -1
-        for event in events:
-            if event.ts > max_ts:
-                max_ts = event.ts
-            yield event
-            if max_ts >= next_beat:
-                asserted = max_ts - self.slack - 1
-                if asserted > last_asserted and asserted >= 0:
-                    last_asserted = asserted
-                    yield Punctuation(asserted)
-                while next_beat <= max_ts:
-                    next_beat += self.interval
 
 
 class SourceWatermarks:

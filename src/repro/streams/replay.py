@@ -89,23 +89,3 @@ def _decode(record: dict, path: Path, line_number: int) -> StreamElement:
         except (KeyError, StreamError) as exc:
             raise StreamError(f"{path}:{line_number}: bad event record ({exc})") from None
     raise StreamError(f"{path}:{line_number}: unknown record kind {kind!r}")
-
-
-def roundtrip_equal(elements: List[StreamElement], path: Union[str, Path]) -> bool:
-    """dump + load and compare; True when identity is fully preserved."""
-    dump_trace(elements, path)
-    loaded = load_trace(path)
-    if len(loaded) != len(elements):
-        return False
-    for original, restored in zip(elements, loaded):
-        if type(original) is not type(restored):
-            return False
-        if isinstance(original, Event):
-            if (
-                original.key() != restored.key()
-                or original.attrs != restored.attrs
-            ):
-                return False
-        elif original != restored:
-            return False
-    return True

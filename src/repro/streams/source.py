@@ -99,69 +99,3 @@ class SyntheticSource(EventSource):
             else:
                 etype = rng.choice(self.types)
             yield Event(etype, ts, self.attr_maker(rng, ts))
-
-
-class ScriptedSource(EventSource):
-    """A fixed, explicit list of events (tests and documentation).
-
-    Accepts either :class:`Event` objects or ``(etype, ts)`` /
-    ``(etype, ts, attrs)`` tuples.
-    """
-
-    def __init__(self, script: Sequence):
-        events: List[Event] = []
-        last_ts = -1
-        for item in script:
-            if isinstance(item, Event):
-                event = item
-            elif isinstance(item, tuple) and len(item) in (2, 3):
-                event = Event(item[0], item[1], item[2] if len(item) == 3 else None)
-            else:
-                raise ConfigurationError(f"bad script item {item!r}")
-            if event.ts < last_ts:
-                raise ConfigurationError(
-                    f"ScriptedSource must be in occurrence order; {event!r} after ts={last_ts}"
-                )
-            last_ts = event.ts
-            events.append(event)
-        self._events = events
-
-    def events(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-
-class PoissonSource(EventSource):
-    """Events with exponential inter-arrival gaps (discretised to ints).
-
-    The occurrence process the CEP literature usually assumes; mean gap
-    ``1/rate`` time units, minimum gap of zero (ties possible).
-    """
-
-    def __init__(
-        self,
-        types: Sequence[str],
-        count: int,
-        rate: float = 1.0,
-        seed: int = 0,
-        attr_maker: Optional[AttrMaker] = None,
-    ):
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be > 0, got {rate}")
-        if not types:
-            raise ConfigurationError("PoissonSource needs a non-empty type alphabet")
-        self.types = list(types)
-        self.count = count
-        self.rate = rate
-        self.seed = seed
-        self.attr_maker = attr_maker or (lambda rng, ts: {"x": rng.randint(0, 9)})
-
-    def events(self) -> Iterator[Event]:
-        rng = random.Random(self.seed)
-        ts = 0
-        for __ in range(self.count):
-            ts += int(rng.expovariate(self.rate))
-            etype = rng.choice(self.types)
-            yield Event(etype, ts, self.attr_maker(rng, ts))

@@ -29,7 +29,7 @@ from helpers import make_events
 KEYED = parse("PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 10", name="keyed")
 
 #: family -> variant -> factory.  Every configuration that used to leave
-#: the fused loop (shed, obs, spill) or never had one (partitioned
+#: the fused loop (shed, obs) or never had one (partitioned
 #: families) once answered ``[]`` to an empty batch after close().
 CLOSED_CASES = {
     "ooo": {
@@ -43,10 +43,7 @@ CLOSED_CASES = {
         ),
     },
     "inorder": {"plain": lambda: InOrderEngine(KEYED)},
-    "reorder": {
-        "plain": lambda: ReorderingEngine(KEYED, k=3),
-        "spill": lambda: ReorderingEngine(KEYED, k=3, memory_limit=2),
-    },
+    "reorder": {"plain": lambda: ReorderingEngine(KEYED, k=3)},
     "partitioned": {"plain": lambda: PartitionedEngine(KEYED, k=3)},
     "parallel": {"plain": lambda: ParallelPartitionedEngine(KEYED, k=3, workers=2)},
 }

@@ -16,7 +16,6 @@ from repro import (
     OfflineOracle,
     OutOfOrderEngine,
     PurgePolicy,
-    ReorderingEngine,
     ShedMode,
     ShedPolicy,
     seq,
@@ -188,21 +187,7 @@ class TestDropByType:
         assert engine.stats.events_shed == 25
 
 
-class TestSpillDiskBound:
-    def test_reorder_max_spilled_requires_memory_limit(self):
-        with pytest.raises(ConfigurationError):
-            ReorderingEngine(PATTERN, k=10, max_spilled=100)
-
-    def test_spill_tier_sheds_oldest_segments(self):
-        engine = ReorderingEngine(
-            PATTERN, k=10_000, memory_limit=5, max_spilled=500
-        )
-        for ts in range(1, 2501):
-            engine.feed(Event("A", ts, {}))
-        # Two flushed runs of 1000 exceeded the 500-event disk bound.
-        assert engine.stats.events_shed == 2000
-        engine.close()  # survivors drain without error
-
+class TestShedReporting:
     def test_shed_counter_reaches_quality_report(self):
         engine = OutOfOrderEngine(
             PATTERN, k=2000, purge=PurgePolicy.none(),

@@ -42,7 +42,6 @@ FAMILIES = {
     "ooo": {},
     "inorder": {},
     "reorder": {},
-    "reorder-spill": {},
     "partitioned": {"key": "x"},
     "parallel": {"key": "x"},
     "ooo-speculative": {"speculative": True},
@@ -51,10 +50,6 @@ FAMILIES = {
 
 def build(family):
     name = family.split("-")[0]
-    if family == "reorder-spill":
-        from repro import ReorderingEngine
-
-        return ReorderingEngine(PATTERN, k=K, memory_limit=4)
     k = None if name == "inorder" else K
     return make_engine(name, PATTERN, k=k, **FAMILIES[family])
 

@@ -58,6 +58,12 @@ def test_window_rejects_bad_capacity():
         DedupeWindow(0)
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_controller_rejects_bad_window_up_front(window):
+    with pytest.raises(ConfigurationError, match="capacity must be an int >= 1"):
+        controller(window)
+
+
 # -- the decision ----------------------------------------------------------------------
 
 

@@ -8,12 +8,14 @@ import threading
 import pytest
 
 from repro import Event, OfflineOracle, OutOfOrderEngine, parse
+from repro.cli import main as cli_main
 from repro.core.engine import LatePolicy, ValidationPolicy
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.recovery import delivered_keys
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
+from repro.ingest.schema import dump_schema
 from repro.ingest.server import _JournalWriter
 from repro.metrics import compare_keys
 from repro.obs import MetricsRegistry, Tracer
@@ -355,6 +357,28 @@ def test_raise_late_policy_is_rejected(tmp_path):
             directory=tmp_path,
         )
     assert list(tmp_path.iterdir()) == []  # refused before anything was opened
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["dedupe_window", "checkpoint_every"])
+def test_config_rejects_non_positive_window_and_interval(field, value):
+    """Refused at construction, not at the first event frame (where a
+    socket handler would swallow the error and drop the connection)."""
+    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+        GatewayConfig(make_schema(slack=2), **{field: value})
+
+
+def test_serve_with_zero_dedupe_window_exits_2_before_listening(tmp_path, capsys):
+    schema_path = tmp_path / "orders.schema.json"
+    dump_schema(make_schema(slack=2), schema_path)
+    code = cli_main([
+        "serve", "--schema", str(schema_path), "--query", QUERY,
+        "--k", "4", "--port", "0", "--dedupe-window", "0",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "dedupe_window must be >= 1" in err
+    assert "gateway:" not in out  # never listened
 
 
 def test_fault_without_directory_is_rejected():

@@ -1,8 +1,12 @@
-"""Integration: multi-query registry over simulated deployments + CLI."""
+"""Integration: registered queries over simulated deployments + CLI."""
 
-import pytest
-
-from repro import OfflineOracle, OutOfOrderEngine, PartitionedEngine, QueryRegistry
+from repro import (
+    MultiQueryPlan,
+    OfflineOracle,
+    OutOfOrderEngine,
+    PartitionedEngine,
+    QueryPlan,
+)
 from repro.cli import main as cli_main
 from repro.netsim import UniformLatency, simulate_star
 from repro.streams import dump_trace
@@ -15,40 +19,22 @@ from repro.workloads import (
 
 
 class TestRegistryOverNetsim:
-    @pytest.fixture(scope="class")
-    def deployment(self):
+    """Two store queries registered on one simulated arrival stream."""
+
+    def test_two_store_queries_one_stream(self):
         trace = RfidStoreGenerator(items=200, shoplift_rate=0.08, seed=91).generate()
         simulated = simulate_star(
             trace.by_reader, lambda i: UniformLatency(0, 120), seed=92
         )
-        return trace, simulated
-
-    def test_two_store_queries_one_stream(self, deployment):
-        trace, simulated = deployment
         k = simulated.observed_disorder_bound()
-        shoplift = shoplifting_query(2000, name="shoplift")
-        restock = restock_query(2000, name="restock")
-        registry = QueryRegistry()
-        registry.register(OutOfOrderEngine(shoplift, k=k))
-        registry.register(PartitionedEngine(restock, k=k))
-        registry.run(simulated.arrival_order)
+        shoplift = QueryPlan(OutOfOrderEngine(shoplifting_query(2000), k=k))
+        restock_pattern = restock_query(2000)
+        restock = QueryPlan(PartitionedEngine(restock_pattern, k=k))
+        MultiQueryPlan([shoplift, restock]).run(simulated.arrival_order)
 
-        assert (
-            detected_tags(registry.results("shoplift")) == trace.shoplifted_tags
-        )
-        restock_truth = OfflineOracle(restock).evaluate_set(trace.merged)
-        assert registry.engine("restock").result_set() == restock_truth
-
-    def test_routing_skips_nothing_relevant(self, deployment):
-        trace, simulated = deployment
-        registry = QueryRegistry()
-        registry.register(
-            OutOfOrderEngine(shoplifting_query(2000, name="s"), k=5000)
-        )
-        registry.run(simulated.arrival_order)
-        # every reader type is relevant to the shoplifting pattern
-        assert registry.events_skipped == 0
-        assert registry.routing_ratio() == 1.0
+        assert detected_tags(shoplift.matches) == trace.shoplifted_tags
+        restock_truth = OfflineOracle(restock_pattern).evaluate_set(trace.merged)
+        assert restock.engine.result_set() == restock_truth
 
 
 class TestCliOverWorkloadTrace:

@@ -1,22 +1,14 @@
-"""Quality, memory, throughput and reporting metrics (repro.metrics)."""
+"""Quality and reporting metrics (repro.metrics)."""
 
-import pytest
-
-from repro import Event, OutOfOrderEngine, PurgePolicy, seq
+from repro import Event
 from repro.core.pattern import Match
 from repro.metrics import (
-    QualityReport,
-    RunTiming,
-    StateProbe,
     compare,
     compare_keys,
     format_cell,
     render_series,
     render_table,
-    repeat_timed,
-    timed_run,
 )
-from helpers import make_events
 
 
 class TestQualityReport:
@@ -59,54 +51,6 @@ class TestQualityReport:
         truth = [Match(plain_seq2, [a, b])]
         report = compare(truth, truth)
         assert report.exact
-
-
-class TestStateProbe:
-    def test_samples_every_stride(self, plain_seq2):
-        engine = OutOfOrderEngine(plain_seq2, k=0, purge=PurgePolicy.none())
-        probe = StateProbe(engine, stride=10)
-        probe.feed_many(Event("A", ts) for ts in range(1, 101))
-        assert len(probe.samples) == 10
-        probe.close()
-        assert len(probe.samples) == 11
-
-    def test_growth_visible_without_purge(self, plain_seq2):
-        engine = OutOfOrderEngine(plain_seq2, k=0, purge=PurgePolicy.none())
-        probe = StateProbe(engine, stride=25)
-        probe.feed_many(Event("A", ts) for ts in range(1, 501))
-        sizes = [size for __, size in probe.samples]
-        assert sizes == sorted(sizes)
-        assert probe.peak == 500
-
-    def test_mean_between_min_and_max(self, plain_seq2):
-        engine = OutOfOrderEngine(plain_seq2, k=0)
-        probe = StateProbe(engine, stride=5)
-        probe.feed_many(Event("A", ts) for ts in range(1, 101))
-        sizes = [s for __, s in probe.samples]
-        assert min(sizes) <= probe.mean <= max(sizes)
-
-    def test_stride_validated(self, plain_seq2):
-        with pytest.raises(ValueError):
-            StateProbe(OutOfOrderEngine(plain_seq2), stride=0)
-
-
-class TestThroughput:
-    def test_timed_run_counts(self, plain_seq2):
-        engine = OutOfOrderEngine(plain_seq2, k=0)
-        timing = timed_run(engine, make_events("A1 B2 A3 B4"))
-        assert timing.events == 4
-        assert timing.matches == 3
-        assert timing.seconds > 0
-        assert timing.events_per_second > 0
-
-    def test_repeat_timed_uses_fresh_engines(self, plain_seq2):
-        events = make_events("A1 B2")
-        timing = repeat_timed(lambda: OutOfOrderEngine(plain_seq2, k=0), events, repeats=3)
-        assert timing.matches == 1
-
-    def test_runtiming_zero_seconds(self):
-        timing = RunTiming(10, 0.0, 1)
-        assert timing.events_per_second == float("inf")
 
 
 class TestReporting:

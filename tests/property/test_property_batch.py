@@ -219,9 +219,6 @@ def _assert_batch_equals_serial(make_engine, elements, batch_size, make_candidat
         for engine in (batched, columnar):
             engine.close()
             assert observe_engine(engine) == expected
-    elif isinstance(serial, ReorderingEngine) and serial._spill is not None:
-        for engine in (serial, batched, columnar):
-            engine._spill.close()
 
 
 #: Dimensions shared by the out-of-order families.  ``tighten`` lowers
@@ -358,15 +355,14 @@ def test_inorder_feed_batch_is_observably_serial(
     batch_size=st.sampled_from(BATCH_SIZES),
     punctuate=st.booleans(),
     tighten=st.sampled_from([0, 0, 3, 8]),
-    memory_limit=st.sampled_from([None, None, 1, 4]),
     validation=st.sampled_from(list(ValidationPolicy)),
     forged=st.lists(st.integers(min_value=0, max_value=200), max_size=3),
     obs=st.sampled_from([None, None, "metrics", "tracing"]),
 )
 @settings(max_examples=100, deadline=None)
 def test_reorder_feed_batch_is_observably_serial(
-    trace, pattern_index, k, seed, batch_size, punctuate, tighten, memory_limit,
-    validation, forged, obs,
+    trace, pattern_index, k, seed, batch_size, punctuate, tighten, validation,
+    forged, obs,
 ):
     pattern = PATTERNS[pattern_index]
     arrival = bounded_shuffle(trace, k=k, seed=seed)
@@ -375,9 +371,7 @@ def test_reorder_feed_batch_is_observably_serial(
     arrival = _forge(arrival, forged)
 
     def make():
-        engine = ReorderingEngine(
-            pattern, k=max(0, k - tighten), memory_limit=memory_limit
-        )
+        engine = ReorderingEngine(pattern, k=max(0, k - tighten))
         engine.validation = validation
         return engine
 

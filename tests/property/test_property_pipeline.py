@@ -1,5 +1,5 @@
 """Property tests across the substrate pipeline: punctuation, partition,
-replay, parser round-trips, and the spill buffer."""
+replay and parser round-trips."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +12,6 @@ from repro import (
 )
 from repro.streams import (
     PeriodicPunctuator,
-    SpillingReorderBuffer,
     strip_punctuation,
     validate_punctuation,
 )
@@ -86,39 +85,6 @@ def test_punctuated_stream_changes_nothing_but_state(trace, k, seed, period):
     with_punct.run(punctuated)
     assert with_punct.result_set() == plain.result_set()
     assert with_punct.stats.peak_state_size <= plain.stats.peak_state_size + len(trace)
-
-
-@given(
-    trace=keyed_trace_strategy(max_len=80),
-    seed=st.integers(min_value=0, max_value=5000),
-    limit=st.integers(min_value=1, max_value=20),
-    batch=st.integers(min_value=1, max_value=10),
-    horizon_step=st.integers(min_value=1, max_value=30),
-)
-@settings(max_examples=50, deadline=None)
-def test_spill_buffer_equals_heap(trace, seed, limit, batch, horizon_step):
-    import heapq
-    import random
-
-    arrival = trace[:]
-    random.Random(seed).shuffle(arrival)
-    buffer = SpillingReorderBuffer(memory_limit=limit, spill_batch=batch)
-    heap: list = []
-    out_spill, out_heap = [], []
-    horizon = -1
-    for index, event in enumerate(arrival):
-        buffer.push(event)
-        heapq.heappush(heap, (event.ts, event.eid, event))
-        if index % 3 == 0:
-            horizon += horizon_step
-            out_spill.extend(buffer.release(horizon))
-            while heap and heap[0][0] <= horizon:
-                out_heap.append(heapq.heappop(heap)[2])
-    out_spill.extend(buffer.drain())
-    while heap:
-        out_heap.append(heapq.heappop(heap)[2])
-    buffer.close()
-    assert [e.eid for e in out_spill] == [e.eid for e in out_heap]
 
 
 @given(

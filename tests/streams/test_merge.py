@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro import ConfigurationError, Event
-from repro.streams import (
-    OrderedMerge,
-    SyntheticSource,
-    interleave_by_arrival,
-    measure_disorder,
-    merge_ordered_streams,
-)
+from repro import ConfigurationError
+from repro.streams import SyntheticSource, interleave_by_arrival, measure_disorder
 
 
 def sources(n, count=100):
@@ -55,86 +49,3 @@ class TestInterleave:
         streams = sources(3)
         merged = interleave_by_arrival(streams, seed=6, burstiness=5)
         assert len(merged) == sum(len(s) for s in streams)
-
-
-class TestOrderedMerge:
-    def test_releases_in_global_order(self):
-        merge = OrderedMerge(2)
-        released = []
-        released += merge.push(0, Event("A", 1))
-        released += merge.push(1, Event("B", 2))
-        released += merge.push(0, Event("A", 5))
-        released += merge.push(1, Event("B", 6))
-        timestamps = [e.ts for e in released]
-        assert timestamps == sorted(timestamps)
-
-    def test_blocks_on_idle_input(self):
-        merge = OrderedMerge(2)
-        assert merge.push(0, Event("A", 10)) == []  # input 1 silent: blocked
-        assert merge.pending() == 1
-        assert merge.blocked_pulls >= 1
-
-    def test_close_unblocks(self):
-        merge = OrderedMerge(2)
-        merge.push(0, Event("A", 10))
-        released = merge.close_input(1)
-        assert [e.ts for e in released] == [10]
-
-    def test_all_closed_releases_everything(self):
-        merge = OrderedMerge(2)
-        out = merge.push(0, Event("A", 10))
-        out += merge.push(1, Event("B", 5))  # frontier 5 releases B immediately
-        out += merge.close_input(0)
-        out += merge.close_input(1)
-        assert sorted(e.ts for e in out) == [5, 10]
-        assert merge.pending() == 0
-
-    def test_rejects_unordered_input(self):
-        merge = OrderedMerge(1)
-        merge.push(0, Event("A", 5))
-        with pytest.raises(ConfigurationError):
-            merge.push(0, Event("A", 3))
-
-    def test_rejects_bad_index_and_closed_input(self):
-        merge = OrderedMerge(1)
-        with pytest.raises(ConfigurationError):
-            merge.push(5, Event("A", 1))
-        merge.close_input(0)
-        with pytest.raises(ConfigurationError):
-            merge.push(0, Event("A", 1))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            OrderedMerge(0)
-
-    def test_full_merge_is_sorted(self):
-        streams = sources(3, count=50)
-        merge = OrderedMerge(3)
-        released = []
-        iterators = [iter(s) for s in streams]
-        exhausted = [False] * 3
-        import itertools
-
-        for index in itertools.cycle(range(3)):
-            if all(exhausted):
-                break
-            if exhausted[index]:
-                continue
-            event = next(iterators[index], None)
-            if event is None:
-                exhausted[index] = True
-                released += merge.close_input(index)
-            else:
-                released += merge.push(index, event)
-        timestamps = [e.ts for e in released]
-        assert timestamps == sorted(timestamps)
-        assert len(released) == 150
-
-
-class TestOfflineMerge:
-    def test_merge_ordered_streams(self):
-        streams = sources(4, count=30)
-        merged = merge_ordered_streams(streams)
-        timestamps = [e.ts for e in merged]
-        assert timestamps == sorted(timestamps)
-        assert len(merged) == 120

@@ -4,7 +4,6 @@ import pytest
 
 from repro import ConfigurationError, Event, Punctuation
 from repro.streams import (
-    HeartbeatPunctuator,
     PeriodicPunctuator,
     RandomDelayModel,
     SyntheticSource,
@@ -53,29 +52,6 @@ class TestPeriodicPunctuator:
             PeriodicPunctuator(period=0)
         with pytest.raises(ConfigurationError):
             PeriodicPunctuator(period=5, slack=-1)
-
-
-class TestHeartbeatPunctuator:
-    def test_beats_follow_time_advance(self, events):
-        elements = list(HeartbeatPunctuator(interval=20).apply(events))
-        punctuations = [e for e in elements if isinstance(e, Punctuation)]
-        assert punctuations
-        assert validate_punctuation(elements)
-
-    def test_slack_respected(self, events):
-        arrival = RandomDelayModel(0.4, 10, seed=4).apply(events)
-        elements = list(HeartbeatPunctuator(interval=15, slack=10).apply(arrival))
-        assert validate_punctuation(elements)
-
-    def test_quiet_stream_no_beats(self):
-        events = [Event("A", 1), Event("A", 2)]
-        elements = list(HeartbeatPunctuator(interval=100).apply(events))
-        assert strip_punctuation(elements) == events
-        assert len(elements) == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HeartbeatPunctuator(interval=0)
 
 
 class TestEngineIntegration:

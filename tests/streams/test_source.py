@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import ConfigurationError, Event
-from repro.streams import PoissonSource, ScriptedSource, SyntheticSource
+from repro import ConfigurationError
+from repro.streams import SyntheticSource
 
 
 class TestSyntheticSource:
@@ -74,41 +74,3 @@ class TestSyntheticSource:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SyntheticSource(**kwargs)
-
-
-class TestScriptedSource:
-    def test_accepts_tuples_and_events(self):
-        source = ScriptedSource([("A", 1), ("B", 2, {"x": 1}), Event("C", 3)])
-        events = list(source.events())
-        assert [e.etype for e in events] == ["A", "B", "C"]
-        assert events[1]["x"] == 1
-
-    def test_rejects_out_of_order_script(self):
-        with pytest.raises(ConfigurationError):
-            ScriptedSource([("A", 5), ("B", 3)])
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            ScriptedSource(["A1"])
-
-    def test_len(self):
-        assert len(ScriptedSource([("A", 1), ("B", 2)])) == 2
-
-
-class TestPoissonSource:
-    def test_order_and_count(self):
-        events = PoissonSource(["A", "B"], 200, rate=0.5, seed=2).take(200)
-        assert len(events) == 200
-        timestamps = [e.ts for e in events]
-        assert timestamps == sorted(timestamps)
-
-    def test_rate_controls_density(self):
-        sparse = PoissonSource(["A"], 500, rate=0.1, seed=1).take(500)
-        dense = PoissonSource(["A"], 500, rate=2.0, seed=1).take(500)
-        assert sparse[-1].ts > dense[-1].ts
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PoissonSource(["A"], 10, rate=0)
-        with pytest.raises(ConfigurationError):
-            PoissonSource([], 10, rate=1)
