@@ -15,8 +15,8 @@ disorder) and demonstrates its payoff.
   - ``tracing``  — full per-element span recording.
 
   Claim: the disabled path costs **< 3%** over the pre-PR control.
-  Instrumented paths are honestly slower (``Observability.feed`` wraps
-  every element's step) — recorded, not hidden.
+  Instrumented paths are honestly slower (``Observability.feed_batch``
+  drives every observed step) — recorded, not hidden.
 
 * **E18b — emission latency vs out-of-order rate.**  With metrics
   enabled, sweep the disorder rate and render the

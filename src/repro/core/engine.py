@@ -135,7 +135,7 @@ class Engine:
         if self._closed:
             raise EngineStateError(f"{type(self).__name__} is closed")
         if self._obs is not None:
-            return self._obs.feed(self, element)
+            return self._drive((element,))
         if isinstance(element, Event):
             return self._run((element,))
         return self._feed_punctuation(element)
@@ -261,11 +261,12 @@ class Engine:
 
         *tracer* is a :class:`repro.obs.Tracer` (or None for metrics
         only); *metrics* is a :class:`repro.obs.MetricsRegistry` (or
-        None for tracing only).  Returns the attached bundle.  Feeding
-        then goes through the bundle, around the same step loop — one
-        element per call when tracing, a batch per call with metrics
-        alone — observably identical results and counters, at
-        instrumented cost.
+        None for tracing only).  Returns the attached bundle.  Every
+        feeding surface, ``feed`` included, then drives the same step
+        loop through the bundle's one instrumented driver — one element
+        per call when tracing, a batch per call with metrics alone —
+        with observably identical results and counters, at instrumented
+        cost.
         """
         from repro.obs.hooks import Observability
 

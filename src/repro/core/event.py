@@ -115,12 +115,6 @@ class Event:
     def __contains__(self, key: str) -> bool:
         return key in self._attrs
 
-    def with_attrs(self, **updates: Any) -> "Event":
-        """Return a new event with updated attributes and a fresh identity."""
-        merged = dict(self._attrs)
-        merged.update(updates)
-        return Event(self.etype, self.ts, merged)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
@@ -234,12 +228,3 @@ def sort_by_occurrence(events: Iterable[Event]) -> list:
     regardless of arrival permutation.
     """
     return sorted(events, key=lambda e: (e.ts, e.eid))
-
-
-def max_timestamp(events: Iterable[Event]) -> int:
-    """Largest occurrence timestamp in *events* (or -1 when empty)."""
-    result = -1
-    for event in events:
-        if event.ts > result:
-            result = event.ts
-    return result

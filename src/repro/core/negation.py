@@ -149,10 +149,6 @@ class PendingMatches:
         self._heap.clear()
         return ripe
 
-    def earliest_seal(self) -> Optional[int]:
-        """Smallest pending seal point, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot_state(self, encode) -> dict:

@@ -144,9 +144,6 @@ class SpeculationLog:
         self._open[positive_key(match)] = record
         return record
 
-    def is_open(self, match: Match) -> bool:
-        return positive_key(match) in self._open
-
     def seal(self, match: Match, arrival: int, clock: int) -> SealOutcome:
         """Reconcile the log with a seal-time **emit** decision.
 

@@ -223,12 +223,6 @@ class SortedStack:
 
     # -- range queries --------------------------------------------------------
 
-    def range_before(self, ts: int, min_ts: Optional[int] = None) -> List[Instance]:
-        """Instances with ``min_ts <= instance.ts < ts`` (min unbounded if None)."""
-        hi = bisect_left(self._keys, (ts, -1))
-        lo = 0 if min_ts is None else bisect_left(self._keys, (min_ts, -1))
-        return self._instances[lo:hi]
-
     def range_after(self, ts: int, max_ts: Optional[int] = None) -> List[Instance]:
         """Instances with ``ts < instance.ts <= max_ts`` (max unbounded if None)."""
         lo = bisect_right(self._keys, (ts, float("inf")))
@@ -236,19 +230,6 @@ class SortedStack:
             return self._instances[lo:]
         hi = bisect_right(self._keys, (max_ts, float("inf")))
         return self._instances[lo:hi]
-
-    def has_before(self, ts: int) -> bool:
-        """True when some instance has occurrence time strictly below *ts*."""
-        return bool(self._instances) and self._keys[0][0] < ts
-
-    def has_after(self, ts: int) -> bool:
-        """True when some instance has occurrence time strictly above *ts*."""
-        return bool(self._instances) and self._keys[-1][0] > ts
-
-    def has_in_range(self, lo: int, hi: int) -> bool:
-        """True when some instance has occurrence time in ``[lo, hi]``."""
-        index = bisect_left(self._keys, (lo, -1))
-        return index < len(self._keys) and self._keys[index][0] <= hi
 
     def min_ts(self) -> Optional[int]:
         """Smallest occurrence time stored, or None when empty."""
@@ -367,9 +348,6 @@ class StackSet:
     def sizes(self) -> List[int]:
         """Per-stack instance counts (diagnostics and memory experiments)."""
         return [len(stack) for stack in self.stacks]
-
-    def total_purged(self) -> int:
-        return sum(stack.purged for stack in self.stacks)
 
     def snapshot_state(self) -> list:
         return [stack.snapshot_state() for stack in self.stacks]

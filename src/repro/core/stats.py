@@ -15,6 +15,19 @@ from __future__ import annotations
 
 from typing import Dict
 
+#: The flow totals an observer exports, by name: the fields each sums.
+FLOW_FIELDS = {
+    "events": ("events_in",),
+    "punctuations": ("punctuations_in",),
+    "matches": ("matches_emitted",),
+    "late_dropped": ("late_dropped",),
+    "quarantined": ("events_quarantined",),
+    "shed": ("events_shed",),
+    "purged": ("instances_purged", "negatives_purged"),
+    "index_hits": ("index_hits",),
+    "index_misses": ("index_misses",),
+}
+
 
 class EngineStats:
     """Mutable counter bundle; all counters start at zero."""
@@ -54,6 +67,10 @@ class EngineStats:
         """Track the high-water mark of total retained state."""
         if size > self.peak_state_size:
             self.peak_state_size = size
+
+    def flow_total(self, name: str) -> int:
+        """The :data:`FLOW_FIELDS` total *name*, summed over its fields."""
+        return sum(getattr(self, field) for field in FLOW_FIELDS[name])
 
     def as_dict(self) -> Dict[str, int]:
         """Snapshot of all counters (stable key order for reports)."""

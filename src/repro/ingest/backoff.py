@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Iterator, Optional, Tuple, Type
 
 from repro.core.errors import ConfigurationError
 
@@ -188,8 +188,3 @@ def run_resilient(
         attempt, policy, retry_on=(CrashError,), sleep=sleep, on_retry=note
     )
     return runner, crashes
-
-
-def spread_delays(policies: List[BackoffPolicy], attempt: int) -> List[float]:
-    """The *attempt*-th delay of each policy (fleet-spread diagnostics)."""
-    return [policy.delay(attempt) for policy in policies]

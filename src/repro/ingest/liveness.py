@@ -27,6 +27,7 @@ touches the wall clock.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.errors import ConfigurationError
@@ -62,8 +63,10 @@ class LivenessTracker:
     """
 
     def __init__(self, timeout: float, slack: int = 0):
-        if timeout <= 0:
-            raise ConfigurationError(f"liveness timeout must be > 0, got {timeout!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigurationError(
+                f"liveness timeout must be finite and > 0, got {timeout!r}"
+            )
         self.timeout = float(timeout)
         self.watermarks = SourceWatermarks(slack)
         self._last_seen: Dict[str, float] = {}

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import operator
 import queue
 import re
@@ -198,17 +199,19 @@ class GatewayConfig:
     ):
         if not isinstance(schema, StreamSchema):
             raise ConfigurationError(f"schema must be a StreamSchema, got {schema!r}")
-        if liveness_timeout <= 0:
+        if not (math.isfinite(liveness_timeout) and liveness_timeout > 0):
             raise ConfigurationError(
-                f"liveness_timeout must be > 0, got {liveness_timeout!r}"
+                f"liveness_timeout must be finite and > 0, got {liveness_timeout!r}"
             )
         if not 0.0 < soft_pressure <= hard_pressure:
             raise ConfigurationError(
                 f"need 0 < soft_pressure <= hard_pressure, got "
                 f"{soft_pressure!r} / {hard_pressure!r}"
             )
-        if retry_after <= 0:
-            raise ConfigurationError(f"retry_after must be > 0, got {retry_after!r}")
+        if not (math.isfinite(retry_after) and retry_after > 0):
+            raise ConfigurationError(
+                f"retry_after must be finite and > 0, got {retry_after!r}"
+            )
         if dedupe_window < 1:
             raise ConfigurationError(f"dedupe_window must be >= 1, got {dedupe_window!r}")
         if checkpoint_every < 1:

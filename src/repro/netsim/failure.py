@@ -6,16 +6,15 @@ recovers, then proceeds.  The result at the sink is a burst of stale
 events right after each recovery — the bursty disorder signature that
 distinguishes machine failure from latency jitter.
 
-Schedules are precomputed (deterministic under seed) as disjoint
-``[start, end)`` outage intervals per node, supporting O(log n) "when
-does this node next work at or after t" queries.
+Schedules are disjoint ``[start, end)`` outage intervals per node,
+supporting O(log n) "when does this node next work at or after t"
+queries.
 """
 
 from __future__ import annotations
 
 import bisect
-import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 from repro.core.errors import ConfigurationError
@@ -52,70 +51,5 @@ class FailureSchedule:
                 return end
         return t
 
-    def is_down(self, node: str, t: int) -> bool:
-        return self.available_at(node, t) != t
-
     def outages(self, node: str) -> List[Tuple[int, int]]:
         return list(self._outages.get(node, []))
-
-    def frame_outages(
-        self, deliveries: Sequence, source: str
-    ) -> List[Tuple[int, int]]:
-        """Map *source*'s outage windows onto its own frame sequence.
-
-        Each outage ``[start, end)`` becomes ``(lo, hi)``: *lo* is the
-        index (within *source*'s deliveries, in send order) of the
-        first frame sent at or after the outage start, *hi* the first
-        frame at or after recovery.  This is the per-source composition
-        the ingestion drills need — "source s1's connection dies at its
-        frame 120 and comes back at its frame 180" — whereas
-        :meth:`repro.netsim.simulator.SimulationResult.crash_indices`
-        expresses outages as *global* arrival positions and can only
-        script faults that hit the whole pipeline at once.  Windows no
-        frame falls into are dropped.
-        """
-        sent = sorted(
-            delivery.sent_at
-            for delivery in deliveries
-            if delivery.source == source
-        )
-        windows: List[Tuple[int, int]] = []
-        for start, end in self.outages(source):
-            lo = bisect.bisect_left(sent, start)
-            hi = bisect.bisect_left(sent, end)
-            if lo < hi:
-                windows.append((lo, hi))
-        return windows
-
-    @classmethod
-    def random_outages(
-        cls,
-        nodes: Sequence[str],
-        horizon: int,
-        outage_rate: float,
-        mean_duration: int,
-        seed: int = 0,
-    ) -> "FailureSchedule":
-        """Poisson-ish outage process per node over ``[0, horizon)``.
-
-        Each node independently fails with probability *outage_rate*
-        per time unit (geometric gaps), staying down for an
-        exponentially distributed duration with the given mean.
-        """
-        if not 0.0 <= outage_rate <= 1.0:
-            raise ConfigurationError(f"outage_rate must be in [0, 1], got {outage_rate}")
-        if mean_duration < 1:
-            raise ConfigurationError(f"mean_duration must be >= 1, got {mean_duration}")
-        schedule = cls()
-        rng = random.Random(seed)
-        for node in nodes:
-            t = 0
-            while t < horizon and outage_rate > 0:
-                gap = rng.expovariate(outage_rate) if outage_rate < 1 else 0
-                t += int(gap) + 1
-                if t >= horizon:
-                    break
-                duration = max(1, int(rng.expovariate(1.0 / mean_duration)))
-                schedule.add_outage(node, t, min(t + duration, horizon))
-                t += duration
-        return schedule

@@ -51,14 +51,6 @@ class SimulationResult:
         """Events in sink-arrival order — feed this to an engine."""
         return [d.event for d in self.deliveries]
 
-    def max_transit(self) -> int:
-        return max((d.transit for d in self.deliveries), default=0)
-
-    def mean_transit(self) -> float:
-        if not self.deliveries:
-            return 0.0
-        return sum(d.transit for d in self.deliveries) / len(self.deliveries)
-
     def observed_disorder_bound(self) -> int:
         """Smallest K under which no delivered event is late at the sink.
 

@@ -33,7 +33,6 @@ from repro.obs.trace import (
     MATCH_EMITTED,
     MATCH_PENDING,
     PREDICATE_REJECTED,
-    PROCESSED,
     PUNCTUATION,
     PURGED,
     QUARANTINED,
@@ -102,7 +101,6 @@ __all__ = [
     "NullTracer",
     "Observability",
     "PREDICATE_REJECTED",
-    "PROCESSED",
     "PUNCTUATION",
     "PURGED",
     "QUARANTINED",

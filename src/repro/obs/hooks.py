@@ -1,23 +1,35 @@
 """The engine-side observability bundle.
 
 :class:`Observability` is what ``Engine.enable_observability()``
-attaches.  It owns the tracer and the metric handles and wraps the
+attaches.  It owns the tracer and the metric handles and drives the
 engine's step loop: when ``engine._obs`` is set, every feeding surface
-delegates here.  With a tracer this module classifies what happened to
-each element (from counter deltas around a one-element call of the same
-loop the uninstrumented path runs) and records lifecycle spans; with
-metrics alone a batch stays one call of the loop, observed between its
-elements (:meth:`Observability.feed_batch`).
+(``feed`` included, as a one-element batch) goes through
+:meth:`Observability.feed_batch`.  It never screens, counts or applies
+an element itself — the loop does, exactly as on the plain path — and
+reads what each element left behind: the live state between elements,
+and the flushed :class:`~repro.core.stats.EngineStats` after a call.
 
-Cost contract, pinned by experiment E18:
+* With metrics alone a batch stays one call of the loop, handed a
+  generator that observes each element as the loop comes back for the
+  next (work ticks, emission latency, state size).
+* Tracing makes one call per element through the same observer, then
+  classifies the element from the flushed counters and records its
+  lifecycle spans.
+* The flow counters (events, punctuations, matches, late, quarantined,
+  shed, purged, index hits and misses) are the call's ``EngineStats``
+  deltas over the fields :data:`repro.core.stats.FLOW_FIELDS` names.
+
+Cost contract, measured by experiment E18:
 
 * **disabled** (the default) — ``Engine.feed`` pays one attribute
   check; ``feed_batch`` / ``feed_colbatch`` pay one check per *batch*;
-* **metrics only** — a handful of counter/histogram updates per
-  element, no allocation beyond the histogram's int bumps; a batch
-  pays the loop's set-up once, like a plain one;
-* **tracing** — span allocation per element plus the fine-grained
-  hooks (purge/shed peeks, predicate re-evaluation for rejections).
+* **metrics only** — per element, one generator step plus a few
+  histogram/gauge updates and a ``state_size()`` call; the flow
+  counters cost one read of the stats before and after each *call*; a
+  batch pays that and the loop's set-up once, like a plain one;
+* **tracing** — the loop's set-up per element, span allocation, and the
+  fine-grained hooks (purge/shed peeks, predicate re-evaluation for
+  rejections).
 
 Everything here is pure computation on engine state — no wall clock,
 no I/O, no set iteration — so instrumented runs remain deterministic
@@ -25,22 +37,20 @@ and replay-equivalent (analyzer rules R002/R003 apply to this module
 through ``tests/analysis``'s tree-wide gate).
 
 Parity is load-bearing: an instrumented engine must produce exactly
-the same results, emissions, and counters as a plain one.  The
-classification reads stat deltas and re-evaluates predicates *without*
+the same results, emissions, and counters as a plain one.  The observer
+only reads, and re-evaluates predicates for classification *without*
 passing ``stats``; the test suite pins instrumented == plain across
-every family.
+every family, and ``tests/golden/observability.json`` pins the spans
+and registry themselves.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, sub
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.event import (
-    Event,
-    admission_error,
-    is_event,
-    malformed_reason,
-)
+from repro.core.event import Event, is_event, malformed_reason
+from repro.core.stats import FLOW_FIELDS
 from repro.obs import trace as stages
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -49,6 +59,32 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.trace import NullTracer, Tracer
+
+#: Flow counters, ``repro_<name>_total``: each adds the delta of its
+#: ``FLOW_FIELDS`` once per call of the step loop.
+FLOW_COUNTERS = (
+    ("events", "stream events fed to the engine"),
+    ("punctuations", "punctuations fed to the engine"),
+    ("matches", "matches emitted (including at close)"),
+    ("late_dropped", "events dropped for violating the K promise"),
+    ("quarantined", "malformed elements quarantined at admission"),
+    ("shed", "stored events evicted by load shedding"),
+    ("purged", "stored elements purged at the safe horizon"),
+)
+#: Registered only when the engine's construction plan probes an index.
+INDEX_COUNTERS = (
+    ("index_hits", "equality-index lookups that yielded candidates"),
+    ("index_misses", "equality-index lookups that proved a dead end"),
+)
+
+
+def _work_ticks(stats: Any) -> int:
+    """Algorithmic work so far: partials + predicate evals + triggers."""
+    return (
+        stats.partial_combinations
+        + stats.predicate_evaluations
+        + stats.construction_triggers
+    )
 
 
 def _worker_metric_name(name: str) -> str:
@@ -66,34 +102,11 @@ class Observability:
     without tracing).
     """
 
-    __slots__ = (
-        "tracer",
-        "registry",
-        "tracing",
-        "stream",
-        "c_events",
-        "c_punctuations",
-        "c_matches",
-        "c_late",
-        "c_quarantined",
-        "c_shed",
-        "c_purged",
-        "h_ticks",
-        "h_latency",
-        "h_state",
-        "g_state",
-        "g_pending",
-        "g_buffer",
-        "h_residence",
-        "c_released",
-        "c_index_hits",
-        "c_index_misses",
-        "h_index_candidates",
-        "c_speculative",
-        "c_retractions",
-        "h_spec_latency",
-        "g_refreeze_k",
-    )
+    # Metric handles stay None for what the engine does not run (or
+    # without a registry); the engine hooks test them before use.
+    c_matches = h_ticks = h_latency = h_state = g_state = g_pending = None
+    g_buffer = h_residence = c_released = h_index_candidates = None
+    c_speculative = c_retractions = h_spec_latency = g_refreeze_k = None
 
     def __init__(
         self,
@@ -108,42 +121,17 @@ class Observability:
         # Span-id namespace: layered engines (reorder inner) share one
         # tracer under distinct stream tags.
         self.stream = stream
+        #: (counter, field) per flow field, in ``_read_flow`` order.
+        self._flow: List[Tuple[Any, str]] = []
+        self._read_flow = None
         self._register(engine)
 
     def _register(self, engine: Any) -> None:
         registry = self.registry
         if registry is None:
-            self.c_events = self.c_punctuations = self.c_matches = None
-            self.c_late = self.c_quarantined = self.c_shed = self.c_purged = None
-            self.h_ticks = self.h_latency = self.h_state = None
-            self.g_state = self.g_pending = self.g_buffer = None
-            self.h_residence = self.c_released = None
-            self.c_index_hits = self.c_index_misses = None
-            self.h_index_candidates = None
-            self.c_speculative = self.c_retractions = None
-            self.h_spec_latency = self.g_refreeze_k = None
             return
-        self.c_events = registry.counter(
-            "repro_events_total", "stream events fed to the engine"
-        )
-        self.c_punctuations = registry.counter(
-            "repro_punctuations_total", "punctuations fed to the engine"
-        )
-        self.c_matches = registry.counter(
-            "repro_matches_total", "matches emitted (including at close)"
-        )
-        self.c_late = registry.counter(
-            "repro_late_dropped_total", "events dropped for violating the K promise"
-        )
-        self.c_quarantined = registry.counter(
-            "repro_quarantined_total", "malformed elements quarantined at admission"
-        )
-        self.c_shed = registry.counter(
-            "repro_shed_total", "stored events evicted by load shedding"
-        )
-        self.c_purged = registry.counter(
-            "repro_purged_total", "stored elements purged at the safe horizon"
-        )
+        self._count_flow(FLOW_COUNTERS)
+        self.c_matches = registry.get("repro_matches_total")
         self.h_ticks = registry.histogram(
             "repro_processing_ticks",
             "per-event algorithmic work (partials + predicate evals + triggers)",
@@ -180,8 +168,6 @@ class Observability:
             self.c_released = registry.counter(
                 "repro_reorder_released_total", "events released to the inner engine"
             )
-        else:
-            self.g_buffer = self.h_residence = self.c_released = None
         # Equality-index metrics, registered only when the engine's
         # construction plan actually probes an index.
         constructor = getattr(engine, "constructor", None)
@@ -190,23 +176,13 @@ class Observability:
             and constructor.index
             and constructor.indexed_attrs is not None
         ):
-            self.c_index_hits = registry.counter(
-                "repro_index_hits_total",
-                "equality-index lookups that yielded candidates",
-            )
-            self.c_index_misses = registry.counter(
-                "repro_index_misses_total",
-                "equality-index lookups that proved a dead end",
-            )
+            self._count_flow(INDEX_COUNTERS)
             self.h_index_candidates = registry.histogram(
                 "repro_index_candidates",
                 "candidate-set size served per equality-index lookup",
                 TICK_BUCKETS,
             )
             constructor._observe_candidates = self.h_index_candidates.observe
-        else:
-            self.c_index_hits = self.c_index_misses = None
-            self.h_index_candidates = None
         # Speculation/controller metrics, registered only for engines
         # running the optimistic or adaptive modes.
         if getattr(engine, "speculation", None) is not None:
@@ -223,15 +199,10 @@ class Observability:
                 "stream-clock minus match end timestamp at speculative emission",
                 LATENCY_BUCKETS,
             )
-        else:
-            self.c_speculative = self.c_retractions = None
-            self.h_spec_latency = None
         if getattr(engine, "_controller", None) is not None:
             self.g_refreeze_k = registry.gauge(
                 "repro_refrozen_k", "disorder bound chosen at the last re-freeze"
             )
-        else:
-            self.g_refreeze_k = None
         shed = getattr(engine, "shed", None)
         if shed is not None:
             pattern = getattr(engine, "pattern", None)
@@ -242,228 +213,143 @@ class Observability:
                 ),
             )
 
-    # -- the instrumented feed path ---------------------------------------------
+    def _count_flow(self, table: Tuple[Tuple[str, str], ...]) -> None:
+        for name, help_text in table:
+            counter = self.registry.counter(f"repro_{name}_total", help_text)
+            self._flow.extend((counter, field) for field in FLOW_FIELDS[name])
+        self._read_flow = attrgetter(*(field for __, field in self._flow))
 
-    def feed(self, engine: Any, element: Any) -> List[Any]:
-        """Instrumented form of ``Engine.feed``.
-
-        Must stay observably identical to the plain path: same
-        admission screening, same counter updates, same state-size
-        bookkeeping (the parity tests pin this element for element).
-        """
-        stats = engine.stats
-        tracer = self.tracer
-        tracing = self.tracing
-        if malformed_reason(element) is not None:
-            from repro.core.engine import ValidationPolicy
-
-            if engine.validation is ValidationPolicy.QUARANTINE:
-                stats.events_quarantined += 1
-                if self.c_quarantined is not None:
-                    self.c_quarantined.inc()
-                if tracing:
-                    tracer.record(
-                        engine._arrival,
-                        stages.QUARANTINED,
-                        eid=getattr(element, "eid", None),
-                        ts=getattr(element, "ts", None),
-                        etype=getattr(element, "etype", None),
-                        detail=malformed_reason(element) or "",
-                        stream=self.stream,
-                    )
-                return []
-            raise admission_error(element)
-        if is_event(element):
-            emitted = self._feed_event(engine, element, stats, tracer, tracing)
-        else:
-            emitted = self._feed_punctuation(engine, element, stats, tracer, tracing)
-        self._note_state(engine, stats)
-        return emitted
+    # -- the instrumented step loop ----------------------------------------------
 
     def feed_batch(self, engine: Any, elements: Iterable[Any]) -> List[Any]:
-        """Instrumented form of ``Engine.feed_batch``.
+        """The one instrumented driver of the engine's step loop.
 
-        Tracing classifies each element from counters the step loop
-        only flushes when it returns, so it feeds one element per call.
-        Metrics alone read nothing but live state — work ticks,
-        emissions, state size — so the batch stays ONE call of the loop,
-        handed a generator that observes each element as the loop comes
-        back for the next; the flow counters are summed once the loop
-        has flushed them.  Registry contents are identical either way.
+        Every observed feeding surface comes here.  Metrics alone keep a
+        batch ONE call of the loop, handed a generator that observes each
+        element as the loop comes back for the next.  Tracing classifies
+        each element from counters the loop only flushes when it returns,
+        so it makes one call per element, through the same observer.
+        The flow counters then add the batch's :class:`EngineStats`
+        deltas, so registry contents never depend on the call shape.
         """
-        if self.tracing or self.c_events is None:
-            emitted: List[Any] = []
-            for element in elements:
-                emitted.extend(self.feed(engine, element))
-            return emitted
-        stats = engine.stats
-        before_late = stats.late_dropped
-        before_shed = stats.events_shed
-        before_purged = stats.instances_purged + stats.negatives_purged
-        before_quarantined = stats.events_quarantined
+        read = self._read_flow
+        before = read(engine.stats) if read is not None else None
         try:
-            return engine._run(self._stepped(engine, elements, stats))
+            if self.tracing:
+                emitted: List[Any] = []
+                for element in elements:
+                    emitted.extend(self._traced(engine, element))
+                return emitted
+            if read is None:
+                return engine._run(elements)
+            return engine._run(self._stepped(engine, elements))
         finally:
-            self._note_flow_deltas(
-                engine, [], stats, before_late, before_shed, before_purged
-            )
-            self.c_quarantined.inc(stats.events_quarantined - before_quarantined)
+            if read is not None:
+                deltas = map(sub, read(engine.stats), before)
+                for (counter, __), delta in zip(self._flow, deltas):
+                    if delta:
+                        counter.inc(delta)
 
-    def _stepped(self, engine: Any, elements: Iterable[Any], stats: Any) -> Iterator[Any]:
-        """Yield *elements* to the step loop, observing each one after it ran."""
+    def _stepped(self, engine: Any, elements: Iterable[Any]) -> Iterator[Any]:
+        """Yield *elements* to the step loop, observing each one after it ran.
+
+        An element the loop quarantined left no trace: an event did not
+        advance the arrival index, a punctuation was not counted.
+        """
+        stats = engine.stats
         for element in elements:
-            if malformed_reason(element) is not None:
-                yield element  # the loop quarantines it, or raises
-                continue
             emissions = engine.emissions
             emitted_before = len(emissions)
             if is_event(element):
-                work = self._work_marks(stats)
+                arrival = engine._arrival
+                ticks = _work_ticks(stats)
                 yield element
-                self._note_work(stats, *work)
+                if engine._arrival == arrival:
+                    continue
+                self.h_ticks.observe(_work_ticks(stats) - ticks)
             else:
+                punctuations = stats.flow_total("punctuations")
                 yield element
-                self.c_punctuations.inc()
+                if stats.flow_total("punctuations") == punctuations:
+                    continue
             if len(emissions) > emitted_before:
-                self._note_matches(
+                self._observe_latency(
                     engine, [record.match for record in emissions[emitted_before:]]
                 )
             self._note_state(engine, stats)
 
-    def _note_state(self, engine: Any, stats: Any) -> None:
-        size = engine.state_size()
-        stats.note_state_size(size)
-        if self.g_state is not None:
-            self.g_state.set(size)
-            self.h_state.observe(size)
-            self.g_pending.set(stats.matches_pending)
-            if self.g_buffer is not None:
-                self.g_buffer.set(engine.buffer_size())
-
-    @staticmethod
-    def _work_marks(stats: Any) -> Tuple[int, int, int]:
-        return (
-            stats.partial_combinations
-            + stats.predicate_evaluations
-            + stats.construction_triggers,
-            stats.index_hits,
-            stats.index_misses,
-        )
-
-    def _note_work(self, stats: Any, ticks: int, hits: int, misses: int) -> None:
-        """One event's algorithmic work since :meth:`_work_marks`."""
-        self.c_events.inc()
-        self.h_ticks.observe(
-            stats.partial_combinations
-            + stats.predicate_evaluations
-            + stats.construction_triggers
-            - ticks
-        )
-        if self.c_index_hits is not None:
-            if stats.index_hits > hits:
-                self.c_index_hits.inc(stats.index_hits - hits)
-            if stats.index_misses > misses:
-                self.c_index_misses.inc(stats.index_misses - misses)
-
-    def _feed_event(
-        self, engine: Any, event: Event, stats: Any, tracer: Any, tracing: bool
-    ) -> List[Any]:
-        work = self._work_marks(stats)
+    def _traced(self, engine: Any, element: Any) -> List[Any]:
+        """One call of the step loop for *element*, then its lifecycle spans."""
+        stats = engine.stats
+        before_quarantined = stats.events_quarantined
         before_late = stats.late_dropped
         before_admitted = stats.events_admitted
         before_ignored = stats.events_ignored
-        before_shed = stats.events_shed
-        before_purged = stats.instances_purged + stats.negatives_purged
-        # One-element call of the engine's own step loop: instrumented
-        # and plain runs execute the same code.
-        emitted = engine._run((event,))
-        arrival = engine._arrival
-        if tracing:
+        one = (element,)
+        if self.registry is not None:
+            emitted = engine._run(self._stepped(engine, one))
+        else:
+            emitted = engine._run(one)
+        tracer = self.tracer
+        if stats.events_quarantined > before_quarantined:
+            self._record_quarantined(engine, element)
+        elif is_event(element):
             if stats.late_dropped > before_late:
                 tracer.record(
-                    arrival, stages.LATE_DROPPED,
-                    eid=event.eid, ts=event.ts, etype=event.etype,
+                    engine._arrival, stages.LATE_DROPPED,
+                    eid=element.eid, ts=element.ts, etype=element.etype,
                     detail=f"horizon={engine.clock.horizon()}",
                     stream=self.stream,
                 )
             elif stats.events_admitted > before_admitted:
                 tracer.record(
-                    arrival, stages.ADMITTED,
-                    eid=event.eid, ts=event.ts, etype=event.etype,
-                    detail=self._admission_detail(engine, event),
+                    engine._arrival, stages.ADMITTED,
+                    eid=element.eid, ts=element.ts, etype=element.etype,
+                    detail=self._admission_detail(engine, element),
                     stream=self.stream,
                 )
             elif stats.events_ignored > before_ignored:
-                self._record_ignored(engine, event, tracer, arrival)
-            elif not tracer.recorded_for(arrival, self.stream):
-                # Families without per-event admission accounting (the
-                # deferring parallel pre-pass); buffering engines record
-                # BUFFERED via note_buffered before this point.
-                tracer.record(
-                    arrival, stages.PROCESSED,
-                    eid=event.eid, ts=event.ts, etype=event.etype,
-                    stream=self.stream,
-                )
-            self._record_matches(engine, emitted, tracer, arrival, stages.MATCH_EMITTED)
-        if self.c_events is not None:
-            self._note_work(stats, *work)
-            self._note_flow_deltas(
-                engine, emitted, stats, before_late, before_shed, before_purged
-            )
-        return emitted
-
-    def _feed_punctuation(
-        self, engine: Any, punctuation: Any, stats: Any, tracer: Any, tracing: bool
-    ) -> List[Any]:
-        before_shed = stats.events_shed
-        before_purged = stats.instances_purged + stats.negatives_purged
-        stats.punctuations_in += 1
-        emitted = engine._on_punctuation(punctuation)
-        arrival = engine._arrival
-        if tracing:
+                self._record_ignored(engine, element, tracer, engine._arrival)
+        else:
             tracer.record(
-                arrival, stages.PUNCTUATION, ts=punctuation.ts,
+                engine._arrival, stages.PUNCTUATION, ts=element.ts,
                 detail=f"horizon={engine.clock.horizon()}"
                 if hasattr(engine, "clock") else "",
                 stream=self.stream,
             )
-            self._record_matches(engine, emitted, tracer, arrival, stages.MATCH_EMITTED)
-        if self.c_punctuations is not None:
-            self.c_punctuations.inc()
-            self._note_flow_deltas(
-                engine, emitted, stats, stats.late_dropped, before_shed, before_purged
-            )
+        self._record_matches(
+            engine, emitted, tracer, engine._arrival, stages.MATCH_EMITTED
+        )
         return emitted
 
-    def _note_flow_deltas(
-        self,
-        engine: Any,
-        emitted: List[Any],
-        stats: Any,
-        before_late: int,
-        before_shed: int,
-        before_purged: int,
-    ) -> None:
-        if stats.late_dropped > before_late:
-            self.c_late.inc(stats.late_dropped - before_late)
-        if stats.events_shed > before_shed:
-            self.c_shed.inc(stats.events_shed - before_shed)
-        purged_now = stats.instances_purged + stats.negatives_purged
-        if purged_now > before_purged:
-            self.c_purged.inc(purged_now - before_purged)
-        if emitted:
-            self._note_matches(engine, emitted)
+    def _note_state(self, engine: Any, stats: Any) -> None:
+        size = engine.state_size()
+        self.g_state.set(size)
+        self.h_state.observe(size)
+        self.g_pending.set(stats.matches_pending)
+        if self.g_buffer is not None:
+            self.g_buffer.set(engine.buffer_size())
 
-    def _note_matches(self, engine: Any, emitted: List[Any]) -> None:
-        self.c_matches.inc(len(emitted))
+    def _observe_latency(self, engine: Any, matches: List[Any]) -> None:
         clock = getattr(engine, "clock", None)
         if clock is not None:
             now = clock.now
-            for match in emitted:
+            for match in matches:
                 latency = now - match.end_ts
                 self.h_latency.observe(latency if latency > 0 else 0)
 
     # -- classification helpers --------------------------------------------------
+
+    def _record_quarantined(self, engine: Any, element: Any) -> None:
+        tracer = self.tracer
+        tracer.record(
+            engine._arrival, stages.QUARANTINED,
+            eid=getattr(element, "eid", None),
+            ts=getattr(element, "ts", None),
+            etype=getattr(element, "etype", None),
+            detail=malformed_reason(element) or "",
+            stream=self.stream,
+        )
 
     def _admission_detail(self, engine: Any, event: Event) -> str:
         scanner = getattr(engine, "scanner", None)
@@ -659,21 +545,20 @@ class Observability:
             self.g_refreeze_k.set(decision.k)
 
     def after_close(self, engine: Any, emitted: List[Any]) -> None:
-        """Account for the matches flushed at end of stream."""
+        """Account for the matches flushed at end of stream.
+
+        Only the flushed matches count: the other flow counters report
+        what the step loop did, and a close can fold work counters (a
+        reorder tier's inner purges, parallel workers') into the stats.
+        """
         if self.tracing and emitted:
             self._record_matches(
                 engine, emitted, self.tracer, engine._arrival,
                 stages.MATCH_EMITTED, extra="at close",
             )
-        if self.c_matches is not None:
-            if emitted:
-                self.c_matches.inc(len(emitted))
-                clock = getattr(engine, "clock", None)
-                if clock is not None:
-                    now = clock.now
-                    for match in emitted:
-                        latency = now - match.end_ts
-                        self.h_latency.observe(latency if latency > 0 else 0)
+        if self.registry is not None:
+            self.c_matches.inc(len(emitted))
+            self._observe_latency(engine, emitted)
             self.g_state.set(engine.state_size())
             self.g_pending.set(engine.stats.matches_pending)
 

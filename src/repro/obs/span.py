@@ -255,9 +255,6 @@ class SpanTracker:
             if t_sent is not None:
                 self._emit_e2e.observe(max(0.0, t_emit - t_sent))
 
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
 
 class SourceLagPanel:
     """Per-source watermark / lag / fencing gauges, registered lazily.

@@ -36,7 +36,6 @@ ADMITTED = "admitted"  #: passed predicates, inserted into >=1 stack/side store
 IGNORED = "ignored"  #: irrelevant type, or every admissible step's predicate rejected
 QUARANTINED = "quarantined"  #: malformed, skipped under ValidationPolicy.QUARANTINE
 LATE_DROPPED = "late_dropped"  #: violated the K promise under LatePolicy.DROP
-PROCESSED = "processed"  #: element handled by a family without admission accounting
 BUFFERED = "buffered"  #: parked in a reorder buffer awaiting its seal
 RELEASED = "released"  #: left the reorder buffer toward the inner engine
 PREDICATE_REJECTED = "predicate_rejected"  #: a step's local predicate said no
@@ -53,7 +52,7 @@ SOURCE_DEGRADED = "source_degraded"  #: an ingestion source fell silent past its
 SOURCE_RECOVERED = "source_recovered"  #: a degraded/disconnected source resumed sending
 
 STAGES = (
-    ADMITTED, IGNORED, QUARANTINED, LATE_DROPPED, PROCESSED, BUFFERED,
+    ADMITTED, IGNORED, QUARANTINED, LATE_DROPPED, BUFFERED,
     RELEASED, PREDICATE_REJECTED, MATCH_EMITTED, MATCH_PENDING,
     MATCH_CANCELLED, MATCH_SPECULATED, MATCH_RETRACTED,
     PURGED, SHED, PUNCTUATION, REFROZEN, SOURCE_DEGRADED, SOURCE_RECOVERED,
@@ -183,11 +182,6 @@ class Tracer:
         self._spans.append(span)
         self.recorded += 1
         return span
-
-    def recorded_for(self, arrival: int, stream: str = "") -> bool:
-        """True when the current arrival already produced at least one span."""
-        state = self._subs.get(stream)
-        return state is not None and state[0] == arrival and state[1] > 0
 
     # -- queries ----------------------------------------------------------------
 

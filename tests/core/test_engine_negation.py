@@ -157,9 +157,3 @@ class TestPendingMatches:
         pending.add(a, 3)
         assert pending.drain() == [a, b]
         assert len(pending) == 0
-
-    def test_earliest_seal(self, plain_seq2):
-        pending = PendingMatches()
-        assert pending.earliest_seal() is None
-        pending.add(Match(plain_seq2, make_events("A1 B2")), 7)
-        assert pending.earliest_seal() == 7

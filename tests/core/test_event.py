@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Event, Punctuation, StreamError, is_event, sort_by_occurrence
-from repro.core.event import max_timestamp
 
 
 class TestEventConstruction:
@@ -64,13 +63,6 @@ class TestEventImmutability:
         event = Event("A", 1, source)
         source["x"] = 99
         assert event["x"] == 1
-
-    def test_with_attrs_creates_new_event(self):
-        event = Event("A", 1, {"x": 1})
-        updated = event.with_attrs(x=2, y=3)
-        assert updated["x"] == 2 and updated["y"] == 3
-        assert event["x"] == 1
-        assert updated.eid != event.eid
 
 
 class TestEventAccess:
@@ -149,10 +141,6 @@ class TestHelpers:
         shuffled = events[:]
         random.Random(3).shuffle(shuffled)
         assert sort_by_occurrence(shuffled) == sort_by_occurrence(events)
-
-    def test_max_timestamp(self):
-        assert max_timestamp([]) == -1
-        assert max_timestamp([Event("A", 3), Event("B", 7), Event("C", 5)]) == 7
 
     def test_repr_contains_type_and_ts(self):
         text = repr(Event("A", 7, {"x": 1}))

@@ -63,7 +63,7 @@ class TestSpeculationLog:
         match = _match(PLAIN, Event("A", 1), Event("B", 2))
         record = log.speculate(match, arrival=5, clock=3)
         assert record.seq == 0 and record.epoch == 0
-        assert log.open_count == 1 and log.is_open(match)
+        assert log.open_count == 1
         outcome = log.seal(match, arrival=9, clock=12)
         assert outcome.record is record
         assert outcome.retraction is None and not outcome.fresh
@@ -147,7 +147,7 @@ class TestSpeculationLog:
         }
         log = SpeculationLog()
         log.restore_state(state, lambda blob: snapshots.decode_match(PLAIN, blob))
-        assert log.is_open(match) and log.open_count == 1
+        assert log.open_count == 1
         assert log.retract(match, RETRACT_NEGATION, arrival=3, clock=3).ref_seq == 0
 
     def test_causes_are_distinct(self):
@@ -173,7 +173,6 @@ class TestSpeculationLog:
         )
         assert restored.epoch == 2 and restored.enabled is False
         assert restored.open_count == 1
-        assert restored.is_open(still_open)
         assert [r.seq for r in restored.emissions] == [r.seq for r in log.emissions]
         assert restored.net_keys() == log.net_keys()
         # The restored log keeps sequencing where the original left off.

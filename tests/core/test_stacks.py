@@ -59,29 +59,11 @@ class TestSortedStackQueries:
             s.insert(inst(ts))
         return s
 
-    def test_range_before_exclusive(self, stack):
-        assert [i.ts for i in stack.range_before(6)] == [2, 4]
-
-    def test_range_before_with_min(self, stack):
-        assert [i.ts for i in stack.range_before(9, min_ts=4)] == [4, 6, 8]
-
     def test_range_after_exclusive(self, stack):
         assert [i.ts for i in stack.range_after(6)] == [8, 10]
 
     def test_range_after_with_max_inclusive(self, stack):
         assert [i.ts for i in stack.range_after(2, max_ts=8)] == [4, 6, 8]
-
-    def test_has_before_after(self, stack):
-        assert stack.has_before(3)
-        assert not stack.has_before(2)
-        assert stack.has_after(8)
-        assert not stack.has_after(10)
-
-    def test_has_in_range_inclusive(self, stack):
-        assert stack.has_in_range(4, 4)
-        assert stack.has_in_range(5, 7)
-        assert not stack.has_in_range(11, 20)
-        assert not stack.has_in_range(3, 3)
 
     def test_min_max_ts(self, stack):
         assert stack.min_ts() == 2
@@ -91,10 +73,6 @@ class TestSortedStackQueries:
         stack = SortedStack(0)
         assert stack.min_ts() is None
         assert stack.max_ts() is None
-        assert not stack.has_before(100)
-        assert not stack.has_after(0)
-        assert not stack.has_in_range(0, 100)
-        assert stack.range_before(10) == []
         assert stack.range_after(0) == []
 
 
@@ -285,13 +263,6 @@ class TestStackSet:
         assert stacks.sizes() == [2, 0, 1]
         assert stacks.size() == 3
         assert len(stacks) == 3
-
-    def test_total_purged(self):
-        stacks = StackSet(2)
-        stacks[0].insert(inst(1))
-        stacks[1].insert(inst(2))
-        stacks[0].purge_through(1)
-        assert stacks.total_purged() == 1
 
     def test_iteration(self):
         stacks = StackSet(2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.ingest.backoff import BackoffPolicy, retry_call, run_resilient, spread_delays
+from repro.ingest.backoff import BackoffPolicy, retry_call, run_resilient
 
 
 def test_exponential_growth_without_jitter():
@@ -36,7 +36,7 @@ def test_schedule_is_a_pure_function_of_seed_and_attempt():
 def test_reseeded_copies_spread_a_fleet():
     base = BackoffPolicy(jitter=0.5)
     fleet = [base.reseeded(i) for i in range(8)]
-    first = spread_delays(fleet, attempt=0)
+    first = [policy.delay(0) for policy in fleet]
     assert len(set(first)) > 1  # clients do not thunder in lockstep
 
 

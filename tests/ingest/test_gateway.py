@@ -381,6 +381,28 @@ def test_serve_with_zero_dedupe_window_exits_2_before_listening(tmp_path, capsys
     assert "gateway:" not in out  # never listened
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["liveness_timeout", "retry_after"])
+def test_config_rejects_non_finite_timings(field, value):
+    """A NaN liveness timeout would sleep the tick loop forever; a NaN or
+    infinite retry_after is not JSON in a ``busy`` reply."""
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite and > 0"):
+        GatewayConfig(make_schema(slack=2), **{field: value})
+
+
+def test_serve_with_nan_liveness_timeout_exits_2_before_listening(tmp_path, capsys):
+    schema_path = tmp_path / "orders.schema.json"
+    dump_schema(make_schema(slack=2), schema_path)
+    code = cli_main([
+        "serve", "--schema", str(schema_path), "--query", QUERY,
+        "--k", "4", "--port", "0", "--liveness-timeout", "nan",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "liveness_timeout must be finite and > 0" in err
+    assert "gateway:" not in out  # never listened
+
+
 def test_fault_without_directory_is_rejected():
     with pytest.raises(ReproError):
         make_gateway(None, fault=FaultInjector(crash_at=[0]))

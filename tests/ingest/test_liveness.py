@@ -182,3 +182,11 @@ def test_tick_transitions_are_deterministically_ordered():
 def test_timeout_must_be_positive():
     with pytest.raises(ConfigurationError):
         LivenessTracker(timeout=0.0)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+def test_timeout_must_be_finite(timeout):
+    # Under a NaN timeout `silence <= timeout` is never true: tick() would
+    # degrade every source at once.
+    with pytest.raises(ConfigurationError, match="finite"):
+        LivenessTracker(timeout=timeout)

@@ -20,12 +20,6 @@ class TestOutages:
         assert schedule.available_at("n", 15) == 20
         assert schedule.available_at("n", 19) == 20
 
-    def test_is_down(self):
-        schedule = FailureSchedule()
-        schedule.add_outage("n", 10, 20)
-        assert schedule.is_down("n", 12)
-        assert not schedule.is_down("n", 9)
-
     def test_unknown_node_always_up(self):
         assert FailureSchedule().available_at("x", 7) == 7
 
@@ -59,67 +53,3 @@ class TestOutages:
         schedule.add_outage("n", 10, 20)
         assert schedule.outages("n") == [(10, 20), (30, 40)]
         assert schedule.outages("other") == []
-
-
-class TestRandomOutages:
-    def test_deterministic(self):
-        first = FailureSchedule.random_outages(["a", "b"], 1000, 0.01, 20, seed=5)
-        second = FailureSchedule.random_outages(["a", "b"], 1000, 0.01, 20, seed=5)
-        assert first.outages("a") == second.outages("a")
-
-    def test_bounded_by_horizon(self):
-        schedule = FailureSchedule.random_outages(["a"], 500, 0.05, 30, seed=1)
-        for start, end in schedule.outages("a"):
-            assert 0 <= start < 500
-            assert end <= 500
-
-    def test_zero_rate_no_outages(self):
-        schedule = FailureSchedule.random_outages(["a"], 500, 0.0, 30, seed=1)
-        assert schedule.outages("a") == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FailureSchedule.random_outages(["a"], 100, 1.5, 10)
-        with pytest.raises(ConfigurationError):
-            FailureSchedule.random_outages(["a"], 100, 0.1, 0)
-
-
-class TestFrameOutages:
-    """Outage windows composed onto one source's own frame sequence."""
-
-    @staticmethod
-    def deliveries():
-        from repro import Event
-        from repro.netsim import Delivery
-
-        rows = []
-        for source, sent_times in (("s1", [0, 5, 12, 18, 25]), ("s2", [2, 9, 22])):
-            for ts in sent_times:
-                rows.append(Delivery(Event("A", ts, {}), ts, ts + 1, source))
-        return rows
-
-    def test_outage_maps_to_frame_index_window(self):
-        schedule = FailureSchedule()
-        schedule.add_outage("s1", 4, 20)
-        # s1's frames sent at 5, 12, 18 fall inside [4, 20): indices 1..4.
-        assert schedule.frame_outages(self.deliveries(), "s1") == [(1, 4)]
-
-    def test_other_sources_frames_do_not_count(self):
-        schedule = FailureSchedule()
-        schedule.add_outage("s2", 4, 20)
-        # Only s2's own sends (at 9) land in the window, at its index 1.
-        assert schedule.frame_outages(self.deliveries(), "s2") == [(1, 2)]
-
-    def test_window_covering_no_frames_is_dropped(self):
-        schedule = FailureSchedule()
-        schedule.add_outage("s1", 13, 17)  # between sends 12 and 18
-        assert schedule.frame_outages(self.deliveries(), "s1") == []
-
-    def test_multiple_windows_stay_ordered(self):
-        schedule = FailureSchedule()
-        schedule.add_outage("s1", 0, 6)
-        schedule.add_outage("s1", 17, 30)
-        assert schedule.frame_outages(self.deliveries(), "s1") == [(0, 2), (3, 5)]
-
-    def test_source_without_outages_is_empty(self):
-        assert FailureSchedule().frame_outages(self.deliveries(), "s1") == []

@@ -26,8 +26,7 @@ class TestDeliveryMechanics:
         streams = {"s0": SyntheticSource(["A"], 50, seed=1).take(50)}
         result = simulate_star(streams, lambda i: ConstantLatency(10))
         assert measure_disorder(result.arrival_order).displaced == 0
-        assert result.max_transit() == 10
-        assert result.mean_transit() == 10
+        assert {delivery.transit for delivery in result.deliveries} == {10}
 
     def test_jitter_on_single_ordered_link_preserves_fifo(self):
         streams = {"s0": SyntheticSource(["A"], 200, seed=1).take(200)}

@@ -94,10 +94,9 @@ def test_emit_path_closes_inflight_spans():
     tracker.note_frame("s1", "admitted", 2.001, 2.002, t_sent=1.9, eid=11)
     tracker.note_frame("s1", "admitted", 2.003, 2.004, eid=12)
     tracker.seal_cohort(2.005, 2.006, 2.007, 2.008)
-    assert tracker.inflight_count() == 2
 
     tracker.note_emitted([11, 12, 999], 2.5)  # unknown eids are ignored
-    assert tracker.inflight_count() == 0
+    tracker.note_emitted([11, 12], 2.6)  # closed spans stay closed
     state = registry.snapshot_state()["histograms"]
     assert state["repro_emit_hold_seconds"]["count"] == 2
     # Measured from each frame's own admission.
@@ -109,12 +108,15 @@ def test_emit_path_closes_inflight_spans():
 
 
 def test_inflight_map_is_bounded_fifo():
-    tracker = SpanTracker(MetricsRegistry(), inflight_limit=4)
+    registry = MetricsRegistry()
+    tracker = SpanTracker(registry, inflight_limit=4)
     for eid in range(10):
         tracker.note_frame("s1", "admitted", 1.0, 1.0, eid=eid)
-    assert tracker.inflight_count() == 4
+    hold = lambda: registry.snapshot_state()["histograms"]["repro_emit_hold_seconds"]
+    tracker.note_emitted(list(range(6)), 2.0)  # the oldest were evicted
+    assert hold()["count"] == 0
     tracker.note_emitted(list(range(10)), 2.0)
-    assert tracker.inflight_count() == 0
+    assert hold()["count"] == 4
 
 
 def test_cohort_ring_is_bounded():

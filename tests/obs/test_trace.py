@@ -41,14 +41,6 @@ def test_stream_tag_prefixes_and_isolates_sub_counters():
     assert len(ids) == len(set(ids))
 
 
-def test_recorded_for_tracks_per_stream():
-    tracer = Tracer(capacity=8)
-    tracer.record(4, stages.ADMITTED, eid=1)
-    assert tracer.recorded_for(4)
-    assert not tracer.recorded_for(4, stream="inner")
-    assert not tracer.recorded_for(3)
-
-
 def test_ring_buffer_bounds_retention_and_reports_overflow():
     tracer = Tracer(capacity=4)
     for arrival in range(10):
