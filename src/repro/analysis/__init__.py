@@ -3,9 +3,9 @@
 The paper's correctness claims (out-of-order results observably
 identical to in-order ones; purge never drops live state) plus the
 repo's operational contracts (snapshot/restore round-trips, exactly-
-once replay) are enforced mechanically by nine rules over the parsed
-source tree — per-class pattern rules (R001–R005) plus flow-sensitive
-async rules (R006–R009) built on the CFG/def-use layer in
+once replay) are enforced mechanically by eight rules over the parsed
+source tree — per-class pattern rules (R001–R003, R005) plus
+flow-sensitive rules (R006–R009) built on the CFG/def-use layer in
 :mod:`repro.analysis.dataflow`.  See ``docs/analysis.md`` for the rule
 catalogue and suppression syntax.
 

@@ -1,26 +1,16 @@
 """CLI: ``python -m repro.analysis [options] [paths...]``.
 
 Exit codes: 0 — clean; 1 — at least one non-suppressed finding;
-2 — usage error, unparsable input file, or (with ``--changed-only``)
-a git invocation that failed.  Dead-suppression warnings never affect
-the exit code.  The ``repro-analyze`` console script (pyproject)
-routes here.
-
-``--changed-only <git-ref>`` keeps only findings in files that differ
-from *git-ref* (``git diff --name-only <ref>`` plus untracked files) —
-the editor/CI incremental mode.  The whole tree is still analyzed, so
-interprocedural findings (a changed caller making an unchanged callee
-async-reachable) are filtered by where they *land*, not by what
-triggered them.
+2 — usage error or unparsable input file.  Dead-suppression warnings
+never affect the exit code.  The ``repro-analyze`` console script
+(pyproject) routes here.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro.analysis import all_rules, run_analysis
 
@@ -32,9 +22,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-analyze",
         description=(
             "Check the repro engine contracts: snapshot completeness and "
-            "round-trip dataflow, hot-path purity, determinism, batch "
-            "parity, purge safety, and asyncio safety (await-atomicity, "
-            "blocking calls, task/resource hygiene)."
+            "round-trip dataflow, hot-path purity, determinism, purge "
+            "safety, and asyncio safety (await-atomicity, blocking calls, "
+            "task/resource hygiene)."
         ),
     )
     parser.add_argument(
@@ -50,46 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--changed-only",
-        metavar="GIT_REF",
-        default=None,
-        help=(
-            "report only findings in files changed relative to GIT_REF "
-            "(git diff --name-only GIT_REF, plus untracked files); the "
-            "full tree is still analyzed for call-graph context"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
     return parser
-
-
-def _changed_files(ref: str) -> Optional[Set[str]]:
-    """Absolute paths changed vs *ref*, or None when git fails."""
-    changed: Set[str] = set()
-    for args in (
-        ["git", "diff", "--name-only", ref],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                args, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            message = getattr(exc, "stderr", "") or str(exc)
-            print(
-                f"--changed-only: '{' '.join(args)}' failed: "
-                f"{message.strip()}",
-                file=sys.stderr,
-            )
-            return None
-        for line in result.stdout.splitlines():
-            if line.strip():
-                changed.add(os.path.abspath(line.strip()))
-    return changed
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -104,20 +59,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if report.checked_files == 0 and not report.parse_errors:
         print(f"no python files found under: {', '.join(paths)}", file=sys.stderr)
         return 2
-    if options.changed_only is not None:
-        changed = _changed_files(options.changed_only)
-        if changed is None:
-            return 2
-        report.findings = [
-            finding
-            for finding in report.findings
-            if os.path.abspath(finding.path) in changed
-        ]
-        report.dead_suppressions = [
-            entry
-            for entry in report.dead_suppressions
-            if os.path.abspath(entry[0]) in changed
-        ]
     print(report.render(options.format))
     if report.parse_errors:
         for path, error in report.parse_errors:

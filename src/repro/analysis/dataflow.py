@@ -1,6 +1,6 @@
 """Flow-sensitive intra-function dataflow: CFG, await segments, def-use.
 
-The per-class rules (R001–R005) read the flow-*insensitive* summaries in
+The per-class rules (R001–R003, R005) read the flow-*insensitive* summaries in
 :mod:`repro.analysis.model`: which attributes a method touches, which
 calls it makes.  The async rules added for the ingestion gateway need
 more — *order* matters ("was this attribute read **before** the await

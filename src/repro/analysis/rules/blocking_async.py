@@ -26,88 +26,63 @@ justification.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator
 
 from repro.analysis.callgraph import async_reachability
 from repro.analysis.findings import Finding
-from repro.analysis.model import CallSite, ModuleInfo, Project
-from repro.analysis.rules import Rule
+from repro.analysis.model import Project
+from repro.analysis.rules import Rule, Vocabulary, vocabulary_findings
 
-#: Fully-resolved dotted names that block the calling thread.
-_BLOCKING_EXACT = frozenset(
-    {
-        "time.sleep",
-        "os.system",
-        "os.popen",
-        "os.wait",
-        "os.waitpid",
-        "os.fsync",
-        "socket.create_connection",
-        "socket.getaddrinfo",
-        "open",
-        "input",
-    }
+_VOCABULARY = Vocabulary(
+    # Fully-resolved dotted names that block the calling thread.
+    exact=frozenset(
+        {
+            "time.sleep",
+            "os.system",
+            "os.popen",
+            "os.wait",
+            "os.waitpid",
+            "os.fsync",
+            "socket.create_connection",
+            "socket.getaddrinfo",
+            "open",
+            "input",
+        }
+    ),
+    # Dotted prefixes that are wholesale blocking.
+    prefixes=(
+        "subprocess.",
+        "urllib.request.",
+        "requests.",
+    ),
+    # Blocking I/O regardless of receiver: the ``pathlib.Path`` file
+    # verbs this codebase uses (receiver types for Path objects are
+    # rarely statically known) plus blocking socket ops.
+    methods=frozenset(
+        {
+            "open",
+            "unlink",
+            "mkdir",
+            "rmdir",
+            "touch",
+            "rename",
+            "replace",
+            "write_text",
+            "read_text",
+            "write_bytes",
+            "read_bytes",
+            # raw-socket verbs
+            "recv",
+            "recv_into",
+            "sendall",
+            "accept",
+            "makefile",
+        }
+    ),
+    # ``expr_method`` is what catches ``(self.directory / NAME).open("a")``.
+    method_kinds=("attr_method", "typed_method", "dotted", "expr_method"),
+    unknown_receiver="<expr>",
 )
-
-#: Dotted prefixes that are wholesale blocking.
-_BLOCKING_PREFIXES = (
-    "subprocess.",
-    "urllib.request.",
-    "requests.",
-)
-
-#: Method names that are blocking I/O regardless of receiver: the
-#: ``pathlib.Path`` file verbs this codebase uses (receiver types for
-#: Path objects are rarely statically known) plus blocking socket ops.
-_BLOCKING_METHODS = frozenset(
-    {
-        "open",
-        "unlink",
-        "mkdir",
-        "rmdir",
-        "touch",
-        "rename",
-        "replace",
-        "write_text",
-        "read_text",
-        "write_bytes",
-        "read_bytes",
-        # raw-socket verbs
-        "recv",
-        "recv_into",
-        "sendall",
-        "accept",
-        "makefile",
-    }
-)
-
-#: Call-site kinds the method-name vocabulary applies to.  ``expr_method``
-#: is what catches ``(self.directory / JOURNAL_NAME).open("a")``.
-_METHOD_KINDS = ("attr_method", "typed_method", "dotted", "expr_method")
-
-
-def _resolve_dotted(module: ModuleInfo, call: CallSite) -> Optional[str]:
-    """Fully-qualified dotted name of a call, or None if not name-like."""
-    if call.kind == "name":
-        return module.imports.get(call.target, call.target)
-    if call.kind == "dotted" and call.dotted:
-        root, _, rest = call.dotted.partition(".")
-        resolved_root = module.imports.get(root, root)
-        return f"{resolved_root}.{rest}" if rest else resolved_root
-    return None
-
-
-def _blocking_label(module: ModuleInfo, call: CallSite) -> Optional[str]:
-    dotted = _resolve_dotted(module, call)
-    if dotted is not None:
-        if dotted in _BLOCKING_EXACT:
-            return dotted
-        if any(dotted.startswith(prefix) for prefix in _BLOCKING_PREFIXES):
-            return dotted
-    if call.target in _BLOCKING_METHODS and call.kind in _METHOD_KINDS:
-        receiver = call.receiver_attr or call.receiver_type or "<expr>"
-        return f"{receiver}.{call.target}"
-    return None
 
 
 class BlockingInCoroutine(Rule):
@@ -118,26 +93,13 @@ class BlockingInCoroutine(Rule):
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
-        reach = async_reachability(project)
-        seen: Set[Tuple[str, int, str]] = set()
-        for fn in reach.functions():
-            for call in fn.calls:
-                label = _blocking_label(fn.module, call)
-                if label is None:
-                    continue
-                key = (fn.module.path, call.line, label)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield Finding(
-                    path=fn.module.path,
-                    line=call.line,
-                    rule=self.rule_id,
-                    symbol=fn.qualname,
-                    message=(
-                        f"blocking call to '{label}' stalls the event loop: "
-                        f"{reach.describe_chain(fn.qualname)} (move it to "
-                        f"loop.run_in_executor, a worker thread, or an async "
-                        f"equivalent)"
-                    ),
-                )
+        yield from vocabulary_findings(
+            self,
+            async_reachability(project),
+            _VOCABULARY,
+            lambda label, chain: (
+                f"blocking call to '{label}' stalls the event loop: {chain} "
+                f"(move it to loop.run_in_executor, a worker thread, or an "
+                f"async equivalent)"
+            ),
+        )

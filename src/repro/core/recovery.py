@@ -35,11 +35,12 @@ process death all recover the same way: build a fresh engine with the
 same configuration, point a new runner at the same directory, and call
 :meth:`run` with the same input.
 """
-# The WAL append, delivery log and checkpoint are *deliberately*
-# synchronous on the caller's thread: sync-before-ack is the durability
-# contract (an acked frame is on disk), and the ingest gateway's
-# group-commit batches one flush per socket batch to amortise it.
-# Moving these writes off-thread would ack frames the disk has not seen.
+# The WAL append, delivery log, checkpoint and the gateway's operator
+# records (:func:`write_lines`) are *deliberately* synchronous on the
+# caller's thread: sync-before-ack is the durability contract (an acked
+# frame is on disk), and the ingest gateway's group-commit batches one
+# flush per socket batch to amortise it.  Moving these writes off-thread
+# would ack frames the disk has not seen.
 # repro: ignore-file[R007] -- group-commit durability is synchronous by design
 
 from __future__ import annotations
@@ -225,6 +226,19 @@ def delivered_keys(directory: Union[str, Path]) -> Set[Tuple]:
     """
     log = _iter_jsonl(Path(directory) / DELIVERED_NAME, DELIVERED_NAME)
     return {_hashable(record["key"]) for record in log}
+
+
+def write_lines(path: Path, lines: Iterable[str], replace: bool = False) -> None:
+    """Append *lines* (no terminators) to *path*, or replace its contents.
+
+    Each line gets its newline.  The lines are on disk (a userspace flush, as :meth:`ResilientRunner.
+    sync`) when this returns, so a caller that goes on to ack, crash or
+    exit needs no barrier.  The gateway writes its journal and flight
+    dump through here: a few records per run, written where it waits
+    for them anyway.
+    """
+    with path.open("w" if replace else "a", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
 
 
 class ResilientRunner:

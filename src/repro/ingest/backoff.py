@@ -17,6 +17,7 @@ Three consumers share this module so the schedule is written once:
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from typing import Any, Callable, Iterator, Optional, Tuple, Type
@@ -64,13 +65,15 @@ class BackoffPolicy:
         jitter: float = 0.5,
         seed: int = 0,
     ) -> None:
-        if base <= 0:
-            raise ConfigurationError(f"backoff base must be > 0, got {base!r}")
-        if factor < 1.0:
-            raise ConfigurationError(f"backoff factor must be >= 1, got {factor!r}")
-        if cap < base:
+        if not (math.isfinite(base) and base > 0):
+            raise ConfigurationError(f"backoff base must be finite and > 0, got {base!r}")
+        if not (math.isfinite(factor) and factor >= 1.0):
             raise ConfigurationError(
-                f"backoff cap {cap!r} must be >= base {base!r}"
+                f"backoff factor must be finite and >= 1, got {factor!r}"
+            )
+        if not (math.isfinite(cap) and cap >= base):
+            raise ConfigurationError(
+                f"backoff cap {cap!r} must be finite and >= base {base!r}"
             )
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise ConfigurationError(f"retries must be an int >= 0, got {retries!r}")

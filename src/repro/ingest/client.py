@@ -30,6 +30,7 @@ and a fault plan the client's behaviour is fully deterministic.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -183,8 +184,8 @@ class IngestClient:
             raise ConfigurationError(f"source must be a non-empty string, got {source!r}")
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window!r}")
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigurationError(f"timeout must be finite and > 0, got {timeout!r}")
         self.host = host
         self.port = port
         self.source = source

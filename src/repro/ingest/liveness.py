@@ -71,7 +71,6 @@ class LivenessTracker:
         self.watermarks = SourceWatermarks(slack)
         self._last_seen: Dict[str, float] = {}
         self._status: Dict[str, SourceStatus] = {}
-        self.transitions: List[Transition] = []
         self.degraded_total = 0
         self.recovered_total = 0
 
@@ -143,13 +142,12 @@ class LivenessTracker:
         return degraded
 
     def _record(self, source: str, status: SourceStatus, at: float) -> Transition:
-        transition = Transition(source, status, at)
-        self.transitions.append(transition)
+        """Count a state change; the caller journals the one returned."""
         if status is SourceStatus.LIVE:
             self.recovered_total += 1
         elif status is SourceStatus.DEGRADED:
             self.degraded_total += 1
-        return transition
+        return Transition(source, status, at)
 
     # -- queries ------------------------------------------------------------------------
 

@@ -62,7 +62,6 @@ import asyncio
 import json
 import math
 import operator
-import queue
 import re
 import signal
 import threading
@@ -74,7 +73,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.recovery import ResilientRunner, decode_element, iter_wal_records
+from repro.core.recovery import (
+    ResilientRunner, decode_element, iter_wal_records, write_lines,
+)
 from repro.faultinject import CrashError
 from repro.ingest.admission import AdmissionController
 from repro.ingest.liveness import LivenessTracker, SourceStatus, Transition
@@ -265,109 +266,6 @@ class _DirectRunner:
         return self._seq
 
 
-class _Truncate:
-    """Queue marker: drop queued lines and truncate the file first.
-
-    Lets the flight-recorder dump *replace* ``flight.jsonl`` (a new dump
-    supersedes the previous one) while reusing the off-loop writer — the
-    dump still never blocks the event loop on disk I/O (rule R007).
-    """
-
-    __slots__ = ()
-
-
-class _JournalWriter:
-    """Off-loop journal appender: a queue drained by a daemon thread.
-
-    The gateway journal is an operator artifact (liveness transitions,
-    crash/listen/seal records), appended from coroutine context.
-    Writing it inline would block the event loop on disk latency — a
-    slow append would stall every connection *and* the liveness timer
-    (rule R007) — so appends enqueue, and a writer thread batches queued
-    lines to disk.
-
-    :meth:`flush` is the ordering barrier: it returns once everything
-    enqueued before it is on disk.  The gateway flushes at the points a
-    reader relies on the file — the crash record before the crash
-    propagates, ``stop``/``seal`` before the journal is inspected, and
-    on demand via :meth:`IngestGateway.flush_journal`.
-    """
-
-    _FLUSH_TIMEOUT = 10.0
-
-    def __init__(self, path: Path):
-        self._path = path
-        #: lines to append; Events are flush barriers; None stops the thread.
-        self._queue: "queue.Queue[Union[str, threading.Event, _Truncate, None]]" = (
-            queue.Queue()
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._spawn_lock = threading.Lock()
-
-    def append(self, line: str) -> None:
-        self._ensure_thread()
-        self._queue.put(line)
-
-    def truncate(self) -> None:
-        """Start the file over: queued-but-unwritten lines are dropped."""
-        self._ensure_thread()
-        self._queue.put(_Truncate())
-
-    def flush(self) -> None:
-        """Block until every line enqueued before this call is on disk."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        barrier = threading.Event()
-        self._queue.put(barrier)
-        barrier.wait(self._FLUSH_TIMEOUT)
-
-    def close(self) -> None:
-        """Flush and park the writer thread (respawns on next append)."""
-        thread = self._thread
-        if thread is None or not thread.is_alive():
-            return
-        self.flush()
-        self._queue.put(None)
-        thread.join(self._FLUSH_TIMEOUT)
-
-    def _ensure_thread(self) -> None:
-        with self._spawn_lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._drain, name="gateway-journal", daemon=True
-                )
-                self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            first = self._queue.get()
-            batch = [first]
-            while True:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            mode = "a"
-            lines: List[str] = []
-            for entry in batch:
-                if isinstance(entry, str):
-                    lines.append(entry)
-                elif isinstance(entry, _Truncate):
-                    mode = "w"
-                    lines = []
-            if lines or mode == "w":
-                with self._path.open(mode, encoding="utf-8") as handle:
-                    handle.writelines(lines)
-            parked = False
-            for entry in batch:
-                if entry is None:
-                    parked = True
-                elif isinstance(entry, threading.Event):
-                    entry.set()
-            if parked:
-                return
-
-
 class IngestGateway:
     """One stream's ingestion front door: admission, liveness, durability.
 
@@ -444,11 +342,6 @@ class IngestGateway:
                 )
             self.directory = None
             self.runner = _DirectRunner(engine)
-        self._journal_writer: Optional[_JournalWriter] = (
-            _JournalWriter(self.directory / JOURNAL_NAME)
-            if self.directory is not None
-            else None
-        )
         self.admission = AdmissionController(self.schema, window=config.dedupe_window)
         self.liveness = LivenessTracker(
             config.liveness_timeout, slack=self.schema.source_slack
@@ -519,11 +412,6 @@ class IngestGateway:
             SourceLagPanel(metrics) if metrics is not None else None
         )
         self._flight = flight
-        self._flight_writer: Optional[_JournalWriter] = (
-            _JournalWriter(self.directory / FLIGHT_NAME)
-            if flight is not None and self.directory is not None
-            else None
-        )
         self._last_shed = 0
         self._last_retractions = 0
         if flight is not None and isinstance(self.runner, ResilientRunner):
@@ -552,13 +440,10 @@ class IngestGateway:
             self._g_live = metrics.gauge(
                 "repro_ingest_sources_live", "sources currently live"
             )
-            self._g_watermark = metrics.gauge(
-                "repro_ingest_merged_watermark", "merged source watermark"
-            )
         else:
             self._c_admitted = self._c_duplicates = self._c_quarantined = None
             self._c_busy = self._c_degraded = self._c_recovered = None
-            self._g_live = self._g_watermark = None
+            self._g_live = None
 
     # -- engine access ---------------------------------------------------------------
 
@@ -817,18 +702,12 @@ class IngestGateway:
             self._note_watermark(punctuation is not None)
 
     def _note_watermark(self, punctuated: bool) -> None:
-        """Gauges, lag panel and flight record after a watermark advance."""
-        if (
-            self._g_watermark is None
-            and self._lag_panel is None
-            and self._flight is None
-        ):
+        """Lag panel and flight record after a watermark advance."""
+        if self._lag_panel is None and self._flight is None:
             # Unobserved gateways skip the merge entirely: min-merging
             # the source marks is the one non-trivial cost here.
             return
         merged = self.liveness.merged_watermark()
-        if self._g_watermark is not None:
-            self._g_watermark.set(merged)
         if self._lag_panel is not None:
             self._lag_panel.update(
                 self.liveness.source_marks(), self.liveness.fenced_map(), merged
@@ -910,15 +789,13 @@ class IngestGateway:
         )
 
     def _note_crash(self) -> None:
+        # On disk before the CrashError propagates: the next incarnation
+        # (and the operator) reads the journal to learn this one died.
         self.crashed = True
         self._journal("crash", seq=self.runner.seq)
         if self._flight is not None:
             self._flight.note(self._clock(), "crash", value=self.runner.seq)
             self._dump_flight("crash")
-        # The crash record must hit disk before the CrashError propagates:
-        # the next incarnation (and the operator) reads the journal to
-        # learn the previous one died.
-        self.flush_journal()
 
     def _note_sync_duration(self, seconds: float) -> None:
         """The runner's sync probe: one group commit took *seconds*."""
@@ -937,7 +814,7 @@ class IngestGateway:
                 self._spans.note_emitted(eids, self._clock())
 
     def _dump_flight(self, reason: str) -> None:
-        if self._flight is None or self._flight_writer is None:
+        if self._flight is None or self.directory is None:
             return
         lines = self._flight.dump_lines(
             reason, meta={"stream": self.schema.name, "seq": self.runner.seq}
@@ -945,10 +822,7 @@ class IngestGateway:
         # Each dump replaces the previous one: flight.jsonl is "the last
         # moments", not an append-only log, and a stacked second header
         # would corrupt the reader.
-        self._flight_writer.truncate()
-        for line in lines:
-            self._flight_writer.append(line + "\n")
-        self._flight_writer.flush()
+        write_lines(self.directory / FLIGHT_NAME, lines, replace=True)
 
     def dump_flight(self, reason: str = "manual") -> None:
         """Write the flight ring to ``flight.jsonl`` now (operator probe).
@@ -959,31 +833,20 @@ class IngestGateway:
         self._dump_flight(reason)
 
     def _journal(self, kind: str, **fields: Any) -> None:
-        if self._journal_writer is None:
+        """Append one record to ``gateway.jsonl``; on disk when this returns."""
+        if self.directory is None:
             return
         record = {"kind": kind}
         record.update(fields)
-        self._journal_writer.append(json.dumps(record, sort_keys=True) + "\n")
-
-    def flush_journal(self) -> None:
-        """Block until every journal record enqueued so far is on disk.
-
-        Journal appends are asynchronous (see :class:`_JournalWriter`);
-        anything that reads ``gateway.jsonl`` while the gateway lives —
-        tests, operator tooling — must flush first.  ``stop``/``seal``
-        and crash paths flush on their own.
-        """
-        if self._journal_writer is not None:
-            self._journal_writer.flush()
+        write_lines(self.directory / JOURNAL_NAME, [json.dumps(record, sort_keys=True)])
 
     def _remember_source(self, source: str) -> None:
         """Journal a source's first sighting so a restart re-registers it:
-        the one record recovery depends on, so it is flushed before returning."""
+        the one record recovery depends on, on disk before any ack."""
         if source in self._known_sources:
             return
         self._known_sources.add(source)
         self._journal("source", source=source)
-        self.flush_journal()
 
     def _read_journal_sources(self) -> List[str]:
         """Distinct journalled source ids, in first-sighting order."""
@@ -1054,7 +917,6 @@ class IngestGateway:
         self._journal("seal", matches=self._matches)
         if self._flight is not None:
             self._flight.note(self._clock(), "seal", value=self._matches)
-        self.flush_journal()
         return matches
 
     # -- telemetry sidecar -------------------------------------------------------------
@@ -1160,7 +1022,6 @@ class IngestGateway:
         if self._flight is not None:
             self._flight.note(self._clock(), "sigterm", value=self.runner.seq)
             self._dump_flight("sigterm")
-        self.flush_journal()
 
     async def stop(self, seal: bool = True) -> None:
         """Stop accepting, drop connections, optionally seal the engine.
@@ -1195,10 +1056,6 @@ class IngestGateway:
                 pass  # peer already gone; the transport is torn either way
         if seal and not self.crashed and not self.closed:
             self.seal()
-        if self._journal_writer is not None:
-            self._journal_writer.close()
-        if self._flight_writer is not None:
-            self._flight_writer.close()
 
     async def _tick_loop(self) -> None:
         while True:
@@ -1225,7 +1082,6 @@ class IngestGateway:
         for writer in list(self._writers):
             writer.transport.abort()
         self._writers.clear()
-        self.flush_journal()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -11,7 +11,8 @@ crashes or receives SIGTERM; ``repro explain --flight DUMP`` replays it
 into a per-source timeline and names the proximate stall.
 
 The recorder itself does no I/O and reads no clock: the gateway injects
-timestamps and owns the dump (through its off-loop journal writer), so
+timestamps and writes the dump (through
+:func:`repro.core.recovery.write_lines`, as it writes its journal), so
 this module stays rule-clean for the obs subtree gate.
 
 Record kinds

@@ -97,53 +97,3 @@ def test_live_suppression_is_not_reported_dead(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dead" not in out
     assert "1 suppressed" in out
-
-
-# -- --changed-only ---------------------------------------------------------------------
-
-
-def _git_repo(tmp_path):
-    import subprocess
-
-    def git(*args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-        )
-
-    git("init", "-q")
-    return git
-
-
-def test_changed_only_filters_unchanged_findings(tmp_path, monkeypatch, capsys):
-    git = _git_repo(tmp_path)
-    (tmp_path / "old.py").write_text(BAD_PURGE, encoding="utf-8")
-    git("add", "old.py")
-    git("commit", "-qm", "seed")
-    (tmp_path / "new.py").write_text(BAD_PURGE, encoding="utf-8")  # untracked
-    monkeypatch.chdir(tmp_path)
-    assert main(["--changed-only", "HEAD", str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert "new.py" in out
-    assert "old.py" not in out
-
-
-def test_changed_only_exits_zero_when_changes_are_clean(tmp_path, monkeypatch, capsys):
-    git = _git_repo(tmp_path)
-    (tmp_path / "old.py").write_text(BAD_PURGE, encoding="utf-8")
-    git("add", "old.py")
-    git("commit", "-qm", "seed")
-    (tmp_path / "new.py").write_text("X = 1\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["--changed-only", "HEAD", str(tmp_path)]) == 0
-    assert "0 findings" in capsys.readouterr().out
-
-
-def test_changed_only_bad_ref_exits_two(tmp_path, monkeypatch, capsys):
-    _git_repo(tmp_path)
-    (tmp_path / "mod.py").write_text("X = 1\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["--changed-only", "no-such-ref", str(tmp_path)]) == 2
-    assert "--changed-only" in capsys.readouterr().err

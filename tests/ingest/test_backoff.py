@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Event
+from repro.cli import main as cli_main
 from repro.core.errors import ConfigurationError
+from repro.ingest import IngestClient
 from repro.ingest.backoff import BackoffPolicy, retry_call, run_resilient
+from repro.streams import dump_trace
 
 
 def test_exponential_growth_without_jitter():
@@ -53,6 +57,33 @@ def test_reseeded_copies_spread_a_fleet():
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         BackoffPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["base", "factor", "cap"])
+def test_non_finite_timings_rejected(field, value):
+    """``factor=inf`` would make ``delay(1)`` infinite, a retry that
+    sleeps forever; NaN passes every ordering test unchecked."""
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        BackoffPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_client_rejects_a_non_finite_timeout(value):
+    with pytest.raises(ConfigurationError, match="timeout must be finite and > 0"):
+        IngestClient("127.0.0.1", 1, "s1", "orders", timeout=value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_send_with_a_non_finite_timeout_exits_2(tmp_path, capsys, value):
+    trace = tmp_path / "trace.jsonl"
+    dump_trace([Event("A", 1, {"x": 1})], trace)
+    code = cli_main([
+        "send", "--port", "1", "--source", "s1", "--stream", "orders",
+        "--trace", str(trace), "--timeout", value,
+    ])
+    assert code == 2
+    assert "error: timeout must be finite and > 0" in capsys.readouterr().err
 
 
 def test_retry_call_retries_then_succeeds():

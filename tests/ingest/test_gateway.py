@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
 from repro.ingest.schema import dump_schema
-from repro.ingest.server import _JournalWriter
 from repro.metrics import compare_keys
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as stages
@@ -187,14 +185,27 @@ def test_transitions_are_journalled_traced_and_counted(tmp_path):
     assert registry.get("repro_ingest_degraded_total").value == 1
     assert registry.get("repro_ingest_recovered_total").value == 1
 
-    # Journal appends ride an off-loop writer thread; flush before reading.
-    gateway.flush_journal()
     journal = [
         json.loads(line)
         for line in (tmp_path / "gateway.jsonl").read_text().splitlines()
     ]
     statuses = [r["status"] for r in journal if r["kind"] == "transition"]
     assert statuses == ["degraded", "live"]
+
+
+def test_one_merged_watermark_gauge_follows_a_reconnect(tmp_path):
+    registry = MetricsRegistry()
+    gateway = make_gateway(tmp_path, slack=0, liveness_timeout=5.0, metrics=registry)
+    gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
+    gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
+    gateway.tick(now=6.5)  # slow is degraded and fenced; the tick commits
+    gateway.admit_frame("fast", "A", {"ts": 150, "x": 2}, now=7.0)
+    assert gateway.liveness.merged_watermark() == 149
+    gateway.connect_source("slow", now=7.5)  # recovers, floored; no commit
+    assert gateway.liveness.merged_watermark() == 99
+    gauge = registry.get("repro_gateway_merged_watermark")
+    assert gauge.value == gateway.liveness.merged_watermark()
+    assert registry.get("repro_ingest_merged_watermark") is None
 
 
 # -- backpressure -----------------------------------------------------------------------
@@ -291,31 +302,15 @@ def test_crash_is_surfaced_and_recovery_dedupes(tmp_path):
     assert second.runner.matches == []
 
 
-def test_source_record_is_durable_before_the_first_ack(tmp_path, monkeypatch):
+def test_source_record_is_durable_before_the_first_ack(tmp_path):
     """The ``source`` first-sighting record is the one journal line a
-    restart depends on.  The writer thread here writes nothing until
-    somebody flushes — a journal line merely *queued* when the process
-    dies is a line lost — so the record must have been flushed by the
-    time the source's first frame could be acked."""
-    gate = threading.Event()
-    drain, flush = _JournalWriter._drain, _JournalWriter.flush
-
-    def gated_drain(self):
-        gate.wait(10.0)
-        drain(self)
-
-    def flush_opens_the_gate(self):
-        gate.set()
-        flush(self)
-
-    monkeypatch.setattr(_JournalWriter, "_drain", gated_drain)
-    monkeypatch.setattr(_JournalWriter, "flush", flush_opens_the_gate)
+    restart depends on: it is on disk when the admitting call returns,
+    before the source's first frame is even committed, let alone acked."""
     first = make_gateway(tmp_path)
     first.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+    journal = (tmp_path / "gateway.jsonl").read_text(encoding="utf-8")
+    assert {"kind": "source", "source": "s1"} in map(json.loads, journal.splitlines())
     first.sync_acks()  # the ack goes out after this; then SIGKILL
-    journal = tmp_path / "gateway.jsonl"
-    on_disk = journal.read_text(encoding="utf-8") if journal.exists() else ""
-    assert {"kind": "source", "source": "s1"} in map(json.loads, on_disk.splitlines())
 
     second = make_gateway(tmp_path)
     assert second.recovered_frames == 1

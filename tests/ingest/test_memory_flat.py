@@ -1,6 +1,6 @@
 """A gateway's memory follows live state, not history.
 
-Three statements, each about what must *not* grow:
+Four statements, each about what must *not* grow:
 
 * a serving gateway — memory or durable — holds no more after frame
   25 000 than after frame 5 000 of the E24 serve traffic (in-order
@@ -10,6 +10,8 @@ Three statements, each about what must *not* grow:
 * restarting on a killed directory costs what the tail costs: the peak
   of ``IngestGateway(...)`` on a 10x longer log stays within 1.5x of
   the 1x log, because recovery and the dedupe preload stream their logs;
+* a source that reconnects 18 000 more times leaves no more behind:
+  liveness counts transitions and journals them, and keeps none;
 * the preload hashes at most ``dedupe_window`` events however long the
   WAL, counts every one of them in ``recovered_frames``, and leaves the
   window ``preload(all)`` would.
@@ -74,7 +76,6 @@ def drive(target: IngestGateway, frames) -> None:
 
 def kill(target: IngestGateway) -> None:
     """Drop a gateway without sealing it: what is on disk is a killed run's."""
-    target._journal_writer.close()
     target.runner.__exit__(None, None, None)
 
 
@@ -98,6 +99,28 @@ def test_serving_memory_is_flat_in_run_length(tmp_path, durable):
     assert target.stats()["matches"] > 20_000  # there was history to keep
     assert late - early < FLAT_BOUND, f"grew {late - early} B over 20 000 frames"
     target.seal()
+
+
+def test_reconnects_leave_no_history(tmp_path):
+    """Liveness keeps totals, not a log: a source that tears and remakes
+    its connection 20 000 times costs what it costs after 2 000."""
+    target = gateway()
+
+    def cycles(start: int, stop: int) -> None:
+        for cycle in range(start, stop):
+            target.connect_source("s0", now=float(cycle))
+            target.disconnect_source("s0", now=cycle + 0.5)
+
+    cycles(0, 2_000)
+    tracemalloc.start()
+    try:
+        early = traced()
+        cycles(2_000, 20_000)
+        late = traced()
+    finally:
+        tracemalloc.stop()
+    assert target.liveness.recovered_total == 19_999
+    assert late - early < FLAT_BOUND, f"grew {late - early} B over 18 000 reconnects"
 
 
 def killed_directory(directory, frames: int, dedupe_window: int) -> None:

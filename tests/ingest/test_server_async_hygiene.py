@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro import OutOfOrderEngine, parse
 from repro.faultinject import CrashError, FaultInjector
 from repro.ingest import GatewayConfig, IngestGateway
-from repro.ingest.server import _JournalWriter
+from repro.obs import MetricsRegistry
+from repro.obs.flight import FlightRecorder, load_flight
 
 from ingest_helpers import make_schema
 
@@ -26,57 +28,91 @@ from ingest_helpers import make_schema
 QUERY = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 20"
 
 
-def make_gateway(directory, fault=None):
+def make_gateway(directory, fault=None, **observers):
     config = GatewayConfig(make_schema(slack=2), port=0, liveness_timeout=30.0)
     return IngestGateway(
         lambda: OutOfOrderEngine(parse(QUERY), k=4),
         config,
         directory=directory,
         fault=fault,
+        **observers,
     )
 
 
-# -- the off-loop journal writer --------------------------------------------------------
+# -- operator records: written synchronously, on the caller's thread -------------------
 
 
-def test_flush_is_an_ordering_barrier(tmp_path):
-    writer = _JournalWriter(tmp_path / "j.jsonl")
-    lines = [f"{{\"n\": {i}}}\n" for i in range(200)]
-    for line in lines:
-        writer.append(line)
-    writer.flush()
-    assert (tmp_path / "j.jsonl").read_text() == "".join(lines)
-    writer.close()
-
-
-def test_writer_respawns_after_close(tmp_path):
-    writer = _JournalWriter(tmp_path / "j.jsonl")
-    writer.append("a\n")
-    writer.close()
-    assert (tmp_path / "j.jsonl").read_text() == "a\n"
-    # close() parks the thread; the next append must revive it.
-    writer.append("b\n")
-    writer.flush()
-    assert (tmp_path / "j.jsonl").read_text() == "a\nb\n"
-    writer.close()
-
-
-def test_flush_and_close_without_appends_are_noops(tmp_path):
-    writer = _JournalWriter(tmp_path / "j.jsonl")
-    writer.flush()
-    writer.close()
-    assert not (tmp_path / "j.jsonl").exists()
-
-
-def test_flush_journal_makes_records_visible(tmp_path):
-    gateway = make_gateway(tmp_path)
-    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.flush_journal()
-    records = [
+def journal(directory):
+    return [
         json.loads(line)
-        for line in (tmp_path / "gateway.jsonl").read_text().splitlines()
+        for line in (directory / "gateway.jsonl").read_text().splitlines()
     ]
-    assert any(r["kind"] == "source" and r["source"] == "s1" for r in records)
+
+
+def test_every_record_is_on_disk_when_its_call_returns(tmp_path):
+    """No flush call anywhere: each record can be read back right after
+    the call that wrote it."""
+    gateway = make_gateway(
+        tmp_path, fault=FaultInjector(crash_at=[2]), flight=FlightRecorder()
+    )
+    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+    assert journal(tmp_path)[-1] == {"kind": "source", "source": "s1"}
+    gateway.sync_acks()
+    gateway.tick(now=40.0)
+    assert journal(tmp_path)[-1]["kind"] == "transition"
+    assert journal(tmp_path)[-1]["status"] == "degraded"
+    gateway.dump_flight()
+    header, _ = load_flight((tmp_path / "flight.jsonl").read_text())
+    assert header["reason"] == "manual"
+    gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=41.0)
+    gateway.admit_frame("s1", "B", {"ts": 4, "x": 7}, now=41.0)
+    with pytest.raises(CrashError):
+        gateway.sync_acks()
+    assert journal(tmp_path)[-1] == {"kind": "crash", "seq": gateway.runner.seq}
+    header, _ = load_flight((tmp_path / "flight.jsonl").read_text())
+    assert header["reason"] == "crash"
+
+
+def test_a_durable_gateway_starts_no_thread(tmp_path):
+    """Journal and flight dump share the caller's thread: a full drill —
+    two sources, a degrade, a reconnect, a crash, a restart, a manual
+    dump and a seal — never runs more threads than were there before."""
+    baseline = threading.active_count()
+    peak = baseline
+
+    def note():
+        nonlocal peak
+        peak = max(peak, threading.active_count())
+
+    def build(fault=None):
+        return make_gateway(
+            tmp_path, fault=fault, flight=FlightRecorder(), metrics=MetricsRegistry()
+        )
+
+    first = build(FaultInjector(crash_at=[8]))
+    for index in range(4):
+        first.admit_frame(f"s{index % 2}", "AB"[index % 2], {"ts": index, "x": 1},
+                          now=0.1 * index)
+        note()
+    first.sync_acks()
+    first.admit_frame("s0", "A", {"ts": 5, "x": 2}, now=31.0)
+    first.tick(now=31.0)  # s1 is degraded
+    first.connect_source("s1", now=31.5)  # and reconnects
+    note()
+    first.admit_frame("s1", "B", {"ts": 6, "x": 2}, now=32.0)
+    first.admit_frame("s1", "B", {"ts": 7, "x": 2}, now=32.0)
+    with pytest.raises(CrashError):
+        first.sync_acks()
+    note()
+    second = build()
+    second.admit_frame("s1", "B", {"ts": 8, "x": 2}, now=40.0)
+    second.sync_acks()
+    second.dump_flight()
+    second.seal()
+    note()
+    kinds = [record["kind"] for record in journal(tmp_path)]
+    assert kinds.count("transition") >= 2 and "crash" in kinds and kinds[-1] == "seal"
+    assert peak <= baseline, f"{peak - baseline} thread(s) started"
 
 
 def test_crash_record_is_durable_before_crash_propagates(tmp_path):

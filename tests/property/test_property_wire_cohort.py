@@ -164,7 +164,6 @@ def _state(gateway, journal):
         "advance_due": gateway._advance_due,
         "watermarks": gateway.liveness.watermarks.snapshot_state(),
         "last_seen": dict(gateway.liveness._last_seen),
-        "transitions": list(gateway.liveness.transitions),
         "journal": list(journal),
         "flight": flight.records() if flight is not None else None,
         "metrics": render_prometheus(registry) if registry is not None else None,
