@@ -94,7 +94,9 @@ def test_e12_report(benchmark):
         if line.strip().startswith(("oracle", "trained"))
     }
     assert float(rows["oracle-max"][2]) == 1.0  # perfect hindsight is exact
-    # precision never suffers from a small K — only recall can.
+    # This query has no negation, so a small K costs only recall: a late
+    # event is dropped and can only remove matches.  (With negation, a
+    # dropped late negative lets through a match the oracle cancels.)
     assert all(float(r[3]) == 1.0 for r in rows.values())
     # Quantile K shrinks K and state at a recall cost that grows as the
     # quantile drops: each is monotone along p90 <= p99 <= oracle-max.

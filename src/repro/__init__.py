@@ -27,7 +27,6 @@ from repro.core import (
     CompositeEventFactory,
     ConfigurationError,
     Const,
-    DisorderBoundViolation,
     EmissionRecord,
     EventBatch,
     Engine,
@@ -40,7 +39,6 @@ from repro.core import (
     Gt,
     InOrderEngine,
     KleeneBracket,
-    LatePolicy,
     Le,
     Lt,
     Match,
@@ -92,7 +90,6 @@ __all__ = [
     "ConfigurationError",
     "Const",
     "CrashError",
-    "DisorderBoundViolation",
     "EmissionRecord",
     "Engine",
     "EngineStateError",
@@ -105,7 +102,6 @@ __all__ = [
     "Gt",
     "InOrderEngine",
     "KleeneBracket",
-    "LatePolicy",
     "Le",
     "Lt",
     "Match",

@@ -8,13 +8,11 @@ from repro.core.clock import StreamClock
 from repro.core.engine import (
     EmissionRecord,
     Engine,
-    LatePolicy,
     OutOfOrderEngine,
     ValidationPolicy,
 )
 from repro.core.errors import (
     ConfigurationError,
-    DisorderBoundViolation,
     EngineStateError,
     ParseError,
     QueryError,
@@ -65,7 +63,6 @@ __all__ = [
     "CompositeEventFactory",
     "ConfigurationError",
     "Const",
-    "DisorderBoundViolation",
     "EmissionRecord",
     "Engine",
     "EngineStateError",
@@ -77,7 +74,6 @@ __all__ = [
     "Gt",
     "InOrderEngine",
     "KleeneBracket",
-    "LatePolicy",
     "Le",
     "Lt",
     "Match",

@@ -4,9 +4,9 @@
 whose arrival order may diverge from occurrence order, bounded by a
 disorder promise K.  Per arriving element it performs:
 
-1. **clock & lateness** — advance the stream clock; elements older than
-   the safe horizon violate the K promise and are handled per
-   :class:`LatePolicy`;
+1. **clock & lateness** — advance the stream clock; an event at or
+   below the safe horizon broke the K promise and is counted
+   (``stats.late_dropped``) and dropped;
 2. **sequence scan** — admission to the ts-sorted stacks (positive
    steps) and/or the negative store (negated types), plus feasibility
    probes (``repro.core.scan``);
@@ -35,7 +35,6 @@ from repro.core import snapshot as snapshots
 from repro.core.clock import StreamClock
 from repro.core.errors import (
     ConfigurationError,
-    DisorderBoundViolation,
     EngineStateError,
     SnapshotError,
 )
@@ -64,15 +63,6 @@ from repro.core.stats import EngineStats
 
 if TYPE_CHECKING:
     from repro.core.colbatch import EventBatch
-
-
-class LatePolicy(enum.Enum):
-    """What to do with an event that violates the disorder bound K."""
-
-    RAISE = "raise"  #: raise DisorderBoundViolation (strict deployments)
-    DROP = "drop"  #: count it (stats.late_dropped) and ignore it
-    PROCESS = "process"  #: best effort — process anyway; results involving
-    #: already-purged state are silently incomplete
 
 
 class ValidationPolicy(enum.Enum):
@@ -394,8 +384,6 @@ class OutOfOrderEngine(Engine):
     purge:
         Purge schedule (default eager).  A fresh default is created per
         engine — policies hold schedule state and must not be shared.
-    late_policy:
-        Handling of K-promise violations (default DROP).
     optimize_scan / optimize_construction:
         The paper's CPU optimisations; disable for ablation (E6).
     index:
@@ -433,7 +421,6 @@ class OutOfOrderEngine(Engine):
         pattern: Pattern,
         k: Optional[int] = None,
         purge: Optional[PurgePolicy] = None,
-        late_policy: LatePolicy = LatePolicy.DROP,
         optimize_scan: bool = True,
         optimize_construction: bool = True,
         index: bool = True,
@@ -442,8 +429,6 @@ class OutOfOrderEngine(Engine):
         controller=None,
     ) -> None:
         super().__init__(pattern)
-        if not isinstance(late_policy, LatePolicy):
-            raise ConfigurationError(f"late_policy must be a LatePolicy, got {late_policy!r}")
         if shed is not None and not isinstance(shed, ShedPolicy):
             raise ConfigurationError(f"shed must be a ShedPolicy, got {shed!r}")
         if controller is not None and not (
@@ -463,7 +448,6 @@ class OutOfOrderEngine(Engine):
             # cold-start recommendation rather than "no promise".
             k = self._controller.recommended_k()
         self.clock = StreamClock(k)
-        self.late_policy = late_policy
         self.shed = shed
         # Cloned: due() mutates schedule state, so engines must not share
         # the caller's policy object (see PurgePolicy.clone).
@@ -517,7 +501,9 @@ class OutOfOrderEngine(Engine):
                 # Construction-time K: with a controller attached the
                 # *live* bound is state (clock carries it), not identity.
                 "k": self._initial_k,
-                "late_policy": self.late_policy.value,
+                # Kept so snapshot bytes match those written while the
+                # late policy was configurable; "drop" is the only one.
+                "late_policy": "drop",
                 "purge": (self.purge_policy.mode.value, self.purge_policy.interval),
                 "optimize_scan": self.scanner.optimize,
                 "optimize_construction": self.constructor.optimize,
@@ -747,9 +733,6 @@ class OutOfOrderEngine(Engine):
         length = pattern.length
         final_step = length - 1
         step_range = range(length)
-        late_policy = self.late_policy
-        drop_late = late_policy is LatePolicy.DROP
-        raise_late = late_policy is LatePolicy.RAISE
         purge_mode = purge_policy.mode
         purge_eager = purge_mode is PurgeMode.EAGER
         purge_lazy = purge_mode is PurgeMode.LAZY
@@ -815,16 +798,9 @@ class OutOfOrderEngine(Engine):
                         # the delays the current bound drops, or K could
                         # never grow out of an under-provisioned start.
                         controller.observe(element)
-                    was_late = ts <= horizon
-                    if was_late:
-                        if raise_late:
-                            raise DisorderBoundViolation(element, max_ts, k or 0)
+                    if ts <= horizon:
                         late_dropped += 1
-                        if drop_late:
-                            continue
-                        # LatePolicy.PROCESS: best effort, falls through;
-                        # results involving already-purged state are
-                        # silently incomplete.
+                        continue
                     observations += 1
                     if ts > max_ts:
                         max_ts = ts
@@ -867,9 +843,7 @@ class OutOfOrderEngine(Engine):
                                 admitted = True
                                 stack_list[step_index].insert(instance)
                                 store_size += 1
-                                if was_late or (
-                                    step_index == final_step and ts <= horizon + 1
-                                ):
+                                if step_index == final_step and ts <= horizon + 1:
                                     dirty = True
                                 # Feasibility probe (repro.core.scan, point
                                 # 3): a match needs every earlier stack to
@@ -901,8 +875,6 @@ class OutOfOrderEngine(Engine):
                                             emitted.append(match)
                                         else:
                                             route(match, emitted)
-                        if was_late and side_stored:
-                            dirty = True
                         if admitted or side_stored:
                             events_admitted += 1
                         else:

@@ -2,9 +2,10 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch a single base class at API boundaries.  The concrete
-subclasses distinguish the three failure domains a stream engine has:
-malformed queries, malformed stream input, and violated runtime promises
-(most importantly the disorder bound K).
+subclasses distinguish malformed queries, malformed stream input, bad
+configuration, invalid lifecycle transitions and unrestorable durable
+state.  An event that breaks the disorder bound K is not an error: the
+engine counts it (``stats.late_dropped``) and drops it.
 """
 
 from __future__ import annotations
@@ -41,24 +42,6 @@ class ParseError(QueryError):
 
 class StreamError(ReproError):
     """A stream element is malformed (e.g. negative timestamp)."""
-
-
-class DisorderBoundViolation(StreamError):
-    """An event arrived later than the promised disorder bound K allows.
-
-    The engine's purge correctness relies on the K promise; by default a
-    violating event is rejected with this error.  Engines can be
-    configured to count-and-drop instead (see ``LatePolicy``).
-    """
-
-    def __init__(self, event, clock: int, bound: int):
-        self.event = event
-        self.clock = clock
-        self.bound = bound
-        super().__init__(
-            f"event {event!r} with ts={event.ts} arrived while clock={clock}; "
-            f"violates disorder bound K={bound} (clock - K = {clock - bound})"
-        )
 
 
 class EngineStateError(ReproError):

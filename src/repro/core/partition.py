@@ -29,12 +29,16 @@ import pickle
 from typing import Any, Dict, List, Optional
 
 from repro.core.clock import StreamClock
-from repro.core.engine import Engine, LatePolicy, OutOfOrderEngine
+from repro.core.engine import Engine, OutOfOrderEngine
 from repro.core.errors import ConfigurationError, QueryError
 from repro.core.event import Event, Punctuation
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgePolicy
 from repro.core.stats import EngineStats
+
+#: :meth:`PartitionedEngine._route` outcomes for an event no partition gets.
+_LATE = object()
+_IGNORED = object()
 
 
 def require_picklable_pattern(pattern: Pattern, backend: str) -> None:
@@ -171,7 +175,6 @@ class PartitionedEngine(Engine):
         pattern: Pattern,
         k: Optional[int] = None,
         purge: Optional[PurgePolicy] = None,
-        late_policy: LatePolicy = LatePolicy.DROP,
         key: Optional[str] = None,
         punctuate_every: int = 64,
         index: bool = True,
@@ -185,7 +188,6 @@ class PartitionedEngine(Engine):
             )
         self.key = key or detect_partition_key(pattern)
         self.k = k
-        self.late_policy = late_policy
         self.index = index
         self.speculative = speculative
         # Prototype only — _blank_sub_engine hands it to each sub-engine,
@@ -237,7 +239,9 @@ class PartitionedEngine(Engine):
         config.update(
             {
                 "k": self.k,
-                "late_policy": self.late_policy.value,
+                # Kept so snapshot bytes match those written while the
+                # late policy was configurable; "drop" is the only one.
+                "late_policy": "drop",
                 "purge": (self._purge_mode.value if self._purge_mode else None,
                           self._purge_interval),
                 "key": self.key,
@@ -294,7 +298,6 @@ class PartitionedEngine(Engine):
             self.pattern,
             k=self.k,
             purge=purge,
-            late_policy=self.late_policy,
             index=self.index,
             speculative=self.speculative,
             controller=self._controller,
@@ -302,31 +305,39 @@ class PartitionedEngine(Engine):
 
     # -- processing ------------------------------------------------------------------
 
-    def _process_event(self, event: Event) -> List[Match]:
-        emitted: List[Match] = []
+    def _route(self, event: Event) -> Any:
+        """The global pre-pass every partitioned variant runs per event.
+
+        Judges *event* against the global clock: one at or below the
+        horizon is counted in ``late_dropped`` and dropped (``_LATE``);
+        otherwise the clock observes it, and an irrelevant or keyless
+        event is counted in ``events_ignored`` (``_IGNORED``).  Returns
+        the partition value of an event to deliver, counted as admitted.
+        """
+        stats = self.stats
         if self.clock.is_late(event):
-            self.stats.late_dropped += 1
-            if self.late_policy is LatePolicy.RAISE:
-                from repro.core.errors import DisorderBoundViolation
-
-                raise DisorderBoundViolation(event, self.clock.now, self.k or 0)
-            if self.late_policy is LatePolicy.DROP:
-                return emitted
+            stats.late_dropped += 1
+            return _LATE
         if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-
+            stats.out_of_order_events += 1
         if event.etype in self.pattern.relevant_types:
             value = event.get(self.key)
-            if value is None and self.key not in event:
-                self.stats.events_ignored += 1
-            else:
-                sub = self._sub_engine(value)
-                before = sub.state_size()
-                self._surface_from(sub, sub.feed(event), emitted)
-                self._state_total += sub.state_size() - before
-                self.stats.events_admitted += 1
-        else:
-            self.stats.events_ignored += 1
+            if value is not None or self.key in event:
+                stats.events_admitted += 1
+                return value
+        stats.events_ignored += 1
+        return _IGNORED
+
+    def _process_event(self, event: Event) -> List[Match]:
+        emitted: List[Match] = []
+        value = self._route(event)
+        if value is _LATE:
+            return emitted
+        if value is not _IGNORED:
+            sub = self._sub_engine(value)
+            before = sub.state_size()
+            self._surface_from(sub, sub.feed(event), emitted)
+            self._state_total += sub.state_size() - before
 
         self._since_punctuation += 1
         if self._since_punctuation >= self.punctuate_every:
@@ -406,15 +417,11 @@ def _run_partition(payload):
     engine is instrumented — a metrics-registry snapshot for the
     deterministic per-worker merge.
     """
-    pattern, k, purge_mode, purge_interval, late_policy, events, instrument, index = (
-        payload
-    )
+    pattern, k, purge_mode, purge_interval, events, instrument, index = payload
     purge = None
     if purge_mode is not None:
         purge = PurgePolicy(purge_mode, purge_interval)
-    engine = OutOfOrderEngine(
-        pattern, k=k, purge=purge, late_policy=late_policy, index=index
-    )
+    engine = OutOfOrderEngine(pattern, k=k, purge=purge, index=index)
     metrics_state = None
     if instrument:
         from repro.obs.metrics import MetricsRegistry
@@ -436,8 +443,8 @@ class ParallelPartitionedEngine(PartitionedEngine):
     With ``workers=1`` this class **is** the serial
     :class:`PartitionedEngine` — no code path diverges, so golden traces
     stay byte-identical.  With ``workers > 1`` execution is deferred:
-    ``feed`` runs only the global-clock pre-pass (late-arrival policy
-    and routing, with identical flow accounting to the serial engine)
+    ``feed`` runs only the global-clock pre-pass (:meth:`_route`, the
+    serial engine's own late check, routing and flow accounting)
     and buffers each partition's events; :meth:`close` then runs every
     partition to completion on the pool and merges the emissions
     **deterministically** by ``(end_ts, start_ts, match key)``, so the
@@ -467,10 +474,7 @@ class ParallelPartitionedEngine(PartitionedEngine):
     With ``workers > 1`` the streaming surface is deliberately coarse:
     ``feed`` returns no matches (everything surfaces at ``close``),
     emission records carry the end-of-stream clock, and per-element
-    state peaks reflect the buffered events.  Late-policy ``PROCESS``
-    keeps its best-effort character: purge timing differs between
-    serial and parallel runs, so results involving purged state may
-    differ — ``DROP`` and ``RAISE`` are exact.
+    state peaks reflect the buffered events.
     """
 
     def __init__(
@@ -478,7 +482,6 @@ class ParallelPartitionedEngine(PartitionedEngine):
         pattern: Pattern,
         k: Optional[int] = None,
         purge: Optional[PurgePolicy] = None,
-        late_policy: LatePolicy = LatePolicy.DROP,
         key: Optional[str] = None,
         punctuate_every: int = 64,
         index: bool = True,
@@ -491,7 +494,6 @@ class ParallelPartitionedEngine(PartitionedEngine):
             pattern,
             k=k,
             purge=purge,
-            late_policy=late_policy,
             key=key,
             punctuate_every=punctuate_every,
             index=index,
@@ -524,28 +526,12 @@ class ParallelPartitionedEngine(PartitionedEngine):
     def _process_event(self, event: Event) -> List[Match]:
         if self.workers == 1:
             return PartitionedEngine._process_event(self, event)
-        if self.clock.is_late(event):
-            self.stats.late_dropped += 1
-            if self.late_policy is LatePolicy.RAISE:
-                from repro.core.errors import DisorderBoundViolation
-
-                raise DisorderBoundViolation(event, self.clock.now, self.k or 0)
-            if self.late_policy is LatePolicy.DROP:
-                return []
-        if self.clock.observe(event):
-            self.stats.out_of_order_events += 1
-        if event.etype in self.pattern.relevant_types:
-            value = event.get(self.key)
-            if value is None and self.key not in event:
-                self.stats.events_ignored += 1
-            else:
-                bucket = self._routed.get(value)
-                if bucket is None:
-                    bucket = self._routed[value] = []
-                bucket.append(event)
-                self.stats.events_admitted += 1
-        else:
-            self.stats.events_ignored += 1
+        value = self._route(event)
+        if value is not _LATE and value is not _IGNORED:
+            bucket = self._routed.get(value)
+            if bucket is None:
+                bucket = self._routed[value] = []
+            bucket.append(event)
         return []
 
     def _on_punctuation(self, punctuation: Punctuation) -> List[Match]:
@@ -624,7 +610,6 @@ class ParallelPartitionedEngine(PartitionedEngine):
                 self.k,
                 self._purge_mode,
                 self._purge_interval,
-                self.late_policy,
                 bucket,
                 instrument,
                 self.index,

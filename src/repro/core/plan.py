@@ -67,6 +67,9 @@ class QueryPlan:
         return produced
 
     def _absorb(self, emitted: Sequence[Match]) -> List[Event]:
+        """Record *emitted* and, as their receiver, take them from the engine."""
+        if emitted:
+            self.engine.take_emissions()
         produced: List[Event] = []
         for match in emitted:
             if self.selection is not None and not self.selection(match):

@@ -14,7 +14,7 @@ design constraints shape the format:
   equivalent pattern, and matches are re-built against that live
   pattern object.
 * **Config is verified, not restored.**  Construction-time parameters
-  (K, late policy, purge schedule, optimisation flags) shape behaviour
+  (K, purge schedule, optimisation flags) shape behaviour
   but are not mutable state; restoring a blob into a
   differently-configured engine would silently change semantics, so
   :func:`unpack` compares the header against the target engine and

@@ -29,11 +29,11 @@ rest of the package provides into the exactly-once admission story:
   recovery never drags punctuation backward;
 * **backpressure** — admission consults the engine's
   :class:`~repro.core.shedding.ShedPolicy` occupancy
-  (:meth:`~repro.core.shedding.ShedPolicy.pressure`): in the soft band
-  acks carry a ``throttle`` hint (clients slow down), at the hard
-  threshold frames are refused with ``busy`` + ``retry_after`` and are
-  *not* admitted — the client retries later.  Never unbounded
-  buffering.
+  (:meth:`~repro.core.shedding.ShedPolicy.pressure`): from
+  :data:`SOFT_PRESSURE` acks carry a ``throttle`` hint (clients slow
+  down), from :data:`HARD_PRESSURE` frames are refused with ``busy`` +
+  ``retry_after`` (:data:`RETRY_AFTER`) and are *not* admitted — the
+  client retries later.  Never unbounded buffering.
 
 The wire protocol is one JSON object per line in each direction (the
 :mod:`repro.streams.replay` codec idiom).  Client → server ops:
@@ -71,7 +71,6 @@ from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.recovery import (
     ResilientRunner, decode_element, iter_wal_records, write_lines,
@@ -92,6 +91,12 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
 JOURNAL_NAME = "gateway.jsonl"
 FLIGHT_NAME = "flight.jsonl"
+#: Shed-policy occupancy bounding the backpressure ladder: from
+#: SOFT_PRESSURE acks carry a ``throttle`` hint, from HARD_PRESSURE frames
+#: are refused with ``busy``, telling the client to wait RETRY_AFTER seconds.
+SOFT_PRESSURE = 0.7
+HARD_PRESSURE = 0.95
+RETRY_AFTER = 0.05
 
 #: Two objects with only a comma between them inside one line.
 _TWO_OBJECTS = re.compile(rb"\}[ \t\r]*,[ \t\r]*\{")
@@ -155,12 +160,6 @@ class GatewayConfig:
     liveness_timeout:
         Seconds of silence before a live source is degraded; the
         liveness timer sweeps every quarter of it.
-    soft_pressure / hard_pressure:
-        Shed-policy occupancy fractions bounding the backpressure
-        ladder: above *soft*, acks carry a ``throttle`` hint; at or
-        above *hard*, frames are refused with ``busy``.
-    retry_after:
-        Seconds the ``busy`` refusal tells clients to wait.
     checkpoint_every:
         Runner checkpoint interval in WAL elements; tested once per
         group commit, so a checkpoint lands on the first cohort boundary
@@ -178,9 +177,6 @@ class GatewayConfig:
         "port",
         "dedupe_window",
         "liveness_timeout",
-        "soft_pressure",
-        "hard_pressure",
-        "retry_after",
         "checkpoint_every",
         "telemetry_port",
     )
@@ -192,9 +188,6 @@ class GatewayConfig:
         port: int = 0,
         dedupe_window: int = 4096,
         liveness_timeout: float = 2.0,
-        soft_pressure: float = 0.7,
-        hard_pressure: float = 0.95,
-        retry_after: float = 0.05,
         checkpoint_every: int = 256,
         telemetry_port: Optional[int] = None,
     ):
@@ -203,15 +196,6 @@ class GatewayConfig:
         if not (math.isfinite(liveness_timeout) and liveness_timeout > 0):
             raise ConfigurationError(
                 f"liveness_timeout must be finite and > 0, got {liveness_timeout!r}"
-            )
-        if not 0.0 < soft_pressure <= hard_pressure:
-            raise ConfigurationError(
-                f"need 0 < soft_pressure <= hard_pressure, got "
-                f"{soft_pressure!r} / {hard_pressure!r}"
-            )
-        if not (math.isfinite(retry_after) and retry_after > 0):
-            raise ConfigurationError(
-                f"retry_after must be finite and > 0, got {retry_after!r}"
             )
         if dedupe_window < 1:
             raise ConfigurationError(f"dedupe_window must be >= 1, got {dedupe_window!r}")
@@ -224,9 +208,6 @@ class GatewayConfig:
         self.port = port
         self.dedupe_window = dedupe_window
         self.liveness_timeout = float(liveness_timeout)
-        self.soft_pressure = float(soft_pressure)
-        self.hard_pressure = float(hard_pressure)
-        self.retry_after = float(retry_after)
         self.checkpoint_every = checkpoint_every
         self.telemetry_port = telemetry_port
 
@@ -316,12 +297,6 @@ class IngestGateway:
         self.schema = config.schema
         self._clock = clock
         engine = make_engine()
-        if getattr(engine, "late_policy", None) is LatePolicy.RAISE:
-            raise ConfigurationError(
-                "the gateway cannot front an engine with LatePolicy.RAISE: one "
-                "late frame would fail its whole cohort and the client's resend "
-                "would fail it again — use DROP or PROCESS"
-            )
         if tracer is not None or metrics is not None:
             engine.enable_observability(tracer=tracer, metrics=metrics)
         self.tracer = tracer
@@ -515,8 +490,7 @@ class IngestGateway:
         if now is None:
             now = self._clock()
         self._remember_source(source)
-        config, clock, spans, flight = self.config, self._clock, self._spans, self._flight
-        hard, soft = config.hard_pressure, config.soft_pressure
+        clock, spans, flight = self._clock, self._spans, self._flight
         pending = self._pending
         shed = getattr(self.engine, "shed", None)
         size = self.engine.state_size() if shed is not None else 0
@@ -532,14 +506,14 @@ class IngestGateway:
                 t_start = clock()
             if shed is not None:
                 pressure = shed.pressure(size + len(pending))
-            if pressure >= hard:
+            if pressure >= HARD_PRESSURE:
                 busy += 1
                 if flight is not None:
                     flight.note(now, "busy", source, int(pressure * 10000))
                 if spans is not None:
                     origin = span_origin(chunk[0].get(SPAN_FIELD))
                     spans.note_frame(source, "busy", t_start, clock(), origin)
-                acks.append({"status": "busy", "retry_after": config.retry_after,
+                acks.append({"status": "busy", "retry_after": RETRY_AFTER,
                              "pressure": round(pressure, 4)})
                 continue
             decided = self.admission.admit_cohort(
@@ -565,11 +539,11 @@ class IngestGateway:
                     if flight is not None:
                         flight.note(now, "admit", source, value=event.ts)
                     ack: Dict[str, Any] = {"status": "admitted"}
-                    if pressure >= soft:
+                    if pressure >= SOFT_PRESSURE:
                         # Soft band: admit, but ask the client to slow down
                         # proportionally to how deep into the band we are.
-                        depth = (pressure - soft) / (hard - soft) if hard > soft else 1.0
-                        ack["throttle"] = round(config.retry_after * min(1.0, depth), 6)
+                        depth = (pressure - SOFT_PRESSURE) / (HARD_PRESSURE - SOFT_PRESSURE)
+                        ack["throttle"] = round(RETRY_AFTER * depth, 6)
                         self.throttled_total += 1
                 elif reason is not None:
                     quarantined += 1
@@ -944,9 +918,9 @@ class IngestGateway:
 
     def _route_healthz(self) -> Tuple[int, str, str]:
         pressure = self.pressure()
-        if pressure >= self.config.hard_pressure:
+        if pressure >= HARD_PRESSURE:
             band = "busy"
-        elif pressure >= self.config.soft_pressure:
+        elif pressure >= SOFT_PRESSURE:
             band = "throttle"
         else:
             band = "ok"

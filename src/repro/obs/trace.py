@@ -35,7 +35,7 @@ from typing import Deque, Dict, List, Optional
 ADMITTED = "admitted"  #: passed predicates, inserted into >=1 stack/side store
 IGNORED = "ignored"  #: irrelevant type, or every admissible step's predicate rejected
 QUARANTINED = "quarantined"  #: malformed, skipped under ValidationPolicy.QUARANTINE
-LATE_DROPPED = "late_dropped"  #: violated the K promise under LatePolicy.DROP
+LATE_DROPPED = "late_dropped"  #: at or below the K horizon: counted and dropped
 BUFFERED = "buffered"  #: parked in a reorder buffer awaiting its seal
 RELEASED = "released"  #: left the reorder buffer toward the inner engine
 PREDICATE_REJECTED = "predicate_rejected"  #: a step's local predicate said no

@@ -11,13 +11,7 @@ from repro.streams.disorder import (
     required_k,
 )
 from repro.streams.controller import AdaptiveKController, ControllerDecision
-from repro.streams.kslack import (
-    AdaptiveEngineFeeder,
-    FixedK,
-    KEstimator,
-    MaxObservedK,
-    QuantileK,
-)
+from repro.streams.kslack import MaxObservedK, QuantileK
 from repro.streams.merge import interleave_by_arrival
 from repro.streams.punctuation import (
     PeriodicPunctuator,
@@ -28,15 +22,12 @@ from repro.streams.replay import dump_trace, load_trace
 from repro.streams.source import EventSource, SyntheticSource
 
 __all__ = [
-    "AdaptiveEngineFeeder",
     "AdaptiveKController",
     "BurstDropoutModel",
     "ControllerDecision",
     "DelayModel",
     "DisorderStats",
     "EventSource",
-    "FixedK",
-    "KEstimator",
     "MaxObservedK",
     "NoDisorder",
     "PeriodicPunctuator",

@@ -1,9 +1,9 @@
 """Quality-driven adaptive-K: repeated re-freeze at punctuation boundaries.
 
-:class:`~repro.streams.kslack.AdaptiveEngineFeeder` adapts K the honest
-way exactly once — train, freeze, run — because the purge proofs forbid
-the bound from shrinking mid-run.  This module generalises that freeze
-protocol to *repeated* re-freeze points (Ji et al., "Quality-Driven
+Experiment E12 adapts K the honest way exactly once — train an estimator
+on a prefix, freeze, run — because the purge proofs forbid the bound
+from shrinking mid-run.  This module generalises that freeze protocol
+to *repeated* re-freeze points (Ji et al., "Quality-Driven
 Disorder Handling", PAPERS.md): every punctuation closes an **epoch**,
 and at the boundary the controller may pick a new K and flip the
 optimistic/pessimistic choice for the next epoch.  Soundness is

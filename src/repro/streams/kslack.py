@@ -6,7 +6,6 @@ e.g. a known retransmission timeout), or *estimated* from the stream
 itself.  This module provides the estimation side, the ablation axis of
 experiment E12:
 
-* :class:`FixedK` — a static promise;
 * :class:`MaxObservedK` — running maximum of observed delays, with an
   optional safety margin.  Never shrinks, so it eventually dominates
   any stationary disorder process;
@@ -14,11 +13,11 @@ experiment E12:
   window, trading a bounded violation rate for much smaller K (hence
   lower latency and memory) on heavy-tailed disorder.
 
-An estimator consumes arrival observations (via :meth:`observe`) and
-exposes the current recommendation (:meth:`current`).  The
-:class:`AdaptiveEngineFeeder` utility drives an engine whose K cannot
-change mid-run the honest way: it measures a *training prefix*, fixes
-K, and feeds the rest, reporting violations.
+An estimator consumes arrival observations (via ``observe``) and
+exposes the current recommendation (``current``).  E12 trains one on a
+prefix of the arrival stream and freezes K for the whole run;
+:class:`~repro.streams.controller.AdaptiveKController` consults one
+live, re-freezing K at punctuation boundaries.
 """
 
 from __future__ import annotations
@@ -27,42 +26,14 @@ import bisect
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Deque, List, Optional
+from typing import Deque, List
 
-from repro.core.engine import LatePolicy
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
 from repro.metrics.latency import percentile_index
 
 
-class KEstimator:
-    """Base class for disorder-bound estimators."""
-
-    def observe(self, event: Event) -> None:
-        """Record one arrival (in arrival order)."""
-        raise NotImplementedError
-
-    def current(self) -> int:
-        """The currently recommended disorder bound."""
-        raise NotImplementedError
-
-
-class FixedK(KEstimator):
-    """A constant K, for symmetry with the adaptive estimators."""
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise ConfigurationError(f"K must be >= 0, got {k}")
-        self.k = k
-
-    def observe(self, event: Event) -> None:
-        return None
-
-    def current(self) -> int:
-        return self.k
-
-
-class MaxObservedK(KEstimator):
+class MaxObservedK:
     """Running maximum of observed delays, plus a safety margin.
 
     ``delay(e) = max_ts_seen_before_e - e.ts`` (clamped at zero); the
@@ -103,7 +74,7 @@ class MaxObservedK(KEstimator):
         return math.ceil(self._max_delay * (1 + margin))
 
 
-class QuantileK(KEstimator):
+class QuantileK:
     """Sliding-window delay quantile: bounded violations, smaller K.
 
     Keeps the last *window* delay observations in a sorted structure
@@ -167,60 +138,3 @@ class QuantileK(KEstimator):
         if len(self._sorted) < self.window:
             return max(self.initial, estimate)
         return estimate
-
-
-class AdaptiveEngineFeeder:
-    """Train-then-run harness for engines with a fixed-K contract.
-
-    The engines' purge proofs assume K never shrinks mid-run, so
-    adapting K live would be unsound.  The honest protocol, used by
-    experiment E12: observe a training prefix of the arrival stream
-    with an estimator, freeze ``K = estimator.current()``, construct
-    the engine via *engine_factory(k)*, and feed the remainder.  The
-    report includes the chosen K and the violation count the frozen
-    bound incurred.
-    """
-
-    def __init__(self, estimator: KEstimator, training: int):
-        if training < 0:
-            raise ConfigurationError(f"training must be >= 0, got {training}")
-        self.estimator = estimator
-        self.training = training
-        self.chosen_k: Optional[int] = None
-        self.violations: Optional[int] = None
-
-    def run(self, engine_factory, arrival: List[Event]):
-        """Returns the constructed engine after feeding the full stream."""
-        prefix = arrival[: self.training]
-        rest = arrival[self.training :]
-        for event in prefix:
-            self.estimator.observe(event)
-        self.chosen_k = self.estimator.current()
-        engine = engine_factory(self.chosen_k)
-        # The training prefix is replayed into the engine first so no
-        # results are lost.  A quantile-derived K *expects* a fraction
-        # of its own training data to be late, so the replay must not
-        # run under LatePolicy.RAISE — the harness would crash on the
-        # very data the bound was fitted to.  The policy is restored for
-        # the remainder, where RAISE keeps its contractual meaning.
-        original_policy = getattr(engine, "late_policy", None)
-        try:
-            if original_policy is LatePolicy.RAISE:
-                engine.late_policy = LatePolicy.DROP
-            engine.feed_many(prefix)
-        finally:
-            if original_policy is LatePolicy.RAISE:
-                engine.late_policy = original_policy
-            self.violations = engine.stats.late_dropped
-        engine.feed_many(rest)
-        engine.close()
-        self.violations = engine.stats.late_dropped
-        return engine
-
-    def report(self) -> dict:
-        """Outcome of the train-then-run protocol (None before ``run``)."""
-        return {
-            "training": self.training,
-            "chosen_k": self.chosen_k,
-            "violations": self.violations,
-        }

@@ -125,7 +125,7 @@ class SourceWatermarks:
         *floor* is normally the last emitted merged watermark: a
         reconnecting source must not drag the minimum below assertions
         already delivered downstream (its own older events are late by
-        definition — the engine's late policy accounts for them).
+        definition — the engine counts and drops them).
 
         A source unseen so far is *registered* at the floor: from the
         moment it (re)connects it counts in the merge, pinning the

@@ -99,6 +99,21 @@ class TestQueryPlan:
         plan.close()
         assert len(plan.matches) == 1
 
+    def test_plan_takes_what_it_records(self, neg_pattern):
+        """The plan is its engine's receiver: a match lives in
+        ``plan.matches`` only, so no snapshot carries a second copy."""
+        events = [
+            Event("A", 1, {"x": 1}), Event("C", 5, {"x": 1}),
+            Event("A", 8, {"x": 2}), Event("C", 9, {"x": 2}),
+        ]
+        truth = {m.key() for m in OutOfOrderEngine(neg_pattern, k=100).run(events)}
+        plan = QueryPlan(OutOfOrderEngine(neg_pattern, k=100))
+        plan.run(events)
+        assert len(truth) == 2
+        assert {m.key() for m in plan.matches} == truth
+        assert plan.engine.results == plan.engine.emissions == []
+        assert plan.engine.stats.matches_emitted == 2
+
 
 class TestMultiQueryPlan:
     def test_broadcasts_to_all_plans(self):

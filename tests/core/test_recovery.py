@@ -15,15 +15,14 @@ from repro import (
     Attr,
     ConfigurationError,
     CrashError,
-    DisorderBoundViolation,
     Eq,
     Event,
     FaultInjector,
-    LatePolicy,
     OutOfOrderEngine,
     Punctuation,
     RecoveryError,
     ResilientRunner,
+    StreamError,
     seq,
 )
 from repro.core.recovery import (
@@ -34,6 +33,7 @@ from repro.core.recovery import (
     decode_element,
     encode_element,
 )
+from repro.faultinject import forge_event
 from helpers import bounded_shuffle
 
 K = 8
@@ -284,11 +284,15 @@ class TestLogRepairAndErrors:
 
 class TestRefusedElements:
     """An element the engine refuses must not stay in the WAL: replaying
-    it would raise the same error from every later recovery."""
+    it would raise the same error from every later recovery.  The refused
+    element is a malformed one under the default ``ValidationPolicy.RAISE``."""
+
+    #: Negative timestamp: the engine's admission screen raises StreamError.
+    REFUSED = forge_event("B", -11, attrs={"x": 0})
 
     @staticmethod
     def strict_engine():
-        return OutOfOrderEngine(PATTERN, k=2, late_policy=LatePolicy.RAISE)
+        return OutOfOrderEngine(PATTERN, k=2)
 
     @staticmethod
     def snapshot(directory):
@@ -298,11 +302,11 @@ class TestRefusedElements:
         runner = ResilientRunner(self.strict_engine(), tmp_path)
         runner.feed(Event("A", 10, {"x": 0}))
         runner.feed(Event("A", 50, {"x": 0}))
-        with pytest.raises(DisorderBoundViolation):
-            runner.feed(Event("B", 11, {"x": 0}))
+        with pytest.raises(StreamError):
+            runner.feed(self.REFUSED)
         # Its engine is ahead of the log now: the runner says so, by name.
         assert runner.seq == 2
-        with pytest.raises(RecoveryError, match="DisorderBoundViolation"):
+        with pytest.raises(RecoveryError, match="StreamError"):
             runner.feed(Event("B", 55, {"x": 0}))
         with pytest.raises(RecoveryError, match="rebuild from the directory"):
             runner.close()
@@ -326,15 +330,15 @@ class TestRefusedElements:
             Event("B", 14, {"x": 1}),  # A@13 .. B@14 would be delivered...
             Event("A", 50, {"x": 0}),
             Event("A", 51, {"x": 0}),
-            Event("B", 11, {"x": 0}),  # ...but this one is refused
+            self.REFUSED,  # ...but this one is refused
             Event("B", 60, {"x": 0}),
         ]
-        with pytest.raises(DisorderBoundViolation):
+        with pytest.raises(StreamError):
             runner.feed(cohort)
         assert self.snapshot(tmp_path) == before
 
         again = ResilientRunner(self.strict_engine(), tmp_path, checkpoint_every=2)
         assert again.seq == 3 and again.delivered_count == 0
-        again.feed([e for e in cohort if e.ts != 11])
+        again.feed([e for e in cohort if e is not self.REFUSED])
         again.close()
         assert again.seq == 7 and again.delivered_count == 3

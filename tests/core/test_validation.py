@@ -2,7 +2,7 @@
 
 A NaN timestamp silently poisons every ordered structure the engines
 rest on (heaps, sorted stacks, clock comparisons), so malformation is
-caught at the door: ``LatePolicy``-style policy choice between
+caught at the door, with a policy choice between
 rejecting the stream (:class:`StreamError`, the default) and
 count-and-quarantine.  The batch loops must behave identically to the
 per-event path — validation is part of the feed/feed_batch parity

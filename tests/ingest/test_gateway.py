@@ -8,12 +8,13 @@ import pytest
 
 from repro import Event, OfflineOracle, OutOfOrderEngine, parse
 from repro.cli import main as cli_main
-from repro.core.engine import LatePolicy, ValidationPolicy
+from repro.core.engine import ValidationPolicy
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.recovery import delivered_keys
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
+from repro.ingest.server import HARD_PRESSURE, RETRY_AFTER
 from repro.ingest.schema import dump_schema
 from repro.metrics import compare_keys
 from repro.obs import MetricsRegistry, Tracer
@@ -213,9 +214,7 @@ def test_one_merged_watermark_gauge_follows_a_reconnect(tmp_path):
 
 def test_backpressure_throttles_then_refuses(tmp_path):
     shed = ShedPolicy.drop_oldest(10)
-    gateway = make_gateway(
-        tmp_path, shed=shed, soft_pressure=0.3, hard_pressure=0.8, retry_after=0.25
-    )
+    gateway = make_gateway(tmp_path, shed=shed)
     acks = [
         gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
         for t in range(12)
@@ -224,7 +223,7 @@ def test_backpressure_throttles_then_refuses(tmp_path):
     busy = [a for a in acks if a["status"] == "busy"]
     assert throttled, "soft band never engaged"
     assert busy, "hard threshold never refused"
-    assert all(a["retry_after"] == 0.25 for a in busy)
+    assert all(a["retry_after"] == RETRY_AFTER for a in busy)
     assert gateway.busy_total == len(busy)
     # A refused frame was never admitted: no dedupe entry, no feed.
     assert gateway.admission.admitted == len(acks) - len(busy)
@@ -232,9 +231,7 @@ def test_backpressure_throttles_then_refuses(tmp_path):
 
 def test_busy_frames_can_be_retried_after_drain(tmp_path):
     shed = ShedPolicy.drop_oldest(6)
-    gateway = make_gateway(
-        tmp_path, slack=0, shed=shed, soft_pressure=0.5, hard_pressure=0.9
-    )
+    gateway = make_gateway(tmp_path, slack=0, shed=shed)
     refused = None
     for t in range(10):
         ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
@@ -246,7 +243,7 @@ def test_busy_frames_can_be_retried_after_drain(tmp_path):
     # saturated gateway can still make seal progress and drain state...
     gateway.assert_watermark("s1", refused + 30, now=50.0)
     gateway.sync_acks()  # the transport commits a watermark op's cohort too
-    assert gateway.pressure() < 0.9
+    assert gateway.pressure() < HARD_PRESSURE
     retry = gateway.admit_frame("s1", "A", {"ts": refused, "x": refused}, now=51.0)
     # ...and the retried frame is admitted (not a duplicate: it was never fed).
     assert retry["status"] == "admitted"
@@ -255,17 +252,17 @@ def test_busy_frames_can_be_retried_after_drain(tmp_path):
 def test_backpressure_sees_the_pending_cohort(tmp_path):
     """State only grows at a commit; the ladder must not go blind until then."""
     shed = ShedPolicy.drop_oldest(10)
-    gateway = make_gateway(tmp_path, shed=shed, soft_pressure=0.3, hard_pressure=0.8)
+    gateway = make_gateway(tmp_path, shed=shed)
     statuses, pressures = [], []
-    for t in range(10):  # one cohort: no sync_acks in between
+    for t in range(12):  # one cohort: no sync_acks in between
         ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
         statuses.append("throttle" if "throttle" in ack else ack["status"])
         pressures.append(gateway.pressure())
     assert gateway.engine.state_size() == 0  # nothing was fed yet
-    assert statuses == ["admitted"] * 3 + ["throttle"] * 5 + ["busy"] * 2
-    assert pressures == sorted(pressures) and pressures[-1] >= 0.8
+    assert statuses == ["admitted"] * 7 + ["throttle"] * 3 + ["busy"] * 2
+    assert pressures == sorted(pressures) and pressures[-1] >= HARD_PRESSURE
     gateway.sync_acks()
-    assert gateway.engine.state_size() == 8 and gateway.pressure() >= 0.8
+    assert gateway.engine.state_size() == 10 and gateway.pressure() >= HARD_PRESSURE
 
 
 def test_no_shed_policy_means_no_backpressure(tmp_path):
@@ -342,18 +339,6 @@ def test_a_gateway_keeps_no_match_it_has_delivered(tmp_path):
     assert {match.key() for match in tap.matches} == delivered
 
 
-def test_raise_late_policy_is_rejected(tmp_path):
-    """One late frame would fail its cohort, and the resend would again."""
-    pattern = parse(QUERY)
-    with pytest.raises(ConfigurationError, match="LatePolicy.RAISE"):
-        IngestGateway(
-            lambda: OutOfOrderEngine(pattern, k=4, late_policy=LatePolicy.RAISE),
-            GatewayConfig(make_schema(slack=2)),
-            directory=tmp_path,
-        )
-    assert list(tmp_path.iterdir()) == []  # refused before anything was opened
-
-
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize("field", ["dedupe_window", "checkpoint_every"])
 def test_config_rejects_non_positive_window_and_interval(field, value):
@@ -377,10 +362,9 @@ def test_serve_with_zero_dedupe_window_exits_2_before_listening(tmp_path, capsys
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("field", ["liveness_timeout", "retry_after"])
+@pytest.mark.parametrize("field", ["liveness_timeout"])
 def test_config_rejects_non_finite_timings(field, value):
-    """A NaN liveness timeout would sleep the tick loop forever; a NaN or
-    infinite retry_after is not JSON in a ``busy`` reply."""
+    """A NaN liveness timeout would sleep the tick loop forever."""
     with pytest.raises(ConfigurationError, match=f"{field} must be finite and > 0"):
         GatewayConfig(make_schema(slack=2), **{field: value})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 from helpers import bounded_shuffle, make_events
 
-from repro.core.engine import LatePolicy, OutOfOrderEngine, ValidationPolicy
+from repro.core.engine import OutOfOrderEngine, ValidationPolicy
 from repro.core.event import Event, Punctuation
 from repro.core.inorder import InOrderEngine
 from repro.core.parser import parse
@@ -106,7 +106,7 @@ def test_predicate_rejection_is_attributed():
 def test_late_drop_and_purge_spans(abc_pattern):
     events = make_events("A1:0 B2:0 C3:0")
     late = Event("A", 1, {"x": 0})
-    engine = OutOfOrderEngine(abc_pattern, k=0, late_policy=LatePolicy.DROP)
+    engine = OutOfOrderEngine(abc_pattern, k=0)
     tracer = Tracer()
     engine.enable_observability(tracer=tracer)
     for event in events:

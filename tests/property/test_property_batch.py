@@ -24,7 +24,6 @@ from repro import (
     Event,
     EventBatch,
     InOrderEngine,
-    LatePolicy,
     OutOfOrderEngine,
     ParallelPartitionedEngine,
     PartitionedEngine,
@@ -222,14 +221,13 @@ def _assert_batch_equals_serial(make_engine, elements, batch_size, make_candidat
 
 
 #: Dimensions shared by the out-of-order families.  ``tighten`` lowers
-#: the engine's K below the shuffle's bound so the late policies fire;
+#: the engine's K below the shuffle's bound so late events are dropped;
 #: ``forged`` positions become malformed rows.
 OOO_DIMENSIONS = dict(
     seed=st.integers(min_value=0, max_value=10_000),
     batch_size=st.sampled_from(BATCH_SIZES),
     purge_kind=st.sampled_from(["eager", "lazy", "none"]),
     interval=st.integers(min_value=1, max_value=32),
-    late_policy=st.sampled_from(list(LatePolicy)),
     tighten=st.sampled_from([0, 0, 3, 8]),
     validation=st.sampled_from(list(ValidationPolicy)),
     forged=st.lists(st.integers(min_value=0, max_value=200), max_size=3),
@@ -252,7 +250,7 @@ OOO_DIMENSIONS = dict(
 @settings(max_examples=200, deadline=None)
 def test_ooo_feed_batch_is_observably_serial(
     trace, pattern_index, k, punctuate, optimize_scan, speculative, adaptive,
-    seed, batch_size, purge_kind, interval, late_policy, tighten, validation,
+    seed, batch_size, purge_kind, interval, tighten, validation,
     forged, shed_kind, shed_bound, obs,
 ):
     pattern = (PATTERNS + [PART_PATTERN])[pattern_index]
@@ -266,7 +264,6 @@ def test_ooo_feed_batch_is_observably_serial(
             pattern,
             k=max(0, k - tighten),
             purge=_purge(purge_kind, interval),
-            late_policy=late_policy,
             optimize_scan=optimize_scan,
             shed=_shed(shed_kind, shed_bound),
             speculative=speculative,
@@ -289,7 +286,7 @@ def test_ooo_feed_batch_is_observably_serial(
 @settings(max_examples=100, deadline=None)
 def test_speculative_feed_batch_is_observably_serial(
     trace, pattern_index, k,
-    seed, batch_size, purge_kind, interval, late_policy, tighten, validation,
+    seed, batch_size, purge_kind, interval, tighten, validation,
     forged, shed_kind, shed_bound, obs,
 ):
     pattern = PATTERNS[pattern_index]
@@ -300,7 +297,6 @@ def test_speculative_feed_batch_is_observably_serial(
             pattern,
             k=max(0, k - tighten),
             purge=_purge(purge_kind, interval),
-            late_policy=late_policy,
             shed=_shed(shed_kind, shed_bound),
             speculative=True,
         )

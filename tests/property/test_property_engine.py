@@ -9,6 +9,7 @@ machinery must hold its invariants.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
@@ -17,8 +18,10 @@ from repro import (
     OutOfOrderEngine,
     PurgePolicy,
     ReorderingEngine,
+    parse,
     seq,
 )
+from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
 from helpers import bounded_shuffle
 
 
@@ -158,3 +161,57 @@ def test_emission_never_precedes_trigger(trace, seed, k):
     engine.run(arrival)
     for record in engine.emissions:
         assert record.emitted_seq >= record.match.detected_at
+
+
+#: Keyed on ``x``, so every family can run them: SEQ, negation (inner,
+#: leading), Kleene and an equality chain.
+KEYED = [
+    parse("PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 10"),
+    parse("PATTERN SEQ(A a, !B b, C c) WHERE a.x == c.x AND b.x == a.x WITHIN 15"),
+    parse("PATTERN SEQ(!B b, A a, C c) WHERE a.x == c.x AND b.x == a.x WITHIN 15"),
+    parse("PATTERN SEQ(A a, B+ bs, C c) WHERE a.x == c.x AND bs.x == a.x WITHIN 20"),
+    parse("PATTERN SEQ(A a, B b, C c) WHERE a.x == b.x AND b.x == c.x WITHIN 20"),
+]
+LATE_FAMILIES = {
+    "ooo": lambda pattern, k: OutOfOrderEngine(pattern, k=k),
+    "partitioned": lambda pattern, k: PartitionedEngine(pattern, k=k, punctuate_every=4),
+    "parallel-1": lambda pattern, k: ParallelPartitionedEngine(pattern, k=k, workers=1),
+    "parallel-2": lambda pattern, k: ParallelPartitionedEngine(pattern, k=k, workers=2),
+}
+
+
+def _late_split(arrival, k):
+    """Arrival order split by the K promise: an event is late when its ts
+    is at or below ``max_ts_so_far - k - 1`` as it arrives."""
+    on_time, late = [], []
+    max_ts = -1
+    for event in arrival:
+        if event.ts <= max_ts - k - 1:
+            late.append(event)
+        else:
+            on_time.append(event)
+            max_ts = max(max_ts, event.ts)
+    return on_time, late
+
+
+@pytest.mark.parametrize("family", list(LATE_FAMILIES))
+@given(
+    trace=trace_strategy(max_len=50),
+    pattern_index=st.integers(min_value=0, max_value=len(KEYED) - 1),
+    disorder=st.integers(min_value=1, max_value=30),
+    k=st.integers(min_value=0, max_value=29),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=120, deadline=None)
+def test_late_events_are_counted_and_dropped(
+    family, trace, pattern_index, disorder, k, seed
+):
+    """K below the trace's disorder: the one late policy's whole contract."""
+    pattern = KEYED[pattern_index]
+    k = min(k, disorder - 1)
+    arrival = bounded_shuffle(trace, k=disorder, seed=seed)
+    on_time, late = _late_split(arrival, k)
+    engine = LATE_FAMILIES[family](pattern, k)
+    engine.run(arrival)
+    assert engine.stats.late_dropped == len(late)
+    assert engine.result_set() == OfflineOracle(pattern).evaluate_set(on_time)

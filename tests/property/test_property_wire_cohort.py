@@ -144,8 +144,7 @@ def _gateway(observers: str, shed: bool):
             PATTERN, k=4, shed=ShedPolicy.drop_oldest(8) if shed else None
         ),
         # Window 4: ids are evicted, and so re-admitted, inside one cohort.
-        GatewayConfig(_schema(), liveness_timeout=5.0, dedupe_window=4,
-                      soft_pressure=0.3, hard_pressure=0.8),
+        GatewayConfig(_schema(), liveness_timeout=5.0, dedupe_window=4),
         clock=lambda: float(next(ticks)),  # scripted: span metrics are exact
         **kwargs,
     )
@@ -241,9 +240,9 @@ def test_pressure_crosses_both_thresholds_inside_one_cohort():
     frames = [{"etype": "A", "attrs": {"ts": t, "x": t}} for t in range(10)]
     acks = gateway.admit_cohort("s1", frames, now=0.0)
     seen = ["throttle" if "throttle" in ack else ack["status"] for ack in acks]
-    assert seen == ["admitted"] * 3 + ["throttle"] * 4 + ["busy"] * 3
-    assert gateway.stats()["busy"] == 3 and gateway.stats()["throttled"] == 4
-    assert len(gateway._pending) == 7 and gateway.engine.state_size() == 0
+    assert seen == ["admitted"] * 6 + ["throttle"] * 2 + ["busy"] * 2
+    assert gateway.stats()["busy"] == 2 and gateway.stats()["throttled"] == 2
+    assert len(gateway._pending) == 8 and gateway.engine.state_size() == 0
 
 
 def test_the_one_frame_drivers_hold_no_ladder_of_their_own():

@@ -4,8 +4,6 @@ import pytest
 
 from repro import ConfigurationError, Event, OutOfOrderEngine, OfflineOracle
 from repro.streams import (
-    AdaptiveEngineFeeder,
-    FixedK,
     MaxObservedK,
     QuantileK,
     RandomDelayModel,
@@ -18,17 +16,6 @@ from repro.streams import (
 def disordered():
     events = SyntheticSource(["A", "B", "C"], 800, seed=3).take(800)
     return RandomDelayModel(0.3, 25, seed=4).apply(events)
-
-
-class TestFixedK:
-    def test_constant(self):
-        estimator = FixedK(7)
-        estimator.observe(Event("A", 100))
-        assert estimator.current() == 7
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FixedK(-1)
 
 
 class TestMaxObservedK:
@@ -173,89 +160,32 @@ class TestQuantileK:
         assert estimator.current() == 99
 
 
-class TestAdaptiveEngineFeeder:
-    def test_trains_then_runs(self, disordered, abc_pattern):
-        feeder = AdaptiveEngineFeeder(MaxObservedK(margin=0.2), training=400)
-        engine = feeder.run(
-            lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered
-        )
-        assert feeder.chosen_k is not None
-        assert feeder.chosen_k > 0
-        assert engine.closed
+def _trained_k(estimator, arrival, training):
+    """E12's protocol: observe a training prefix, then freeze K."""
+    for event in arrival[:training]:
+        estimator.observe(event)
+    return estimator.current()
 
+
+class TestTrainedK:
     def test_max_estimator_with_full_training_is_exact(self, disordered, abc_pattern):
-        # Training on the whole stream: chosen K dominates every delay.
-        feeder = AdaptiveEngineFeeder(MaxObservedK(), training=len(disordered))
-        engine = feeder.run(
-            lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered
-        )
+        # Training on the whole stream: the frozen K dominates every delay.
+        k = _trained_k(MaxObservedK(), disordered, len(disordered))
+        engine = OutOfOrderEngine(abc_pattern, k=k)
+        engine.run(disordered)
         truth = OfflineOracle(abc_pattern).evaluate_set(disordered)
         assert engine.result_set() == truth
         assert engine.stats.late_dropped == 0
 
-    def test_quantile_estimator_trades_violations_for_small_k(
+    def test_quantile_estimator_trades_late_drops_for_small_k(
         self, disordered, abc_pattern
     ):
-        aggressive_estimate = AdaptiveEngineFeeder(
-            QuantileK(quantile=0.5, window=400), training=400
-        )
-        engine = aggressive_estimate.run(
-            lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered
-        )
-        conservative = AdaptiveEngineFeeder(MaxObservedK(), training=400)
-        engine2 = conservative.run(
-            lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered
-        )
-        assert aggressive_estimate.chosen_k <= conservative.chosen_k
-        assert engine.stats.late_dropped >= engine2.stats.late_dropped
-
-    def test_raise_policy_survives_training_replay(self, abc_pattern):
-        # Regression: a quantile-derived K expects a fraction of its own
-        # training data to be late, so replaying the prefix into a
-        # RAISE-policy engine used to crash the harness on the very data
-        # the bound was fitted to.  The replay now runs under DROP and
-        # surfaces the violations instead.
-        from repro.core.engine import LatePolicy
-
-        arrival = [Event("A", 0), Event("A", 10), Event("A", 1)]  # delay 9
-        feeder = AdaptiveEngineFeeder(QuantileK(quantile=0.5, window=3), training=3)
-
-        def factory(k):
-            return OutOfOrderEngine(abc_pattern, k=k, late_policy=LatePolicy.RAISE)
-
-        engine = feeder.run(factory, arrival)  # must not raise
-        assert feeder.chosen_k == 0  # median delay of [0, 0, 9]
-        assert feeder.violations == 1  # A@1 was late under K=0
-        assert engine.late_policy is LatePolicy.RAISE  # restored after replay
-
-    def test_report_surfaces_protocol_outcome(self, disordered, abc_pattern):
-        feeder = AdaptiveEngineFeeder(QuantileK(quantile=0.5, window=400), training=400)
-        assert feeder.report() == {"training": 400, "chosen_k": None, "violations": None}
-        feeder.run(lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered)
-        report = feeder.report()
-        assert report["chosen_k"] == feeder.chosen_k
-        assert report["violations"] >= 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveEngineFeeder(FixedK(1), training=-1)
-
-    def test_zero_training_freezes_cold_estimate(self, disordered, abc_pattern):
-        # training=0: no prefix is observed, so the frozen K is the
-        # estimator's cold-start value and the whole stream is "rest".
-        feeder = AdaptiveEngineFeeder(MaxObservedK(initial=25), training=0)
-        engine = feeder.run(lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered)
-        assert feeder.chosen_k == 25
-        assert engine.closed
-        assert engine.stats.events_in == len(disordered)
-
-    def test_training_longer_than_stream(self, disordered, abc_pattern):
-        # training >= len(arrival): the entire stream is the training
-        # prefix, the remainder is empty, and nothing is lost — the
-        # prefix replay feeds every event exactly once.
-        feeder = AdaptiveEngineFeeder(MaxObservedK(), training=len(disordered) + 100)
-        engine = feeder.run(lambda k: OutOfOrderEngine(abc_pattern, k=k), disordered)
-        truth = OfflineOracle(abc_pattern).evaluate_set(disordered)
-        assert engine.result_set() == truth
-        assert engine.stats.late_dropped == 0
-        assert engine.stats.events_in == len(disordered)
+        small = _trained_k(QuantileK(quantile=0.5, window=400), disordered, 400)
+        large = _trained_k(MaxObservedK(), disordered, 400)
+        assert small <= large
+        dropped = []
+        for k in (small, large):
+            engine = OutOfOrderEngine(abc_pattern, k=k)
+            engine.run(disordered)
+            dropped.append(engine.stats.late_dropped)
+        assert dropped[0] >= dropped[1]
