@@ -2,12 +2,14 @@
 
 The paper's correctness claims (out-of-order results observably
 identical to in-order ones; purge never drops live state) plus the
-repo's operational contracts (snapshot/restore round-trips, exactly-
-once replay) are enforced mechanically by eight rules over the parsed
-source tree — per-class pattern rules (R001–R003, R005) plus
-flow-sensitive rules (R006–R009) built on the CFG/def-use layer in
-:mod:`repro.analysis.dataflow`.  See ``docs/analysis.md`` for the rule
-catalogue and suppression syntax.
+repo's operational contracts (exactly-once replay, a responsive event
+loop) are enforced mechanically by six rules over the parsed source
+tree — per-class pattern rules (R002, R003, R005) plus flow-sensitive
+and async rules (R006–R008) built on the CFG layer in
+:mod:`repro.analysis.dataflow`.  Snapshot/restore completeness is
+checked by running the round trip (``tests/core/test_snapshot.py``),
+not here.  See ``docs/analysis.md`` for the rule catalogue and
+suppression syntax.
 
 Programmatic entry point::
 

@@ -1,12 +1,11 @@
-"""Flow-sensitive intra-function dataflow: CFG, await segments, def-use.
+"""Flow-sensitive intra-function dataflow: CFG and await segments.
 
-The per-class rules (R001–R003, R005) read the flow-*insensitive* summaries in
-:mod:`repro.analysis.model`: which attributes a method touches, which
-calls it makes.  The async rules added for the ingestion gateway need
-more — *order* matters ("was this attribute read **before** the await
-and written **after** it?") and *flow* matters ("does the value read
-from ``self._x`` actually reach the returned snapshot dict?").  This
-module provides both, still over nothing but :mod:`ast`:
+The per-class rules (R002, R003, R005) read the flow-*insensitive*
+summaries in :mod:`repro.analysis.model`: which calls a method makes,
+which attributes it hoists into locals.  The async rules added for the
+ingestion gateway need more — *order* matters ("was this attribute read
+**before** the await and written **after** it?").  This module provides
+it, still over nothing but :mod:`ast`:
 
 * :func:`build_cfg` — a basic-block control-flow graph of one function
   body.  Each block carries an ordered stream of :class:`AttrEvent`\\ s:
@@ -24,10 +23,6 @@ module provides both, still over nothing but :mod:`ast`:
   ("read-modify-write completed before suspending" is safe), and reads
   guarded by an ``async with <...lock...>`` held across the await are
   exempt.
-* :func:`attr_reads_reaching_return` / :func:`restore_derivations` —
-  the R009 def-use halves: which ``self`` attribute reads flow into a
-  function's return value, and which attribute writes in a restore
-  method derive from its state parameter.
 
 Everything here is deliberately approximate in the *safe* direction for
 each client rule and is calibrated (like the rest of the analyzer)
@@ -561,248 +556,3 @@ def stale_attr_writes(fn_node: ast.AST) -> List[StaleWrite]:
             if changed and successor not in worklist:
                 worklist.append(successor)
     return sorted(violations)
-
-
-# -- R009 def-use: snapshot capture and restore derivation -----------------------
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {sub.id for sub in walk_scope(node) if isinstance(sub, ast.Name)}
-
-
-def _self_reads_in(node: ast.AST) -> List[Tuple[str, int]]:
-    reads: List[Tuple[str, int]] = []
-    for sub in walk_scope(node):
-        if (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id == "self"
-            and isinstance(sub.ctx, ast.Load)
-        ):
-            reads.append((sub.attr, sub.lineno))
-    return reads
-
-
-def attr_reads_reaching_return(fn_node: ast.AST) -> Dict[str, int]:
-    """``self`` attributes whose read value flows into the return.
-
-    Backward closure over local assignments: a local *flows* when it
-    appears in a return expression or feeds (by assignment, subscript/
-    attribute store, or accumulator call like ``state.update(...)``) a
-    local that flows.  Attribute reads inside return expressions or
-    inside the right-hand side of a flowing assignment are *captured* —
-    anything else is read-and-dropped, which R009 reports.
-
-    Non-``self`` parameters seed the flow: data stored into a
-    caller-visible argument (``out["x"] = self._x``) escapes just like a
-    return value does.
-
-    Returns ``attr -> first captured read line``.
-    """
-    returns: List[ast.AST] = []
-    #: (receiving local, contributing expression)
-    feeds: List[Tuple[str, ast.AST]] = []
-    for node in walk_scope(fn_node):
-        if isinstance(node, ast.Return) and node.value is not None:
-            returns.append(node.value)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                root, _path = _root_and_path(target)
-                if root is not None and root != "self":
-                    feeds.append((root, node.value))
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            root, _path = _root_and_path(node.target)
-            if root is not None and root != "self":
-                feeds.append((root, node.value))
-        elif isinstance(node, ast.AugAssign):
-            root, _path = _root_and_path(node.target)
-            if root is not None and root != "self":
-                feeds.append((root, node.value))
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            # Loop variables feed from the iterable: when the element
-            # flows into the snapshot, the collection it came from (a
-            # ``self`` read, typically) is captured.
-            for name_node in ast.walk(node.target):
-                if isinstance(name_node, ast.Name):
-                    feeds.append((name_node.id, node.iter))
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    feeds.append((item.optional_vars.id, item.context_expr))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if isinstance(receiver, ast.Name) and node.func.attr in MUTATOR_METHODS:
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    feeds.append((receiver.id, arg))
-    flowing: Set[str] = set()
-    args = getattr(fn_node, "args", None)
-    if args is not None:
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            if arg.arg != "self":
-                flowing.add(arg.arg)
-    for expr in returns:
-        flowing |= _names_in(expr)
-    changed = True
-    while changed:
-        changed = False
-        for local, expr in feeds:
-            if local in flowing:
-                fresh = _names_in(expr) - flowing
-                if fresh:
-                    flowing |= fresh
-                    changed = True
-    captured: Dict[str, int] = {}
-    sources: List[ast.AST] = list(returns)
-    sources.extend(expr for local, expr in feeds if local in flowing)
-    for expr in sources:
-        for attr, line in _self_reads_in(expr):
-            captured.setdefault(attr, line)
-            captured[attr] = min(captured[attr], line)
-    return captured
-
-
-@dataclass
-class RestoreSummary:
-    """What a restore-side method does to ``self`` state."""
-
-    #: attrs written/mutated with data derived from the state parameter.
-    derived: Set[str] = field(default_factory=set)
-    #: attr -> first line it is written or mutated at all.
-    touched: Dict[str, int] = field(default_factory=dict)
-
-
-def restore_derivations(fn_node: ast.AST) -> RestoreSummary:
-    """R009's restore half: which attribute stores derive from the input.
-
-    Forward closure from the method's parameters: a local derives when
-    bound (by assignment, loop target, or ``with`` alias) from an
-    expression mentioning a deriving name, or when a method call on it
-    is fed deriving data (``stats.restore_from(payload)`` makes
-    ``stats`` derived).  Derivation also propagates *through*
-    attributes already restored in the same method: after
-    ``self._order = deque(state["order"])``, a later
-    ``self._ids = set(self._order)`` rebuilds from restored state and
-    counts as derived — the canonical derived-index idiom.
-
-    An attribute store counts as *derived* when its statement mentions
-    a deriving name or deriving attribute — covering
-    ``self._x = state["x"]``, rebuild loops over ``state[...]``, and
-    component hand-offs like ``self.clock.restore_state(state["clock"])``.
-    A store that never involves derived data (``self._cursor = 0``)
-    resets state the snapshot carried — the R009 restore finding.
-    """
-    summary = RestoreSummary()
-    args = getattr(fn_node, "args", None)
-    param_names: List[str] = []
-    if args is not None:
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            param_names.append(arg.arg)
-        if args.vararg is not None:
-            param_names.append(args.vararg.arg)
-        if args.kwarg is not None:
-            param_names.append(args.kwarg.arg)
-    deriving: Set[str] = {name for name in param_names if name != "self"}
-
-    binds: List[Tuple[str, ast.AST]] = []
-    for node in walk_scope(fn_node):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name) and isinstance(
-                        name_node.ctx, ast.Store
-                    ):
-                        binds.append((name_node.id, node.value))
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                binds.append((node.target.id, node.value))
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for name_node in ast.walk(node.target):
-                if isinstance(name_node, ast.Name):
-                    binds.append((name_node.id, node.iter))
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    binds.append((item.optional_vars.id, item.context_expr))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            # ``stats.restore_from(payload)`` / ``bucket.append(item)``:
-            # a method call on a local fed deriving data stores into the
-            # local, so the local (and whatever it is later assigned to)
-            # derives.
-            receiver = node.func.value
-            if isinstance(receiver, ast.Name) and (node.args or node.keywords):
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    binds.append((receiver.id, arg))
-
-    #: self-attribute stores: (attr, line, whole statement/call node).
-    stores: List[Tuple[str, int, ast.AST]] = []
-    #: component hand-offs: (attr, call node) for self.attr.method(...).
-    handoffs: List[Tuple[str, ast.AST]] = []
-    for node in walk_scope(fn_node):
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                root, path = _root_and_path(target)
-                if root == "self" and path:
-                    stores.append((path[0], node.lineno, node))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    root, path = _root_and_path(target)
-                    if root == "self" and path:
-                        stores.append((path[0], node.lineno, node))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                root, path = _root_and_path(func)
-                if root == "self" and len(path) >= 2:
-                    attr = path[0]
-                    if func.attr in MUTATOR_METHODS:
-                        stores.append((attr, node.lineno, node))
-                    else:
-                        handoffs.append((attr, node))
-            elif isinstance(func, ast.Name) and func.id in HEAP_FUNCTIONS:
-                if node.args:
-                    root, path = _root_and_path(node.args[0])
-                    if root == "self" and path:
-                        stores.append((path[0], node.lineno, node))
-
-    deriving_attrs: Set[str] = set()
-
-    def _derives(node: ast.AST) -> bool:
-        if _names_in(node) & deriving:
-            return True
-        return any(attr in deriving_attrs for attr, _ in _self_reads_in(node))
-
-    changed = True
-    while changed:
-        changed = False
-        for local, expr in binds:
-            if local not in deriving and _derives(expr):
-                deriving.add(local)
-                changed = True
-        for attr, _line, node in stores:
-            if attr not in deriving_attrs and _derives(node):
-                deriving_attrs.add(attr)
-                changed = True
-        for attr, call in handoffs:
-            # Component hand-off: any method on the attr fed with
-            # derived data restores into it.
-            if attr not in deriving_attrs and _derives(call):
-                deriving_attrs.add(attr)
-                changed = True
-
-    for attr, line, node in stores:
-        if attr not in summary.touched or line < summary.touched[attr]:
-            summary.touched[attr] = line
-        if _derives(node):
-            summary.derived.add(attr)
-    for attr, call in handoffs:
-        if _derives(call):
-            summary.derived.add(attr)
-    return summary

@@ -35,7 +35,7 @@ class Finding:
     line:
         1-indexed line the finding anchors to.
     rule:
-        Rule identifier (``R001`` … ``R009``).
+        Rule identifier (``R002`` … ``R008``).
     symbol:
         Dotted name of the offending symbol (``Class.attr`` or
         ``Class.method``) — what a reader greps for.

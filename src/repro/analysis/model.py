@@ -2,25 +2,22 @@
 
 :func:`build_project` parses every ``.py`` file under the given paths
 into a :class:`Project`: modules, classes (with resolved ancestry),
-and per-function summaries of how ``self`` attributes are read, written
-and mutated, plus every call site in a resolution-friendly form.
+and per-function summaries of every call site in a resolution-friendly
+form.
 
 The summaries are deliberately *approximate* — Python cannot be
 soundly call-resolved statically — but the approximations are chosen so
 the engine contracts stay checkable:
 
-* **alias tracking** — ``clock = self.clock; clock._max_ts = ts`` (the
-  batched hot paths hoist attributes into locals) is attributed back to
-  the ``clock`` attribute.  Aliases over-approximate: a local assigned
-  from an expression mentioning several attributes aliases all of them.
-* **mutator calls** — ``self.pending.add(...)`` or
-  ``heapq.heappush(self._heap, ...)`` count as mutations of the
-  receiver attribute, using a fixed vocabulary of mutating method names
-  (:data:`MUTATOR_METHODS`).
+* **alias tracking** — ``clock = self.clock; clock.observe(ts)`` (the
+  batched hot paths hoist attributes into locals) is resolved as a call
+  on the ``clock`` attribute.  Aliases over-approximate: a local
+  assigned from an expression mentioning several attributes aliases all
+  of them.
 * **attribute typing** — ``self.clock = StreamClock(k)`` records the
   attribute's class when the constructor resolves to an analyzed
-  class, which lets rules ask "is this attribute a snapshot-capable
-  component?" and resolve ``self.clock.observe(...)`` calls precisely.
+  class, which lets rules resolve ``self.clock.observe(...)`` calls
+  precisely.
 """
 
 from __future__ import annotations
@@ -28,15 +25,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.suppressions import SuppressionDecl, parse_suppressions
 
 #: Method names treated as mutating their receiver.  Generic container
 #: vocabulary plus this codebase's stateful-component verbs (the stream
 #: clock's ``observe``, the purge schedule's ``due``, store maintenance
-#: like ``purge_through``).  Over-approximation is safe: it can only
-#: widen the set of attributes a snapshot must capture.
+#: like ``purge_through``).
 MUTATOR_METHODS = frozenset(
     {
         "append", "appendleft", "extend", "insert", "add", "update",
@@ -50,16 +46,6 @@ MUTATOR_METHODS = frozenset(
 #: ``heapq`` functions whose first argument is mutated.
 HEAP_FUNCTIONS = frozenset(
     {"heappush", "heappop", "heapify", "heappushpop", "heapreplace"}
-)
-
-#: Methods that serialise state (the "capture" side of the contract).
-SNAPSHOT_METHODS = frozenset(
-    {"snapshot", "_snapshot_state", "_base_state", "snapshot_state"}
-)
-
-#: Methods that rebuild state (the "restore" side of the contract).
-RESTORE_METHODS = frozenset(
-    {"restore", "_restore_state", "_restore_base", "restore_state"}
 )
 
 
@@ -93,19 +79,13 @@ class CallSite:
 
 @dataclass
 class FunctionInfo:
-    """Per-function summary of attribute effects and call sites."""
+    """Per-function summary of call sites."""
 
     name: str
     qualname: str
     module: "ModuleInfo"
     node: ast.AST
     class_name: Optional[str] = None
-    #: ``self.X = ...`` direct rebinds: attr -> first line.
-    self_writes: Dict[str, int] = field(default_factory=dict)
-    #: in-place changes (nested writes, mutator calls): attr -> first line.
-    self_mutations: Dict[str, int] = field(default_factory=dict)
-    #: ``self.X`` loads: attr -> first line.
-    self_reads: Dict[str, int] = field(default_factory=dict)
     calls: List[CallSite] = field(default_factory=list)
     #: bare-name references passed as arguments (callback pattern).
     name_refs: Set[str] = field(default_factory=set)
@@ -127,8 +107,6 @@ class ClassInfo:
     node: ast.ClassDef
     base_names: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: attr -> line of first assignment anywhere in the class.
-    assigned_attrs: Dict[str, int] = field(default_factory=dict)
     #: attr -> resolved class name (``self.x = ClassName(...)`` in __init__).
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: attrs whose initialiser or annotation is set-like.
@@ -242,16 +220,6 @@ class Project:
                 return klass.methods[name]
         return None
 
-    def mro_methods(self, cls: ClassInfo, names: Iterable[str]) -> List[FunctionInfo]:
-        """Every MRO definition whose name is in *names* (all overrides)."""
-        wanted = set(names)
-        return [
-            klass.methods[name]
-            for klass in self.mro(cls)
-            for name in klass.methods
-            if name in wanted
-        ]
-
     def is_engine_class(self, cls: ClassInfo) -> bool:
         """True for classes speaking the engine protocol.
 
@@ -338,26 +306,6 @@ class _FunctionScanner(ast.NodeVisitor):
             stack.extend(ast.iter_child_nodes(node))
         return attrs
 
-    def _note(self, table: Dict[str, int], attr: str, line: int) -> None:
-        table.setdefault(attr, line)
-
-    def _record_target(self, target: ast.AST, line: int) -> None:
-        if isinstance(target, ast.Name):
-            # Rebinding a bare local never mutates what it aliased.
-            return
-        root, path = _root_and_path(target)
-        if root == "self" and len(path) == 1 and isinstance(target, ast.Attribute):
-            self._note(self.info.self_writes, path[0], line)
-        elif root == "self" and path:
-            # Nested write (``self.stats.x = ...`` / ``self._routed[k] = ...``)
-            # mutates the base attribute's value in place.
-            self._note(self.info.self_mutations, path[0], line)
-        elif root is not None and root != "self":
-            # Attribute/subscript store through a local alias
-            # (``clock = self.clock; clock._max_ts = ts``).
-            for attr in self.aliases.get(root, ()):
-                self._note(self.info.self_mutations, attr, line)
-
     def _bind_aliases(self, targets: Sequence[ast.AST], value: ast.AST) -> None:
         attrs = self._attrs_of(value)
         rhs_type = self._type_of(value)
@@ -392,22 +340,12 @@ class _FunctionScanner(ast.NodeVisitor):
     # -- statements -------------------------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._record_target(target, node.lineno)
-            if isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    self._record_target(element, node.lineno)
         self._bind_aliases(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._record_target(node.target, node.lineno)
         if node.value is not None:
             self._bind_aliases([node.target], node.value)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_target(node.target, node.lineno)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -418,26 +356,6 @@ class _FunctionScanner(ast.NodeVisitor):
         for item in node.items:
             if item.optional_vars is not None:
                 self._bind_aliases([item.optional_vars], item.context_expr)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Subscript):
-                root, path = _root_and_path(target)
-                if root == "self" and path:
-                    self._note(self.info.self_mutations, path[0], node.lineno)
-                elif root is not None:
-                    for attr in self.aliases.get(root, ()):
-                        self._note(self.info.self_mutations, attr, node.lineno)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and isinstance(node.ctx, ast.Load)
-        ):
-            self._note(self.info.self_reads, node.attr, node.lineno)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -453,8 +371,6 @@ class _FunctionScanner(ast.NodeVisitor):
         line = node.lineno
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id in HEAP_FUNCTIONS and node.args:
-                self._mutate_first_arg(node.args[0], line)
             self.info.calls.append(CallSite("name", func.id, line))
             return
         root, path = _root_and_path(func)
@@ -469,32 +385,17 @@ class _FunctionScanner(ast.NodeVisitor):
         if root == "self" and len(path) == 1:
             self.info.calls.append(CallSite("self_method", method, line))
             return
-        if root == "self" and len(path) == 2:
-            receiver = path[0]
-            if method in MUTATOR_METHODS:
-                self._note(self.info.self_mutations, receiver, line)
-            self.info.calls.append(
-                CallSite("attr_method", method, line, receiver_attr=receiver)
-            )
-            return
         if root == "self":
-            # Deeper chain: attribute of attribute — attribute mutation
-            # still lands on the base attribute.
-            if method in MUTATOR_METHODS:
-                self._note(self.info.self_mutations, path[0], line)
+            # ``self.attr.m(...)``, or deeper: the call resolves on the
+            # base attribute.
             self.info.calls.append(
                 CallSite("attr_method", method, line, receiver_attr=path[0])
             )
             return
-        # Non-self root: heapq-style module call, alias call, or typed local.
+        # Non-self root: module call, alias call, or typed local.
         dotted = ".".join([root] + path)
-        if root == "heapq" and method in HEAP_FUNCTIONS and node.args:
-            self._mutate_first_arg(node.args[0], line)
         aliased = self.aliases.get(root)
         if aliased:
-            if method in MUTATOR_METHODS:
-                for attr in aliased:
-                    self._note(self.info.self_mutations, attr, line)
             for attr in aliased:
                 self.info.calls.append(
                     CallSite("attr_method", method, line, receiver_attr=attr)
@@ -508,21 +409,13 @@ class _FunctionScanner(ast.NodeVisitor):
             return
         self.info.calls.append(CallSite("dotted", method, line, dotted=dotted))
 
-    def _mutate_first_arg(self, arg: ast.AST, line: int) -> None:
-        root, path = _root_and_path(arg)
-        if root == "self" and path:
-            self._note(self.info.self_mutations, path[0], line)
-        elif root is not None:
-            for attr in self.aliases.get(root, ()):
-                self._note(self.info.self_mutations, attr, line)
-
 
 def _is_stub(node: ast.AST) -> bool:
     """True when a function body is only a docstring and/or a raise/pass.
 
-    ``Engine._snapshot_state`` raising ``NotImplementedError`` is a
-    contract placeholder, not an implementation — rules that ask "does
-    this class implement snapshotting?" must not count it.
+    ``Engine._process_event`` raising ``NotImplementedError`` is a
+    contract placeholder, not an implementation — rules that look for
+    an override's body must not count it.
     """
     body = list(getattr(node, "body", []))
     if body and isinstance(body[0], ast.Expr) and isinstance(
@@ -581,14 +474,6 @@ def _scan_function(
 def _finish_class(project_classes: Dict[str, List[ClassInfo]], cls: ClassInfo) -> None:
     """Derive attribute facts once every method has been scanned."""
     init = cls.methods.get("__init__")
-    # __init__ assignments anchor first (findings point at the declaration);
-    # attrs first written elsewhere anchor at that write.
-    if init is not None:
-        for attr, line in init.self_writes.items():
-            cls.assigned_attrs.setdefault(attr, line)
-    for method in cls.methods.values():
-        for attr, line in method.self_writes.items():
-            cls.assigned_attrs.setdefault(attr, line)
     # Attribute types and set-likeness come from __init__ assignments
     # (annotated or constructor calls) plus annotated class-body fields.
     if init is not None:

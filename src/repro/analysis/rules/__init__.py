@@ -96,23 +96,19 @@ def vocabulary_findings(
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, id-ordered."""
-    from repro.analysis.rules.snapshot_completeness import SnapshotCompleteness
     from repro.analysis.rules.hot_path_purity import HotPathPurity
     from repro.analysis.rules.determinism import Determinism
     from repro.analysis.rules.purge_safety import PurgeSafety
     from repro.analysis.rules.await_atomicity import AwaitAtomicity
     from repro.analysis.rules.blocking_async import BlockingInCoroutine
     from repro.analysis.rules.task_hygiene import TaskHygiene
-    from repro.analysis.rules.snapshot_dataflow import SnapshotDataflow
 
     rules: List[Rule] = [
-        SnapshotCompleteness(),
         HotPathPurity(),
         Determinism(),
         PurgeSafety(),
         AwaitAtomicity(),
         BlockingInCoroutine(),
         TaskHygiene(),
-        SnapshotDataflow(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)

@@ -3,16 +3,16 @@
 Two comment forms are recognised (parsed with :mod:`tokenize`, since
 :mod:`ast` drops comments):
 
-* ``# repro: ignore[R001]`` — suppress the listed rules on this line;
+* ``# repro: ignore[R003]`` — suppress the listed rules on this line;
   placed on a ``def`` or ``class`` header it suppresses them for the
   whole symbol's line range.
 * ``# repro: ignore-file[R002]`` — suppress the listed rules for the
   entire file.
 
-Several rules may be listed (``ignore[R001,R003]``), and everything
+Several rules may be listed (``ignore[R003,R005]``), and everything
 after ``--`` is a free-form justification::
 
-    self._keys = []  # repro: ignore[R001] -- derived, rebuilt on restore
+    total = sum(len(v) for v in self._live)  # repro: ignore[R003] -- a sum, order-free
 
 Suppressions are deliberately explicit: there is no bare ``ignore``
 that silences every rule, so each opt-out names the contract it is

@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--liveness-timeout", type=float, default=2.0, metavar="S",
                        help="seconds of silence before a source is degraded")
     serve.add_argument("--dedupe-window", type=int, default=4096, metavar="N",
-                       help="per-source idempotency window capacity")
+                       help="idempotency window capacity, shared by every source")
     serve.add_argument(
         "--max-state", type=int, default=None, metavar="N",
         help="shed policy bound; enables the backpressure ladder "

@@ -200,7 +200,7 @@ class PartitionedEngine(Engine):
         self._partitions: Dict[Any, OutOfOrderEngine] = {}
         # Sum of the sub-engines' state_size(), read per element: an event
         # moves one sub-engine's share; re-summed where every one moves.
-        self._state_total = 0  # repro: ignore[R001] -- derived total, re-summed on restore
+        self._state_total = 0
         self._since_punctuation = 0
         self._last_broadcast = -1
 

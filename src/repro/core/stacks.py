@@ -90,12 +90,12 @@ class SortedStack:
         self._instances: List[Instance] = []
         # Parallel (ts, eid) list for bisect; derived from _instances and
         # rebuilt by restore_state, so snapshots never carry it.
-        self._keys: List[Tuple[int, int]] = []  # repro: ignore[R001] -- derived cache, rebuilt on restore
+        self._keys: List[Tuple[int, int]] = []
         self.indexed_attrs: Tuple[str, ...] = tuple(indexed_attrs)
         # Equality index: attr -> value -> parallel (keys, instances)
         # posting lists in (ts, eid) order.  Derived from _instances like
         # _keys (rebuilt by restore_state, never serialised).
-        self._postings: Dict[str, Dict[Any, Tuple[List[Tuple[int, int]], List[Instance]]]] = {  # repro: ignore[R001] -- derived cache, rebuilt on restore
+        self._postings: Dict[str, Dict[Any, Tuple[List[Tuple[int, int]], List[Instance]]]] = {
             name: {} for name in self.indexed_attrs
         }
         # Attributes whose index has been disabled by an unindexable

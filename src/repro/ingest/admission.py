@@ -4,22 +4,18 @@ Retrying clients make delivery at-least-once — a crash between durable
 admission and the ack makes the client resend, and an ingestion layer
 that re-feeds the resend silently double-counts matches.  Admission is
 therefore *idempotent within a bounded window*: every frame derives a
-deterministic idempotency id (:mod:`repro.ingest.schema`), each source
-keeps a bounded FIFO window of recently admitted ids, and a frame whose
-id is in the window is counted as a duplicate and dropped before the
-engine ever sees it.
+deterministic idempotency id (:mod:`repro.ingest.schema`), the
+controller keeps one bounded FIFO window of recently admitted ids, and
+a frame whose id is in the window is counted as a duplicate and dropped
+before the engine ever sees it.
 
-The window is engine state in the snapshot sense: it must survive a
-crash or redeliveries racing the restart get through.  Two mechanisms
-cover the two failure shapes:
+The window is shared by every source.  The id names no source, so one
+fact that arrives over two connections is one event, fed once.
 
-* :meth:`AdmissionController.snapshot_state` /
-  :meth:`~AdmissionController.restore_state` — checkpointable state,
-  complete under analyzer rule R001;
-* :meth:`AdmissionController.preload_events` — rebuild from the WAL the
-  gateway's :class:`~repro.core.recovery.ResilientRunner` already
-  keeps, for recovery paths that have the log but not a checkpoint of
-  this controller.
+The window must survive a crash, or redeliveries racing the restart get
+through.  :meth:`AdmissionController.preload_events` rebuilds it from
+the WAL the gateway's :class:`~repro.core.recovery.ResilientRunner`
+already keeps, so the window before and after a restart is the same.
 """
 
 from __future__ import annotations
@@ -80,42 +76,19 @@ class DedupeWindow:
             evicted = self._order.popleft()
             self._ids.discard(evicted)
 
-    def snapshot_state(self) -> dict:
-        """FIFO order is the whole state; the set is derived from it."""
-        return {"order": list(self._order), "size": len(self._ids)}
-
-    def restore_state(self, state: dict) -> None:
-        self._order = deque(state["order"])
-        self._ids = set(self._order)
-
     def __repr__(self) -> str:
         return f"DedupeWindow({len(self._ids)}/{self.capacity})"
 
 
 class SourceAdmission:
-    """Per-source dedupe window plus the per-source accounting."""
+    """Per-source accounting."""
 
-    __slots__ = ("window", "admitted", "duplicates", "quarantined")
+    __slots__ = ("admitted", "duplicates", "quarantined")
 
-    def __init__(self, capacity: int):
-        self.window = DedupeWindow(capacity)
+    def __init__(self) -> None:
         self.admitted = 0
         self.duplicates = 0
         self.quarantined = 0
-
-    def snapshot_state(self) -> dict:
-        return {
-            "window": self.window.snapshot_state(),
-            "admitted": self.admitted,
-            "duplicates": self.duplicates,
-            "quarantined": self.quarantined,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.window.restore_state(state["window"])
-        self.admitted = state["admitted"]
-        self.duplicates = state["duplicates"]
-        self.quarantined = state["quarantined"]
 
     def __repr__(self) -> str:
         return (
@@ -125,15 +98,15 @@ class SourceAdmission:
 
 
 class AdmissionController:
-    """Schema validation + per-source idempotent dedupe, in one decision.
+    """Schema validation + idempotent dedupe across sources, in one decision.
 
     Parameters
     ----------
     schema:
         The stream's admission contract.
     window:
-        Per-source dedupe window capacity (ids).  Bound it by the
-        client's resend horizon: a window of N dedupes any redelivery
+        Dedupe window capacity (ids), shared by every source.  Bound it
+        by the resend horizon: a window of N dedupes any redelivery
         arriving within N admitted frames of the original.
     """
 
@@ -141,9 +114,8 @@ class AdmissionController:
         if not isinstance(schema, StreamSchema):
             raise ConfigurationError(f"schema must be a StreamSchema, got {schema!r}")
         self.schema = schema
-        self.window = window
+        self._window = DedupeWindow(window)  # rejects a window < 1
         self._sources: Dict[str, SourceAdmission] = {}
-        self._recovered = DedupeWindow(window)  # rejects a window < 1
 
     # -- the decision -------------------------------------------------------------------
 
@@ -157,15 +129,14 @@ class AdmissionController:
         """Decide ``(etype, attrs)`` *pairs* from *source*, in order.
 
         The one admission body; never raises on bad frames.  The source's
-        state is looked up once; a pair repeated inside the cohort is a
-        duplicate of its first occurrence.
+        counters are looked up once; a pair repeated inside the cohort is
+        a duplicate of its first occurrence.
         """
         state = self._sources.get(source)
         if state is None:
-            state = self._sources[source] = SourceAdmission(self.window)
-        window = state.window
-        # The two id sets: ``add`` mutates them in place, nothing rebinds them here.
-        seen, recovered = window._ids, self._recovered._ids
+            state = self._sources[source] = SourceAdmission()
+        window = self._window
+        seen = window._ids  # ``add`` mutates it in place, nothing rebinds it here
         screen, event_for = self.schema.screen, self.schema.event_for
         admitted, duplicate, quarantined = AdmissionOutcome  # definition order
         decided: List[Admission] = []
@@ -174,7 +145,7 @@ class AdmissionController:
             if reason is not None:
                 state.quarantined += 1
                 decided.append(Admission(quarantined, reason, None, None))
-            elif idem in seen or idem in recovered:
+            elif idem in seen:
                 state.duplicates += 1
                 decided.append(Admission(duplicate, None, None, idem))
             else:
@@ -187,18 +158,18 @@ class AdmissionController:
     # -- recovery -----------------------------------------------------------------------
 
     def preload_events(self, events: Iterable[Event]) -> int:
-        """Seed the recovery window from replayed WAL events.
+        """Refill the window from replayed WAL events.
 
         Called once after a crash, before any source reconnects: the
-        WAL's events re-derive their ids through the schema, and any
-        post-restart redelivery of one of them is a duplicate even
-        though the per-source windows restarted empty.  Returns the
-        number of events loaded (the window keeps the most recent ones,
-        so the last ``window`` events of a log load what all of it would).
+        WAL's events re-derive their ids through the schema, so any
+        post-restart redelivery of one of them is a duplicate.  Returns
+        the number of events loaded (the window keeps the most recent
+        ones, so the last ``window`` events of a log load what all of it
+        would).
         """
         count = 0
         for event in events:
-            self._recovered.add(self.schema.idempotency_id(event.etype, event._attrs))
+            self._window.add(self.schema.idempotency_id(event.etype, event._attrs))
             count += 1
         return count
 
@@ -206,12 +177,12 @@ class AdmissionController:
 
     def source_counts(self, source: str) -> SourceAdmission:
         """Per-source accounting (zeros for a never-seen source)."""
-        return self._sources.get(source, SourceAdmission(self.window))
+        return self._sources.get(source, SourceAdmission())
 
-    def window_occupancy(self, source: str) -> int:
-        """Ids currently held in *source*'s dedupe window (telemetry)."""
-        state = self._sources.get(source)
-        return len(state.window) if state is not None else 0
+    @property
+    def dedupe_ids(self) -> int:
+        """Ids currently held in the dedupe window (telemetry)."""
+        return len(self._window)
 
     @property
     def admitted(self) -> int:
@@ -228,26 +199,6 @@ class AdmissionController:
     def sources(self) -> list:
         """Known source ids, sorted for reproducible reporting."""
         return sorted(self._sources)
-
-    # -- checkpoint ---------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "sources": {
-                source: self._sources[source].snapshot_state()
-                for source in sorted(self._sources)
-            },
-            "recovered": self._recovered.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._sources = {}
-        for source, sub in state["sources"].items():
-            entry = SourceAdmission(self.window)
-            entry.restore_state(sub)
-            self._sources[source] = entry
-        self._recovered = DedupeWindow(self.window)
-        self._recovered.restore_state(state["recovered"])
 
     def __repr__(self) -> str:
         return (

@@ -156,7 +156,7 @@ class GatewayConfig:
         Listen address; port 0 binds an ephemeral port (the bound port
         is on :attr:`IngestGateway.port` after start).
     dedupe_window:
-        Per-source idempotency window capacity.
+        Idempotency window capacity, shared by every source.
     liveness_timeout:
         Seconds of silence before a live source is degraded; the
         liveness timer sweeps every quarter of it.
@@ -928,6 +928,7 @@ class IngestGateway:
             "status": "crashed" if self.crashed else "ok",
             "pressure": round(pressure, 4),
             "band": band,
+            "dedupe_ids": self.admission.dedupe_ids,
             "live_sources": self.liveness.live_count(),
             "watermark": self.liveness.merged_watermark(),
             "seq": self.runner.seq,
@@ -952,7 +953,6 @@ class IngestGateway:
                 "admitted": counts.admitted,
                 "duplicates": counts.duplicates,
                 "quarantined": counts.quarantined,
-                "dedupe_window": self.admission.window_occupancy(source),
             }
         body = {
             "stream": self.schema.name,

@@ -182,7 +182,7 @@ class SourceWatermarks:
     def snapshot_state(self) -> dict:
         return {
             "marks": dict(self._marks),
-            "fenced": sorted(self._fenced),
+            "fenced": list(self._fenced),
             "emitted": self._emitted,
         }
 

@@ -1,8 +1,8 @@
 """Unit tests for the intra-function dataflow engine.
 
-These exercise :mod:`repro.analysis.dataflow` directly — CFG shape,
-the R006 stale-write fixpoint, and the R009 def-use closures — on
-small inline sources, independent of the rule layer.
+These exercise :mod:`repro.analysis.dataflow` directly — CFG shape
+and the R006 stale-write fixpoint — on small inline sources,
+independent of the rule layer.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from repro.analysis.dataflow import (
     AWAIT,
     READ,
     WRITE,
-    attr_reads_reaching_return,
     build_cfg,
-    restore_derivations,
     stale_attr_writes,
     walk_scope,
 )
@@ -286,175 +284,3 @@ def test_swap_before_await_is_clean():
         )
         == []
     )
-
-
-# -- R009 capture side: reads reaching the return ---------------------------------
-
-
-def test_direct_return_read_is_captured():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def snapshot(self):
-                return {"n": self.n}
-            """
-        )
-    )
-    assert "n" in captured
-
-
-def test_read_into_dropped_local_is_not_captured():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def snapshot(self):
-                cursor = self._cursor
-                return {"items": list(self._items)}
-            """
-        )
-    )
-    assert "_items" in captured
-    assert "_cursor" not in captured
-
-
-def test_chained_locals_flow_to_return():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def snapshot(self):
-                raw = self._buf
-                state = {"buf": list(raw)}
-                return state
-            """
-        )
-    )
-    assert "_buf" in captured
-
-
-def test_store_into_parameter_escapes():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def fill(self, out):
-                out["x"] = self._x
-            """
-        )
-    )
-    assert "_x" in captured
-
-
-def test_loop_target_feeds_from_iterable():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def snapshot(self):
-                state = {}
-                for name, metric in self._metrics.items():
-                    state[name] = metric.value
-                return state
-            """
-        )
-    )
-    assert "_metrics" in captured
-
-
-def test_accumulator_call_feeds_receiver():
-    captured = attr_reads_reaching_return(
-        fn(
-            """
-            def snapshot(self):
-                state = {}
-                state.update({"n": self.n})
-                return state
-            """
-        )
-    )
-    assert "n" in captured
-
-
-# -- R009 restore side: derivations from the payload ------------------------------
-
-
-def test_subscript_store_is_derived():
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                self._items = list(state["items"])
-            """
-        )
-    )
-    assert "_items" in summary.derived
-    assert "_items" in summary.touched
-
-
-def test_constant_reset_is_touched_not_derived():
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                self._items = list(state["items"])
-                self._cursor = 0
-            """
-        )
-    )
-    assert "_cursor" in summary.touched
-    assert "_cursor" not in summary.derived
-
-
-def test_rebuild_loop_is_derived():
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                self._events = {}
-                for key, value in state["events"]:
-                    self._events[key] = value
-            """
-        )
-    )
-    assert "_events" in summary.derived
-
-
-def test_derivation_propagates_through_restored_attr():
-    # The derived-index idiom from repro.ingest.admission.
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                self._order = deque(state["order"])
-                self._ids = set(self._order)
-            """
-        )
-    )
-    assert summary.derived >= {"_order", "_ids"}
-
-
-def test_component_handoff_is_derived():
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                self.clock.restore_state(state["clock"])
-            """
-        )
-    )
-    assert "clock" in summary.derived
-
-
-def test_local_receiver_handoff_derives_store():
-    # The rebuilt-workers idiom from repro.streams.partition.
-    summary = restore_derivations(
-        fn(
-            """
-            def restore(self, state):
-                rebuilt = []
-                for payload in state["workers"]:
-                    stats = EngineStats()
-                    stats.restore_from(payload)
-                    rebuilt.append(stats)
-                self._worker_stats = rebuilt
-            """
-        )
-    )
-    assert "_worker_stats" in summary.derived

@@ -18,8 +18,6 @@ from repro.analysis.rules.blocking_async import BlockingInCoroutine
 from repro.analysis.rules.determinism import Determinism
 from repro.analysis.rules.hot_path_purity import HotPathPurity
 from repro.analysis.rules.purge_safety import PurgeSafety
-from repro.analysis.rules.snapshot_completeness import SnapshotCompleteness
-from repro.analysis.rules.snapshot_dataflow import SnapshotDataflow
 from repro.analysis.rules.task_hygiene import TaskHygiene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,23 +31,13 @@ def analyze(fixture: str, rule):
 
 def test_rule_catalogue_is_complete():
     assert [rule.rule_id for rule in all_rules()] == [
-        "R001",
         "R002",
         "R003",
         "R005",
         "R006",
         "R007",
         "R008",
-        "R009",
     ]
-
-
-def test_r001_flags_unsnapshotted_attribute():
-    findings = analyze("bad_r001.py", SnapshotCompleteness())
-    assert [(f.rule, f.line, f.symbol) for f in findings] == [
-        ("R001", 8, "BadSnapshotEngine._cursor")
-    ]
-    assert "'_cursor'" in findings[0].message
 
 
 def test_r002_flags_clock_and_print_on_feed_path():
@@ -104,23 +92,6 @@ def test_r008_flags_discarded_task_and_unawaited_close():
     assert "wait_closed" in by_line[16]
 
 
-def test_r009_flags_flow_broken_round_trip():
-    findings = analyze("bad_r009.py", SnapshotDataflow())
-    by_line = {f.line: f.message for f in findings}
-    assert sorted(by_line) == [21, 28]
-    # Capture side: the read value never reaches the returned state.
-    assert "'_cursor'" in by_line[21]
-    # Restore side: the assignment is not derived from the state payload.
-    assert "'_cursor'" in by_line[28]
-
-
-def test_r009_is_silent_where_r001_already_fires():
-    """A fully missing attribute is R001 territory; R009 must not
-    double-report it."""
-    findings = analyze("bad_r001.py", SnapshotDataflow())
-    assert findings == []
-
-
 @pytest.mark.parametrize("rule", all_rules(), ids=lambda r: r.rule_id)
 def test_clean_engine_passes_every_rule(rule):
     assert analyze("clean_engine.py", rule) == []
@@ -134,30 +105,6 @@ def test_clean_async_passes_every_rule(rule):
 def test_full_run_over_fixture_dir_counts_every_rule():
     report = run_analysis([str(FIXTURES)])
     rules_seen = {finding.rule for finding in report.findings}
-    assert rules_seen == {
-        "R001",
-        "R002",
-        "R003",
-        "R005",
-        "R006",
-        "R007",
-        "R008",
-        "R009",
-    }
-    assert report.checked_files == 10
+    assert rules_seen == {"R002", "R003", "R005", "R006", "R007", "R008"}
+    assert report.checked_files == 8
 
-
-def test_r001_catches_field_dropped_from_real_engine(tmp_path):
-    """The ISSUE acceptance check, as a regression test: removing one
-    field from OutOfOrderEngine._snapshot_state must re-introduce an
-    R001 finding that names the attribute."""
-    engine_py = Path(__file__).parents[2] / "src" / "repro" / "core" / "engine.py"
-    source = engine_py.read_text(encoding="utf-8")
-    needle = '"clock": self.clock.snapshot_state(),'
-    assert needle in source
-    mutated = tmp_path / "engine.py"
-    mutated.write_text(source.replace(needle, ""), encoding="utf-8")
-    findings = run_analysis([str(mutated)], rules=[SnapshotCompleteness()]).findings
-    assert any(
-        f.rule == "R001" and "'clock'" in f.message for f in findings
-    ), findings

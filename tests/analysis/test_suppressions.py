@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.analysis import run_analysis
 from repro.analysis.rules.purge_safety import PurgeSafety
-from repro.analysis.rules.snapshot_completeness import SnapshotCompleteness
 from repro.analysis.suppressions import parse_suppressions
 
 BAD_PURGE = '''\
@@ -27,13 +26,13 @@ def _write(tmp_path, text):
 def test_parse_line_and_file_scopes():
     per_line, per_file, decls = parse_suppressions(
         "# repro: ignore-file[R002]\n"
-        "x = 1  # repro: ignore[R001,R003] -- justification text\n"
+        "x = 1  # repro: ignore[R003,R005] -- justification text\n"
     )
     assert per_file == {"R002"}
-    assert per_line == {2: {"R001", "R003"}}
+    assert per_line == {2: {"R003", "R005"}}
     assert [(d.line, d.scope, d.rules) for d in decls] == [
         (1, "file", frozenset({"R002"})),
-        (2, "line", frozenset({"R001", "R003"})),
+        (2, "line", frozenset({"R003", "R005"})),
     ]
 
 
@@ -53,7 +52,7 @@ def test_line_suppression_silences_finding(tmp_path):
 
 
 def test_line_suppression_is_rule_specific(tmp_path):
-    marker = "  # repro: ignore[R001] -- wrong rule id"
+    marker = "  # repro: ignore[R003] -- wrong rule id"
     path = _write(tmp_path, BAD_PURGE.format(marker=marker))
     report = run_analysis([path], rules=[PurgeSafety()])
     assert len(report.findings) == 1
@@ -69,22 +68,11 @@ def test_file_suppression_silences_finding(tmp_path):
 
 
 def test_symbol_header_suppression_covers_body(tmp_path):
-    text = (
-        "class Engine:\n"
-        "    def __init__(self):  # repro: ignore[R001] -- fixture\n"
-        "        self._lost = 0\n"
-        "\n"
-        "    def _process_event(self, event):\n"
-        "        self._lost += 1\n"
-        "        return []\n"
-        "\n"
-        "    def _snapshot_state(self):\n"
-        "        return {}\n"
-        "\n"
-        "    def _restore_state(self, state):\n"
-        "        return None\n"
+    text = BAD_PURGE.format(marker="").replace(
+        "def purge_through(self, horizon):",
+        "def purge_through(self, horizon):  # repro: ignore[R005] -- fixture",
     )
     path = _write(tmp_path, text)
-    report = run_analysis([path], rules=[SnapshotCompleteness()])
+    report = run_analysis([path], rules=[PurgeSafety()])
     assert report.findings == []
     assert report.suppressed == 1

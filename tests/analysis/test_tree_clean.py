@@ -26,7 +26,7 @@ def test_suppressions_are_exercised():
     """Every committed suppression still matches a real finding; stale
     opt-outs (the finding disappeared) should be deleted, not kept."""
     report = run_analysis([str(SRC)])
-    assert report.suppressed == 8
+    assert report.suppressed == 5
 
 
 def test_no_dead_suppressions():
@@ -72,8 +72,8 @@ def test_speculation_modules_are_clean_without_suppressions():
     """The PR's new modules — the speculation log and the adaptive-K
     controller — pass every rule with ZERO opt-outs.
 
-    Both are deterministic engine state (snapshot completeness and
-    determinism rules apply in full), and the speculation log sits on
+    Both are deterministic engine state (the determinism rule applies
+    in full), and the speculation log sits on
     the hot path behind the ``speculation is not None`` guard, so
     purity exceptions would be a design smell, not a necessity."""
     targets = [
@@ -95,8 +95,7 @@ def test_ingest_subtree_is_clean_without_suppressions():
     """The ingestion gateway passes every rule with ZERO opt-outs.
 
     Admission, liveness and the transport are deterministic admission
-    state (snapshot completeness and determinism rules apply in full),
-    and none of them sit on the engine hot path — the gateway *feeds*
+    state (the determinism rule applies in full), and none of them sit on the engine hot path — the gateway *feeds*
     engines, it does not run inside them — so purity exceptions would
     be a design smell, not a necessity.
     """

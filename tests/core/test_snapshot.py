@@ -6,10 +6,19 @@ pattern, same configuration) and continuing the stream is observably
 identical to never having stopped — same matches, same emission order,
 same counters, same residual state.  Configuration is verified, never
 restored: a blob only loads into an engine built the same way.
+
+:class:`TestRoundTrip` is the completeness check for every hand-written
+snapshot/restore pair: the restored twin's whole object graph must equal
+the original's (:func:`state_differences`), so an attribute a pair
+forgets fails here whatever its name or however it is written.
 """
 
+import enum
+import functools
 import pickle
 import random
+import types
+from collections import deque
 
 import pytest
 
@@ -28,6 +37,10 @@ from repro import (
     seq,
 )
 from repro.core.errors import EngineStateError
+from repro.core.shedding import ShedPolicy
+from repro.obs import MetricsRegistry
+from repro.streams import AdaptiveKController
+from repro.streams.punctuation import SourceWatermarks
 from helpers import bounded_shuffle
 
 K = 8
@@ -41,28 +54,151 @@ PATTERN = seq(
     name="snap",
 )
 
-ENGINE_KINDS = ["ooo", "inorder", "speculative", "reorder", "partitioned", "parallel"]
+#: Every engine family and every configuration that adds state of its
+#: own; "ooo" runs the default eager purge.
+ENGINE_KINDS = [
+    "ooo",
+    "inorder",
+    "speculative",
+    "reorder",
+    "partitioned",
+    "parallel",
+    "parallel-serial",
+    "controller",
+    "shed-oldest",
+    "shed-by-type",
+    "no-index",
+    "purge-none",
+    "purge-lazy",
+    "metrics",
+]
 
 #: Class name in the header of checkpoints written by the deleted engine.
 REMOVED_ENGINE = "Pipelined" + PartitionedEngine.__name__
 
 
 def build(kind, pattern=PATTERN, **overrides):
+    k = overrides.get("k", K)
     if kind == "ooo":
-        return OutOfOrderEngine(pattern, k=overrides.get("k", K))
+        return OutOfOrderEngine(pattern, k=k)
     if kind == "inorder":
         return InOrderEngine(pattern)
     if kind == "speculative":
-        return OutOfOrderEngine(pattern, k=overrides.get("k", K), speculative=True)
+        return OutOfOrderEngine(pattern, k=k, speculative=True)
     if kind == "reorder":
-        return ReorderingEngine(pattern, k=overrides.get("k", K))
+        return ReorderingEngine(pattern, k=k)
     if kind == "partitioned":
-        return PartitionedEngine(pattern, k=overrides.get("k", K), key="x")
+        return PartitionedEngine(pattern, k=k, key="x")
     if kind == "parallel":
-        return ParallelPartitionedEngine(
-            pattern, k=overrides.get("k", K), key="x", workers=2
-        )
+        return ParallelPartitionedEngine(pattern, k=k, key="x", workers=2)
+    if kind == "parallel-serial":
+        return ParallelPartitionedEngine(pattern, k=k, key="x", workers=1)
+    if kind == "controller":
+        # Starts below the trace's disorder, so the punctuation re-freezes K.
+        controller = AdaptiveKController(initial_k=2, min_epoch_events=16)
+        return OutOfOrderEngine(pattern, speculative=True, controller=controller)
+    if kind == "shed-oldest":
+        return OutOfOrderEngine(pattern, k=k, shed=ShedPolicy.drop_oldest(12))
+    if kind == "shed-by-type":
+        return OutOfOrderEngine(pattern, k=k, shed=ShedPolicy.drop_by_type(12, ("B",)))
+    if kind == "no-index":
+        return OutOfOrderEngine(pattern, k=k, index=False)
+    if kind == "purge-none":
+        return OutOfOrderEngine(pattern, k=k, purge=PurgePolicy.none())
+    if kind == "purge-lazy":
+        return OutOfOrderEngine(pattern, k=k, purge=PurgePolicy.lazy(7))
+    if kind == "metrics":
+        engine = OutOfOrderEngine(pattern, k=k)
+        engine.enable_observability(metrics=MetricsRegistry())
+        return engine
     raise AssertionError(kind)
+
+
+#: Attributes whose dicts the twin walk compares without regard to key
+#: order, each with the reason the order may differ.
+UNORDERED = {
+    "_postings": "restore re-indexes the instances in (ts, eid) order, so "
+    "a posting dict's value keys are inserted in another order; lookups "
+    "probe by key and never iterate them",
+}
+
+_SCALARS = (type(None), bool, int, float, complex, str, bytes, enum.Enum, type)
+_CALLABLES = (
+    types.FunctionType,
+    types.MethodType,
+    types.BuiltinFunctionType,
+    types.MethodWrapperType,
+    functools.partial,
+)
+_UNSET = object()
+
+
+def _fields(obj):
+    names = list(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.extend([slots] if isinstance(slots, str) else slots)
+    return [n for n in dict.fromkeys(names) if n not in ("__dict__", "__weakref__")]
+
+
+def state_differences(original, twin, path="engine"):
+    """Every path where *twin*'s object graph differs in value from *original*'s.
+
+    Objects are walked through ``__dict__`` and ``__slots__``; sequences
+    element by element; dicts in key order, except under an
+    :data:`UNORDERED` attribute.  Equality is by value, never identity:
+    a restored speculation log holds one ``Match`` copy per record where
+    the live log shares a single object.  Callables compare by
+    qualified name.
+    """
+    diffs = []
+    compared = set()
+
+    def walk(a, b, path, ordered):
+        if type(a) is not type(b):
+            diffs.append(f"{path}: {type(a).__name__} != {type(b).__name__}")
+        elif isinstance(a, _SCALARS) or isinstance(a, (set, frozenset)):
+            if a != b:
+                diffs.append(f"{path}: {a!r} != {b!r}")
+        elif isinstance(a, _CALLABLES):
+            if a.__qualname__ != b.__qualname__:
+                diffs.append(f"{path}: {a.__qualname__} != {b.__qualname__}")
+        elif (id(a), id(b)) not in compared:  # a shared object or a cycle: once
+            compared.add((id(a), id(b)))
+            if isinstance(a, dict):
+                if (list(a) if ordered else set(a)) != (list(b) if ordered else set(b)):
+                    diffs.append(f"{path}: keys {list(a)!r} != {list(b)!r}")
+                    return
+                for key in a:
+                    walk(a[key], b[key], f"{path}[{key!r}]", ordered)
+            elif isinstance(a, (list, tuple, deque)):
+                if len(a) != len(b):
+                    diffs.append(f"{path}: length {len(a)} != {len(b)}")
+                    return
+                for index, (x, y) in enumerate(zip(a, b)):
+                    walk(x, y, f"{path}[{index}]", ordered)
+            else:
+                for name in _fields(a):
+                    walk(
+                        getattr(a, name, _UNSET),
+                        getattr(b, name, _UNSET),
+                        f"{path}.{name}",
+                        name not in UNORDERED,
+                    )
+
+    walk(original, twin, path, True)
+    return diffs
+
+
+def assert_same_snapshot(blob, expected):
+    """*blob* decodes to exactly *expected*'s state.
+
+    Compared decoded, not as bytes: pickle also records which equal
+    strings are one object, and an attribute name unpickled by a
+    restore is a different ``str`` object from the interpreter's, so
+    equal states can differ in their memo layout.
+    """
+    assert state_differences(pickle.loads(expected), pickle.loads(blob), "snapshot") == []
 
 
 def trace(n=260, seed=0, with_punctuation=True):
@@ -113,7 +249,28 @@ class TestRoundTrip:
         assert [(r.emitted_seq, r.emitted_clock) for r in resumed.emissions] == [
             (r.emitted_seq, r.emitted_clock) for r in straight.emissions
         ]
+        assert_same_snapshot(resumed.snapshot(), straight.snapshot())
         assert final is not None  # close() on the straight run succeeded
+
+    def test_restored_twin_equals_original(self, kind):
+        """At a third, two thirds and the closed end of the trace, a twin
+        restored from the snapshot equals the original field by field,
+        and snapshots to the same state."""
+        stream = stream_for(kind)
+        original = build(kind)
+        fed = 0
+        for cut in (len(stream) // 3, 2 * len(stream) // 3, None):
+            if cut is None:
+                original.close()
+            else:
+                for element in stream[fed:cut]:
+                    original.feed(element)
+                fed = cut
+            blob = original.snapshot()
+            twin = build(kind)
+            twin.restore(blob)
+            assert state_differences(original, twin) == []
+            assert_same_snapshot(twin.snapshot(), blob)
 
     def test_snapshot_is_nondestructive(self, kind):
         stream = stream_for(kind)
@@ -138,6 +295,84 @@ class TestRoundTrip:
         resumed.restore(engine.snapshot())
         with pytest.raises(EngineStateError):
             resumed.feed(Event("A", 10_000, {"x": 0}))
+
+
+def test_source_watermarks_twin_equals_original():
+    """The gateway's per-source marks are checkpointed on their own, not
+    inside an engine, so the component is walked directly."""
+    steps = [
+        ("observe", "s2", 30),
+        ("observe", "s1", 10),
+        ("advance",),
+        ("fence", "s2"),
+        ("assert_watermark", "s3", 5),
+        ("fence", "s1"),
+        ("advance",),
+        ("unfence", "s2", 12),
+        ("observe", "s3", 40),
+        ("advance",),
+    ]
+    original = SourceWatermarks(slack=1)
+    twins = []
+    for op, *args in steps:
+        twin = SourceWatermarks(slack=1)
+        twin.restore_state(original.snapshot_state())
+        assert state_differences(original, twin, "marks") == []
+        assert twin.snapshot_state() == original.snapshot_state()
+        twins.append(twin)
+        expected = getattr(original, op)(*args)
+        for twin in twins:  # every twin carries on identically
+            assert getattr(twin, op)(*args) == expected
+    for twin in twins:
+        assert state_differences(original, twin, "marks") == []
+
+
+class _RunCounter(OutOfOrderEngine):
+    """Counts step-loop calls and never snapshots the count."""
+
+    def __init__(self, pattern, **config):
+        super().__init__(pattern, **config)
+        self.runs = 0
+
+    def _run(self, elements):
+        self.runs += 1
+        return super()._run(elements)
+
+
+class _DroppedField(OutOfOrderEngine):
+    """Leaves one counter out of the snapshot; restore zeroes it."""
+
+    def _snapshot_state(self):
+        state = super()._snapshot_state()
+        del state["stats"]["events_in"]
+        return state
+
+
+class _ResetOnRestore(PartitionedEngine):
+    """Restores one field to a constant instead of from the state."""
+
+    def _restore_state(self, state):
+        super()._restore_state(state)
+        self._since_punctuation = 0
+
+
+@pytest.mark.parametrize(
+    "leaky, config",
+    [
+        (_RunCounter, {"k": K}),
+        (_DroppedField, {"k": K}),
+        (_ResetOnRestore, {"k": K, "key": "x"}),
+    ],
+    ids=["counter-never-snapshotted", "field-dropped-from-snapshot", "field-reset-on-restore"],
+)
+def test_twin_check_catches_an_incomplete_pair(leaky, config):
+    stream = stream_for("ooo")
+    original = leaky(PATTERN, **config)
+    for element in stream[: len(stream) // 3]:
+        original.feed(element)
+    twin = leaky(PATTERN, **config)
+    twin.restore(original.snapshot())
+    assert state_differences(original, twin) != []
 
 
 class TestBlobSafety:

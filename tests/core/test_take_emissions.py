@@ -22,7 +22,7 @@ import pytest
 from repro import Attr, Eq, Event, EventBatch, Punctuation, ResilientRunner, seq
 from repro.bench import make_engine
 from repro.core.recovery import CHECKPOINT_NAME, DELIVERED_NAME, delivered_keys
-from helpers import bounded_shuffle
+from helpers import bounded_shuffle, delivered_once
 import test_recovery as rec
 
 K = 12
@@ -213,7 +213,7 @@ class TestRunnerHandsOver:
         runner.run(elements)
         assert record_ids(runner.emissions) == record_ids(bare.emissions)
         assert [r.match for r in runner.emissions] == runner.matches
-        assert delivered_keys(tmp_path) == bare.result_set()
+        assert delivered_once(tmp_path) == bare.result_set()
 
     def test_delivered_keys_repairs_a_torn_tail(self, tmp_path):
         runner = ResilientRunner(rec.make_engine(), tmp_path, checkpoint_every=25)

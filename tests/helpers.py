@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Set
 
 from repro import (
     Event,
@@ -18,7 +19,7 @@ from repro import (
     Pattern,
     ReorderingEngine,
 )
-from repro.core.recovery import DELIVERED_NAME, _hashable
+from repro.core.recovery import DELIVERED_NAME, _hashable, delivered_keys
 
 
 def make_events(spec: str, attr: str = "x") -> List[Event]:
@@ -152,3 +153,13 @@ def delivery_log(directory: Any) -> List[Any]:
     delivered twice shows (``delivered_keys`` is the set)."""
     lines = (Path(directory) / DELIVERED_NAME).read_text(encoding="utf-8")
     return [_hashable(json.loads(line)["key"]) for line in lines.splitlines()]
+
+
+def delivered_once(directory: Any) -> Set[Any]:
+    """The key set of ``delivered.jsonl``, after asserting that no key
+    in it repeats: compared with an oracle, a set alone cannot show a
+    match delivered twice."""
+    keys = delivered_keys(directory)
+    repeated = [key for key, lines in Counter(delivery_log(directory)).items() if lines > 1]
+    assert not repeated, f"delivered more than once: {repeated}"
+    return keys

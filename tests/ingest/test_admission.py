@@ -41,18 +41,6 @@ def test_window_re_add_is_idempotent():
     assert "a" in window and len(window) == 2
 
 
-def test_window_snapshot_round_trip():
-    window = DedupeWindow(4)
-    for idem in ("a", "b", "c"):
-        window.add(idem)
-    clone = DedupeWindow(4)
-    clone.restore_state(window.snapshot_state())
-    assert "a" in clone and "c" in clone
-    clone.add("d")
-    clone.add("e")  # evicts "a" in FIFO order preserved by the snapshot
-    assert "a" not in clone and "b" in clone
-
-
 def test_window_rejects_bad_capacity():
     with pytest.raises(ConfigurationError):
         DedupeWindow(0)
@@ -87,13 +75,14 @@ def test_quarantine_counts_and_reports_reason():
 
 
 def test_windows_are_per_source():
-    """The same frame from two sources is admitted twice — dedupe is a
-    per-source transport property, not a global content filter."""
+    """One window serves every source: the id names no source, so the
+    same frame from a second source is a duplicate, counted there."""
     ctrl = controller()
     assert ctrl.admit("s1", "A", {"ts": 1, "x": 1}).outcome is AdmissionOutcome.ADMITTED
-    assert ctrl.admit("s2", "A", {"ts": 1, "x": 1}).outcome is AdmissionOutcome.ADMITTED
+    assert ctrl.admit("s2", "A", {"ts": 1, "x": 1}).outcome is AdmissionOutcome.DUPLICATE
     assert ctrl.source_counts("s1").admitted == 1
-    assert ctrl.source_counts("s2").admitted == 1
+    assert ctrl.source_counts("s2").duplicates == 1
+    assert ctrl.dedupe_ids == 1
 
 
 def test_window_bound_limits_dedupe_horizon():
@@ -114,24 +103,25 @@ def test_preload_seeds_recovery_window():
     after.preload_events([admitted.event])
     replay = after.admit("s1", "A", {"ts": 1, "x": 1})
     assert replay.outcome is AdmissionOutcome.DUPLICATE
-    # ...even from a different source: recovery cannot know which source
-    # originally delivered a WAL event, so the recovered window is shared.
+    # ...from any source, as before the restart: the window is shared.
     replay_other = after.admit("s2", "A", {"ts": 1, "x": 1})
     assert replay_other.outcome is AdmissionOutcome.DUPLICATE
 
 
-def test_snapshot_restore_round_trip():
-    ctrl = controller()
-    ctrl.admit("s1", "A", {"ts": 1, "x": 1})
-    ctrl.admit("s1", "A", {"ts": 1, "x": 1})
-    ctrl.admit("s2", "B", {"ts": 2, "x": 1})
-    ctrl.admit("s2", "A", {"x": 1})
+def test_preload_fills_the_window_new_admissions_evict_from():
+    """Preloaded and live ids share one FIFO, so a restart changes
+    nothing about which redelivery the window still remembers."""
+    schema = make_schema(slack=2)
+    before = AdmissionController(schema, window=2)
+    first = before.admit("s1", "A", {"ts": 1, "x": 1})
 
-    clone = controller()
-    clone.restore_state(ctrl.snapshot_state())
-    assert clone.admitted == 2 and clone.duplicates == 1 and clone.quarantined == 1
-    assert clone.sources() == ["s1", "s2"]
-    assert clone.admit("s1", "A", {"ts": 1, "x": 1}).outcome is AdmissionOutcome.DUPLICATE
+    after = AdmissionController(schema, window=2)
+    after.preload_events([first.event])
+    after.admit("s1", "A", {"ts": 2, "x": 2})
+    after.admit("s2", "A", {"ts": 3, "x": 3})  # evicts the preloaded ts=1
+    assert after.dedupe_ids == 2
+    replay = after.admit("s1", "A", {"ts": 1, "x": 1})
+    assert replay.outcome is AdmissionOutcome.ADMITTED  # beyond the horizon
 
 
 def test_admitted_events_carry_schema_derived_identity():

@@ -11,6 +11,8 @@ from repro.ingest import IngestClient
 from repro.ingest.backoff import BackoffPolicy, retry_call, run_resilient
 from repro.streams import dump_trace
 
+from helpers import delivered_once
+
 
 def test_exponential_growth_without_jitter():
     policy = BackoffPolicy(base=0.1, factor=2.0, cap=10.0, jitter=0.0)
@@ -135,7 +137,7 @@ def test_retry_call_does_not_catch_other_exceptions():
 def test_run_resilient_supervises_crashes(tmp_path, ab_pattern):
     from repro import OutOfOrderEngine
     from repro.core.oracle import OfflineOracle
-    from repro.core.recovery import ResilientRunner, delivered_keys
+    from repro.core.recovery import ResilientRunner
     from repro.faultinject import FaultInjector
     from helpers import make_events
 
@@ -155,5 +157,5 @@ def test_run_resilient_supervises_crashes(tmp_path, ab_pattern):
     )
     assert crashes == 2
     truth = OfflineOracle(ab_pattern).evaluate_set(events)
-    assert delivered_keys(tmp_path) == truth
+    assert delivered_once(tmp_path) == truth
     assert runner.delivered_count == len(truth)

@@ -10,7 +10,6 @@ from repro import Event, OfflineOracle, OutOfOrderEngine, parse
 from repro.cli import main as cli_main
 from repro.core.engine import ValidationPolicy
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.recovery import delivered_keys
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
@@ -20,7 +19,7 @@ from repro.metrics import compare_keys
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as stages
 
-from helpers import MatchTap
+from helpers import MatchTap, delivered_once, delivery_log
 from ingest_helpers import make_schema
 
 
@@ -54,7 +53,7 @@ def test_admit_feed_and_match(tmp_path):
     assert gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)["status"] == "admitted"
     gateway.sync_acks()
     gateway.seal()
-    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
+    assert len(delivered_once(tmp_path)) == gateway.stats()["matches"] == 1
     assert not hasattr(gateway, "results")  # delivered matches are read from the log
 
 
@@ -67,7 +66,20 @@ def test_duplicates_are_counted_not_refed(tmp_path):
     assert gateway.admission.admitted == 2
     assert gateway.admission.duplicates == 2
     # The duplicate A never double-matched.
-    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
+    assert len(delivered_once(tmp_path)) == gateway.stats()["matches"] == 1
+
+
+def test_one_fact_over_two_sources_is_delivered_once(tmp_path):
+    """The idempotency id names no source: the same frames over two
+    connections are one set of events, and the match is delivered once."""
+    gateway = make_gateway(tmp_path)
+    for source in ("s1", "s2"):
+        gateway.admit_frame(source, "A", {"ts": 1, "x": 7}, now=0.0)
+    for source in ("s1", "s2"):
+        gateway.admit_frame(source, "B", {"ts": 5, "x": 7}, now=0.1)
+    gateway.seal()
+    assert len(delivery_log(tmp_path)) == gateway.stats()["matches"] == 1
+    assert gateway.admission.admitted == gateway.admission.duplicates == 2
 
 
 def test_quarantine_parity_with_engine_side_validation(tmp_path):
@@ -106,7 +118,7 @@ def test_quarantine_parity_with_engine_side_validation(tmp_path):
     ]
     gateway_report = compare_keys(
         OfflineOracle(pattern).evaluate_set(schema_good),
-        delivered_keys(tmp_path),
+        delivered_once(tmp_path),
         quarantined=gateway.admission.quarantined,
     )
     assert gateway_report.quarantined == engine_report.quarantined
@@ -295,7 +307,7 @@ def test_crash_is_surfaced_and_recovery_dedupes(tmp_path):
     assert second.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=1.1)["status"] == "duplicate"
     second.seal()
     # Delivered by the restart's replay: counted, logged, and not kept.
-    assert second.stats()["matches"] == len(delivered_keys(tmp_path)) == 1
+    assert second.stats()["matches"] == len(delivered_once(tmp_path)) == 1
     assert second.runner.matches == []
 
 
@@ -334,7 +346,7 @@ def test_a_gateway_keeps_no_match_it_has_delivered(tmp_path):
         gateway.seal()
         assert gateway.engine.results == gateway.engine.emissions == []
     assert durable.runner.matches == durable.runner.emissions == []
-    delivered = delivered_keys(tmp_path)
+    delivered = delivered_once(tmp_path)
     assert durable.stats()["matches"] == memory.stats()["matches"] == len(delivered) > 30
     assert {match.key() for match in tap.matches} == delivered
 

@@ -132,6 +132,7 @@ def test_telemetry_endpoints_during_soak(tmp_path):
         assert health["status"] == "ok"
         assert health["band"] == "ok"
         assert health["live_sources"] == 1
+        assert health["dedupe_ids"] >= 1  # one window, shared by every source
 
         status, body = http_get("127.0.0.1", port, "/sources")
         assert status == 200
@@ -139,6 +140,7 @@ def test_telemetry_endpoints_during_soak(tmp_path):
         assert sources["s1"]["status"] == "live"
         assert sources["s1"]["admitted"] >= 1
         assert sources["s1"]["fenced"] is False
+        assert "dedupe_window" not in sources["s1"]
 
         status, body = http_get("127.0.0.1", port, "/nope")
         assert status == 404 and "/metrics" in body

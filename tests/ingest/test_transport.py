@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import OutOfOrderEngine, parse
-from repro.core.recovery import delivered_keys, read_wal_elements
+from repro.core.recovery import read_wal_elements
 from repro.faultinject import FaultInjector
 from repro.ingest import (
     ClientFaultPlan,
@@ -26,7 +26,7 @@ from repro.ingest import (
 )
 from repro.ingest.server import MAX_FRAME_BYTES
 
-from helpers import MatchTap, delivery_log
+from helpers import MatchTap, delivered_once, delivery_log
 from ingest_helpers import make_schema
 
 
@@ -81,7 +81,7 @@ def test_socket_roundtrip_equals_inprocess_run(tmp_path):
         handle.stop(seal=True)
     assert report.admitted == len(frames)
     assert report.duplicates == report.quarantined == 0
-    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
+    assert delivered_once(tmp_path) == inprocess_result_keys(frames)
 
 
 def test_two_sources_interleaved_lockstep(tmp_path):
@@ -103,12 +103,15 @@ def test_two_sources_interleaved_lockstep(tmp_path):
         reports = [client.close() for client in clients]
     finally:
         handle.stop(seal=True)
-    assert all(r.admitted == len(frames) for r in reports)
-    assert gateway.admission.source_counts("s1").admitted == len(frames)
-    assert gateway.admission.source_counts("s2").admitted == len(frames)
-    # Dedupe is per-source: identical payloads from s1 and s2 both land.
+    # s1 sends each frame first; the id names no source, so s2's copy of
+    # it is a duplicate and the fact is fed once.
+    assert [(r.admitted, r.duplicates) for r in reports] == [
+        (len(frames), 0),
+        (0, len(frames)),
+    ]
+    assert gateway.admission.source_counts("s2").duplicates == len(frames)
     baseline = inprocess_result_keys(frames)
-    assert delivered_keys(tmp_path) == baseline
+    assert delivered_once(tmp_path) == baseline
 
 
 def test_quarantined_frame_is_acked_not_fatal(tmp_path):
@@ -125,7 +128,7 @@ def test_quarantined_frame_is_acked_not_fatal(tmp_path):
         handle.stop(seal=True)
     assert report.admitted == 2 and report.quarantined == 1
     assert gateway.admission.quarantined == 1
-    assert len(delivered_keys(tmp_path)) == gateway.stats()["matches"] == 1
+    assert len(delivered_once(tmp_path)) == gateway.stats()["matches"] == 1
 
 
 def test_wrong_stream_is_refused_at_hello(tmp_path):
@@ -166,7 +169,7 @@ def test_lost_ack_and_duplicate_send_are_absorbed(tmp_path):
     # Server-side: every distinct frame admitted once, extras deduped.
     assert gateway.admission.admitted == len(frames)
     assert gateway.admission.duplicates >= 2
-    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
+    assert delivered_once(tmp_path) == inprocess_result_keys(frames)
 
 
 def test_torn_before_send_is_a_clean_resend(tmp_path):
@@ -183,7 +186,7 @@ def test_torn_before_send_is_a_clean_resend(tmp_path):
     assert report.reconnects >= 1
     assert report.admitted + report.duplicates == len(frames)
     assert gateway.admission.admitted == len(frames)
-    assert delivered_keys(tmp_path) == inprocess_result_keys(frames)
+    assert delivered_once(tmp_path) == inprocess_result_keys(frames)
 
 
 # -- crash-anywhere ---------------------------------------------------------------------

@@ -33,8 +33,8 @@ from repro import (
     ResilientRunner,
     seq,
 )
-from repro.core.recovery import DELIVERED_NAME, delivered_keys
-from helpers import bounded_shuffle
+from repro.core.recovery import DELIVERED_NAME
+from helpers import bounded_shuffle, delivered_once
 
 SEED = int(os.environ.get("REPRO_RECOVERY_SEED", "0"))
 SCENARIOS_PER_FAMILY = 6
@@ -159,7 +159,7 @@ def test_speculative_results_survive_crashes(tmp_path):
     assert restarts == 2
     # The delivery log holds sealed matches only: it is the result set.
     events = [e for e in stream if isinstance(e, Event)]
-    assert delivered_keys(tmp_path) == OfflineOracle(PATTERN).evaluate_set(events)
+    assert delivered_once(tmp_path) == OfflineOracle(PATTERN).evaluate_set(events)
     # Nobody took the speculative stream, so it rode every checkpoint.
     log, reference = runner.engine.speculation, bare.speculation
     assert [(r.seq, r.match.key()) for r in log.emissions] == [

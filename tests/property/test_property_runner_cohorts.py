@@ -42,10 +42,9 @@ from repro.core.recovery import (
     CHECKPOINT_NAME,
     DELIVERED_NAME,
     WAL_NAME,
-    delivered_keys,
     read_wal_elements,
 )
-from helpers import bounded_shuffle
+from helpers import bounded_shuffle, delivered_once
 
 SEED = int(os.environ.get("REPRO_RECOVERY_SEED", "0"))
 SCENARIOS = 4
@@ -149,7 +148,7 @@ def assert_exactly_once(directory, pattern, stream, context):
     truth = OfflineOracle(pattern).evaluate_set(
         [e for e in stream if isinstance(e, Event)]
     )
-    assert delivered_keys(directory) == truth, context
+    assert delivered_once(directory) == truth, context
 
 
 @pytest.mark.parametrize("name", sorted(PATTERNS))

@@ -158,7 +158,7 @@ def _state(gateway, journal):
     flight, registry = gateway._flight, gateway.registry
     return {
         "stats": gateway.stats(),
-        "admission": gateway.admission.snapshot_state(),
+        "dedupe": list(gateway.admission._window._order),
         "pending": [(e.etype, e.ts, e.eid, e.attrs) for e in gateway._pending],
         "advance_due": gateway._advance_due,
         "watermarks": gateway.liveness.watermarks.snapshot_state(),
