@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import pickle
 from array import array
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import StreamError
-from repro.core.event import Event
+from repro.core.event import Event, screened_event
 
 #: Bump when the serialised column layout changes incompatibly.
 BATCH_FORMAT = 2
@@ -132,7 +132,11 @@ class EventBatch:
             for name, values, present in columns:
                 if present[i]:
                     attrs[name] = values[i]
-            events.append(_rebuild_event(table[codes[i]], ts[i], attrs, eids[i]))
+            # Not through the constructor: forged rows (a non-int ts, kept
+            # losslessly by the list fallback) round-trip instead of raising
+            # here, and the engines' admission screens judge them as they
+            # judge a fed object.
+            events.append(screened_event(table[codes[i]], ts[i], attrs, eids[i]))
         return events
 
     # -- codec ---------------------------------------------------------------------
@@ -189,26 +193,3 @@ class EventBatch:
             f"EventBatch(n={self.length}, types={len(self.type_table)}, "
             f"attrs={sorted(self.columns)})"
         )
-
-
-def _rebuild_event(etype: str, ts: int, attrs: Dict[str, Any], eid: int) -> Event:
-    """Materialise an event row without re-validating or re-copying.
-
-    Mirrors ``Event.__reduce__``'s constructor rebuild, but skips the
-    constructor so forged rows (non-int ts — kept losslessly by the
-    list fallback) round-trip instead of raising here; the engines'
-    admission screens judge them exactly as they judge a fed object.
-    """
-    event = object.__new__(Event)
-    object.__setattr__(event, "etype", etype)
-    object.__setattr__(event, "ts", ts)
-    object.__setattr__(event, "eid", eid)
-    object.__setattr__(event, "_attrs", attrs)
-    try:
-        object.__setattr__(event, "_hash", hash((etype, ts, eid)))
-    except TypeError:
-        # Unhashable forged ts: match Event's lazy failure mode — the
-        # hash slot stays unset and hashing raises on use, as it would
-        # for any unhashable object.
-        pass
-    return event

@@ -167,13 +167,13 @@ class SequenceConstructor:
             # prefix candidate is strictly older than the trigger, so
             # the youngest bound event here is always the trigger
             # itself — no max() over the bindings needed.
-            lower_exclusive = trigger.ts - pattern.within - 1
-            upper_inclusive = bound[step + 1].ts - 1
+            lower_exclusive = trigger.event.ts - pattern.within - 1
+            upper_inclusive = bound[step + 1].event.ts - 1
         else:
             # Suffix step: strictly younger than step-1, within the
             # window above the first event (step 0 is bound by now).
-            lower_exclusive = bound[step - 1].ts
-            upper_inclusive = bound[0].ts + pattern.within
+            lower_exclusive = bound[step - 1].event.ts
+            upper_inclusive = bound[0].event.ts + pattern.within
 
         full_checks, reduced_checks, spec = compiled[depth]
         checks = full_checks
@@ -205,6 +205,10 @@ class SequenceConstructor:
                 prefiltered = False
 
         var = self._vars[step]
+        # At the last depth every other step is bound, so each surviving
+        # candidate completes a match here instead of in a recursive call.
+        last = depth + 1 == len(order)
+        events: Optional[List[Event]] = None
         for candidate in candidates:
             if candidate.arrival >= trigger.arrival:
                 continue
@@ -218,6 +222,14 @@ class SequenceConstructor:
                 continue
             bindings[var] = candidate.event
             if checks is not None and not checks(bindings, stats):
+                del bindings[var]
+                continue
+            if last:
+                if events is None:
+                    events = [bound.get(s, candidate).event for s in range(pattern.length)]
+                else:
+                    events[step] = candidate.event
+                matches.append(Match(pattern, events, detected_at=trigger.arrival))
                 del bindings[var]
                 continue
             bound[step] = candidate

@@ -693,8 +693,10 @@ class OutOfOrderEngine(Engine):
         * admission uses the scanner's pre-resolved per-type dispatch
           table;
         * purge scans that provably cannot drop anything (horizon
-          unmoved, no insert at or below a purge threshold) are elided,
-          keeping only their schedule bookkeeping;
+          unmoved, no insert at or below a purge threshold, or no store
+          holding anything at or below its cut) are elided, keeping only
+          their schedule bookkeeping, and the release is skipped unless
+          the earliest pending seal point is at or below the horizon;
         * the state-size high-water mark is tracked incrementally
           instead of re-summing every store.
 
@@ -717,6 +719,7 @@ class OutOfOrderEngine(Engine):
         purge_policy = self.purge_policy
         purge = self.purger.run
         probe = scanner.optimize
+        probes = scanner.probes
         construct = self.constructor.construct
         route = self._route
         dispatch = scanner.dispatch()
@@ -725,14 +728,21 @@ class OutOfOrderEngine(Engine):
         has_kleene = bool(pattern.kleene_types)
         purge_negatives = negatives if has_negatives else None
         purge_kleene = kleene if has_kleene else None
-        neg_relevant = negatives.relevant
-        kleene_relevant = kleene.relevant
+        # The (ts, eid) lists a purge cuts at ``horizon - window``; the
+        # final stack's cut is ``horizon + 1`` (Purger.run's thresholds).
+        final_keys = stack_keys[-1]
+        side_keys = stack_keys[:-1] + [
+            keys for store in (purge_negatives, purge_kleene) if store is not None
+            for keys, _ in store._by_type.values()
+        ]
+        # The stores hold exactly these types (engine constructor).
+        negated_types = pattern.negated_types
+        kleene_types = pattern.kleene_types
         neg_insert = negatives.insert
         kleene_insert = kleene.insert
         window = pattern.within
         length = pattern.length
         final_step = length - 1
-        step_range = range(length)
         purge_mode = purge_policy.mode
         purge_eager = purge_mode is PurgeMode.EAGER
         purge_lazy = purge_mode is PurgeMode.LAZY
@@ -816,11 +826,11 @@ class OutOfOrderEngine(Engine):
                         events_ignored += 1
                     else:
                         side_stored = False
-                        if has_negatives and neg_relevant(etype):
+                        if etype in negated_types:
                             neg_insert(element)
                             side_stored = True
                             store_size += 1
-                        if has_kleene and kleene_relevant(etype):
+                        if etype in kleene_types:
                             kleene_insert(element)
                             side_stored = True
                             store_size += 1
@@ -845,24 +855,12 @@ class OutOfOrderEngine(Engine):
                                 store_size += 1
                                 if step_index == final_step and ts <= horizon + 1:
                                     dirty = True
-                                # Feasibility probe (repro.core.scan, point
-                                # 3): a match needs every earlier stack to
-                                # hold an instance in [ts - window, ts) and
-                                # every later one in (ts, ts + window].
                                 ok = True
                                 if probe:
-                                    for j in step_range:
-                                        if j == step_index:
-                                            continue
-                                        if j < step_index:
-                                            lo = ts - window
-                                            hi = ts - 1
-                                        else:
-                                            lo = ts + 1
-                                            hi = ts + window
+                                    for j, lo, hi in probes[step_index]:
                                         keys = stack_keys[j]
-                                        index = bisect_left(keys, (lo, -1))
-                                        if index >= len(keys) or keys[index][0] > hi:
+                                        index = bisect_left(keys, (ts + lo, -1))
+                                        if index >= len(keys) or keys[index][0] > ts + hi:
                                             ok = False
                                             skipped_by_probe += 1
                                             break
@@ -880,9 +878,9 @@ class OutOfOrderEngine(Engine):
                         else:
                             events_ignored += 1
 
-                    # Skipping the release while nothing is pending is safe:
+                    # Skipping a release that would pop nothing is safe:
                     # ``stats.matches_pending`` is kept at every transition.
-                    if pending_heap:
+                    if pending_heap and pending_heap[0][0] <= horizon:
                         self._release_ripe(emitted)
                     if purge_eager:
                         due = True
@@ -897,11 +895,26 @@ class OutOfOrderEngine(Engine):
                         due = False
                     if due and horizon >= 0:
                         if dirty or horizon > purged_at:
-                            if note_purge is not None:
-                                note_purge(self)
-                            store_size -= purge(
-                                horizon, stacks, purge_negatives, stats, purge_kleene
+                            # A run with nothing at or below its cuts
+                            # drops nothing: count it, skip the call
+                            # (unless a tracer watches purges).
+                            idle = note_purge is None and not (
+                                final_keys and final_keys[0][0] <= horizon + 1
                             )
+                            if idle:
+                                cut = horizon - window
+                                for keys in side_keys:
+                                    if keys and keys[0][0] <= cut:
+                                        idle = False
+                                        break
+                            if idle:
+                                elided_purges += 1
+                            else:
+                                if note_purge is not None:
+                                    note_purge(self)
+                                store_size -= purge(
+                                    horizon, stacks, purge_negatives, stats, purge_kleene
+                                )
                             purged_at = horizon
                             dirty = False
                         else:

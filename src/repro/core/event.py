@@ -138,6 +138,31 @@ class Event:
         return (self.etype, self.ts, self.eid)
 
 
+_set_etype, _set_ts, _set_eid, _set_attrs, _set_hash = (
+    Event.__dict__[name].__set__ for name in Event.__slots__
+)
+
+
+def screened_event(etype: str, ts: int, attrs: Dict[str, Any], eid: int) -> Event:
+    """An :class:`Event` from fields the caller has already checked: no
+    re-validation, slots set through their descriptors, and *attrs* stored
+    as given (a caller that does not own the dict passes a copy).
+
+    An unhashable forged *ts* leaves the hash slot unset, so hashing the
+    event raises on use, as it would for any unhashable object.
+    """
+    event = object.__new__(Event)
+    _set_etype(event, etype)
+    _set_ts(event, ts)
+    _set_eid(event, eid)
+    _set_attrs(event, attrs)
+    try:
+        _set_hash(event, hash((etype, ts, eid)))
+    except TypeError:
+        pass
+    return event
+
+
 class Punctuation:
     """An in-band assertion: no event with ``ts <= self.ts`` is still in flight.
 

@@ -153,7 +153,7 @@ class Purger:
         side_cut = horizon - self.window
         final = self.pattern_length - 1
         dropped = 0
-        for index, stack in enumerate(stacks):
+        for index, stack in enumerate(stacks.stacks):
             cut = horizon + 1 if index == final else side_cut
             # O(1) pre-check: most scans find nothing below the cut.
             keys = stack._keys

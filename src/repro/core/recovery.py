@@ -52,8 +52,8 @@ from collections import deque
 from json.encoder import encode_basestring_ascii as _escape_json
 from pathlib import Path
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, TextIO, Tuple,
-    Union,
+    Any, BinaryIO, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set,
+    TextIO, Tuple, Union,
 )
 
 from repro.core.engine import EmissionRecord, Engine
@@ -100,26 +100,26 @@ def _element_wal_line(element: StreamElement) -> str:
     encoder, so the output is identical JSON either way.
     """
     if type(element) is Event:
-        parts = []
-        fast = True
-        attrs = element.attrs
-        for key in sorted(attrs):
-            value = attrs[key]
-            if type(value) is int:
-                parts.append(f"{_escape_json(key)}: {value}")
-            elif type(value) is str:
-                parts.append(f"{_escape_json(key)}: {_escape_json(value)}")
+        etype, ts, eid = element.etype, element.ts, element.eid
+        if type(etype) is str and type(ts) is int and type(eid) is int:
+            parts = []
+            attrs = element._attrs  # read-only here: ``attrs`` would copy it
+            for key in sorted(attrs):
+                value = attrs[key]
+                if type(key) is not str:
+                    break
+                if type(value) is int:
+                    parts.append(f"{_escape_json(key)}: {value}")
+                elif type(value) is str:
+                    parts.append(f"{_escape_json(key)}: {_escape_json(value)}")
+                else:
+                    break
             else:
-                fast = False
-                break
-        if fast:
-            return (
-                '{"attrs": {' + ", ".join(parts) + "}, "
-                f'"eid": {element.eid}, '
-                f'"etype": {_escape_json(element.etype)}, '
-                '"kind": "event", '
-                f'"ts": {element.ts}}}'
-            )
+                return (
+                    '{"attrs": {' + ", ".join(parts) + "}, "
+                    f'"eid": {eid}, "etype": {_escape_json(etype)}, '
+                    f'"kind": "event", "ts": {ts}}}'
+                )
     return json.dumps(encode_element(element), sort_keys=True)
 
 
@@ -134,6 +134,38 @@ def decode_element(record: Dict[str, Any]) -> StreamElement:
     if record["kind"] == "punct":
         return Punctuation(record["ts"])
     raise RecoveryError(f"unknown WAL record kind {record['kind']!r}")
+
+
+def _match_record(match: Match, seq: int) -> Dict[str, Any]:
+    """The delivery-log record of *match*, delivered as number *seq*."""
+    return {
+        "seq": seq,
+        "start_ts": match.events[0].ts,
+        "end_ts": match.events[-1].ts,
+        "key": _jsonable(match.key()),
+    }
+
+
+def _delivery_line(match: Match, seq: int) -> str:
+    """``json.dumps(_match_record(match, seq), sort_keys=True)``, newline ended.
+
+    Formatted straight from the match key on the common path — a plain
+    name, int event ids and no Kleene collections; anything else takes
+    the real encoder, so the line is the same JSON either way.
+    """
+    name, eids, collections = match.key()
+    start, end = match.events[0].ts, match.events[-1].ts
+    if not collections and type(name) is str and type(start) is int and type(end) is int:
+        for eid in eids:
+            if type(eid) is not int:
+                break
+        else:
+            return (
+                f'{{"end_ts": {end}, "key": [{_escape_json(name)}, '
+                f'[{", ".join(map(str, eids))}], []], "seq": {seq}, '
+                f'"start_ts": {start}}}\n'
+            )
+    return json.dumps(_match_record(match, seq), sort_keys=True) + "\n"
 
 
 def _jsonable(value: Any) -> Any:
@@ -296,7 +328,7 @@ class ResilientRunner:
         self._suppress: Deque[Dict[str, Any]] = deque()
         self._engine_closed = False
         self._failed: Optional[str] = None  # why this runner refuses work
-        self._wal_handle: Optional[TextIO] = None
+        self._wal_handle: Optional[BinaryIO] = None
         self._wal_dirty = False
         self._delivered_handle: Optional[TextIO] = None
         #: matches delivered by THIS incarnation since the last take (suppressed
@@ -470,9 +502,10 @@ class ResilientRunner:
         self._refuse_if_closed()  # before logging: the WAL ends at its sentinel
         if not cohort:
             return []
-        text = "".join([_element_wal_line(element) + "\n" for element in cohort])
-        self._wal_write(text, len(cohort))
-        return self._apply(cohort, len(text))
+        # Both encoders escape to ASCII; a line that is not fails here, unwritten.
+        data = "".join([_element_wal_line(e) + "\n" for e in cohort]).encode("ascii")
+        self._wal_write(data, len(cohort))
+        return self._apply(cohort, len(data))
 
     def run(self, elements: Iterable[StreamElement]) -> List[Match]:
         """Feed every element not already covered by the WAL, then close.
@@ -525,10 +558,11 @@ class ResilientRunner:
         """The engine refused the call: take it back out of the WAL.
 
         Nothing of a refused call may stay logged — replay would raise
-        the same error from every later recovery.  WAL lines are ASCII,
-        so the call's share of the file is its character count.  The
-        engine may have consumed part of the cohort, so this runner is
-        unusable; a fresh one recovers to the state before the call.
+        the same error from every later recovery.  *wal_bytes* is the
+        byte length :meth:`feed` wrote, so the cut lands where the call
+        began.  The engine may have consumed part of the cohort, so this
+        runner is unusable; a fresh one recovers to the state before the
+        call.
         """
         self._close_handles()
         os.truncate(self._wal_path, self._wal_path.stat().st_size - wal_bytes)
@@ -545,7 +579,7 @@ class ResilientRunner:
             raise RecoveryError(self._failed)
         if self._engine_closed:
             return []
-        self._wal_write('{"kind": "close"}\n', 1)
+        self._wal_write(b'{"kind": "close"}\n', 1)
         matches = self.engine.close()
         self._engine_closed = True
         delivered = self._deliver(matches)
@@ -554,14 +588,6 @@ class ResilientRunner:
         return delivered
 
     # -- delivery -------------------------------------------------------------------
-
-    def _match_record(self, match: Match, seq: int) -> Dict[str, Any]:
-        return {
-            "seq": seq,
-            "start_ts": match.events[0].ts,
-            "end_ts": match.events[-1].ts,
-            "key": _jsonable(match.key()),
-        }
 
     def _deliver(self, matches: List[Match]) -> List[Match]:
         """Log and hand over *matches*, then take them from the engine.
@@ -572,11 +598,13 @@ class ResilientRunner:
         """
         delivered: List[Match] = []
         lines: List[str] = []
+        suppress = self._suppress
         for match in matches:
-            record = self._match_record(match, self._delivered)
-            self._delivered += 1
-            if self._suppress:
-                expected = self._suppress.popleft()
+            seq = self._delivered
+            self._delivered = seq + 1
+            if suppress:
+                record = _match_record(match, seq)
+                expected = suppress.popleft()
                 if record != expected:
                     raise RecoveryError(
                         f"replay re-emitted {record} where the delivery "
@@ -584,7 +612,7 @@ class ResilientRunner:
                         "determinism disagree"
                     )
                 continue
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            lines.append(_delivery_line(match, seq))
             delivered.append(match)
         if lines:
             # WAL first: a delivery record must never be durable while
@@ -616,7 +644,7 @@ class ResilientRunner:
 
     # -- durable writes ---------------------------------------------------------------
 
-    def _wal_write(self, text: str, records: int) -> None:
+    def _wal_write(self, data: bytes, records: int) -> None:
         # Buffered: the flush is deferred until something downstream
         # depends on these records being on disk — a delivery-log append
         # (the WAL-never-behind-deliveries invariant recovery checks), a
@@ -624,8 +652,8 @@ class ResilientRunner:
         # tail, and those elements are simply re-fed from the input —
         # they produced no durable delivery by construction.
         if self._wal_handle is None:
-            self._wal_handle = self._wal_path.open("a", encoding="utf-8")
-        self._wal_handle.write(text)
+            self._wal_handle = self._wal_path.open("ab")
+        self._wal_handle.write(data)
         self._wal_dirty = True
         if self._c_wal is not None:
             self._c_wal.inc(records)

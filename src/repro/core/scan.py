@@ -75,6 +75,17 @@ class SequenceScanner:
                 for index in steps
             )
 
+        # Feasibility probe plan (point 3), per trigger step: a match
+        # needs every earlier stack to hold an instance in [ts - W, ts)
+        # and every later one in (ts, ts + W], so each entry is (stack
+        # index, low offset, high offset) from the arrival's ts.
+        within, length = pattern.within, pattern.length
+        self.probes: Tuple[Tuple[Tuple[int, int, int], ...], ...] = tuple(
+            tuple((j, -within, -1) if j < i else (j, 1, within)
+                  for j in range(length) if j != i)
+            for i in range(length)
+        )
+
     def dispatch(self) -> Dict[str, Tuple[Tuple[int, str, Tuple[Predicate, ...]], ...]]:
         """Pre-resolved per-type admission table (read-only).
 

@@ -118,14 +118,16 @@ class SortedStack:
         Appends in O(1) for the common in-order case, splices via
         binary search otherwise.
         """
-        key = instance.sort_key()
-        if not self._keys or key >= self._keys[-1]:
-            self._keys.append(key)
+        event = instance.event
+        key = (event.ts, event.eid)  # Instance.sort_key, inlined
+        keys = self._keys
+        if not keys or key >= keys[-1]:
+            index = len(keys)
+            keys.append(key)
             self._instances.append(instance)
-            index = len(self._instances) - 1
         else:
-            index = bisect_right(self._keys, key)
-            self._keys.insert(index, key)
+            index = bisect_right(keys, key)
+            keys.insert(index, key)
             self._instances.insert(index, instance)
         if self.indexed_attrs:
             self._index_insert(instance, key)
@@ -169,8 +171,22 @@ class SortedStack:
         Both purge and shedding remove a global ``(ts, eid)`` prefix, so
         the removals form a prefix of each posting list too.
         """
-        removed = self._instances[:cut]
         disabled = self._index_disabled
+        if cut == 1:
+            # The common purge: one instance, the head of its posting list.
+            attrs = self._instances[0].event._attrs
+            for name, postings in self._postings.items():
+                if name in disabled:
+                    continue
+                value = attrs[name]
+                keys, instances = postings[value]
+                if len(keys) == 1:
+                    del postings[value]
+                else:
+                    del keys[0]
+                    del instances[0]
+            return
+        removed = self._instances[:cut]
         for name in self._postings:
             if name in disabled:
                 continue
@@ -246,7 +262,7 @@ class SortedStack:
 
         Instances are ts-sorted so this is a single prefix cut.
         """
-        cut = bisect_right(self._keys, (ts, float("inf")))
+        cut = bisect_right(self._keys, (ts, _INF))
         if cut:
             if self.indexed_attrs:
                 self._index_drop_prefix(cut)
@@ -402,7 +418,9 @@ class NegativeStore:
         """Drop all events with ``ts <= ts`` across every type; returns count."""
         dropped = 0
         for keys, events in self._by_type.values():
-            cut = bisect_right(keys, (ts, float("inf")))
+            if not keys or keys[0][0] > ts:
+                continue
+            cut = bisect_right(keys, (ts, _INF))
             if cut:
                 del keys[:cut]
                 del events[:cut]

@@ -136,7 +136,8 @@ class AdmissionController:
         if state is None:
             state = self._sources[source] = SourceAdmission()
         window = self._window
-        seen = window._ids  # ``add`` mutates it in place, nothing rebinds it here
+        # DedupeWindow.add, inlined: the id is known to be absent.
+        seen, order, capacity = window._ids, window._order, window.capacity
         screen, event_for = self.schema.screen, self.schema.event_for
         admitted, duplicate, quarantined = AdmissionOutcome  # definition order
         decided: List[Admission] = []
@@ -149,7 +150,10 @@ class AdmissionController:
                 state.duplicates += 1
                 decided.append(Admission(duplicate, None, None, idem))
             else:
-                window.add(idem)
+                order.append(idem)
+                seen.add(idem)
+                if len(order) > capacity:
+                    seen.discard(order.popleft())
                 state.admitted += 1
                 event = event_for(etype, attrs, idem)
                 decided.append(Admission(admitted, None, event, idem))

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
-from repro.core.event import Event
+from repro.core.event import Event, screened_event
 
 #: Ordering scopes a schema may declare.  ``per_source`` promises each
 #: source sends its own events in occurrence order (slack 0 per source);
@@ -303,8 +303,12 @@ class StreamSchema:
         return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
     def event_for(self, etype: str, attrs: Mapping[str, Any], idem_id: str) -> Event:
-        """The engine-side event for a screened frame whose id is *idem_id*."""
-        return Event(etype, attrs[self.t_event], attrs, eid=self.derive_eid(idem_id))
+        """The engine-side event for a screened frame whose id is *idem_id*:
+        built once, without re-checking what :meth:`screen` checked, from a
+        copy of *attrs* (the caller may keep and mutate its dict)."""
+        return screened_event(
+            etype, attrs[self.t_event], dict(attrs), self.derive_eid(idem_id)
+        )
 
     def build_event(self, etype: str, attrs: Mapping[str, Any]) -> Event:
         """The engine-side event for a validated frame."""

@@ -140,7 +140,12 @@ def encode_reply(reply: Dict[str, Any]) -> bytes:
     """One reply line, byte for byte ``json.dumps(reply, sort_keys=True)``;
     the plain admitted ack, nearly every line written, comes from a template."""
     n = reply.get("n")
-    if type(n) is int and reply == {"n": n, "op": "ack", "status": "admitted"}:
+    if (
+        type(n) is int
+        and len(reply) == 3
+        and reply.get("status") == "admitted"
+        and reply.get("op") == "ack"
+    ):
         return b'{"n": %d, "op": "ack", "status": "admitted"}\n' % n
     return json.dumps(reply, sort_keys=True).encode("utf-8") + b"\n"
 

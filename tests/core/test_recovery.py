@@ -25,6 +25,7 @@ from repro import (
     StreamError,
     seq,
 )
+from repro.core import recovery
 from repro.core.recovery import (
     CHECKPOINT_NAME,
     DELIVERED_NAME,
@@ -342,3 +343,41 @@ class TestRefusedElements:
         again.feed([e for e in cohort if e is not self.REFUSED])
         again.close()
         assert again.seq == 7 and again.delivered_count == 3
+
+    def test_refused_cohort_of_encoder_lines_leaves_the_wal_as_it_was(self, tmp_path):
+        """Lines the full encoder writes (floats, nested values, escaped
+        non-ASCII) are cut back by the bytes the call appended."""
+        runner = ResilientRunner(self.strict_engine(), tmp_path)
+        runner.feed(Event("A", 10, {"x": 0, "note": "naïve ☃", "w": 0.5}))
+        runner.sync()
+        before = (tmp_path / WAL_NAME).read_bytes()
+        cohort = [
+            Event("A", 12, {"x": 0, "nested": {"k": ["é", None]}, "f": 1.5}),
+            Event("B", 13, {"x": 0, "flag": True, "note": "日本"}),
+            self.REFUSED,
+        ]
+        with pytest.raises(StreamError):
+            runner.feed(cohort)
+        assert (tmp_path / WAL_NAME).read_bytes() == before
+        again = ResilientRunner(self.strict_engine(), tmp_path)
+        assert again.seq == 1 and again.replayed_elements == 1
+
+    def test_a_non_ascii_wal_line_fails_before_it_is_written(self, tmp_path, monkeypatch):
+        """The WAL is bytes: a line that is not ASCII is refused whole, so
+        no later cut can land inside a multi-byte character."""
+        runner = ResilientRunner(self.strict_engine(), tmp_path)
+        runner.feed(Event("A", 10, {"x": 0}))
+        runner.sync()
+        before = (tmp_path / WAL_NAME).read_bytes()
+        encode = recovery._element_wal_line
+        monkeypatch.setattr(
+            recovery, "_element_wal_line",
+            lambda element: encode(element).replace("\\u00e9", "é"),
+        )
+        with pytest.raises(UnicodeEncodeError):
+            runner.feed([Event("A", 12, {"x": 0, "note": "é"}), self.REFUSED])
+        assert (tmp_path / WAL_NAME).read_bytes() == before
+        monkeypatch.undo()
+        runner.feed(Event("B", 14, {"x": 0}))  # nothing was logged or fed
+        runner.close()
+        assert runner.seq == 2 and len(runner.matches) == 1

@@ -10,6 +10,7 @@ from repro import Event, OfflineOracle, OutOfOrderEngine, parse
 from repro.cli import main as cli_main
 from repro.core.engine import ValidationPolicy
 from repro.core.errors import ConfigurationError, ReproError
+from repro.core.recovery import read_wal_elements
 from repro.core.shedding import ShedPolicy
 from repro.faultinject import CrashError, FaultInjector, forge_event
 from repro.ingest import GatewayConfig, IngestGateway
@@ -55,6 +56,28 @@ def test_admit_feed_and_match(tmp_path):
     gateway.seal()
     assert len(delivered_once(tmp_path)) == gateway.stats()["matches"] == 1
     assert not hasattr(gateway, "results")  # delivered matches are read from the log
+
+
+def test_callers_attrs_are_not_the_fed_events(tmp_path):
+    """admit_frame decides now and feeds at the commit: a caller that
+    reuses its attrs dict in between must not change what is fed."""
+    gateway = make_gateway(tmp_path)
+    fed = []
+
+    class FeedTap(MatchTap):
+        def feed(self, elements):
+            fed.extend(elements)
+            return super().feed(elements)
+
+    FeedTap(gateway)
+    attrs = {"ts": 1, "x": 7}
+    assert gateway.admit_frame("s1", "A", attrs, now=0.0)["status"] == "admitted"
+    attrs["x"] = 8
+    attrs["ts"] = 2
+    gateway.sync_acks()
+    event = next(element for element in fed if isinstance(element, Event))
+    assert (event.ts, event.attrs) == (1, {"ts": 1, "x": 7})
+    assert read_wal_elements(tmp_path)[0].attrs == {"ts": 1, "x": 7}
 
 
 def test_duplicates_are_counted_not_refed(tmp_path):

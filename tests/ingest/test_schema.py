@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.event import malformed_reason
+from repro.core.event import Event, malformed_reason
 from repro.ingest import EventSchema, FieldSpec, StreamSchema, load_schema
 from repro.ingest.schema import dump_schema
 
@@ -46,6 +48,30 @@ def test_gateway_checks_subsume_engine_admission():
         assert schema.check_frame("A", attrs) is None
         event = schema.build_event("A", attrs)
         assert malformed_reason(event) is None
+
+
+@pytest.mark.parametrize(
+    "attrs", [{"ts": 5, "x": 2}, {"ts": 0, "x": -1, "note": "é"}], ids=["plain", "extra"]
+)
+def test_admission_built_event_keeps_the_event_contract(attrs):
+    """event_for skips the constructor's checks, not what an Event is."""
+    attrs = dict(attrs)
+    schema = make_schema()
+    reason, idem = schema.screen("A", attrs)
+    assert reason is None
+    built = schema.event_for("A", attrs, idem)
+    plain = Event("A", attrs["ts"], attrs, eid=schema.derive_eid(idem))
+    assert type(built) is Event
+    assert built == plain and hash(built) == hash(plain)
+    assert repr(built) == repr(plain) and built.attrs == plain.attrs
+    assert malformed_reason(built) is None
+    clone = pickle.loads(pickle.dumps(built))
+    assert (clone, hash(clone), repr(clone)) == (plain, hash(plain), repr(plain))
+    for name in ("etype", "ts", "eid", "_attrs", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+    attrs["x"] = 99  # the caller's dict is not the event's
+    assert built["x"] == plain["x"] != 99
 
 
 def test_optional_fields_may_be_absent():
