@@ -39,13 +39,13 @@ ablatable (``index=False``) and results are identical either way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.event import Event
-from repro.core.indexplan import StagePlan, build_plan
+from repro.core.indexplan import build_plan
 from repro.core.pattern import Match, Pattern
 from repro.core.predicates import Predicate
-from repro.core.stacks import Instance, StackSet
+from repro.core.stacks import Instance, SortedStack, StackSet
 from repro.core.stats import EngineStats
 
 
@@ -91,7 +91,19 @@ class SequenceConstructor:
             self._staged,
             use_index=index and optimize,
         )
-        self._stages: List[List[StagePlan]] = plan.stages
+        self._length = pattern.length
+        self._within = pattern.within
+        #: Per trigger step: the trigger's own check, then one level per
+        #: further binding depth — ``(step, is_prefix, var, full checks,
+        #: reduced checks, lookup spec, is_last)``.
+        self._plans: List[Tuple[Optional[Callable], tuple]] = [
+            (stages[0][0], tuple(
+                (step, step < trigger, self._vars[step]) + stages[depth]
+                + (depth == len(order) - 1,)
+                for depth, step in enumerate(order) if depth
+            ))
+            for trigger, (order, stages) in enumerate(zip(self._orders, plan.stages))
+        ]
         #: Per-step attribute names the engine's stacks must index, or
         #: None when no lookup was planned (engines then build plain
         #: stacks and skip index maintenance entirely).
@@ -128,60 +140,60 @@ class SequenceConstructor:
         if stats is not None:
             stats.construction_triggers += 1
         matches: List[Match] = []
-        order = self._orders[step_index]
-        compiled = self._stages[step_index]
-        bound: Dict[int, Instance] = {step_index: trigger}
-        bindings: Dict[str, Event] = {self._vars[step_index]: trigger.event}
-        check0 = compiled[0][0]
-        if check0 is not None and not check0(bindings, stats):
+        check, levels = self._plans[step_index]
+        event = trigger.event
+        bindings: Dict[str, Event] = {self._vars[step_index]: event}
+        if check is not None and not check(bindings, stats):
             return matches
-        self._extend(stacks, order, compiled, 1, trigger, bound, bindings, matches, stats)
+        # One slot per step, bound along the current path; every slot is
+        # rebound before a match reads it.
+        events: List = [event] * self._length
+        if levels:
+            self._extend(
+                stacks.stacks, levels, 0, trigger.arrival,
+                event.ts - self._within - 1, events, bindings, matches, stats,
+            )
+        else:
+            matches.append(Match(self.pattern, events, detected_at=trigger.arrival))
         return matches
 
     # -- internals ---------------------------------------------------------------
 
     def _extend(
         self,
-        stacks: StackSet,
-        order: List[int],
-        compiled: List[StagePlan],
+        stacks: List[SortedStack],
+        levels: tuple,
         depth: int,
-        trigger: Instance,
-        bound: Dict[int, Instance],
+        arrival: int,
+        floor: int,
+        events: List[Event],
         bindings: Dict[str, Event],
         matches: List[Match],
         stats: Optional[EngineStats],
     ) -> None:
-        pattern = self.pattern
-        if depth == len(order):
-            events = [bound[step].event for step in range(pattern.length)]
-            matches.append(Match(pattern, events, detected_at=trigger.arrival))
-            return
-
-        step = order[depth]
-        trigger_step = order[0]
-        if step < trigger_step:
+        step, prefix, var, full_checks, reduced_checks, spec, last = levels[depth]
+        if prefix:
             # Prefix step: strictly older than the bound step+1 event,
             # and within the window below the youngest bound event.
             # Prefix steps are bound before suffix steps and every
             # prefix candidate is strictly older than the trigger, so
             # the youngest bound event here is always the trigger
-            # itself — no max() over the bindings needed.
-            lower_exclusive = trigger.event.ts - pattern.within - 1
-            upper_inclusive = bound[step + 1].event.ts - 1
+            # itself: *floor* is its ts - W - 1.
+            lower_exclusive = floor
+            upper_inclusive = events[step + 1].ts - 1
         else:
             # Suffix step: strictly younger than step-1, within the
             # window above the first event (step 0 is bound by now).
-            lower_exclusive = bound[step - 1].event.ts
-            upper_inclusive = bound[0].event.ts + pattern.within
+            lower_exclusive = events[step - 1].ts
+            upper_inclusive = events[0].ts + self._within
 
-        full_checks, reduced_checks, spec = compiled[depth]
+        stack = stacks[step]
         checks = full_checks
         prefiltered = True
         candidates: Optional[Sequence[Instance]] = None
         if spec is not None:
             name, bound_value = spec
-            candidates = stacks[step].equality_candidates(
+            candidates = stack.equality_candidates(
                 name, bound_value(bindings), lower_exclusive, upper_inclusive
             )
             if candidates is not None:
@@ -195,22 +207,17 @@ class SequenceConstructor:
                     self._observe_candidates(len(candidates))
         if candidates is None:
             if self.optimize:
-                candidates = stacks[step].range_after(
-                    lower_exclusive, max_ts=upper_inclusive
-                )
+                candidates = stack.range_after(lower_exclusive, max_ts=upper_inclusive)
             else:
                 # Unoptimised: linear scan of the whole stack, bounds
                 # checked per candidate (the cost E6 measures).
-                candidates = list(stacks[step])
+                candidates = list(stack)
                 prefiltered = False
 
-        var = self._vars[step]
-        # At the last depth every other step is bound, so each surviving
+        # At the last level every other step is bound, so each surviving
         # candidate completes a match here instead of in a recursive call.
-        last = depth + 1 == len(order)
-        events: Optional[List[Event]] = None
         for candidate in candidates:
-            if candidate.arrival >= trigger.arrival:
+            if candidate.arrival >= arrival:
                 continue
             if stats is not None:
                 stats.partial_combinations += 1
@@ -220,21 +227,15 @@ class SequenceConstructor:
                 if stats is not None:
                     stats.window_rejections += 1
                 continue
-            bindings[var] = candidate.event
+            event = candidate.event
+            bindings[var] = event
             if checks is not None and not checks(bindings, stats):
-                del bindings[var]
                 continue
+            events[step] = event
             if last:
-                if events is None:
-                    events = [bound.get(s, candidate).event for s in range(pattern.length)]
-                else:
-                    events[step] = candidate.event
-                matches.append(Match(pattern, events, detected_at=trigger.arrival))
-                del bindings[var]
-                continue
-            bound[step] = candidate
-            self._extend(
-                stacks, order, compiled, depth + 1, trigger, bound, bindings, matches, stats
-            )
-            del bound[step]
-            del bindings[var]
+                matches.append(Match(self.pattern, events, detected_at=arrival))
+            else:
+                self._extend(
+                    stacks, levels, depth + 1, arrival, floor, events, bindings,
+                    matches, stats,
+                )

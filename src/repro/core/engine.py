@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional, Set, Tuple, cast,
+)
 
 from repro.core import snapshot as snapshots
 from repro.core.clock import StreamClock
@@ -45,7 +47,9 @@ from repro.core.event import (
     admission_error,
     malformed_reason,
 )
-from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
+from repro.core.negation import (
+    collect_kleene, compile_seal_point, compile_violated, PendingMatches,
+)
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgeMode, PurgePolicy, Purger
 from repro.core.scan import SequenceScanner
@@ -58,7 +62,7 @@ from repro.core.speculate import (
     SpeculationLog,
     SpeculativeEmission,
 )
-from repro.core.stacks import Instance, NegativeStore, StackSet
+from repro.core.stacks import _INF, Instance, NegativeStore, StackSet
 from repro.core.stats import EngineStats
 
 if TYPE_CHECKING:
@@ -88,6 +92,11 @@ class EmissionRecord(NamedTuple):
     match: Match
     emitted_seq: int  #: engine arrival index at emission time
     emitted_clock: int  #: stream clock (max occurrence ts) at emission time
+
+
+#: ``_new_record(EmissionRecord, fields)``: a record without the
+#: namedtuple's Python-level ``__new__``.
+_new_record = cast(Callable[..., EmissionRecord], tuple.__new__)
 
 
 class Engine:
@@ -366,7 +375,9 @@ class Engine:
 
     def _emit(self, match: Match, clock_now: int) -> None:
         self.results.append(match)
-        self.emissions.append(EmissionRecord(match, self._arrival, clock_now))
+        self.emissions.append(
+            _new_record(EmissionRecord, (match, self._arrival, clock_now))
+        )
         self.stats.matches_emitted += 1
 
 
@@ -467,6 +478,15 @@ class OutOfOrderEngine(Engine):
         self.kleene_store = NegativeStore(pattern.kleene_types)
         self.pending = PendingMatches()
         self.purger = Purger(pattern.within, pattern.length)
+        #: The stores as the purge routine takes them (``Purger.resolve``).
+        self._purge_entries = self.purger.resolve(
+            self.stacks.stacks, (self.negatives, self.kleene_store)
+        )
+        #: Smallest horizon at which anything stored becomes purgeable, kept
+        #: exact at every store mutation: a due purge below it is skipped.
+        self._next_expiry = self.purger.next_expiry(*self._purge_entries)
+        self._seal_point = compile_seal_point(pattern)
+        self._violated = compile_violated(pattern)
 
     # -- state -------------------------------------------------------------------
 
@@ -553,6 +573,7 @@ class OutOfOrderEngine(Engine):
             self.speculation.restore_state(state["speculation"], self._decode_match)
         if self._controller is not None:
             self._controller.restore_state(state["controller"])
+        self._next_expiry = self.purger.next_expiry(*self._purge_entries)
 
     # -- load shedding ------------------------------------------------------------
 
@@ -631,6 +652,8 @@ class OutOfOrderEngine(Engine):
                 shed += victim_store.drop_oldest(victim_type, 1)
             excess -= 1
         self.stats.events_shed += shed
+        if shed:
+            self._next_expiry = self.purger.next_expiry(*self._purge_entries)
         if collect and casualties:
             self._obs.note_shed(self, casualties)
         return shed
@@ -644,10 +667,14 @@ class OutOfOrderEngine(Engine):
         if self.purge_policy.due():
             if self._obs is not None:
                 self._obs.note_purge(self)
-            self.purger.run(
-                self.clock.horizon(), self.stacks, self.negatives,
-                self.stats, kleene=self.kleene_store,
+            horizon = self.clock.horizon()
+            dropped, side_dropped, self._next_expiry = self.purger.cut(
+                horizon, *self._purge_entries
             )
+            if horizon >= 0:
+                self.stats.purge_runs += 1
+                self.stats.instances_purged += dropped
+                self.stats.negatives_purged += side_dropped
         if self.shed is not None:
             self._shed_overflow()
         if self._controller is not None:
@@ -688,15 +715,15 @@ class OutOfOrderEngine(Engine):
         batch saves is the set-up below, paid once per call:
 
         * attribute lookups, clock arithmetic and purge scheduling are
-          hoisted into locals (never cached on the engine: ``restore``
-          rebinds collaborators);
+          hoisted into locals (per call: ``restore`` rebinds the pending
+          heap; stores refill theirs in place, so purge entries last);
         * admission uses the scanner's pre-resolved per-type dispatch
           table;
-        * purge scans that provably cannot drop anything (horizon
-          unmoved, no insert at or below a purge threshold, or no store
-          holding anything at or below its cut) are elided, keeping only
-          their schedule bookkeeping, and the release is skipped unless
-          the earliest pending seal point is at or below the horizon;
+        * a due purge below the next expiry (the smallest horizon at
+          which anything stored becomes purgeable; every insert lowers
+          it, every cut recomputes it) is only counted, and the release
+          is skipped unless the earliest pending seal point is at or
+          below the horizon;
         * the state-size high-water mark is tracked incrementally
           instead of re-summing every store.
 
@@ -711,38 +738,28 @@ class OutOfOrderEngine(Engine):
         scanner = self.scanner
         stacks = self.stacks
         stack_list = stacks.stacks
-        # Aliased: purge_through / drop_oldest cut these lists in place.
-        stack_keys = [stack._keys for stack in stack_list]
         negatives = self.negatives
         kleene = self.kleene_store
+        # Aliased: purge_through / drop_oldest cut these key lists in place.
+        stack_entries, side_entries = self._purge_entries
+        stack_keys = [entry[0] for entry in stack_entries]
+        cut = self.purger.cut
         pending_heap = self.pending._heap
         purge_policy = self.purge_policy
-        purge = self.purger.run
         probe = scanner.optimize
         probes = scanner.probes
+        below = -_INF  # sorts before every eid at the probe's ts
         construct = self.constructor.construct
         route = self._route
         dispatch = scanner.dispatch()
         relevant_types = pattern.relevant_types
-        has_negatives = bool(pattern.negated_types)
-        has_kleene = bool(pattern.kleene_types)
-        purge_negatives = negatives if has_negatives else None
-        purge_kleene = kleene if has_kleene else None
-        # The (ts, eid) lists a purge cuts at ``horizon - window``; the
-        # final stack's cut is ``horizon + 1`` (Purger.run's thresholds).
-        final_keys = stack_keys[-1]
-        side_keys = stack_keys[:-1] + [
-            keys for store in (purge_negatives, purge_kleene) if store is not None
-            for keys, _ in store._by_type.values()
-        ]
         # The stores hold exactly these types (engine constructor).
         negated_types = pattern.negated_types
         kleene_types = pattern.kleene_types
         neg_insert = negatives.insert
         kleene_insert = kleene.insert
         window = pattern.within
-        length = pattern.length
-        final_step = length - 1
+        delays = [delay for _, _, delay in stack_entries]
         purge_mode = purge_policy.mode
         purge_eager = purge_mode is PurgeMode.EAGER
         purge_lazy = purge_mode is PurgeMode.LAZY
@@ -769,22 +786,16 @@ class OutOfOrderEngine(Engine):
         max_ts = clock._max_ts
         observations = 0
         horizon = clock.horizon()
+        next_expiry = self._next_expiry
         # Incremental state-size tracking for the peak high-water mark.
-        store_size = sum(map(len, stack_keys))
-        if has_negatives:
-            store_size += negatives.size()
-        if has_kleene:
-            store_size += kleene.size()
+        store_size = sum(map(len, stack_keys)) + sum(
+            [len(entry[0]) for entry in side_entries]
+        )
         peak = stats.peak_state_size
         # Flow counters, accumulated locally and flushed on exit.
         events_in = events_admitted = events_ignored = 0
-        late_dropped = out_of_order = 0
-        elided_purges = skipped_by_probe = 0
-        # Purge elision: a due purge is skipped (bookkeeping only) when
-        # the horizon has not advanced past the last scanned one and no
-        # insert landed at or below a purge threshold since.
-        purged_at = -2
-        dirty = True
+        late_dropped = out_of_order = skipped_by_probe = 0
+        purge_runs = instances_purged = side_purged = 0
         try:
             for element in elements:
                 if isinstance(element, Event):
@@ -834,6 +845,9 @@ class OutOfOrderEngine(Engine):
                             kleene_insert(element)
                             side_stored = True
                             store_size += 1
+                        # Every insert lowers the next expiry to its own.
+                        if side_stored and ts + window < next_expiry:
+                            next_expiry = ts + window
                         admitted = False
                         entries = dispatch.get(etype)
                         if entries:
@@ -853,13 +867,14 @@ class OutOfOrderEngine(Engine):
                                 admitted = True
                                 stack_list[step_index].insert(instance)
                                 store_size += 1
-                                if step_index == final_step and ts <= horizon + 1:
-                                    dirty = True
+                                expiry = ts + delays[step_index]
+                                if expiry < next_expiry:
+                                    next_expiry = expiry
                                 ok = True
                                 if probe:
                                     for j, lo, hi in probes[step_index]:
                                         keys = stack_keys[j]
-                                        index = bisect_left(keys, (ts + lo, -1))
+                                        index = bisect_left(keys, (ts + lo, below))
                                         if index >= len(keys) or keys[index][0] > ts + hi:
                                             ok = False
                                             skipped_by_probe += 1
@@ -872,7 +887,7 @@ class OutOfOrderEngine(Engine):
                                             emit(match, max_ts)
                                             emitted.append(match)
                                         else:
-                                            route(match, emitted)
+                                            route(match, emitted, horizon)
                         if admitted or side_stored:
                             events_admitted += 1
                         else:
@@ -886,41 +901,30 @@ class OutOfOrderEngine(Engine):
                         due = True
                     elif purge_lazy:
                         since_last += 1
-                        if since_last >= purge_interval:
+                        due = since_last >= purge_interval
+                        if due:
                             since_last = 0
-                            due = True
-                        else:
-                            due = False
                     else:
                         due = False
                     if due and horizon >= 0:
-                        if dirty or horizon > purged_at:
-                            # A run with nothing at or below its cuts
-                            # drops nothing: count it, skip the call
-                            # (unless a tracer watches purges).
-                            idle = note_purge is None and not (
-                                final_keys and final_keys[0][0] <= horizon + 1
+                        # Below the next expiry the cut would drop nothing:
+                        # count the run, skip the call (unless a tracer
+                        # watches purges).
+                        if horizon >= next_expiry or note_purge is not None:
+                            if note_purge is not None:
+                                note_purge(self)
+                            dropped, side_dropped, next_expiry = cut(
+                                horizon, stack_entries, side_entries
                             )
-                            if idle:
-                                cut = horizon - window
-                                for keys in side_keys:
-                                    if keys and keys[0][0] <= cut:
-                                        idle = False
-                                        break
-                            if idle:
-                                elided_purges += 1
-                            else:
-                                if note_purge is not None:
-                                    note_purge(self)
-                                store_size -= purge(
-                                    horizon, stacks, purge_negatives, stats, purge_kleene
-                                )
-                            purged_at = horizon
-                            dirty = False
-                        else:
-                            elided_purges += 1
+                            instances_purged += dropped
+                            side_purged += side_dropped
+                            store_size -= dropped + side_dropped
+                        purge_runs += 1
                     if shed_overflow is not None:
-                        store_size -= shed_overflow()
+                        shed = shed_overflow()
+                        if shed:
+                            store_size -= shed
+                            next_expiry = self._next_expiry
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
@@ -940,20 +944,21 @@ class OutOfOrderEngine(Engine):
                     clock._observations += observations
                     observations = 0
                     purge_policy._since_last = since_last
+                    self._next_expiry = next_expiry
                     emitted.extend(self._on_punctuation(element))
                     k = clock.k
                     max_ts = clock._max_ts
                     horizon = clock.horizon()
                     since_last = purge_policy._since_last
+                    next_expiry = self._next_expiry
                     store_size = stacks.size() + negatives.size() + kleene.size()
-                    purged_at = -2
-                    dirty = True
                     size_now = store_size + len(pending_heap)
                     if size_now > peak:
                         peak = size_now
         finally:
             clock._observations += observations
             purge_policy._since_last = since_last
+            self._next_expiry = next_expiry
             stats.peak_state_size = peak
             stats.events_quarantined += quarantined
             stats.events_in += events_in
@@ -961,7 +966,9 @@ class OutOfOrderEngine(Engine):
             stats.events_ignored += events_ignored
             stats.late_dropped += late_dropped
             stats.out_of_order_events += out_of_order
-            stats.purge_runs += elided_purges
+            stats.purge_runs += purge_runs
+            stats.instances_purged += instances_purged
+            stats.negatives_purged += side_purged
             stats.construction_skipped_by_probe += skipped_by_probe
         return emitted
 
@@ -974,13 +981,13 @@ class OutOfOrderEngine(Engine):
 
     # -- negation routing ----------------------------------------------------------
 
-    def _route(self, match: Match, emitted: List[Match]) -> None:
-        point = seal_point(self.pattern, match)
-        if point <= self.clock.horizon():
+    def _route(self, match: Match, emitted: List[Match], horizon: int) -> None:
+        point = self._seal_point(match.events)
+        if point <= horizon:
             self._decide(match, emitted)
         else:
             self.pending.add(match, point)
-            self.stats.matches_pending = len(self.pending)
+            self.stats.matches_pending = len(self.pending._heap)
             if self._obs is not None:
                 self._obs.note_pending(self, match, point)
             if self.speculation is not None and self.speculation.enabled:
@@ -995,8 +1002,8 @@ class OutOfOrderEngine(Engine):
         speculative work must not perturb the pessimistic counters, so a
         speculative run stays comparable to a plain one.
         """
-        if self.pattern.has_negation and violated(
-            self.pattern, match, self.negatives, None
+        if self._violated is not None and self._violated(
+            match.events, self.negatives, None
         ):
             return
         payload = match
@@ -1033,8 +1040,8 @@ class OutOfOrderEngine(Engine):
                 self._obs.note_speculated(self, outcome.record)
 
     def _decide(self, match: Match, emitted: List[Match]) -> None:
-        if self.pattern.has_negation and violated(
-            self.pattern, match, self.negatives, self.stats
+        if self._violated is not None and self._violated(
+            match.events, self.negatives, self.stats
         ):
             self.stats.matches_cancelled += 1
             if self.speculation is not None:
@@ -1042,7 +1049,7 @@ class OutOfOrderEngine(Engine):
             if self._obs is not None:
                 self._obs.note_cancelled(self, match, "negation violated at seal")
             return
-        if self.pattern.has_kleene:
+        if self.pattern.kleene:
             collections = collect_kleene(
                 self.pattern, match, self.kleene_store, self.stats
             )
@@ -1056,14 +1063,13 @@ class OutOfOrderEngine(Engine):
             match = match.with_collections(collections)
         if self.speculation is not None:
             self._seal_speculation(match)
-        self._emit(match, self.clock.now)
+        self._emit(match, self.clock._max_ts)  # clock.now
         emitted.append(match)
 
     def _release_ripe(self, emitted: List[Match]) -> None:
-        horizon = self.clock.horizon()
-        for match in self.pending.release(horizon):
+        for match in self.pending.release(self.clock.horizon()):
             self._decide(match, emitted)
-        self.stats.matches_pending = len(self.pending)
+        self.stats.matches_pending = len(self.pending._heap)
 
     def __repr__(self) -> str:
         k = "∞" if self.clock.k is None else self.clock.k

@@ -50,7 +50,9 @@ from repro.core.event import (
     admission_error,
     malformed_reason,
 )
-from repro.core.negation import collect_kleene, PendingMatches, seal_point, violated
+from repro.core.negation import (
+    collect_kleene, compile_seal_point, compile_violated, PendingMatches,
+)
 from repro.core.pattern import Match, Pattern
 from repro.core.purge import PurgeMode, PurgePolicy
 from repro.core.stacks import NegativeStore
@@ -89,6 +91,8 @@ class InOrderEngine(Engine):
         self.negatives = NegativeStore(pattern.negated_types)
         self.kleene_store = NegativeStore(pattern.kleene_types)
         self.pending = PendingMatches()
+        self._seal_point = compile_seal_point(pattern)
+        self._violated = compile_violated(pattern)
         # Predicate pushdown for the RIP descent (SASE evaluates
         # predicates during construction, not on complete combos): a
         # predicate becomes checkable at the *earliest* positive step it
@@ -429,7 +433,7 @@ class InOrderEngine(Engine):
     # -- negation / purge ---------------------------------------------------------------
 
     def _route(self, match: Match, emitted: List[Match]) -> None:
-        point = seal_point(self.pattern, match)
+        point = self._seal_point(match.events)
         if point <= self.clock.horizon():
             self._decide(match, emitted)
         else:
@@ -439,8 +443,8 @@ class InOrderEngine(Engine):
                 self._obs.note_pending(self, match, point)
 
     def _decide(self, match: Match, emitted: List[Match]) -> None:
-        if self.pattern.has_negation and violated(
-            self.pattern, match, self.negatives, self.stats
+        if self._violated is not None and self._violated(
+            match.events, self.negatives, self.stats
         ):
             self.stats.matches_cancelled += 1
             if self._obs is not None:

@@ -36,51 +36,87 @@ first, which is why the engine seals before purging.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.event import Event
+from repro.core.indexplan import compile_predicate
 from repro.core.pattern import Match, Pattern
-from repro.core.stacks import NegativeStore
+from repro.core.stacks import _INF, NegativeStore
 from repro.core.stats import EngineStats
 
 
-def seal_point(pattern: Pattern, match: Match) -> int:
-    """Horizon value at which every negation/Kleene bracket of *match* seals.
+def compile_seal_point(pattern: Pattern) -> Callable[[Sequence[Event]], int]:
+    """The horizon at which every negation/Kleene bracket of a match seals.
 
     A bracket over interval ``(lo, hi)`` is sealed once the horizon
     reaches ``hi - 1`` — no event that could fall inside it can still
     arrive.  Kleene brackets seal on the same rule: only then is the
-    collected set final.  Returns -1 for patterns without brackets
-    (sealed immediately).
+    collected set final.  Each bracket's ``hi - 1`` is a positive
+    event's ts plus a fixed offset, so the function built here maps a
+    match's positive events to the max of those sums, or -1 for
+    patterns without brackets (sealed immediately).
     """
-    if not pattern.negations and not pattern.kleene:
-        return -1
-    positives = match.events
-    point = -1
-    for bracket in pattern.negations:
-        _, hi = bracket.bounds(positives, pattern.within)
-        point = max(point, hi - 1)
-    for bracket in pattern.kleene:
-        _, hi = bracket.bounds(positives, pattern.within)
-        point = max(point, hi - 1)
-    return point
+    terms = tuple(dict.fromkeys(
+        # A trailing negation's hi is first.ts + W + 1.
+        (bracket.upper, -1) if bracket.upper is not None else (0, pattern.within)
+        for bracket in pattern.negations + pattern.kleene
+    ))
+    return lambda events: max(
+        [events[index].ts + offset for index, offset in terms], default=-1
+    )
 
 
-def violated(
+def compile_violated(
     pattern: Pattern,
-    match: Match,
-    negatives: NegativeStore,
-    stats: Optional[EngineStats] = None,
-) -> bool:
-    """True when some stored negative event invalidates *match*."""
-    positives = match.events
+) -> Optional[Callable[[Sequence[Event], NegativeStore, Optional[EngineStats]], bool]]:
+    """``violated(events, negatives, stats)`` for *pattern*; None if it negates nothing.
+
+    True when a stored negative event invalidates the match over
+    positive *events*.  A bracket's interval comes from precomputed
+    positive indices and offsets, its candidates from one bisect pair on
+    the negated type's lists; its predicates run compiled over one
+    bindings dict per match, one ``predicate_evaluations`` per candidate.
+    """
+    within = pattern.within
+    checks = []
     for bracket in pattern.negations:
-        lo, hi = bracket.bounds(positives, pattern.within)
-        for candidate in negatives.between(bracket.step.etype, lo, hi):
-            if stats is not None:
-                stats.predicate_evaluations += 1
-            if bracket.admits(candidate, positives, pattern.within):
-                return True
-    return False
+        low = (bracket.lower, 0) if bracket.lower is not None else (-1, -within - 1)
+        high = (bracket.upper, 0) if bracket.upper is not None else (0, within + 1)
+        predicates = tuple(compile_predicate(p) for p in bracket.predicates)
+        checks.append((bracket.step.etype, bracket.step.var) + low + high + (predicates,))
+    if not checks:
+        return None
+    positive_vars = [step.var for step in pattern.positive_steps]
+    below = -_INF  # sorts before every eid at hi
+
+    def violated(
+        events: Sequence[Event],
+        negatives: NegativeStore,
+        stats: Optional[EngineStats] = None,
+    ) -> bool:
+        by_type = negatives._by_type
+        bindings: Optional[Dict[str, Event]] = None
+        for etype, var, lo_at, lo_off, hi_at, hi_off, predicates in checks:
+            keys, stored = by_type[etype]
+            start = bisect_right(keys, (events[lo_at].ts + lo_off, _INF))
+            end = bisect_left(keys, (events[hi_at].ts + hi_off, below))
+            if start >= end:
+                continue
+            if bindings is None:
+                bindings = dict(zip(positive_vars, events))
+            for candidate in stored[start:end]:
+                if stats is not None:
+                    stats.predicate_evaluations += 1
+                bindings[var] = candidate
+                for predicate in predicates:
+                    if not predicate(bindings):
+                        break
+                else:
+                    return True
+        return False
+
+    return violated
 
 
 def collect_kleene(

@@ -34,10 +34,10 @@ Three policies are provided for the ablation (experiment E5):
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.stacks import NegativeStore, StackSet
+from repro.core.stacks import NegativeStore, SortedStack, StackSet
 from repro.core.stats import EngineStats
 
 
@@ -123,14 +123,80 @@ class PurgePolicy:
         return f"PurgePolicy({self.mode.value})"
 
 
-class Purger:
-    """Applies the threshold arithmetic to one engine's state."""
+#: The next expiry of empty state: no horizon reaches it.
+NEVER = float("inf")
+#: What :meth:`Purger.cut` takes: ``(keys, owner, delay)`` per stack or
+#: side-store type, ``keys`` being the (ts, eid) list its owner cuts in place.
+Entries = Sequence[Tuple[List[Tuple[int, int]], Any, int]]
 
-    __slots__ = ("window", "pattern_length")
+
+class Purger:
+    """Applies the threshold arithmetic to one engine's state.
+
+    An item stored at ``ts`` expires — becomes purgeable — once the
+    horizon reaches ``ts + delay``: -1 on the final stack, W on the other
+    stacks and in the side (negative and Kleene) stores.
+    """
+
+    __slots__ = ("window", "pattern_length", "_delays")
 
     def __init__(self, window: int, pattern_length: int):
         self.window = window
         self.pattern_length = pattern_length
+        self._delays = (window,) * (pattern_length - 1) + (-1,)
+
+    def resolve(
+        self, stacks: Sequence[SortedStack], sides: Sequence[NegativeStore]
+    ) -> Tuple[Entries, Entries]:
+        """:meth:`cut`'s entries; stores keep their lists for life, so resolve once."""
+        return (
+            tuple(zip([stack._keys for stack in stacks], stacks, self._delays)),
+            tuple(
+                (keys, store, self.window)
+                for store in sides for keys, _ in store._by_type.values()
+            ),
+        )
+
+    def cut(self, horizon: int, stacks: Entries, sides: Entries) -> Tuple[int, int, float]:
+        """The engine's one purge routine: drop everything expired at *horizon*.
+
+        Returns ``(instances dropped, side events dropped, next expiry)``.
+        Callers seal pending matches first: the side stores' retention
+        proof (Kleene elements share the negatives') relies on it.
+        """
+        if horizon < 0:
+            return 0, 0, self.next_expiry(stacks, sides)
+        dropped = side_dropped = 0
+        expiry = NEVER
+        for keys, stack, delay in stacks:
+            if keys:
+                head = keys[0][0] + delay
+                if head <= horizon:
+                    dropped += stack.purge_through(horizon - delay)
+                    if not keys:
+                        continue
+                    head = keys[0][0] + delay
+                if head < expiry:
+                    expiry = head
+        for keys, store, delay in sides:
+            if keys:
+                head = keys[0][0] + delay
+                if head <= horizon:
+                    # Cuts every type of the store: later heads are above.
+                    side_dropped += store.purge_through(horizon - delay)
+                    if not keys:
+                        continue
+                    head = keys[0][0] + delay
+                if head < expiry:
+                    expiry = head
+        return dropped, side_dropped, expiry
+
+    def next_expiry(self, stacks: Entries, sides: Entries) -> float:
+        """The smallest horizon at which anything stored expires (``NEVER`` if empty)."""
+        return min(
+            [keys[0][0] + delay for keys, _, delay in (*stacks, *sides) if keys],
+            default=NEVER,
+        )
 
     def run(
         self,
@@ -140,30 +206,16 @@ class Purger:
         stats: Optional[EngineStats] = None,
         kleene: Optional[NegativeStore] = None,
     ) -> int:
-        """Purge everything provably useless at *horizon*; returns drop count.
+        """:meth:`cut` for a standalone :class:`StackSet`; returns the drop count.
 
-        Callers must seal/emit pending negation matches *before*
-        invoking this (the negative-store threshold proof relies on it).
+        Counts the run in *stats* unless the horizon is negative.
         """
         if horizon < 0:
             return 0
-        # Kleene elements share the negatives' retention proof: any
-        # unsealed bracket that could collect them lies above
-        # horizon - W, and sealing runs before purging.
-        side_cut = horizon - self.window
-        final = self.pattern_length - 1
-        dropped = 0
-        for index, stack in enumerate(stacks.stacks):
-            cut = horizon + 1 if index == final else side_cut
-            # O(1) pre-check: most scans find nothing below the cut.
-            keys = stack._keys
-            if keys and keys[0][0] <= cut:
-                dropped += stack.purge_through(cut)
-        side_dropped = 0
-        if negatives is not None:
-            side_dropped = negatives.purge_through(side_cut)
-        if kleene is not None:
-            side_dropped += kleene.purge_through(side_cut)
+        sides = [store for store in (negatives, kleene) if store is not None]
+        dropped, side_dropped, _ = self.cut(
+            horizon, *self.resolve(stacks.stacks, sides)
+        )
         if stats is not None:
             stats.instances_purged += dropped
             stats.negatives_purged += side_dropped
@@ -188,10 +240,8 @@ class Purger:
         if horizon < 0:
             return []
         victims = {}
-        final = self.pattern_length - 1
-        for index, stack in enumerate(stacks):
-            cut = horizon + 1 if index == final else horizon - self.window
-            for event in stack.events_through(cut):
+        for stack, delay in zip(stacks, self._delays):
+            for event in stack.events_through(horizon - delay):
                 victims[event.eid] = event
         for store in (negatives, kleene):
             if store is not None:

@@ -316,10 +316,11 @@ class SortedStack:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._instances = [
+        # In place: callers hold the lists for the stack's lifetime.
+        self._instances[:] = [
             Instance(event, arrival) for event, arrival in state["instances"]
         ]
-        self._keys = [instance.sort_key() for instance in self._instances]
+        self._keys[:] = [instance.sort_key() for instance in self._instances]
         self.inserted = state["inserted"]
         self.purged = state["purged"]
         # Disabled-index markers are real state (sticky even after the
@@ -410,8 +411,8 @@ class NegativeStore:
         if etype not in self._by_type:
             return []
         keys, events = self._by_type[etype]
-        start = bisect_right(keys, (lo, float("inf")))
-        end = bisect_left(keys, (hi, -1))
+        start = bisect_right(keys, (lo, _INF))
+        end = bisect_left(keys, (hi, -_INF))
         return events[start:end]
 
     def purge_through(self, ts: int) -> int:
@@ -480,8 +481,9 @@ class NegativeStore:
         }
 
     def restore_state(self, state: dict) -> None:
-        for etype in self._by_type:
-            events = list(state["types"].get(etype, ()))
-            self._by_type[etype] = ([(e.ts, e.eid) for e in events], events)
+        # In place: callers hold the lists for the store's lifetime.
+        for etype, (keys, events) in self._by_type.items():
+            events[:] = state["types"].get(etype, ())
+            keys[:] = [(e.ts, e.eid) for e in events]
         self.inserted = state["inserted"]
         self.purged = state["purged"]

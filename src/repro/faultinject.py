@@ -82,17 +82,17 @@ def corrupt_event(event: Event, shape: str) -> Event:
 class _CrashingPurger:
     """Proxy around :class:`repro.core.purge.Purger` that fires crash points.
 
-    ``Purger`` uses ``__slots__`` so its ``run`` cannot be monkeypatched
-    on the instance; a delegating proxy injects the crash check instead.
+    ``Purger`` uses ``__slots__`` so ``cut``, the engine's one purge routine,
+    cannot be monkeypatched on the instance; a proxy injects the check.
     """
 
     def __init__(self, inner: Any, injector: "FaultInjector"):
         self._inner = inner
         self._injector = injector
 
-    def run(self, *args: Any, **kwargs: Any) -> Any:
+    def cut(self, *args: Any) -> Any:
         self._injector.on_purge()
-        return self._inner.run(*args, **kwargs)
+        return self._inner.cut(*args)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)

@@ -459,9 +459,9 @@ class Observability:
     def note_purge(self, engine: Any) -> None:
         """Record the events the imminent purge run will evict.
 
-        Called *before* ``Purger.run`` when tracing is on; the peek
-        shares the purger's threshold arithmetic, so spans match the
-        actual evictions exactly.
+        Called *before* the purge routine (``Purger.cut``) when tracing
+        is on; the peek shares the purger's threshold arithmetic, so
+        spans match the actual evictions exactly.
         """
         if not self.tracing:
             return

@@ -10,7 +10,7 @@ from repro import (
     parse,
     seq,
 )
-from repro.core.negation import PendingMatches, seal_point
+from repro.core.negation import PendingMatches, compile_seal_point
 from repro.core.pattern import Match
 from helpers import bounded_shuffle, engine_vs_oracle, make_events
 
@@ -57,16 +57,16 @@ class TestSealTiming:
     def test_seal_point_computation(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         match = Match(pattern, make_events("A1 C5"))
-        assert seal_point(pattern, match) == 4  # hi=5, sealed at 4
+        assert compile_seal_point(pattern)(match.events) == 4  # hi=5, sealed at 4
 
     def test_seal_point_trailing_negation(self):
         pattern = seq("A a", "C c", "!B b", within=10)
         match = Match(pattern, make_events("A1 C5"))
-        assert seal_point(pattern, match) == 11  # first.ts + W
+        assert compile_seal_point(pattern)(match.events) == 11  # first.ts + W
 
     def test_no_negation_seals_immediately(self, plain_seq2):
         match = Match(plain_seq2, make_events("A1 B2"))
-        assert seal_point(plain_seq2, match) == -1
+        assert compile_seal_point(plain_seq2)(match.events) == -1
 
 
 class TestNegationOracleParity:
@@ -157,3 +157,47 @@ class TestPendingMatches:
         pending.add(a, 3)
         assert pending.drain() == [a, b]
         assert len(pending) == 0
+
+
+class TestNegativeEidsAtTheWindowEdge:
+    """Bisect sentinels must order below every eid, negative ones included."""
+
+    @pytest.mark.parametrize("optimize_scan", [True, False])
+    def test_probe_sees_an_instance_at_exactly_ts_minus_window(self, optimize_scan):
+        pattern = seq("A a", "B b", within=5)
+        arrival = [Event("A", 0, eid=-7), Event("B", 5, eid=10)]
+        truth = OfflineOracle(pattern).evaluate_set(arrival)
+        assert truth == {(pattern.name, (-7, 10), ())}
+        engine = OutOfOrderEngine(pattern, k=3, optimize_scan=optimize_scan)
+        engine.run(arrival)
+        assert engine.result_set() == truth
+        assert engine.stats.construction_triggers == (1 if optimize_scan else 2)
+        assert engine.stats.construction_skipped_by_probe == (1 if optimize_scan else 0)
+
+    def test_negative_at_the_upper_bracket_edge_is_outside(self):
+        pattern = parse(
+            "PATTERN SEQ(A a, !N n, B b) WHERE n.x == a.x WITHIN 10", name="edge"
+        )
+        arrival = [
+            Event("A", 1, {"x": 1}, eid=1),
+            Event("N", 5, {"x": 1}, eid=-4),  # ts == B's: outside (1, 5)
+            Event("B", 5, {"x": 1}, eid=2),
+        ]
+        truth = OfflineOracle(pattern).evaluate_set(arrival)
+        assert truth == {(pattern.name, (1, 2), ())}
+        engine = OutOfOrderEngine(pattern, k=3)
+        engine.run(arrival)
+        assert engine.result_set() == truth
+        assert engine.stats.matches_cancelled == 0
+        # Only candidates inside the bracket are evaluated.
+        assert engine.stats.predicate_evaluations == 0
+
+    def test_negative_eid_inside_the_bracket_still_cancels(self):
+        pattern = seq("A a", "!N n", "B b", within=10)
+        arrival = [Event("A", 1, eid=1), Event("N", 4, eid=-4), Event("B", 5, eid=2)]
+        assert OfflineOracle(pattern).evaluate_set(arrival) == set()
+        engine = OutOfOrderEngine(pattern, k=3)
+        engine.run(arrival)
+        assert engine.result_set() == set()
+        assert engine.stats.matches_cancelled == 1
+        assert engine.stats.predicate_evaluations == 1
