@@ -44,7 +44,7 @@ def run_experiment() -> str:
     rows = []
     for name in ("inorder", "ooo", "reorder", SPECULATIVE):
         engine = build_engine(name, query, k)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         records, produced = consumer_view(engine)
         report = compare_keys(truth, produced)
@@ -98,7 +98,7 @@ def test_e10_kernel(benchmark):
 
     def kernel():
         engine = build_engine("ooo", query, k)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -115,7 +115,7 @@ def test_e11_kernel(benchmark, strategy):
         engine = OutOfOrderEngine(
             workload.query, k=K, speculative=strategy == "speculative"
         )
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

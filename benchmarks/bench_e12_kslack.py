@@ -113,7 +113,7 @@ def test_e12_kernel(benchmark):
 
     def kernel():
         engine = OutOfOrderEngine(query, k=k)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -94,7 +94,7 @@ def test_e13_kernel(benchmark, engine_name):
             engine = OutOfOrderEngine(query, k=K)
         else:
             engine = PartitionedEngine(query, k=K)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

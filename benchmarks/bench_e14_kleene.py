@@ -109,7 +109,7 @@ def test_e14_kernel(benchmark, engine_name):
             if engine_name == "ooo"
             else InOrderEngine(QUERY)
         )
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -78,7 +78,7 @@ def _timed_run(query, arrival, index: bool, repeats: int):
     for _ in range(repeats):
         engine = OutOfOrderEngine(query, k=K, index=index)
         start = time.perf_counter()
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         best = min(best, time.perf_counter() - start)
     return best, engine
@@ -254,7 +254,7 @@ def test_e19_kernel(benchmark):
 
     def kernel():
         engine = OutOfOrderEngine(workload.query, k=K, index=True)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

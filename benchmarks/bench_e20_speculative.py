@@ -141,7 +141,7 @@ def _speculative_lead(engine):
 
 
 def _cell(name, engine, elements, truth_keys):
-    engine.feed_many(elements)
+    engine.feed_batch(elements)
     engine.close()
     occurrence = summarize_occurrence_latency(engine.emissions)
     quality = compare_keys(truth_keys, engine.result_set())

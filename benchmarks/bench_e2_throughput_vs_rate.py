@@ -81,7 +81,7 @@ def test_e2_kernel(benchmark, engine_name, rate):
 
     def kernel():
         engine = build_engine(engine_name, query, MAX_DELAY)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

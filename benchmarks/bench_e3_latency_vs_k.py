@@ -44,7 +44,7 @@ def _workload(negated: bool):
 
 def _latency(engine_name: str, workload, arrival, k: int) -> float:
     engine = build_engine(engine_name, workload.query, k)
-    engine.feed_many(arrival)
+    engine.feed_batch(arrival)
     engine.close()
     records, __ = consumer_view(engine)
     return summarize_arrival_latency(records, arrival).mean
@@ -103,7 +103,7 @@ def test_e3_kernel(benchmark, engine_name):
 
     def kernel():
         engine = build_engine(engine_name, workload.query, 80)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

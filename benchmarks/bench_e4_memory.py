@@ -41,7 +41,7 @@ def _arrival(within: int):
 
 def _peak(engine_name: str, query, arrival, k: int) -> int:
     engine = make_engine(engine_name, query, k=k)
-    engine.feed_many(arrival)
+    engine.feed_batch(arrival)
     engine.close()
     return engine.stats.peak_state_size
 
@@ -101,7 +101,7 @@ def test_e4_kernel(benchmark, k):
 
     def kernel():
         engine = make_engine("ooo", query, k=k)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return engine.stats.peak_state_size
 

@@ -100,7 +100,7 @@ def test_e5_kernel(benchmark, policy):
 
     def kernel():
         engine = OutOfOrderEngine(query, k=K, purge=POLICIES[policy]())
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return engine.stats.peak_state_size
 

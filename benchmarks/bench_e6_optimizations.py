@@ -106,7 +106,7 @@ def test_e6_kernel(benchmark, config):
         engine = OutOfOrderEngine(
             query, k=K, optimize_scan=scan_on, optimize_construction=construction_on
         )
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -107,7 +107,7 @@ def test_e7_kernel(benchmark, length):
 
     def kernel():
         engine = make_engine("ooo", query, k=K)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -97,7 +97,7 @@ def test_e8_kernel(benchmark, engine_name):
 
     def kernel():
         engine = build_engine(engine_name, workload.query, K)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -87,7 +87,7 @@ def test_e9_kernel(benchmark, within):
 
     def kernel():
         engine = make_engine("ooo", query, k=K)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return len(engine.results)
 

@@ -152,7 +152,7 @@ def run_cell(
     metrics are included.
 
     *batch_size* selects the feeding discipline: ``None`` hands the
-    whole trace to ``feed_many`` (one batch), a positive value feeds
+    whole trace to ``feed_batch`` in one call, a positive value feeds
     chunks of that size through ``feed_batch``, and ``0`` forces one
     ``feed`` call per element — the discipline the batch speedups in
     experiment E16 are measured against.
@@ -171,7 +171,7 @@ def run_cell(
         engine.enable_observability(metrics=registry)
     start = time.perf_counter()
     if batch_size is None:
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
     elif batch_size <= 0:
         for element in arrival:
             engine.feed(element)

@@ -390,7 +390,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 engine, elements, args.metrics_every, metrics_writer
             )
         elif args.batch_size is None:
-            engine.feed_many(elements)
+            engine.feed_batch(elements)
         elif args.batch_size <= 0:
             for element in elements:
                 engine.feed(element)

@@ -149,10 +149,6 @@ class Engine:
         """
         return self._drive(elements)
 
-    def feed_many(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """Feed every element; returns all matches emitted during the run."""
-        return self.feed_batch(elements)
-
     def feed_colbatch(self, batch: EventBatch) -> List[Match]:
         """Process a columnar :class:`~repro.core.colbatch.EventBatch`.
 
@@ -216,8 +212,8 @@ class Engine:
         return emitted
 
     def run(self, elements: Iterable[StreamElement]) -> List[Match]:
-        """feed_many + close in one call; returns the complete result list."""
-        emitted = self.feed_many(elements)
+        """feed_batch + close in one call; returns the complete result list."""
+        emitted = self.feed_batch(elements)
         emitted.extend(self.close())
         return emitted
 

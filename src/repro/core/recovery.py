@@ -40,8 +40,9 @@ same configuration, point a new runner at the same directory, and call
 # caller's thread: sync-before-ack is the durability contract (an acked
 # frame is on disk), and the ingest gateway's group-commit batches one
 # flush per socket batch to amortise it.  Moving these writes off-thread
-# would ack frames the disk has not seen.
-# repro: ignore-file[R007] -- group-commit durability is synchronous by design
+# would ack frames the disk has not seen, so the test suite's check for
+# blocking calls on a running event loop (tests/conftest.py) exempts
+# this module.
 
 from __future__ import annotations
 
@@ -535,17 +536,22 @@ class ResilientRunner:
         """Run a logged cohort; *wal_bytes* is what this call appended for it."""
         before = self._seq
         self._seq += len(cohort)
-        if self.fault is not None:
+        fault = self.fault
+        if fault is not None:
             # Fires after the whole cohort is durable, before the engine
             # sees any of it — the worst moment: state and log maximally
             # disagree.
             self._flush_wal()
-            for index in range(before, self._seq):
-                self.fault.on_logged(index)
         try:
+            if fault is not None:
+                for index in range(before, self._seq):
+                    fault.on_logged(index)
             matches = self.engine.feed_batch(cohort)
         except CrashError:
-            raise  # a simulated process death: the WAL keeps the cohort
+            # A simulated process death: the WAL keeps the cohort (flushed
+            # above whenever an injector is installed), the files are let go.
+            self._close_handles()
+            raise
         except Exception as exc:
             self._unlog(wal_bytes, before, exc)
             raise

@@ -1005,7 +1005,7 @@ class IngestGateway:
     async def stop(self, seal: bool = True) -> None:
         """Stop accepting, drop connections, optionally seal the engine.
 
-        Shared handles are swapped out *before* the first await (R006):
+        Shared handles are swapped out *before* the first await:
         a concurrent ``stop`` or a tick-loop crash interleaving at an
         await point sees the already-cleared attribute instead of
         double-closing, and nothing decided before a suspension is
@@ -1035,6 +1035,9 @@ class IngestGateway:
                 pass  # peer already gone; the transport is torn either way
         if seal and not self.crashed and not self.closed:
             self.seal()
+        elif self.directory is not None:
+            # Unsealed: the logs stay for a restart, their file handles go.
+            self.runner.__exit__(None, None, None)
 
     async def _tick_loop(self) -> None:
         while True:

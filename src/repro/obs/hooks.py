@@ -33,8 +33,8 @@ Cost contract, measured by experiment E18:
 
 Everything here is pure computation on engine state — no wall clock,
 no I/O, no set iteration — so instrumented runs remain deterministic
-and replay-equivalent (analyzer rules R002/R003 apply to this module
-through ``tests/analysis``'s tree-wide gate).
+and replay-equivalent (``tests/core/test_hot_path_purity.py`` runs the
+``metrics`` engine kind under a profile hook).
 
 Parity is load-bearing: an instrumented engine must produce exactly
 the same results, emissions, and counters as a plain one.  The observer

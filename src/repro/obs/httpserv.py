@@ -8,12 +8,12 @@ nothing about gateways: each route is a zero-argument callable returning
 ``(status, content_type, body)``, evaluated synchronously on the loop.
 Route handlers must therefore be pure snapshot renderers (string
 building over in-memory state) — anything blocking would stall every
-connection the loop owns, which is exactly what rule R007 polices.
+connection the loop owns.
 
 Scrape-path hygiene follows the gateway transport's conventions: the
 request read is bounded (line length, header count, timeout), shared
-handles are swapped out before awaits on the stop path (R006), and
-every ``writer.close()`` is paired with ``wait_closed`` (R008).
+handles are swapped out before awaits on the stop path, and every
+``writer.close()`` is paired with ``wait_closed``.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class TestStatsAndState:
 
     def test_state_size_reflects_stacks(self, plain_seq2):
         engine = OutOfOrderEngine(plain_seq2, k=0, purge=PurgePolicy.none())
-        engine.feed_many(make_events("A1 A2"))
+        engine.feed_batch(make_events("A1 A2"))
         assert engine.state_size() == 2
 
     def test_result_set_keys(self, plain_seq2):
@@ -135,7 +135,7 @@ class TestStatsAndState:
 class TestPunctuationHandling:
     def test_punctuation_advances_horizon_and_purges(self, plain_seq2):
         engine = OutOfOrderEngine(plain_seq2)  # k=None: no K promise
-        engine.feed_many(make_events("A1 A2"))
+        engine.feed_batch(make_events("A1 A2"))
         assert engine.state_size() == 2
         engine.feed(Punctuation(50))
         assert engine.state_size() == 0  # window 10 long gone
@@ -143,7 +143,7 @@ class TestPunctuationHandling:
     def test_punctuation_releases_negation_pending(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern)  # no K: only punctuation seals
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         assert engine.results == []  # held: B could still arrive
         emitted = engine.feed(Punctuation(5))
         assert len(emitted) == 1

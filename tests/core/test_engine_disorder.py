@@ -35,7 +35,7 @@ class TestLateCompletions:
     def test_late_event_creates_multiple_matches(self):
         pattern = seq("A a", "B b", within=20)
         engine = OutOfOrderEngine(pattern, k=10)
-        engine.feed_many(make_events("B5 B8"))
+        engine.feed_batch(make_events("B5 B8"))
         emitted = engine.feed(Event("A", 2))
         assert len(emitted) == 2
 

@@ -108,7 +108,7 @@ class TestLifecycle:
         first = OutOfOrderEngine(plain_seq2, k=0)
         all_emitted = first.run(random_trace)
         second = OutOfOrderEngine(plain_seq2, k=0)
-        emitted = second.feed_many(random_trace)
+        emitted = second.feed_batch(random_trace)
         emitted.extend(second.close())
         assert [m.key() for m in all_emitted] == [m.key() for m in emitted]
 
@@ -203,7 +203,7 @@ class TestStatsObject:
 class TestRepr:
     def test_repr_shows_configuration_and_progress(self, plain_seq2):
         engine = OutOfOrderEngine(plain_seq2, k=5)
-        engine.feed_many(make_events("A1 B2"))
+        engine.feed_batch(make_events("A1 B2"))
         text = repr(engine)
         assert "k=5" in text and "clock=2" in text and "matches=1" in text
 
@@ -222,6 +222,6 @@ class TestRepr:
             plain_seq2, k=0, optimize_construction=False,
             purge=PurgePolicy.none(),
         )
-        engine.feed_many(make_events("A1 A49 B50"))
+        engine.feed_batch(make_events("A1 A49 B50"))
         assert engine.stats.window_rejections >= 1
         assert len(engine.results) == 1

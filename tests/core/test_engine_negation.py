@@ -19,7 +19,7 @@ class TestSealTiming:
     def test_match_held_until_bracket_sealed(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern, k=5)
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         # Bracket (1, 5) seals at horizon >= 4, i.e. clock >= 10 (k=5).
         assert engine.results == []
         emitted = engine.feed(Event("Z", 20))
@@ -39,7 +39,7 @@ class TestSealTiming:
     def test_late_negative_cancels_pending_match(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern, k=5)
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         assert engine.results == []
         engine.feed(Event("B", 3))  # late negative inside the bracket
         engine.feed(Event("Z", 50))  # seal everything
@@ -50,7 +50,7 @@ class TestSealTiming:
     def test_negative_outside_bracket_does_not_cancel(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern, k=5)
-        engine.feed_many(make_events("A2 C5 B7"))  # B after C: outside
+        engine.feed_batch(make_events("A2 C5 B7"))  # B after C: outside
         engine.feed(Event("Z", 50))
         assert len(engine.results) == 1
 
@@ -103,7 +103,7 @@ class TestCloseSemantics:
     def test_close_releases_pending_as_end_of_stream(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern, k=100)  # huge K: nothing seals
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         assert engine.results == []
         emitted = engine.close()
         assert len(emitted) == 1
@@ -111,7 +111,7 @@ class TestCloseSemantics:
     def test_close_applies_negatives_seen(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern, k=100)
-        engine.feed_many(make_events("A1 C5 B3"))
+        engine.feed_batch(make_events("A1 C5 B3"))
         emitted = engine.close()
         assert emitted == []
         assert engine.stats.matches_cancelled == 1
@@ -119,7 +119,7 @@ class TestCloseSemantics:
     def test_punctuation_seals_brackets(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         engine = OutOfOrderEngine(pattern)  # no K at all
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         assert engine.results == []
         emitted = engine.feed(Punctuation(4))
         assert len(emitted) == 1

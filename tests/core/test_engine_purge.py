@@ -109,14 +109,14 @@ class TestPurgeEffectiveness:
     def test_eager_bounds_state(self, plain_seq2):
         events = [Event("A", ts) for ts in range(1, 2001)]
         engine = OutOfOrderEngine(plain_seq2, k=0, purge=PurgePolicy.eager())
-        engine.feed_many(events)
+        engine.feed_batch(events)
         # Window 10, K 0: state is O(window), not O(stream).
         assert engine.state_size() < 50
 
     def test_no_purge_grows_linearly(self, plain_seq2):
         events = [Event("A", ts) for ts in range(1, 2001)]
         engine = OutOfOrderEngine(plain_seq2, k=0, purge=PurgePolicy.none())
-        engine.feed_many(events)
+        engine.feed_batch(events)
         assert engine.state_size() == 2000
 
     def test_lazy_state_between_eager_and_none(self, plain_seq2):
@@ -124,7 +124,7 @@ class TestPurgeEffectiveness:
 
         def peak(policy):
             engine = OutOfOrderEngine(plain_seq2, k=0, purge=policy)
-            engine.feed_many(events)
+            engine.feed_batch(events)
             return engine.stats.peak_state_size
 
         eager_peak = peak(PurgePolicy.eager())
@@ -138,7 +138,7 @@ class TestPurgeEffectiveness:
 
         def peak(k):
             engine = OutOfOrderEngine(plain_seq2, k=k, purge=PurgePolicy.eager())
-            engine.feed_many(events)
+            engine.feed_batch(events)
             return engine.stats.peak_state_size
 
         assert peak(0) < peak(100) < peak(500)
@@ -150,7 +150,7 @@ class TestPurgeEffectiveness:
         for ts in range(1, 500, 2):
             elements.append(Event("B", ts))
             elements.append(Event("Z", ts + 1))
-        engine.feed_many(elements)
+        engine.feed_batch(elements)
         assert engine.negatives.size() < 20
         assert engine.stats.negatives_purged > 200
 

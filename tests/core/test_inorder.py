@@ -85,7 +85,7 @@ class TestBreaksUnderDisorder:
         engine = InOrderEngine(pattern)
         # B@3 arrives late, after C@5 advanced the clock to 5 and the
         # bracket (1,5) sealed at horizon 4: the match is already out.
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         engine.feed(Event("Z", 20))  # push clock, release pending
         emitted_before_late_b = list(engine.results)
         engine.feed(Event("B", 3))
@@ -114,7 +114,7 @@ class TestBreaksUnderDisorder:
 class TestStateManagement:
     def test_purge_bounds_state_on_ordered_input(self, plain_seq2):
         engine = InOrderEngine(plain_seq2)
-        engine.feed_many(Event("A", ts) for ts in range(1, 3001))
+        engine.feed_batch(Event("A", ts) for ts in range(1, 3001))
         assert engine.state_size() < 50
 
     def test_purge_rescales_rip_pointers_correctly(self, plain_seq2):

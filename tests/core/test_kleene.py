@@ -119,7 +119,7 @@ class TestOracleSemantics:
 class TestOutOfOrderEngine:
     def test_held_until_interval_sealed(self, abc_kleene):
         engine = OutOfOrderEngine(abc_kleene, k=5)
-        engine.feed_many(make_events("A1 B3 C9"))
+        engine.feed_batch(make_events("A1 B3 C9"))
         assert engine.results == []  # a late B could still extend bs
         emitted = engine.feed(Event("Z", 30))
         assert len(emitted) == 1
@@ -127,7 +127,7 @@ class TestOutOfOrderEngine:
 
     def test_late_kleene_element_included(self, abc_kleene):
         engine = OutOfOrderEngine(abc_kleene, k=10)
-        engine.feed_many(make_events("A1 B3 C9"))
+        engine.feed_batch(make_events("A1 B3 C9"))
         engine.feed(Event("B", 5))  # late element inside the interval
         engine.feed(Event("Z", 40))
         assert len(engine.results) == 1
@@ -135,20 +135,20 @@ class TestOutOfOrderEngine:
 
     def test_late_anchor_works_too(self, abc_kleene):
         engine = OutOfOrderEngine(abc_kleene, k=10)
-        engine.feed_many(make_events("B3 C9"))
+        engine.feed_batch(make_events("B3 C9"))
         engine.feed(Event("A", 1))  # late first anchor
         engine.feed(Event("Z", 40))
         assert len(engine.results) == 1
 
     def test_close_flushes_with_known_elements(self, abc_kleene):
         engine = OutOfOrderEngine(abc_kleene, k=100)
-        engine.feed_many(make_events("A1 B3 C9"))
+        engine.feed_batch(make_events("A1 B3 C9"))
         emitted = engine.close()
         assert len(emitted) == 1
 
     def test_punctuation_seals_kleene(self, abc_kleene):
         engine = OutOfOrderEngine(abc_kleene)  # no K promise
-        engine.feed_many(make_events("A1 B3 C9"))
+        engine.feed_batch(make_events("A1 B3 C9"))
         emitted = engine.feed(Punctuation(8))
         assert len(emitted) == 1
 

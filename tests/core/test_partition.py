@@ -125,13 +125,13 @@ class TestCorrectnessParity:
 class TestPartitionMechanics:
     def test_partitions_created_per_key_value(self, keyed_pattern):
         engine = PartitionedEngine(keyed_pattern, k=10)
-        engine.feed_many(make_events("A1:1 A2:2 A3:3 A4:1"))
+        engine.feed_batch(make_events("A1:1 A2:2 A3:3 A4:1"))
         assert engine.partition_count() == 3
 
     def test_punctuation_broadcast_bounds_idle_partition_state(self, keyed_pattern):
         engine = PartitionedEngine(keyed_pattern, k=5, punctuate_every=8)
         # Partition 1 gets two events then goes idle while partition 2 streams.
-        engine.feed_many(make_events("A1:1 B2:1"))
+        engine.feed_batch(make_events("A1:1 B2:1"))
         for ts in range(3, 600):
             engine.feed(Event("A", ts, {"x": 2}))
         sub = engine._partitions[1]
@@ -142,7 +142,7 @@ class TestPartitionMechanics:
             "PATTERN SEQ(A a, !B b, C c) WHERE a.x == c.x AND b.x == a.x WITHIN 10"
         )
         engine = PartitionedEngine(pattern, k=5, punctuate_every=4)
-        engine.feed_many(make_events("A1:1 C5:1"))
+        engine.feed_batch(make_events("A1:1 C5:1"))
         assert engine.results == []
         # Other-partition traffic advances the global clock; broadcasts seal.
         emitted = []
@@ -188,7 +188,7 @@ class TestPartitionMechanics:
 
     def test_external_punctuation_forwarded(self, keyed_pattern):
         engine = PartitionedEngine(keyed_pattern, k=None)
-        engine.feed_many(make_events("A1:1 A2:2"))
+        engine.feed_batch(make_events("A1:1 A2:2"))
         engine.feed(Punctuation(500))
         assert engine.state_size() == 0
 
@@ -201,7 +201,7 @@ class TestPartitionMechanics:
 
     def test_purge_policy_propagated_fresh_per_partition(self, keyed_pattern):
         engine = PartitionedEngine(keyed_pattern, k=5, purge=PurgePolicy.lazy(16))
-        engine.feed_many(make_events("A1:1 A2:2"))
+        engine.feed_batch(make_events("A1:1 A2:2"))
         subs = list(engine._partitions.values())
         assert subs[0].purge_policy is not subs[1].purge_policy
         assert subs[0].purge_policy.interval == 16
@@ -246,14 +246,14 @@ class TestSpeculativePartitions:
         plain = PartitionedEngine(keyed_pattern, k=10)
         spec = PartitionedEngine(keyed_pattern, k=10, speculative=True)
         for engine in (plain, spec):
-            engine.feed_many(arrival)
+            engine.feed_batch(arrival)
             engine.close()
         assert [m.key() for m in spec.results] == [m.key() for m in plain.results]
 
     def test_speculation_summary_and_net_convergence(self, neg_keyed, keyed_trace):
         arrival = bounded_shuffle(keyed_trace, k=10, seed=6)
         engine = PartitionedEngine(neg_keyed, k=10, speculative=True)
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         summary = engine.speculation_summary()
         assert summary["open"] == 0
@@ -279,7 +279,7 @@ class TestSpeculativePartitions:
 
         controller = AdaptiveKController(initial_k=12)
         engine = PartitionedEngine(keyed_pattern, controller=controller)
-        engine.feed_many(keyed_trace[:200])
+        engine.feed_batch(keyed_trace[:200])
         assert len(engine._partitions) > 1
         clones = [sub._controller for sub in engine._partitions.values()]
         assert all(c is not controller for c in clones)

@@ -38,7 +38,7 @@ class TestCorrectness:
 
     def test_close_flushes_buffer(self, plain_seq2):
         engine = ReorderingEngine(plain_seq2, k=100)
-        engine.feed_many(make_events("A1 B3"))
+        engine.feed_batch(make_events("A1 B3"))
         assert engine.results == []  # everything still buffered
         engine.close()
         assert len(engine.results) == 1
@@ -67,7 +67,7 @@ class TestConfig:
 class TestCosts:
     def test_buffer_holds_about_k_worth_of_events(self, plain_seq2):
         engine = ReorderingEngine(plain_seq2, k=100)
-        engine.feed_many(Event("Z", ts) for ts in range(1, 1001))
+        engine.feed_batch(Event("Z", ts) for ts in range(1, 1001))
         # one event per time unit: buffer ≈ K events (+/- release boundary)
         assert 90 <= engine.buffer_peak <= 110
 
@@ -88,14 +88,14 @@ class TestCosts:
 
     def test_state_size_includes_buffer(self, plain_seq2):
         engine = ReorderingEngine(plain_seq2, k=1000)
-        engine.feed_many(make_events("A1 B2 A3"))
+        engine.feed_batch(make_events("A1 B2 A3"))
         assert engine.state_size() >= 3
 
 
 class TestPunctuationFlush:
     def test_punctuation_releases_buffer(self, plain_seq2):
         engine = ReorderingEngine(plain_seq2, k=1000)
-        engine.feed_many(make_events("A1 B3"))
+        engine.feed_batch(make_events("A1 B3"))
         assert engine.results == []
         emitted = engine.feed(Punctuation(3))
         assert len(emitted) == 1

@@ -187,7 +187,7 @@ class TestSpeculativeEngine:
         plain = OutOfOrderEngine(NEG, k=8)
         spec = OutOfOrderEngine(NEG, k=8, speculative=True)
         for engine in (plain, spec):
-            engine.feed_many(stream)
+            engine.feed_batch(stream)
             engine.close()
         assert [(m.key(), m.detected_at) for m in spec.results] == [
             (m.key(), m.detected_at) for m in plain.results
@@ -206,7 +206,7 @@ class TestSpeculativeEngine:
 
     def test_speculative_stream_converges_to_sealed_results(self):
         engine = OutOfOrderEngine(NEG, k=8, speculative=True)
-        engine.feed_many(neg_trace(seed=5))
+        engine.feed_batch(neg_trace(seed=5))
         engine.close()
         assert engine.speculation.open_count == 0
         assert engine.speculation.net_keys() == engine.result_set()
@@ -304,7 +304,7 @@ class TestSpeculativeEngine:
     def test_plain_engine_has_no_speculation_surface(self):
         engine = OutOfOrderEngine(NEG, k=8)
         assert engine.speculation is None
-        engine.feed_many(neg_trace(seed=2))
+        engine.feed_batch(neg_trace(seed=2))
         engine.close()
         assert engine.stats.speculative_emitted == 0
         assert engine.stats.retractions_issued == 0
@@ -351,7 +351,7 @@ class TestOptimisticNegation:
 
     def test_known_negative_blocks_immediately(self):
         engine = _spec(self.PATTERN, 100)
-        engine.feed_many(make_events("A1 B3"))
+        engine.feed_batch(make_events("A1 B3"))
         engine.feed(Event("C", 5))
         assert engine.speculation.emissions == []
         engine.close()
@@ -360,7 +360,7 @@ class TestOptimisticNegation:
 
     def test_unrelated_negative_does_not_retract(self):
         engine = _spec(self.PATTERN, 100)
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         engine.feed(Event("B", 7))  # outside bracket (1, 5)
         engine.close()
         assert engine.speculation.retractions == []
@@ -368,7 +368,7 @@ class TestOptimisticNegation:
 
     def test_sealed_match_cannot_be_retracted(self):
         engine = _spec(self.PATTERN, 2)
-        engine.feed_many(make_events("A1 C5"))
+        engine.feed_batch(make_events("A1 C5"))
         engine.feed(Event("Z", 50))  # seals the bracket (k=2)
         assert len(engine.results) == 1
         # A very late B is dropped by the K policy; the seal is final.
@@ -380,7 +380,7 @@ class TestOptimisticNegation:
 
     def test_double_retraction_impossible(self):
         engine = _spec(self.PATTERN, 100)
-        engine.feed_many(make_events("A1 C5 B3 B4"))
+        engine.feed_batch(make_events("A1 C5 B3 B4"))
         engine.close()
         [retraction] = engine.speculation.retractions
         assert retraction.cause == RETRACT_NEGATION
@@ -388,7 +388,7 @@ class TestOptimisticNegation:
 
     def test_take_speculation_hands_over(self):
         engine = _spec(self.PATTERN, 100)
-        engine.feed_many(make_events("A1 C5 B3"))
+        engine.feed_batch(make_events("A1 C5 B3"))
         emissions, retractions = engine.take_speculation()
         assert len(emissions) == 1 and retractions == []
         assert engine.take_speculation() == ([], [])

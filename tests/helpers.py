@@ -17,6 +17,7 @@ from repro import (
     OfflineOracle,
     OutOfOrderEngine,
     Pattern,
+    Punctuation,
     ReorderingEngine,
 )
 from repro.core.recovery import DELIVERED_NAME, _hashable, delivered_keys
@@ -56,6 +57,25 @@ def engine_vs_oracle(
         f"engine {sorted(engine.result_set())} != oracle {sorted(truth)}"
     )
     return engine
+
+
+def late_split(arrival: List[Any], k: int):
+    """Events of *arrival* split by the promises made so far: an event is
+    late when its ts is at or below the horizon as it arrives — the K
+    promise ``max_ts - k - 1`` or the last punctuation, whichever is
+    further along (a punctuation also advances ``max_ts``)."""
+    on_time, late = [], []
+    max_ts = punctuated = -1
+    for element in arrival:
+        if isinstance(element, Punctuation):
+            punctuated = max(punctuated, element.ts)
+            max_ts = max(max_ts, element.ts)
+        elif element.ts <= max(max_ts - k - 1, punctuated):
+            late.append(element)
+        else:
+            on_time.append(element)
+            max_ts = max(max_ts, element.ts)
+    return on_time, late
 
 
 def bounded_shuffle(events: List[Event], k: int, seed: int = 0) -> List[Event]:

@@ -62,22 +62,23 @@ def test_callers_attrs_are_not_the_fed_events(tmp_path):
     """admit_frame decides now and feeds at the commit: a caller that
     reuses its attrs dict in between must not change what is fed."""
     gateway = make_gateway(tmp_path)
-    fed = []
+    with gateway.runner:
+        fed = []
 
-    class FeedTap(MatchTap):
-        def feed(self, elements):
-            fed.extend(elements)
-            return super().feed(elements)
+        class FeedTap(MatchTap):
+            def feed(self, elements):
+                fed.extend(elements)
+                return super().feed(elements)
 
-    FeedTap(gateway)
-    attrs = {"ts": 1, "x": 7}
-    assert gateway.admit_frame("s1", "A", attrs, now=0.0)["status"] == "admitted"
-    attrs["x"] = 8
-    attrs["ts"] = 2
-    gateway.sync_acks()
-    event = next(element for element in fed if isinstance(element, Event))
-    assert (event.ts, event.attrs) == (1, {"ts": 1, "x": 7})
-    assert read_wal_elements(tmp_path)[0].attrs == {"ts": 1, "x": 7}
+        FeedTap(gateway)
+        attrs = {"ts": 1, "x": 7}
+        assert gateway.admit_frame("s1", "A", attrs, now=0.0)["status"] == "admitted"
+        attrs["x"] = 8
+        attrs["ts"] = 2
+        gateway.sync_acks()
+        event = next(element for element in fed if isinstance(element, Event))
+        assert (event.ts, event.attrs) == (1, {"ts": 1, "x": 7})
+        assert read_wal_elements(tmp_path)[0].attrs == {"ts": 1, "x": 7}
 
 
 def test_duplicates_are_counted_not_refed(tmp_path):
@@ -154,55 +155,58 @@ def test_quarantine_parity_with_engine_side_validation(tmp_path):
 
 def test_watermarks_merge_into_punctuation(tmp_path):
     gateway = make_gateway(tmp_path, slack=0)
-    gateway.admit_frame("s1", "A", {"ts": 10, "x": 1}, now=0.0)
-    # A frame is not punctuated until its cohort commits...
-    assert gateway.engine.stats.punctuations_in == 0
-    gateway.sync_acks()
-    assert gateway.engine.stats.punctuations_in == 1  # ...then the merge seals
-    assert gateway.liveness.watermarks.emitted == 9
-    # A late joiner is floored at the emitted mark: no regression...
-    gateway.admit_frame("s2", "A", {"ts": 4, "x": 2}, now=0.0)
-    assert gateway.liveness.merged_watermark() == 9
-    # ...and once past the floor it participates in the min-merge: s1
-    # (still at 9) holds the mark back while s2 runs ahead.
-    gateway.admit_frame("s2", "B", {"ts": 30, "x": 2}, now=0.1)
-    assert gateway.liveness.merged_watermark() == 9
-    gateway.sync_acks()
-    assert gateway.engine.stats.punctuations_in == 1  # nothing advanced
-    # One cohort, two frames, one punctuation: the later mark subsumes
-    # the earlier one.
-    gateway.admit_frame("s1", "B", {"ts": 15, "x": 1}, now=0.2)
-    gateway.admit_frame("s1", "B", {"ts": 20, "x": 1}, now=0.2)
-    assert gateway.liveness.merged_watermark() == 19
-    gateway.sync_acks()
-    assert gateway.engine.stats.punctuations_in == 2
-    assert gateway.liveness.watermarks.emitted == 19
+    with gateway.runner:
+        gateway.admit_frame("s1", "A", {"ts": 10, "x": 1}, now=0.0)
+        # A frame is not punctuated until its cohort commits...
+        assert gateway.engine.stats.punctuations_in == 0
+        gateway.sync_acks()
+        assert gateway.engine.stats.punctuations_in == 1  # ...then the merge seals
+        assert gateway.liveness.watermarks.emitted == 9
+        # A late joiner is floored at the emitted mark: no regression...
+        gateway.admit_frame("s2", "A", {"ts": 4, "x": 2}, now=0.0)
+        assert gateway.liveness.merged_watermark() == 9
+        # ...and once past the floor it participates in the min-merge: s1
+        # (still at 9) holds the mark back while s2 runs ahead.
+        gateway.admit_frame("s2", "B", {"ts": 30, "x": 2}, now=0.1)
+        assert gateway.liveness.merged_watermark() == 9
+        gateway.sync_acks()
+        assert gateway.engine.stats.punctuations_in == 1  # nothing advanced
+        # One cohort, two frames, one punctuation: the later mark subsumes
+        # the earlier one.
+        gateway.admit_frame("s1", "B", {"ts": 15, "x": 1}, now=0.2)
+        gateway.admit_frame("s1", "B", {"ts": 20, "x": 1}, now=0.2)
+        assert gateway.liveness.merged_watermark() == 19
+        gateway.sync_acks()
+        assert gateway.engine.stats.punctuations_in == 2
+        assert gateway.liveness.watermarks.emitted == 19
 
 
 def test_degraded_source_unstalls_punctuation(tmp_path):
     gateway = make_gateway(tmp_path, slack=0, liveness_timeout=5.0)
-    gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
-    gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
-    assert gateway.liveness.merged_watermark() == 4  # stalled on slow
-    transitions = gateway.tick(now=6.5)
-    assert [t.source for t in transitions] == ["slow"]
-    assert gateway.liveness.merged_watermark() == 99  # fence released the seal
-    assert gateway.liveness.degraded_total == 1
+    with gateway.runner:
+        gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
+        gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
+        assert gateway.liveness.merged_watermark() == 4  # stalled on slow
+        transitions = gateway.tick(now=6.5)
+        assert [t.source for t in transitions] == ["slow"]
+        assert gateway.liveness.merged_watermark() == 99  # fence released the seal
+        assert gateway.liveness.degraded_total == 1
 
 
 def test_recovered_source_cannot_drag_punctuation_backward(tmp_path):
     gateway = make_gateway(tmp_path, slack=0, liveness_timeout=5.0)
-    gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
-    gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
-    gateway.tick(now=6.5)
-    mark_before = gateway.liveness.merged_watermark()
-    # slow wakes up with stale data: admitted, but late for the engine.
-    ack = gateway.admit_frame("slow", "A", {"ts": 6, "x": 3}, now=7.0)
-    assert ack["status"] == "admitted"
-    assert gateway.liveness.merged_watermark() >= mark_before
-    gateway.sync_acks()  # the engine sees the frame when its cohort commits
-    assert gateway.engine.stats.late_dropped == 1
-    assert gateway.liveness.recovered_total == 1
+    with gateway.runner:
+        gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
+        gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
+        gateway.tick(now=6.5)
+        mark_before = gateway.liveness.merged_watermark()
+        # slow wakes up with stale data: admitted, but late for the engine.
+        ack = gateway.admit_frame("slow", "A", {"ts": 6, "x": 3}, now=7.0)
+        assert ack["status"] == "admitted"
+        assert gateway.liveness.merged_watermark() >= mark_before
+        gateway.sync_acks()  # the engine sees the frame when its cohort commits
+        assert gateway.engine.stats.late_dropped == 1
+        assert gateway.liveness.recovered_total == 1
 
 
 def test_transitions_are_journalled_traced_and_counted(tmp_path):
@@ -211,37 +215,39 @@ def test_transitions_are_journalled_traced_and_counted(tmp_path):
     gateway = make_gateway(
         tmp_path, slack=0, liveness_timeout=5.0, tracer=tracer, metrics=registry
     )
-    gateway.admit_frame("s1", "A", {"ts": 5, "x": 1}, now=0.0)
-    gateway.tick(now=10.0)
-    gateway.admit_frame("s1", "A", {"ts": 6, "x": 1}, now=11.0)
+    with gateway.runner:
+        gateway.admit_frame("s1", "A", {"ts": 5, "x": 1}, now=0.0)
+        gateway.tick(now=10.0)
+        gateway.admit_frame("s1", "A", {"ts": 6, "x": 1}, now=11.0)
 
-    recorded = [span.stage for span in tracer.spans()]
-    assert stages.SOURCE_DEGRADED in recorded
-    assert stages.SOURCE_RECOVERED in recorded
-    assert registry.get("repro_ingest_degraded_total").value == 1
-    assert registry.get("repro_ingest_recovered_total").value == 1
+        recorded = [span.stage for span in tracer.spans()]
+        assert stages.SOURCE_DEGRADED in recorded
+        assert stages.SOURCE_RECOVERED in recorded
+        assert registry.get("repro_ingest_degraded_total").value == 1
+        assert registry.get("repro_ingest_recovered_total").value == 1
 
-    journal = [
-        json.loads(line)
-        for line in (tmp_path / "gateway.jsonl").read_text().splitlines()
-    ]
-    statuses = [r["status"] for r in journal if r["kind"] == "transition"]
-    assert statuses == ["degraded", "live"]
+        journal = [
+            json.loads(line)
+            for line in (tmp_path / "gateway.jsonl").read_text().splitlines()
+        ]
+        statuses = [r["status"] for r in journal if r["kind"] == "transition"]
+        assert statuses == ["degraded", "live"]
 
 
 def test_one_merged_watermark_gauge_follows_a_reconnect(tmp_path):
     registry = MetricsRegistry()
     gateway = make_gateway(tmp_path, slack=0, liveness_timeout=5.0, metrics=registry)
-    gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
-    gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
-    gateway.tick(now=6.5)  # slow is degraded and fenced; the tick commits
-    gateway.admit_frame("fast", "A", {"ts": 150, "x": 2}, now=7.0)
-    assert gateway.liveness.merged_watermark() == 149
-    gateway.connect_source("slow", now=7.5)  # recovers, floored; no commit
-    assert gateway.liveness.merged_watermark() == 99
-    gauge = registry.get("repro_gateway_merged_watermark")
-    assert gauge.value == gateway.liveness.merged_watermark()
-    assert registry.get("repro_ingest_merged_watermark") is None
+    with gateway.runner:
+        gateway.admit_frame("slow", "A", {"ts": 5, "x": 1}, now=0.0)
+        gateway.admit_frame("fast", "A", {"ts": 100, "x": 2}, now=6.0)
+        gateway.tick(now=6.5)  # slow is degraded and fenced; the tick commits
+        gateway.admit_frame("fast", "A", {"ts": 150, "x": 2}, now=7.0)
+        assert gateway.liveness.merged_watermark() == 149
+        gateway.connect_source("slow", now=7.5)  # recovers, floored; no commit
+        assert gateway.liveness.merged_watermark() == 99
+        gauge = registry.get("repro_gateway_merged_watermark")
+        assert gauge.value == gateway.liveness.merged_watermark()
+        assert registry.get("repro_ingest_merged_watermark") is None
 
 
 # -- backpressure -----------------------------------------------------------------------
@@ -267,37 +273,39 @@ def test_backpressure_throttles_then_refuses(tmp_path):
 def test_busy_frames_can_be_retried_after_drain(tmp_path):
     shed = ShedPolicy.drop_oldest(6)
     gateway = make_gateway(tmp_path, slack=0, shed=shed)
-    refused = None
-    for t in range(10):
-        ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
-        if ack["status"] == "busy":
-            refused = t
-            break
-    assert refused is not None
-    # A watermark assertion is not an event: it bypasses admission, so a
-    # saturated gateway can still make seal progress and drain state...
-    gateway.assert_watermark("s1", refused + 30, now=50.0)
-    gateway.sync_acks()  # the transport commits a watermark op's cohort too
-    assert gateway.pressure() < HARD_PRESSURE
-    retry = gateway.admit_frame("s1", "A", {"ts": refused, "x": refused}, now=51.0)
-    # ...and the retried frame is admitted (not a duplicate: it was never fed).
-    assert retry["status"] == "admitted"
+    with gateway.runner:
+        refused = None
+        for t in range(10):
+            ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
+            if ack["status"] == "busy":
+                refused = t
+                break
+        assert refused is not None
+        # A watermark assertion is not an event: it bypasses admission, so a
+        # saturated gateway can still make seal progress and drain state...
+        gateway.assert_watermark("s1", refused + 30, now=50.0)
+        gateway.sync_acks()  # the transport commits a watermark op's cohort too
+        assert gateway.pressure() < HARD_PRESSURE
+        retry = gateway.admit_frame("s1", "A", {"ts": refused, "x": refused}, now=51.0)
+        # ...and the retried frame is admitted (not a duplicate: it was never fed).
+        assert retry["status"] == "admitted"
 
 
 def test_backpressure_sees_the_pending_cohort(tmp_path):
     """State only grows at a commit; the ladder must not go blind until then."""
     shed = ShedPolicy.drop_oldest(10)
     gateway = make_gateway(tmp_path, shed=shed)
-    statuses, pressures = [], []
-    for t in range(12):  # one cohort: no sync_acks in between
-        ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
-        statuses.append("throttle" if "throttle" in ack else ack["status"])
-        pressures.append(gateway.pressure())
-    assert gateway.engine.state_size() == 0  # nothing was fed yet
-    assert statuses == ["admitted"] * 7 + ["throttle"] * 3 + ["busy"] * 2
-    assert pressures == sorted(pressures) and pressures[-1] >= HARD_PRESSURE
-    gateway.sync_acks()
-    assert gateway.engine.state_size() == 10 and gateway.pressure() >= HARD_PRESSURE
+    with gateway.runner:
+        statuses, pressures = [], []
+        for t in range(12):  # one cohort: no sync_acks in between
+            ack = gateway.admit_frame("s1", "A", {"ts": t, "x": t}, now=float(t))
+            statuses.append("throttle" if "throttle" in ack else ack["status"])
+            pressures.append(gateway.pressure())
+        assert gateway.engine.state_size() == 0  # nothing was fed yet
+        assert statuses == ["admitted"] * 7 + ["throttle"] * 3 + ["busy"] * 2
+        assert pressures == sorted(pressures) and pressures[-1] >= HARD_PRESSURE
+        gateway.sync_acks()
+        assert gateway.engine.state_size() == 10 and gateway.pressure() >= HARD_PRESSURE
 
 
 def test_no_shed_policy_means_no_backpressure(tmp_path):

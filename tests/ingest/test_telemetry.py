@@ -51,60 +51,63 @@ def make_observed_gateway(directory=None, fault=None, telemetry_port=None,
 
 def test_admit_frame_attributes_every_outcome(tmp_path):
     gateway = make_observed_gateway(tmp_path)
-    span = mint_span(0.0)
-    assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0,
-                               span=span)["status"] == "admitted"
-    assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.1,
-                               span=span)["status"] == "duplicate"
-    assert gateway.admit_frame("s1", "bogus", {"ts": 2}, now=0.2)["status"] == "quarantined"
-    gateway.sync_acks()
+    with gateway.runner:
+        span = mint_span(0.0)
+        assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0,
+                                   span=span)["status"] == "admitted"
+        assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.1,
+                                   span=span)["status"] == "duplicate"
+        assert gateway.admit_frame("s1", "bogus", {"ts": 2}, now=0.2)["status"] == "quarantined"
+        gateway.sync_acks()
 
-    spans = gateway._spans
-    # Direct drives (no transport cohort) seal lazily; force the seals.
-    record = spans.seal_cohort(1.0, 1.0, 1.0, 1.0)
-    assert record is not None
-    state = gateway.registry.snapshot_state()["histograms"]
-    for stage in ACK_STAGES:
-        assert state[f'repro_stage_seconds{{stage="{stage}"}}']["count"] >= 1
+        spans = gateway._spans
+        # Direct drives (no transport cohort) seal lazily; force the seals.
+        record = spans.seal_cohort(1.0, 1.0, 1.0, 1.0)
+        assert record is not None
+        state = gateway.registry.snapshot_state()["histograms"]
+        for stage in ACK_STAGES:
+            assert state[f'repro_stage_seconds{{stage="{stage}"}}']["count"] >= 1
 
 
 def test_emit_path_spans_close_on_match(tmp_path):
     gateway = make_observed_gateway(tmp_path)
-    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
-    # Push the watermark far enough that the SEQ match seals and emits.
-    for ts in (30, 60):
-        gateway.assert_watermark("s1", ts, now=0.2)
-    # Nothing is fed, so nothing is emitted, before the cohort commits...
-    assert gateway.stats()["matches"] == 0
-    state = gateway.registry.snapshot_state()["histograms"]
-    assert state["repro_emit_hold_seconds"]["count"] == 0
-    gateway.sync_acks()
-    # ...and the commit closes the emit spans of both matched events at once.
-    # The spans come from the list ``runner.feed`` returned: the runner
-    # itself holds nothing once the gateway has taken the match.
-    assert gateway.stats()["matches"] == 1
-    assert gateway.runner.matches == []
-    state = gateway.registry.snapshot_state()["histograms"]
-    assert state["repro_emit_hold_seconds"]["count"] == 2
+    with gateway.runner:
+        gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+        gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
+        # Push the watermark far enough that the SEQ match seals and emits.
+        for ts in (30, 60):
+            gateway.assert_watermark("s1", ts, now=0.2)
+        # Nothing is fed, so nothing is emitted, before the cohort commits...
+        assert gateway.stats()["matches"] == 0
+        state = gateway.registry.snapshot_state()["histograms"]
+        assert state["repro_emit_hold_seconds"]["count"] == 0
+        gateway.sync_acks()
+        # ...and the commit closes the emit spans of both matched events at once.
+        # The spans come from the list ``runner.feed`` returned: the runner
+        # itself holds nothing once the gateway has taken the match.
+        assert gateway.stats()["matches"] == 1
+        assert gateway.runner.matches == []
+        state = gateway.registry.snapshot_state()["histograms"]
+        assert state["repro_emit_hold_seconds"]["count"] == 2
 
 
 def test_lag_panel_tracks_sources(tmp_path):
     from repro.obs.export import render_prometheus
 
     gateway = make_observed_gateway(tmp_path)
-    # The slow source registers first; the fast one then races ahead of
-    # it (joining the other way round would floor "slow" at the already-
-    # emitted mark, by design).
-    gateway.admit_frame("slow", "A", {"ts": 10, "x": 2}, now=0.0)
-    gateway.admit_frame("fast", "A", {"ts": 50, "x": 1}, now=0.1)
-    gateway.sync_acks()  # the panel follows the merged mark: once per cohort
-    samples = parse_prometheus(render_prometheus(gateway.registry))
-    assert samples['repro_source_watermark{source="fast"}'] > samples[
-        'repro_source_watermark{source="slow"}'
-    ]
-    assert samples['repro_source_lag{source="slow"}'] == 40
-    assert samples['repro_source_lag{source="fast"}'] == 0
+    with gateway.runner:
+        # The slow source registers first; the fast one then races ahead of
+        # it (joining the other way round would floor "slow" at the already-
+        # emitted mark, by design).
+        gateway.admit_frame("slow", "A", {"ts": 10, "x": 2}, now=0.0)
+        gateway.admit_frame("fast", "A", {"ts": 50, "x": 1}, now=0.1)
+        gateway.sync_acks()  # the panel follows the merged mark: once per cohort
+        samples = parse_prometheus(render_prometheus(gateway.registry))
+        assert samples['repro_source_watermark{source="fast"}'] > samples[
+            'repro_source_watermark{source="slow"}'
+        ]
+        assert samples['repro_source_lag{source="slow"}'] == 40
+        assert samples['repro_source_lag{source="fast"}'] == 0
 
 
 # -- the sidecar over a live socket ------------------------------------------------
@@ -241,18 +244,19 @@ def test_sigterm_handler_dumps_and_terminates(tmp_path):
 
 def test_fence_records_reach_the_flight(tmp_path):
     gateway = make_observed_gateway(tmp_path, liveness_timeout=1.0)
-    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.tick(now=10.0)  # silent past the timeout: fence
-    gateway.admit_frame("s1", "A", {"ts": 2, "x": 8}, now=10.5)  # recovery
-    gateway.dump_flight()
-    header, records = load_flight(
-        (tmp_path / "flight.jsonl").read_text(encoding="utf-8")
-    )
-    kinds = [record.kind for record in records]
-    assert "fence" in kinds and "unfence" in kinds
-    report = analyze_flight(header, records)
-    # Recovered before the end: the fence must not be named the stall.
-    assert report.verdict != "fenced source"
+    with gateway.runner:
+        gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+        gateway.tick(now=10.0)  # silent past the timeout: fence
+        gateway.admit_frame("s1", "A", {"ts": 2, "x": 8}, now=10.5)  # recovery
+        gateway.dump_flight()
+        header, records = load_flight(
+            (tmp_path / "flight.jsonl").read_text(encoding="utf-8")
+        )
+        kinds = [record.kind for record in records]
+        assert "fence" in kinds and "unfence" in kinds
+        report = analyze_flight(header, records)
+        # Recovered before the end: the fence must not be named the stall.
+        assert report.verdict != "fenced source"
 
 
 def test_retractions_reach_the_flight_when_a_receiver_takes_them(tmp_path):
@@ -267,28 +271,29 @@ def test_retractions_reach_the_flight_when_a_receiver_takes_them(tmp_path):
     )
     taken = []
     runner = gateway.runner
+    with runner:
 
-    class SpeculationTap:  # a receiver of the speculative stream
-        def feed(self, elements):
-            out = runner.feed(elements)
-            taken.append(gateway.engine.take_speculation())
-            return out
+        class SpeculationTap:  # a receiver of the speculative stream
+            def feed(self, elements):
+                out = runner.feed(elements)
+                taken.append(gateway.engine.take_speculation())
+                return out
 
-        def __getattr__(self, name):
-            return getattr(runner, name)
+            def __getattr__(self, name):
+                return getattr(runner, name)
 
-    gateway.runner = SpeculationTap()
-    gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.admit_frame("s1", "A", {"ts": 5, "x": 7}, now=0.1)  # speculated
-    gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.2)  # refutes it
-    gateway.sync_acks()
-    gateway.assert_watermark("s1", 40, now=0.3)  # seals: the retraction
-    gateway.sync_acks()
-    assert sum(len(retractions) for __, retractions in taken) == 1
-    assert gateway.engine.speculation.retractions == []
-    gateway.dump_flight()
-    __, records = load_flight((tmp_path / "flight.jsonl").read_text(encoding="utf-8"))
-    assert [r.value for r in records if r.kind == "retraction"] == [1]
+        gateway.runner = SpeculationTap()
+        gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
+        gateway.admit_frame("s1", "A", {"ts": 5, "x": 7}, now=0.1)  # speculated
+        gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.2)  # refutes it
+        gateway.sync_acks()
+        gateway.assert_watermark("s1", 40, now=0.3)  # seals: the retraction
+        gateway.sync_acks()
+        assert sum(len(retractions) for __, retractions in taken) == 1
+        assert gateway.engine.speculation.retractions == []
+        gateway.dump_flight()
+        __, records = load_flight((tmp_path / "flight.jsonl").read_text(encoding="utf-8"))
+        assert [r.value for r in records if r.kind == "retraction"] == [1]
 
 
 def test_explain_flight_missing_dump(tmp_path, capsys):

@@ -22,7 +22,7 @@ from repro import (
     seq,
 )
 from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
-from helpers import bounded_shuffle
+from helpers import bounded_shuffle, late_split
 
 
 def trace_strategy(types="ABCX", max_ts=60, max_len=60, attr_range=3):
@@ -180,20 +180,6 @@ LATE_FAMILIES = {
 }
 
 
-def _late_split(arrival, k):
-    """Arrival order split by the K promise: an event is late when its ts
-    is at or below ``max_ts_so_far - k - 1`` as it arrives."""
-    on_time, late = [], []
-    max_ts = -1
-    for event in arrival:
-        if event.ts <= max_ts - k - 1:
-            late.append(event)
-        else:
-            on_time.append(event)
-            max_ts = max(max_ts, event.ts)
-    return on_time, late
-
-
 @pytest.mark.parametrize("family", list(LATE_FAMILIES))
 @given(
     trace=trace_strategy(max_len=50),
@@ -210,7 +196,7 @@ def test_late_events_are_counted_and_dropped(
     pattern = KEYED[pattern_index]
     k = min(k, disorder - 1)
     arrival = bounded_shuffle(trace, k=disorder, seed=seed)
-    on_time, late = _late_split(arrival, k)
+    on_time, late = late_split(arrival, k)
     engine = LATE_FAMILIES[family](pattern, k)
     engine.run(arrival)
     assert engine.stats.late_dropped == len(late)

@@ -34,7 +34,7 @@ from repro import (
     seq,
 )
 from repro.core.recovery import DELIVERED_NAME
-from helpers import bounded_shuffle, delivered_once
+from helpers import bounded_shuffle, delivered_once, late_split
 
 SEED = int(os.environ.get("REPRO_RECOVERY_SEED", "0"))
 SCENARIOS_PER_FAMILY = 6
@@ -157,9 +157,12 @@ def test_speculative_results_survive_crashes(tmp_path):
     fault = FaultInjector(crash_at=crash_at)
     runner, restarts = run_to_completion("speculative", tmp_path, stream, 20, fault)
     assert restarts == 2
-    # The delivery log holds sealed matches only: it is the result set.
-    events = [e for e in stream if isinstance(e, Event)]
-    assert delivered_once(tmp_path) == OfflineOracle(PATTERN).evaluate_set(events)
+    # The delivery log holds sealed matches only: it is the result set,
+    # the oracle's over the events that were on time when they arrived.
+    on_time, late = late_split(stream, K)
+    assert runner.engine.stats.late_dropped == bare.stats.late_dropped == len(late)
+    assert delivered_once(tmp_path) == bare.result_set()
+    assert bare.result_set() == OfflineOracle(PATTERN).evaluate_set(on_time)
     # Nobody took the speculative stream, so it rode every checkpoint.
     log, reference = runner.engine.speculation, bare.speculation
     assert [(r.seq, r.match.key()) for r in log.emissions] == [

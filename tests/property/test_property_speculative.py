@@ -57,7 +57,7 @@ def _sealed_trail(engine):
 def _run(engine, arrival, cut=None, rebuild=None):
     """Feed *arrival*, optionally snapshot/restore into *rebuild()* at *cut*."""
     if cut is None:
-        engine.feed_many(arrival)
+        engine.feed_batch(arrival)
         engine.close()
         return engine
     for element in arrival[:cut]:

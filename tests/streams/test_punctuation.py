@@ -60,9 +60,9 @@ class TestEngineIntegration:
 
         pattern = parse("PATTERN SEQ(A a, B b) WITHIN 10")
         with_punct = OutOfOrderEngine(pattern)  # no K promise
-        with_punct.feed_many(PeriodicPunctuator(period=10, slack=0).apply(events))
+        with_punct.feed_batch(PeriodicPunctuator(period=10, slack=0).apply(events))
         without = OutOfOrderEngine(pattern)
-        without.feed_many(events)
+        without.feed_batch(events)
         assert with_punct.stats.peak_state_size < without.stats.peak_state_size
         with_punct.close()
         without.close()
