@@ -13,7 +13,7 @@ emission alerts fastest, withdrawing the false alerts at their seal.
 
 from repro.core.oracle import OfflineOracle
 from repro.metrics import compare_keys, render_table, summarize_arrival_latency
-from repro.netsim import FailureSchedule, UniformLatency, simulate_star
+from repro.streams import required_k, star_arrival
 from repro.workloads import RfidStoreGenerator, shoplifting_query
 
 from common import SPECULATIVE, build_engine, consumer_view, write_result
@@ -26,18 +26,15 @@ def _pipeline():
         items=ITEMS, shoplift_rate=0.06, browse_rate=0.2, dwell=1500,
         arrival_span=60_000, seed=19,
     ).generate()
-    failures = FailureSchedule()
-    failures.add_outage("COUNTER_READ", 20_000, 24_000)
-    simulated = simulate_star(
-        trace.by_reader, lambda i: UniformLatency(0, 200), failures=failures, seed=20
+    arrival, _times = star_arrival(
+        trace.by_reader, (0, 200), {"COUNTER_READ": [(20_000, 24_000)]}, seed=20
     )
-    return trace, simulated
+    return trace, arrival
 
 
 def run_experiment() -> str:
-    trace, simulated = _pipeline()
-    arrival = simulated.arrival_order
-    k = simulated.observed_disorder_bound()
+    trace, arrival = _pipeline()
+    k = required_k(arrival)
     query = shoplifting_query(within=2000)
     truth = OfflineOracle(query).evaluate_set(trace.merged)
 
@@ -65,7 +62,7 @@ def run_experiment() -> str:
         f"counter outage 20k-24k, measured K={k})",
         ["engine", "alerts", "recall", "precision", "mean_latency", "peak_state", "retracted"],
         rows,
-        note="netsim-driven disorder: wireless jitter + a counter-reader outage",
+        note="star-network disorder: wireless jitter + a counter-reader outage",
     )
     return write_result("e10_rfid", text)
 
@@ -91,9 +88,8 @@ def test_e10_report(benchmark):
 
 
 def test_e10_kernel(benchmark):
-    trace, simulated = _pipeline()
-    arrival = simulated.arrival_order
-    k = simulated.observed_disorder_bound()
+    trace, arrival = _pipeline()
+    k = required_k(arrival)
     query = shoplifting_query(within=2000)
 
     def kernel():

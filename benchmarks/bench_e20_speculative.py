@@ -1,10 +1,10 @@
-"""E20 — Speculative emission and adaptive-K on netsim disorder bursts.
+"""E20 — Speculative emission and adaptive-K on network disorder bursts.
 
 Not a paper figure: this experiment prices the PR "speculative emission
 with retraction + adaptive-K controller" on the physically motivated
-disorder the netsim layer produces — a star of sources where one node
-suffers outages, so the sink sees calm jitter punctuated by bursts of
-stale events at each recovery.  The query is a negated chain, so every
+disorder ``repro.streams.star_arrival`` produces — a star of sources
+where one node suffers outages, so the sink sees calm jitter punctuated
+by bursts of stale events at each recovery.  The query is a negated chain, so every
 match must wait for its seal under the pessimistic protocol: sealed
 emission latency is lower-bounded by K between punctuations.
 
@@ -48,8 +48,12 @@ from repro.core.oracle import OfflineOracle
 from repro.metrics import render_table
 from repro.metrics.latency import summarize_occurrence_latency
 from repro.metrics.quality import compare_keys
-from repro.netsim import FailureSchedule, UniformLatency, simulate_star
-from repro.streams import AdaptiveKController, validate_punctuation
+from repro.streams import (
+    AdaptiveKController,
+    required_k,
+    star_arrival,
+    validate_punctuation,
+)
 from repro.workloads import chain_query
 
 from common import write_result
@@ -97,15 +101,10 @@ def _burst_trace(events: int, seed: int):
     """
     occurrence = _occurrence_stream(events, seed)
     streams = {f"s{i}": occurrence[i::SOURCES] for i in range(SOURCES)}
-    failures = FailureSchedule()
     scale = events / EVENTS
-    for start, end in OUTAGES:
-        failures.add_outage("s1", int(start * scale), int(end * scale))
-    result = simulate_star(
-        streams, lambda i: UniformLatency(1, 40), failures=failures, seed=seed
-    )
-    arrival = result.arrival_order
-    required = result.observed_disorder_bound()
+    outages = [(int(start * scale), int(end * scale)) for start, end in OUTAGES]
+    arrival, _times = star_arrival(streams, (1, 40), {"s1": outages}, seed=seed)
+    required = required_k(arrival)
 
     elements = []
     last_punct = -1
@@ -210,7 +209,7 @@ def run_experiment(quick: bool = False) -> str:
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     text = render_table(
-        f"E20 — speculative emission + adaptive-K on a netsim burst trace "
+        f"E20 — speculative emission + adaptive-K on a network burst trace "
         f"(n={events}, W={WITHIN}, required K={required_bound}, "
         f"punctuation every {PUNCT_EVERY})",
         ["engine", "K_final", "matches", "seal_lat_mean", "seal_lat_p99",

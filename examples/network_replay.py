@@ -5,9 +5,9 @@ Run:  python examples/network_replay.py
 
 Operational workflow for debugging out-of-order incidents:
 
-1. simulate a multi-hop sensor network where a relay node fails and
-   recovers (the paper's "machine failure" disorder cause) — the
-   recovery flushes a burst of stale events;
+1. simulate a sensor network where one site fails and recovers (the
+   paper's "machine failure" disorder cause) — the recovery flushes a
+   burst of stale events;
 2. size the disorder bound K two ways — worst-case vs 99th-percentile —
    and see the memory/correctness trade-off;
 3. record the exact arrival trace to a JSON-lines file and replay it
@@ -21,13 +21,6 @@ from pathlib import Path
 from repro import OutOfOrderEngine, parse
 from repro.core.oracle import OfflineOracle
 from repro.metrics import print_table
-from repro.netsim import (
-    ConstantLatency,
-    FailureSchedule,
-    NetworkSimulator,
-    Topology,
-    UniformLatency,
-)
 from repro.streams import (
     MaxObservedK,
     QuantileK,
@@ -35,6 +28,7 @@ from repro.streams import (
     dump_trace,
     load_trace,
     measure_disorder,
+    star_arrival,
 )
 
 QUERY = parse(
@@ -43,17 +37,8 @@ QUERY = parse(
     name="cascade",
 )
 
-
-def build_network():
-    """Two sensor sites behind relays; relay-1 fails mid-run."""
-    topology = Topology(["site1", "site2", "relay1", "relay2", "sink"])
-    topology.add_link("site1", "relay1", UniformLatency(0, 5))
-    topology.add_link("site2", "relay2", UniformLatency(0, 5))
-    topology.add_link("relay1", "sink", ConstantLatency(2))
-    topology.add_link("relay2", "sink", ConstantLatency(2))
-    failures = FailureSchedule()
-    failures.add_outage("relay1", 2_000, 2_600)  # 600-tick outage
-    return NetworkSimulator(topology, failures=failures, seed=17)
+#: site1 goes down for 600 ticks mid-run.
+OUTAGES = {"site1": [(2_000, 2_600)]}
 
 
 def main() -> None:
@@ -66,12 +51,11 @@ def main() -> None:
         "site1": SyntheticSource(types, 2500, seed=1, interval=2, attr_maker=attrs).take(2500),
         "site2": SyntheticSource(types, 2500, seed=2, interval=2, attr_maker=attrs).take(2500),
     }
-    simulator = build_network()
-    result = simulator.run(streams)
-    arrival = result.arrival_order
+    # Two sensor sites, each on a jittery uplink straight to the sink.
+    arrival, _times = star_arrival(streams, (0, 5), OUTAGES, seed=17)
     stats = measure_disorder(arrival)
     print(f"delivered {len(arrival)} events; {stats}")
-    print(f"(relay1 outage flushed a burst: max displacement {stats.max_delay} ticks)")
+    print(f"(site1 outage flushed a burst: max displacement {stats.max_delay} ticks)")
     print()
 
     # --- sizing K: worst case vs quantile ------------------------------------

@@ -28,8 +28,7 @@ from repro.metrics import (
     summarize_arrival_latency,
 )
 from repro.core.oracle import OfflineOracle
-from repro.netsim import UniformLatency, simulate_star
-from repro.streams import measure_disorder
+from repro.streams import measure_disorder, required_k, star_arrival
 from repro.workloads import RfidStoreGenerator, shoplifting_query
 
 
@@ -43,12 +42,9 @@ def main() -> None:
           f"{len(trace.shoplifted_tags)} items shoplifted (ground truth)")
 
     # 2. Deliver each reader's stream over a jittery uplink.
-    simulated = simulate_star(
-        trace.by_reader, lambda i: UniformLatency(0, 150), seed=99
-    )
-    arrival = simulated.arrival_order
+    arrival, _times = star_arrival(trace.by_reader, (0, 150), seed=99)
     disorder = measure_disorder(arrival)
-    k = simulated.observed_disorder_bound()
+    k = required_k(arrival)
     print(f"network merge: disorder rate {disorder.rate:.1%}, "
           f"max displacement {disorder.max_delay} ticks -> engine K={k}")
     print()

@@ -72,9 +72,8 @@ DELIVERED_NAME = "delivered.jsonl"
 
 # -- element codec ------------------------------------------------------------------
 #
-# The WAL needs a durable element encoding.  ``repro.streams.replay`` has
-# one, but core must not import streams (streams imports core); the codec
-# is small enough to own here.
+# The one durable element encoding: a WAL line, and a line of a trace file
+# (``repro.streams.replay``), which is a WAL segment with a header.
 
 
 def encode_element(element: StreamElement) -> Dict[str, Any]:
@@ -134,7 +133,7 @@ def decode_element(record: Dict[str, Any]) -> StreamElement:
         )
     if record["kind"] == "punct":
         return Punctuation(record["ts"])
-    raise RecoveryError(f"unknown WAL record kind {record['kind']!r}")
+    raise RecoveryError(f"unknown record kind {record['kind']!r}")
 
 
 def _match_record(match: Match, seq: int) -> Dict[str, Any]:

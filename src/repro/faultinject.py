@@ -21,9 +21,9 @@ run reproduces exactly:
 
 The injector plugs into :class:`repro.core.recovery.ResilientRunner`
 (crash points) and wraps raw element streams (:meth:`wrap`, corruption
-and clock faults).  :meth:`from_outages` converts a netsim failure
-schedule into crash points so simulated node outages kill and restart
-the engine at the matching stream positions.
+and clock faults).  :func:`repro.streams.crash_positions` maps a
+simulated node's outages to ``crash_at`` positions, so an outage kills
+and restarts the engine at the matching stream position.
 """
 
 from __future__ import annotations
@@ -155,44 +155,6 @@ class FaultInjector:
         self.stuck_clock_at = stuck_clock_at
         self.duplicate_at = set(duplicate_at)
         self.crashes_fired: List[int] = []
-
-    @classmethod
-    def from_outages(
-        cls,
-        crash_indices: Optional[Sequence[int]] = None,
-        schedule: Optional[Any] = None,
-        result: Optional[Any] = None,
-        node: Optional[str] = None,
-        **kwargs: Any,
-    ) -> "FaultInjector":
-        """Crash schedule from netsim outage positions.
-
-        Two forms:
-
-        * ``from_outages(indices)`` — precomputed positions, paired
-          with :meth:`repro.netsim.simulator.SimulationResult.
-          crash_indices`;
-        * ``from_outages(schedule=failures, result=sim, node="s1")`` —
-          target a *single* source/node id: only that node's outages
-          become crash points, computed against the simulated arrival
-          stream.  Before this form existed, outage-derived crash
-          schedules were necessarily global — every scripted outage hit
-          the same engine — which made per-source fault drills (one
-          flaky source among healthy ones, the E21 soak scenario)
-          impossible to express.
-        """
-        if crash_indices is None:
-            if schedule is None or result is None or node is None:
-                raise ReproError(
-                    "from_outages needs either crash_indices or all of "
-                    "schedule=, result=, node="
-                )
-            crash_indices = result.crash_indices(schedule, node)
-        elif schedule is not None or result is not None or node is not None:
-            raise ReproError(
-                "from_outages takes crash_indices or schedule/result/node, not both"
-            )
-        return cls(crash_at=crash_indices, **kwargs)
 
     # -- crash points ---------------------------------------------------------------
 

@@ -380,6 +380,7 @@ class IngestGateway:
         self._server: Optional[asyncio.base_events.Server] = None
         self._tick_task: Optional[asyncio.Task] = None
         self._writers: Set[asyncio.StreamWriter] = set()
+        self._stopping = False
         self._bound_port: Optional[int] = None
         self._telemetry: Optional[TelemetryServer] = None
         # Latency attribution and the flight recorder ride on the same
@@ -972,6 +973,7 @@ class IngestGateway:
         """Bind the listen socket and start the liveness timer."""
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -1009,8 +1011,12 @@ class IngestGateway:
         a concurrent ``stop`` or a tick-loop crash interleaving at an
         await point sees the already-cleared attribute instead of
         double-closing, and nothing decided before a suspension is
-        written back after one.
+        written back after one.  A connection whose handler starts
+        after this point hangs up without registering.  Connections
+        close before ``server.wait_closed()``, which from Python 3.12.1
+        waits for every one of them.
         """
+        self._stopping = True
         task, self._tick_task = self._tick_task, None
         if task is not None:
             task.cancel()
@@ -1021,13 +1027,14 @@ class IngestGateway:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        writers, self._writers = list(self._writers), set()
+        for writer in writers:
+            writer.close()
+        if server is not None:
             await server.wait_closed()
         telemetry, self._telemetry = self._telemetry, None
         if telemetry is not None:
             await telemetry.stop()
-        writers, self._writers = list(self._writers), set()
-        for writer in writers:
-            writer.close()
         for writer in writers:
             try:
                 await writer.wait_closed()
@@ -1068,14 +1075,22 @@ class IngestGateway:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._stopping:
+            # Accepted just before stop() closed the listener.
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            return
         self._writers.add(writer)
         source: Optional[str] = None
         buffer = b""
         try:
             while True:
                 chunk = await reader.read(65536)
-                if not chunk:
-                    break
+                if not chunk or self._stopping:
+                    break  # nothing read after stop() began is admitted
                 spans = self._spans
                 if spans is not None:
                     spans.open_cohort(self._clock())
@@ -1170,7 +1185,9 @@ class IngestGateway:
             pass
         finally:
             self._writers.discard(writer)
-            if source is not None and not self.crashed:
+            # A hang-up that stop() caused is not a source departing, and
+            # a commit after stop() would write past the runner's release.
+            if source is not None and not self.crashed and not self._stopping:
                 self.disconnect_source(source)
             writer.close()
             try:

@@ -7,8 +7,10 @@ from repro.streams.disorder import (
     NoDisorder,
     RandomDelayModel,
     SwapModel,
+    crash_positions,
     measure_disorder,
     required_k,
+    star_arrival,
 )
 from repro.streams.controller import AdaptiveKController, ControllerDecision
 from repro.streams.kslack import MaxObservedK, QuantileK
@@ -35,11 +37,13 @@ __all__ = [
     "RandomDelayModel",
     "SwapModel",
     "SyntheticSource",
+    "crash_positions",
     "dump_trace",
     "interleave_by_arrival",
     "load_trace",
     "measure_disorder",
     "required_k",
+    "star_arrival",
     "strip_punctuation",
     "validate_punctuation",
 ]

@@ -5,9 +5,9 @@ The paper attributes out-of-order arrival to *network latency* and
 injectors parameterised the way the experiments need (disorder **rate**
 — what fraction of events arrive out of position — and disorder
 **extent** — how far they are displaced).  For physically-motivated
-disorder (per-link latency distributions, failure bursts) use
-``repro.netsim``, which produces arrival orders of the same shape from
-an actual latency simulation.
+disorder, :func:`star_arrival` carries per-source streams over a
+one-hop star network with link delay and node outages, and reports
+each event's arrival time at the sink.
 
 All models are deterministic under a seed, preserve the event set
 exactly (disorder never drops or duplicates), and report the *actual*
@@ -17,8 +17,9 @@ sampled disorder rate of 0.2 rarely lands on exactly 20%.
 
 from __future__ import annotations
 
+import bisect
 import random
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
@@ -205,3 +206,73 @@ class SwapModel(DelayModel):
             rng.shuffle(chunk)
             arrival.extend(chunk)
         return arrival
+
+
+def star_arrival(
+    streams: Mapping[str, Sequence[Event]],
+    delay: Tuple[int, int],
+    outages: Optional[Mapping[str, Sequence[Tuple[int, int]]]] = None,
+    seed: int = 0,
+) -> Tuple[List[Event], List[int]]:
+    """Deliver per-source streams over a one-hop star: ``(arrival, times)``.
+
+    *streams* maps a source name to its events in occurrence order;
+    each event is sent at its ``ts``.  Every link adds a uniform integer
+    delay in ``[low, high]`` (a constant delay ``c`` is ``(c, c)``).
+    *outages* maps a source name, or ``"sink"``, to disjoint
+    ``[start, end)`` intervals during which that node is down: a down
+    source holds an event until it recovers, the delay is added after
+    that, and a down sink holds the arrival.  A link is FIFO, so an
+    event never arrives before its source's previous one; disorder
+    comes from crossing sources and from the burst of stale events a
+    recovery releases.  Ties at the sink break by ``(source, eid)``.
+    """
+    low, high = delay
+    if not 0 <= low <= high:
+        raise ConfigurationError(f"need 0 <= low <= high, got {delay}")
+    down: Dict[str, List[Tuple[int, int]]] = {}
+    for node, intervals in (outages or {}).items():
+        down[node] = sorted(intervals)
+        for index, (start, end) in enumerate(down[node]):
+            if end <= start:
+                raise ConfigurationError(f"empty outage [{start}, {end})")
+            if index and start < down[node][index - 1][1]:
+                raise ConfigurationError(
+                    f"overlapping outage [{start}, {end}) on {node!r}"
+                )
+
+    def up_at(node: str, t: int) -> int:
+        intervals = down.get(node)
+        if intervals:
+            index = bisect.bisect_right(intervals, (t, float("inf"))) - 1
+            if index >= 0 and intervals[index][0] <= t < intervals[index][1]:
+                return intervals[index][1]
+        return t
+
+    rng = random.Random(seed)
+    delivered = []
+    for source in sorted(streams):
+        sent = link_free = 0
+        for event in streams[source]:
+            if event.ts < sent:
+                raise ConfigurationError(
+                    f"stream at {source!r} not in occurrence order: {event!r}"
+                )
+            sent = event.ts
+            link_free = max(up_at(source, sent) + rng.randint(low, high), link_free)
+            delivered.append((up_at("sink", link_free), source, event.eid, event))
+    delivered.sort(key=lambda d: d[:3])
+    return [d[3] for d in delivered], [d[0] for d in delivered]
+
+
+def crash_positions(times: Sequence[int], outages: Sequence[Tuple[int, int]]) -> List[int]:
+    """Arrival positions at which a node with *outages* dies.
+
+    *times* are the sorted arrival times :func:`star_arrival` returns;
+    each outage maps to the first arrival at or after its start, the
+    position at which an engine hosted on that node would crash (feed
+    the result to ``FaultInjector(crash_at=...)``).  An outage that
+    starts after the last arrival yields no position.
+    """
+    positions = {bisect.bisect_left(times, start) for start, _end in outages}
+    return sorted(p for p in positions if p < len(times))

@@ -3,9 +3,9 @@
 Every generator in the library is seeded and fully deterministic, so
 benchmarks and tests are reproducible bit-for-bit.  Sources produce
 events in **occurrence order**; disorder is applied afterwards by the
-models in ``repro.streams.disorder`` or physically by the network
-simulator in ``repro.netsim`` — mirroring reality, where sources emit
-in order and the transport scrambles.
+models in ``repro.streams.disorder``, or physically by its star
+network (:func:`repro.streams.disorder.star_arrival`) — mirroring
+reality, where sources emit in order and the transport scrambles.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ ever being checked out::
 
 The generator simulates *items* (tags) executing randomised trajectories
 through the store; a controllable fraction are shoplifted (skip the
-counter).  Each reader is a separate source node, so the netsim can
-scramble arrival realistically (readers on flaky wireless uplinks).
+counter).  Each reader is a separate source node, so
+:func:`repro.streams.star_arrival` can scramble arrival realistically
+(readers on flaky wireless uplinks).
 Ground-truth shoplifted tags are reported alongside the streams so
 end-to-end detection tests don't need the oracle.
 """

@@ -24,6 +24,7 @@ from repro import (
 from repro.core.errors import ReproError
 from repro.core.event import malformed_reason
 from repro.faultinject import CORRUPT_SHAPES, corrupt_event, forge_event
+from repro.streams import crash_positions, star_arrival
 
 PATTERN = seq("A a", "B b", within=10, name="fi")
 
@@ -48,13 +49,6 @@ class TestCrashPoints:
                 fired.append(index)
         assert fired == [2, 7]
         assert fault.crashes_fired == [2, 7]
-
-    def test_from_outages_builds_crash_schedule(self):
-        fault = FaultInjector.from_outages([3, 9])
-        with pytest.raises(CrashError):
-            fault.on_logged(3)
-        with pytest.raises(CrashError):
-            fault.on_logged(9)
 
     def test_crash_on_purge_validated(self):
         with pytest.raises(ReproError):
@@ -210,46 +204,34 @@ class TestDuplicateAt:
         assert out[1].eid == out[2].eid
 
 
-class TestFromOutagesPerSource:
-    @staticmethod
-    def simulated():
-        from repro.netsim import ConstantLatency, FailureSchedule, simulate_star
+class TestOutageCrashPoints:
+    """One flaky source among healthy ones: only its outages kill the engine."""
 
+    OUTAGES = {"s0": [(20, 40)], "s1": [(60, 70)]}
+
+    @classmethod
+    def arrival_times(cls):
         streams = {
             "s0": [Event("A", ts, {}) for ts in range(0, 100, 2)],
             "s1": [Event("B", ts, {}) for ts in range(1, 100, 2)],
         }
-        failures = FailureSchedule()
-        failures.add_outage("s0", 20, 40)
-        failures.add_outage("s1", 60, 70)
-        result = simulate_star(streams, lambda i: ConstantLatency(1), failures=failures)
-        return failures, result
+        return star_arrival(streams, (1, 1), cls.OUTAGES)[1]
 
-    def test_node_form_targets_one_sources_outages(self):
-        failures, result = self.simulated()
-        fault = FaultInjector.from_outages(
-            schedule=failures, result=result, node="s0"
+    def test_one_sources_outages_become_its_crash_points(self):
+        times = self.arrival_times()
+        crash_at = crash_positions(times, self.OUTAGES["s0"])
+        assert crash_at  # the drill is real
+        fault = FaultInjector(crash_at=crash_at)
+        fired = []
+        for index in range(len(times)):
+            try:
+                fault.on_logged(index)
+            except CrashError:
+                fired.append(index)
+        assert fired == crash_at
+
+    def test_crash_points_differ_per_source(self):
+        times = self.arrival_times()
+        assert crash_positions(times, self.OUTAGES["s0"]) != crash_positions(
+            times, self.OUTAGES["s1"]
         )
-        expected = result.crash_indices(failures, "s0")
-        assert expected  # the drill is real
-        assert sorted(fault._crash_at) == expected
-
-    def test_node_form_differs_per_node(self):
-        failures, result = self.simulated()
-        for_s0 = FaultInjector.from_outages(schedule=failures, result=result, node="s0")
-        for_s1 = FaultInjector.from_outages(schedule=failures, result=result, node="s1")
-        assert for_s0._crash_at != for_s1._crash_at
-
-    def test_mixing_forms_is_rejected(self):
-        failures, result = self.simulated()
-        with pytest.raises(ReproError):
-            FaultInjector.from_outages([1, 2], schedule=failures)
-        with pytest.raises(ReproError):
-            FaultInjector.from_outages(schedule=failures, result=result)  # no node
-
-    def test_extra_faults_compose(self):
-        failures, result = self.simulated()
-        fault = FaultInjector.from_outages(
-            schedule=failures, result=result, node="s0", duplicate_at=[5]
-        )
-        assert 5 in fault.duplicate_at

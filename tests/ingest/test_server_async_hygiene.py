@@ -182,3 +182,45 @@ def test_stop_closes_tracked_connections(tmp_path):
             pass
 
     asyncio.run(scenario())
+
+
+async def _wait_closed_since_3_12_1(server):
+    # asyncio.Server.wait_closed() as of Python 3.12.1: it returns only
+    # once the server is closed *and* every connection has been dropped
+    # (3.11 and earlier return at once after close()).
+    if server._waiters is None:
+        return
+    waiter = server._loop.create_future()
+    server._waiters.append(waiter)
+    await waiter
+
+
+def test_stop_returns_with_an_idle_client_connected(tmp_path, monkeypatch):
+    """An idle client does not hold ``stop()`` open on Python >= 3.12.1:
+    the connections close before the listener's ``wait_closed()``."""
+    monkeypatch.setattr(
+        asyncio.base_events.Server, "wait_closed", _wait_closed_since_3_12_1
+    )
+
+    async def scenario():
+        gateway = make_gateway(tmp_path)
+        await gateway.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+        hello = {"op": "hello", "source": "s1", "stream": "orders", "proto": 1}
+        writer.write(json.dumps(hello).encode() + b"\n")
+        await writer.drain()
+        assert json.loads(await reader.readline())["op"] == "hello_ok"
+        try:
+            await asyncio.wait_for(gateway.stop(), timeout=5.0)
+        except asyncio.TimeoutError:
+            pytest.fail("stop() waited on a connected idle client")
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+        assert gateway._writers == set()
+        assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+
+    asyncio.run(scenario())

@@ -1,4 +1,4 @@
-"""Integration tests: full pipelines from generator through netsim to engines.
+"""Integration tests: full pipelines from generator through network to engines.
 
 These exercise the exact paths the benchmarks and examples use, pinning
 the cross-module contracts: workload → network simulation → disorder →
@@ -17,8 +17,13 @@ from repro import (
 )
 from repro.bench import make_engine, oracle_truth, run_cell
 from repro.metrics import compare_keys, summarize_arrival_latency
-from repro.netsim import FailureSchedule, UniformLatency, simulate_star
-from repro.streams import RandomDelayModel, dump_trace, load_trace
+from repro.streams import (
+    RandomDelayModel,
+    dump_trace,
+    load_trace,
+    required_k,
+    star_arrival,
+)
 from repro.workloads import (
     IntrusionGenerator,
     RfidStoreGenerator,
@@ -34,50 +39,48 @@ class TestRfidPipeline:
     @pytest.fixture(scope="class")
     def setup(self):
         trace = RfidStoreGenerator(items=250, shoplift_rate=0.08, seed=31).generate()
-        simulated = simulate_star(
-            trace.by_reader, lambda i: UniformLatency(0, 120), seed=32
-        )
-        return trace, simulated
+        arrival, _times = star_arrival(trace.by_reader, (0, 120), seed=32)
+        return trace, arrival
 
     def test_ooo_engine_detects_all_shoplifting_under_network_disorder(self, setup):
-        trace, simulated = setup
+        trace, arrival = setup
         query = shoplifting_query(2000)
-        engine = OutOfOrderEngine(query, k=simulated.observed_disorder_bound())
-        engine.run(simulated.arrival_order)
+        engine = OutOfOrderEngine(query, k=required_k(arrival))
+        engine.run(arrival)
         assert detected_tags(engine.results) == trace.shoplifted_tags
 
     def test_inorder_engine_misbehaves_on_same_input(self, setup):
-        trace, simulated = setup
+        trace, arrival = setup
         query = shoplifting_query(2000)
         truth = OfflineOracle(query).evaluate_set(trace.merged)
         engine = InOrderEngine(query)
-        engine.run(simulated.arrival_order)
+        engine.run(arrival)
         report = compare_keys(truth, engine.result_set())
         assert not report.exact  # misses and/or false alarms
 
     def test_reorder_engine_correct_but_slower_to_answer(self, setup):
-        trace, simulated = setup
+        trace, arrival = setup
         query = shoplifting_query(2000)
-        k = simulated.observed_disorder_bound()
+        k = required_k(arrival)
         reorder = ReorderingEngine(query, k=k)
-        reorder.run(simulated.arrival_order)
+        reorder.run(arrival)
         assert detected_tags(reorder.results) == trace.shoplifted_tags
         ooo = OutOfOrderEngine(query, k=k)
-        ooo.run(simulated.arrival_order)
-        slow = summarize_arrival_latency(reorder.emissions, simulated.arrival_order)
-        fast = summarize_arrival_latency(ooo.emissions, simulated.arrival_order)
+        ooo.run(arrival)
+        slow = summarize_arrival_latency(reorder.emissions, arrival)
+        fast = summarize_arrival_latency(ooo.emissions, arrival)
         assert fast.mean <= slow.mean
 
     def test_alert_plan_produces_composite_alarms(self, setup):
-        trace, simulated = setup
+        trace, arrival = setup
         query = shoplifting_query(2000)
         plan = QueryPlan(
-            OutOfOrderEngine(query, k=simulated.observed_disorder_bound()),
+            OutOfOrderEngine(query, k=required_k(arrival)),
             transformation=CompositeEventFactory(
                 "SHOPLIFT_ALERT", {"tag": "s.tag", "exit_ts": "e.ts"}
             ),
         )
-        alerts = plan.run(simulated.arrival_order)
+        alerts = plan.run(arrival)
         assert {a["tag"] for a in alerts} == trace.shoplifted_tags
         assert all(a.etype == "SHOPLIFT_ALERT" for a in alerts)
 
@@ -124,16 +127,13 @@ class TestIntrusionPipeline:
 class TestFailureBurstPipeline:
     def test_recovery_burst_handled(self):
         trace = RfidStoreGenerator(items=150, seed=51, arrival_span=20_000).generate()
-        failures = FailureSchedule()
-        failures.add_outage("COUNTER_READ", 5_000, 9_000)  # counter node down
-        simulated = simulate_star(
-            trace.by_reader, lambda i: UniformLatency(0, 10), failures=failures, seed=52
-        )
+        counter_down = {"COUNTER_READ": [(5_000, 9_000)]}
+        arrival, _times = star_arrival(trace.by_reader, (0, 10), counter_down, seed=52)
         query = shoplifting_query(2000)
-        k = simulated.observed_disorder_bound()
+        k = required_k(arrival)
         assert k >= 3000  # the outage dominates disorder
         engine = OutOfOrderEngine(query, k=k)
-        engine.run(simulated.arrival_order)
+        engine.run(arrival)
         assert detected_tags(engine.results) == trace.shoplifted_tags
 
 

@@ -8,8 +8,7 @@ from repro import (
     QueryPlan,
 )
 from repro.cli import main as cli_main
-from repro.netsim import UniformLatency, simulate_star
-from repro.streams import dump_trace
+from repro.streams import dump_trace, required_k, star_arrival
 from repro.workloads import (
     RfidStoreGenerator,
     detected_tags,
@@ -23,14 +22,12 @@ class TestRegistryOverNetsim:
 
     def test_two_store_queries_one_stream(self):
         trace = RfidStoreGenerator(items=200, shoplift_rate=0.08, seed=91).generate()
-        simulated = simulate_star(
-            trace.by_reader, lambda i: UniformLatency(0, 120), seed=92
-        )
-        k = simulated.observed_disorder_bound()
+        arrival, _times = star_arrival(trace.by_reader, (0, 120), seed=92)
+        k = required_k(arrival)
         shoplift = QueryPlan(OutOfOrderEngine(shoplifting_query(2000), k=k))
         restock_pattern = restock_query(2000)
         restock = QueryPlan(PartitionedEngine(restock_pattern, k=k))
-        MultiQueryPlan([shoplift, restock]).run(simulated.arrival_order)
+        MultiQueryPlan([shoplift, restock]).run(arrival)
 
         assert detected_tags(shoplift.matches) == trace.shoplifted_tags
         restock_truth = OfflineOracle(restock_pattern).evaluate_set(trace.merged)
@@ -40,12 +37,10 @@ class TestRegistryOverNetsim:
 class TestCliOverWorkloadTrace:
     def test_rfid_trace_verified_through_cli(self, tmp_path):
         trace = RfidStoreGenerator(items=120, shoplift_rate=0.1, seed=93).generate()
-        simulated = simulate_star(
-            trace.by_reader, lambda i: UniformLatency(0, 60), seed=94
-        )
+        arrival, _times = star_arrival(trace.by_reader, (0, 60), seed=94)
         path = tmp_path / "store.jsonl"
-        dump_trace(simulated.arrival_order, path)
-        k = simulated.observed_disorder_bound()
+        dump_trace(arrival, path)
+        k = required_k(arrival)
         code = cli_main(
             [
                 "run",
@@ -62,11 +57,9 @@ class TestCliOverWorkloadTrace:
 
     def test_inorder_engine_fails_verification_on_same_trace(self, tmp_path, capsys):
         trace = RfidStoreGenerator(items=120, shoplift_rate=0.1, seed=93).generate()
-        simulated = simulate_star(
-            trace.by_reader, lambda i: UniformLatency(0, 60), seed=94
-        )
+        arrival, _times = star_arrival(trace.by_reader, (0, 60), seed=94)
         path = tmp_path / "store.jsonl"
-        dump_trace(simulated.arrival_order, path)
+        dump_trace(arrival, path)
         code = cli_main(
             [
                 "run",

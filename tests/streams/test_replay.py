@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import Event, Punctuation, StreamError, OutOfOrderEngine, parse
+from repro.core.recovery import _element_wal_line
 from repro.streams import (
     RandomDelayModel,
     SyntheticSource,
@@ -63,6 +64,33 @@ class TestRoundtrip:
         replayed.run(load_trace(trace))
         assert replayed.result_set() == original.result_set()
         assert replayed.stats.as_dict() == original.stats.as_dict()
+
+
+class TestWalSegment:
+    def test_trace_lines_are_wal_lines(self, elements, trace):
+        dump_trace(elements, trace)
+        header, *lines = trace.read_text().splitlines()
+        assert json.loads(header) == {"format": "repro-trace-v2"}
+        assert lines == [_element_wal_line(element) for element in elements]
+
+    def test_v1_punctuation_still_loads(self, trace):
+        trace.write_text(
+            json.dumps({"format": "repro-trace-v1"})
+            + "\n"
+            + json.dumps({"kind": "punctuation", "ts": 7})
+            + "\n"
+        )
+        assert load_trace(trace) == [Punctuation(7)]
+
+    def test_v1_spelling_is_not_v2(self, trace):
+        trace.write_text(
+            json.dumps({"format": "repro-trace-v2"})
+            + "\n"
+            + json.dumps({"kind": "punctuation", "ts": 7})
+            + "\n"
+        )
+        with pytest.raises(StreamError, match=r"trace.jsonl:2: unknown record kind"):
+            load_trace(trace)
 
 
 class TestFormatErrors:
