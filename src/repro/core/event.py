@@ -82,7 +82,6 @@ class Event:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "eid", _next_event_id() if eid is None else eid)
         object.__setattr__(self, "_attrs", dict(attrs) if attrs else {})
-        object.__setattr__(self, "_hash", hash((etype, ts, self.eid)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Event is immutable")
@@ -125,7 +124,13 @@ class Event:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        # Computed on first use: most events are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.etype, self.ts, self.eid))
+            _set_hash(self, value)
+            return value
 
     def __repr__(self) -> str:
         if self._attrs:
@@ -146,20 +151,15 @@ _set_etype, _set_ts, _set_eid, _set_attrs, _set_hash = (
 def screened_event(etype: str, ts: int, attrs: Dict[str, Any], eid: int) -> Event:
     """An :class:`Event` from fields the caller has already checked: no
     re-validation, slots set through their descriptors, and *attrs* stored
-    as given (a caller that does not own the dict passes a copy).
-
-    An unhashable forged *ts* leaves the hash slot unset, so hashing the
-    event raises on use, as it would for any unhashable object.
+    as given (a caller that does not own the dict passes a copy).  Like the
+    constructor it leaves the hash to the first ``hash()``, which raises
+    then if a forged *ts* is unhashable.
     """
     event = object.__new__(Event)
     _set_etype(event, etype)
     _set_ts(event, ts)
     _set_eid(event, eid)
     _set_attrs(event, attrs)
-    try:
-        _set_hash(event, hash((etype, ts, eid)))
-    except TypeError:
-        pass
     return event
 
 

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
-from repro.ingest.schema import StreamSchema
+from repro.ingest.schema import Decision, StreamSchema
 
 
 class AdmissionOutcome(enum.Enum):
@@ -126,11 +126,27 @@ class AdmissionController:
     def admit_cohort(
         self, source: str, pairs: Iterable[Tuple[Any, Any]]
     ) -> List[Admission]:
+        """Decide ``(etype, attrs)`` *pairs* from *source*, in order: the
+        decisions of :meth:`decide_cohort` as :class:`Admission` records."""
+        admitted, duplicate, quarantined = AdmissionOutcome  # definition order
+        new = tuple.__new__  # Admission(...) without its Python-level __new__
+        return [
+            new(Admission, (quarantined, reason, None, None)) if reason is not None
+            else new(Admission, (duplicate, None, None, idem)) if event is None
+            else new(Admission, (admitted, None, event, idem))
+            for reason, idem, event in self.decide_cohort(source, pairs)
+        ]
+
+    def decide_cohort(self, source: str, pairs: Iterable[Tuple[Any, Any]]) -> List[Decision]:
         """Decide ``(etype, attrs)`` *pairs* from *source*, in order.
 
-        The one admission body; never raises on bad frames.  The source's
-        counters are looked up once; a pair repeated inside the cohort is
-        a duplicate of its first occurrence.
+        The one admission body; never raises on bad frames.  Each frame
+        takes one call, its event type's compiled admitter
+        (:meth:`StreamSchema.decide`), and leaves a plain triple: ``(reason,
+        None, None)`` quarantined, ``(None, idem, None)`` duplicate, ``(None,
+        idem, event)`` admitted.  The source's counters are looked up once;
+        a pair repeated inside the cohort is a duplicate of its first
+        occurrence.
         """
         state = self._sources.get(source)
         if state is None:
@@ -138,25 +154,29 @@ class AdmissionController:
         window = self._window
         # DedupeWindow.add, inlined: the id is known to be absent.
         seen, order, capacity = window._ids, window._order, window.capacity
-        screen, event_for = self.schema.screen, self.schema.event_for
-        admitted, duplicate, quarantined = AdmissionOutcome  # definition order
-        decided: List[Admission] = []
-        for etype, attrs in pairs:
-            reason, idem = screen(etype, attrs)
-            if reason is not None:
-                state.quarantined += 1
-                decided.append(Admission(quarantined, reason, None, None))
-            elif idem in seen:
-                state.duplicates += 1
-                decided.append(Admission(duplicate, None, None, idem))
-            else:
-                order.append(idem)
-                seen.add(idem)
-                if len(order) > capacity:
-                    seen.discard(order.popleft())
-                state.admitted += 1
-                event = event_for(etype, attrs, idem)
-                decided.append(Admission(admitted, None, event, idem))
+        admitters, screened = self.schema._admitters, self.schema._screened
+        decided: List[Decision] = []
+        admitted = 0
+        try:
+            for etype, attrs in pairs:
+                decision = (
+                    admitters.get(etype, screened) if type(etype) is str else screened
+                )(etype, attrs)
+                idem = decision[1]
+                if idem is None:
+                    state.quarantined += 1
+                elif idem in seen:
+                    state.duplicates += 1
+                    decision = (None, idem, None)
+                else:
+                    order.append(idem)
+                    seen.add(idem)
+                    if len(order) > capacity:
+                        seen.discard(order.popleft())
+                    admitted += 1
+                decided.append(decision)
+        finally:  # an id whose material cannot be built (repr raising) propagates
+            state.admitted += admitted
         return decided
 
     # -- recovery -----------------------------------------------------------------------

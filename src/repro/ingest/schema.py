@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoding
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.core.errors import ConfigurationError
-from repro.core.event import Event, screened_event
+from repro.core.errors import ConfigurationError, StreamError
+from repro.core.event import Event, _set_attrs, _set_eid, _set_etype, _set_ts, screened_event
 
 #: Ordering scopes a schema may declare.  ``per_source`` promises each
 #: source sends its own events in occurrence order (slack 0 per source);
@@ -44,6 +45,13 @@ _FIELD_TYPES: Dict[str, tuple] = {
     "any": (object,),
 }
 _ABSENT = object()
+#: A frame's admission decision: ``(reason, None, None)`` for a frame to
+#: quarantine, ``(None, idempotency id, event)`` for an admissible one.
+Decision = Tuple[Optional[str], Optional[str], Optional[Event]]
+Admitter = Callable[[Any, Any], Decision]
+#: An eid is the first 63 bits of the SHA-1 of the idempotency id.
+_EID_OF = struct.Struct(">Q").unpack_from
+_EID_MASK = 0x7FFFFFFFFFFFFFFF
 
 
 class FieldSpec:
@@ -99,16 +107,20 @@ class EventSchema:
 class _EventPlan:
     """One event type's admission plan, compiled once per schema.
 
-    What :meth:`StreamSchema.screen` would otherwise look up or encode
-    again per frame: the declared fields as ``(name, allowed types or
-    None for any, required, type name)``, the other keys that must be
-    present (each with its quarantine reason), and the constant pieces
-    of the idempotency material.
+    Two forms of the same checks.  The interpretive one is what
+    :meth:`StreamSchema.screen` walks: the declared fields as ``(name,
+    allowed types or None for any, required, type name)``, the other keys
+    that must be present (each with its quarantine reason), and the
+    constant pieces of the idempotency material.  The compiled one is
+    :attr:`admit`, generated from the same declaration: one function that
+    takes a frame of exact-typed values from ``attrs`` to its id and
+    :class:`~repro.core.event.Event`, and hands every other frame to the
+    interpretive pass.
     """
 
-    __slots__ = ("fields", "present", "t_event", "id_field", "head", "parts")
+    __slots__ = ("fields", "present", "t_event", "id_field", "head", "parts", "admit")
 
-    def __init__(self, schema: "StreamSchema", event: EventSchema):
+    def __init__(self, schema: "StreamSchema", event: EventSchema, fallback: Admitter):
         self.fields = tuple(
             (spec.name, None if spec.ftype == "any" else _FIELD_TYPES[spec.ftype],
              spec.required, spec.ftype)
@@ -130,6 +142,7 @@ class _EventPlan:
             (field, f", [{json.dumps(field)}, ")
             for field in schema.idempotency_fields or sorted(event.fields)
         )
+        self.admit = self._compile(event, fallback)
 
     def idem(self, attrs: Mapping[str, Any]) -> str:
         """The frame's idempotency id: the explicit field, or SHA-1 over
@@ -144,6 +157,75 @@ class _EventPlan:
             chunks += (lead, _quote(repr(attrs.get(field))), "]")
         chunks.append("]")
         return hashlib.sha1("".join(chunks).encode("ascii")).hexdigest()
+
+    def _compile(self, event: EventSchema, fallback: Admitter) -> Admitter:
+        """Generate :attr:`admit` for *event*.
+
+        Every key the checks read is fetched once.  A declared ``int`` or
+        ``float`` field takes only an exact ``int`` and a ``str`` field
+        only an exact ``str`` (a bool, a float, a subclass goes to
+        *fallback*), so each check is one type comparison and an int goes
+        into the idempotency material as ``%d`` between pre-encoded
+        pieces; any other value goes in as :meth:`idem` encodes it.  A
+        missing key, a non-dict ``attrs`` or a failed check returns
+        ``fallback(etype, attrs)``, the interpretive pass, so every reason
+        string has one implementation.
+        """
+        local: Dict[str, str] = {}  # attribute key -> local variable
+
+        def fetch(key: str) -> str:
+            return local.setdefault(key, f"v{len(local)}")
+
+        checks = []
+        for name, allowed, _, ftype in self.fields:
+            if allowed is not None:
+                exact = "str" if ftype == "str" else "int"
+                checks.append(f"type({fetch(name)}) is {exact}")
+        ts = fetch(self.t_event)
+        checks += (f"type({ts}) is int", f"{ts} >= 0")
+        for key, _ in self.present:
+            fetch(key)
+        if self.id_field is not None:
+            idem = f"{self.head!r} + repr({local[self.id_field]})"
+        else:
+            ints = {name for name, allowed, _, ftype in self.fields if ftype in ("int", "float")}
+            pieces, values = [self.head.replace("%", "%%"), "%d"], [ts]
+            for field, lead in self.parts:
+                pieces.append(lead.replace("%", "%%"))
+                if field in ints:
+                    pieces.append('"%d"]')
+                    values.append(fetch(field))
+                else:
+                    pieces.append("%b]")
+                    values.append(f"_quote(repr({fetch(field)})).encode()")
+            pieces.append("]")
+            material = "".join(pieces).encode("ascii")
+            idem = f"_sha1({material!r} % ({', '.join(values)},)).hexdigest()"
+        source = "\n".join([
+            "def admit(etype, attrs):",
+            "    if type(attrs) is dict:",
+            "        try:",
+            *(f"            {var} = attrs[{key!r}]" for key, var in local.items()),
+            "        except KeyError:",
+            "            pass",
+            "        else:",
+            f"            if {' and '.join(dict.fromkeys(checks))}:",
+            f"                idem = {idem}",
+            "                event = _new(_Event)",  # screened_event, inlined
+            "                _set_etype(event, etype)",
+            f"                _set_ts(event, {ts})",
+            f"                _set_eid(event, _eid_of(_sha1(idem.encode()).digest())[0] & {_EID_MASK})",
+            "                _set_attrs(event, attrs.copy())",
+            "                return None, idem, event",
+            "    return fallback(etype, attrs)",
+        ])
+        namespace = {
+            "_sha1": hashlib.sha1, "_quote": _quote, "_eid_of": _EID_OF, "_new": object.__new__,
+            "_Event": Event, "_set_etype": _set_etype, "_set_ts": _set_ts, "_set_eid": _set_eid,
+            "_set_attrs": _set_attrs, "fallback": fallback,
+        }
+        exec(compile(source, f"<admit {event.etype!r}>", "exec"), namespace)
+        return namespace["admit"]
 
 
 class StreamSchema:
@@ -184,6 +266,7 @@ class StreamSchema:
         "idempotency_field",
         "idempotency_fields",
         "_plans",
+        "_admitters",
     )
 
     def __init__(
@@ -233,21 +316,41 @@ class StreamSchema:
         self.idempotency_field = idempotency_field
         self.idempotency_fields = tuple(idempotency_fields)
         self._plans = {
-            etype: _EventPlan(self, schema) for etype, schema in self.events.items()
+            etype: _EventPlan(self, schema, self._screened)
+            for etype, schema in self.events.items()
+        }
+        self._admitters: Dict[str, Admitter] = {
+            etype: plan.admit for etype, plan in self._plans.items()
         }
 
     # -- the one admission pass ---------------------------------------------------------
 
-    def screen(self, etype: Any, attrs: Any) -> Tuple[Optional[str], Optional[str]]:
-        """Screen a frame once: ``(reason, None)`` or ``(None, idempotency id)``.
+    def decide(self, etype: Any, attrs: Any) -> Decision:
+        """Admit or quarantine one frame: ``(reason, None, None)`` or
+        ``(None, idempotency id, event)``.
 
-        The only implementation of validation order, reason strings and
-        id derivation; the three methods below are views of it.  The
-        checks subsume engine-side admission
-        (:func:`repro.core.event.malformed_reason`): any frame passing
-        here builds an :class:`~repro.core.event.Event` that the engine
-        admits, so gateway-side quarantine accounting matches what
-        ``ValidationPolicy.QUARANTINE`` would have counted.
+        The one admission pass: the event type's compiled admitter
+        (:class:`_EventPlan`), which hands any frame it does not take to
+        :meth:`screen`.  Never raises on a bad frame.  The event is built
+        from a copy of *attrs* (the caller may keep and mutate its dict).
+        :class:`~repro.ingest.admission.AdmissionController` makes the
+        same dispatch inline, once per frame of a cohort.
+        """
+        if type(etype) is str:
+            return self._admitters.get(etype, self._screened)(etype, attrs)
+        return self._screened(etype, attrs)
+
+    def screen(self, etype: Any, attrs: Any) -> Tuple[Optional[str], Optional[str]]:
+        """Screen a frame by interpreting the plan: ``(reason, None)`` or
+        ``(None, idempotency id)``.
+
+        The only implementation of validation order and reason strings,
+        and the interpretive twin of the compiled admitters, which fall
+        back to it for every frame they do not take.  The checks subsume
+        engine-side admission (:func:`repro.core.event.malformed_reason`):
+        any frame passing here builds an :class:`~repro.core.event.Event`
+        that the engine admits, so gateway-side quarantine accounting
+        matches what ``ValidationPolicy.QUARANTINE`` would have counted.
         """
         if not isinstance(etype, str) or not etype:
             return f"event type must be a non-empty string, got {etype!r}", None
@@ -282,15 +385,27 @@ class StreamSchema:
                 return reason, None
         return None, plan.idem(attrs)
 
+    def _screened(self, etype: Any, attrs: Any) -> Decision:
+        """:meth:`screen` as a decision: the compiled admitters' fallback."""
+        reason, idem = self.screen(etype, attrs)
+        if reason is not None:
+            return reason, None, None
+        return None, idem, self.event_for(etype, attrs, idem)
+
     def check_frame(self, etype: Any, attrs: Any) -> Optional[str]:
         """Why the frame must be quarantined, or None when admissible."""
-        return self.screen(etype, attrs)[0]
+        return self.decide(etype, attrs)[0]
 
     # -- identity derivation ------------------------------------------------------------
 
     def idempotency_id(self, etype: str, attrs: Mapping[str, Any]) -> str:
-        """Deterministic redelivery identity of a validated frame."""
-        return self._plans[etype].idem(attrs)
+        """Deterministic redelivery identity of a frame, without building
+        its event (a restart refills the dedupe window with these); raises
+        :class:`~repro.core.errors.StreamError` for one to quarantine."""
+        reason, idem = self.screen(etype, attrs)
+        if reason is not None:
+            raise StreamError(f"frame is not admissible: {reason}")
+        return idem
 
     def derive_eid(self, idem_id: str) -> int:
         """Stable positive event id from an idempotency id.
@@ -299,8 +414,7 @@ class StreamSchema:
         window size, and the id survives crash/replay so result-set
         comparisons by event identity keep working.
         """
-        digest = hashlib.sha1(idem_id.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
+        return _EID_OF(hashlib.sha1(idem_id.encode("utf-8")).digest())[0] & _EID_MASK
 
     def event_for(self, etype: str, attrs: Mapping[str, Any], idem_id: str) -> Event:
         """The engine-side event for a screened frame whose id is *idem_id*:
@@ -311,8 +425,12 @@ class StreamSchema:
         )
 
     def build_event(self, etype: str, attrs: Mapping[str, Any]) -> Event:
-        """The engine-side event for a validated frame."""
-        return self.event_for(etype, attrs, self.idempotency_id(etype, attrs))
+        """The engine-side event for a frame; raises
+        :class:`~repro.core.errors.StreamError` for one to quarantine."""
+        reason, _, event = self.decide(etype, attrs)
+        if reason is not None:
+            raise StreamError(f"frame is not admissible: {reason}")
+        return event
 
     def partition_of(self, attrs: Mapping[str, Any]) -> Optional[Any]:
         """The frame's partition key value (None when not declared)."""

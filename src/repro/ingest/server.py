@@ -82,7 +82,7 @@ from repro.ingest.schema import StreamSchema
 from repro.obs import trace as stages
 from repro.obs.export import render_prometheus
 from repro.obs.flight import FlightRecorder
-from repro.obs.httpserv import Route, TelemetryServer
+from repro.obs.httpserv import Listener, Route, TelemetryServer
 from repro.obs.span import SPAN_FIELD, SourceLagPanel, SpanTracker, span_origin
 
 PROTOCOL_VERSION = 1
@@ -137,17 +137,24 @@ def decode_lines(lines: List[bytes]) -> Tuple[List[Dict[str, Any]], Optional[str
 
 
 def encode_reply(reply: Dict[str, Any]) -> bytes:
-    """One reply line, byte for byte ``json.dumps(reply, sort_keys=True)``;
-    the plain admitted ack, nearly every line written, comes from a template."""
-    n = reply.get("n")
-    if (
-        type(n) is int
-        and len(reply) == 3
-        and reply.get("status") == "admitted"
-        and reply.get("op") == "ack"
-    ):
-        return b'{"n": %d, "op": "ack", "status": "admitted"}\n' % n
+    """One reply line: ``json.dumps(reply, sort_keys=True)``."""
     return json.dumps(reply, sort_keys=True).encode("utf-8") + b"\n"
+
+
+_ADMITTED_ACK = b'{"n": %d, "op": "ack", "status": "admitted"}\n'
+_frame_n = operator.methodcaller("get", "n")
+
+
+def encode_acks(frames: List[Dict[str, Any]], acks: List[Optional[Dict[str, Any]]]) -> bytes:
+    """The ack lines for a run of event *frames* decided as *acks*
+    (:meth:`IngestGateway.admit_cohort`): byte for byte :func:`encode_reply`
+    of each ack with ``op`` and the frame's ``n``.  A plain admitted ack
+    with an int ``n``, nearly every line written, comes from a template."""
+    return b"".join([
+        _ADMITTED_ACK % n if ack is None and type(n) is int
+        else encode_reply(dict(ack or {"status": "admitted"}, op="ack", n=n))
+        for n, ack in zip(map(_frame_n, frames), acks)
+    ])
 
 
 class GatewayConfig:
@@ -377,11 +384,8 @@ class IngestGateway:
         self.crashed = False
         self.closed = False
         self.terminated = False
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener = Listener()
         self._tick_task: Optional[asyncio.Task] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._stopping = False
-        self._bound_port: Optional[int] = None
         self._telemetry: Optional[TelemetryServer] = None
         # Latency attribution and the flight recorder ride on the same
         # enablement story as engine observability: None means every hot
@@ -434,9 +438,9 @@ class IngestGateway:
 
     @property
     def port(self) -> int:
-        if self._bound_port is None:
+        if self._listener.bound is None:
             raise ReproError("gateway is not listening; call start() first")
-        return self._bound_port
+        return self._listener.bound
 
     # -- admission core (transport-independent) ----------------------------------------
 
@@ -467,13 +471,14 @@ class IngestGateway:
         changes the decision.
         """
         frame = {"etype": etype, "attrs": attrs, SPAN_FIELD: span}
-        return self.admit_cohort(source, [frame], now)[0]
+        return self.admit_cohort(source, [frame], now)[0] or {"status": "admitted"}
 
     def admit_cohort(
         self, source: str, frames: List[Dict[str, Any]], now: Optional[float] = None
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Optional[Dict[str, Any]]]:
         """Decide a run of ``event`` frames from *source*; returns their ack
-        payloads in frame order.
+        payloads in frame order, None for a plain ``{"status": "admitted"}``
+        (the transport writes those from a template, :func:`encode_acks`).
 
         The full admission ladder: backpressure refusal → schema
         quarantine → duplicate drop → source-mark advance + a place in
@@ -487,7 +492,7 @@ class IngestGateway:
         commit, so a frame's pressure is that size plus the pending
         cohort), the liveness stamp by the first frame not refused, the
         source mark's move to the newest ``ts``, counters — and per frame
-        only screen → dedupe → ``Event`` → ack.  Pressure and span
+        only the compiled admission pass → dedupe → ack.  Pressure and span
         boundaries are per frame: with a shed policy or attribution on,
         frames are decided one at a time.
         """
@@ -501,7 +506,7 @@ class IngestGateway:
         shed = getattr(self.engine, "shed", None)
         size = self.engine.state_size() if shed is not None else 0
         step = max(len(frames), 1) if shed is None and spans is None else 1
-        acks: List[Dict[str, Any]] = []
+        acks: List[Optional[Dict[str, Any]]] = []
         pressure = t_start = 0.0
         first = newest = -1  # ts (screened >= 0) of the stamping frame / the newest admitted
         stamped = False
@@ -522,21 +527,23 @@ class IngestGateway:
                 acks.append({"status": "busy", "retry_after": RETRY_AFTER,
                              "pressure": round(pressure, 4)})
                 continue
-            decided = self.admission.admit_cohort(
+            decided = self.admission.decide_cohort(
                 source, [(frame.get("etype"), frame.get("attrs")) for frame in chunk]
             )
-            for frame, (_, reason, event, _) in zip(chunk, decided):
-                if not stamped:
-                    # Activity whatever the outcome: a source sending
-                    # garbage or resends is alive, not silent.
-                    stamped = True
-                    if event is None:
-                        transition = self.liveness.connect(source, now)
-                    else:
-                        first = event.ts
-                        transition = self.liveness.observe(source, first, now)
-                    if transition is not None:
-                        self._note_transition(transition)
+            if not stamped:
+                # Activity whatever the outcome: a source sending
+                # garbage or resends is alive, not silent.
+                stamped = True
+                event = decided[0][2]
+                if event is None:
+                    transition = self.liveness.connect(source, now)
+                else:
+                    first = event.ts
+                    transition = self.liveness.observe(source, first, now)
+                if transition is not None:
+                    self._note_transition(transition)
+            for frame, (reason, _, event) in zip(chunk, decided):
+                ack: Optional[Dict[str, Any]] = None
                 if event is not None:
                     if event.ts > newest:
                         newest = event.ts
@@ -544,12 +551,11 @@ class IngestGateway:
                     admitted += 1
                     if flight is not None:
                         flight.note(now, "admit", source, value=event.ts)
-                    ack: Dict[str, Any] = {"status": "admitted"}
                     if pressure >= SOFT_PRESSURE:
                         # Soft band: admit, but ask the client to slow down
                         # proportionally to how deep into the band we are.
                         depth = (pressure - SOFT_PRESSURE) / (HARD_PRESSURE - SOFT_PRESSURE)
-                        ack["throttle"] = round(RETRY_AFTER * depth, 6)
+                        ack = {"status": "admitted", "throttle": round(RETRY_AFTER * depth, 6)}
                         self.throttled_total += 1
                 elif reason is not None:
                     quarantined += 1
@@ -563,8 +569,8 @@ class IngestGateway:
                     ack = {"status": "duplicate"}
                 if spans is not None:
                     spans.note_frame(
-                        source, ack["status"], t_start, clock(),
-                        span_origin(frame.get(SPAN_FIELD)),
+                        source, "admitted" if ack is None else ack["status"], t_start,
+                        clock(), span_origin(frame.get(SPAN_FIELD)),
                         None if event is None else event.eid,
                     )
                 acks.append(ack)
@@ -973,11 +979,9 @@ class IngestGateway:
         """Bind the listen socket and start the liveness timer."""
         if self.crashed:
             raise ReproError("gateway crashed; rebuild it to recover")
-        self._stopping = False
-        self._server = await asyncio.start_server(
+        await self._listener.listen(
             self._handle_connection, self.config.host, self.config.port
         )
-        self._bound_port = self._server.sockets[0].getsockname()[1]
         self._tick_task = asyncio.get_running_loop().create_task(self._tick_loop())
         if self.config.telemetry_port is not None:
             telemetry = TelemetryServer(
@@ -995,7 +999,7 @@ class IngestGateway:
             # Off-main-thread loops (GatewayHandle) and platforms without
             # signal support: SIGTERM dumps are a best-effort extra.
             pass
-        self._journal("listen", host=self.config.host, port=self._bound_port)
+        self._journal("listen", host=self.config.host, port=self._listener.bound)
 
     def _on_sigterm(self) -> None:
         """SIGTERM: dump the flight ring and let the serve loop exit."""
@@ -1007,16 +1011,13 @@ class IngestGateway:
     async def stop(self, seal: bool = True) -> None:
         """Stop accepting, drop connections, optionally seal the engine.
 
-        Shared handles are swapped out *before* the first await:
-        a concurrent ``stop`` or a tick-loop crash interleaving at an
-        await point sees the already-cleared attribute instead of
-        double-closing, and nothing decided before a suspension is
-        written back after one.  A connection whose handler starts
-        after this point hangs up without registering.  Connections
-        close before ``server.wait_closed()``, which from Python 3.12.1
-        waits for every one of them.
+        From the first line on, a handler neither registers, admits nor
+        commits a disconnect.  Both listeners close their connections
+        before awaiting them (:class:`~repro.obs.httpserv.Listener`), so
+        an idle source or scraper holds neither open, and a concurrent
+        ``stop`` finds every handle already swapped out.
         """
-        self._stopping = True
+        self._listener.stopping = True
         task, self._tick_task = self._tick_task, None
         if task is not None:
             task.cancel()
@@ -1024,22 +1025,9 @@ class IngestGateway:
                 await task
             except asyncio.CancelledError:
                 pass
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        writers, self._writers = list(self._writers), set()
-        for writer in writers:
-            writer.close()
-        if server is not None:
-            await server.wait_closed()
-        telemetry, self._telemetry = self._telemetry, None
-        if telemetry is not None:
-            await telemetry.stop()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer already gone; the transport is torn either way
+        await self._listener.stop()
+        if self._telemetry is not None:
+            await self._telemetry.stop()
         if seal and not self.crashed and not self.closed:
             self.seal()
         elif self.directory is not None:
@@ -1062,34 +1050,19 @@ class IngestGateway:
         task, self._tick_task = self._tick_task, None
         if task is not None:
             task.cancel()
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        telemetry, self._telemetry = self._telemetry, None
-        if telemetry is not None:
-            telemetry.abort()
-        for writer in list(self._writers):
-            writer.transport.abort()
-        self._writers.clear()
+        if self._telemetry is not None:
+            self._telemetry.abort()
+        self._listener.abort()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._stopping:
-            # Accepted just before stop() closed the listener.
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            return
-        self._writers.add(writer)
         source: Optional[str] = None
         buffer = b""
         try:
             while True:
                 chunk = await reader.read(65536)
-                if not chunk or self._stopping:
+                if not chunk or self._listener.stopping:
                     break  # nothing read after stop() began is admitted
                 spans = self._spans
                 if spans is not None:
@@ -1098,7 +1071,7 @@ class IngestGateway:
                 lines = buffer.split(b"\n")
                 buffer = lines.pop()
                 frames, undecodable = decode_lines(lines)
-                replies: List[Dict[str, Any]] = []
+                replies: List[bytes] = []
                 goodbye = False
                 fatal: Optional[str] = None  # why the connection must close
                 # A run of event frames is one admit_cohort; any other op
@@ -1106,11 +1079,7 @@ class IngestGateway:
                 for op, run in groupby(frames, _frame_op):
                     if op == "event" and source is not None:
                         events = list(run)
-                        acks = self.admit_cohort(source, events)
-                        for frame, ack in zip(events, acks):
-                            ack["op"] = "ack"
-                            ack["n"] = frame.get("n")
-                        replies += acks
+                        replies.append(encode_acks(events, self.admit_cohort(source, events)))
                         continue
                     for frame in run:
                         if source is None:
@@ -1118,7 +1087,7 @@ class IngestGateway:
                                 fatal = "first frame must be hello"
                                 break
                             reply, source = self._handle_hello(frame)
-                            replies.append(reply)
+                            replies.append(encode_reply(reply))
                             if source is None:
                                 goodbye = True
                                 break
@@ -1131,17 +1100,19 @@ class IngestGateway:
                             ack = self.assert_watermark(source, ts)
                             ack["op"] = "ack"
                             ack["n"] = frame.get("n")
-                            replies.append(ack)
+                            replies.append(encode_reply(ack))
                         elif op == "stats":
-                            replies.append({"op": "stats_ok", "stats": self.stats()})
+                            replies.append(
+                                encode_reply({"op": "stats_ok", "stats": self.stats()})
+                            )
                         elif op == "bye":
-                            replies.append({"op": "bye_ok"})
+                            replies.append(encode_reply({"op": "bye_ok"}))
                             goodbye = True
                             break
                         else:
-                            replies.append(
+                            replies.append(encode_reply(
                                 {"op": "error", "reason": f"unknown op {op!r}"}
-                            )
+                            ))
                     if goodbye or fatal is not None:
                         break
                 else:  # every decoded frame handled: now the line that was not one
@@ -1151,7 +1122,7 @@ class IngestGateway:
                 if fatal is not None:
                     # What the cohort fed before it is still committed
                     # and acked below; then the connection closes.
-                    replies.append({"op": "error", "reason": fatal})
+                    replies.append(encode_reply({"op": "error", "reason": fatal}))
                     goodbye = True
                 if self._advance_due:
                     # The group commit, owed by any admitted frame or
@@ -1164,7 +1135,7 @@ class IngestGateway:
                     )
                 t_sync_end = self._clock() if spans is not None else 0.0
                 if replies:
-                    writer.write(b"".join(map(encode_reply, replies)))
+                    writer.write(b"".join(replies))
                     await writer.drain()
                 if spans is not None:
                     spans.seal_cohort(
@@ -1184,16 +1155,10 @@ class IngestGateway:
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
-            self._writers.discard(writer)
             # A hang-up that stop() caused is not a source departing, and
             # a commit after stop() would write past the runner's release.
-            if source is not None and not self.crashed and not self._stopping:
+            if source is not None and not self.crashed and not self._listener.stopping:
                 self.disconnect_source(source)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer reset or transport aborted mid-teardown
 
     def _handle_hello(self, frame: Dict[str, Any]) -> Any:
         source = frame.get("source")

@@ -10,16 +10,16 @@ Route handlers must therefore be pure snapshot renderers (string
 building over in-memory state) — anything blocking would stall every
 connection the loop owns.
 
-Scrape-path hygiene follows the gateway transport's conventions: the
-request read is bounded (line length, header count, timeout), shared
-handles are swapped out before awaits on the stop path, and every
-``writer.close()`` is paired with ``wait_closed``.
+Scrape-path hygiene is the gateway transport's: the request read is
+bounded (line length, header count, timeout), and both servers accept,
+track and stop through one :class:`Listener`, so an idle scraper is
+hung up by ``stop()`` instead of holding it open.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 Route = Callable[[], Tuple[int, str, str]]
 
@@ -35,39 +35,77 @@ _READ_TIMEOUT = 5.0
 _MAX_HEADER_LINES = 64
 
 
-class TelemetryServer:
-    """Serve a few read-only routes on the current event loop."""
+class Listener:
+    """Accept, track and stop: the listening-socket lifecycle of both servers.
 
-    def __init__(self, host: str, port: int, routes: Dict[str, Route]):
-        self.host = host
-        self.routes = dict(routes)
-        self._port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._bound_port: Optional[int] = None
+    :meth:`stop` closes the listener and every tracked connection before
+    awaiting ``Server.wait_closed()`` (which from Python 3.12.1 waits for
+    every connection) and the serving tasks: an idle client holds nothing.
+    """
 
-    @property
-    def port(self) -> int:
-        if self._bound_port is None:
-            raise RuntimeError("telemetry server is not listening; call start()")
-        return self._bound_port
+    def __init__(self) -> None:
+        self.server: Optional[asyncio.base_events.Server] = None
+        self.bound: Optional[int] = None  # the bound port
+        self.writers: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self.stopping = False
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self._port
-        )
-        self._bound_port = self._server.sockets[0].getsockname()[1]
+    async def listen(self, handle: Callable[..., Awaitable[Any]], host: str, port: int) -> None:
+        async def serve(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            if not self.stopping:  # else accepted as stop() began: hang up unserved
+                self.writers[writer] = asyncio.current_task()  # type: ignore[assignment]
+                try:
+                    await handle(reader, writer)
+                finally:
+                    self.writers.pop(writer, None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass  # peer reset or transport aborted mid-teardown
+
+        self.stopping = False
+        self.server = await asyncio.start_server(serve, host, port)
+        self.bound = self.server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        server, self._server = self._server, None
+        self.stopping = True  # handles are swapped out before the first await
+        server, self.server = self.server, None
+        writers, self.writers = self.writers, {}
+        for writer in writers:
+            writer.close()
         if server is not None:
             server.close()
             await server.wait_closed()
+        await asyncio.gather(*writers.values(), return_exceptions=True)
 
     def abort(self) -> None:
-        """Synchronous teardown for crash paths (no await available)."""
-        server, self._server = self._server, None
+        """Synchronous teardown for crash paths: every connection is torn."""
+        self.stopping = True
+        server, self.server = self.server, None
         if server is not None:
             server.close()
+        for writer in self.writers:
+            writer.transport.abort()
+        self.writers.clear()
+
+
+class TelemetryServer(Listener):
+    """Serve a few read-only routes on the current event loop."""
+
+    def __init__(self, host: str, port: int, routes: Dict[str, Route]):
+        super().__init__()
+        self.host = host
+        self.routes = dict(routes)
+        self._port = port
+
+    @property
+    def port(self) -> int:
+        if self.bound is None:
+            raise RuntimeError("telemetry server is not listening; call start()")
+        return self.bound
+
+    async def start(self) -> None:
+        await self.listen(self._handle, self.host, self._port)
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -112,12 +150,6 @@ class TelemetryServer:
             await writer.drain()
         except (ConnectionError, OSError):
             pass  # scraper went away mid-response
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 def http_get(host: str, port: int, path: str, timeout: float = 5.0) -> Tuple[int, str]:

@@ -2,7 +2,8 @@
 
 :class:`ShuffledLoop` resumes ready tasks in a seeded random order, so
 every seed tries another interleaving of the same drill: clients
-connecting, sending and waiting for the server to hang up, two
+connecting, sending and waiting for the server to hang up, a scraper
+that connects and never sends its request, two
 concurrent ``stop()`` calls, and a crash inside the liveness timer's
 commit.  A coroutine that decides something before an await and
 acts on it after (reads ``self._writers``, suspends, then writes it back)
@@ -12,6 +13,8 @@ Invariants, for every seed:
 
 * ``stop()`` completes, and when it returns no connection is still
   registered and every connection the server accepted is closing;
+* an idle scraper on the telemetry sidecar is hung up by ``stop()``
+  (or by the crash), not left to its read timeout;
 * a connection accepted as ``stop()`` ran closes by itself: once the
   drill ends, every connection is closed without a second ``stop``;
 * every frame acked ``admitted`` is in the WAL exactly once, and the
@@ -43,6 +46,7 @@ CLIENTS = 6
 FRAMES = 8
 STOP_WITHIN = 5.0
 HANG_UP_WITHIN = 0.05
+SCRAPE_TIMEOUT = 5.0  # the sidecar's own read timeout (obs.httpserv)
 
 
 class ShuffledLoop(asyncio.SelectorEventLoop):
@@ -108,7 +112,7 @@ def build(directory, fault):
     ticks = itertools.count()
     return IngestGateway(
         lambda: OutOfOrderEngine(parse(QUERY), k=4),
-        GatewayConfig(make_schema(slack=2), liveness_timeout=0.0004),
+        GatewayConfig(make_schema(slack=2), liveness_timeout=0.0004, telemetry_port=0),
         directory=directory,
         fault=fault,
         clock=lambda: float(next(ticks)),  # each read is past the timeout
@@ -174,7 +178,30 @@ async def drill(seed, directory):
 
     gateway._handle_connection = tracked
     await gateway.start()
+    telemetry = gateway._telemetry
     acked = []
+    hung_up = []
+
+    # A scraper that connected and never sends its request: stop() (or
+    # the crash) hangs it up instead of leaving it to the read timeout.
+    scrape, scraper = await asyncio.open_connection("127.0.0.1", telemetry.bound)
+    while not telemetry.writers:
+        await asyncio.sleep(0)
+
+    async def idle_scraper():
+        try:
+            eof = await asyncio.wait_for(scrape.read(), SCRAPE_TIMEOUT / 2)
+            hung_up.append(eof == b"")
+        except asyncio.TimeoutError:  # an OSError since 3.11: test it first
+            hung_up.append(False)
+        except (ConnectionError, OSError):
+            hung_up.append(True)
+        finally:
+            scraper.close()
+            try:
+                await scraper.wait_closed()
+            except (ConnectionError, OSError):
+                pass
 
     async def local_source():
         # Admitted in-process, committed by whoever commits next: often
@@ -182,7 +209,7 @@ async def drill(seed, directory):
         await yields(rng.randrange(12))
         fault.task = gateway._tick_task
         ts = 0
-        while gateway._server is not None and not gateway.crashed:
+        while gateway._listener.server is not None and not gateway.crashed:
             ts += 1
             gateway.admit_frame("local", "B", {"ts": ts, "x": 9})
             await asyncio.sleep(0.0005)
@@ -200,12 +227,16 @@ async def drill(seed, directory):
             asyncio.gather(gateway.stop(seal=False), gateway.stop(seal=False)),
             STOP_WITHIN,
         )
-        assert not gateway._writers, f"seed {seed}: a connection registered during stop()"
+        assert not gateway._listener.writers, f"seed {seed}: a connection registered during stop()"
+        assert not telemetry.writers, f"seed {seed}: a scrape registered during stop()"
         leaked = [w for w in accepted if not w.is_closing()]
         assert leaked == [], f"seed {seed}: stop() lost track of {len(leaked)} connection(s)"
 
     local = asyncio.ensure_future(local_source())
-    await asyncio.gather(stops(), *(late_client(i) for i in range(CLIENTS)))
+    await asyncio.gather(
+        stops(), idle_scraper(), *(late_client(i) for i in range(CLIENTS))
+    )
+    assert hung_up == [True], f"seed {seed}: an idle scraper outlived stop()"
     local.cancel()
     await yields(10)  # connections the kernel accepted reach their handlers
     assert all(writer.is_closing() for writer in accepted), f"seed {seed}"

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro import OutOfOrderEngine, parse
 from repro.faultinject import CrashError, FaultInjector
-from repro.ingest import GatewayConfig, IngestGateway
+from repro.ingest import GatewayConfig, IngestGateway, serve_in_thread
 from repro.obs import MetricsRegistry
 from repro.obs.flight import FlightRecorder, load_flight
 
@@ -28,8 +30,10 @@ from ingest_helpers import make_schema
 QUERY = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 20"
 
 
-def make_gateway(directory, fault=None, **observers):
-    config = GatewayConfig(make_schema(slack=2), port=0, liveness_timeout=30.0)
+def make_gateway(directory, fault=None, telemetry_port=None, **observers):
+    config = GatewayConfig(
+        make_schema(slack=2), port=0, liveness_timeout=30.0, telemetry_port=telemetry_port
+    )
     return IngestGateway(
         lambda: OutOfOrderEngine(parse(QUERY), k=4),
         config,
@@ -148,7 +152,7 @@ def test_stop_awaits_cancelled_tick_task(tmp_path):
     # cancel()ed and abandoned to die after the loop closes.
     assert gateway._tick_task is None
     assert task.cancelled()
-    assert gateway._server is None
+    assert gateway._listener.server is None
 
 
 def test_stop_is_idempotent(tmp_path):
@@ -167,12 +171,12 @@ def test_stop_closes_tracked_connections(tmp_path):
         await gateway.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
         for _ in range(100):
-            if gateway._writers:
+            if gateway._listener.writers:
                 break
             await asyncio.sleep(0.01)
-        assert gateway._writers, "connection was never tracked"
+        assert gateway._listener.writers, "connection was never tracked"
         await gateway.stop()
-        assert gateway._writers == set()
+        assert not gateway._listener.writers
         # The server side hung up: the client reads EOF promptly.
         assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
         writer.close()
@@ -195,32 +199,71 @@ async def _wait_closed_since_3_12_1(server):
     await waiter
 
 
+async def _tracked(listener):
+    for _ in range(500):
+        if listener.writers:
+            return
+        await asyncio.sleep(0.01)
+    pytest.fail("connection was never tracked")
+
+
 def test_stop_returns_with_an_idle_client_connected(tmp_path, monkeypatch):
-    """An idle client does not hold ``stop()`` open on Python >= 3.12.1:
-    the connections close before the listener's ``wait_closed()``."""
+    """Neither an idle source nor an idle scraper holds ``stop()`` open on
+    Python >= 3.12.1: both listeners close their connections before
+    awaiting ``wait_closed()``."""
     monkeypatch.setattr(
         asyncio.base_events.Server, "wait_closed", _wait_closed_since_3_12_1
     )
 
     async def scenario():
-        gateway = make_gateway(tmp_path)
+        gateway = make_gateway(tmp_path, telemetry_port=0)
         await gateway.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
         hello = {"op": "hello", "source": "s1", "stream": "orders", "proto": 1}
         writer.write(json.dumps(hello).encode() + b"\n")
         await writer.drain()
         assert json.loads(await reader.readline())["op"] == "hello_ok"
+        # A scraper that connected and has not sent its request yet.
+        scraper_reader, scraper = await asyncio.open_connection(
+            "127.0.0.1", gateway.telemetry_port
+        )
+        await _tracked(gateway._telemetry)
         try:
-            await asyncio.wait_for(gateway.stop(), timeout=5.0)
+            await asyncio.wait_for(gateway.stop(), timeout=1.0)
         except asyncio.TimeoutError:
             pytest.fail("stop() waited on a connected idle client")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        assert gateway._writers == set()
+            for client in (writer, scraper):
+                client.close()
+                try:
+                    await client.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
+        assert not gateway._listener.writers
         assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        assert await asyncio.wait_for(scraper_reader.read(), timeout=5.0) == b""
 
     asyncio.run(scenario())
+
+
+def test_a_handle_stops_promptly_with_a_scraper_attached(tmp_path, monkeypatch, caplog):
+    """``GatewayHandle.stop()`` with an idle scraper connected returns in
+    well under the sidecar's read timeout, and no handler is cancelled
+    at loop shutdown (which the loop would log as an error)."""
+    monkeypatch.setattr(
+        asyncio.base_events.Server, "wait_closed", _wait_closed_since_3_12_1
+    )
+    gateway = make_gateway(tmp_path, telemetry_port=0)
+    handle = serve_in_thread(gateway)
+    with socket.create_connection(("127.0.0.1", gateway.telemetry_port)) as scraper:
+        listener = gateway._telemetry
+        deadline = time.monotonic() + 5.0
+        while not listener.writers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert listener.writers, "scraper was never accepted"
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 0.5
+        scraper.settimeout(5.0)
+        assert scraper.recv(1) == b""
+    assert [r for r in caplog.records if r.name == "asyncio" and r.levelno >= 40] == []

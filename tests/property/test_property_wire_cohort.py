@@ -16,22 +16,31 @@ replaced:
     metrics — observers on and off, with and without a shed policy
     whose pressure crosses both thresholds inside a cohort;
 (c) ``encode_reply`` is ``json.dumps(reply, sort_keys=True)`` for every
-    reply shape.
+    reply shape, and ``encode_acks`` — which writes a run's plain
+    admitted acks from a template — is ``encode_reply`` per frame;
+(d) the compiled admission pass — one generated function per event
+    type — decides every frame as the interpretive reference does
+    (``screen`` + ``Event(...)``): outcome, reason, idempotency id, eid,
+    the event's slots and hash, per-source counters, and the dedupe
+    window's contents and order across eviction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import OutOfOrderEngine, ShedPolicy, parse
+from repro import Event, OutOfOrderEngine, ShedPolicy, parse
 from repro.ingest import EventSchema, FieldSpec, GatewayConfig, IngestGateway, StreamSchema
 from repro.ingest import server
-from repro.ingest.server import decode_lines, encode_reply
+from repro.ingest.admission import AdmissionController, DedupeWindow
+from repro.ingest.server import decode_lines, encode_acks, encode_reply
 from repro.obs import MetricsRegistry
 from repro.obs.export import render_prometheus
 from repro.obs.flight import FlightRecorder
@@ -201,8 +210,9 @@ def _drive(gateway, step, now, cohort: bool):
     kind = step[0]
     if kind == "cohort":
         _, source, frames = step
-        if cohort:
-            return gateway.admit_cohort(source, [dict(frame) for frame in frames], now)
+        if cohort:  # None is the plain admitted ack the transport templates
+            acks = gateway.admit_cohort(source, [dict(frame) for frame in frames], now)
+            return [ack or {"status": "admitted"} for ack in acks]
         return [
             gateway.admit_frame(
                 source, frame.get("etype"), frame.get("attrs"), now, frame.get("span")
@@ -239,17 +249,18 @@ def test_pressure_crosses_both_thresholds_inside_one_cohort():
     gateway, _ = _gateway("full", shed=True)
     frames = [{"etype": "A", "attrs": {"ts": t, "x": t}} for t in range(10)]
     acks = gateway.admit_cohort("s1", frames, now=0.0)
-    seen = ["throttle" if "throttle" in ack else ack["status"] for ack in acks]
+    seen = ["admitted" if ack is None else "throttle" if "throttle" in ack else ack["status"]
+            for ack in acks]
     assert seen == ["admitted"] * 6 + ["throttle"] * 2 + ["busy"] * 2
     assert gateway.stats()["busy"] == 2 and gateway.stats()["throttled"] == 2
     assert len(gateway._pending) == 8 and gateway.engine.state_size() == 0
 
 
 def test_the_one_frame_drivers_hold_no_ladder_of_their_own():
-    """`admit_frame` and `admit` are one-element calls into the cohort bodies."""
+    """`admit_frame` and `admit` are one-element calls into the cohort body."""
     gateway, _ = _gateway("off", shed=False)
     with mock.patch.object(
-        gateway.admission, "admit_cohort", wraps=gateway.admission.admit_cohort
+        gateway.admission, "decide_cohort", wraps=gateway.admission.decide_cohort
     ) as body:
         assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 1}, now=0.0) == {
             "status": "admitted"
@@ -294,3 +305,184 @@ reply_shapes = st.one_of(
 @given(reply_shapes)
 def test_encoded_reply_is_sorted_json_dumps(reply):
     assert encode_reply(reply) == json.dumps(reply, sort_keys=True).encode("utf-8") + b"\n"
+
+
+acks = st.one_of(
+    st.none(), st.none(), st.none(),
+    st.fixed_dictionaries({"status": st.just("admitted"), "throttle": st.floats(0, 1)}),
+    st.fixed_dictionaries({"status": st.just("quarantined"), "reason": st.text(max_size=20)}),
+    st.sampled_from([{"status": "duplicate"}, {"status": "busy", "retry_after": 0.05,
+                                                "pressure": 0.97}]),
+)
+numbered_frames = st.one_of(
+    st.fixed_dictionaries({"n": any_n}), st.just({}),
+    st.fixed_dictionaries({"n": st.integers(0, 10**6)}),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(numbered_frames, acks), max_size=20))
+def test_templated_ack_run_is_encode_reply_per_frame(run):
+    frames = [frame for frame, _ in run]
+    expected = b"".join(
+        encode_reply(dict({"status": "admitted"} if ack is None else ack,
+                          op="ack", n=frame.get("n")))
+        for frame, ack in run
+    )
+    assert encode_acks(frames, [None if a is None else dict(a) for _, a in run]) == expected
+
+
+# -- (d) compiled admission == the interpretive reference ------------------------------------
+
+GOLDEN = Path(__file__).parents[1] / "ingest" / "admission_golden.json"
+#: Schemas covering derived ids, an explicit idempotency field, an
+#: idempotency_fields subset with a partition key and an undeclared key,
+#: a non-ASCII stream name, and a t_event no event type declares.
+SCHEMAS = {
+    name: StreamSchema.from_dict(doc)
+    for name, doc in json.loads(GOLDEN.read_text(encoding="utf-8"))["schemas"].items()
+}
+KEYS = ["ts", "at", "x", "note", "amt", "blob", "uid", "k", "extra", "free"]
+
+scalars = st.one_of(
+    st.integers(-3, 40), st.integers(-(2**70), 2**70), st.integers(2**63, 2**66),
+    st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([1.0, -0.0, 2.5]),
+    st.text(max_size=6), st.sampled_from(["", "é流", "\\\"'\n\t\x00", "%d%s", "\ud83d\ude00"]),
+)
+values = st.one_of(scalars, st.lists(scalars, max_size=2),
+                   st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+attr_dicts = st.dictionaries(st.sampled_from(KEYS), values, max_size=7)
+#: Mostly frames every check passes (exact ints where ints are declared),
+#: so the compiled functions' own path is the common one.
+exact = st.fixed_dictionaries(
+    {"ts": st.integers(0, 30), "at": st.integers(0, 30), "x": st.integers(-2, 2)},
+    optional={"note": st.text(max_size=4), "amt": st.integers(0, 3), "blob": values,
+              "uid": scalars, "k": st.text(max_size=3), "extra": values},
+)
+frames = st.tuples(
+    st.sampled_from(["A", "A", "B", "Tick", "N", "Z", "", 7, None, ("A",), ["A"]]),
+    st.one_of(exact, exact, attr_dicts, st.sampled_from([None, [1], "attrs", 3])),
+)
+
+
+def reference_decision(schema, etype, attrs):
+    """What the interpretive pass decides: ``screen``, then ``Event(...)``."""
+    reason, idem = schema.screen(etype, attrs)
+    if reason is not None:
+        return reason, None, None
+    return None, idem, Event(etype, attrs[schema.t_event], attrs,
+                             eid=schema.derive_eid(idem))
+
+
+def event_slots(event):
+    if event is None:
+        return None
+    return (type(event), event.etype, event.ts, type(event.ts), event.eid,
+            event.attrs, hash(event), repr(event))
+
+
+def _same(a, b):
+    """Equality that counts NaN as equal to itself (attrs may carry one)."""
+    return json.dumps(a, sort_keys=True, default=repr) == json.dumps(
+        b, sort_keys=True, default=repr
+    )
+
+
+class ReferenceController:
+    """The admission loop before it was compiled, kept as the oracle."""
+
+    def __init__(self, schema, window):
+        self.schema = schema
+        self.window = DedupeWindow(window)
+        self.counts = {}
+
+    def admit(self, source, etype, attrs):
+        counts = self.counts.setdefault(source, [0, 0, 0])
+        reason, idem, event = reference_decision(self.schema, etype, attrs)
+        if reason is not None:
+            counts[2] += 1
+            return "quarantined", reason, None, None
+        if idem in self.window:
+            counts[1] += 1
+            return "duplicate", None, None, idem
+        self.window.add(idem)
+        counts[0] += 1
+        return "admitted", None, event, idem
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(
+    cohorts=st.lists(
+        st.tuples(st.sampled_from(["s1", "s2"]), st.lists(frames, min_size=1, max_size=8),
+                  st.lists(st.integers(0, 40), max_size=3)),
+        min_size=1, max_size=6,
+    ),
+    window=st.integers(1, 5),
+)
+def test_compiled_admission_is_the_interpretive_reference(name, cohorts, window):
+    schema = SCHEMAS[name]
+    compiled = AdmissionController(schema, window=window)
+    reference = ReferenceController(schema, window)
+    offered = []
+    for source, fresh, resend in cohorts:
+        # Resends of earlier frames: duplicates, or re-admissions past eviction.
+        pairs = fresh + [offered[i % len(offered)] for i in resend if offered]
+        offered += fresh
+        for (etype, attrs), decided in zip(pairs, compiled.admit_cohort(source, pairs)):
+            want = reference.admit(source, etype, attrs)
+            got = (decided.outcome.value, decided.reason, decided.event, decided.idem_id)
+            assert got[:2] == want[:2] and got[3] == want[3]
+            assert _same(event_slots(got[2]), event_slots(want[2]))
+            view = schema.decide(etype, attrs)
+            assert (view[0], view[1]) == reference_decision(schema, etype, attrs)[:2]
+            assert schema.check_frame(etype, attrs) == want[1]
+            if want[1] is None:
+                assert schema.idempotency_id(etype, attrs) == view[1]
+                assert _same(event_slots(schema.build_event(etype, attrs)),
+                             event_slots(view[2]))
+        assert list(compiled._window._order) == list(reference.window._order)
+        assert compiled._window._ids == reference.window._ids
+        for source_id, (admitted, duplicates, quarantined) in reference.counts.items():
+            counts = compiled.source_counts(source_id)
+            assert (counts.admitted, counts.duplicates, counts.quarantined) == (
+                admitted, duplicates, quarantined
+            )
+
+
+@pytest.mark.parametrize(
+    "name, etype, attrs",
+    [
+        ("derived", "A", {"ts": 5, "x": 2, "note": "é", "amt": 3, "blob": [1.5]}),
+        ("derived", "B", {"ts": 2**64, "x": -7, "extra": "kept"}),
+        ("explicit", "A", {"ts": 5, "x": 2, "uid": "u-1"}),
+        ("custom", "Tick", {"at": 7, "x": 2, "k": "IBM", "extra": None}),
+        ("loose", "N", {"ts": 0}),
+    ],
+)
+def test_exact_typed_frames_never_reach_the_interpretive_pass(name, etype, attrs):
+    schema = SCHEMAS[name]
+    with mock.patch.object(StreamSchema, "screen", wraps=schema.screen) as screen:
+        decision = AdmissionController(schema).admit("s1", etype, attrs)
+    assert screen.call_count == 0 and decision.outcome.value == "admitted"
+    assert decision.idem_id == schema.screen(etype, attrs)[1]
+
+
+@pytest.mark.parametrize(
+    "etype, attrs",
+    [
+        ("A", {"ts": 5, "x": True}),  # a bool in an int field
+        ("A", {"ts": 5, "x": 2, "amt": 1.5}),  # a float in a float field: admissible
+        ("A", {"ts": 5, "x": 2, "amt": math.nan}),
+        ("A", {"ts": 5}),  # a missing field
+        ("Z", {"ts": 5, "x": 2}),  # an undeclared type
+        ("A", [("ts", 5)]),  # attrs that are not a dict
+    ],
+)
+def test_unusual_frames_take_the_interpretive_pass(etype, attrs):
+    schema = SCHEMAS["derived"]
+    with mock.patch.object(StreamSchema, "screen", wraps=schema.screen) as screen:
+        decision = schema.decide(etype, attrs)
+    assert screen.call_count == 1
+    assert decision[:2] == reference_decision(schema, etype, attrs)[:2]
