@@ -141,11 +141,12 @@ class AdmissionController:
         """Decide ``(etype, attrs)`` *pairs* from *source*, in order.
 
         The one admission body; never raises on bad frames.  Each frame
-        takes one call, its event type's compiled admitter
-        (:meth:`StreamSchema.decide`), and leaves a plain triple: ``(reason,
-        None, None)`` quarantined, ``(None, idem, None)`` duplicate, ``(None,
-        idem, event)`` admitted.  The source's counters are looked up once;
-        a pair repeated inside the cohort is a duplicate of its first
+        takes one call, its event type's admission pass
+        (:meth:`StreamSchema.admitter_for`) given the dedupe window's ids,
+        and leaves a plain triple: ``(reason, None, None)`` quarantined,
+        ``(None, idem, None)`` duplicate (no event built), ``(None, idem,
+        event)`` admitted.  The source's counters are looked up once; a
+        pair repeated inside the cohort is a duplicate of its first
         occurrence.
         """
         state = self._sources.get(source)
@@ -154,26 +155,23 @@ class AdmissionController:
         window = self._window
         # DedupeWindow.add, inlined: the id is known to be absent.
         seen, order, capacity = window._ids, window._order, window.capacity
-        admitters, screened = self.schema._admitters, self.schema._screened
+        admitter_for = self.schema.admitter_for
         decided: List[Decision] = []
         admitted = 0
         try:
             for etype, attrs in pairs:
-                decision = (
-                    admitters.get(etype, screened) if type(etype) is str else screened
-                )(etype, attrs)
-                idem = decision[1]
-                if idem is None:
-                    state.quarantined += 1
-                elif idem in seen:
-                    state.duplicates += 1
-                    decision = (None, idem, None)
-                else:
+                decision = admitter_for(etype)(etype, attrs, seen)
+                if decision[2] is not None:
+                    idem = decision[1]
                     order.append(idem)
                     seen.add(idem)
                     if len(order) > capacity:
                         seen.discard(order.popleft())
                     admitted += 1
+                elif decision[1] is None:
+                    state.quarantined += 1
+                else:
+                    state.duplicates += 1
                 decided.append(decision)
         finally:  # an id whose material cannot be built (repr raising) propagates
             state.admitted += admitted

@@ -27,7 +27,7 @@ import json
 import struct
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoding
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Container, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError, StreamError
 from repro.core.event import Event, _set_attrs, _set_eid, _set_etype, _set_ts, screened_event
@@ -46,9 +46,13 @@ _FIELD_TYPES: Dict[str, tuple] = {
 }
 _ABSENT = object()
 #: A frame's admission decision: ``(reason, None, None)`` for a frame to
-#: quarantine, ``(None, idempotency id, event)`` for an admissible one.
+#: quarantine, ``(None, idempotency id, None)`` for one whose id was
+#: already seen, ``(None, idempotency id, event)`` for one to admit.
 Decision = Tuple[Optional[str], Optional[str], Optional[Event]]
-Admitter = Callable[[Any, Any], Decision]
+#: ``admitter(etype, attrs, seen)``: one frame's decision, given the ids
+#: already seen (a duplicate's event is never built).
+Admitter = Callable[[Any, Any, Container[str]], Decision]
+_NOTHING_SEEN: frozenset = frozenset()
 #: An eid is the first 63 bits of the SHA-1 of the idempotency id.
 _EID_OF = struct.Struct(">Q").unpack_from
 _EID_MASK = 0x7FFFFFFFFFFFFFFF
@@ -166,10 +170,12 @@ class _EventPlan:
         only an exact ``str`` (a bool, a float, a subclass goes to
         *fallback*), so each check is one type comparison and an int goes
         into the idempotency material as ``%d`` between pre-encoded
-        pieces; any other value goes in as :meth:`idem` encodes it.  A
-        missing key, a non-dict ``attrs`` or a failed check returns
-        ``fallback(etype, attrs)``, the interpretive pass, so every reason
-        string has one implementation.
+        pieces; any other value goes in as :meth:`idem` encodes it.  Every
+        required field is fetched whatever its type, so a missing one is a
+        ``KeyError``.  A missing key, a non-dict ``attrs`` or a failed
+        check returns ``fallback(etype, attrs, seen)``, the interpretive
+        pass, so every reason string has one implementation.  An id in
+        *seen* returns before the event is built.
         """
         local: Dict[str, str] = {}  # attribute key -> local variable
 
@@ -177,10 +183,12 @@ class _EventPlan:
             return local.setdefault(key, f"v{len(local)}")
 
         checks = []
-        for name, allowed, _, ftype in self.fields:
+        for name, allowed, required, ftype in self.fields:
             if allowed is not None:
                 exact = "str" if ftype == "str" else "int"
                 checks.append(f"type({fetch(name)}) is {exact}")
+            elif required:
+                fetch(name)
         ts = fetch(self.t_event)
         checks += (f"type({ts}) is int", f"{ts} >= 0")
         for key, _ in self.present:
@@ -202,7 +210,7 @@ class _EventPlan:
             material = "".join(pieces).encode("ascii")
             idem = f"_sha1({material!r} % ({', '.join(values)},)).hexdigest()"
         source = "\n".join([
-            "def admit(etype, attrs):",
+            "def admit(etype, attrs, seen):",
             "    if type(attrs) is dict:",
             "        try:",
             *(f"            {var} = attrs[{key!r}]" for key, var in local.items()),
@@ -211,13 +219,15 @@ class _EventPlan:
             "        else:",
             f"            if {' and '.join(dict.fromkeys(checks))}:",
             f"                idem = {idem}",
+            "                if idem in seen:",
+            "                    return None, idem, None",
             "                event = _new(_Event)",  # screened_event, inlined
             "                _set_etype(event, etype)",
             f"                _set_ts(event, {ts})",
             f"                _set_eid(event, _eid_of(_sha1(idem.encode()).digest())[0] & {_EID_MASK})",
             "                _set_attrs(event, attrs.copy())",
             "                return None, idem, event",
-            "    return fallback(etype, attrs)",
+            "    return fallback(etype, attrs, seen)",
         ])
         namespace = {
             "_sha1": hashlib.sha1, "_quote": _quote, "_eid_of": _EID_OF, "_new": object.__new__,
@@ -325,20 +335,25 @@ class StreamSchema:
 
     # -- the one admission pass ---------------------------------------------------------
 
-    def decide(self, etype: Any, attrs: Any) -> Decision:
-        """Admit or quarantine one frame: ``(reason, None, None)`` or
-        ``(None, idempotency id, event)``.
-
-        The one admission pass: the event type's compiled admitter
+    def admitter_for(self, etype: Any) -> Admitter:
+        """The admission pass for frames of *etype*: its compiled admitter
         (:class:`_EventPlan`), which hands any frame it does not take to
-        :meth:`screen`.  Never raises on a bad frame.  The event is built
-        from a copy of *attrs* (the caller may keep and mutate its dict).
-        :class:`~repro.ingest.admission.AdmissionController` makes the
-        same dispatch inline, once per frame of a cohort.
-        """
+        :meth:`screen`, or the interpretive pass itself for an etype that
+        is not a declared ``str``."""
         if type(etype) is str:
-            return self._admitters.get(etype, self._screened)(etype, attrs)
-        return self._screened(etype, attrs)
+            return self._admitters.get(etype, self._screened)
+        return self._screened
+
+    def decide(self, etype: Any, attrs: Any, seen: Container[str] = _NOTHING_SEEN) -> Decision:
+        """Admit or quarantine one frame: ``(reason, None, None)``, ``(None,
+        idempotency id, None)`` when the id is in *seen*, or ``(None,
+        idempotency id, event)``.
+
+        One call of :meth:`admitter_for`'s pass; never raises on a bad
+        frame.  The event is built from a copy of *attrs* (the caller may
+        keep and mutate its dict).
+        """
+        return self.admitter_for(etype)(etype, attrs, seen)
 
     def screen(self, etype: Any, attrs: Any) -> Tuple[Optional[str], Optional[str]]:
         """Screen a frame by interpreting the plan: ``(reason, None)`` or
@@ -385,11 +400,13 @@ class StreamSchema:
                 return reason, None
         return None, plan.idem(attrs)
 
-    def _screened(self, etype: Any, attrs: Any) -> Decision:
+    def _screened(self, etype: Any, attrs: Any, seen: Container[str]) -> Decision:
         """:meth:`screen` as a decision: the compiled admitters' fallback."""
         reason, idem = self.screen(etype, attrs)
         if reason is not None:
             return reason, None, None
+        if idem in seen:
+            return None, idem, None
         return None, idem, self.event_for(etype, attrs, idem)
 
     def check_frame(self, etype: Any, attrs: Any) -> Optional[str]:
@@ -399,13 +416,10 @@ class StreamSchema:
     # -- identity derivation ------------------------------------------------------------
 
     def idempotency_id(self, etype: str, attrs: Mapping[str, Any]) -> str:
-        """Deterministic redelivery identity of a frame, without building
-        its event (a restart refills the dedupe window with these); raises
-        :class:`~repro.core.errors.StreamError` for one to quarantine."""
-        reason, idem = self.screen(etype, attrs)
-        if reason is not None:
-            raise StreamError(f"frame is not admissible: {reason}")
-        return idem
+        """Deterministic redelivery identity of a validated frame, without
+        re-checking it (a restart refills the dedupe window with the ids of
+        the events its WAL admitted)."""
+        return self._plans[etype].idem(attrs)
 
     def derive_eid(self, idem_id: str) -> int:
         """Stable positive event id from an idempotency id.

@@ -1019,6 +1019,7 @@ class IngestGateway:
         """
         self._listener.stopping = True
         task, self._tick_task = self._tick_task, None
+        telemetry, self._telemetry = self._telemetry, None
         if task is not None:
             task.cancel()
             try:
@@ -1026,8 +1027,8 @@ class IngestGateway:
             except asyncio.CancelledError:
                 pass
         await self._listener.stop()
-        if self._telemetry is not None:
-            await self._telemetry.stop()
+        if telemetry is not None:
+            await telemetry.stop()
         if seal and not self.crashed and not self.closed:
             self.seal()
         elif self.directory is not None:
@@ -1050,8 +1051,9 @@ class IngestGateway:
         task, self._tick_task = self._tick_task, None
         if task is not None:
             task.cancel()
-        if self._telemetry is not None:
-            self._telemetry.abort()
+        telemetry, self._telemetry = self._telemetry, None
+        if telemetry is not None:
+            telemetry.abort()
         self._listener.abort()
 
     async def _handle_connection(

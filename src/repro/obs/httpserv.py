@@ -51,17 +51,17 @@ class Listener:
 
     async def listen(self, handle: Callable[..., Awaitable[Any]], host: str, port: int) -> None:
         async def serve(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-            if not self.stopping:  # else accepted as stop() began: hang up unserved
-                self.writers[writer] = asyncio.current_task()  # type: ignore[assignment]
-                try:
-                    await handle(reader, writer)
-                finally:
-                    self.writers.pop(writer, None)
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer reset or transport aborted mid-teardown
+                if not self.stopping:  # else accepted as stop() began: hang up unserved
+                    self.writers[writer] = asyncio.current_task()  # type: ignore[assignment]
+                    await handle(reader, writer)
+            finally:  # a handler that raised hangs up too
+                self.writers.pop(writer, None)
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass  # peer reset or transport aborted mid-teardown
 
         self.stopping = False
         self.server = await asyncio.start_server(serve, host, port)
@@ -76,7 +76,8 @@ class Listener:
         if server is not None:
             server.close()
             await server.wait_closed()
-        await asyncio.gather(*writers.values(), return_exceptions=True)
+        if writers:  # wait() leaves a serving task's exception unretrieved: it still surfaces
+            await asyncio.wait(writers.values())
 
     def abort(self) -> None:
         """Synchronous teardown for crash paths: every connection is torn."""

@@ -28,6 +28,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -168,16 +169,21 @@ async def drill(seed, directory):
     fault = TickCrash()
     gateway = build(directory, fault)
     accepted = []
-    handle = gateway._handle_connection
     # stop() starts as a seeded client dials, while others are arriving.
     trigger, go = rng.randrange(CLIENTS), asyncio.Event()
+    start_server = asyncio.start_server
 
-    def tracked(reader, writer):
-        accepted.append(writer)
-        return handle(reader, writer)
+    async def tracked_server(serve, *args, **kwargs):
+        # Every connection either listener accepts, including one it
+        # hangs up unserved because stop() had begun.
+        def tracked(reader, writer):
+            accepted.append(writer)
+            return serve(reader, writer)
 
-    gateway._handle_connection = tracked
-    await gateway.start()
+        return await start_server(tracked, *args, **kwargs)
+
+    with mock.patch.object(asyncio, "start_server", tracked_server):
+        await gateway.start()
     telemetry = gateway._telemetry
     acked = []
     hung_up = []

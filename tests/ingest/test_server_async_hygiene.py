@@ -11,6 +11,7 @@ behaviour so the defects cannot quietly return.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -19,10 +20,12 @@ import time
 import pytest
 
 from repro import OutOfOrderEngine, parse
+from repro.core.errors import ReproError
 from repro.faultinject import CrashError, FaultInjector
 from repro.ingest import GatewayConfig, IngestGateway, serve_in_thread
 from repro.obs import MetricsRegistry
 from repro.obs.flight import FlightRecorder, load_flight
+from repro.obs.httpserv import Listener
 
 from ingest_helpers import make_schema
 
@@ -186,6 +189,48 @@ def test_stop_closes_tracked_connections(tmp_path):
             pass
 
     asyncio.run(scenario())
+
+
+def test_stop_retires_the_telemetry_sidecar(tmp_path):
+    async def scenario():
+        gateway = make_gateway(tmp_path, telemetry_port=0)
+        await gateway.start()
+        assert gateway.telemetry_port > 0
+        await gateway.stop()
+        return gateway
+
+    gateway = asyncio.run(scenario())
+    with pytest.raises(ReproError):
+        gateway.telemetry_port
+
+
+def test_stop_leaves_a_serving_task_exception_to_surface():
+    """``Listener.stop()`` awaits its serving tasks without retrieving
+    their exceptions: a handler bug still reaches the loop's handler."""
+    reported = []
+
+    async def broken(reader, writer):
+        await reader.read()  # returns once stop() hangs up
+        raise RuntimeError("handler bug")
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context.get("exception"))
+        )
+        listener = Listener()
+        await listener.listen(broken, "127.0.0.1", 0)
+        reader, writer = await asyncio.open_connection("127.0.0.1", listener.bound)
+        await _tracked(listener)
+        await listener.stop()
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+    asyncio.run(scenario())
+    gc.collect()  # an unretrieved task exception is reported when the task dies
+    assert [str(exc) for exc in reported] == ["handler bug"]
 
 
 async def _wait_closed_since_3_12_1(server):

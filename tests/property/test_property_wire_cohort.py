@@ -342,6 +342,23 @@ SCHEMAS = {
     name: StreamSchema.from_dict(doc)
     for name, doc in json.loads(GOLDEN.read_text(encoding="utf-8"))["schemas"].items()
 }
+#: And required fields of type "any" (the declaration's default) that the
+#: id material leaves out: under an explicit idempotency field, and under
+#: an idempotency_fields subset.
+SCHEMAS["untyped-explicit"] = StreamSchema.from_dict({
+    "name": "orders", "t_event": "ts", "idempotency": {"field": "uid"},
+    "events": [
+        {"etype": "A", "fields": [{"name": "x", "type": "int"}, {"name": "blob"},
+                                  {"name": "note", "type": "str", "required": False}]},
+        {"etype": "B", "fields": [{"name": "free"}]},
+    ],
+})
+SCHEMAS["untyped-subset"] = StreamSchema.from_dict({
+    "name": "orders", "t_event": "ts", "ordering_scope": "global",
+    "idempotency": {"fields": ["x"]},
+    "events": [{"etype": "A", "fields": [{"name": "x", "type": "int"}, {"name": "blob"},
+                                         {"name": "extra", "required": False}]}],
+})
 KEYS = ["ts", "at", "x", "note", "amt", "blob", "uid", "k", "extra", "free"]
 
 scalars = st.one_of(
@@ -459,6 +476,8 @@ def test_compiled_admission_is_the_interpretive_reference(name, cohorts, window)
         ("explicit", "A", {"ts": 5, "x": 2, "uid": "u-1"}),
         ("custom", "Tick", {"at": 7, "x": 2, "k": "IBM", "extra": None}),
         ("loose", "N", {"ts": 0}),
+        ("untyped-explicit", "A", {"ts": 5, "x": 2, "note": "", "uid": 1, "blob": None}),
+        ("untyped-subset", "A", {"ts": 5, "x": 2, "blob": {"k": [1]}}),
     ],
 )
 def test_exact_typed_frames_never_reach_the_interpretive_pass(name, etype, attrs):
@@ -470,19 +489,33 @@ def test_exact_typed_frames_never_reach_the_interpretive_pass(name, etype, attrs
 
 
 @pytest.mark.parametrize(
-    "etype, attrs",
+    "name, etype, attrs",
     [
-        ("A", {"ts": 5, "x": True}),  # a bool in an int field
-        ("A", {"ts": 5, "x": 2, "amt": 1.5}),  # a float in a float field: admissible
-        ("A", {"ts": 5, "x": 2, "amt": math.nan}),
-        ("A", {"ts": 5}),  # a missing field
-        ("Z", {"ts": 5, "x": 2}),  # an undeclared type
-        ("A", [("ts", 5)]),  # attrs that are not a dict
+        ("derived", "A", {"ts": 5, "x": True}),  # a bool in an int field
+        ("derived", "A", {"ts": 5, "x": 2, "amt": 1.5}),  # a float in a float field: admissible
+        ("derived", "A", {"ts": 5, "x": 2, "amt": math.nan}),
+        ("derived", "A", {"ts": 5}),  # a missing field
+        ("derived", "Z", {"ts": 5, "x": 2}),  # an undeclared type
+        ("derived", "A", [("ts", 5)]),  # attrs that are not a dict
+        # a missing required field of type "any", outside the id material
+        ("untyped-explicit", "A", {"ts": 5, "x": 2, "note": "", "uid": "u-1"}),
+        ("untyped-subset", "A", {"ts": 5, "x": 2}),
     ],
 )
-def test_unusual_frames_take_the_interpretive_pass(etype, attrs):
-    schema = SCHEMAS["derived"]
+def test_unusual_frames_take_the_interpretive_pass(name, etype, attrs):
+    schema = SCHEMAS[name]
     with mock.patch.object(StreamSchema, "screen", wraps=schema.screen) as screen:
         decision = schema.decide(etype, attrs)
     assert screen.call_count == 1
     assert decision[:2] == reference_decision(schema, etype, attrs)[:2]
+
+
+@pytest.mark.parametrize(
+    "attrs",
+    [{"ts": 5, "x": 2}, {"ts": 5, "x": 2, "amt": 1.5}],  # compiled; interpretive
+)
+def test_a_seen_id_is_decided_before_its_event_is_built(attrs):
+    schema = SCHEMAS["derived"]
+    reason, idem, event = schema.decide("A", attrs)
+    assert reason is None and event is not None
+    assert schema.decide("A", attrs, {idem}) == (None, idem, None)
