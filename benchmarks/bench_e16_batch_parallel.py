@@ -1,24 +1,19 @@
-"""E16 — Batched execution and partition parallelism.
+"""E16 — Batched execution.
 
 Extension experiment (beyond the paper, towards the ROADMAP's
-"as fast as the hardware allows" north star): measures the two
-mechanical speed levers added on top of the out-of-order machinery:
-
-* **micro-batching** — ``feed`` and ``feed_batch`` drive the same step
-  loop, so a batch pays the loop's set-up (hoisted lookups, clock and
-  purge-schedule mirrors, counter flush) once instead of once per
-  element and elides no-op purge scans across elements; the speedup
-  column measures that per-call amortisation of one implementation,
-  not a second implementation (identical by construction, pinned by
-  the property suite and the golden trajectories);
-* **partition parallelism** — ``ParallelPartitionedEngine`` fans
-  per-key sub-engines over a worker pool with a deterministic merge.
+"as fast as the hardware allows" north star): measures micro-batching,
+the mechanical speed lever added on top of the out-of-order machinery.
+``feed`` and ``feed_batch`` drive the same step loop, so a batch pays
+the loop's set-up (hoisted lookups, clock and purge-schedule mirrors,
+counter flush) once instead of once per element and elides no-op purge
+scans across elements; the speedup column measures that per-call
+amortisation of one implementation, not a second implementation
+(identical by construction, pinned by the property suite and the
+golden trajectories).
 
 Expected shape: batch throughput rises with batch size and saturates
 once per-batch fixed costs vanish (>= 1.5x at batch 512 on the E2
-workload); pool speedup is bounded by partition skew and — on a
-single-CPU host or under the GIL — may hover near 1x, which the table
-reports honestly.  Results are asserted identical across disciplines.
+workload).  Results are asserted identical across disciplines.
 
 Writes ``BENCH_e16.json`` at the repo root (machine-readable trajectory
 seed) next to the usual rendered table under ``benchmarks/results/``.
@@ -30,12 +25,10 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro import ParallelPartitionedEngine
 from repro.bench import make_engine, run_cell
 from repro.metrics import render_table
 from repro.streams import RandomDelayModel
@@ -47,7 +40,6 @@ EVENTS = 6000
 RATE = 0.3
 MAX_DELAY = 40
 BATCH_SIZES = [0, 32, 128, 512, None]  # 0 = per-event feed, None = one batch
-WORKER_COUNTS = [1, 2, 4]
 REPEATS = 3
 JSON_PATH = Path(__file__).parent.parent / "BENCH_e16.json"
 
@@ -110,58 +102,13 @@ def _batch_sweep(query, arrival, batch_sizes, repeats):
     return rows
 
 
-def _parallel_sweep(query, arrival, worker_counts, backends, repeats):
-    rows = []
-    reference_keys = None
-    baseline = None
-    for backend in backends:
-        for workers in worker_counts:
-            if workers == 1 and backend != backends[0]:
-                continue  # workers=1 is backend-independent (serial fallback)
-            best = None
-            engine = None
-            for _ in range(repeats):
-                candidate = ParallelPartitionedEngine(
-                    query, k=MAX_DELAY, workers=workers, backend=backend
-                )
-                start = time.perf_counter()
-                candidate.run(list(arrival))
-                seconds = time.perf_counter() - start
-                if best is None or seconds < best:
-                    best = seconds
-                    engine = candidate
-            produced = engine.result_set()
-            if reference_keys is None:
-                reference_keys = produced
-                baseline = best
-            else:
-                assert produced == reference_keys, "worker count changed results"
-            rows.append(
-                {
-                    "workers": workers,
-                    "backend": backend if workers > 1 else "serial",
-                    "seconds": round(best, 4),
-                    "events_per_sec": int(len(arrival) / best),
-                    "speedup_vs_serial": round(baseline / best, 2),
-                    "partitions": engine.partition_count()
-                    if workers == 1
-                    else len(engine._worker_stats),
-                    "matches": len(engine.results),
-                }
-            )
-    return rows
-
-
 def run_experiment(quick: bool = False) -> str:
     events = 1500 if quick else EVENTS
     batch_sizes = [0, 512] if quick else BATCH_SIZES
-    worker_counts = [1, 2] if quick else WORKER_COUNTS
-    backends = ["thread"] if quick else ["thread", "process"]
     repeats = 1 if quick else REPEATS
 
     query, arrival = _arrival(events)
     batch_rows = _batch_sweep(query, arrival, batch_sizes, repeats)
-    parallel_rows = _parallel_sweep(query, arrival, worker_counts, backends, repeats)
 
     payload = {
         "experiment": "e16_batch_parallel",
@@ -176,7 +123,6 @@ def run_experiment(quick: bool = False) -> str:
             "partitions": 8,
         },
         "batch": batch_rows,
-        "parallel": parallel_rows,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -187,17 +133,6 @@ def run_experiment(quick: bool = False) -> str:
         [[r["batch_size"], r["seconds"], r["events_per_sec"],
           r["speedup_vs_feed"], r["matches"]] for r in batch_rows],
         note="batch_size 'feed' = one feed() call per element; 'all' = one batch",
-    )
-    text += render_table(
-        f"E16b — ParallelPartitionedEngine vs worker count (n={events})",
-        ["workers", "backend", "seconds", "events_per_sec", "speedup_vs_serial",
-         "matches"],
-        [[r["workers"], r["backend"], r["seconds"], r["events_per_sec"],
-          r["speedup_vs_serial"], r["matches"]] for r in parallel_rows],
-        note="identical result sets asserted per row; single-CPU hosts and the "
-             "GIL bound pool gains — recorded honestly; close-time map now "
-             "sizes one pool to the work and maps with an explicit chunksize "
-             "(len/4*workers) instead of default chunking",
     )
     return write_result("e16_batch_parallel", text)
 

@@ -49,7 +49,6 @@ from repro.core import (
     OfflineOracle,
     Or,
     OutOfOrderEngine,
-    ParallelPartitionedEngine,
     ParseError,
     PartitionedEngine,
     Pattern,
@@ -114,7 +113,6 @@ __all__ = [
     "OutOfOrderEngine",
     "EventBatch",
     "ParseError",
-    "ParallelPartitionedEngine",
     "PartitionedEngine",
     "Pattern",
     "Predicate",

@@ -23,7 +23,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.event import Event
 from repro.core.inorder import InOrderEngine
 from repro.core.oracle import OfflineOracle
-from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
+from repro.core.partition import PartitionedEngine
 from repro.core.pattern import Pattern
 from repro.core.purge import PurgePolicy
 from repro.core.reorder import ReorderingEngine
@@ -31,7 +31,7 @@ from repro.core.shedding import ShedPolicy
 from repro.metrics.latency import summarize_arrival_latency, summarize_occurrence_latency
 from repro.metrics.quality import QualityReport, compare_keys
 
-ENGINE_NAMES = ("ooo", "inorder", "reorder", "partitioned", "parallel")
+ENGINE_NAMES = ("ooo", "inorder", "reorder", "partitioned")
 
 
 def make_engine(
@@ -42,11 +42,10 @@ def make_engine(
     optimize: bool = True,
     index: bool = True,
     key: Optional[str] = None,
-    workers: int = 1,
-    backend: Optional[str] = None,
     shed: Optional[ShedPolicy] = None,
     speculative: bool = False,
     controller=None,
+    **unknown: Any,
 ) -> Engine:
     """Build an engine by strategy name.
 
@@ -54,28 +53,24 @@ def make_engine(
     ``inorder``     SASE-style baseline assuming ordered arrival
     ``reorder``     K-slack buffer-and-sort in front of the baseline
     ``partitioned`` per-key sub-engines, serial routing
-    ``parallel``    partitioned with a close-time worker pool (*workers*,
-                    *backend*; the PR-1 barrier design)
-
-    *workers* / *backend* configure the ``parallel`` family only
-    (*backend* ``None`` is its ``thread`` default: the pool maps once at
-    close, where pickling dominates); every other family runs in the
-    caller's thread and rejects them rather than ignore them.
 
     *speculative* / *controller* (the optimistic side-stream and the
-    adaptive-K policy) apply to the ``ooo`` and ``partitioned`` families
-    (``parallel`` only at ``workers=1``); other strategies reject them —
-    the reorder/inorder baselines have no pending matches to speculate
-    on.
+    adaptive-K policy) apply to the ``ooo`` and ``partitioned`` families;
+    other strategies reject them — the reorder/inorder baselines have no
+    pending matches to speculate on.
+
+    An unknown name or keyword (``workers=`` from a caller written for a
+    removed family) raises :class:`ConfigurationError`, a ``ReproError``
+    a sweep can report per family, rather than a ``TypeError``.
     """
     if name not in ENGINE_NAMES:
         raise ConfigurationError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
-    if name != "parallel" and (workers != 1 or backend is not None):
+    if unknown:
         raise ConfigurationError(
-            f"workers/backend configure the parallel engine, not {name!r}"
+            f"make_engine has no option {', '.join(sorted(unknown))}"
         )
     if speculative or controller is not None:
-        if name not in ("ooo", "partitioned", "parallel"):
+        if name not in ("ooo", "partitioned"):
             raise ConfigurationError(
                 "speculative/adaptive modes are supported by the ooo and "
                 f"partitioned engine families, not {name!r}"
@@ -102,24 +97,12 @@ def make_engine(
         if k is None:
             raise ConfigurationError("reorder engine needs a concrete K")
         return ReorderingEngine(pattern, k=k, purge=purge)
-    if name == "partitioned":
-        return PartitionedEngine(
-            pattern,
-            k=k,
-            purge=purge,
-            key=key,
-            index=index,
-            speculative=speculative,
-            controller=controller,
-        )
-    return ParallelPartitionedEngine(
+    return PartitionedEngine(
         pattern,
         k=k,
         purge=purge,
         key=key,
         index=index,
-        workers=workers,
-        backend=backend or "thread",
         speculative=speculative,
         controller=controller,
     )

@@ -85,14 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="feed in batches of N events (0 = per-event feed; default: one batch)",
     )
     run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker count for --engine parallel (1 = serial fallback)",
-    )
-    run.add_argument(
-        "--backend", default=None, choices=["thread", "process"],
-        help="worker backend for --engine parallel (default: thread)",
-    )
-    run.add_argument(
         "--no-index", action="store_true",
         help="disable equality-index pushdown in sequence construction "
              "(E19 ablation; results are identical, only cost changes)",
@@ -322,8 +314,7 @@ def _command_run(args: argparse.Namespace) -> int:
     def build_engine():
         engine = make_engine(
             args.engine, pattern, k=args.k, purge=purge,
-            index=not args.no_index,
-            workers=args.workers, backend=args.backend, shed=shed,
+            index=not args.no_index, shed=shed,
             speculative=args.speculative, controller=controller,
         )
         if args.validate == "quarantine":

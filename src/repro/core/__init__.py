@@ -27,7 +27,6 @@ from repro.core.oracle import OfflineOracle, oracle_matches
 from repro.core.parser import parse
 from repro.core.colbatch import EventBatch
 from repro.core.partition import (
-    ParallelPartitionedEngine,
     PartitionedEngine,
     detect_partition_key,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "OutOfOrderEngine",
     "ParseError",
     "EventBatch",
-    "ParallelPartitionedEngine",
     "PartitionedEngine",
     "Pattern",
     "Predicate",

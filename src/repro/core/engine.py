@@ -106,8 +106,8 @@ class Engine:
     ``feed`` / ``feed_batch`` / ``feed_colbatch`` are thin drivers of it
     and are not overridden.  The out-of-order, in-order and reordering
     engines implement :meth:`_run` as one fused loop; the delegating
-    families (partitioned, parallel) inherit the plain loop
-    below and implement :meth:`_process_event`.  All may extend
+    partitioned engine inherits the plain loop
+    below and implements :meth:`_process_event`.  All may extend
     :meth:`_on_punctuation` / :meth:`_flush`.  The shared surface keeps
     the bench harness strategy-agnostic.
     """

@@ -89,8 +89,8 @@ class Event:
     def __reduce__(self):
         # Default slot-state pickling would trip the immutability guard
         # on restore; rebuild through the constructor instead, keeping
-        # the explicit eid so identity survives the round trip (process
-        # pool workers compare result sets by event identity).
+        # the explicit eid so identity survives the round trip (a restored
+        # snapshot's matches compare equal by event identity).
         return (Event, (self.etype, self.ts, self._attrs, self.eid))
 
     @property

@@ -87,13 +87,6 @@ def _work_ticks(stats: Any) -> int:
     )
 
 
-def _worker_metric_name(name: str) -> str:
-    """Parallel-worker metric names: ``repro_x`` -> ``repro_worker_x``."""
-    if name.startswith("repro_"):
-        return "repro_worker_" + name[len("repro_"):]
-    return "worker_" + name
-
-
 class Observability:
     """Tracer + metric handles bound to one engine.
 
@@ -549,7 +542,7 @@ class Observability:
 
         Only the flushed matches count: the other flow counters report
         what the step loop did, and a close can fold work counters (a
-        reorder tier's inner purges, parallel workers') into the stats.
+        reorder tier's inner purges) into the stats.
         """
         if self.tracing and emitted:
             self._record_matches(
@@ -561,21 +554,3 @@ class Observability:
             self._observe_latency(engine, emitted)
             self.g_state.set(engine.state_size())
             self.g_pending.set(engine.stats.matches_pending)
-
-    # -- parallel-worker merge ----------------------------------------------------
-
-    def merge_worker_states(self, states: List[Optional[dict]]) -> None:
-        """Fold per-worker registry snapshots in, deterministically.
-
-        Worker metric names are prefixed (``repro_events_total`` →
-        ``repro_worker_events_total``) so the router's own flow metrics
-        never collide with the workers'.  *states* arrives in payload
-        (routing-insertion) order, and the merge is order-insensitive
-        anyway — counters and buckets add, gauges max — so the result
-        is a pure function of the input stream.
-        """
-        if self.registry is None:
-            return
-        for state in states:
-            if state:
-                self.registry.merge_state(state, rename=_worker_metric_name)

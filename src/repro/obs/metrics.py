@@ -6,7 +6,7 @@ ints, and nothing here touches the wall clock — values are *logical*
 (timestamp units, event counts, algorithmic work ticks), so instrumented
 runs stay exactly as deterministic and replayable as plain ones.
 
-Three properties the rest of the observability layer leans on:
+Two properties the rest of the observability layer leans on:
 
 * **handles stay valid across restore** — engines register metrics once
   and keep direct references; :meth:`MetricsRegistry.restore_state`
@@ -16,11 +16,6 @@ Three properties the rest of the observability layer leans on:
 * **state is JSON-able** — :meth:`MetricsRegistry.snapshot_state`
   round-trips through ``json.dumps``/``loads`` unchanged, which is what
   the JSON-lines exporter and the checkpoint integration rely on;
-* **merging is deterministic** — :meth:`MetricsRegistry.merge_state`
-  folds a worker's snapshot in by insertion order (counters and
-  histogram buckets add, gauges max-merge like the peak-state counter),
-  so the parallel engine's per-worker merge is a pure function of the
-  routing order.
 """
 
 from __future__ import annotations
@@ -124,9 +119,8 @@ class Histogram:
 
     An observation lands in the first bucket whose upper bound is
     ``>= value``; anything above the last bound goes to the implicit
-    ``+Inf`` overflow bucket.  Bounds are fixed at registration, so two
-    histograms with the same name always merge cleanly — the property
-    the per-worker merge and the checkpoint round-trip depend on.
+    ``+Inf`` overflow bucket.  Bounds are fixed at registration: a
+    checkpoint restores into the same buckets or is refused.
     """
 
     kind = "histogram"
@@ -180,17 +174,6 @@ class Histogram:
                     return float(self.bounds[index])
                 return float("inf")
         return float("inf")
-
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ConfigurationError(
-                f"cannot merge histogram {self.key!r}: bucket bounds differ "
-                f"({self.bounds!r} vs {other.bounds!r})"
-            )
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.total += other.total
-        self.count += other.count
 
     def summary(self) -> Dict[str, float]:
         """Compact distribution summary for report tables."""
@@ -298,7 +281,7 @@ class MetricsRegistry:
 
         Keys are canonical sample names (labels rendered in); labeled
         metrics carry their base ``name`` and ``labels`` in the payload
-        so restore/merge can re-register them structurally.
+        so restore can re-register them structurally.
         """
         counters: Dict[str, Any] = {}
         gauges: Dict[str, Any] = {}
@@ -370,38 +353,3 @@ class MetricsRegistry:
                 metric.count = 0
             else:
                 metric.value = 0
-
-    def merge_state(
-        self, state: dict, rename: Optional[Callable[[str], str]] = None
-    ) -> None:
-        """Fold a :meth:`snapshot_state` payload into this registry.
-
-        Counters and histograms accumulate; gauges max-merge (a merged
-        gauge reports the largest per-source sample, mirroring how
-        ``EngineStats.merge`` treats ``peak_state_size``).  *rename*
-        maps incoming names (the parallel engine prefixes worker
-        metrics so they never collide with the router's own).
-        """
-        transform = rename if rename is not None else (lambda name: name)
-        for key, payload in state.get("counters", {}).items():
-            self.counter(
-                transform(payload.get("name", key)), payload.get("help", ""),
-                payload.get("labels"),
-            ).inc(payload["value"])
-        for key, payload in state.get("gauges", {}).items():
-            gauge = self.gauge(
-                transform(payload.get("name", key)), payload.get("help", ""),
-                payload.get("labels"),
-            )
-            if payload["value"] > gauge.value:
-                gauge.value = payload["value"]
-        for key, payload in state.get("histograms", {}).items():
-            metric = self.histogram(
-                transform(payload.get("name", key)), payload.get("help", ""),
-                tuple(payload["bounds"]), payload.get("labels"),
-            )
-            incoming = Histogram(key, buckets=tuple(payload["bounds"]))
-            incoming.counts = list(payload["counts"])
-            incoming.total = payload["total"]
-            incoming.count = payload["count"]
-            metric.merge(incoming)

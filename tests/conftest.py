@@ -107,13 +107,19 @@ def blocking_calls():
 
 # Task and resource hygiene, for the suites that run event loops (the
 # gateway's and the telemetry sidecar's): every loop runs in debug mode
-# with a handler that records a task destroyed while pending and an
-# exception nobody retrieved, a stream writer closed without awaiting
+# with a handler that records a task destroyed while pending, an
+# exception nobody retrieved and an exception raised by a connection
+# handler, a stream writer closed without awaiting
 # ``wait_closed()`` is recorded, and an unclosed file or socket is an
 # error.
 
 LOOP_SUITES = ("ingest", "obs")
-_NEGLECT = ("was destroyed but it is pending", "exception was never retrieved")
+_NEGLECT = (
+    "was destroyed but it is pending",
+    "exception was never retrieved",
+    # What asyncio reports when a start_server connection handler raises.
+    "Unhandled exception in client_connected_cb",
+)
 _hygiene = SimpleNamespace(neglected=[], unawaited={})  # the running test's record
 
 

@@ -176,17 +176,18 @@ class TestRun:
         assert "latency (events, since recovery)" in crashed
         assert "Match[" in crashed
 
-    @pytest.mark.parametrize("engine", ["ooo", "reorder", "partitioned"])
-    def test_workers_off_the_parallel_engine_report_error(
-        self, trace_file, capsys, engine
-    ):
-        code = main(
-            ["run", "--query", QUERY, "--trace", str(trace_file),
-             "--engine", engine, "--k", "20", "--workers", "4"]
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "extra",
+        [["--workers", "2"], ["--backend", "thread"], ["--engine", "parallel"]],
+        ids=["workers", "backend", "parallel"],
+    )
+    def test_removed_parallel_options_exit_2(self, trace_file, capsys, extra):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--query", QUERY, "--trace", str(trace_file),
+                  "--k", "20", *extra])
+        assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(engine) in err
+        assert "error:" in err and (extra[0] in err or extra[1] in err)
 
     def test_checkpoint_of_the_removed_engine_is_refused_untouched(
         self, trace_file, tmp_path, capsys

@@ -15,7 +15,6 @@ from repro import (
     EventBatch,
     InOrderEngine,
     OutOfOrderEngine,
-    ParallelPartitionedEngine,
     PartitionedEngine,
     PurgePolicy,
     ReorderingEngine,
@@ -45,7 +44,6 @@ CLOSED_CASES = {
     "inorder": {"plain": lambda: InOrderEngine(KEYED)},
     "reorder": {"plain": lambda: ReorderingEngine(KEYED, k=3)},
     "partitioned": {"plain": lambda: PartitionedEngine(KEYED, k=3)},
-    "parallel": {"plain": lambda: ParallelPartitionedEngine(KEYED, k=3, workers=2)},
 }
 
 
@@ -57,8 +55,8 @@ def _closed_cases():
 
 
 def test_import_loads_no_worker_machinery():
-    """``import repro`` is serial: the one parallel engine imports its
-    pool inside ``_map``, at the close that needs it."""
+    """``import repro`` is serial: no module of the package imports a
+    worker pool."""
     code = (
         "import sys, repro; "
         "print(sorted({'queue', 'multiprocessing'} & set(sys.modules)))"

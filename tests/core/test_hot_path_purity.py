@@ -5,8 +5,7 @@ alone — no wall clock, no randomness, no console, file or socket I/O —
 or replay after a crash stops reproducing the run it recovers.  Each
 engine kind of the snapshot suite is fed its stream under a profile
 hook, which sees every call whatever name the callee was imported
-under.  The ``parallel`` kind's worker pool is IPC by design; its
-in-process twin ``parallel-serial`` runs the same code.
+under.
 """
 
 from __future__ import annotations
@@ -69,9 +68,7 @@ def impure_calls(run):
     return calls
 
 
-@pytest.mark.parametrize(
-    "kind", [kind for kind in ENGINE_KINDS if kind != "parallel"]
-)
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_feed_surfaces_are_pure(kind):
     engine = build(kind)
     stream = stream_for(kind)

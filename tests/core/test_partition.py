@@ -286,39 +286,3 @@ class TestSpeculativePartitions:
         assert len(set(map(id, clones))) == len(clones)
         assert all(sub.clock.k == 12 for sub in engine._partitions.values())
         engine.close()
-
-    def test_parallel_workers_reject_speculation(self, keyed_pattern):
-        from repro import ParallelPartitionedEngine
-        from repro.streams import AdaptiveKController
-
-        with pytest.raises(ConfigurationError):
-            ParallelPartitionedEngine(
-                keyed_pattern, k=5, workers=2, speculative=True
-            )
-        with pytest.raises(ConfigurationError):
-            ParallelPartitionedEngine(
-                keyed_pattern, k=5, workers=2,
-                controller=AdaptiveKController(),
-            )
-        # Serial (workers=1) routing supports both.
-        engine = ParallelPartitionedEngine(
-            keyed_pattern, k=5, workers=1, speculative=True
-        )
-        assert engine.speculative
-
-
-class TestParallelConfiguration:
-    def test_unpicklable_predicate_named_in_error(self, keyed_pattern):
-        from repro import FnPredicate, ParallelPartitionedEngine
-
-        lambda_pred = FnPredicate(("a",), lambda b: True, label="inline-lambda")
-        pattern = type(keyed_pattern)(
-            keyed_pattern.steps,
-            tuple(keyed_pattern.where) + (lambda_pred,),
-            keyed_pattern.within,
-            keyed_pattern.name,
-        )
-        with pytest.raises(ConfigurationError, match="inline-lambda"):
-            ParallelPartitionedEngine(pattern, k=10, workers=2, backend="process")
-        # the thread backend needs no pickling and accepts it
-        ParallelPartitionedEngine(pattern, k=10, workers=2, backend="thread")

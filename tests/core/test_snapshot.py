@@ -28,7 +28,6 @@ from repro import (
     Event,
     InOrderEngine,
     OutOfOrderEngine,
-    ParallelPartitionedEngine,
     PartitionedEngine,
     Punctuation,
     PurgePolicy,
@@ -62,8 +61,6 @@ ENGINE_KINDS = [
     "speculative",
     "reorder",
     "partitioned",
-    "parallel",
-    "parallel-serial",
     "controller",
     "shed-oldest",
     "shed-by-type",
@@ -89,10 +86,6 @@ def build(kind, pattern=PATTERN, **overrides):
         return ReorderingEngine(pattern, k=k)
     if kind == "partitioned":
         return PartitionedEngine(pattern, k=k, key="x")
-    if kind == "parallel":
-        return ParallelPartitionedEngine(pattern, k=k, key="x", workers=2)
-    if kind == "parallel-serial":
-        return ParallelPartitionedEngine(pattern, k=k, key="x", workers=1)
     if kind == "controller":
         # Starts below the trace's disorder, so the punctuation re-freezes K.
         controller = AdaptiveKController(initial_k=2, min_epoch_events=16)

@@ -43,7 +43,6 @@ FAMILIES = {
     "inorder": {},
     "reorder": {},
     "partitioned": {"key": "x"},
-    "parallel": {"key": "x"},
     "ooo-speculative": {"speculative": True},
 }
 

@@ -18,7 +18,6 @@ import trajectories  # sibling module: pytest puts this directory on sys.path
 from repro import (
     OfflineOracle,
     OutOfOrderEngine,
-    ParallelPartitionedEngine,
     PartitionedEngine,
     ReorderingEngine,
     parse,
@@ -84,28 +83,6 @@ class TestGoldenResults:
         arrival, expected = fixture
         query = parse(expected["queries"][name]["text"], name=name)
         engine = PartitionedEngine(query, k=expected["k"])
-        engine.run(list(arrival))
-        assert engine.result_set() == _expected_keys(expected, name)
-
-    def test_parallel_serial_fallback_is_byte_identical(self, fixture, name):
-        # workers=1 must be indistinguishable from PartitionedEngine:
-        # same matches in the same emission order, same counters.
-        arrival, expected = fixture
-        query = parse(expected["queries"][name]["text"], name=name)
-        serial = PartitionedEngine(query, k=expected["k"])
-        serial.run(list(arrival))
-        parallel = ParallelPartitionedEngine(query, k=expected["k"], workers=1)
-        parallel.run(list(arrival))
-        assert [m.key() for m in parallel.results] == [m.key() for m in serial.results]
-        assert [
-            (r.emitted_seq, r.emitted_clock) for r in parallel.emissions
-        ] == [(r.emitted_seq, r.emitted_clock) for r in serial.emissions]
-        assert parallel.stats.as_dict() == serial.stats.as_dict()
-
-    def test_parallel_pool_reproduces_committed_results(self, fixture, name):
-        arrival, expected = fixture
-        query = parse(expected["queries"][name]["text"], name=name)
-        engine = ParallelPartitionedEngine(query, k=expected["k"], workers=2)
         engine.run(list(arrival))
         assert engine.result_set() == _expected_keys(expected, name)
 

@@ -187,18 +187,26 @@ class TestBenchRunnerHarness:
         assert "unknown engine 'pipeline'" in str(refusal.value)
         assert str(ENGINE_NAMES) in str(refusal.value)
 
-    @pytest.mark.parametrize(
-        "name", ["ooo", "inorder", "reorder", "partitioned"]
-    )
+    def test_parallel_engine_name_rejected_with_the_surviving_names(self, workload):
+        """The deleted close-time worker-pool family is an unknown name: the
+        ReproError E24's family loop prints, not a crash."""
+        from repro import ConfigurationError, ReproError
+        from repro.bench import ENGINE_NAMES
+
+        assert "parallel" not in ENGINE_NAMES
+        with pytest.raises(ConfigurationError) as refusal:
+            make_engine("parallel", workload.query, k=30, workers=2)
+        assert isinstance(refusal.value, ReproError)
+        assert "unknown engine 'parallel'" in str(refusal.value)
+        assert str(ENGINE_NAMES) in str(refusal.value)
+
+    @pytest.mark.parametrize("name", ["ooo", "inorder", "reorder", "partitioned"])
     @pytest.mark.parametrize("extra", [{"workers": 4}, {"backend": "process"}])
-    def test_workers_and_backend_rejected_off_the_parallel_engine(
-        self, workload, name, extra
-    ):
+    def test_removed_worker_options_rejected(self, workload, name, extra):
         from repro import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match=f"not '{name}'"):
+        with pytest.raises(ConfigurationError, match=f"no option {next(iter(extra))}"):
             make_engine(name, workload.query, k=30, **extra)
-        assert make_engine("parallel", workload.query, k=30, **extra)
 
 
 class TestTraceReplayRegression:

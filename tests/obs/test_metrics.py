@@ -1,4 +1,4 @@
-"""Metrics primitives: registration, histograms, snapshot/restore, merge."""
+"""Metrics primitives: registration, histograms, snapshot/restore."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LATENCY_BUCKETS,
     MetricsRegistry,
 )
 
@@ -89,19 +88,6 @@ def test_histogram_summary_keys():
     assert summary["mean"] == 3.0
 
 
-def test_histogram_merge_requires_identical_bounds():
-    left = Histogram("h", buckets=(1, 2))
-    right = Histogram("h", buckets=(1, 2))
-    left.observe(1)
-    right.observe(2)
-    right.observe(50)
-    left.merge(right)
-    assert left.count == 3
-    assert left.counts == [1, 1, 1]
-    with pytest.raises(ConfigurationError):
-        left.merge(Histogram("h", buckets=(1, 3)))
-
-
 def test_snapshot_state_is_json_round_trippable():
     registry = MetricsRegistry()
     registry.counter("repro_c", "a counter").inc(3)
@@ -138,32 +124,3 @@ def test_restore_state_creates_missing_and_zeroes_absent():
     )
     assert registry.get("repro_new").value == 4
     assert stale.value == 0
-
-
-def test_merge_state_adds_counters_and_max_merges_gauges():
-    registry = MetricsRegistry()
-    registry.counter("repro_c").inc(1)
-    registry.gauge("repro_g").set(5)
-    registry.histogram("repro_h", buckets=LATENCY_BUCKETS).observe(3)
-
-    incoming = MetricsRegistry()
-    incoming.counter("repro_c").inc(2)
-    incoming.gauge("repro_g").set(3)
-    incoming.histogram("repro_h", buckets=LATENCY_BUCKETS).observe(7)
-
-    registry.merge_state(incoming.snapshot_state())
-    assert registry.get("repro_c").value == 3
-    assert registry.get("repro_g").value == 5  # max, not sum
-    assert registry.get("repro_h").count == 2
-
-
-def test_merge_state_rename_prefixes_incoming_names():
-    registry = MetricsRegistry()
-    incoming = MetricsRegistry()
-    incoming.counter("repro_events_total").inc(7)
-    registry.merge_state(
-        incoming.snapshot_state(),
-        rename=lambda name: name.replace("repro_", "repro_worker_", 1),
-    )
-    assert registry.get("repro_worker_events_total").value == 7
-    assert registry.get("repro_events_total") is None

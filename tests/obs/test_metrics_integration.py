@@ -1,5 +1,5 @@
 """Metrics across subsystem boundaries: checkpoints, crash recovery,
-parallel workers, the bench harness, and the CLI exporters."""
+the bench harness, and the CLI exporters."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.bench import make_engine, run_cell
 from repro.cli import main
 from repro.core.engine import OutOfOrderEngine
 from repro.core.event import Event
-from repro.core.partition import ParallelPartitionedEngine
 from repro.core.parser import parse
 from repro.core.recovery import ResilientRunner
 from repro.faultinject import CrashError, FaultInjector
@@ -21,19 +20,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.streams import dump_trace
 
 QUERY = "PATTERN SEQ(A a, B b, C c) WHERE a.x == c.x WITHIN 30"
-PART_QUERY = (
-    "PATTERN SEQ(A a, B b) WHERE a.part == b.part AND a.x < b.x WITHIN 20"
-)
 
 
-def _trace(count=200, seed=9, types="ABC", parted=False):
+def _trace(count=200, seed=9):
     rng = random.Random(seed)
     events = []
     for ts in range(1, count + 1):
         attrs = {"x": rng.randint(0, 3)}
-        if parted:
-            attrs["part"] = rng.randint(0, 3)
-        events.append(Event(rng.choice(types), ts, attrs))
+        events.append(Event(rng.choice("ABC"), ts, attrs))
     keyed = [(e.ts + rng.randint(0, 4), i, e) for i, e in enumerate(events)]
     keyed.sort()
     return [e for __, __, e in keyed]
@@ -131,31 +125,6 @@ def test_metrics_survive_crash_recovery(tmp_path):
     assert got_state["histograms"] == ref_state["histograms"]
     for name, payload in ref_state["counters"].items():
         assert got_state["counters"][name] == payload
-
-
-# -- parallel workers ------------------------------------------------------------
-
-
-def test_parallel_worker_metrics_merge_deterministically():
-    pattern = parse(PART_QUERY)
-    arrival = _trace(count=300, seed=17, types="AB", parted=True)
-
-    def run_once():
-        engine = ParallelPartitionedEngine(pattern, k=4, workers=3)
-        registry = MetricsRegistry()
-        engine.enable_observability(metrics=registry)
-        for element in arrival:
-            engine.feed(element)
-        engine.close()
-        return engine, registry
-
-    first_engine, first = run_once()
-    __, second = run_once()
-    assert first.snapshot_state() == second.snapshot_state()
-    # Worker metrics are namespaced; totals reconcile with the router's.
-    assert first.get("repro_worker_matches_total").value == len(first_engine.results)
-    assert first.get("repro_worker_events_total").value <= len(arrival)
-    assert first.get("repro_events_total").value == len(arrival)
 
 
 # -- bench harness ---------------------------------------------------------------

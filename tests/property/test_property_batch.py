@@ -10,10 +10,7 @@ element at a time: same matches in the same emission order, same
 counters, same residual state, same clock, same exception at the same
 element.  What the suite really exercises is the loop's
 resynchronisation of its hoisted locals across call boundaries: every
-batch boundary, punctuation, shed pass and re-freeze is one.  Likewise
-``ParallelPartitionedEngine`` must produce the serial
-``PartitionedEngine``'s results for every worker count, and be
-byte-identical at ``workers=1``.
+batch boundary, punctuation, shed pass and re-freeze is one.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,8 +22,6 @@ from repro import (
     EventBatch,
     InOrderEngine,
     OutOfOrderEngine,
-    ParallelPartitionedEngine,
-    PartitionedEngine,
     Punctuation,
     PurgePolicy,
     ReorderingEngine,
@@ -47,8 +42,8 @@ PATTERNS = [
     seq("A first", "A second", within=12, name="prep"),
 ]
 
-# All steps joined on one attribute -> partitionable (for the parallel
-# property; the flat engines run it too, it is just another pattern).
+# All steps joined on one attribute: an equality chain, run like any
+# other pattern.
 PART_PATTERN = seq(
     "A a",
     "B b",
@@ -374,39 +369,3 @@ def test_reorder_feed_batch_is_observably_serial(
     _assert_batch_equals_serial(
         make, arrival, batch_size, make_candidate=lambda: _observed(make(), obs)
     )
-
-
-@given(
-    trace=trace_strategy(max_len=60, max_ts=80),
-    k=st.integers(min_value=0, max_value=20),
-    seed=st.integers(min_value=0, max_value=10_000),
-    workers=st.sampled_from([1, 2, 4]),
-)
-@settings(max_examples=40, deadline=None)
-def test_parallel_workers_match_serial_fallback(trace, k, seed, workers):
-    arrival = bounded_shuffle(trace, k=k, seed=seed)
-    reference = ParallelPartitionedEngine(PART_PATTERN, k=k, workers=1)
-    reference.run(list(arrival))
-    candidate = ParallelPartitionedEngine(PART_PATTERN, k=k, workers=workers)
-    candidate.run(list(arrival))
-    assert candidate.result_set() == reference.result_set()
-    assert candidate.stats.late_dropped == reference.stats.late_dropped
-    if workers == 1:
-        assert [m.key() for m in candidate.results] == [
-            m.key() for m in reference.results
-        ]
-
-
-@given(
-    trace=trace_strategy(max_len=60, max_ts=80),
-    k=st.integers(min_value=0, max_value=20),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=30, deadline=None)
-def test_parallel_serial_fallback_equals_partitioned_engine(trace, k, seed):
-    arrival = bounded_shuffle(trace, k=k, seed=seed)
-    serial = PartitionedEngine(PART_PATTERN, k=k)
-    serial.run(list(arrival))
-    fallback = ParallelPartitionedEngine(PART_PATTERN, k=k, workers=1)
-    fallback.run(list(arrival))
-    assert observe_engine(fallback) == observe_engine(serial)

@@ -21,7 +21,7 @@ from repro import (
     parse,
     seq,
 )
-from repro.core.partition import ParallelPartitionedEngine, PartitionedEngine
+from repro.core.partition import PartitionedEngine
 from helpers import bounded_shuffle, late_split
 
 
@@ -175,8 +175,6 @@ KEYED = [
 LATE_FAMILIES = {
     "ooo": lambda pattern, k: OutOfOrderEngine(pattern, k=k),
     "partitioned": lambda pattern, k: PartitionedEngine(pattern, k=k, punctuate_every=4),
-    "parallel-1": lambda pattern, k: ParallelPartitionedEngine(pattern, k=k, workers=1),
-    "parallel-2": lambda pattern, k: ParallelPartitionedEngine(pattern, k=k, workers=2),
 }
 
 
