@@ -34,7 +34,6 @@ from repro.core import (
     EngineStats,
     Eq,
     Event,
-    FnPredicate,
     Ge,
     Gt,
     InOrderEngine,
@@ -72,7 +71,6 @@ from repro.core import (
     ValidationPolicy,
     detect_partition_key,
     is_event,
-    oracle_matches,
     parse,
     seq,
     sort_by_occurrence,
@@ -96,7 +94,6 @@ __all__ = [
     "Eq",
     "Event",
     "FaultInjector",
-    "FnPredicate",
     "Ge",
     "Gt",
     "InOrderEngine",
@@ -136,7 +133,6 @@ __all__ = [
     "__version__",
     "detect_partition_key",
     "is_event",
-    "oracle_matches",
     "parse",
     "seq",
     "sort_by_occurrence",

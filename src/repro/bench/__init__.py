@@ -5,7 +5,6 @@ from repro.bench.runner import (
     make_engine,
     oracle_truth,
     run_cell,
-    sweep,
 )
 
-__all__ = ["ENGINE_NAMES", "make_engine", "oracle_truth", "run_cell", "sweep"]
+__all__ = ["ENGINE_NAMES", "make_engine", "oracle_truth", "run_cell"]

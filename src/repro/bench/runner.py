@@ -1,4 +1,4 @@
-"""Shared benchmark harness: engine registry and sweep runner.
+"""Shared benchmark harness: engine registry and cell runner.
 
 Each experiment in ``benchmarks/`` is a sweep over one knob, comparing
 a fixed set of engine configurations on identical traces.  This module
@@ -16,7 +16,7 @@ centralises the two pieces every experiment needs:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.engine import Engine, OutOfOrderEngine
 from repro.core.errors import ConfigurationError
@@ -214,15 +214,3 @@ def oracle_truth(pattern: Pattern, events: Sequence[Event]):
     """Identity set of the ground-truth result over *events*."""
     return OfflineOracle(pattern).evaluate_set(events)
 
-
-def sweep(
-    knob_values: Sequence[Any],
-    build: Callable[[Any], Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Run *build* per knob value, tagging each row with the knob."""
-    rows: List[Dict[str, Any]] = []
-    for value in knob_values:
-        row = build(value)
-        row.setdefault("knob", value)
-        rows.append(row)
-    return rows

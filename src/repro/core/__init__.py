@@ -23,7 +23,7 @@ from repro.core.errors import (
 )
 from repro.core.event import Event, Punctuation, StreamElement, is_event, sort_by_occurrence
 from repro.core.inorder import InOrderEngine
-from repro.core.oracle import OfflineOracle, oracle_matches
+from repro.core.oracle import OfflineOracle
 from repro.core.parser import parse
 from repro.core.colbatch import EventBatch
 from repro.core.partition import (
@@ -38,7 +38,6 @@ from repro.core.predicates import (
     Comparison,
     Const,
     Eq,
-    FnPredicate,
     Ge,
     Gt,
     Le,
@@ -49,7 +48,7 @@ from repro.core.predicates import (
     Predicate,
 )
 from repro.core.purge import PurgeMode, PurgePolicy
-from repro.core.recovery import ResilientRunner, clear_state
+from repro.core.recovery import ResilientRunner
 from repro.core.reorder import ReorderingEngine
 from repro.core.shedding import ShedMode, ShedPolicy
 from repro.core.stats import EngineStats
@@ -68,7 +67,6 @@ __all__ = [
     "EngineStats",
     "Eq",
     "Event",
-    "FnPredicate",
     "Ge",
     "Gt",
     "InOrderEngine",
@@ -105,9 +103,7 @@ __all__ = [
     "StreamElement",
     "StreamError",
     "ValidationPolicy",
-    "clear_state",
     "is_event",
-    "oracle_matches",
     "parse",
     "seq",
     "detect_partition_key",

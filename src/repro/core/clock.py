@@ -65,11 +65,6 @@ class StreamClock:
         """Maximum occurrence timestamp observed so far (-1 before any event)."""
         return self._max_ts
 
-    @property
-    def observations(self) -> int:
-        """Number of events observed (punctuations excluded)."""
-        return self._observations
-
     def observe(self, event: Event) -> bool:
         """Record *event* and report whether it arrived out of order.
 
@@ -111,10 +106,6 @@ class StreamClock:
             k_horizon = self._max_ts - self._k - 1
         return max(k_horizon, self._punctuated)
 
-    def sealed(self, ts: int) -> bool:
-        """True when no event with occurrence time ``<= ts`` can still arrive."""
-        return ts <= self.horizon()
-
     def refreeze(self, k: Optional[int]) -> None:
         """Re-freeze the disorder bound at an epoch boundary.
 
@@ -132,12 +123,6 @@ class StreamClock:
         if floor > self._punctuated:
             self._punctuated = floor
         self._k = k
-
-    def reset(self) -> None:
-        """Return to the initial state (used by replay tooling)."""
-        self._max_ts = -1
-        self._punctuated = -1
-        self._observations = 0
 
     def snapshot_state(self) -> dict:
         """Mutable clock state for engine checkpoints.

@@ -218,10 +218,6 @@ class Engine:
         return emitted
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def arrival_index(self) -> int:
         """Number of events fed so far (the engine's logical arrival clock)."""
         return self._arrival
@@ -600,8 +596,8 @@ class OutOfOrderEngine(Engine):
                 for index, step in enumerate(self.pattern.positive_steps):
                     if excess > 0 and step.etype == victim:
                         if collect:
-                            casualties.extend(self.stacks[index].oldest_events(excess))
-                        dropped = self.stacks[index].drop_oldest(excess)
+                            casualties.extend(self.stacks.stacks[index].oldest_events(excess))
+                        dropped = self.stacks.stacks[index].drop_oldest(excess)
                         shed += dropped
                         excess -= dropped
                 if excess > 0:

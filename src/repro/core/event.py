@@ -25,7 +25,7 @@ K be communicated in-band.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.core.errors import StreamError
 
@@ -137,10 +137,6 @@ class Event:
             inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._attrs.items()))
             return f"Event({self.etype}@{self.ts} #{self.eid} {{{inner}}})"
         return f"Event({self.etype}@{self.ts} #{self.eid})"
-
-    def key(self) -> Tuple[str, int, int]:
-        """Stable identity triple used in serialised traces."""
-        return (self.etype, self.ts, self.eid)
 
 
 _set_etype, _set_ts, _set_eid, _set_attrs, _set_hash = (

@@ -142,8 +142,3 @@ class OfflineOracle:
             if bracket.admits(candidate, positives, self.pattern.within):
                 return True
         return False
-
-
-def oracle_matches(pattern: Pattern, events: Iterable[Event]) -> List[Match]:
-    """One-shot convenience wrapper around :class:`OfflineOracle`."""
-    return OfflineOracle(pattern).evaluate(events)

@@ -36,8 +36,6 @@ from repro.core.errors import QueryError
 from repro.core.event import Event
 from repro.core.predicates import (
     And,
-    Attr,
-    Bindings,
     Predicate,
     stage_predicates,
 )
@@ -356,22 +354,9 @@ class Pattern:
         return len(self.positive_steps)
 
     @property
-    def has_negation(self) -> bool:
-        """True when the pattern contains at least one negated step."""
-        return bool(self.negations)
-
-    @property
     def has_kleene(self) -> bool:
         """True when the pattern contains at least one Kleene step."""
         return bool(self.kleene)
-
-    def variables(self) -> List[str]:
-        """All step variables in declaration order."""
-        return [s.var for s in self.steps]
-
-    def check_positive_predicates(self, bindings: Bindings) -> bool:
-        """Evaluate the full positive conjunction (used by oracle/tests)."""
-        return all(p.evaluate(bindings) for p in self.positive_predicates)
 
     def bindings_for(self, events: Sequence[Event]) -> Dict[str, Event]:
         """Zip *events* (one per positive step, in order) into a binding map."""
@@ -380,13 +365,6 @@ class Pattern:
                 f"expected {self.length} events for pattern {self.name!r}, got {len(events)}"
             )
         return dict(zip((s.var for s in self.positive_steps), events))
-
-    def temporal_ok(self, events: Sequence[Event]) -> bool:
-        """Strictly-increasing timestamps and the WITHIN window both hold."""
-        for left, right in zip(events, events[1:]):
-            if left.ts >= right.ts:
-                return False
-        return events[-1].ts - events[0].ts <= self.within
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -402,8 +380,8 @@ def seq(*components: str, where: Optional[Iterable[Predicate]] = None,
     """Convenience pattern builder from ``"TYPE var"`` strings.
 
     >>> q = seq("A a", "!B b", "C c", within=50)
-    >>> q.length, q.has_negation
-    (2, True)
+    >>> q.length, len(q.negations)
+    (2, 1)
     """
     steps = []
     for component in components:

@@ -111,7 +111,3 @@ class MultiQueryPlan:
         produced = self.feed_many(elements)
         produced.extend(self.close())
         return produced
-
-    def state_size(self) -> int:
-        """Combined retained state across all member engines."""
-        return sum(plan.engine.state_size() for plan in self.plans)

@@ -119,9 +119,6 @@ class Predicate:
         """``(left, right)`` attr pairs for var-to-var equality predicates."""
         return []
 
-    def __and__(self, other: "Predicate") -> "And":
-        return And([self, other])
-
 
 _OPS: Dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
@@ -236,12 +233,6 @@ class And(Predicate):
     def evaluate(self, bindings: Bindings) -> bool:
         return all(child.evaluate(bindings) for child in self.children)
 
-    def equality_pairs(self) -> List[Tuple[Attr, Attr]]:
-        pairs: List[Tuple[Attr, Attr]] = []
-        for child in self.children:
-            pairs.extend(child.equality_pairs())
-        return pairs
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, And) and self.children == other.children
 
@@ -313,36 +304,6 @@ class Not(Predicate):
 
     def __repr__(self) -> str:
         return f"NOT {self.child!r}"
-
-
-class FnPredicate(Predicate):
-    """Escape hatch: an arbitrary Python callable over the bindings.
-
-    The caller must declare which variables the callable reads so that
-    staged evaluation remains correct.
-
-    >>> p = FnPredicate(("a", "b"), lambda b: b["a"]["x"] + b["b"]["x"] < 10)
-    """
-
-    __slots__ = ("_vars", "fn", "label")
-
-    def __init__(self, variables: Iterable[str], fn: Callable[[Bindings], bool], label: str = ""):
-        self._vars = frozenset(variables)
-        if not self._vars:
-            raise QueryError("FnPredicate must declare at least one variable")
-        if not callable(fn):
-            raise QueryError("FnPredicate requires a callable")
-        self.fn = fn
-        self.label = label or getattr(fn, "__name__", "<fn>")
-
-    def variables(self) -> FrozenSet[str]:
-        return self._vars
-
-    def evaluate(self, bindings: Bindings) -> bool:
-        return bool(self.fn(bindings))
-
-    def __repr__(self) -> str:
-        return f"FnPredicate({self.label}, vars={sorted(self._vars)})"
 
 
 TRUE: Optional[Predicate] = None  # a WHERE clause of None means "no condition"

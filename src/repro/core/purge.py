@@ -38,7 +38,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.stacks import NegativeStore, SortedStack, StackSet
-from repro.core.stats import EngineStats
 
 
 class PurgeMode(enum.Enum):
@@ -96,9 +95,6 @@ class PurgePolicy:
             self._since_last = 0
             return True
         return False
-
-    def reset(self) -> None:
-        self._since_last = 0
 
     def snapshot_state(self) -> dict:
         """Mutable schedule progress (mode/interval are config, not state)."""
@@ -198,30 +194,6 @@ class Purger:
             default=NEVER,
         )
 
-    def run(
-        self,
-        horizon: int,
-        stacks: StackSet,
-        negatives: Optional[NegativeStore] = None,
-        stats: Optional[EngineStats] = None,
-        kleene: Optional[NegativeStore] = None,
-    ) -> int:
-        """:meth:`cut` for a standalone :class:`StackSet`; returns the drop count.
-
-        Counts the run in *stats* unless the horizon is negative.
-        """
-        if horizon < 0:
-            return 0
-        sides = [store for store in (negatives, kleene) if store is not None]
-        dropped, side_dropped, _ = self.cut(
-            horizon, *self.resolve(stacks.stacks, sides)
-        )
-        if stats is not None:
-            stats.instances_purged += dropped
-            stats.negatives_purged += side_dropped
-            stats.purge_runs += 1
-        return dropped + side_dropped
-
     def peek(
         self,
         horizon: int,
@@ -229,9 +201,9 @@ class Purger:
         negatives: Optional[NegativeStore] = None,
         kleene: Optional[NegativeStore] = None,
     ) -> list:
-        """The events :meth:`run` would evict at *horizon*, without evicting.
+        """The events :meth:`cut` would evict at *horizon*, without evicting.
 
-        Shares the threshold arithmetic with :meth:`run` so a preview
+        Shares the threshold arithmetic with :meth:`cut` so a preview
         taken immediately before a purge lists exactly its victims.
         Deduplicated by event identity (the same event can sit in
         several stacks) and returned in (ts, eid) order for stable

@@ -184,16 +184,6 @@ def _hashable(value: Any) -> Any:
     return value
 
 
-def clear_state(directory: Union[str, Path]) -> None:
-    """Delete any recovery state in *directory* (start a run from scratch)."""
-    directory = Path(directory)
-    for name in (WAL_NAME, CHECKPOINT_NAME, DELIVERED_NAME):
-        try:
-            (directory / name).unlink()
-        except FileNotFoundError:
-            pass
-
-
 def _iter_jsonl(path: Path, label: str) -> Iterator[Dict[str, Any]]:
     """Stream a JSON-lines log line by line, repairing a torn final line.
 

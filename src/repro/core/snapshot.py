@@ -7,9 +7,8 @@ results — such that a fresh engine restored from the blob behaves
 byte-identically to the original on every subsequent element.  Two
 design constraints shape the format:
 
-* **Patterns are not serialised.**  A pattern may hold ``FnPredicate``
-  callables (lambdas), which do not pickle.  A snapshot therefore only
-  stores the pattern's *fingerprint* inside the config header; the
+* **Patterns are not serialised.**  A snapshot only stores the
+  pattern's *fingerprint* inside the config header; the
   restoring engine must already have been constructed with an
   equivalent pattern, and matches are re-built against that live
   pattern object.

@@ -247,14 +247,6 @@ class SortedStack:
         hi = bisect_right(self._keys, (max_ts, float("inf")))
         return self._instances[lo:hi]
 
-    def min_ts(self) -> Optional[int]:
-        """Smallest occurrence time stored, or None when empty."""
-        return self._keys[0][0] if self._keys else None
-
-    def max_ts(self) -> Optional[int]:
-        """Largest occurrence time stored, or None when empty."""
-        return self._keys[-1][0] if self._keys else None
-
     # -- purging ---------------------------------------------------------------
 
     def purge_through(self, ts: int) -> int:
@@ -296,13 +288,6 @@ class SortedStack:
     def oldest_events(self, count: int) -> List[Event]:
         """The events :meth:`drop_oldest` *would* shed, unchanged."""
         return [instance.event for instance in self._instances[:count]]
-
-    def clear(self) -> None:
-        self.purged += len(self._instances)
-        self._instances.clear()
-        self._keys.clear()
-        for postings in self._postings.values():
-            postings.clear()
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -349,22 +334,12 @@ class StackSet:
             SortedStack(i, indexed_attrs=indexed_attrs[i]) for i in range(length)
         ]
 
-    def __getitem__(self, index: int) -> SortedStack:
-        return self.stacks[index]
-
-    def __len__(self) -> int:
-        return len(self.stacks)
-
     def __iter__(self) -> Iterator[SortedStack]:
         return iter(self.stacks)
 
     def size(self) -> int:
         """Total instances currently held across all stacks."""
         return sum(len(stack) for stack in self.stacks)
-
-    def sizes(self) -> List[int]:
-        """Per-stack instance counts (diagnostics and memory experiments)."""
-        return [len(stack) for stack in self.stacks]
 
     def snapshot_state(self) -> list:
         return [stack.snapshot_state() for stack in self.stacks]

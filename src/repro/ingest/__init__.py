@@ -22,14 +22,9 @@ splits along the classic ingestion fault boundaries:
   exponential backoff with jitter, and a bounded in-flight window.
 """
 
-from repro.ingest.admission import (
-    Admission,
-    AdmissionController,
-    AdmissionOutcome,
-    DedupeWindow,
-)
+from repro.ingest.admission import AdmissionController, DedupeWindow
 from repro.ingest.backoff import BackoffPolicy, retry_call, run_resilient
-from repro.ingest.client import ClientFaultPlan, IngestClient, SendReport, send_events
+from repro.ingest.client import ClientFaultPlan, IngestClient, SendReport
 from repro.ingest.liveness import LivenessTracker, SourceStatus, Transition
 from repro.ingest.schema import (
     EventSchema,
@@ -45,9 +40,7 @@ from repro.ingest.server import (
 )
 
 __all__ = [
-    "Admission",
     "AdmissionController",
-    "AdmissionOutcome",
     "BackoffPolicy",
     "ClientFaultPlan",
     "DedupeWindow",
@@ -65,6 +58,5 @@ __all__ = [
     "load_schema",
     "retry_call",
     "run_resilient",
-    "send_events",
     "serve_in_thread",
 ]

@@ -20,30 +20,12 @@ already keeps, so the window before and after a restart is the same.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
 from repro.ingest.schema import Decision, StreamSchema
-
-
-class AdmissionOutcome(enum.Enum):
-    """What happened to one offered frame."""
-
-    ADMITTED = "admitted"  #: validated, first delivery — feed the engine
-    DUPLICATE = "duplicate"  #: redelivery of an admitted frame — count, drop
-    QUARANTINED = "quarantined"  #: schema violation — count, drop, report reason
-
-
-class Admission(NamedTuple):
-    """The decision for one frame."""
-
-    outcome: AdmissionOutcome
-    reason: Optional[str]  #: quarantine reason (None otherwise)
-    event: Optional[Event]  #: the built event (ADMITTED only)
-    idem_id: Optional[str]  #: derived idempotency id (None when quarantined)
 
 
 class DedupeWindow:
@@ -118,24 +100,6 @@ class AdmissionController:
         self._sources: Dict[str, SourceAdmission] = {}
 
     # -- the decision -------------------------------------------------------------------
-
-    def admit(self, source: str, etype: Any, attrs: Any) -> Admission:
-        """Decide one frame from *source*: a one-pair :meth:`admit_cohort`."""
-        return self.admit_cohort(source, ((etype, attrs),))[0]
-
-    def admit_cohort(
-        self, source: str, pairs: Iterable[Tuple[Any, Any]]
-    ) -> List[Admission]:
-        """Decide ``(etype, attrs)`` *pairs* from *source*, in order: the
-        decisions of :meth:`decide_cohort` as :class:`Admission` records."""
-        admitted, duplicate, quarantined = AdmissionOutcome  # definition order
-        new = tuple.__new__  # Admission(...) without its Python-level __new__
-        return [
-            new(Admission, (quarantined, reason, None, None)) if reason is not None
-            else new(Admission, (duplicate, None, None, idem)) if event is None
-            else new(Admission, (admitted, None, event, idem))
-            for reason, idem, event in self.decide_cohort(source, pairs)
-        ]
 
     def decide_cohort(self, source: str, pairs: Iterable[Tuple[Any, Any]]) -> List[Decision]:
         """Decide ``(etype, attrs)`` *pairs* from *source*, in order.

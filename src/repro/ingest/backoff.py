@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Any, Callable, Iterator, Optional, Tuple, Type
+from typing import Any, Callable, Optional, Tuple, Type
 
 from repro.core.errors import ConfigurationError
 
@@ -97,11 +97,6 @@ class BackoffPolicy:
         # unlike hash() of strings — the schedule must replay exactly.
         unit = random.Random(self.seed * 1_000_003 + attempt).random()
         return raw * (1.0 - self.jitter + self.jitter * unit)
-
-    def delays(self) -> Iterator[float]:
-        """The full schedule: one delay per allowed retry."""
-        for attempt in range(self.retries):
-            yield self.delay(attempt)
 
     def reseeded(self, seed: int) -> "BackoffPolicy":
         """A copy with a different jitter seed (per-client spreading)."""

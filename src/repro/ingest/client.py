@@ -33,7 +33,7 @@ import json
 import math
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError, ReproError
 from repro.ingest.backoff import BackoffPolicy
@@ -108,20 +108,6 @@ class SendReport:
         ordered = sorted(self.latencies)
         index = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.999999) - 1))
         return ordered[index]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "sent": self.sent,
-            "admitted": self.admitted,
-            "duplicates": self.duplicates,
-            "quarantined": self.quarantined,
-            "busy_retries": self.busy_retries,
-            "reconnects": self.reconnects,
-            "resends": self.resends,
-            "throttles": self.throttles,
-            "p50_latency": self.latency_quantile(0.50),
-            "p99_latency": self.latency_quantile(0.99),
-        }
 
     def __repr__(self) -> str:
         return (
@@ -436,18 +422,3 @@ class IngestClient:
         except ValueError:
             raise ReproError(f"gateway sent a non-JSON frame: {line[:80]!r}") from None
 
-
-def send_events(
-    host: str,
-    port: int,
-    source: str,
-    stream: str,
-    frames: List[Tuple[str, Dict[str, Any]]],
-    **kwargs: Any,
-) -> SendReport:
-    """Convenience: connect, send every (etype, attrs) frame, close."""
-    client = IngestClient(host, port, source, stream, **kwargs)
-    client.connect()
-    for etype, attrs in frames:
-        client.send(etype, attrs)
-    return client.close()

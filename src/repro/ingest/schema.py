@@ -409,10 +409,6 @@ class StreamSchema:
             return None, idem, None
         return None, idem, self.event_for(etype, attrs, idem)
 
-    def check_frame(self, etype: Any, attrs: Any) -> Optional[str]:
-        """Why the frame must be quarantined, or None when admissible."""
-        return self.decide(etype, attrs)[0]
-
     # -- identity derivation ------------------------------------------------------------
 
     def idempotency_id(self, etype: str, attrs: Mapping[str, Any]) -> str:

@@ -810,14 +810,6 @@ class IngestGateway:
         # would corrupt the reader.
         write_lines(self.directory / FLIGHT_NAME, lines, replace=True)
 
-    def dump_flight(self, reason: str = "manual") -> None:
-        """Write the flight ring to ``flight.jsonl`` now (operator probe).
-
-        Crash and SIGTERM paths dump on their own; this is for drills
-        and debugging a live-but-suspect gateway.
-        """
-        self._dump_flight(reason)
-
     def _journal(self, kind: str, **fields: Any) -> None:
         """Append one record to ``gateway.jsonl``; on disk when this returns."""
         if self.directory is None:

@@ -7,10 +7,9 @@ from repro.metrics.latency import (
     summarize_arrival_latency,
     summarize_occurrence_latency,
 )
-from repro.metrics.quality import QualityReport, compare, compare_keys
+from repro.metrics.quality import QualityReport, compare_keys
 from repro.metrics.reporter import (
     format_cell,
-    print_series,
     print_table,
     render_histogram,
     render_series,
@@ -21,11 +20,9 @@ __all__ = [
     "LatencySummary",
     "QualityReport",
     "arrival_latencies",
-    "compare",
     "compare_keys",
     "format_cell",
     "occurrence_latencies",
-    "print_series",
     "print_table",
     "render_histogram",
     "render_series",

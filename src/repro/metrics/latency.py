@@ -45,16 +45,6 @@ class LatencySummary:
         self.p99 = _percentile(values, 0.99)
         self.max = float(values[-1])
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-        }
-
     def __repr__(self) -> str:
         return (
             f"LatencySummary(n={self.count}, mean={self.mean:.2f}, p50={self.p50:.1f}, "

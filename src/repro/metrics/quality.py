@@ -13,13 +13,11 @@ Shedding trades recall for bounded state, and a report that says "recall 0.92" w
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple
-
-from repro.core.pattern import Match
+from typing import Set, Tuple
 
 
 class QualityReport:
-    """Recall / precision / F1 of a produced result set vs. ground truth."""
+    """Recall / precision of a produced result set vs. ground truth."""
 
     __slots__ = (
         "truth_size", "produced_size", "missed", "spurious", "shed", "quarantined",
@@ -52,29 +50,9 @@ class QualityReport:
         return (self.produced_size - self.spurious) / self.produced_size
 
     @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        if p + r == 0:
-            return 0.0
-        return 2 * p * r / (p + r)
-
-    @property
     def exact(self) -> bool:
         """True when the produced set equals the truth set exactly."""
         return self.missed == 0 and self.spurious == 0
-
-    @property
-    def degraded(self) -> bool:
-        """True when deliberate input loss may account for missing results.
-
-        Covers both load shedding and admission quarantine: an event
-        rejected at a gateway's schema check never reached the engine,
-        so the matches it would have joined are missing for an
-        *accounted* reason, not a correctness bug.  Gateway-side
-        quarantine and engine-side ``ValidationPolicy.QUARANTINE``
-        count here identically (the parity the ingestion tests pin).
-        """
-        return self.shed > 0 or self.quarantined > 0
 
     def __repr__(self) -> str:
         shed = f", shed={self.shed}" if self.shed else ""
@@ -83,18 +61,6 @@ class QualityReport:
             f"QualityReport(recall={self.recall:.3f}, precision={self.precision:.3f}, "
             f"missed={self.missed}, spurious={self.spurious}{shed}{quarantined})"
         )
-
-
-def compare(
-    truth: Iterable[Match],
-    produced: Iterable[Match],
-    shed: int = 0,
-    quarantined: int = 0,
-) -> QualityReport:
-    """Build a report from two match collections (any iterables)."""
-    truth_keys = {m.key() for m in truth}
-    produced_keys = {m.key() for m in produced}
-    return QualityReport(truth_keys, produced_keys, shed=shed, quarantined=quarantined)
 
 
 def compare_keys(

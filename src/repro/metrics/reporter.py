@@ -96,7 +96,3 @@ def print_table(*args, **kwargs) -> None:
     """:func:`render_table` straight to stdout."""
     print(render_table(*args, **kwargs))
 
-
-def print_series(*args, **kwargs) -> None:
-    """:func:`render_series` straight to stdout."""
-    print(render_series(*args, **kwargs))

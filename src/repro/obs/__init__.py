@@ -47,7 +47,6 @@ from repro.obs.hooks import Observability
 from repro.obs.export import (
     MetricsJsonWriter,
     parse_prometheus,
-    read_metrics_jsonl,
     render_prometheus,
 )
 from repro.obs.span import (
@@ -112,6 +111,5 @@ __all__ = [
     "TICK_BUCKETS",
     "Tracer",
     "parse_prometheus",
-    "read_metrics_jsonl",
     "render_prometheus",
 ]

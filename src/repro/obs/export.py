@@ -31,25 +31,6 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _unescape_help(text: str) -> str:
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(text[i])
-        i += 1
-    return "".join(out)
-
-
 def _format_bound(bound: float) -> str:
     return str(bound)
 
@@ -168,20 +149,6 @@ def parse_sample_line(line: str) -> Tuple[str, List[Tuple[str, str]], float]:
     return name, labels, float(raw)
 
 
-def parse_help_lines(text: str) -> dict:
-    """``{metric_name: help_text}`` from ``# HELP`` lines, unescaped."""
-    helps = {}
-    for line in text.splitlines():
-        # No strip(): help text legitimately ends in spaces, and the
-        # escaped form is one physical line already.
-        if not line.startswith("# HELP "):
-            continue
-        body = line[len("# HELP "):]
-        name, _, escaped = body.partition(" ")
-        helps[name] = _unescape_help(escaped)
-    return helps
-
-
 def parse_prometheus(text: str) -> dict:
     """Parse text produced by :func:`render_prometheus` back to samples.
 
@@ -246,11 +213,3 @@ class MetricsJsonWriter:
     def flush(self) -> None:
         self._sink.flush()
 
-
-def read_metrics_jsonl(text: str) -> List[dict]:
-    """Parse JSON-lines written by :class:`MetricsJsonWriter`."""
-    records = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records

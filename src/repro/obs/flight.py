@@ -88,9 +88,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def records(self) -> List[FlightRecord]:
-        return [FlightRecord(*entry) for entry in self._ring]
-
     def dump_lines(self, reason: str, meta: Optional[Dict[str, Any]] = None) -> List[str]:
         """The ``flight.jsonl`` payload: a header line plus one line per
         record, oldest first.  The caller owns writing them to disk."""

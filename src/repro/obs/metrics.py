@@ -262,17 +262,8 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)
 
-    def names(self) -> List[str]:
-        return list(self._metrics)
-
     def metrics(self) -> List[Any]:
         return list(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     # -- state ------------------------------------------------------------------
 

@@ -202,10 +202,6 @@ class Tracer:
         """True when the ring has dropped spans (lifecycles may be partial)."""
         return self.recorded > len(self._spans)
 
-    def clear(self) -> None:
-        self._spans.clear()
-        self._subs.clear()
-
     def __len__(self) -> int:
         return len(self._spans)
 

@@ -6,7 +6,6 @@ from repro.streams.disorder import (
     DisorderStats,
     NoDisorder,
     RandomDelayModel,
-    SwapModel,
     crash_positions,
     measure_disorder,
     required_k,
@@ -16,8 +15,6 @@ from repro.streams.controller import AdaptiveKController, ControllerDecision
 from repro.streams.kslack import MaxObservedK, QuantileK
 from repro.streams.merge import interleave_by_arrival
 from repro.streams.punctuation import (
-    PeriodicPunctuator,
-    strip_punctuation,
     validate_punctuation,
 )
 from repro.streams.replay import dump_trace, load_trace
@@ -32,10 +29,8 @@ __all__ = [
     "EventSource",
     "MaxObservedK",
     "NoDisorder",
-    "PeriodicPunctuator",
     "QuantileK",
     "RandomDelayModel",
-    "SwapModel",
     "SyntheticSource",
     "crash_positions",
     "dump_trace",
@@ -44,6 +39,5 @@ __all__ = [
     "measure_disorder",
     "required_k",
     "star_arrival",
-    "strip_punctuation",
     "validate_punctuation",
 ]

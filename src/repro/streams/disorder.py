@@ -183,31 +183,6 @@ class BurstDropoutModel(DelayModel):
         return arrival
 
 
-class SwapModel(DelayModel):
-    """Adjacent-window shuffles: local disorder with a hard extent cap.
-
-    Splits the stream into blocks of *block* events and shuffles each
-    block independently.  Displacement is bounded by the block's time
-    span, giving a crisp worst-case K — useful in property tests.
-    """
-
-    def __init__(self, block: int, seed: int = 0):
-        if block < 1:
-            raise ConfigurationError(f"block must be >= 1, got {block}")
-        self.block = block
-        self.seed = seed
-
-    def apply(self, events: Iterable[Event]) -> List[Event]:
-        rng = random.Random(self.seed)
-        ordered = list(events)
-        arrival: List[Event] = []
-        for start in range(0, len(ordered), self.block):
-            chunk = ordered[start : start + self.block]
-            rng.shuffle(chunk)
-            arrival.extend(chunk)
-        return arrival
-
-
 def star_arrival(
     streams: Mapping[str, Sequence[Event]],
     delay: Tuple[int, int],

@@ -4,57 +4,17 @@ A punctuation ``<= t`` tells the engine no event with occurrence time
 at or below *t* remains in flight, letting it purge and seal negation
 beyond what the K promise alone allows.
 
-* :class:`PeriodicPunctuator` — a source that knows its own send buffer
-  is flushed emits a punctuation every *period* events, lagging the
-  max emitted timestamp by a *slack* it guarantees locally;
-* :class:`SourceWatermarks` — a multi-source ingestion point merges
-  per-source marks into one conservative assertion.
-
-Neither asserts beyond what the configured slack justifies, and the
-injected stream's event content is unchanged.
+:class:`SourceWatermarks` — a multi-source ingestion point — merges
+per-source marks into one conservative assertion, never beyond what
+the configured slack justifies.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.core.event import Event, Punctuation, StreamElement
-
-
-class PeriodicPunctuator:
-    """Insert a punctuation after every *period* events.
-
-    The asserted timestamp is ``max_ts_so_far - slack - 1``; *slack*
-    must dominate the residual disorder the source cannot rule out
-    (zero for a source that is itself ordered).  The extra ``- 1``
-    mirrors the engine-clock horizon convention: an event delayed by
-    exactly *slack* — or a timestamp tie at slack zero — may still
-    arrive, so only strictly older times are sealed.
-    """
-
-    def __init__(self, period: int, slack: int = 0):
-        if period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        if slack < 0:
-            raise ConfigurationError(f"slack must be >= 0, got {slack}")
-        self.period = period
-        self.slack = slack
-
-    def apply(self, events: Iterable[Event]) -> Iterator[StreamElement]:
-        max_ts = -1
-        count = 0
-        last_asserted = -1
-        for event in events:
-            if event.ts > max_ts:
-                max_ts = event.ts
-            yield event
-            count += 1
-            if count % self.period == 0:
-                asserted = max_ts - self.slack - 1
-                if asserted > last_asserted and asserted >= 0:
-                    last_asserted = asserted
-                    yield Punctuation(asserted)
+from repro.core.event import Punctuation, StreamElement
 
 
 class SourceWatermarks:
@@ -64,8 +24,8 @@ class SourceWatermarks:
     stream's max timestamp — one fast source would assert away another
     source's in-flight events.  The sound merge is per-source: each
     source maintains its own watermark (``max t_event - slack - 1``, the
-    same ``- 1`` horizon convention as :class:`PeriodicPunctuator`, or
-    an explicit assertion from the source), and the merged watermark is
+    engine clock's ``- 1`` horizon convention, or an explicit assertion
+    from the source), and the merged watermark is
     the **minimum over unfenced sources** — no source that may still
     send is ever overtaken.
 
@@ -196,11 +156,6 @@ class SourceWatermarks:
             f"SourceWatermarks(sources={len(self._marks)}, "
             f"fenced={len(self._fenced)}, merged={self.merged()})"
         )
-
-
-def strip_punctuation(elements: Iterable[StreamElement]) -> List[Event]:
-    """Remove punctuations, keeping events in place (test helper)."""
-    return [element for element in elements if isinstance(element, Event)]
 
 
 def validate_punctuation(elements: Iterable[StreamElement]) -> bool:

@@ -20,11 +20,11 @@ AttrMaker = Callable[[random.Random, int], Dict[str, Any]]
 
 
 class EventSource:
-    """Base class: an iterable, restartable producer of in-order events."""
+    """Base class: an iterable, restartable producer of in-order events.
 
-    def events(self) -> Iterator[Event]:
-        """Yield events in non-decreasing occurrence-time order."""
-        raise NotImplementedError
+    A subclass defines ``events()``, yielding events in non-decreasing
+    occurrence-time order.
+    """
 
     def take(self, count: int) -> List[Event]:
         """Materialise the first *count* events."""

@@ -9,21 +9,15 @@ from repro.workloads.intrusion import (
 from repro.workloads.rfid import (
     RfidStoreGenerator,
     RfidTrace,
-    detected_tags,
-    restock_query,
     shoplifting_query,
 )
 from repro.workloads.stock import (
     StockFeedGenerator,
     accumulation_query,
-    calm_rise_query,
-    rally_query,
-    vshape_query,
 )
 from repro.workloads.synthetic import (
     SyntheticWorkload,
     chain_query,
-    rate_sweep_workloads,
 )
 
 __all__ = [
@@ -35,13 +29,7 @@ __all__ = [
     "SyntheticWorkload",
     "accumulation_query",
     "brute_force_query",
-    "calm_rise_query",
     "chain_query",
-    "detected_tags",
     "exfiltration_query",
-    "rally_query",
-    "rate_sweep_workloads",
-    "restock_query",
     "shoplifting_query",
-    "vshape_query",
 ]

@@ -23,7 +23,7 @@ end-to-end detection tests don't need the oracle.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Sequence, Set
+from typing import Dict, List, NamedTuple, Set
 
 from repro.core.errors import ConfigurationError
 from repro.core.event import Event
@@ -42,16 +42,6 @@ def shoplifting_query(within: int = 2000, name: str = "shoplifting") -> Pattern:
     return parse(
         f"PATTERN SEQ({SHELF} s, !{COUNTER} c, {EXIT} e) "
         "WHERE s.tag == e.tag AND c.tag == s.tag "
-        f"WITHIN {within}",
-        name=name,
-    )
-
-
-def restock_query(within: int = 2000, name: str = "restock") -> Pattern:
-    """Items returned to a shelf after checkout (suspicious refund pattern)."""
-    return parse(
-        f"PATTERN SEQ({COUNTER} c, {SHELF} s) "
-        "WHERE c.tag == s.tag "
         f"WITHIN {within}",
         name=name,
     )
@@ -145,7 +135,3 @@ class RfidStoreGenerator:
         )
         return RfidTrace(by_reader, merged, shoplifted)
 
-
-def detected_tags(matches: Sequence) -> Set[int]:
-    """Tag ids reported by shoplifting-query matches."""
-    return {match.events[0]["tag"] for match in matches}

@@ -7,12 +7,8 @@ probability, which drives the optimisation experiments (E6) — the
 benefit of construction probes and staged predicates depends directly
 on predicate selectivity.
 
-Canned queries:
-
-* **rally** — three ticks of one symbol with strictly rising prices;
-* **v-shape** — down tick then recovery above the starting price;
-* **calm rise** — a rise with no large trade (negation) in between;
-* **accumulation** — a rise with all trades collected (Kleene ``+``).
+Canned query: **accumulation** — a same-symbol rise with all trades
+in between collected (Kleene ``+``).
 """
 
 from __future__ import annotations
@@ -29,28 +25,6 @@ TICK = "TICK"
 TRADE = "TRADE"
 
 
-def rally_query(within: int = 50, name: str = "rally") -> Pattern:
-    """Three same-symbol ticks with strictly increasing price."""
-    return parse(
-        f"PATTERN SEQ({TICK} a, {TICK} b, {TICK} c) "
-        "WHERE a.sym == b.sym AND b.sym == c.sym "
-        "AND a.price < b.price AND b.price < c.price "
-        f"WITHIN {within}",
-        name=name,
-    )
-
-
-def vshape_query(within: int = 60, name: str = "vshape") -> Pattern:
-    """Dip below then recovery above the starting price, same symbol."""
-    return parse(
-        f"PATTERN SEQ({TICK} a, {TICK} b, {TICK} c) "
-        "WHERE a.sym == b.sym AND b.sym == c.sym "
-        "AND b.price < a.price AND c.price > a.price "
-        f"WITHIN {within}",
-        name=name,
-    )
-
-
 def accumulation_query(within: int = 50, name: str = "accumulation") -> Pattern:
     """A same-symbol rise with *all* trades in between collected (Kleene).
 
@@ -60,17 +34,6 @@ def accumulation_query(within: int = 50, name: str = "accumulation") -> Pattern:
     return parse(
         f"PATTERN SEQ({TICK} a, {TRADE}+ ts, {TICK} c) "
         "WHERE a.sym == c.sym AND a.price < c.price AND ts.sym == a.sym "
-        f"WITHIN {within}",
-        name=name,
-    )
-
-
-def calm_rise_query(within: int = 50, volume: int = 5000, name: str = "calm_rise") -> Pattern:
-    """A same-symbol price rise with no large trade in between."""
-    return parse(
-        f"PATTERN SEQ({TICK} a, !{TRADE} t, {TICK} c) "
-        "WHERE a.sym == c.sym AND a.price < c.price "
-        f"AND t.sym == a.sym AND t.volume > {volume} "
         f"WITHIN {within}",
         name=name,
     )

@@ -21,7 +21,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.event import Event
 from repro.core.pattern import Pattern, Step
 from repro.core.predicates import Attr, Eq, Predicate
-from repro.streams.disorder import DelayModel, NoDisorder, RandomDelayModel, measure_disorder
+from repro.streams.disorder import DelayModel, NoDisorder
 
 
 def chain_query(
@@ -143,29 +143,3 @@ class SyntheticWorkload:
             )
         arrival = self.disorder.apply(events)
         return events, arrival
-
-    def describe(self) -> str:
-        """One-line config summary for bench output headers."""
-        arrival = self.disorder.apply(self.generate()[0])
-        stats = measure_disorder(arrival)
-        return (
-            f"chain={self.query_length} n={self.event_count} W={self.within} "
-            f"parts={self.partitions} disorder_rate={stats.rate:.2f} "
-            f"max_delay={stats.max_delay}"
-        )
-
-
-def rate_sweep_workloads(
-    rates: List[float],
-    max_delay: int,
-    **kwargs,
-) -> List[Tuple[float, SyntheticWorkload]]:
-    """One workload per disorder rate, sharing all other knobs."""
-    result = []
-    for rate in rates:
-        disorder = (
-            NoDisorder() if rate == 0 else RandomDelayModel(rate, max_delay, seed=kwargs.get("seed", 0))
-        )
-        workload = SyntheticWorkload(disorder=disorder, **kwargs)
-        result.append((rate, workload))
-    return result

@@ -1,19 +1,8 @@
 """Bench harness helpers (repro.bench.runner) not covered elsewhere."""
 
 from repro import OutOfOrderEngine, seq
-from repro.bench import oracle_truth, run_cell, sweep
+from repro.bench import oracle_truth, run_cell
 from helpers import make_events
-
-
-class TestSweep:
-    def test_rows_tagged_with_knob(self):
-        rows = sweep([1, 2, 3], lambda v: {"value": v * 10})
-        assert [row["knob"] for row in rows] == [1, 2, 3]
-        assert [row["value"] for row in rows] == [10, 20, 30]
-
-    def test_existing_knob_not_overwritten(self):
-        rows = sweep([1], lambda v: {"knob": "explicit"})
-        assert rows[0]["knob"] == "explicit"
 
 
 class TestRunCell:

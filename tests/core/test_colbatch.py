@@ -7,7 +7,10 @@ import pytest
 from repro import (
     Event,
     EventBatch,
-    FnPredicate,
+    Attr,
+    Const,
+    Lt,
+    Not,
     OutOfOrderEngine,
     StreamError,
     parse,
@@ -155,13 +158,10 @@ def test_feed_colbatch_matches_feed_batch():
 
 
 def test_feed_colbatch_fn_predicate_falls_back_identically():
-    def positive(bindings):
-        return bindings["a"]["x"] >= 0
-
     base = parse(QUERY)
     pattern = type(base)(
         base.steps,
-        tuple(base.where) + (FnPredicate(("a",), positive),),
+        tuple(base.where) + (Not(Lt(Attr("a", "x"), Const(0))),),
         base.within,
         base.name,
     )

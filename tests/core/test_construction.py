@@ -16,7 +16,7 @@ def build(pattern, placements):
         step, ts, arrival = placement[:3]
         attrs = placement[3] if len(placement) > 3 else None
         instance = Instance(Event(pattern.positive_steps[step].etype, ts, attrs), arrival)
-        stacks[step].insert(instance)
+        stacks.stacks[step].insert(instance)
         instances.append(instance)
     return stacks, instances
 
@@ -163,7 +163,7 @@ class TestOptimizationEquivalence:
             instance = Instance(
                 Event(pattern.positive_steps[step].etype, rng.randint(0, 60)), arrival
             )
-            stacks[step].insert(instance)
+            stacks.stacks[step].insert(instance)
             instances.append((step, instance))
         fast = SequenceConstructor(pattern, optimize=True)
         slow = SequenceConstructor(pattern, optimize=False)
@@ -179,13 +179,13 @@ class TestOptimizationEquivalence:
         arrival = 0
         for ts in range(0, 200, 2):
             arrival += 1
-            stacks[0].insert(Instance(Event("A", ts), arrival))
+            stacks.stacks[0].insert(Instance(Event("A", ts), arrival))
         for ts in range(1, 200, 2):
             arrival += 1
-            stacks[1].insert(Instance(Event("B", ts), arrival))
+            stacks.stacks[1].insert(Instance(Event("B", ts), arrival))
         arrival += 1
         trigger = Instance(Event("C", 199), arrival)
-        stacks[2].insert(trigger)
+        stacks.stacks[2].insert(trigger)
         fast_stats, slow_stats = EngineStats(), EngineStats()
         fast = SequenceConstructor(pattern, optimize=True)
         slow = SequenceConstructor(pattern, optimize=False)

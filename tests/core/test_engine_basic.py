@@ -91,7 +91,7 @@ class TestPredicateIntegration:
         engine = OutOfOrderEngine(pattern, k=0)
         engine.run([Event("A", 1, {"x": 3}), Event("B", 2)])
         assert engine.results == []
-        assert engine.stacks[0].inserted == 0
+        assert engine.stacks.stacks[0].inserted == 0
 
     def test_missing_attribute_treated_as_nonmatch(self):
         pattern = parse("PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 10")

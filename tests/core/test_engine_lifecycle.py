@@ -96,12 +96,6 @@ class TestLifecycle:
         engine.close()
         assert engine.close() == []
 
-    def test_closed_flag(self, plain_seq2):
-        engine = OutOfOrderEngine(plain_seq2, k=0)
-        assert not engine.closed
-        engine.close()
-        assert engine.closed
-
     def test_run_equals_feed_many_plus_close(self, plain_seq2, random_trace):
         first = OutOfOrderEngine(plain_seq2, k=0)
         all_emitted = first.run(random_trace)

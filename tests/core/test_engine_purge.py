@@ -33,12 +33,6 @@ class TestPurgePolicySchedule:
         with pytest.raises(ConfigurationError):
             PurgePolicy.lazy(interval=0)
 
-    def test_reset(self):
-        policy = PurgePolicy.lazy(interval=2)
-        policy.due()
-        policy.reset()
-        assert [policy.due(), policy.due()] == [False, True]
-
     def test_repr(self):
         assert "eager" in repr(PurgePolicy.eager())
         assert "interval=7" in repr(PurgePolicy.lazy(interval=7))
@@ -49,33 +43,23 @@ class TestPurgerThresholds:
     def _stacks(self, length, placements):
         stacks = StackSet(length)
         for step, ts in placements:
-            stacks[step].insert(Instance(Event("X", ts), 0))
+            stacks.stacks[step].insert(Instance(Event("X", ts), 0))
         return stacks
 
     def test_non_final_steps_keep_window_reach(self):
         purger = Purger(window=10, pattern_length=2)
         stacks = self._stacks(2, [(0, 5), (0, 20), (1, 5), (1, 20)])
-        purger.run(horizon=15, stacks=stacks)
+        purger.cut(15, *purger.resolve(stacks.stacks, ()))
         # step 0 threshold: horizon - W = 5 -> ts<=5 purged.
-        assert [i.ts for i in stacks[0]] == [20]
+        assert [i.ts for i in stacks.stacks[0]] == [20]
         # final step threshold: horizon + 1 = 16 -> ts<=16 purged.
-        assert [i.ts for i in stacks[1]] == [20]
+        assert [i.ts for i in stacks.stacks[1]] == [20]
 
     def test_negative_horizon_is_noop(self):
         purger = Purger(window=10, pattern_length=2)
         stacks = self._stacks(2, [(0, 5)])
-        assert purger.run(horizon=-1, stacks=stacks) == 0
+        assert purger.cut(-1, *purger.resolve(stacks.stacks, ()))[:2] == (0, 0)
         assert stacks.size() == 1
-
-    def test_stats_updated(self):
-        from repro.core.stats import EngineStats
-
-        purger = Purger(window=2, pattern_length=1)
-        stacks = self._stacks(1, [(0, 1), (0, 2)])
-        stats = EngineStats()
-        purger.run(horizon=5, stacks=stacks, stats=stats)
-        assert stats.purge_runs == 1
-        assert stats.instances_purged == 2
 
 
 class TestPurgeSafety:
@@ -160,7 +144,7 @@ class TestPurgeEffectiveness:
         engine.feed(Event("Z", 100))  # advances clock, purges A@1
         engine.feed(Event("B", 101))
         # A@1..B@101 exceeds window anyway; check state truly empty of A
-        assert engine.stacks[0].min_ts() is None or engine.stacks[0].min_ts() > 1
+        assert all(instance.ts > 1 for instance in engine.stacks.stacks[0])
 
 
 class TestSharedPolicyGuard:

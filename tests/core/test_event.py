@@ -100,10 +100,6 @@ class TestEventEquality:
     def test_not_equal_to_other_types(self):
         assert Event("A", 1) != "A@1"
 
-    def test_key_triple(self):
-        event = Event("A", 3, eid=9)
-        assert event.key() == ("A", 3, 9)
-
 
 class TestPunctuation:
     def test_fields_and_equality(self):

@@ -28,7 +28,7 @@ def build(pattern, placements, constructor):
         instance = Instance(
             Event(pattern.positive_steps[step].etype, ts, attrs), arrival
         )
-        stacks[step].insert(instance)
+        stacks.stacks[step].insert(instance)
         instances.append(instance)
     return stacks, instances
 
@@ -130,8 +130,8 @@ class TestIndexedConstruction:
         stacks = StackSet(pattern.length)  # no indexed_attrs
         a = Instance(Event("A", 1, {"x": 1}), 1)
         b = Instance(Event("B", 5, {"x": 1}), 2)
-        stacks[0].insert(a)
-        stacks[1].insert(b)
+        stacks.stacks[0].insert(a)
+        stacks.stacks[1].insert(b)
         stats = EngineStats()
         matches = constructor.construct(stacks, 1, b, stats)
         assert len(matches) == 1
@@ -157,8 +157,8 @@ class TestIndexedConstruction:
             placements.append((step, Instance(event, arrival)))
         stats_i, stats_r = EngineStats(), EngineStats()
         for step, instance in placements:
-            stacks_i[step].insert(instance)
-            stacks_r[step].insert(Instance(instance.event, instance.arrival))
+            stacks_i.stacks[step].insert(instance)
+            stacks_r.stacks[step].insert(Instance(instance.event, instance.arrival))
             got = {
                 m.key() for m in indexed.construct(stacks_i, step, instance, stats_i)
             }

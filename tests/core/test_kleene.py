@@ -12,7 +12,6 @@ from repro import (
     QueryError,
     ReorderingEngine,
     Step,
-    oracle_matches,
     parse,
     seq,
 )
@@ -68,15 +67,15 @@ class TestPatternCompilation:
 
 class TestOracleSemantics:
     def test_collects_all_qualifying_events(self, abc_kleene):
-        matches = oracle_matches(abc_kleene, make_events("A1 B3 B5 C9"))
+        matches = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 B5 C9"))
         assert len(matches) == 1
         assert [e.ts for e in matches[0].collections["bs"]] == [3, 5]
 
     def test_empty_collection_cancels_match(self, abc_kleene):
-        assert oracle_matches(abc_kleene, make_events("A1 C9")) == []
+        assert OfflineOracle(abc_kleene).evaluate(make_events("A1 C9")) == []
 
     def test_elements_strictly_inside_anchor_interval(self, abc_kleene):
-        matches = oracle_matches(abc_kleene, make_events("B1 A1 B9 C9 B5"))
+        matches = OfflineOracle(abc_kleene).evaluate(make_events("B1 A1 B9 C9 B5"))
         assert len(matches) == 1
         assert [e.ts for e in matches[0].collections["bs"]] == [5]
 
@@ -87,7 +86,7 @@ class TestOracleSemantics:
             Event("B", 4, {"x": 2}),  # wrong partition: not collected
             Event("C", 9, {"x": 1}),
         ]
-        matches = oracle_matches(keyed_kleene, events)
+        matches = OfflineOracle(keyed_kleene).evaluate(events)
         assert len(matches) == 1
         assert [e.ts for e in matches[0].collections["bs"]] == [3]
 
@@ -97,22 +96,22 @@ class TestOracleSemantics:
             Event("B", 3, {"x": 2}),
             Event("C", 9, {"x": 1}),
         ]
-        assert oracle_matches(keyed_kleene, events) == []
+        assert OfflineOracle(keyed_kleene).evaluate(events) == []
 
     def test_per_anchor_combination_collections(self, abc_kleene):
-        matches = oracle_matches(abc_kleene, make_events("A1 B3 C5 B7 C9"))
+        matches = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 C5 B7 C9"))
         by_c = {m.events[1].ts: [e.ts for e in m.collections["bs"]] for m in matches}
         assert by_c == {5: [3], 9: [3, 7]}
 
     def test_two_kleene_steps(self):
         pattern = seq("A a", "B+ bs", "C c", "D+ ds", "E e", within=40)
-        matches = oracle_matches(pattern, make_events("A1 B2 B3 C5 D7 E9"))
+        matches = OfflineOracle(pattern).evaluate(make_events("A1 B2 B3 C5 D7 E9"))
         assert len(matches) == 1
         assert len(matches[0].collections) == 2
 
     def test_match_key_includes_collections(self, abc_kleene):
-        first = oracle_matches(abc_kleene, make_events("A1 B3 C9"))[0]
-        second = oracle_matches(abc_kleene, make_events("A1 B3 B5 C9"))[0]
+        first = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 C9"))[0]
+        second = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 B5 C9"))[0]
         assert first.key() != second.key()
 
 
@@ -208,7 +207,7 @@ class TestOtherEngines:
 
 class TestBindingsAndTransformation:
     def test_bindings_include_collection(self, abc_kleene):
-        match = oracle_matches(abc_kleene, make_events("A1 B3 C9"))[0]
+        match = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 C9"))[0]
         bindings = match.bindings()
         assert bindings["a"].ts == 1
         assert [e.ts for e in bindings["bs"]] == [3]
@@ -219,9 +218,9 @@ class TestBindingsAndTransformation:
         factory = CompositeEventFactory(
             "BURST", {"count": lambda b: len(b["bs"])}
         )
-        match = oracle_matches(abc_kleene, make_events("A1 B3 B5 B7 C9"))[0]
+        match = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 B5 B7 C9"))[0]
         assert factory.build(match)["count"] == 3
 
     def test_repr_shows_collection(self, abc_kleene):
-        match = oracle_matches(abc_kleene, make_events("A1 B3 C9"))[0]
+        match = OfflineOracle(abc_kleene).evaluate(make_events("A1 B3 C9"))[0]
         assert "bs=[B@3]" in repr(match)

@@ -5,32 +5,32 @@ import random
 
 import pytest
 
-from repro import Event, OfflineOracle, oracle_matches, parse, seq
+from repro import Event, OfflineOracle, parse, seq
 from helpers import make_events
 
 
 class TestBasicSemantics:
     def test_simple_sequence(self):
         pattern = seq("A a", "B b", within=10)
-        matches = oracle_matches(pattern, make_events("A1 B3"))
+        matches = OfflineOracle(pattern).evaluate(make_events("A1 B3"))
         assert len(matches) == 1
 
     def test_order_matters(self):
         pattern = seq("A a", "B b", within=10)
-        assert oracle_matches(pattern, make_events("B1 A3")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("B1 A3")) == []
 
     def test_strictly_increasing_timestamps(self):
         pattern = seq("A a", "B b", within=10)
-        assert oracle_matches(pattern, make_events("A5 B5")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("A5 B5")) == []
 
     def test_window_boundary(self):
         pattern = seq("A a", "B b", within=4)
-        assert len(oracle_matches(pattern, make_events("A1 B5"))) == 1
-        assert oracle_matches(pattern, make_events("A1 B6")) == []
+        assert len(OfflineOracle(pattern).evaluate(make_events("A1 B5"))) == 1
+        assert OfflineOracle(pattern).evaluate(make_events("A1 B6")) == []
 
     def test_skip_till_any_match_enumerates_all(self):
         pattern = seq("A a", "B b", within=100)
-        matches = oracle_matches(pattern, make_events("A1 A2 B3 B4"))
+        matches = OfflineOracle(pattern).evaluate(make_events("A1 A2 B3 B4"))
         assert len(matches) == 4
 
     def test_input_order_irrelevant(self):
@@ -42,11 +42,11 @@ class TestBasicSemantics:
 
     def test_no_candidates_of_some_type(self):
         pattern = seq("A a", "B b", within=10)
-        assert oracle_matches(pattern, make_events("A1 A2")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("A1 A2")) == []
 
     def test_empty_input(self):
         pattern = seq("A a", within=10)
-        assert oracle_matches(pattern, []) == []
+        assert OfflineOracle(pattern).evaluate([]) == []
 
 
 class TestPredicateSemantics:
@@ -57,26 +57,26 @@ class TestPredicateSemantics:
             Event("B", 2, {"x": 1}),
             Event("B", 3, {"x": 2}),
         ]
-        matches = oracle_matches(pattern, events)
+        matches = OfflineOracle(pattern).evaluate(events)
         assert len(matches) == 1
         assert matches[0].events[1]["x"] == 1
 
     def test_constant_predicates(self):
         pattern = parse("PATTERN SEQ(A a, B b) WHERE b.x > 5 WITHIN 10")
         events = [Event("A", 1), Event("B", 2, {"x": 3}), Event("B", 3, {"x": 7})]
-        assert len(oracle_matches(pattern, events)) == 1
+        assert len(OfflineOracle(pattern).evaluate(events)) == 1
 
 
 class TestNegationSemantics:
     def test_inner_negation_blocks(self):
         pattern = seq("A a", "!B b", "C c", within=10)
-        assert oracle_matches(pattern, make_events("A1 B3 C5")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("A1 B3 C5")) == []
 
     def test_inner_negation_boundaries_open(self):
         pattern = seq("A a", "!B b", "C c", within=10)
         # B exactly at A's or C's timestamp does not block.
-        assert len(oracle_matches(pattern, make_events("A1 B1 C5"))) == 1
-        assert len(oracle_matches(pattern, make_events("A1 B5 C5"))) == 1
+        assert len(OfflineOracle(pattern).evaluate(make_events("A1 B1 C5"))) == 1
+        assert len(OfflineOracle(pattern).evaluate(make_events("A1 B5 C5"))) == 1
 
     def test_negation_predicate_must_hold_to_block(self):
         pattern = parse(
@@ -87,26 +87,26 @@ class TestNegationSemantics:
             Event("B", 3, {"x": 2}),  # different partition: doesn't block
             Event("C", 5, {"x": 9}),
         ]
-        assert len(oracle_matches(pattern, events)) == 1
+        assert len(OfflineOracle(pattern).evaluate(events)) == 1
 
     def test_leading_negation_blocks_within_window_prefix(self):
         pattern = seq("!B b", "A a", "C c", within=10)
         # B@12 with A@20, C@25: window floor is 25-10=15, so B@12 is too old.
-        assert len(oracle_matches(pattern, make_events("B12 A20 C25"))) == 1
+        assert len(OfflineOracle(pattern).evaluate(make_events("B12 A20 C25"))) == 1
         # B@16 is inside [15, 20): blocks.
-        assert oracle_matches(pattern, make_events("B16 A20 C25")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("B16 A20 C25")) == []
 
     def test_trailing_negation_blocks_within_window_suffix(self):
         pattern = seq("A a", "C c", "!B b", within=10)
         # Window roof is 20+10=30; B@28 blocks, B@31 does not.
-        assert oracle_matches(pattern, make_events("A20 C25 B28")) == []
-        assert len(oracle_matches(pattern, make_events("A20 C25 B31"))) == 1
+        assert OfflineOracle(pattern).evaluate(make_events("A20 C25 B28")) == []
+        assert len(OfflineOracle(pattern).evaluate(make_events("A20 C25 B31"))) == 1
 
     def test_multiple_negations(self):
         pattern = seq("A a", "!B b", "C c", "!D d", "E e", within=50)
-        assert len(oracle_matches(pattern, make_events("A1 C5 E9"))) == 1
-        assert oracle_matches(pattern, make_events("A1 B3 C5 E9")) == []
-        assert oracle_matches(pattern, make_events("A1 C5 D7 E9")) == []
+        assert len(OfflineOracle(pattern).evaluate(make_events("A1 C5 E9"))) == 1
+        assert OfflineOracle(pattern).evaluate(make_events("A1 B3 C5 E9")) == []
+        assert OfflineOracle(pattern).evaluate(make_events("A1 C5 D7 E9")) == []
 
 
 class TestOracleAgainstBruteForce:
@@ -119,9 +119,11 @@ class TestOracleAgainstBruteForce:
         pools = [by_type.get(s.etype, []) for s in pattern.positive_steps]
         result = set()
         for combo in itertools.product(*pools):
-            if not pattern.temporal_ok(list(combo)):
+            stamps = [e.ts for e in combo]
+            if stamps != sorted(set(stamps)) or stamps[-1] - stamps[0] > pattern.within:
                 continue
-            if not pattern.check_positive_predicates(pattern.bindings_for(list(combo))):
+            bindings = pattern.bindings_for(list(combo))
+            if not all(p.evaluate(bindings) for p in pattern.positive_predicates):
                 continue
             blocked = False
             for bracket in pattern.negations:

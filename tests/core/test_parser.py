@@ -15,7 +15,7 @@ class TestBasicParsing:
     def test_multi_step_with_negation(self):
         pattern = parse("PATTERN SEQ(A a, !B b, C c) WITHIN 100")
         assert pattern.length == 2
-        assert pattern.has_negation
+        assert pattern.negations
         assert pattern.negated_types == {"B"}
 
     def test_where_clause(self):

@@ -151,12 +151,6 @@ class TestMultiQueryPlan:
         with pytest.raises(ConfigurationError):
             MultiQueryPlan([])
 
-    def test_state_size_sums_members(self):
-        q1 = seq("A a", "B b", within=10, name="q1")
-        multi = MultiQueryPlan([QueryPlan(OutOfOrderEngine(q1, k=1000))])
-        multi.feed_many(make_events("A1 A2"))
-        assert multi.state_size() == 2
-
 
 class TestCompositionChaining:
     def test_composites_feed_downstream_query(self):

@@ -9,7 +9,6 @@ from repro import (
     Const,
     Eq,
     Event,
-    FnPredicate,
     Ge,
     Gt,
     Le,
@@ -133,38 +132,9 @@ class TestBooleanCombinators:
     def test_not_inverts(self, bindings):
         assert Not(Eq(Attr("a", "x"), Const(999))).evaluate(bindings)
 
-    def test_dunder_and_builds_conjunction(self, bindings):
-        combined = Eq(Attr("a", "x"), Const(5)) & Gt(Attr("c", "x"), Const(6))
-        assert isinstance(combined, And)
-        assert combined.evaluate(bindings)
-
     def test_variables_aggregate(self):
         predicate = Or([Eq(Attr("a", "x"), Const(1)), Eq(Attr("b", "x"), Const(1))])
         assert predicate.variables() == frozenset({"a", "b"})
-
-    def test_and_collects_equality_pairs(self):
-        predicate = And(
-            [Eq(Attr("a", "x"), Attr("b", "x")), Eq(Attr("b", "y"), Attr("c", "y"))]
-        )
-        assert len(predicate.equality_pairs()) == 2
-
-
-class TestFnPredicate:
-    def test_evaluates_callable(self, bindings):
-        predicate = FnPredicate(("a", "b"), lambda b: b["a"]["x"] + b["b"]["x"] == 10)
-        assert predicate.evaluate(bindings)
-
-    def test_requires_variables(self):
-        with pytest.raises(QueryError):
-            FnPredicate((), lambda b: True)
-
-    def test_requires_callable(self):
-        with pytest.raises(QueryError):
-            FnPredicate(("a",), "not callable")
-
-    def test_label_in_repr(self):
-        predicate = FnPredicate(("a",), lambda b: True, label="mytest")
-        assert "mytest" in repr(predicate)
 
 
 class TestStaging:

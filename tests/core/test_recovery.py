@@ -30,7 +30,6 @@ from repro.core.recovery import (
     CHECKPOINT_NAME,
     DELIVERED_NAME,
     WAL_NAME,
-    clear_state,
     decode_element,
     encode_element,
 )
@@ -125,16 +124,6 @@ class TestPlainOperation:
         runner.run(trace(30))
         assert runner.close() == []
 
-    def test_clear_state(self, tmp_path):
-        ResilientRunner(make_engine(), tmp_path, checkpoint_every=10).run(trace(30))
-        clear_state(tmp_path)
-        assert not any(
-            (tmp_path / name).exists()
-            for name in (WAL_NAME, CHECKPOINT_NAME, DELIVERED_NAME)
-        )
-        fresh = ResilientRunner(make_engine(), tmp_path, checkpoint_every=10)
-        assert not fresh.recovered
-
 
 class TestCrashRecovery:
     def _crash_and_recover(self, tmp_path, stream, crash_at, interval):
@@ -198,6 +187,55 @@ class TestCrashRecovery:
         keys = [json.dumps(json.loads(line)["key"]) for line in lines]
         assert len(keys) == len(set(keys))
         assert recovered.delivered_count == len(keys)
+
+
+    @pytest.mark.parametrize("delivered_before_crash", ["none", "some"])
+    def test_crash_between_close_sentinel_and_final_checkpoint(
+        self, tmp_path, delivered_before_crash
+    ):
+        """close() logs its sentinel, delivers what the close releases,
+        then checkpoints.  A crash before that checkpoint leaves the
+        sentinel, the pre-close checkpoint and none or some of the
+        close's delivery lines: recovery must redo the close."""
+        pattern = seq("A a", "B b", "!C c", within=12,
+                      where=[Eq(Attr("a", "x"), Attr("b", "x"))], name="close")
+        rng = random.Random(5)
+        events = [Event(rng.choice("ABC"), ts, {"x": rng.randint(0, 2)})
+                  for ts in range(1, 121)]
+        stream = bounded_shuffle(events, k=K, seed=6)
+        plain_dir, crash_dir = tmp_path / "plain", tmp_path / "crash"
+        ResilientRunner(OutOfOrderEngine(pattern, k=K), plain_dir,
+                        checkpoint_every=25).run(stream)
+        closed = (plain_dir / DELIVERED_NAME).read_bytes()
+
+        runner = ResilientRunner(OutOfOrderEngine(pattern, k=K), crash_dir,
+                                 checkpoint_every=25)
+        for element in stream:
+            runner.feed(element)
+        runner.checkpoint()
+        runner._close_handles()
+        fed = (crash_dir / DELIVERED_NAME).read_bytes()
+        tail = closed[len(fed):].splitlines(keepends=True)
+        assert closed.startswith(fed) and len(tail) >= 2  # the close releases matches
+        kept = 0 if delivered_before_crash == "none" else len(tail) // 2
+        with (crash_dir / WAL_NAME).open("ab") as wal:
+            wal.write(b'{"kind": "close"}\n')
+        with (crash_dir / DELIVERED_NAME).open("ab") as log:
+            log.write(b"".join(tail[:kept]))
+
+        recovered = ResilientRunner(OutOfOrderEngine(pattern, k=K), crash_dir,
+                                    checkpoint_every=25)
+        assert recovered.recovered and recovered.replayed_elements == 0
+        assert [m.key() for m in recovered.matches] == [
+            recovery._hashable(json.loads(line)["key"]) for line in tail[kept:]
+        ]
+        assert (crash_dir / DELIVERED_NAME).read_bytes() == closed
+        keys = [json.dumps(json.loads(line)["key"]) for line in closed.splitlines()]
+        assert len(keys) == len(set(keys))
+        again = ResilientRunner(OutOfOrderEngine(pattern, k=K), crash_dir,
+                                checkpoint_every=25)
+        assert again.run(stream) == [] and again.matches == []
+        assert (crash_dir / DELIVERED_NAME).read_bytes() == closed
 
 
 class TestLogRepairAndErrors:

@@ -65,14 +65,8 @@ class TestSortedStackQueries:
     def test_range_after_with_max_inclusive(self, stack):
         assert [i.ts for i in stack.range_after(2, max_ts=8)] == [4, 6, 8]
 
-    def test_min_max_ts(self, stack):
-        assert stack.min_ts() == 2
-        assert stack.max_ts() == 10
-
     def test_empty_stack_queries(self):
         stack = SortedStack(0)
-        assert stack.min_ts() is None
-        assert stack.max_ts() is None
         assert stack.range_after(0) == []
 
 
@@ -105,14 +99,6 @@ class TestSortedStackPurge:
             stack.insert(inst(ts))
         stack.purge_through(6)
         assert [i.ts for i in stack] == [8, 10]
-
-    def test_clear(self):
-        stack = SortedStack(0)
-        for ts in (1, 2, 3):
-            stack.insert(inst(ts))
-        stack.clear()
-        assert len(stack) == 0
-        assert stack.purged == 3
 
 
 def ainst(ts: int, part, arrival: int = 0, etype: str = "A") -> Instance:
@@ -197,12 +183,6 @@ class TestEqualityIndex:
         got = stack.equality_candidates("part", 1, 0, 100)
         assert [i.ts for i in got] == [4]
 
-    def test_clear_drops_postings(self):
-        stack = SortedStack(0, indexed_attrs=("part",))
-        stack.insert(ainst(1, part=1))
-        stack.clear()
-        assert stack.equality_candidates("part", 1, 0, 100) == ()
-
     def test_restore_rebuilds_postings(self):
         stack = SortedStack(0, indexed_attrs=("part",))
         for ts in (7, 3, 5):
@@ -246,7 +226,7 @@ class TestEqualityIndex:
             assert list(got) == want
 
     def test_stackset_routes_indexed_attrs_per_step(self):
-        stacks = StackSet(3, indexed_attrs=[(), ("part",), ()])
+        stacks = StackSet(3, indexed_attrs=[(), ("part",), ()]).stacks
         assert stacks[0].indexed_attrs == ()
         assert stacks[1].indexed_attrs == ("part",)
         stacks[1].insert(ainst(4, part=2))
@@ -257,12 +237,11 @@ class TestEqualityIndex:
 class TestStackSet:
     def test_sizes_and_total(self):
         stacks = StackSet(3)
-        stacks[0].insert(inst(1))
-        stacks[0].insert(inst(2))
-        stacks[2].insert(inst(3))
-        assert stacks.sizes() == [2, 0, 1]
+        stacks.stacks[0].insert(inst(1))
+        stacks.stacks[0].insert(inst(2))
+        stacks.stacks[2].insert(inst(3))
+        assert [len(stack) for stack in stacks] == [2, 0, 1]
         assert stacks.size() == 3
-        assert len(stacks) == 3
 
     def test_iteration(self):
         stacks = StackSet(2)

@@ -105,7 +105,8 @@ def observe_engine(engine, history=True):
         "matches": len(engine.results),
         "stats": engine.stats.as_dict(),
         "state_size": engine.state_size(),
-        "clock": [engine.clock.now, engine.clock.horizon(), engine.clock.observations],
+        "clock": [engine.clock.now, engine.clock.horizon(),
+                  engine.clock.snapshot_state()["observations"]],
         "k": engine.clock.k,
         "arrival_index": engine.arrival_index,
     }

@@ -39,7 +39,7 @@ def test_golden_case(case):
     reason, idem = schema.screen(etype, attrs)
     assert reason == case["reason"]
     assert idem == case["idem"]
-    assert schema.check_frame(etype, attrs) == case["reason"]
+    assert schema.decide(etype, attrs)[0] == case["reason"]
     if case["reason"] is None:
         assert schema.idempotency_id(etype, attrs) == case["idem"]
         assert schema.derive_eid(case["idem"]) == case["eid"]
@@ -75,7 +75,7 @@ def _record() -> None:
     for case in TABLE["cases"]:
         schema = SCHEMAS[case["schema"]]
         etype, attrs = case["etype"], case["attrs"]
-        case["reason"] = schema.check_frame(etype, attrs)
+        case["reason"] = schema.decide(etype, attrs)[0]
         case["idem"] = case["eid"] = None
         if case["reason"] is None:
             case["idem"] = schema.idempotency_id(etype, attrs)

@@ -21,7 +21,7 @@ def test_exponential_growth_without_jitter():
 
 def test_cap_bounds_every_delay():
     policy = BackoffPolicy(base=0.5, factor=3.0, cap=2.0, jitter=0.0, retries=6)
-    assert max(policy.delays()) == 2.0
+    assert max(policy.delay(n) for n in range(policy.retries)) == 2.0
 
 
 def test_jitter_stays_inside_declared_band():
@@ -34,9 +34,10 @@ def test_jitter_stays_inside_declared_band():
 def test_schedule_is_a_pure_function_of_seed_and_attempt():
     a = BackoffPolicy(seed=3)
     b = BackoffPolicy(seed=3)
-    assert list(a.delays()) == list(b.delays())
     c = BackoffPolicy(seed=4)
-    assert list(a.delays()) != list(c.delays())
+    attempts = range(a.retries)
+    assert [a.delay(n) for n in attempts] == [b.delay(n) for n in attempts]
+    assert [a.delay(n) for n in attempts] != [c.delay(n) for n in attempts]
 
 
 def test_reseeded_copies_spread_a_fleet():

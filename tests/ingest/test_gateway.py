@@ -146,7 +146,6 @@ def test_quarantine_parity_with_engine_side_validation(tmp_path):
         quarantined=gateway.admission.quarantined,
     )
     assert gateway_report.quarantined == engine_report.quarantined
-    assert gateway_report.degraded == engine_report.degraded
     assert gateway_report.recall == engine_report.recall
 
 

@@ -19,7 +19,7 @@ from ingest_helpers import make_schema
 
 def test_valid_frame_passes():
     schema = make_schema()
-    assert schema.check_frame("A", {"ts": 5, "x": 1}) is None
+    assert schema.decide("A", {"ts": 5, "x": 1})[0] is None
 
 
 @pytest.mark.parametrize(
@@ -37,7 +37,7 @@ def test_valid_frame_passes():
 )
 def test_quarantine_reasons(etype, attrs, fragment):
     schema = make_schema()
-    reason = schema.check_frame(etype, attrs)
+    reason = schema.decide(etype, attrs)[0]
     assert reason is not None and fragment in reason
 
 
@@ -45,7 +45,7 @@ def test_gateway_checks_subsume_engine_admission():
     """Any frame the schema admits builds an event the engine admits."""
     schema = make_schema()
     for attrs in ({"ts": 0, "x": 1}, {"ts": 7, "x": -3}, {"ts": 10**9, "x": 0}):
-        assert schema.check_frame("A", attrs) is None
+        assert schema.decide("A", attrs)[0] is None
         event = schema.build_event("A", attrs)
         assert malformed_reason(event) is None
 
@@ -80,13 +80,13 @@ def test_optional_fields_may_be_absent():
         events=[EventSchema("A", [FieldSpec("ts", "int"),
                                   FieldSpec("note", "str", required=False)])],
     )
-    assert schema.check_frame("A", {"ts": 1}) is None
-    assert schema.check_frame("A", {"ts": 1, "note": 5}) is not None
+    assert schema.decide("A", {"ts": 1})[0] is None
+    assert schema.decide("A", {"ts": 1, "note": 5})[0] is not None
 
 
 def test_partition_key_is_required_when_declared():
     schema = make_schema(slack=0, partition_key="x")
-    assert schema.check_frame("A", {"ts": 1}) is not None
+    assert schema.decide("A", {"ts": 1})[0] is not None
     assert schema.partition_of({"x": 9}) == 9
 
 

@@ -68,7 +68,7 @@ def test_every_record_is_on_disk_when_its_call_returns(tmp_path):
     gateway.tick(now=40.0)
     assert journal(tmp_path)[-1]["kind"] == "transition"
     assert journal(tmp_path)[-1]["status"] == "degraded"
-    gateway.dump_flight()
+    gateway._dump_flight("manual")
     header, _ = load_flight((tmp_path / "flight.jsonl").read_text())
     assert header["reason"] == "manual"
     gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=41.0)
@@ -114,7 +114,7 @@ def test_a_durable_gateway_starts_no_thread(tmp_path):
     second = build()
     second.admit_frame("s1", "B", {"ts": 8, "x": 2}, now=40.0)
     second.sync_acks()
-    second.dump_flight()
+    second._dump_flight("manual")
     second.seal()
     note()
     kinds = [record["kind"] for record in journal(tmp_path)]

@@ -215,9 +215,9 @@ def test_crash_dumps_flight_and_explain_reads_it(tmp_path, capsys):
 def test_manual_dump_truncates_previous(tmp_path):
     gateway = make_observed_gateway(tmp_path)
     gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.dump_flight("first")
+    gateway._dump_flight("first")
     gateway.admit_frame("s1", "B", {"ts": 3, "x": 7}, now=0.1)
-    gateway.dump_flight("second")
+    gateway._dump_flight("second")
     text = (tmp_path / "flight.jsonl").read_text(encoding="utf-8")
     # Exactly one header: the second dump replaced the first.
     headers = [
@@ -248,7 +248,7 @@ def test_fence_records_reach_the_flight(tmp_path):
         gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
         gateway.tick(now=10.0)  # silent past the timeout: fence
         gateway.admit_frame("s1", "A", {"ts": 2, "x": 8}, now=10.5)  # recovery
-        gateway.dump_flight()
+        gateway._dump_flight("manual")
         header, records = load_flight(
             (tmp_path / "flight.jsonl").read_text(encoding="utf-8")
         )
@@ -291,7 +291,7 @@ def test_retractions_reach_the_flight_when_a_receiver_takes_them(tmp_path):
         gateway.sync_acks()
         assert sum(len(retractions) for __, retractions in taken) == 1
         assert gateway.engine.speculation.retractions == []
-        gateway.dump_flight()
+        gateway._dump_flight("manual")
         __, records = load_flight((tmp_path / "flight.jsonl").read_text(encoding="utf-8"))
         assert [r.value for r in records if r.kind == "retraction"] == [1]
 
@@ -310,6 +310,6 @@ def test_disabled_observability_writes_nothing(tmp_path):
         directory=tmp_path,
     )
     gateway.admit_frame("s1", "A", {"ts": 1, "x": 7}, now=0.0)
-    gateway.dump_flight()  # no recorder: a no-op, not an error
+    gateway._dump_flight("manual")  # no recorder: a no-op, not an error
     assert not (tmp_path / "flight.jsonl").exists()
     assert gateway._spans is None and gateway._lag_panel is None

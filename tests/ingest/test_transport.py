@@ -21,7 +21,6 @@ from repro.ingest import (
     GatewayConfig,
     IngestClient,
     IngestGateway,
-    send_events,
     serve_in_thread,
 )
 from repro.ingest.server import MAX_FRAME_BYTES
@@ -76,7 +75,11 @@ def test_socket_roundtrip_equals_inprocess_run(tmp_path):
     gateway = build_gateway(tmp_path)
     handle = serve_in_thread(gateway)
     try:
-        report = send_events("127.0.0.1", handle.port, "s1", "orders", frames)
+        client = IngestClient("127.0.0.1", handle.port, "s1", "orders")
+        client.connect()
+        for etype, attrs in frames:
+            client.send(etype, attrs)
+        report = client.close()
     finally:
         handle.stop(seal=True)
     assert report.admitted == len(frames)
@@ -158,9 +161,11 @@ def test_lost_ack_and_duplicate_send_are_absorbed(tmp_path):
     gateway = build_gateway(tmp_path)
     handle = serve_in_thread(gateway)
     try:
-        report = send_events(
-            "127.0.0.1", handle.port, "s1", "orders", frames, fault_plan=plan
-        )
+        client = IngestClient("127.0.0.1", handle.port, "s1", "orders", fault_plan=plan)
+        client.connect()
+        for etype, attrs in frames:
+            client.send(etype, attrs)
+        report = client.close()
     finally:
         handle.stop(seal=True)
     assert report.reconnects >= 1
@@ -178,9 +183,11 @@ def test_torn_before_send_is_a_clean_resend(tmp_path):
     gateway = build_gateway(tmp_path)
     handle = serve_in_thread(gateway)
     try:
-        report = send_events(
-            "127.0.0.1", handle.port, "s1", "orders", frames, fault_plan=plan
-        )
+        client = IngestClient("127.0.0.1", handle.port, "s1", "orders", fault_plan=plan)
+        client.connect()
+        for etype, attrs in frames:
+            client.send(etype, attrs)
+        report = client.close()
     finally:
         handle.stop(seal=True)
     assert report.reconnects >= 1
@@ -212,7 +219,11 @@ def run_crash_scenario(tmp_path, crash_at, frames):
     watchdog = threading.Thread(target=restart, daemon=True)
     watchdog.start()
     try:
-        report = send_events("127.0.0.1", port, "s1", "orders", frames, window=4)
+        client = IngestClient("127.0.0.1", port, "s1", "orders", window=4)
+        client.connect()
+        for etype, attrs in frames:
+            client.send(etype, attrs)
+        report = client.close()
     finally:
         watchdog.join(timeout=10.0)
         if "handle" in restarted:
@@ -253,7 +264,11 @@ def test_recovered_gateway_reports_replay_in_hello(tmp_path):
     gateway = build_gateway(tmp_path)
     handle = serve_in_thread(gateway)
     try:
-        send_events("127.0.0.1", handle.port, "s1", "orders", frames)
+        client = IngestClient("127.0.0.1", handle.port, "s1", "orders")
+        client.connect()
+        for etype, attrs in frames:
+            client.send(etype, attrs)
+        client.close()
     finally:
         handle.stop(seal=False)  # stop without sealing: a restart, not a shutdown
 
@@ -323,7 +338,11 @@ def test_malformed_frame_is_an_error_reply_not_a_dead_handler(tmp_path, bad):
         # Acked means durable: the cohort was group-committed before the close.
         assert len(read_wal_elements(tmp_path)) >= 2
         # The handler survived: the gateway still serves the next connection.
-        report = send_events("127.0.0.1", handle.port, "s2", "orders", frames_for(2))
+        client = IngestClient("127.0.0.1", handle.port, "s2", "orders")
+        client.connect()
+        for etype, attrs in frames_for(2):
+            client.send(etype, attrs)
+        report = client.close()
         assert report.admitted == 4
     finally:
         handle.stop(seal=True)
@@ -339,7 +358,11 @@ def test_newline_free_source_is_cut_off_at_the_frame_cap(tmp_path):
         assert [reply["op"] for reply in replies] == ["hello_ok", "ack", "error"]
         assert replies[1]["status"] == "admitted"
         assert str(MAX_FRAME_BYTES) in replies[-1]["reason"]
-        report = send_events("127.0.0.1", handle.port, "s2", "orders", frames_for(2))
+        client = IngestClient("127.0.0.1", handle.port, "s2", "orders")
+        client.connect()
+        for etype, attrs in frames_for(2):
+            client.send(etype, attrs)
+        report = client.close()
         assert report.admitted == 4
     finally:
         handle.stop(seal=True)

@@ -6,13 +6,12 @@ from repro import (
     OutOfOrderEngine,
     PartitionedEngine,
     QueryPlan,
+    parse,
 )
 from repro.cli import main as cli_main
 from repro.streams import dump_trace, required_k, star_arrival
 from repro.workloads import (
     RfidStoreGenerator,
-    detected_tags,
-    restock_query,
     shoplifting_query,
 )
 
@@ -25,11 +24,13 @@ class TestRegistryOverNetsim:
         arrival, _times = star_arrival(trace.by_reader, (0, 120), seed=92)
         k = required_k(arrival)
         shoplift = QueryPlan(OutOfOrderEngine(shoplifting_query(2000), k=k))
-        restock_pattern = restock_query(2000)
+        restock_pattern = parse(
+            "PATTERN SEQ(COUNTER_READ c, SHELF_READ s) WHERE c.tag == s.tag WITHIN 2000"
+        )
         restock = QueryPlan(PartitionedEngine(restock_pattern, k=k))
         MultiQueryPlan([shoplift, restock]).run(arrival)
 
-        assert detected_tags(shoplift.matches) == trace.shoplifted_tags
+        assert {m.events[0]["tag"] for m in shoplift.matches} == trace.shoplifted_tags
         restock_truth = OfflineOracle(restock_pattern).evaluate_set(trace.merged)
         assert {match.key() for match in restock.matches} == restock_truth
 

@@ -1,9 +1,6 @@
 """Quality and reporting metrics (repro.metrics)."""
 
-from repro import Event
-from repro.core.pattern import Match
 from repro.metrics import (
-    compare,
     compare_keys,
     format_cell,
     render_series,
@@ -18,7 +15,6 @@ class TestQualityReport:
         assert report.recall == 1.0
         assert report.precision == 1.0
         assert report.exact
-        assert report.f1 == 1.0
 
     def test_missed(self):
         truth = {("q", (1,)), ("q", (2,))}
@@ -42,15 +38,6 @@ class TestQualityReport:
         assert report.recall == 0.0
         assert report.precision == 0.0
 
-    def test_f1_zero_when_nothing_right(self):
-        report = compare_keys({("q", (1,))}, {("q", (2,))})
-        assert report.f1 == 0.0
-
-    def test_compare_match_objects(self, plain_seq2):
-        a, b = Event("A", 1), Event("B", 2)
-        truth = [Match(plain_seq2, [a, b])]
-        report = compare(truth, truth)
-        assert report.exact
 
 
 class TestReporting:

@@ -33,7 +33,8 @@ def test_ring_is_bounded_and_counts_drops():
     assert len(recorder) == 8
     assert recorder.recorded == 20
     assert recorder.dropped == 12
-    assert recorder.records()[0].value == 12  # oldest survivor
+    __, records = load_flight("\n".join(recorder.dump_lines("probe")))
+    assert records[0].value == 12  # oldest survivor
 
 
 def test_dump_and_load_round_trip():

@@ -32,8 +32,7 @@ def test_registration_is_idempotent_and_returns_the_same_object():
     second = registry.counter("repro_x")
     assert first is second
     assert registry.get("repro_x") is first
-    assert "repro_x" in registry
-    assert len(registry) == 1
+    assert registry.metrics() == [first]
 
 
 def test_kind_collision_raises():

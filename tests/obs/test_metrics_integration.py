@@ -15,7 +15,7 @@ from repro.core.event import Event
 from repro.core.parser import parse
 from repro.core.recovery import ResilientRunner
 from repro.faultinject import CrashError, FaultInjector
-from repro.obs.export import parse_prometheus, read_metrics_jsonl
+from repro.obs.export import parse_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.streams import dump_trace
 
@@ -159,7 +159,7 @@ class TestCliMetricsOut:
         )
         assert code == 0
 
-        records = read_metrics_jsonl(out.read_text())
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         # The final boundary lands exactly on the cadence: the close-time
         # snapshot replaces the periodic one (no duplicate seq 200), and
         # it is the post-seal registry.
@@ -187,7 +187,7 @@ class TestCliMetricsOut:
              "--metrics-out", str(out), "--metrics-every", "50"]
         )
         assert code == 0
-        records = read_metrics_jsonl(out.read_text())
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["seq"] for r in records] == [50, 100, 130]
         assert records[-1]["metrics"]["counters"]["repro_events_total"]["value"] == 130
 
@@ -198,7 +198,7 @@ class TestCliMetricsOut:
              "--metrics-out", str(out)]
         )
         assert code == 0
-        records = read_metrics_jsonl(out.read_text())
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 1
         assert records[0]["metrics"]["counters"]["repro_events_total"]["value"] == 200
 
@@ -210,7 +210,7 @@ class TestCliMetricsOut:
              "--crash-at", "100", "--metrics-out", str(out)]
         )
         assert code == 0
-        records = read_metrics_jsonl(out.read_text())
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         counters = records[-1]["metrics"]["counters"]
         assert counters["repro_events_total"]["value"] == 200
         assert counters["repro_runner_recoveries_total"]["value"] == 1

@@ -10,10 +10,13 @@ machinery must hold its invariants.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
+    Attr,
     Event,
+    Gt,
+    Ne,
     OfflineOracle,
     OutOfOrderEngine,
     PurgePolicy,
@@ -43,7 +46,17 @@ PATTERNS = [
     seq("!B b", "A a", "C c", within=15, name="plead"),
     seq("A a", "C c", "!B b", within=15, name="ptrail"),
     seq("A first", "A second", within=12, name="prep"),
+    # Two predicates staged at one construction depth (binding a after
+    # c and b): one conjunction closure checks both.
+    seq("A a", "B b", "C c", within=30, name="pmulti", where=[
+        Gt(Attr("b", "x"), Attr("a", "x")),
+        Ne(Attr("c", "x"), Attr("a", "x")),
+        Gt(Attr("c", "x"), Attr("b", "x")),
+    ]),
 ]
+_rng = random.Random(4)
+DENSE_TRACE = [Event(_rng.choice("ABCX"), ts, {"x": _rng.randint(0, 5)})
+               for ts in range(1, 401)]
 
 
 @given(
@@ -53,6 +66,7 @@ PATTERNS = [
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=120, deadline=None)
+@example(trace=DENSE_TRACE, pattern_index=len(PATTERNS) - 1, k=6, seed=0)
 def test_ooo_engine_equals_oracle_on_bounded_permutations(trace, pattern_index, k, seed):
     pattern = PATTERNS[pattern_index]
     arrival = bounded_shuffle(trace, k=k, seed=seed)

@@ -10,7 +10,6 @@ from repro.core.stacks import Instance, NegativeStore, SortedStack
 from repro.streams import (
     BurstDropoutModel,
     RandomDelayModel,
-    SwapModel,
     measure_disorder,
     required_k,
 )
@@ -93,14 +92,6 @@ def test_random_delay_model_is_permutation_with_bounded_k(ts_list, rate, max_del
     arrival = model.apply(events)
     assert sorted(e.eid for e in arrival) == sorted(e.eid for e in events)
     assert required_k(arrival) <= max_delay
-
-
-@given(timestamps, st.integers(min_value=1, max_value=20), st.integers())
-@settings(max_examples=80, deadline=None)
-def test_swap_model_is_permutation(ts_list, block, seed):
-    events = [Event("A", ts) for ts in sorted(ts_list)]
-    arrival = SwapModel(block, seed=seed).apply(events)
-    assert sorted(e.eid for e in arrival) == sorted(e.eid for e in events)
 
 
 @given(

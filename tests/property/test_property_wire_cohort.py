@@ -173,7 +173,7 @@ def _state(gateway, journal):
         "watermarks": gateway.liveness.watermarks.snapshot_state(),
         "last_seen": dict(gateway.liveness._last_seen),
         "journal": list(journal),
-        "flight": flight.records() if flight is not None else None,
+        "flight": list(flight._ring) if flight is not None else None,
         "metrics": render_prometheus(registry) if registry is not None else None,
     }
 
@@ -257,7 +257,7 @@ def test_pressure_crosses_both_thresholds_inside_one_cohort():
 
 
 def test_the_one_frame_drivers_hold_no_ladder_of_their_own():
-    """`admit_frame` and `admit` are one-element calls into the cohort body."""
+    """`admit_frame` is a one-element call into the cohort body."""
     gateway, _ = _gateway("off", shed=False)
     with mock.patch.object(
         gateway.admission, "decide_cohort", wraps=gateway.admission.decide_cohort
@@ -265,10 +265,7 @@ def test_the_one_frame_drivers_hold_no_ladder_of_their_own():
         assert gateway.admit_frame("s1", "A", {"ts": 1, "x": 1}, now=0.0) == {
             "status": "admitted"
         }
-        assert gateway.admission.admit("s1", "A", {"ts": 1, "x": 1}).outcome.value == (
-            "duplicate"
-        )
-    assert body.call_count == 2
+    assert body.call_count == 1
 
 
 # -- (c) templated acks ----------------------------------------------------------------------
@@ -447,14 +444,18 @@ def test_compiled_admission_is_the_interpretive_reference(name, cohorts, window)
         # Resends of earlier frames: duplicates, or re-admissions past eviction.
         pairs = fresh + [offered[i % len(offered)] for i in resend if offered]
         offered += fresh
-        for (etype, attrs), decided in zip(pairs, compiled.admit_cohort(source, pairs)):
+        for (etype, attrs), (reason, idem, event) in zip(
+            pairs, compiled.decide_cohort(source, pairs)
+        ):
             want = reference.admit(source, etype, attrs)
-            got = (decided.outcome.value, decided.reason, decided.event, decided.idem_id)
+            outcome = ("quarantined" if reason is not None
+                       else "duplicate" if event is None else "admitted")
+            got = (outcome, reason, event, idem)
             assert got[:2] == want[:2] and got[3] == want[3]
             assert _same(event_slots(got[2]), event_slots(want[2]))
             view = schema.decide(etype, attrs)
             assert (view[0], view[1]) == reference_decision(schema, etype, attrs)[:2]
-            assert schema.check_frame(etype, attrs) == want[1]
+            assert view[0] == want[1]
             if want[1] is None:
                 assert schema.idempotency_id(etype, attrs) == view[1]
                 assert _same(event_slots(schema.build_event(etype, attrs)),
@@ -483,9 +484,11 @@ def test_compiled_admission_is_the_interpretive_reference(name, cohorts, window)
 def test_exact_typed_frames_never_reach_the_interpretive_pass(name, etype, attrs):
     schema = SCHEMAS[name]
     with mock.patch.object(StreamSchema, "screen", wraps=schema.screen) as screen:
-        decision = AdmissionController(schema).admit("s1", etype, attrs)
-    assert screen.call_count == 0 and decision.outcome.value == "admitted"
-    assert decision.idem_id == schema.screen(etype, attrs)[1]
+        [(reason, idem, event)] = AdmissionController(schema).decide_cohort(
+            "s1", [(etype, attrs)]
+        )
+    assert screen.call_count == 0 and reason is None and event is not None
+    assert idem == schema.screen(etype, attrs)[1]
 
 
 @pytest.mark.parametrize(

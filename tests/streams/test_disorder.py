@@ -7,7 +7,6 @@ from repro.streams import (
     BurstDropoutModel,
     NoDisorder,
     RandomDelayModel,
-    SwapModel,
     SyntheticSource,
     measure_disorder,
     required_k,
@@ -58,7 +57,6 @@ class TestModelInvariants:
             RandomDelayModel(0.3, 20, seed=1),
             RandomDelayModel(1.0, 5, seed=2),
             BurstDropoutModel(0.02, 25, seed=3),
-            SwapModel(10, seed=4),
         ],
     )
     def test_permutation_only(self, ordered_events, model):
@@ -68,7 +66,7 @@ class TestModelInvariants:
 
     @pytest.mark.parametrize(
         "model",
-        [RandomDelayModel(0.3, 20, seed=1), BurstDropoutModel(0.02, 25, seed=3), SwapModel(8, seed=2)],
+        [RandomDelayModel(0.3, 20, seed=1), BurstDropoutModel(0.02, 25, seed=3)],
     )
     def test_deterministic(self, ordered_events, model):
         first = [e.eid for e in model.apply(ordered_events)]
@@ -126,23 +124,3 @@ class TestBurstDropoutModel:
             BurstDropoutModel(0.1, 0)
         with pytest.raises(ConfigurationError):
             BurstDropoutModel(0.1, 10, affected=-0.5)
-
-
-class TestSwapModel:
-    def test_block_one_is_identity(self, ordered_events):
-        arrival = SwapModel(1, seed=1).apply(ordered_events)
-        assert [e.eid for e in arrival] == [e.eid for e in ordered_events]
-
-    def test_disorder_confined_to_blocks(self, ordered_events):
-        model = SwapModel(5, seed=2)
-        arrival = model.apply(ordered_events)
-        # Max displacement bounded by max ts-span within any 5-block.
-        spans = []
-        for start in range(0, len(ordered_events), 5):
-            chunk = ordered_events[start : start + 5]
-            spans.append(chunk[-1].ts - chunk[0].ts)
-        assert required_k(arrival) <= max(spans)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SwapModel(0)

@@ -37,7 +37,8 @@ class TestRoundtrip:
         assert [type(e) for e in loaded] == [type(e) for e in elements]
         for original, restored in zip(elements, loaded):
             if isinstance(original, Event):
-                assert restored.key() == original.key()
+                assert (restored.etype, restored.ts, restored.eid) == (
+                    original.etype, original.ts, original.eid)
                 assert restored.attrs == original.attrs
             else:
                 assert restored == original
@@ -47,7 +48,8 @@ class TestRoundtrip:
         loaded = load_trace(trace)
         originals = [e for e in elements if isinstance(e, Event)]
         restored = [e for e in loaded if isinstance(e, Event)]
-        assert [e.key() for e in restored] == [e.key() for e in originals]
+        assert [(e.etype, e.ts, e.eid) for e in restored] == [
+            (e.etype, e.ts, e.eid) for e in originals]
         assert [e.attrs for e in restored] == [e.attrs for e in originals]
 
     def test_punctuation_preserved(self, elements, trace):

@@ -5,8 +5,6 @@ import pytest
 from repro import ConfigurationError, OfflineOracle, OutOfOrderEngine
 from repro.workloads import (
     RfidStoreGenerator,
-    detected_tags,
-    restock_query,
     shoplifting_query,
 )
 
@@ -75,7 +73,7 @@ class TestShopliftingQuery:
     def test_oracle_detects_exactly_ground_truth(self, trace):
         query = shoplifting_query(within=2000)
         matches = OfflineOracle(query).evaluate(trace.merged)
-        assert detected_tags(matches) == trace.shoplifted_tags
+        assert {m.events[0]["tag"] for m in matches} == trace.shoplifted_tags
 
     def test_one_match_per_shoplifted_item(self, trace):
         query = shoplifting_query(within=2000)
@@ -86,23 +84,9 @@ class TestShopliftingQuery:
         query = shoplifting_query(within=2000)
         engine = OutOfOrderEngine(query, k=0)
         engine.run(trace.merged)
-        assert detected_tags(engine.results) == trace.shoplifted_tags
+        assert {m.events[0]["tag"] for m in engine.results} == trace.shoplifted_tags
 
     def test_window_too_small_misses(self, trace):
         query = shoplifting_query(within=1)
         matches = OfflineOracle(query).evaluate(trace.merged)
         assert len(matches) < len(trace.shoplifted_tags) or not trace.shoplifted_tags
-
-
-class TestRestockQuery:
-    def test_restock_counts_checkout_then_shelf(self, trace):
-        query = restock_query(within=2000)
-        matches = OfflineOracle(query).evaluate(trace.merged)
-        # Browse items reshelve without checkout, so every restock match
-        # requires a counter read before a (later) shelf read of the
-        # same tag — rare in this generator but structurally possible
-        # only for honest items whose tag also browses; verify predicate.
-        for match in matches:
-            counter, shelf = match.events
-            assert counter["tag"] == shelf["tag"]
-            assert counter.ts < shelf.ts

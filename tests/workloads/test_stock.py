@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ConfigurationError, OfflineOracle, OutOfOrderEngine
-from repro.workloads import StockFeedGenerator, calm_rise_query, rally_query, vshape_query
+from repro.workloads import StockFeedGenerator, accumulation_query
 
 
 @pytest.fixture(scope="module")
@@ -48,35 +48,8 @@ class TestGenerator:
 
 
 class TestQueries:
-    def test_rally_matches_are_rising_same_symbol(self, feed):
-        matches = OfflineOracle(rally_query(within=30)).evaluate(feed[:600])
-        assert matches  # volatility makes rallies common
-        for match in matches:
-            a, b, c = match.events
-            assert a["sym"] == b["sym"] == c["sym"]
-            assert a["price"] < b["price"] < c["price"]
-
-    def test_vshape_matches_dip_and_recover(self, feed):
-        matches = OfflineOracle(vshape_query(within=40)).evaluate(feed[:600])
-        for match in matches:
-            a, b, c = match.events
-            assert b["price"] < a["price"] < c["price"]
-
-    def test_calm_rise_excludes_large_trades(self, feed):
-        query = calm_rise_query(within=30, volume=1000)
-        matches = OfflineOracle(query).evaluate(feed[:800])
-        trades = [e for e in feed[:800] if e.etype == "TRADE"]
-        for match in matches:
-            a, c = match.events
-            blocking = [
-                t
-                for t in trades
-                if t["sym"] == a["sym"] and t["volume"] > 1000 and a.ts < t.ts < c.ts
-            ]
-            assert blocking == []
-
     def test_engine_agrees_with_oracle_on_feed(self, feed):
-        query = rally_query(within=25)
+        query = accumulation_query(within=25)
         sample = feed[:400]
         truth = OfflineOracle(query).evaluate_set(sample)
         engine = OutOfOrderEngine(query, k=0)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import ConfigurationError, OfflineOracle, OutOfOrderEngine
-from repro.streams import NoDisorder, RandomDelayModel, measure_disorder
-from repro.workloads import SyntheticWorkload, chain_query, rate_sweep_workloads
+from repro.streams import RandomDelayModel, measure_disorder
+from repro.workloads import SyntheticWorkload, chain_query
 
 
 class TestChainQuery:
@@ -23,7 +23,7 @@ class TestChainQuery:
 
     def test_negated_step_inserted(self):
         query = chain_query(3, within=10, negated_step=1)
-        assert query.has_negation
+        assert query.negations
         assert query.length == 3
         assert query.negated_types == {"N"}
 
@@ -96,10 +96,6 @@ class TestWorkload:
         engine.run(arrival)
         assert engine.result_set() == truth
 
-    def test_describe_mentions_config(self):
-        text = SyntheticWorkload(event_count=100, seed=1).describe()
-        assert "n=100" in text and "chain=3" in text
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SyntheticWorkload(partitions=0)
@@ -107,21 +103,3 @@ class TestWorkload:
             SyntheticWorkload(noise_types=-1)
         with pytest.raises(ConfigurationError):
             SyntheticWorkload(include_negatives=2.0)
-
-
-class TestRateSweep:
-    def test_one_workload_per_rate(self):
-        sweep = rate_sweep_workloads([0.0, 0.2, 0.5], max_delay=20, event_count=100)
-        assert [rate for rate, __ in sweep] == [0.0, 0.2, 0.5]
-
-    def test_zero_rate_uses_no_disorder(self):
-        sweep = rate_sweep_workloads([0.0], max_delay=20, event_count=100)
-        assert isinstance(sweep[0][1].disorder, NoDisorder)
-
-    def test_rates_produce_increasing_disorder(self):
-        sweep = rate_sweep_workloads([0.1, 0.6], max_delay=20, event_count=2000)
-        measured = []
-        for __, workload in sweep:
-            __, arrival = workload.generate()
-            measured.append(measure_disorder(arrival).rate)
-        assert measured[1] > measured[0]
